@@ -127,35 +127,16 @@ class TrainConfig:
 @dataclass(frozen=True)
 class IndexConfig:
     """Hash-index settings: Hamming radius, multi-index substring count,
-    and the filtered-search pushdown policy.
+    and the tombstone-compaction thresholds.
 
-    A metadata-filtered similarity query chooses between two plans by
-    estimated selectivity (allowed rows / corpus):
-
-    * **pre-filter** — restrict the Hamming scan / MIH verification to the
-      allowed-row mask; cost scales with the allowed subset, so it wins
-      when the filter is selective (``selectivity <=
-      prefilter_max_selectivity``);
-    * **post-filter** — run the unfiltered index search over-fetched by
-      ``postfilter_overfetch / selectivity`` and refill adaptively until
-      ``k`` allowed results are found; shares scans and cache entries with
-      unfiltered traffic, so it wins for broad filters.
-
-    Both plans return byte-identical rankings; the policy is cost-only.
-
-    .. deprecated::
-        ``prefilter_max_selectivity`` and ``postfilter_overfetch`` are
-        superseded by the cost-based planner (:class:`PlannerConfig`).
-        While the planner is enabled, setting them away from their
-        defaults keeps the legacy behaviour (threshold pins the pre/post
-        choice, the factor feeds the over-fetch formula) but emits a
-        :class:`DeprecationWarning`.
+    How a metadata-filtered similarity query executes (pre-filter mask
+    pushdown vs over-fetched post-filter) is not configured here: the
+    cost-based planner prices both per query (:class:`PlannerConfig`,
+    :mod:`repro.planner`) and both return byte-identical rankings.
     """
 
     hamming_radius: int = 2
     mih_tables: int = 4
-    prefilter_max_selectivity: float = 0.1
-    postfilter_overfetch: float = 2.0
     # Mutable-corpus lifecycle: a deleted/updated image tombstones its index
     # row (O(1), excluded from every search via the alive mask); once the
     # dead rows exceed max(compact_min_dead, compact_max_dead_fraction * N)
@@ -167,10 +148,6 @@ class IndexConfig:
     def __post_init__(self) -> None:
         _require(self.hamming_radius >= 0, "hamming_radius must be >= 0")
         _require(self.mih_tables >= 1, "mih_tables must be >= 1")
-        _require(0.0 <= self.prefilter_max_selectivity <= 1.0,
-                 "prefilter_max_selectivity must be in [0, 1]")
-        _require(self.postfilter_overfetch >= 1.0,
-                 "postfilter_overfetch must be >= 1")
         _require(self.compact_min_dead >= 1, "compact_min_dead must be >= 1")
         _require(0.0 < self.compact_max_dead_fraction <= 1.0,
                  "compact_max_dead_fraction must be in (0, 1]")
@@ -373,25 +350,24 @@ class DurabilityConfig:
 class PlannerConfig:
     """Cost-based query-planner settings (:mod:`repro.planner`).
 
-    * ``enabled`` — when on, ``strategy="auto"`` similarity queries are
-      planned by :class:`~repro.planner.QueryPlanner`: candidate physical
-      plans (backend, pre/post filter, over-fetch, MIH ladder depth) are
-      priced with calibrated unit costs plus live workload statistics and
-      the cheapest wins.  When off, the legacy scattered heuristics
-      (``IndexConfig.prefilter_max_selectivity`` et al.) apply unchanged.
+    Every similarity query is planned by
+    :class:`~repro.planner.QueryPlanner`: candidate physical plans
+    (backend, pre/post filter, over-fetch, MIH ladder depth) are priced
+    with calibrated unit costs plus live workload statistics, and the
+    cheapest is run by the shared :class:`~repro.planner.QueryExecutor`
+    (an explicit ``strategy=`` or federation plan hint pins a dimension).
+
     * ``calibration_path`` — calibration sidecar auto-loaded at system
       construction (``repro calibrate --out calibration.json``); when the
       file is missing the planner prices with built-in default units and
       reports ``calibrated=False`` (the ``planner.calibrated`` gauge).
     * ``overfetch_factor`` — safety margin on the ``k / selectivity``
-      initial fetch of post-filter plans (same formula the legacy
-      ``IndexConfig.postfilter_overfetch`` knob fed).
+      initial fetch of post-filter plans.
 
     Every plan in the planner's search space returns byte-identical
     rankings; this config only moves latency around.
     """
 
-    enabled: bool = True
     calibration_path: "str | None" = "calibration.json"
     overfetch_factor: float = 2.0
 

@@ -16,17 +16,16 @@ joined with content similarity) runs through the same entry points: every
 query method accepts ``filter`` — a :class:`RowFilter`, an iterable of
 allowed patch names, or a :class:`~repro.earthqube.query.QuerySpec` when a
 ``spec_resolver`` is attached (the bootstrapped system wires it to the
-metadata search service).  The service picks **pre-filter** (restrict the
-Hamming scan / MIH verification to the allowed-row mask) or **post-filter**
-(adaptively over-fetched unfiltered search + client-side refill) from the
-filter's estimated selectivity; both plans return byte-identical rankings
-equal to a brute-force filter-then-rank oracle.
+metadata search service).  The shared
+:class:`~repro.planner.QueryExecutor` prices **pre-filter** (restrict the
+Hamming scan / MIH verification to the allowed-row mask) against
+**post-filter** (adaptively over-fetched unfiltered search + refill) and
+runs the cheaper plan on this service's index; both return byte-identical
+rankings equal to a brute-force filter-then-rank oracle.
 """
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
@@ -41,11 +40,9 @@ from ..index.hamming import TombstoneSet
 from ..index.mih import MultiIndexHashing
 from ..index.results import SearchResult
 from ..obs import tracing
-from ..planner import PhysicalPlan, PlanChoice, QueryPlanner, \
-    deprecated_overrides
+from ..planner import (PlanChoice, QueryExecutor, QueryPlanner,
+                       validate_code_query)
 from .query import QuerySpec
-
-_FILTER_MODES = ("auto", "pre", "post")
 
 
 @dataclass(frozen=True)
@@ -111,24 +108,59 @@ def shape_name_response(name: str, results: "list[SearchResult]", used: int,
     return response
 
 
+class _IndexRunner:
+    """The direct :class:`~repro.planner.CodeRunner`: the service's own
+    MIH index, which executes either backend (a zero probe budget forces
+    the exact scan) — so nothing is pinned and the planner chooses."""
+
+    pinned_backend = None
+    plan_context: dict = {}
+
+    def __init__(self, service: "CBIRService") -> None:
+        self._service = service
+
+    def shape(self) -> "tuple[int, int, int]":
+        service = self._service
+        return (len(service._names), service.hasher.num_bits,
+                service.config.mih_tables)
+
+    def run(self, codes, *, k: "int | None", radius: "int | None",
+            allowed: "np.ndarray | None", probe_budget: "int | None",
+            ) -> "list[list[SearchResult]]":
+        # Search methods are looked up on the index per call, never bound
+        # ahead: the benchmark's traced run wraps them on the instance.
+        index = self._service._index
+        if len(codes) == 1:
+            if radius is not None:
+                return [index.search_radius(codes[0], radius, allowed=allowed,
+                                            probe_budget=probe_budget)]
+            return [index.search_knn(codes[0], k, allowed=allowed,
+                                     probe_budget=probe_budget)]
+        # More than one code: the index's native batch path — one
+        # vectorized probe/verify pass instead of a Python loop.
+        codes = np.asarray(codes, dtype=np.uint64)
+        if radius is not None:
+            return index.search_radius_batch(codes, radius, allowed=allowed,
+                                             probe_budget=probe_budget)
+        return index.search_knn_batch(codes, k, allowed=allowed,
+                                      probe_budget=probe_budget)
+
+
 class CBIRService:
     """MiLaN-backed similarity search over an indexed archive."""
 
     def __init__(self, hasher: MiLaNHasher, extractor: FeatureExtractor,
-                 config: "IndexConfig | None" = None, *,
-                 planner: "QueryPlanner | None" = None) -> None:
+                 config: "IndexConfig | None" = None) -> None:
         if not hasher.is_fitted:
             raise ValidationError("CBIRService requires a fitted MiLaNHasher")
         self.hasher = hasher
         self.extractor = extractor
         self.config = config or IndexConfig()
-        # The cost-based query planner; the system facade replaces this with
-        # its shared (calibration-loaded, workload-fed) instance.
-        self.planner = planner if planner is not None else QueryPlanner()
-        # Deprecated IndexConfig knobs become planner overrides (one
-        # DeprecationWarning at construction, silent when planner disabled).
-        self._planner_overrides = deprecated_overrides(
-            self.config, warn=self.planner.config.enabled)
+        # The one query path (plan -> execute -> annotate), shared with the
+        # serving gateway; the system facade swaps in its calibration-
+        # loaded, workload-fed planner via use_planner().
+        self.executor = QueryExecutor(QueryPlanner())
+        self._runner = _IndexRunner(self)
         self._index = MultiIndexHashing(hasher.num_bits, self.config.mih_tables)
         # The paper's in-memory hash table: patch name -> packed binary code.
         self._code_by_name: dict[str, np.ndarray] = {}
@@ -151,11 +183,8 @@ class CBIRService:
 
     def use_planner(self, planner: QueryPlanner) -> None:
         """Adopt a shared planner instance (the system facade's
-        calibration-loaded, workload-fed one).  Deprecated-knob overrides
-        are recomputed against the new planner without re-warning — the
-        construction-time warning already fired."""
-        self.planner = planner
-        self._planner_overrides = deprecated_overrides(self.config, warn=False)
+        calibration-loaded, workload-fed one)."""
+        self.executor = QueryExecutor(planner)
 
     def __len__(self) -> int:
         return len(self._code_by_name)
@@ -445,114 +474,19 @@ class CBIRService:
             f"filter must be a RowFilter, QuerySpec, or iterable of names, "
             f"got {type(filter).__name__}")
 
-    def _filter_mode(self, row_filter: RowFilter, strategy: str) -> str:
-        """Resolve ``auto`` to pre/post from estimated selectivity."""
-        if strategy not in _FILTER_MODES:
-            raise ValidationError(
-                f"strategy must be one of {_FILTER_MODES}, got {strategy!r}")
-        if strategy != "auto":
-            return strategy
-        threshold = self.config.prefilter_max_selectivity
-        return ("pre" if row_filter.selectivity(len(self._names)) <= threshold
-                else "post")
-
-    def _initial_fetch(self, k: int, row_filter: RowFilter) -> int:
-        """First post-filter over-fetch: ``k / selectivity`` plus margin."""
-        n = len(self._names)
-        estimated = math.ceil(k * n * self.config.postfilter_overfetch
-                              / max(row_filter.count, 1))
-        return min(n, max(k, estimated))
-
-    def _postfilter_knn(self, code: np.ndarray, k: int,
-                        row_filter: RowFilter,
-                        *, start_fetch: "int | None" = None,
-                        probe_budget: "int | None" = None,
-                        ) -> list[SearchResult]:
-        """Adaptive over-fetch + refill: unfiltered kNN, screened by name.
-
-        The unfiltered ranking is a deterministic (distance, insertion
-        row) order, so the first ``k`` allowed survivors are exactly the
-        filtered top-k; when the screen comes up short the fetch grows
-        geometrically until it is satisfied or the corpus is exhausted.
-        """
-        n = len(self._names)
-        fetch = start_fetch if start_fetch is not None else \
-            self._initial_fetch(k, row_filter)
-        while True:
-            results = self._index.search_knn(code, fetch,
-                                             probe_budget=probe_budget)
-            kept = [r for r in results if r.item_id in row_filter.names]
-            if len(kept) >= k or fetch >= n:
-                return kept[:k]
-            fetch = min(n, fetch * 4)
-
-    def _plan_for(self, row_filter: "RowFilter | None", *, k: "int | None",
-                  radius: "int | None", strategy: str,
-                  plan_hint: "dict | None" = None) -> PlanChoice:
-        """Choose the physical plan for one (possibly filtered) query.
-
-        With the planner enabled, candidate plans (linear vs MIH backend,
-        pre vs post filtering, calibrated probe budget, over-fetch size)
-        are priced and the cheapest wins; an explicit ``strategy=``, a
-        federation ``plan_hint``, or a deprecated config override pins the
-        corresponding dimension.  With the planner disabled the legacy
-        selectivity-threshold heuristics produce the (single) plan, so
-        pre-planner deployments behave identically.
-        """
-        n = len(self._names)
-        forced_mode = None
-        selectivity = filter_count = None
-        if row_filter is not None:
-            if strategy not in _FILTER_MODES:
-                raise ValidationError(
-                    f"strategy must be one of {_FILTER_MODES}, got {strategy!r}")
-            if strategy != "auto":
-                forced_mode = strategy
-            selectivity = row_filter.selectivity(n)
-            filter_count = row_filter.count
-        if not self.planner.config.enabled:
-            mode = overfetch = None
-            if row_filter is not None:
-                mode = self._filter_mode(row_filter, strategy)
-                if mode == "post" and k is not None:
-                    overfetch = self._initial_fetch(k, row_filter)
-            return PlanChoice(
-                chosen=PhysicalPlan(backend="mih", filter_mode=mode,
-                                    overfetch=overfetch, estimator="legacy"),
-                forced=True, context={"corpus_size": n})
-        forced_backend = None
-        if plan_hint:
-            forced_backend = plan_hint.get("backend")
-            if forced_backend not in ("mih", "linear"):
-                # The hint came from a tier with a different backend menu
-                # (e.g. a gateway's "sharded"); keep the transferable part.
-                forced_backend = None
-            if forced_mode is None and row_filter is not None:
-                forced_mode = plan_hint.get("filter_mode")
-        overrides = self._planner_overrides
-        threshold = overrides.get("prefilter_max_selectivity")
-        if forced_mode is None and row_filter is not None and \
-                threshold is not None:
-            forced_mode = "pre" if selectivity <= threshold else "post"
-        return self.planner.plan_similarity(
-            corpus_size=n, k=k, radius=radius, selectivity=selectivity,
-            filter_count=filter_count, num_bits=self.hasher.num_bits,
-            num_tables=self.config.mih_tables, forced_mode=forced_mode,
-            forced_backend=forced_backend,
-            overfetch_factor=overrides.get("overfetch_factor"))
-
     def plan_query(self, row_filter: "RowFilter | None" = None, *,
                    k: "int | None" = None, radius: "int | None" = None,
-                   strategy: str = "auto") -> PlanChoice:
-        """The planner's decision for one query, without executing it.
+                   strategy: str = "auto") -> "PlanChoice | None":
+        """The planner's decision for one query, without executing it
+        (``None`` for an empty filter: there is nothing to run).
 
         The federation front-end calls this on a query's owning node and
         scatters the chosen plan's summary so every member executes one
         consistent strategy (results are byte-identical either way — the
         hint only pins latency behavior).
         """
-        return self._plan_for(row_filter, k=k, radius=radius,
-                              strategy=strategy)
+        return self.executor.plan(self._runner, row_filter, k=k,
+                                  radius=radius, strategy=strategy)
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -589,9 +523,9 @@ class CBIRService:
         code = self.code_of(name)
         # Request one extra result: the query matches itself at distance 0
         # and is dropped from the response.
-        results, used = self._run(code, k=None if k is None else k + 1,
-                                  radius=radius, filter=filter,
-                                  strategy=strategy)
+        [(results, used)] = self._execute(
+            [code], k=None if k is None else k + 1, radius=radius,
+            filter=filter, strategy=strategy)
         return shape_name_response(name, results, used, k)
 
     def query_by_patch(self, patch: Patch, *, k: "int | None" = 10,
@@ -610,8 +544,8 @@ class CBIRService:
         if features.ndim != 1:
             raise ValidationError(f"query features must be 1D, got shape {features.shape}")
         code = self.hasher.hash_packed(features[None, :])[0]
-        results, used = self._run(code, k=k, radius=radius, filter=filter,
-                                  strategy=strategy)
+        [(results, used)] = self._execute([code], k=k, radius=radius,
+                                          filter=filter, strategy=strategy)
         return SimilarityResponse(None, results, used)
 
     def query_batch(self, queries: Sequence, *, k: "int | None" = 10,
@@ -650,18 +584,16 @@ class CBIRService:
         if name_positions:
             # One extra neighbor per name query: the self-match at
             # distance 0 is dropped from the response.
-            batches, used_list = self._run_batch(
-                np.stack(name_codes), k=None if k is None else k + 1,
-                radius=radius, filter=filter, strategy=strategy)
-            for position, results, used in zip(name_positions, batches, used_list):
+            outcomes = self._execute(
+                name_codes, k=None if k is None else k + 1, radius=radius,
+                filter=filter, strategy=strategy)
+            for position, (results, used) in zip(name_positions, outcomes):
                 responses[position] = shape_name_response(
                     queries[position], results, used, k)
         if feature_positions:
-            batches, used_list = self._run_batch(
-                np.stack(feature_codes), k=k, radius=radius, filter=filter,
-                strategy=strategy)
-            for position, results, used in zip(feature_positions, batches,
-                                               used_list):
+            outcomes = self._execute(feature_codes, k=k, radius=radius,
+                                     filter=filter, strategy=strategy)
+            for position, (results, used) in zip(feature_positions, outcomes):
                 responses[position] = SimilarityResponse(None, results, used)
         return responses  # type: ignore[return-value]
 
@@ -676,13 +608,12 @@ class CBIRService:
         code (each applying ``filter`` against its own metadata).
         ``plan_hint`` carries the owner node's plan summary so federation
         members make one consistent pre/post decision instead of each
-        re-planning from local statistics.  Semantics match :meth:`_run`
-        exactly (no self-match handling; response shaping is the caller's
-        job).
+        re-planning from local statistics.  No self-match handling:
+        response shaping is the caller's job.
         """
-        return self._run(np.asarray(code, dtype=np.uint64), k=k, radius=radius,
-                         filter=filter, strategy=strategy,
-                         plan_hint=plan_hint)
+        return self._execute([np.asarray(code, dtype=np.uint64)], k=k,
+                             radius=radius, filter=filter, strategy=strategy,
+                             plan_hint=plan_hint)[0]
 
     def query_codes_batch(self, codes: np.ndarray, *, k: "int | None" = None,
                           radius: "int | None" = None, filter: object = None,
@@ -694,135 +625,19 @@ class CBIRService:
         if codes.ndim != 2:
             raise ValidationError(
                 f"batch code query expects (Q, W) packed codes, got {codes.shape}")
-        batches, used_list = self._run_batch(codes, k=k, radius=radius,
-                                             filter=filter, strategy=strategy,
-                                             plan_hint=plan_hint)
-        return list(zip(batches, used_list))
+        return self._execute(codes, k=k, radius=radius, filter=filter,
+                             strategy=strategy, plan_hint=plan_hint)
 
-    @staticmethod
-    def _validate_params(k: "int | None", radius: "int | None") -> None:
-        if radius is not None:
-            if radius < 0:
-                raise ValidationError(f"radius must be >= 0, got {radius}")
-        elif k is None or k <= 0:
-            raise ValidationError("provide k > 0 or an explicit radius")
-
-    @staticmethod
-    def _used_radius(results: "list[SearchResult]",
-                     radius: "int | None") -> int:
-        if radius is not None:
-            return radius
-        return results[-1].distance if results else 0
-
-    def _annotate_plan_family(self, choice: PlanChoice,
-                              row_filter: "RowFilter | None") -> None:
-        """Annotate the request's query family from the chosen plan."""
-        plan = choice.chosen
-        tracing.annotate(backend=plan.backend)
-        if row_filter is not None:
-            mode = plan.filter_mode
-            tracing.annotate(
-                filter_mode=mode, filter_count=row_filter.count,
-                strategy="prefilter" if mode == "pre" else "postfilter",
-                selectivity=row_filter.selectivity(len(self._names)))
-
-    def _run_batch(self, codes: np.ndarray, *, k: "int | None",
-                   radius: "int | None", filter: object = None,
-                   strategy: str = "auto", plan_hint: "dict | None" = None,
-                   ) -> "tuple[list[list[SearchResult]], list[int]]":
-        self._validate_params(k, radius)
-        row_filter = self._coerce_filter(filter)
-        if row_filter is not None and row_filter.count == 0:
-            tracing.annotate(backend="mih")
-            batches = [[] for _ in range(codes.shape[0])]
-            return batches, [self._used_radius(results, radius)
-                             for results in batches]
-        choice = self._plan_for(row_filter, k=k, radius=radius,
-                                strategy=strategy, plan_hint=plan_hint)
-        plan = choice.chosen
-        self._annotate_plan_family(choice, row_filter)
-        budget = plan.probe_budget
-        started = time.perf_counter_ns()
-        if row_filter is None:
-            if radius is not None:
-                batches = self._index.search_radius_batch(
-                    codes, radius, probe_budget=budget)
-            else:
-                batches = self._index.search_knn_batch(
-                    codes, k, probe_budget=budget)
-        elif radius is not None:
-            if plan.filter_mode == "pre":
-                batches = self._index.search_radius_batch(
-                    codes, radius, allowed=row_filter.mask,
-                    probe_budget=budget)
-            else:
-                batches = [
-                    [r for r in results if r.item_id in row_filter.names]
-                    for results in self._index.search_radius_batch(
-                        codes, radius, probe_budget=budget)]
-        elif plan.filter_mode == "pre":
-            batches = self._index.search_knn_batch(
-                codes, k, allowed=row_filter.mask, probe_budget=budget)
-        else:
-            # One shared over-fetch pass for the whole batch, then
-            # per-query refill for the (rare) under-filled screens.
-            n = len(self._names)
-            fetch = plan.overfetch if plan.overfetch is not None else \
-                self._initial_fetch(k, row_filter)
-            fetched = self._index.search_knn_batch(codes, fetch,
-                                                   probe_budget=budget)
-            batches = []
-            for position, results in enumerate(fetched):
-                kept = [r for r in results
-                        if r.item_id in row_filter.names]
-                if len(kept) >= k or fetch >= n:
-                    batches.append(kept[:k])
-                else:
-                    batches.append(self._postfilter_knn(
-                        codes[position], k, row_filter,
-                        start_fetch=min(n, fetch * 4), probe_budget=budget))
-        tracing.annotate(plan=choice.explain(
-            measured_ns=time.perf_counter_ns() - started))
-        return batches, [self._used_radius(results, radius)
-                         for results in batches]
-
-    def _run(self, code: np.ndarray, *, k: "int | None",
-             radius: "int | None", filter: object = None,
-             strategy: str = "auto", plan_hint: "dict | None" = None,
-             ) -> tuple[list[SearchResult], int]:
-        self._validate_params(k, radius)
-        row_filter = self._coerce_filter(filter)
-        if row_filter is not None and row_filter.count == 0:
-            tracing.annotate(backend="mih")
-            return [], self._used_radius([], radius)
-        choice = self._plan_for(row_filter, k=k, radius=radius,
-                                strategy=strategy, plan_hint=plan_hint)
-        plan = choice.chosen
-        self._annotate_plan_family(choice, row_filter)
-        budget = plan.probe_budget
-        started = time.perf_counter_ns()
-        if row_filter is None:
-            if radius is not None:
-                results = self._index.search_radius(code, radius,
-                                                    probe_budget=budget)
-            else:
-                results = self._index.search_knn(code, k, probe_budget=budget)
-        elif radius is not None:
-            if plan.filter_mode == "pre":
-                results = self._index.search_radius(
-                    code, radius, allowed=row_filter.mask,
-                    probe_budget=budget)
-            else:
-                results = [r for r in self._index.search_radius(
-                               code, radius, probe_budget=budget)
-                           if r.item_id in row_filter.names]
-        elif plan.filter_mode == "pre":
-            results = self._index.search_knn(code, k, allowed=row_filter.mask,
-                                             probe_budget=budget)
-        else:
-            results = self._postfilter_knn(code, k, row_filter,
-                                           start_fetch=plan.overfetch,
-                                           probe_budget=budget)
-        tracing.annotate(plan=choice.explain(
-            measured_ns=time.perf_counter_ns() - started))
-        return results, self._used_radius(results, radius)
+    def _execute(self, codes, *, k: "int | None", radius: "int | None",
+                 filter: object, strategy: str,
+                 plan_hint: "dict | None" = None,
+                 ) -> "list[tuple[list[SearchResult], int]]":
+        """Every query method's hand-off to the shared executor."""
+        # Rejected here too, before a QuerySpec filter costs a metadata
+        # search to resolve.
+        validate_code_query(k, radius)
+        outcomes, _ = self.executor.execute(
+            self._runner, codes, k=k, radius=radius,
+            row_filter=self._coerce_filter(filter), strategy=strategy,
+            plan_hint=plan_hint)
+        return outcomes

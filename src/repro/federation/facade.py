@@ -60,6 +60,7 @@ from ..earthqube.cbir import SimilarityResponse, shape_name_response
 from ..earthqube.query import QuerySpec
 from ..errors import EmptyIndexError, ReproError, UnknownPatchError, ValidationError
 from ..obs import Observability
+from ..planner import validate_code_query
 from ..store.faults import NO_FAULTS
 from .breaker import OPEN
 from .executor import (
@@ -285,20 +286,6 @@ class FederatedEarthQube:
         if len(self.registry) == 0:
             raise ValidationError("the federation has no registered nodes")
 
-    @staticmethod
-    def _validate_code_query(k: "int | None", radius: "int | None") -> None:
-        """Reject malformed client input *before* the scatter.
-
-        A bad ``k``/``radius`` must surface as a ValidationError (an HTTP
-        400), exactly like the direct path — not execute on the nodes,
-        where each per-node exception would be recorded as a node failure
-        and bad client input could trip healthy nodes' circuit breakers.
-        """
-        if radius is not None and radius < 0:
-            raise ValidationError(f"radius must be >= 0, got {radius}")
-        if radius is None and (k is None or k <= 0):
-            raise ValidationError("provide k > 0 or an explicit radius")
-
     # ------------------------------------------------------------------ #
     # Global insertion sequence (elastic mode)
     # ------------------------------------------------------------------ #
@@ -378,7 +365,11 @@ class FederatedEarthQube:
             owner, bare = self.resolve_image(name)
             if radius is None and k is None:
                 radius = owner.default_radius()
-            self._validate_code_query(k, radius)
+            # Reject malformed client input *before* the scatter, as an
+            # HTTP 400 like the direct path: executed on the nodes, each
+            # per-node exception would be recorded as a node failure and
+            # bad input could trip healthy nodes' circuit breakers.
+            validate_code_query(k, radius)
             code = owner.code_of(bare)
             request_k = None if k is None else k + 1
             namespace = self._namespacing()
@@ -426,7 +417,7 @@ class FederatedEarthQube:
         one consistent strategy, and the full decision (rejected
         alternatives, predicted costs) is recorded on the federation
         request span for ``explain=true``.  ``None`` — scatter without a
-        hint — when the planner is disabled or the filter is empty; call
+        hint — when the filter matches nothing at the owner; call
         sites also skip the hint entirely for unfiltered queries, both
         because each member's backend choice should track its own corpus
         size and so stubs/peers speaking the unfiltered protocol keep
@@ -480,7 +471,7 @@ class FederatedEarthQube:
                     f"batch queries span incompatible code widths {sorted(widths)}")
             if radius is None and k is None:
                 radius = resolved[0][0].default_radius()
-            self._validate_code_query(k, radius)
+            validate_code_query(k, radius)  # before the scatter, as above
             codes = np.stack([owner.code_of(bare) for owner, bare in resolved])
             request_k = None if k is None else k + 1
             namespace = self._namespacing()

@@ -100,20 +100,16 @@ class FederatedNode:
     def plan_choice(self, *, k: "int | None" = None,
                     radius: "int | None" = None,
                     filter_spec: "QuerySpec | None" = None):
-        """This node's planner decision for one code query (or ``None``).
+        """This node's planner decision for one code query (``None`` when
+        the filter matches nothing here).
 
         Computed against the node's own corpus and metadata tier; the
         federation front-end calls this on the owning node, records the
         decision on the request span, and scatters the chosen plan's
         summary as a hint so every member runs one consistent strategy.
         """
-        system = self.system
-        if not system.planner.config.enabled:
-            return None
-        row_filter = system.row_filter_for(filter_spec)
-        if row_filter is not None and row_filter.count == 0:
-            return None
-        return system.cbir.plan_query(row_filter, k=k, radius=radius)
+        return self.system.cbir.plan_query(
+            self.system.row_filter_for(filter_spec), k=k, radius=radius)
 
     def query_code(self, code: np.ndarray, *, k: "int | None" = None,
                    radius: "int | None" = None,

@@ -5,11 +5,12 @@ across ad-hoc heuristics: linear vs MIH vs sharded backend, pre- vs
 post-filter with over-fetch sizing, MIH radius-ladder depth, and columnar
 intersection order.  Plans are priced with calibrated per-operator unit
 costs (:mod:`repro.obs.calibrate`) refined by live workload statistics
-(:mod:`repro.obs.workload`); the chosen :class:`PhysicalPlan` is obeyed by
-the index, store, serving, and federation tiers and surfaced through
-``explain=true``.
+(:mod:`repro.obs.workload`); the chosen :class:`PhysicalPlan` is run by the
+one :class:`QueryExecutor` every tier answers similarity queries through,
+and surfaced through ``explain=true``.
 """
 
-from .planner import (DEFAULT_UNITS, QueryPlanner, deprecated_overrides,
-                      substring_probe_cost)
+from .executor import (CodeRunner, QueryExecutor, used_radius,
+                       validate_code_query)
+from .planner import DEFAULT_UNITS, QueryPlanner, substring_probe_cost
 from .plans import PhysicalPlan, PlanChoice

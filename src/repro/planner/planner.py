@@ -36,7 +36,7 @@ import math
 import os
 import warnings
 
-from ..config import IndexConfig, PlannerConfig
+from ..config import PlannerConfig
 from ..errors import ValidationError
 from ..obs.calibrate import (UNIT_KEYS, check_units, load_calibration,
                              predict_cost_ns)
@@ -62,7 +62,7 @@ _MIH_TABLE_OVERHEAD_BUCKETS = 4
 #: Families observed fewer times than this keep the analytic estimate.
 _MIN_WORKLOAD_SAMPLES = 3
 
-_STRATEGY_LABELS = {None: "unfiltered", "pre": "prefilter",
+STRATEGY_LABELS = {None: "unfiltered", "pre": "prefilter",
                     "post": "postfilter"}
 
 
@@ -147,7 +147,7 @@ class QueryPlanner:
         if self.workload is None:
             return None
         from ..obs.costs import selectivity_bucket
-        family = (backend, _STRATEGY_LABELS[filter_mode],
+        family = (backend, STRATEGY_LABELS[filter_mode],
                   selectivity_bucket(selectivity))
         means = self.workload.cost_means(family)
         if not means or means.get("_count", 0) < _MIN_WORKLOAD_SAMPLES:
@@ -162,9 +162,8 @@ class QueryPlanner:
     @staticmethod
     def _overfetch(k: int, corpus_size: int, filter_count: int,
                    factor: float) -> int:
-        """Initial post-filter fetch: ``k / selectivity`` plus margin —
-        exactly the legacy ``_initial_fetch`` formula, so post-filter plans
-        execute identically to the pre-planner code."""
+        """Initial post-filter fetch: ``k / selectivity`` times the
+        configured safety margin, clamped to ``[k, corpus_size]``."""
         estimated = math.ceil(k * corpus_size * factor / max(filter_count, 1))
         return min(corpus_size, max(k, estimated))
 
@@ -233,13 +232,11 @@ class QueryPlanner:
                         filter_count: "int | None" = None,
                         num_bits: int = 128, num_tables: int = 4,
                         backends: "tuple[str, ...]" = ("mih", "linear"),
-                        overfetch_factor: "float | None" = None,
                         ) -> "list[PhysicalPlan]":
         """Every candidate plan for one query, priced, cheapest first."""
         filtered = selectivity is not None
         modes = ("pre", "post") if filtered else (None,)
-        factor = (overfetch_factor if overfetch_factor is not None
-                  else self.config.overfetch_factor)
+        factor = self.config.overfetch_factor
         plans = []
         for backend in backends:
             for mode in modes:
@@ -285,20 +282,17 @@ class QueryPlanner:
                         backends: "tuple[str, ...]" = ("mih", "linear"),
                         forced_mode: "str | None" = None,
                         forced_backend: "str | None" = None,
-                        overfetch_factor: "float | None" = None,
                         ) -> PlanChoice:
         """Choose the cheapest plan (or honor a forced strategy/backend).
 
-        ``forced_mode`` pins pre/post (an explicit ``strategy=``, a
-        federation plan hint, or a deprecated config override);
-        ``forced_backend`` pins the backend.  Alternatives are still priced
+        ``forced_mode`` pins pre/post (an explicit ``strategy=`` or a
+        federation plan hint); ``forced_backend`` pins the backend.  Alternatives are still priced
         and reported as rejected so ``explain`` shows the tradeoff.
         """
         plans = self.enumerate_plans(
             corpus_size=corpus_size, k=k, radius=radius,
             selectivity=selectivity, filter_count=filter_count,
-            num_bits=num_bits, num_tables=num_tables, backends=backends,
-            overfetch_factor=overfetch_factor)
+            num_bits=num_bits, num_tables=num_tables, backends=backends)
         forced = forced_mode is not None or forced_backend is not None
         eligible = [plan for plan in plans
                     if (forced_mode is None or plan.filter_mode == forced_mode)
@@ -317,39 +311,7 @@ class QueryPlanner:
 
     def describe(self) -> dict:
         """Operator-facing summary (``planner.calibrated`` gauge source)."""
-        return {"enabled": self.config.enabled,
-                "calibrated": self.calibrated,
+        return {"calibrated": self.calibrated,
                 "units": dict(self.units),
                 "workload_attached": self.workload is not None}
 
-
-def deprecated_overrides(index_config: "IndexConfig | None",
-                         *, warn: bool = True) -> dict:
-    """Planner overrides carried by deprecated :class:`IndexConfig` knobs.
-
-    ``prefilter_max_selectivity`` / ``postfilter_overfetch`` predate the
-    planner; when a config sets them away from their defaults the planner
-    honors them (threshold pins the pre/post choice, the over-fetch factor
-    feeds the fetch formula) so existing deployments behave identically —
-    but a :class:`DeprecationWarning` points at the planner config.
-    """
-    overrides: dict = {}
-    if index_config is None:
-        return overrides
-    defaults = IndexConfig()
-    if index_config.prefilter_max_selectivity != defaults.prefilter_max_selectivity:
-        overrides["prefilter_max_selectivity"] = \
-            index_config.prefilter_max_selectivity
-    if index_config.postfilter_overfetch != defaults.postfilter_overfetch:
-        overrides["overfetch_factor"] = index_config.postfilter_overfetch
-    if overrides and warn:
-        knobs = ", ".join(sorted(
-            "IndexConfig.postfilter_overfetch" if key == "overfetch_factor"
-            else f"IndexConfig.{key}" for key in overrides))
-        warnings.warn(
-            f"{knobs} are deprecated now that the query planner prices "
-            f"pre/post-filtering; they are honored as planner overrides, "
-            f"but prefer PlannerConfig (set enabled=False to keep the "
-            f"legacy heuristics without warnings)",
-            DeprecationWarning, stacklevel=3)
-    return overrides

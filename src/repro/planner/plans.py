@@ -83,9 +83,9 @@ class PlanChoice:
     """The planner's full decision: chosen plan + priced alternatives.
 
     ``forced`` marks decisions where the caller pinned the strategy (an
-    explicit ``strategy="pre"``, a federation plan hint, a deprecated
-    config override) — the alternatives were still priced for ``explain``,
-    but pricing did not pick the winner.
+    explicit ``strategy="pre"``, a federation plan hint) — the
+    alternatives were still priced for ``explain``, but pricing did not
+    pick the winner.
     """
 
     chosen: PhysicalPlan

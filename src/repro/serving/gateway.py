@@ -23,10 +23,7 @@ tiers; they get the cache + metrics treatment only.
 from __future__ import annotations
 
 import copy
-import math
 import threading
-import time
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -37,7 +34,7 @@ from ..earthqube.query import QuerySpec
 from ..earthqube.search import SearchResponse
 from ..errors import ValidationError
 from ..obs import tracing
-from ..planner import PhysicalPlan, PlanChoice, deprecated_overrides
+from ..planner import used_radius, validate_code_query
 from .batching import MicroBatcher
 from .cache import QueryResultCache, canonical_code_key, canonical_spec_key
 from .metrics import MetricsRegistry
@@ -46,6 +43,55 @@ from .sharding import CodeQuery, ShardedHammingIndex
 if TYPE_CHECKING:  # avoid a runtime import cycle with earthqube.server
     from ..bigearthnet.patch import Patch
     from ..earthqube.server import EarthQube
+
+
+class _ShardRunner:
+    """The gateway's :class:`~repro.planner.CodeRunner`, one per request:
+    cache -> ``CodeQuery`` -> micro-batcher -> shards.
+
+    The backend is pinned by configuration (the sharded index scans
+    through ``shard_backend``), so the executor's live decisions are the
+    pre/post filter mode and the post-filter over-fetch; the shards keep
+    their own ladder policy and index-internal spans stay intact.
+
+    ``filter_key`` is the request's filter fingerprint (``None``:
+    unfiltered request).  Masked runs are pre-filter pushdowns: the mask
+    and the fingerprint ride the jobs so same-filter queries coalesce.
+    Unmasked runs of a *filtered* request are post-filter over-fetches:
+    they go through the cache under unfiltered keys, sharing entries and
+    scans with unfiltered traffic.  Unmasked runs of an unfiltered request
+    scan straight away — the gateway already missed on exactly those keys
+    and stores the outcomes itself.
+    """
+
+    def __init__(self, gateway: "ServingGateway",
+                 filter_key: "str | None") -> None:
+        self._gateway = gateway
+        self._filter_key = filter_key
+        self.pinned_backend = gateway.index.backend
+        self.plan_context = {"tier": "sharded",
+                             "shards": gateway.index.num_shards}
+
+    def shape(self) -> "tuple[int, int, int]":
+        gateway = self._gateway
+        return (len(gateway.index), gateway.system.hasher.num_bits,
+                gateway.config.mih_tables)
+
+    def run(self, codes, *, k: "int | None", radius: "int | None",
+            allowed: "np.ndarray | None", probe_budget: "int | None",
+            ) -> "list[list]":
+        gateway = self._gateway
+        if allowed is not None:
+            return gateway._scan(codes, k=k, radius=radius, allowed=allowed,
+                                 filter_key=self._filter_key)
+        if self._filter_key is None:
+            return gateway._scan(codes, k=k, radius=radius)
+        outcomes = gateway._through_cache(
+            codes, k=k, radius=radius, fingerprint=None,
+            compute=lambda misses: [
+                (results, used_radius(results, radius))
+                for results in gateway._scan(misses, k=k, radius=radius)])
+        return [results for results, _ in outcomes]
 
 
 class ServingGateway:
@@ -87,36 +133,6 @@ class ServingGateway:
     # Hot path: CBIR
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _validate_code_query(k: "int | None", radius: "int | None") -> None:
-        if radius is not None and radius < 0:
-            raise ValidationError(f"radius must be >= 0, got {radius}")
-        if radius is None and (k is None or k <= 0):
-            raise ValidationError("provide k > 0 or an explicit radius")
-
-    @staticmethod
-    def _code_key_and_job(code: np.ndarray, *, k: "int | None",
-                          radius: "int | None") -> "tuple[tuple, CodeQuery]":
-        """Canonical cache key and index job for one packed-code query.
-
-        A radius query executes identically whatever k the caller wants
-        afterwards (truncation happens at the response layer), so k is
-        dropped from the key to let mixed radius traffic share entries.
-        """
-        key = canonical_code_key(code, k=None if radius is not None else k,
-                                 radius=radius)
-        trace = tracing.capture()
-        job = (CodeQuery(code=code, radius=radius, trace=trace)
-               if radius is not None
-               else CodeQuery(code=code, k=k, trace=trace))
-        return key, job
-
-    @staticmethod
-    def _used_radius(results: list, radius: "int | None") -> int:
-        if radius is not None:
-            return radius
-        return results[-1].distance if results else 0
-
     def similar_images(self, name: str, *, k: "int | None" = 10,
                        radius: "int | None" = None,
                        filter: "QuerySpec | None" = None) -> SimilarityResponse:
@@ -131,9 +147,8 @@ class ServingGateway:
             # The query matches itself at distance 0; fetch one extra and
             # drop it, exactly like CBIRService.query_by_name.
             request_k = None if k is None else k + 1
-            results, used = self._cached_code_query(code, k=request_k,
-                                                    radius=radius,
-                                                    filter_spec=filter)
+            results, used = self.query_code(code, k=request_k, radius=radius,
+                                            filter=filter)
             return shape_name_response(name, results, used, k)
 
     def similar_images_batch(self, names: "list[str]", *,
@@ -150,7 +165,7 @@ class ServingGateway:
         calling :meth:`similar_images` per name.
         """
         with self.metrics.timer("similar.total"):
-            self._validate_code_query(k, radius)
+            validate_code_query(k, radius)
             codes = [self.system.cbir.code_of(name) for name in names]
             request_k = None if k is None else k + 1
             outcomes = self.query_codes_batch(codes, k=request_k,
@@ -172,9 +187,9 @@ class ServingGateway:
         pre/post filter plan; ``plan_hint`` carries the federation owner's
         plan summary so members decide consistently.
         """
-        return self._cached_code_query(np.asarray(code, dtype=np.uint64),
-                                       k=k, radius=radius, filter_spec=filter,
-                                       strategy=strategy, plan_hint=plan_hint)
+        return self.query_codes_batch([code], k=k, radius=radius,
+                                      filter=filter, strategy=strategy,
+                                      plan_hint=plan_hint)[0]
 
     def query_codes_batch(self, codes, *, k: "int | None" = None,
                           radius: "int | None" = None,
@@ -190,49 +205,24 @@ class ServingGateway:
         misses that take the pre-filter plan carry the shared allowed mask
         into the batch, so they still coalesce with each other.
         """
-        self._validate_code_query(k, radius)
+        validate_code_query(k, radius)
         codes = [np.asarray(code, dtype=np.uint64) for code in codes]
-        if filter is not None:
-            return self._filtered_codes_batch(codes, k=k, radius=radius,
-                                              filter_spec=filter,
-                                              strategy=strategy,
-                                              plan_hint=plan_hint)
-        outcomes: "list[tuple[list, int] | None]" = [None] * len(codes)
-        miss_positions: list[int] = []
-        miss_keys: list[tuple] = []
-        miss_jobs: list[CodeQuery] = []
-        with tracing.span("cache.lookup", queries=len(codes)) as lookup_span:
-            for position, code in enumerate(codes):
-                key, job = self._code_key_and_job(code, k=k, radius=radius)
-                cached = self.cache.get(key)
-                if cached is not None:
-                    cached_results, cached_used = cached
-                    outcomes[position] = (list(cached_results), cached_used)
-                else:
-                    miss_positions.append(position)
-                    miss_keys.append(key)
-                    miss_jobs.append(job)
-            lookup_span.annotate(hits=len(codes) - len(miss_jobs),
-                                 misses=len(miss_jobs))
-            lookup_span.add_cost(cache_hits=len(codes) - len(miss_jobs),
-                                 cache_misses=len(miss_jobs))
-        if miss_jobs:
-            generation = self._generation
-            choice = self._plan_code_query(None, k=k, radius=radius)
-            started = time.perf_counter_ns()
-            with self.metrics.timer("similar.execute"), \
-                    tracing.span("batch.wait", jobs=len(miss_jobs)):
-                futures = self.batcher.submit_many(miss_jobs)
-                resolved = [future.result() for future in futures]
-            tracing.annotate(plan=choice.explain(
-                measured_ns=time.perf_counter_ns() - started))
-            for position, key, results in zip(miss_positions, miss_keys,
-                                              resolved):
-                used = self._used_radius(results, radius)
-                if generation == self._generation:
-                    self.cache.put(key, (tuple(results), used))
-                outcomes[position] = (results, used)
-        return outcomes  # type: ignore[return-value]
+        fingerprint = None if filter is None else repr(filter)
+
+        def execute(misses: "list[np.ndarray]") -> "list[tuple[list, int]]":
+            row_filter = None if filter is None else self._row_filter(filter)
+            outcomes, choice = self.system.cbir.executor.execute(
+                _ShardRunner(self, fingerprint), misses, k=k, radius=radius,
+                row_filter=row_filter, strategy=strategy,
+                plan_hint=plan_hint)
+            if choice is not None and choice.chosen.filter_mode is not None:
+                self.metrics.counter(
+                    "filter.prefilter" if choice.chosen.filter_mode == "pre"
+                    else "filter.postfilter").increment(len(misses))
+            return outcomes
+
+        return self._through_cache(codes, k=k, radius=radius,
+                                   fingerprint=fingerprint, compute=execute)
 
     def similar_to_features(self, features: np.ndarray, *,
                             k: "int | None" = 10,
@@ -245,8 +235,8 @@ class ServingGateway:
                 raise ValidationError(
                     f"query features must be 1D, got shape {features.shape}")
             code = self.system.hasher.hash_packed(features[None, :])[0]
-            results, used = self._cached_code_query(code, k=k, radius=radius,
-                                                    filter_spec=filter)
+            results, used = self.query_code(code, k=k, radius=radius,
+                                            filter=filter)
             return SimilarityResponse(None, results, used)
 
     def similar_to_new_image(self, patch: "Patch", *, k: "int | None" = 10,
@@ -283,268 +273,65 @@ class ServingGateway:
             self.cache.put(key, row_filter)
         return row_filter
 
-    def _planner(self):
-        """The shared cost-based planner (system-level when available)."""
-        planner = getattr(self.system, "planner", None)
-        return planner if planner is not None else self.system.cbir.planner
+    def _through_cache(self, codes: "list[np.ndarray]", *, k: "int | None",
+                       radius: "int | None", fingerprint: "str | None",
+                       compute) -> "list[tuple[list, int]]":
+        """Per-code result-cache lookup; ``compute(miss_codes)`` answers
+        the misses in one go and its outcomes are stored.
 
-    def _plan_code_query(self, row_filter, *, k: "int | None",
-                         radius: "int | None", strategy: str = "auto",
-                         plan_hint: "dict | None" = None) -> PlanChoice:
-        """Plan one gateway code query (``row_filter`` may be ``None``).
-
-        The gateway's backend is pinned by configuration (the sharded index
-        scans through ``shard_backend``), so the planner prices the other
-        backend only as a reported alternative; the live decisions are the
-        pre/post filter mode and the post-filter over-fetch.  The shards
-        keep their own ladder policy — the plan's probe budget is never
-        pushed down, so index-internal spans stay intact.
+        A radius query executes identically whatever k the caller wants
+        afterwards (truncation happens at the response layer), so k is
+        dropped from the key to let mixed radius traffic share entries.
         """
-        corpus = len(self.index)
-        inner = "linear" if self.config.shard_backend == "linear" else "mih"
-        cbir_config = self.system.cbir.config
-        planner = self._planner()
-        context = {"tier": "sharded", "shards": self.index.num_shards}
-        selectivity = filter_count = None
-        forced_mode = None
-        if row_filter is not None:
-            selectivity = row_filter.selectivity(corpus)
-            filter_count = row_filter.count
-            if strategy in ("pre", "post"):
-                forced_mode = strategy
-            elif plan_hint and plan_hint.get("filter_mode"):
-                forced_mode = plan_hint["filter_mode"]
-        if not planner.config.enabled:
-            mode = overfetch = None
-            if row_filter is not None:
-                mode = forced_mode or (
-                    "pre" if selectivity
-                    <= cbir_config.prefilter_max_selectivity else "post")
-                if mode == "post" and k is not None:
-                    overfetch = min(corpus, max(k, math.ceil(
-                        k * corpus * cbir_config.postfilter_overfetch
-                        / max(filter_count, 1))))
-            return PlanChoice(
-                chosen=PhysicalPlan(backend=inner, filter_mode=mode,
-                                    overfetch=overfetch, estimator="legacy"),
-                forced=True, context={"corpus_size": corpus, **context})
-        overrides = deprecated_overrides(cbir_config, warn=False)
-        threshold = overrides.get("prefilter_max_selectivity")
-        if forced_mode is None and row_filter is not None \
-                and threshold is not None:
-            forced_mode = "pre" if selectivity <= threshold else "post"
-        choice = planner.plan_similarity(
-            corpus_size=corpus, k=k, radius=radius, selectivity=selectivity,
-            filter_count=filter_count, num_bits=self.system.hasher.num_bits,
-            num_tables=self.config.mih_tables, forced_backend=inner,
-            forced_mode=forced_mode,
-            overfetch_factor=overrides.get("overfetch_factor"))
-        return replace(choice,
-                       chosen=replace(choice.chosen, probe_budget=None),
-                       forced=forced_mode is not None,
-                       context={**choice.context, **context})
-
-    def _execute_filtered(self, code: np.ndarray, *, k: "int | None",
-                          radius: "int | None", row_filter,
-                          fingerprint, strategy: str = "auto",
-                          plan_hint: "dict | None" = None) -> tuple[list, int]:
-        """Run one filtered code query through the chosen plan.
-
-        *Pre-filter*: the allowed mask rides the :class:`CodeQuery` into
-        the micro-batch, and every shard restricts its scan to the mask.
-        *Post-filter*: the unfiltered query runs through the normal cached
-        path (sharing scans and cache entries with unfiltered traffic),
-        over-fetched and screened by name, refilling adaptively.  Both
-        plans produce rankings byte-identical to filter-then-rank.
-        """
-        if row_filter.count == 0:
-            return [], (radius if radius is not None else 0)
-        choice = self._plan_code_query(row_filter, k=k, radius=radius,
-                                       strategy=strategy, plan_hint=plan_hint)
-        selectivity = row_filter.selectivity(len(self.index))
-        started = time.perf_counter_ns()
-        if choice.chosen.filter_mode == "pre":
-            self.metrics.counter("filter.prefilter").increment()
-            tracing.annotate(filter_plan="pre", strategy="prefilter",
-                             selectivity=selectivity)
-            trace = tracing.capture()
-            job = (CodeQuery(code=code, radius=radius,
-                             allowed=row_filter.mask, filter_key=fingerprint,
-                             trace=trace)
-                   if radius is not None
-                   else CodeQuery(code=code, k=k, allowed=row_filter.mask,
-                                  filter_key=fingerprint, trace=trace))
-            with self.metrics.timer("similar.execute"), \
-                    tracing.span("batch.wait", jobs=1):
-                results = self.batcher.submit(job).result()
-            outcome = results, self._used_radius(results, radius)
-            tracing.annotate(plan=choice.explain(
-                measured_ns=time.perf_counter_ns() - started))
-            return outcome
-        self.metrics.counter("filter.postfilter").increment()
-        tracing.annotate(filter_plan="post", strategy="postfilter",
-                         selectivity=selectivity)
-        if radius is not None:
-            results, _ = self._cached_code_query(code, k=None, radius=radius)
-            kept = [r for r in results if r.item_id in row_filter.names]
-            tracing.annotate(plan=choice.explain(
-                measured_ns=time.perf_counter_ns() - started))
-            return kept, radius
-        corpus = len(self.index)
-        cbir_config = self.system.cbir.config
-        fetch = choice.chosen.overfetch
-        if fetch is None:
-            fetch = min(corpus, max(k, math.ceil(
-                k * corpus * cbir_config.postfilter_overfetch
-                / max(row_filter.count, 1))))
-        while True:
-            results, _ = self._cached_code_query(code, k=fetch, radius=None)
-            kept = [r for r in results if r.item_id in row_filter.names]
-            if len(kept) >= k or fetch >= corpus:
-                kept = kept[:k]
-                tracing.annotate(plan=choice.explain(
-                    measured_ns=time.perf_counter_ns() - started))
-                return kept, self._used_radius(kept, None)
-            fetch = min(corpus, fetch * 4)
-
-    def _filtered_codes_batch(self, codes: "list[np.ndarray]", *,
-                              k: "int | None", radius: "int | None",
-                              filter_spec: "QuerySpec",
-                              strategy: str = "auto",
-                              plan_hint: "dict | None" = None,
-                              ) -> "list[tuple[list, int]]":
-        """Batch path for filtered queries: per-code cache, one shared
-        filter resolution, coalesced pre-filter misses."""
-        fingerprint = repr(filter_spec)
-        keys = [canonical_code_key(code,
-                                   k=None if radius is not None else k,
+        keys = [canonical_code_key(code, k=None if radius is not None else k,
                                    radius=radius,
                                    filter_fingerprint=fingerprint)
                 for code in codes]
         outcomes: "list[tuple[list, int] | None]" = [None] * len(codes)
-        miss_positions: list[int] = []
+        misses: list[int] = []
         with tracing.span("cache.lookup", queries=len(codes)) as lookup_span:
             for position, key in enumerate(keys):
                 cached = self.cache.get(key)
                 if cached is not None:
                     outcomes[position] = (list(cached[0]), cached[1])
                 else:
-                    miss_positions.append(position)
-            lookup_span.annotate(hits=len(codes) - len(miss_positions),
-                                 misses=len(miss_positions))
-            lookup_span.add_cost(cache_hits=len(codes) - len(miss_positions),
-                                 cache_misses=len(miss_positions))
-        if not miss_positions:
+                    misses.append(position)
+            lookup_span.annotate(hits=len(codes) - len(misses),
+                                 misses=len(misses))
+            lookup_span.add_cost(cache_hits=len(codes) - len(misses),
+                                 cache_misses=len(misses))
+        if not misses:
+            tracing.annotate(plan={"source": "cache"})
             return outcomes  # type: ignore[return-value]
-        # Snapshot the generation BEFORE resolving the mask: a racing
-        # ingest invalidates mid-resolution, and results computed from the
-        # stale mask must not be re-cached afterwards.
+        # Snapshot the generation BEFORE compute resolves any filter mask:
+        # a racing ingest invalidates mid-resolution, and results computed
+        # from the stale mask must not be re-cached afterwards.
         generation = self._generation
-        row_filter = self._row_filter(filter_spec)
-        choice = None
-        if row_filter.count:
-            choice = self._plan_code_query(row_filter, k=k, radius=radius,
-                                           strategy=strategy,
-                                           plan_hint=plan_hint)
-        if choice is not None and choice.chosen.filter_mode == "pre":
-            # All misses share one mask and fingerprint: submitted in one
-            # go, they coalesce into one scatter-gather scan (the
-            # micro-batch groups by filter_key).
-            self.metrics.counter("filter.prefilter").increment(
-                len(miss_positions))
-            tracing.annotate(filter_plan="pre", strategy="prefilter",
-                             selectivity=row_filter.selectivity(
-                                 len(self.index)))
-            trace = tracing.capture()
-            started = time.perf_counter_ns()
-            jobs = [(CodeQuery(code=codes[p], radius=radius,
-                               allowed=row_filter.mask,
-                               filter_key=fingerprint, trace=trace)
-                     if radius is not None
-                     else CodeQuery(code=codes[p], k=k,
-                                    allowed=row_filter.mask,
-                                    filter_key=fingerprint, trace=trace))
-                    for p in miss_positions]
-            with self.metrics.timer("similar.execute"), \
-                    tracing.span("batch.wait", jobs=len(jobs)):
-                futures = self.batcher.submit_many(jobs)
-                resolved = [future.result() for future in futures]
-            tracing.annotate(plan=choice.explain(
-                measured_ns=time.perf_counter_ns() - started))
-            for position, results in zip(miss_positions, resolved):
-                used = self._used_radius(results, radius)
-                if generation == self._generation:
-                    self.cache.put(keys[position], (tuple(results), used))
-                outcomes[position] = (results, used)
-        else:
-            for position in miss_positions:
-                results, used = self._execute_filtered(
-                    codes[position], k=k, radius=radius,
-                    row_filter=row_filter, fingerprint=fingerprint,
-                    strategy=strategy, plan_hint=plan_hint)
-                if generation == self._generation:
-                    self.cache.put(keys[position], (tuple(results), used))
-                outcomes[position] = (results, used)
+        computed = compute([codes[position] for position in misses])
+        for position, (results, used) in zip(misses, computed):
+            if generation == self._generation:
+                self.cache.put(keys[position], (tuple(results), used))
+            outcomes[position] = (results, used)
         return outcomes  # type: ignore[return-value]
 
-    def _cached_code_query(self, code: np.ndarray, *, k: "int | None",
-                           radius: "int | None",
-                           filter_spec: "QuerySpec | None" = None,
-                           strategy: str = "auto",
-                           plan_hint: "dict | None" = None,
-                           ) -> tuple[list, int]:
-        self._validate_code_query(k, radius)
-        if filter_spec is not None:
-            fingerprint = repr(filter_spec)
-            key = canonical_code_key(code,
-                                     k=None if radius is not None else k,
-                                     radius=radius,
-                                     filter_fingerprint=fingerprint)
-            with tracing.span("cache.lookup") as lookup_span:
-                cached = self.cache.get(key)
-                lookup_span.annotate(hit=cached is not None)
-                lookup_span.add_cost(cache_hits=int(cached is not None),
-                                     cache_misses=int(cached is None))
-            if cached is not None:
-                results, used = cached
-                tracing.annotate(plan={"source": "cache"})
-                return list(results), used
-            # Generation snapshot precedes mask resolution (see
-            # _filtered_codes_batch): stale-mask results must not be cached.
-            generation = self._generation
-            row_filter = self._row_filter(filter_spec)
-            results, used = self._execute_filtered(
-                code, k=k, radius=radius, row_filter=row_filter,
-                fingerprint=fingerprint, strategy=strategy,
-                plan_hint=plan_hint)
-            if generation == self._generation:
-                self.cache.put(key, (tuple(results), used))
-            return results, used
-        key, job = self._code_key_and_job(code, k=k, radius=radius)
-        with tracing.span("cache.lookup") as lookup_span:
-            cached = self.cache.get(key)
-            lookup_span.annotate(hit=cached is not None)
-            lookup_span.add_cost(cache_hits=int(cached is not None),
-                                 cache_misses=int(cached is None))
-        if cached is not None:
-            results, used = cached
-            tracing.annotate(plan={"source": "cache"})
-            return list(results), used
-        generation = self._generation
-        choice = self._plan_code_query(None, k=k, radius=radius)
-        started = time.perf_counter_ns()
+    def _scan(self, codes, *, k: "int | None", radius: "int | None",
+              allowed: "np.ndarray | None" = None,
+              filter_key: "str | None" = None) -> "list[list]":
+        """Submit one job per code to the micro-batcher in one go (they
+        coalesce into one scatter-gather scan, sharing it with any
+        concurrent queries) and wait for the rankings."""
+        trace = tracing.capture()
+        jobs = [CodeQuery(code=code, k=None if radius is not None else k,
+                          radius=radius, allowed=allowed,
+                          filter_key=filter_key, trace=trace)
+                for code in codes]
         # Queue wait + scan, as seen by the submitting thread; the scan
         # alone is recorded as similar.scan on the batch worker, so queue
         # time is the difference between the two.
         with self.metrics.timer("similar.execute"), \
-                tracing.span("batch.wait", jobs=1):
-            results = self.batcher.submit(job).result()
-        tracing.annotate(plan=choice.explain(
-            measured_ns=time.perf_counter_ns() - started))
-        used = self._used_radius(results, radius)
-        if generation == self._generation:
-            self.cache.put(key, (tuple(results), used))
-        return results, used
+                tracing.span("batch.wait", jobs=len(jobs)):
+            return [future.result()
+                    for future in self.batcher.submit_many(jobs)]
 
     def _execute_batch(self, jobs: "list[CodeQuery]") -> "list[list]":
         """Batch executor: one scatter-gather scan for the whole batch.
@@ -685,7 +472,7 @@ class ServingGateway:
         self.metrics.gauge("index.dead_rows").set(self.index.dead_count)
         # 1 when pricing from a measured calibration, 0 on shipped defaults.
         self.metrics.gauge("planner.calibrated").set(
-            int(self._planner().calibrated))
+            int(self.system.planner.calibrated))
 
     # ------------------------------------------------------------------ #
     # Introspection / lifecycle

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.earthqube.api import EarthQubeAPI
+from repro.obs import costs
 
 from test_prometheus import parse_exposition
 
@@ -128,6 +129,29 @@ class TestWorkloadEndpoint:
                     for f in payload["families"]}
         assert ("mih", "unfiltered", "none") in families
         json.dumps(payload)
+
+    def test_filtered_similar_is_described_alike_on_both_tiers(
+            self, served_system, direct_system):
+        # /debug/workload families and slow-query entries are built from
+        # these attributes: the same query must not read differently
+        # depending on the tier that ran it.
+        vocabulary = set(costs.FAMILY_ATTRS) | {"filter_count"}
+        for tier, system in (("gateway", served_system),
+                             ("direct", direct_system)):
+            if system.gateway is not None:
+                system.gateway.cache.invalidate()
+            with costs.measure() as ledger:
+                payload = EarthQubeAPI(system).similar(
+                    {"name": system.archive.names[0], "k": 4,
+                     "filter": {"seasons": ["Summer"]}})
+            assert payload["ok"], payload
+            attrs = ledger.report()["attrs"]
+            assert vocabulary <= set(attrs), (tier, attrs)
+            assert "filter_plan" not in attrs
+            assert attrs["filter_count"] > 0
+            assert attrs["strategy"] == {"pre": "prefilter",
+                                         "post": "postfilter"}[
+                                             attrs["filter_mode"]]
 
     def test_workload_disabled_is_a_validation_error(self, served_system):
         workload = served_system.obs.workload

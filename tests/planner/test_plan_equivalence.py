@@ -9,9 +9,6 @@ batch, filtered, gateway (cache + batcher + shards), and federated.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import replace
-
 import pytest
 
 from repro.earthqube import QuerySpec
@@ -48,19 +45,6 @@ def shaped(results):
 
 def allowed_names(system, spec):
     return set(system.search_service.matching_names(spec))
-
-
-@contextmanager
-def planner_disabled(*systems):
-    """Flip the shared planners to the legacy heuristics and back."""
-    originals = [system.planner.config for system in systems]
-    for system in systems:
-        system.planner.config = replace(system.planner.config, enabled=False)
-    try:
-        yield
-    finally:
-        for system, config in zip(systems, originals):
-            system.planner.config = config
 
 
 class TestDirectPathEquivalence:
@@ -109,16 +93,18 @@ class TestDirectPathEquivalence:
                     baseline = current
                 assert current == baseline, (strategy, backend)
 
-    def test_legacy_disabled_planner_identical(self, direct_system):
+    def test_planned_query_identical_to_forced_linear(self, direct_system):
         system = direct_system
         name = system.archive.names[1]
-        spec = FILTERS[0]
-        row_filter = system.row_filter_for(spec)
+        row_filter = system.row_filter_for(FILTERS[0])
         planned = system.cbir.query_by_name(name, k=8, filter=row_filter)
-        with planner_disabled(system):
-            legacy = system.cbir.query_by_name(name, k=8, filter=row_filter)
-        assert shaped(planned.results) == shaped(legacy.results)
-        assert planned.radius_used == legacy.radius_used
+        # query_by_name asks the index for k + 1 and drops the self-match.
+        oracle, used = system.cbir.query_code(
+            system.cbir.code_of(name), k=9, filter=row_filter,
+            plan_hint=LINEAR_ORACLE)
+        assert shaped(planned.results) == \
+            [pair for pair in shaped(oracle) if pair[0] != name][:8]
+        assert planned.radius_used == used
 
 
 class TestBatchPathEquivalence:
@@ -189,29 +175,49 @@ class TestGatewayPathEquivalence:
             (shaped(baseline[0]), baseline[1])
 
 
+def federated_linear_oracle(nodes, code, query_id, k, spec):
+    """Each node's forced-linear direct answer, merged by the federation's
+    global (distance, node order, insertion row) tie-break and shaped like
+    a by-name response (k + 1 fetched, self-match dropped)."""
+    merged = []
+    for node_name, system in nodes:  # registry order
+        results, _ = system.cbir.query_code(
+            code, k=k + 1, filter=system.row_filter_for(spec),
+            plan_hint=LINEAR_ORACLE)
+        merged.extend((f"{node_name}/{r.item_id}", r.distance)
+                      for r in results)
+    merged.sort(key=lambda pair: pair[1])
+    merged = merged[:k + 1]
+    used = merged[-1][1] if merged else 0
+    return [pair for pair in merged if pair[0] != query_id][:k], used
+
+
 class TestFederatedPathEquivalence:
-    def test_federated_filtered_identical_to_legacy(self, federation,
-                                                    served_system,
-                                                    direct_system):
+    def test_federated_filtered_identical_to_forced_linear(
+            self, federation, served_system, direct_system):
         name = served_system.archive.names[0]
         spec = FILTERS[0]
         planned = federation.similar_images(f"a/{name}", k=8, filter=spec)
-        with planner_disabled(served_system, direct_system):
-            legacy = federation.similar_images(f"a/{name}", k=8, filter=spec)
-        assert shaped(planned.value.results) == shaped(legacy.value.results)
-        assert planned.value.radius_used == legacy.value.radius_used
+        expected, used = federated_linear_oracle(
+            [("a", served_system), ("b", direct_system)],
+            served_system.cbir.code_of(name), f"a/{name}", 8, spec)
+        assert shaped(planned.value.results) == expected
+        assert planned.value.radius_used == used
 
-    def test_federated_batch_identical_to_legacy(self, federation,
-                                                 served_system,
-                                                 direct_system):
-        names = [f"a/{served_system.archive.names[0]}",
-                 f"b/{direct_system.archive.names[0]}"]
+    def test_federated_batch_identical_to_forced_linear(
+            self, federation, served_system, direct_system):
+        owners = [("a", served_system), ("b", direct_system)]
+        names = [f"{node}/{system.archive.names[0]}"
+                 for node, system in owners]
         spec = FILTERS[2]
         planned = federation.similar_images_batch(names, k=6, filter=spec)
-        with planner_disabled(served_system, direct_system):
-            legacy = federation.similar_images_batch(names, k=6, filter=spec)
-        assert [shaped(r.results) for r in planned.value] == \
-            [shaped(r.results) for r in legacy.value]
+        for (_, owner), query_id, response in zip(owners, names,
+                                                  planned.value):
+            expected, used = federated_linear_oracle(
+                owners, owner.cbir.code_of(query_id.split("/", 1)[1]),
+                query_id, 6, spec)
+            assert shaped(response.results) == expected
+            assert response.radius_used == used
 
 
 class TestExplainPlanPayload:
@@ -279,7 +285,7 @@ class TestExplainPlanPayload:
 
     def test_planner_summary_in_describe(self, direct_system):
         summary = direct_system.describe()["planner"]
-        assert summary["enabled"] is True
+        assert "enabled" not in summary
         assert set(summary["units"]) == {
             "linear_scan_ns_per_row", "mih_probe_ns_per_bucket",
             "mih_verify_ns_per_candidate", "intersect_ns_per_id",

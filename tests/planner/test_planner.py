@@ -3,13 +3,13 @@
 Pins down the pricing properties the planner's choices rest on —
 monotonicity in corpus size, calibrated-unit loading with default
 fallback, forced strategies/backends, the workload estimator taking over
-from the analytic model — plus the deprecated-knob override shims.
+from the analytic model — and that the knobs the planner superseded are
+gone rather than silently accepted.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
@@ -20,7 +20,6 @@ from repro.planner import (
     DEFAULT_UNITS,
     PhysicalPlan,
     QueryPlanner,
-    deprecated_overrides,
     substring_probe_cost,
 )
 
@@ -218,63 +217,36 @@ class TestCalibrationLoading:
             shallow._probe_budget_for(100_000)
 
 
-class TestDeprecatedOverrides:
-    def test_default_config_yields_no_overrides_or_warnings(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert deprecated_overrides(IndexConfig()) == {}
-            assert deprecated_overrides(None) == {}
+class TestRemovedKnobs:
+    """No silent acceptance of a removed knob: the dataclasses reject
+    them, and the planner has no off switch left to describe."""
 
-    def test_nondefault_knobs_warn_and_override(self):
-        config = IndexConfig(prefilter_max_selectivity=0.2,
-                             postfilter_overfetch=3.0)
-        with pytest.warns(DeprecationWarning) as caught:
-            overrides = deprecated_overrides(config)
-        assert overrides == {"prefilter_max_selectivity": 0.2,
-                             "overfetch_factor": 3.0}
-        assert len(caught) == 1
-        message = str(caught[0].message)
-        assert "IndexConfig.prefilter_max_selectivity" in message
-        assert "IndexConfig.postfilter_overfetch" in message
+    @pytest.mark.parametrize("config_type, knob", [
+        (IndexConfig, {"prefilter_max_selectivity": 0.2}),
+        (IndexConfig, {"postfilter_overfetch": 3.0}),
+        (PlannerConfig, {"enabled": False}),
+    ])
+    def test_removed_config_fields_raise(self, config_type, knob):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            config_type(**knob)
 
-    def test_warn_false_is_silent(self):
-        config = IndexConfig(prefilter_max_selectivity=0.2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            overrides = deprecated_overrides(config, warn=False)
-        assert overrides == {"prefilter_max_selectivity": 0.2}
+    def test_overfetch_margin_lives_in_planner_config(self):
+        def fetch(planner):
+            return planner.plan_similarity(
+                corpus_size=10_000, k=10, selectivity=0.5,
+                filter_count=5_000, forced_mode="post").chosen.overfetch
 
-    def test_threshold_override_pins_the_legacy_choice(self):
-        # With the deprecated threshold honored, a 30%-selective filter
-        # must go post-filter exactly as the legacy heuristic decided —
-        # regardless of what pricing would pick.
-        planner = QueryPlanner()
-        auto = planner.plan_similarity(corpus_size=10_000, k=10,
-                                       selectivity=0.3, filter_count=3_000)
-        forced = planner.plan_similarity(corpus_size=10_000, k=10,
-                                         selectivity=0.3, filter_count=3_000,
-                                         forced_mode="post")
-        assert forced.chosen.filter_mode == "post"
-        assert forced.forced
-        assert auto.chosen.predicted_ns <= forced.chosen.predicted_ns
-
-    def test_overfetch_factor_override_sizes_the_fetch(self):
-        planner = QueryPlanner()
-        default = planner.plan_similarity(corpus_size=10_000, k=10,
-                                          selectivity=0.5, filter_count=5_000,
-                                          forced_mode="post")
-        doubled = planner.plan_similarity(corpus_size=10_000, k=10,
-                                          selectivity=0.5, filter_count=5_000,
-                                          forced_mode="post",
-                                          overfetch_factor=4.0)
-        assert doubled.chosen.overfetch == 2 * default.chosen.overfetch
+        default = fetch(QueryPlanner())
+        doubled = fetch(QueryPlanner(
+            config=PlannerConfig(overfetch_factor=4.0)))
+        assert doubled == 2 * default
 
 
 class TestDescribe:
     def test_describe_reports_calibration_state(self):
         planner = QueryPlanner()
         summary = planner.describe()
-        assert summary["enabled"] is True
+        assert "enabled" not in summary
         assert summary["calibrated"] is False
         assert summary["units"] == DEFAULT_UNITS
         assert summary["workload_attached"] is False
