@@ -7,8 +7,8 @@ The package implements the paper's full stack (see DESIGN.md):
   numpy autograd engine (:mod:`repro.nn`),
 * Hamming-space retrieval indexes (:mod:`repro.index`) plus classic hashing
   baselines (:mod:`repro.baselines`),
-* a MongoDB-style document store with geohash 2D indexing
-  (:mod:`repro.store`, :mod:`repro.geo`),
+* a MongoDB-style document store with a columnar query planner and a
+  bounding-box 2D index (:mod:`repro.store`, :mod:`repro.geo`),
 * the EarthQube search system itself (:mod:`repro.earthqube`),
 * a concurrent serving tier — sharded scatter-gather execution,
   micro-batching, result caching, metrics (:mod:`repro.serving`).
@@ -28,7 +28,6 @@ from .config import (
     EarthQubeConfig,
     FeatureConfig,
     FederationConfig,
-    GeoIndexConfig,
     IndexConfig,
     MiLaNConfig,
     ObsConfig,
@@ -58,7 +57,6 @@ __all__ = [
     "MiLaNConfig",
     "TrainConfig",
     "IndexConfig",
-    "GeoIndexConfig",
     "ServingConfig",
     "FederationConfig",
     "ObsConfig",

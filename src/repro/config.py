@@ -377,17 +377,6 @@ class PlannerConfig:
 
 
 @dataclass(frozen=True)
-class GeoIndexConfig:
-    """Geohash 2D-index settings for the document store (data tier)."""
-
-    precision: int = 5
-
-    def __post_init__(self) -> None:
-        _require(1 <= self.precision <= 12,
-                 f"geohash precision must be in [1, 12], got {self.precision}")
-
-
-@dataclass(frozen=True)
 class EarthQubeConfig:
     """Top-level EarthQube system configuration (ties all tiers together)."""
 
@@ -397,7 +386,6 @@ class EarthQubeConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     index: IndexConfig = field(default_factory=IndexConfig)
     planner: PlannerConfig = field(default_factory=PlannerConfig)
-    geo_index: GeoIndexConfig = field(default_factory=GeoIndexConfig)
     serving: ServingConfig = field(default_factory=ServingConfig)
     obs: ObsConfig = field(default_factory=ObsConfig)
     durability: DurabilityConfig = field(default_factory=DurabilityConfig)

@@ -4,9 +4,10 @@ Populates the four MongoDB-style collections exactly as the paper lays them
 out (Section 3.2):
 
 * ``metadata`` — per image: a ``location`` attribute (the bounding
-  rectangle, geohash-indexed) and a ``properties`` attribute with the
-  queryable features (name, labels — both as strings and as the
-  char-codec string —, season, country, satellites, acquisition date),
+  rectangle, indexed as a bounding-box column) and a ``properties``
+  attribute with the queryable features (name, labels — both as strings
+  and as the char-codec string —, season, country, satellites,
+  acquisition date),
 * ``image_data`` — the binary representations of the 12 bands (keyed by
   patch name, the auto-indexed primary key),
 * ``rendered_images`` — displayable RGB renderings built by "combining the

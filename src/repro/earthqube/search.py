@@ -2,9 +2,9 @@
 
 Compiles a :class:`~repro.earthqube.query.QuerySpec` into one document-store
 query over the metadata collection — spatial constraint via
-``$geoIntersects`` (served by the geohash index), date range via ISO-string
-comparisons, seasons/satellites via ``$in``, and the label filter via its
-indexed store form — then executes it and wraps the results.
+``$geoIntersects`` (served by the bounding-box column), date range via
+ISO-string comparisons, seasons/satellites via ``$in``, and the label
+filter via its indexed store form — then executes it and wraps the results.
 """
 
 from __future__ import annotations

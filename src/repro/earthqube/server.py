@@ -99,7 +99,7 @@ class EarthQube:
         codec = LabelCharCodec()
 
         log("ingesting into the data tier ...")
-        db = Database.earthqube_schema(geo_precision=config.geo_index.precision)
+        db = Database.earthqube_schema()
         ingest_archive(db, archive, codec,
                        store_images=store_images, store_renders=store_images)
 
@@ -466,8 +466,7 @@ class EarthQube:
         (database, archive, CBIR index, feature matrix) starts empty and
         is populated by fan-out ingest or shard handoff.
         """
-        db = Database.earthqube_schema(
-            geo_precision=self.config.geo_index.precision)
+        db = Database.earthqube_schema()
         archive = SyntheticArchive.empty(self.config.archive)
         cbir = CBIRService(self.hasher, self.extractor, self.config.index)
         cbir.build([], np.empty((0, self.extractor.dimension)))

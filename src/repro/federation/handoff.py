@@ -50,8 +50,7 @@ def ship_shard(source: "EarthQube", names: "list[str]", target: "EarthQube",
         ship_dir = Path(directory) if directory is not None else Path(tmp)
         ship_dir.mkdir(parents=True, exist_ok=True)
         manager = SnapshotManager(ship_dir, faults=faults)
-        shard_db = Database.earthqube_schema(
-            geo_precision=source.config.geo_index.precision)
+        shard_db = Database.earthqube_schema()
         for entry in shard["entries"]:
             for collection_name, doc in entry["documents"].items():
                 if collection_name in shard_db:

@@ -2,8 +2,9 @@
 
 This package provides the substrate for EarthQube's spatial querying:
 the query panel's rectangle/circle/polygon selections
-(:mod:`repro.geo.shapes`) and the data tier's MongoDB-style 2D geohash
-index (:mod:`repro.geo.geohash`).
+(:mod:`repro.geo.shapes`), the bounding boxes the data tier stores and
+indexes (:mod:`repro.geo.bbox`), and geohash cells
+(:mod:`repro.geo.geohash`).
 """
 
 from .bbox import BoundingBox

@@ -11,8 +11,8 @@ Every shape answers two predicates used by the search service:
 * :meth:`Shape.intersects_bbox` — image-level test against a patch's
   bounding rectangle (the stored ``location`` attribute),
 
-plus :meth:`Shape.bounding_box`, which the geohash index uses to prefilter
-candidates.
+plus :meth:`Shape.bounding_box`, which the store's bounding-box column
+tests stored rectangles against to prefilter candidates.
 """
 
 from __future__ import annotations

@@ -11,14 +11,16 @@ projections* the query planner probes vectorially:
 * **sorted date columns** — :class:`~repro.store.columnar.SortedDateColumn`
   keeps a value-sorted ``(int64 values, int64 doc ids)`` projection of an
   ISO date field; range predicates become two ``np.searchsorted`` calls;
-* **geohash bucket posting lists** — the
-  :class:`~repro.store.indexes.GeoHashIndex` cell buckets, unioned over a
-  query cover.
+* **bounding-box columns** — :class:`~repro.store.columnar.BBoxColumn`
+  keeps the west/south/east/north corners of a bbox-valued field in four
+  doc-id-aligned ``float64`` arrays; a spatial predicate becomes one
+  vectorised overlap test against the query shape's bounding box.
 
 Query planning intersects the sorted id arrays of **all** applicable
 conditions (equality/``$in``/``$all`` on posting arrays, date ranges on
-sorted columns, geo covers on geohash buckets) with
-``np.intersect1d`` — it no longer stops at the first usable index.  The
+sorted columns) with ``np.intersect1d`` — it no longer stops at the first
+usable index — and runs the bounding-box test of a geo condition over the
+ids that survive (over the whole column when nothing narrowed them).  The
 result is a candidate *superset*: every candidate is still verified
 against the full query by :func:`repro.store.matcher.matches`, so plans
 never change results — only cost.  ``find`` reports the chosen access
@@ -36,15 +38,16 @@ from __future__ import annotations
 
 import copy
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
 from ..errors import DocumentNotFoundError, IndexError_, StoreError
 from ..obs import tracing
-from .columnar import SortedDateColumn, ids_array, iso_to_int64
-from .indexes import GeoHashIndex, HashIndex, UniqueIndex, _hashable
+from .columnar import BBoxColumn, SortedDateColumn, iso_to_int64
+from .indexes import HashIndex, UniqueIndex, _hashable
 from .matcher import (
     extract_all_values,
     extract_equality,
@@ -165,7 +168,7 @@ class Collection:
         self._next_id = 0
         self._unique_indexes: dict[str, UniqueIndex] = {}
         self._hash_indexes: dict[str, HashIndex] = {}
-        self._geo_indexes: dict[str, GeoHashIndex] = {}
+        self._bbox_columns: dict[str, BBoxColumn] = {}
         self._date_columns: dict[str, SortedDateColumn] = {}
         if primary_key is not None:
             self.create_unique_index(primary_key)
@@ -192,19 +195,13 @@ class Collection:
             index.add(doc_id, doc)
         self._hash_indexes[field_path] = index
 
-    def create_geo_index(self, field_path: str, precision: int = 5) -> None:
-        """Create a 2D geohash index on a bbox-valued field."""
-        if field_path in self._geo_indexes:
-            existing = self._geo_indexes[field_path]
-            if existing.precision != precision:
-                raise IndexError_(
-                    f"geo index on {field_path!r} already exists with "
-                    f"precision {existing.precision}")
+    def create_geo_index(self, field_path: str) -> None:
+        """Create a bounding-box column on a bbox-valued field."""
+        if field_path in self._bbox_columns:
             return
-        index = GeoHashIndex(field_path, precision)
-        for doc_id, doc in self._docs.items():
-            index.add(doc_id, doc)
-        self._geo_indexes[field_path] = index
+        column = BBoxColumn(field_path)
+        column.bulk_add(self._docs.keys(), self._docs.values())
+        self._bbox_columns[field_path] = column
 
     def create_date_column(self, field_path: str) -> None:
         """Create a sorted int64 column projection of an ISO date field."""
@@ -221,14 +218,19 @@ class Collection:
             raise IndexError_("cannot drop the primary key index")
         self._unique_indexes.pop(field_path, None)
         self._hash_indexes.pop(field_path, None)
-        self._geo_indexes.pop(field_path, None)
+        self._bbox_columns.pop(field_path, None)
         self._date_columns.pop(field_path, None)
+
+    def _columns(self) -> "Iterator[SortedDateColumn | BBoxColumn]":
+        """Every column projection; all accept any document."""
+        yield from self._date_columns.values()
+        yield from self._bbox_columns.values()
 
     @property
     def index_fields(self) -> set[str]:
         """All indexed field paths (for introspection/tests)."""
         return (set(self._unique_indexes) | set(self._hash_indexes)
-                | set(self._geo_indexes) | set(self._date_columns))
+                | set(self._bbox_columns) | set(self._date_columns))
 
     # ------------------------------------------------------------------ #
     # Writes
@@ -248,13 +250,11 @@ class Collection:
         try:
             for index in self._hash_indexes.values():
                 index.add(doc_id, doc)
-            for index in self._geo_indexes.values():
-                index.add(doc_id, doc)
         except Exception:
             for index in self._unique_indexes.values():
                 index.remove(doc_id, doc)
             raise
-        for column in self._date_columns.values():
+        for column in self._columns():
             column.add(doc_id, doc)
         self._docs[doc_id] = doc
         self._next_id += 1
@@ -264,7 +264,7 @@ class Collection:
         """Bulk insert with batched index/column updates.
 
         The batch is validated up front (mapping-ness, unique-key conflicts
-        against the collection *and* within the batch, geo-cell covers);
+        against the collection *and* within the batch);
         a clean batch is then applied index-major — each index/column
         ingests the whole batch in one pass, and date columns defer their
         re-sort to the next probe.  A batch that would fail validation
@@ -283,10 +283,7 @@ class Collection:
         for index in self._hash_indexes.values():
             for doc_id, doc in zip(doc_ids, prepared):
                 index.add(doc_id, doc)
-        for index in self._geo_indexes.values():
-            for doc_id, doc in zip(doc_ids, prepared):
-                index.add(doc_id, doc)
-        for column in self._date_columns.values():
+        for column in self._columns():
             column.bulk_add(doc_ids, prepared)
         for doc_id, doc in zip(doc_ids, prepared):
             self._docs[doc_id] = doc
@@ -310,12 +307,6 @@ class Collection:
                 if key in seen or index.find(value) is not None:
                     return None
                 seen.add(key)
-        for index in self._geo_indexes.values():
-            for doc in prepared:
-                try:
-                    index.check(doc)
-                except Exception:
-                    return None
         return prepared
 
     def delete_one(self, query: Mapping[str, Any]) -> int:
@@ -360,9 +351,7 @@ class Collection:
                 index.add(doc_id, new_doc)
             for index in self._hash_indexes.values():
                 index.add(doc_id, new_doc)
-            for index in self._geo_indexes.values():
-                index.add(doc_id, new_doc)
-            for column in self._date_columns.values():
+            for column in self._columns():
                 column.add(doc_id, new_doc)
             self._docs[doc_id] = new_doc
             return 1
@@ -373,16 +362,13 @@ class Collection:
 
         Covers every index whose ``add`` can raise: unique indexes (missing
         field, key collision with a *different* document — the same check
-        ``UniqueIndex.add`` itself commits), hash indexes (unhashable
-        values), and geo indexes (oversized cell covers).  Date columns
-        accept any document.
+        ``UniqueIndex.add`` itself commits) and hash indexes (unhashable
+        values).  Date and bounding-box columns accept any document.
         """
         for index in self._unique_indexes.values():
             index.check(doc_id, new_doc)
         for index in self._hash_indexes.values():
             index.check(new_doc)  # raises on unhashable values
-        for index in self._geo_indexes.values():
-            index.check(new_doc)  # raises on oversized cell covers
 
     @staticmethod
     def _apply_update(doc: dict, update: "Mapping[str, Any] | Callable[[dict], dict]") -> dict:
@@ -406,9 +392,7 @@ class Collection:
             index.remove(doc_id, doc)
         for index in self._hash_indexes.values():
             index.remove(doc_id, doc)
-        for index in self._geo_indexes.values():
-            index.remove(doc_id, doc)
-        for column in self._date_columns.values():
+        for column in self._columns():
             column.remove(doc_id, doc)
 
     # ------------------------------------------------------------------ #
@@ -444,10 +428,10 @@ class Collection:
         """Choose an access path; returns (candidate doc ids, plan name).
 
         All applicable condition sources — posting arrays, date columns,
-        geohash buckets — are intersected; the candidates are a superset of
-        the exact answer, in ascending doc-id order on every path, so the
-        caller's verification loop produces plan-independent results.
-        ``hint="scan"`` forces the sequential path.
+        bounding-box columns — are intersected; the candidates are a
+        superset of the exact answer, in ascending doc-id order on every
+        path, so the caller's verification loop produces plan-independent
+        results.  ``hint="scan"`` forces the sequential path.
         """
         if hint is not None and hint != "scan":
             raise StoreError(f"unknown plan hint {hint!r}; expected 'scan'")
@@ -461,10 +445,12 @@ class Collection:
                 ids = sorted({i for i in (index.find(v) for v in values)
                               if i is not None})
                 return ids, f"unique_index:{field_path}"
-        # Gather (tag, estimated size, materializer) per applicable source.
-        # Estimates are O(1) probes (posting lengths, searchsorted counts);
-        # geo covers have no cheap probe and estimate None (sorted last).
-        sources: "list[tuple[str, int | None, Callable[[], np.ndarray]]]" = []
+        # Gather (tag, estimated size, materializer, tests_running) per
+        # applicable source.  Estimates are O(1) probes (posting lengths,
+        # searchsorted counts).  A bounding-box column does not load ids of
+        # its own: it tests the ids still running (``tests_running``), so
+        # it goes after every source that can shrink them.
+        sources: "list[tuple[str, int, Callable[..., np.ndarray], bool]]" = []
         for field, condition in _iter_field_conditions(query):
             probe = {field: condition}
             hash_index = self._hash_indexes.get(field)
@@ -474,14 +460,16 @@ class Collection:
                     sources.append((
                         f"hash_index:{field}",
                         hash_index.estimate_any(values),
-                        lambda hi=hash_index, v=values: hi.postings_any(v)))
+                        lambda hi=hash_index, v=values: hi.postings_any(v),
+                        False))
                     continue
                 all_values = extract_all_values(probe, field)
                 if all_values is not None and _scalar_values(all_values):
                     sources.append((
                         f"hash_index:{field}",
                         hash_index.estimate_all(all_values),
-                        lambda hi=hash_index, v=all_values: hi.postings_all(v)))
+                        lambda hi=hash_index, v=all_values: hi.postings_all(v),
+                        False))
                     continue
             date_column = self._date_columns.get(field)
             if date_column is not None:
@@ -491,53 +479,53 @@ class Collection:
                     sources.append((
                         f"date_column:{field}",
                         date_column.estimate_range(lo, hi),
-                        lambda dc=date_column, a=lo, b=hi: dc.ids_in_range(a, b)))
+                        lambda dc=date_column, a=lo, b=hi: dc.ids_in_range(a, b),
+                        False))
                     continue
-            geo_index = self._geo_indexes.get(field)
-            if geo_index is not None:
+            bbox_column = self._bbox_columns.get(field)
+            if bbox_column is not None:
                 shape = extract_geo(probe, field)
                 if shape is not None:
                     sources.append((
-                        f"geo_index:{field}", None,
-                        lambda gi=geo_index, s=shape: ids_array(
-                            gi.candidates(s))))
+                        f"geo_index:{field}", len(bbox_column),
+                        lambda among, bc=bbox_column, b=shape.bounding_box():
+                            bc.ids_intersecting(b, among),
+                        True))
         if not sources:
             return sorted(self._docs.keys()), "scan"
-        # Cost order: materialize ascending by estimated size (unknown-size
-        # sources last, declaration order breaking ties).  Intersection is
+        # Cost order: materialize ascending by estimated size (declaration
+        # order breaking ties), bounding-box tests last.  Intersection is
         # commutative, so only cost moves — the smallest source drives the
         # merge, and an empty running set skips the remaining sources.
-        unknown = max((est for _, est, _ in sources if est is not None),
-                      default=0) + 1
         order = sorted(range(len(sources)),
-                       key=lambda i: (sources[i][1] if sources[i][1] is not None
-                                      else unknown, i))
+                       key=lambda i: (sources[i][3], sources[i][1], i))
         loaded = 0
         candidates: "np.ndarray | None" = None
         started = time.perf_counter_ns()
         for position in order:
-            _, _, materialize = sources[position]
-            ids = materialize()
-            loaded += int(ids.shape[0])
-            if candidates is None:
-                candidates = ids
+            _, rows, materialize, tests_running = sources[position]
+            if tests_running:
+                loaded += rows if candidates is None else len(candidates)
+                candidates = materialize(candidates)
             else:
-                candidates = np.intersect1d(candidates, ids,
-                                            assume_unique=True)
+                ids = materialize()
+                loaded += int(ids.shape[0])
+                candidates = ids if candidates is None else np.intersect1d(
+                    candidates, ids, assume_unique=True)
             if candidates.shape[0] == 0:
                 break
         measured_ns = time.perf_counter_ns() - started
         tracing.add_cost(postings_loaded=loaded)
         if len(sources) > 1:
             tracing.add_cost(ids_intersected=loaded)
-            self._annotate_store_plan(sources, order, unknown, measured_ns)
+            self._annotate_store_plan(sources, order, measured_ns)
         tags = list(dict.fromkeys(sources[i][0] for i in order))
         plan = tags[0] if len(tags) == 1 else "columnar:" + "&".join(tags)
         return candidates.tolist(), plan
 
     @staticmethod
     def _annotate_store_plan(sources, order: "list[int]",
-                             unknown: int, measured_ns: int) -> None:
+                             measured_ns: int) -> None:
         """Record the intersection-order decision for ``explain=true``.
 
         Priced with the intersection unit cost so the chosen (cost-ordered)
@@ -548,19 +536,26 @@ class Collection:
         """
         from ..planner import DEFAULT_UNITS
         unit = DEFAULT_UNITS["intersect_ns_per_id"]
-        sizes = {i: (sources[i][1] if sources[i][1] is not None else unknown)
-                 for i in range(len(sources))}
         declared = list(range(len(sources)))
         alternative = declared if order != declared else declared[::-1]
+        def _sizes(sequence):
+            # A bounding-box test touches the running ids: its whole
+            # column when first, else no more than the smallest source
+            # ahead of it.
+            sizes: list[int] = []
+            for i in sequence:
+                _, est, _, tests_running = sources[i]
+                sizes.append(min(sizes + [est]) if tests_running else est)
+            return sizes
         def _entry(sequence):
             return {"order": [sources[i][0] for i in sequence],
                     "predicted_ns": round(_intersection_cost_ns(
-                        [sizes[i] for i in sequence], unit), 1)}
+                        _sizes(sequence), unit), 1)}
         tracing.annotate(store_plan={
             "chosen": _entry(order),
             "rejected": [_entry(alternative)],
-            "estimated_sizes": {sources[i][0]: int(sizes[i])
-                                for i in order},
+            "estimated_sizes": {sources[i][0]: int(size)
+                                for i, size in zip(order, _sizes(order))},
             "measured_ns": int(measured_ns)})
 
     def _matching_docs(self, query: "Mapping[str, Any] | None",

@@ -20,6 +20,12 @@ condition.  This module supplies the column-shaped building blocks:
   in an *unknown* bucket that every probe includes (the exact matcher
   decides their fate); docs missing the field are excluded outright, which
   is exact because no ordered comparison matches a missing value.
+* :class:`BBoxColumn` — four doc-id-aligned ``float64`` arrays (west,
+  south, east, north) of a bbox-valued field; a spatial predicate becomes
+  one vectorised closed-interval overlap test against the query shape's
+  bounding box.  Rows of documents that are deleted, lack the field, or
+  hold a value the matcher cannot read as a bounding box are ``NaN``,
+  which compares false: they are never candidates, as they never match.
 * :func:`ids_array` / :func:`intersect_id_arrays` — conversion and
   intersection helpers over sorted unique id arrays.
 
@@ -31,12 +37,14 @@ conditions together.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from datetime import datetime
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 import numpy as np
 
-from .matcher import get_path, is_missing
+from ..geo.bbox import BoundingBox
+from .matcher import _as_bbox, get_path, is_missing
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 
@@ -215,3 +223,81 @@ class SortedDateColumn:
             # order) is plan-independent.  Ids are unique by construction.
             return np.sort(ids)
         return np.unique(np.concatenate(parts))
+
+
+# Slack added to the query box on every side.  The exact matcher accepts
+# points within float rounding of a shape's boundary (``Polygon`` treats
+# anything within 1e-12 of an edge as inside; haversine rounds), so the
+# candidate test must be a hair wider than the shape's bounding box to
+# stay a superset.  1e-9 degrees is about a tenth of a millimetre.
+_BBOX_PAD_DEG = 1e-9
+
+_NAN_ROW = (np.nan,) * 4
+
+
+class BBoxColumn:
+    """A doc-id-aligned projection of one bounding-box field.
+
+    Row ``i`` of the four ``float64`` arrays holds the box of doc id ``i``
+    as the matcher reads it, or ``NaN`` when that document is absent, has
+    no such field, or stores a value the matcher rejects.  ``NaN`` fails
+    every comparison, so such rows are never candidates.  Capacity doubles
+    on demand; doc ids are never reused by another document, so a row is
+    only ever overwritten by an update of the same document.
+    """
+
+    __slots__ = ("field", "_boxes", "_size")
+
+    def __init__(self, field: str) -> None:
+        self.field = field
+        # One (4, capacity) block; rows are west, south, east, north.
+        self._boxes: np.ndarray = np.full((4, 0), np.nan)
+        self._size = 0  # one past the highest doc id ever added
+
+    def __len__(self) -> int:
+        return self._size
+
+    def _row_for(self, document: Mapping[str, Any]) -> "tuple[float, ...]":
+        box = _as_bbox(get_path(document, self.field))
+        return _NAN_ROW if box is None else box.as_tuple()
+
+    def _reserve(self, size: int) -> None:
+        capacity = self._boxes.shape[1]
+        if size > capacity:
+            grown = np.full((4, max(size, 2 * capacity, 64)), np.nan)
+            grown[:, :self._size] = self._boxes[:, :self._size]
+            self._boxes = grown
+        self._size = max(self._size, size)
+
+    def add(self, doc_id: int, document: Mapping[str, Any]) -> None:
+        self._reserve(doc_id + 1)
+        self._boxes[:, doc_id] = self._row_for(document)
+
+    def bulk_add(self, doc_ids: "Iterable[int]",
+                 documents: "Iterable[Mapping[str, Any]]") -> None:
+        """Batch :meth:`add`: one capacity reservation, one array write."""
+        doc_ids = list(doc_ids)
+        if not doc_ids:
+            return
+        self._reserve(max(doc_ids) + 1)
+        rows = [self._row_for(document) for document in documents]
+        self._boxes[:, doc_ids] = np.asarray(rows, dtype=np.float64).T
+
+    def remove(self, doc_id: int, document: Mapping[str, Any]) -> None:
+        self._boxes[:, doc_id] = np.nan
+
+    def ids_intersecting(self, box: BoundingBox,
+                         among: "np.ndarray | None" = None) -> np.ndarray:
+        """Sorted doc ids whose stored box overlaps ``box`` (closed
+        intervals, as :meth:`BoundingBox.intersects`), tested over the
+        sorted id array ``among`` when given, over every row otherwise."""
+        if among is None:
+            west, south, east, north = self._boxes[:, :self._size]
+        else:
+            # Row by row: four 1-D takes are twice as fast as one 2-D one.
+            west, south, east, north = (row[among] for row in self._boxes)
+        hit = ((west <= box.east + _BBOX_PAD_DEG)
+               & (east >= box.west - _BBOX_PAD_DEG)
+               & (south <= box.north + _BBOX_PAD_DEG)
+               & (north >= box.south - _BBOX_PAD_DEG))
+        return np.flatnonzero(hit) if among is None else among[hit]

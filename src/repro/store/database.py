@@ -3,8 +3,8 @@
 EarthQube's data tier holds exactly four collections (paper, Section 3.2):
 ``metadata``, ``image_data``, ``rendered_images``, and ``feedback``.
 :func:`Database.earthqube_schema` creates them with the indexes the paper
-describes: the metadata collection gets a geohash 2D index on ``location``
-and hash indexes on the queryable ``properties`` attributes, while the image
+describes: the metadata collection gets a 2D index on ``location`` (a
+bounding-box column) and hash indexes on the queryable ``properties`` attributes, while the image
 collections are keyed by patch name (the "automatically indexed" primary
 key).
 """
@@ -62,11 +62,11 @@ class Database:
         del self._collections[name]
 
     @classmethod
-    def earthqube_schema(cls, *, geo_precision: int = 5) -> "Database":
+    def earthqube_schema(cls) -> "Database":
         """Create the four EarthQube collections with the paper's indexes."""
         db = cls("earthqube")
         metadata = db.create_collection(METADATA, primary_key="name")
-        metadata.create_geo_index("location", precision=geo_precision)
+        metadata.create_geo_index("location")
         metadata.create_index("properties.labels")
         metadata.create_index("properties.label_chars")
         metadata.create_index("properties.season")

@@ -1,6 +1,7 @@
 """Secondary indexes for the document store.
 
-Three index kinds mirror what the paper's data tier relies on:
+Two index kinds mirror what the paper's data tier relies on (the 2D index
+on ``location`` is a column, :class:`repro.store.columnar.BBoxColumn`):
 
 * :class:`UniqueIndex` — the automatically indexed primary key ("Each
   document has an image patch name attribute that serves as primary key and
@@ -8,23 +9,16 @@ Three index kinds mirror what the paper's data tier relies on:
 * :class:`HashIndex` — equality lookups on an arbitrary (dotted) field;
   multikey like MongoDB: an array-valued field indexes the document under
   every element.
-* :class:`GeoHashIndex` — the 2D geohash index on ``location``: documents
-  are bucketed by the geohash cells their bounding box overlaps; a spatial
-  query is answered by covering the query's bounding box with cells and
-  unioning the buckets (candidates are then exactly filtered by the
-  matcher).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from collections.abc import Mapping
+from typing import Any, Iterable
 
 import numpy as np
 
-from ..errors import DuplicateKeyError, GeoError, IndexError_
-from ..geo import geohash as gh
-from ..geo.bbox import BoundingBox
-from ..geo.shapes import Shape
+from ..errors import DuplicateKeyError, IndexError_
 from .columnar import ids_array, intersect_id_arrays
 from .matcher import get_path, is_missing
 
@@ -179,90 +173,3 @@ class HashIndex:
         if not arrays:
             return np.empty(0, dtype=np.int64)
         return intersect_id_arrays(arrays)
-
-
-class GeoHashIndex:
-    """2D geohash index over bounding-box geometries.
-
-    Each document's box is covered by geohash cells at a fixed ``precision``
-    and the doc id is inserted in every overlapping cell bucket.  Queries
-    cover their own bounding box and union the buckets — a superset of the
-    true result that the caller refines with an exact geometric test, which
-    is exactly how MongoDB's legacy 2D index serves ``$geoWithin``.
-    """
-
-    def __init__(self, field: str, precision: int = 5, *, max_cells_per_doc: int = 512) -> None:
-        if not 1 <= precision <= 12:
-            raise IndexError_(f"geohash precision must be in [1, 12], got {precision}")
-        self.field = field
-        self.precision = precision
-        self.max_cells_per_doc = max_cells_per_doc
-        self._buckets: dict[str, set[int]] = {}
-
-    def __len__(self) -> int:
-        return len(self._buckets)
-
-    def _box_for(self, document: Mapping[str, Any]) -> "BoundingBox | None":
-        value = get_path(document, self.field)
-        if is_missing(value):
-            return None
-        if isinstance(value, BoundingBox):
-            return value
-        if isinstance(value, Mapping) and "bbox" in value:
-            value = value["bbox"]
-        if isinstance(value, (list, tuple)) and len(value) == 4:
-            try:
-                return BoundingBox.from_tuple(tuple(float(v) for v in value))
-            except GeoError:
-                return None
-        return None
-
-    def _cells_for_box(self, box: BoundingBox) -> list[str]:
-        return gh.cover_bbox(box, self.precision, max_cells=self.max_cells_per_doc)
-
-    def check(self, document: Mapping[str, Any]) -> None:
-        """Validate that :meth:`add` would succeed for ``document``
-        (oversized cell covers raise) without mutating anything."""
-        box = self._box_for(document)
-        if box is not None:
-            self._cells_for_box(box)
-
-    def add(self, doc_id: int, document: Mapping[str, Any]) -> None:
-        box = self._box_for(document)
-        if box is None:
-            return  # documents without geometry are simply not indexed
-        for cell in self._cells_for_box(box):
-            self._buckets.setdefault(cell, set()).add(doc_id)
-
-    def remove(self, doc_id: int, document: Mapping[str, Any]) -> None:
-        box = self._box_for(document)
-        if box is None:
-            return
-        for cell in self._cells_for_box(box):
-            bucket = self._buckets.get(cell)
-            if bucket is not None:
-                bucket.discard(doc_id)
-                if not bucket:
-                    del self._buckets[cell]
-
-    def candidates(self, shape: Shape) -> set[int]:
-        """Doc ids whose cells overlap the shape's bounding box.
-
-        This is a superset of the exact answer; callers must re-check each
-        candidate geometrically.
-        """
-        box = shape.bounding_box()
-        try:
-            cells = gh.cover_bbox(box, self.precision, max_cells=65536)
-        except GeoError:
-            # Query box too large for this precision: degrade to everything.
-            out: set[int] = set()
-            for bucket in self._buckets.values():
-                out |= bucket
-            return out
-        out = set()
-        for cell in cells:
-            bucket = self._buckets.get(cell)
-            if bucket:
-                out |= bucket
-        return out

@@ -30,8 +30,9 @@ boxes in ``(west, south, east, north)`` tuple/list form or the
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from functools import lru_cache
-from typing import Any, Mapping
+from typing import Any
 
 from ..errors import QuerySyntaxError
 from ..geo.bbox import BoundingBox

@@ -112,8 +112,7 @@ def _index_spec(collection: Collection) -> dict:
         "primary_key": collection.primary_key,
         "unique": [f for f in collection._unique_indexes if f != collection.primary_key],
         "hash": list(collection._hash_indexes),
-        "geo": {field: index.precision
-                for field, index in collection._geo_indexes.items()},
+        "geo": list(collection._bbox_columns),
         "date_columns": list(collection._date_columns),
     }
 
@@ -148,8 +147,10 @@ def database_from_snapshot(snapshot: dict) -> Database:
             collection.create_unique_index(field)
         for field in spec.get("hash", []):
             collection.create_index(field)
-        for field, precision in spec.get("geo", {}).items():
-            collection.create_geo_index(field, precision=precision)
+        # Older files hold {field: cell precision} here, newer ones a list
+        # of fields; iterating either yields the fields.
+        for field in spec.get("geo", []):
+            collection.create_geo_index(field)
         for field in spec.get("date_columns", []):
             collection.create_date_column(field)
         documents = [decode_value(doc) for doc in payload["documents"]]

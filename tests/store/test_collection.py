@@ -28,7 +28,7 @@ def collection():
     col = Collection("metadata", primary_key="name")
     col.create_index("properties.labels")
     col.create_index("properties.season")
-    col.create_geo_index("location", precision=4)
+    col.create_geo_index("location")
     col.insert_many(sample_docs())
     return col
 
@@ -275,14 +275,46 @@ class TestUpdateAtomicity:
             {"name": "b"}, {"$set": {"name": "b", "properties.n": 20}}) == 1
         assert collection.get("b")["properties"]["n"] == 20
 
-    def test_update_to_oversized_geometry_keeps_document(self, collection):
+    def test_update_to_large_geometry_is_stored_and_queryable(self, collection):
+        # Any valid BoundingBox is storable: the geohash index this column
+        # replaced rejected footprints above 512 cells (about 1 x 1 degree).
         huge = {"bbox": [-179.0, -89.0, 179.0, 89.0]}
-        with pytest.raises(Exception):
-            collection.update_one({"name": "a"}, {"$set": {"location": huge}})
-        # The original geometry still answers geo queries.
-        shape = Rectangle(BoundingBox(west=9.9, south=49.9, east=10.15, north=50.2))
+        assert collection.update_one(
+            {"name": "a"}, {"$set": {"location": huge}}) == 1
+        assert collection.get("a")["location"] == huge
+        near_c = Rectangle(BoundingBox(west=-9.5, south=37.5, east=-8.5, north=38.5))
+        result = collection.find({"location": {"$geoIntersects": near_c}},
+                                 sort="name")
+        assert result.plan == "geo_index:location"
+        assert [d["name"] for d in result] == ["a", "c"]
+        world = Rectangle(BoundingBox(west=-180.0, south=-90.0, east=180.0, north=90.0))
         assert {d["name"] for d in collection.find(
-            {"location": {"$geoWithin": shape}})} == {"a"}
+            {"location": {"$geoWithin": world}})} == {"a", "b", "c"}
+        old_spot = Rectangle(BoundingBox(west=9.9, south=49.9, east=10.15, north=50.2))
+        assert collection.count({"location": {"$geoWithin": old_spot}}) == 0
+
+    def test_update_to_invalid_geometry_is_stored_but_never_a_candidate(
+            self, collection):
+        backwards = {"bbox": [10.1, 50.0, 10.0, 50.1]}  # west > east
+        assert collection.update_one(
+            {"name": "a"}, {"$set": {"location": backwards}}) == 1
+        assert collection.get("a")["location"] == backwards
+        shape = Rectangle(BoundingBox(west=9.0, south=49.0, east=11.0, north=51.0))
+        for op in ("$geoIntersects", "$geoWithin"):
+            query = {"location": {op: shape}}
+            planned = collection.find(query)
+            assert planned.plan == "geo_index:location"
+            assert planned.candidates_examined == 1  # only "b"
+            assert ([d["name"] for d in planned] == ["b"]
+                    == [d["name"] for d in collection.find(query, hint="scan")])
+
+    def test_large_geometry_is_insertable(self, collection):
+        tile = {"bbox": [5.0, 45.0, 6.1, 46.0]}  # ~ a Sentinel-2 tile
+        collection.insert_one({"name": "tile", "location": tile})
+        collection.insert_many([{"name": "tile2", "location": tile}])
+        inside = Rectangle(BoundingBox(west=5.5, south=45.5, east=5.6, north=45.6))
+        assert {d["name"] for d in collection.find(
+            {"location": {"$geoIntersects": inside}})} == {"tile", "tile2"}
 
 
 class TestGeoIndexMaintenance:
@@ -292,10 +324,12 @@ class TestGeoIndexMaintenance:
         assert result.candidates_examined < 3  # pruned to the Portugal doc
         assert [d["name"] for d in result] == ["c"]
 
-    def test_geo_index_conflicting_precision_rejected(self, collection):
-        with pytest.raises(IndexError_):
-            collection.create_geo_index("location", precision=7)
-
-    def test_geo_index_same_precision_idempotent(self, collection):
-        collection.create_geo_index("location", precision=4)  # no error
+    def test_geo_index_creation_idempotent(self, collection):
+        column = collection._bbox_columns["location"]
+        collection.create_geo_index("location")  # no error, no rebuild
+        assert collection._bbox_columns["location"] is column
         assert "location" in collection.index_fields
+
+    def test_geo_index_takes_no_precision(self, collection):
+        with pytest.raises(TypeError):
+            collection.create_geo_index("other", precision=5)

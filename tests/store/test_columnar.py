@@ -1,7 +1,7 @@
 """Columnar query engine: mask intersection, date columns, bulk inserts.
 
 The load-bearing invariant is *plan neutrality*: whatever access path the
-planner chooses (posting arrays, date columns, geohash buckets, or their
+planner chooses (posting arrays, date columns, bounding-box columns, or their
 intersection), ``find(query)`` must be byte-identical to
 ``find(query, hint="scan")``.
 """
@@ -18,7 +18,7 @@ def make_collection(docs=None):
     col = Collection("metadata", primary_key="name")
     col.create_index("properties.labels")
     col.create_index("properties.season")
-    col.create_geo_index("location", precision=4)
+    col.create_geo_index("location")
     col.create_date_column("properties.date")
     if docs is not None:
         col.insert_many(docs)

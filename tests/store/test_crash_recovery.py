@@ -82,7 +82,7 @@ def fresh_system(artifacts, directory=None, *, serving=False, verify=False):
         directory=None if directory is None else str(directory),
         verify_on_load=verify))
     archive = SyntheticArchive.generate(cfg.archive)
-    db = Database.earthqube_schema(geo_precision=cfg.geo_index.precision)
+    db = Database.earthqube_schema()
     ingest_archive(db, archive, artifacts["codec"])
     cbir = CBIRService(artifacts["hasher"], artifacts["extractor"], cfg.index)
     cbir.build(archive.names, artifacts["features"])
@@ -97,7 +97,7 @@ def fresh_system(artifacts, directory=None, *, serving=False, verify=False):
 def spare_node(artifacts):
     """A second, disjoint-corpus node for federation scenarios."""
     archive = SyntheticArchive.generate(SPARE_CFG)
-    db = Database.earthqube_schema(geo_precision=CFG.geo_index.precision)
+    db = Database.earthqube_schema()
     ingest_archive(db, archive, artifacts["codec"])
     cbir = CBIRService(artifacts["hasher"], artifacts["extractor"], CFG.index)
     cbir.build(archive.names, artifacts["spare_features"])

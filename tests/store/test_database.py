@@ -57,7 +57,7 @@ class TestEarthQubeSchema:
         db = Database.earthqube_schema()
         fields = db[METADATA].index_fields
         assert "name" in fields          # auto-indexed primary key
-        assert "location" in fields      # 2D geohash index
+        assert "location" in fields      # 2D index (bounding-box column)
         assert "properties.labels" in fields
         assert "properties.label_chars" in fields
 
@@ -70,10 +70,6 @@ class TestEarthQubeSchema:
         db = Database.earthqube_schema()
         assert db[FEEDBACK].primary_key is None
 
-    def test_geo_precision_configurable(self):
-        db = Database.earthqube_schema(geo_precision=3)
-        # Indexing works end to end at the chosen precision.
-        db[METADATA].insert_one({
-            "name": "p1", "location": {"bbox": [0.0, 0.0, 0.1, 0.1]},
-            "properties": {"labels": ["x"]}})
-        assert len(db[METADATA]) == 1
+    def test_removed_geo_precision_knob_raises(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            Database.earthqube_schema(geo_precision=3)

@@ -60,7 +60,7 @@ def test_indexed_queries_match_naive_evaluation(script):
     collection = Collection("mut", primary_key="name")
     collection.create_index("properties.season")
     collection.create_index("properties.labels")
-    collection.create_geo_index("location", precision=3)
+    collection.create_geo_index("location")
     shadow: dict[str, dict] = {}
 
     for op, payload in script:
@@ -108,7 +108,7 @@ class TestFailureInjection:
 
     def test_reinsert_after_delete_uses_fresh_geo_cells(self):
         collection = Collection("fi2", primary_key="name")
-        collection.create_geo_index("location", precision=4)
+        collection.create_geo_index("location")
         collection.insert_one(_doc(1, 0.0, 45.0, "Summer", ["a"]))
         collection.delete_one({"name": "p1"})
         # Same name, different place: old cells must not resurface it.
@@ -120,7 +120,7 @@ class TestFailureInjection:
 
     def test_update_moving_geometry_relocates_index_entry(self):
         collection = Collection("fi3", primary_key="name")
-        collection.create_geo_index("location", precision=4)
+        collection.create_geo_index("location")
         collection.insert_one(_doc(2, 0.0, 45.0, "Summer", ["a"]))
         collection.update_one(
             {"name": "p2"},

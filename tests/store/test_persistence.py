@@ -173,6 +173,44 @@ def test_version_1_snapshots_still_load(tmp_path):
     assert loaded["docs"].get("a")["code"] == b"\x00\x01"
 
 
+def test_legacy_geo_spec_with_cell_precisions_still_loads(tmp_path):
+    """Snapshot / checkpoint files written while the geo index was a
+    geohash index map each geo field to a precision; they load into a
+    bounding-box column, and a re-save writes the plain field list."""
+    from repro.geo import BoundingBox, Rectangle
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps({
+        "format_version": 2,
+        "name": "old",
+        "collections": {
+            "metadata": {
+                "indexes": {"primary_key": "name", "unique": [],
+                            "hash": ["properties.season"],
+                            "geo": {"location": 5},
+                            "date_columns": []},
+                "documents": [
+                    {"name": "a", "location": {"bbox": [10.0, 50.0, 10.1, 50.1]},
+                     "properties": {"season": "Summer"}},
+                    {"name": "b", "location": {"bbox": [-9.0, 38.0, -8.9, 38.1]},
+                     "properties": {"season": "Summer"}},
+                ],
+            },
+        },
+    }))
+    loaded = load_database(path)
+    shape = Rectangle(BoundingBox(west=9.5, south=49.5, east=10.5, north=50.5))
+    result = loaded["metadata"].find({"location": {"$geoIntersects": shape}})
+    assert result.plan == "geo_index:location"
+    assert [doc["name"] for doc in result] == ["a"]
+
+    resaved = tmp_path / "resaved.json"
+    save_database(loaded, resaved)
+    spec = json.loads(resaved.read_text())["collections"]["metadata"]["indexes"]
+    assert spec["geo"] == ["location"]
+    assert load_database(resaved)["metadata"].find(
+        {"location": {"$geoIntersects": shape}}).plan == "geo_index:location"
+
+
 def test_date_columns_round_trip_scan_identically(tmp_path):
     """Satellite: a date column mid-churn (pending adds + tombstones not
     yet compacted) must save/load to a collection that answers range

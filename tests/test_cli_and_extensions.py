@@ -61,7 +61,7 @@ class TestCLI:
 
 class TestStorePersistence:
     def test_roundtrip_with_indexes_and_bytes(self, tmp_path):
-        db = Database.earthqube_schema(geo_precision=4)
+        db = Database.earthqube_schema()
         db["metadata"].insert_one({
             "name": "p1", "location": {"bbox": [8.0, 47.0, 8.1, 47.1]},
             "properties": {"labels": ["Pastures"], "label_chars": "R",

@@ -6,7 +6,6 @@ import pytest
 from repro.config import (
     ArchiveConfig,
     EarthQubeConfig,
-    GeoIndexConfig,
     IndexConfig,
     MiLaNConfig,
     TrainConfig,
@@ -150,9 +149,9 @@ class TestConfigs:
         with pytest.raises(ValidationError):
             IndexConfig(mih_tables=0)
 
-    def test_geo_index_config_validation(self):
-        with pytest.raises(ValidationError):
-            GeoIndexConfig(precision=0)
+    def test_removed_geo_index_knob_raises(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            EarthQubeConfig(geo_index={"precision": 5})
 
     def test_earthqube_config_composition(self):
         config = EarthQubeConfig(archive=ArchiveConfig(num_patches=10))
