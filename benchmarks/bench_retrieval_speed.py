@@ -1,21 +1,19 @@
-"""E6: hash-table lookups vs. scans — the "real-time search" claim.
+"""E6: bucket lookups vs. scans — the "real-time search" claim.
 
 Two modes:
 
 **pytest-benchmark suite** (the original E6 experiment): per-query latency
-of four retrieval paths across archive sizes — hash-table bucket
-enumeration, Multi-Index Hashing, packed linear scan, float brute force.
+of three retrieval paths across archive sizes — Multi-Index Hashing (the
+paper's hash table), packed linear scan, float brute force.
 
 **Standalone report mode** (``python benchmarks/bench_retrieval_speed.py``):
-old-vs-new evidence for the vectorized MIH core and the batch query
-engine.  A faithful copy of the pre-CSR dict-based MIH (``_LegacyMIH``) is
-measured against the array-native implementation on the same corpora:
+evidence for the vectorized MIH core and the batch query engine on
+cluster-structured corpora:
 
-* build time (dict ``setdefault`` loop vs vectorized CSR layout),
-* single-query radius latency (per-query ``itertools.combinations``
-  bucket enumeration vs cached flip-mask probing),
+* build time of the CSR layout,
+* single-query radius latency (cached flip-mask probing),
 * batch-of-B kNN throughput (sequential single-query loop vs
-  ``search_knn_batch``).
+  ``search_knn_batch`` vs ``LinearScanIndex.search_knn_batch``).
 
 Every measured search result is checked **byte-identical** against the
 ``LinearScanIndex`` oracle before any timing is reported; a mismatch
@@ -25,7 +23,7 @@ aborts the run.  The JSON report lands in ``--out``
 Corpora are cluster-structured (centers + a few flipped bits), the shape
 a trained hasher emits: uniform random codes have no neighbors at small
 radii and push kNN into the degenerate near-exhaustive-radius regime for
-*any* MIH implementation, old or new.
+any MIH implementation.
 
 Usage::
 
@@ -37,14 +35,10 @@ import argparse
 import json
 import sys
 import time
-from itertools import combinations
 
 import numpy as np
 
 from repro.index import LinearScanIndex, MultiIndexHashing, pack_bits
-from repro.index.codes import unpack_bits
-from repro.index.hamming import hamming_distances_to_query
-from repro.index.results import SearchResult
 
 try:
     import pytest
@@ -54,7 +48,6 @@ except ImportError:  # standalone report mode works without pytest
 if pytest is not None:
     try:
         from repro.baselines import BruteForceFeatureIndex
-        from repro.index import HashTableIndex
 
         from .conftest import random_packed_codes
     except ImportError:  # running as a standalone script, not under pytest
@@ -76,8 +69,6 @@ if pytest is not None:
         for n in SIZES:
             codes = random_packed_codes(n, NUM_BITS, seed=n)
             ids = np.arange(n)
-            table = HashTableIndex(NUM_BITS)
-            table.add_many(ids.tolist(), codes)
             mih = MultiIndexHashing(NUM_BITS, num_tables=4)
             mih.build(ids.tolist(), codes)
             scan = LinearScanIndex(NUM_BITS)
@@ -86,17 +77,9 @@ if pytest is not None:
             floats = rng.standard_normal((n, 130))
             brute = BruteForceFeatureIndex()
             brute.build(ids.tolist(), floats)
-            setups[n] = {"codes": codes, "table": table, "mih": mih,
-                         "scan": scan, "brute": brute, "floats": floats}
+            setups[n] = {"codes": codes, "mih": mih, "scan": scan,
+                         "brute": brute, "floats": floats}
         return setups
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_hashtable_bucket_lookup(benchmark, speed_setup, n):
-        """Paper's structure: bucket probes within Hamming radius 1."""
-        setup = speed_setup[n]
-        query = setup["codes"][0]
-        benchmark.group = f"E6 retrieval @ N={n}"
-        benchmark(lambda: setup["table"].search_radius(query, 1))
 
     @pytest.mark.parametrize("n", SIZES)
     def test_mih_radius2(benchmark, speed_setup, n):
@@ -146,110 +129,24 @@ if pytest is not None:
         q_large = speed_setup[large]["codes"][0]
 
         def measure():
-            table_growth = (
-                best_of(lambda: speed_setup[large]["table"].search_radius(q_large, 1))
-                / best_of(lambda: speed_setup[small]["table"].search_radius(q_small, 1)))
+            bucket_growth = (
+                best_of(lambda: speed_setup[large]["mih"].search_radius(q_large, 2))
+                / best_of(lambda: speed_setup[small]["mih"].search_radius(q_small, 2)))
             scan_growth = (
                 best_of(lambda: speed_setup[large]["scan"].search_knn(q_large, 10))
                 / best_of(lambda: speed_setup[small]["scan"].search_knn(q_small, 10)))
-            return table_growth, scan_growth
+            return bucket_growth, scan_growth
 
-        table_growth, scan_growth = benchmark.pedantic(measure, rounds=1, iterations=1)
+        bucket_growth, scan_growth = benchmark.pedantic(measure, rounds=1, iterations=1)
         print(f"\nE6 growth small->large (x{large // small} items): "
-              f"hash-table x{table_growth:.2f}, linear scan x{scan_growth:.2f}")
-        assert table_growth < scan_growth, \
+              f"MIH buckets x{bucket_growth:.2f}, linear scan x{scan_growth:.2f}")
+        assert bucket_growth < scan_growth, \
             "bucket lookups must scale better than linear scans"
 
 
 # --------------------------------------------------------------------- #
-# Standalone report mode: old-vs-new MIH + batch engine evidence
+# Standalone report mode: MIH core + batch engine evidence
 # --------------------------------------------------------------------- #
-
-def _bits_to_int(bits: np.ndarray) -> int:
-    value = 0
-    for i, bit in enumerate(bits):
-        if bit:
-            value |= 1 << i
-    return value
-
-
-class _LegacyMIH:
-    """The pre-refactor dict-based MIH, kept verbatim for comparison.
-
-    Per-row ``dict.setdefault`` build, per-query ``itertools.combinations``
-    bucket enumeration, Python set unions for candidates — the hot path
-    this PR replaced.  Search results are identical to the new
-    implementation (both are exact); only the cost differs.
-    """
-
-    def __init__(self, num_bits: int, num_tables: int = 4) -> None:
-        self.num_bits = num_bits
-        self.num_tables = num_tables
-        base = num_bits // num_tables
-        extra = num_bits % num_tables
-        sizes = [base + (1 if i < extra else 0) for i in range(num_tables)]
-        starts = np.cumsum([0] + sizes[:-1])
-        self._spans = [(int(s), int(s + size)) for s, size in zip(starts, sizes)]
-        self._tables = [{} for _ in range(num_tables)]
-        self._codes = None
-        self._ids = []
-
-    def build(self, item_ids, codes) -> None:
-        codes = np.asarray(codes, dtype=np.uint64)
-        self._codes = codes
-        self._ids = list(item_ids)
-        self._tables = [{} for _ in range(self.num_tables)]
-        bits = unpack_bits(codes, self.num_bits)
-        for table, (start, stop) in zip(self._tables, self._spans):
-            substrings = bits[:, start:stop]
-            weights = (1 << np.arange(stop - start, dtype=np.uint64))
-            keys = (substrings.astype(np.uint64) * weights).sum(axis=1)
-            for row, key in enumerate(keys.tolist()):
-                table.setdefault(key, []).append(row)
-
-    def _candidate_rows(self, query_bits, substring_radius):
-        candidates = set()
-        for table, (start, stop) in zip(self._tables, self._spans):
-            sub = query_bits[start:stop]
-            width = stop - start
-            base_key = _bits_to_int(sub)
-            keys = [base_key]
-            for flips in range(1, substring_radius + 1):
-                for positions in combinations(range(width), flips):
-                    key = base_key
-                    for p in positions:
-                        key ^= 1 << p
-                    keys.append(key)
-            for key in keys:
-                rows = table.get(key)
-                if rows:
-                    candidates.update(rows)
-        return candidates
-
-    def search_radius(self, code, radius):
-        query_bits = unpack_bits(np.asarray(code, dtype=np.uint64), self.num_bits)
-        substring_radius = radius // self.num_tables
-        rows = self._candidate_rows(query_bits, substring_radius)
-        results = []
-        if rows:
-            row_array = np.fromiter(rows, dtype=np.int64, count=len(rows))
-            distances = hamming_distances_to_query(
-                self._codes[row_array], np.asarray(code, dtype=np.uint64))
-            within = distances <= radius
-            order = np.lexsort((row_array[within], distances[within]))
-            for row, distance in zip(row_array[within][order],
-                                     distances[within][order]):
-                results.append(SearchResult(self._ids[int(row)], int(distance)))
-        return results
-
-    def search_knn(self, code, k):
-        radius = 0
-        while True:
-            results = self.search_radius(code, radius)
-            if len(results) >= k or radius >= self.num_bits:
-                return results[:k]
-            radius = min(self.num_bits, radius + self.num_tables)
-
 
 def clustered_codes(num_items: int, num_bits: int, seed: int) -> np.ndarray:
     """Cluster-structured packed codes (what a trained hasher emits)."""
@@ -294,52 +191,39 @@ def bench_one_size(num_items: int, num_bits: int, num_tables: int,
     oracle = LinearScanIndex(num_bits)
     oracle.build(ids, codes)
 
-    # Build: dict setdefault loop vs vectorized CSR layout.
-    legacy = _LegacyMIH(num_bits, num_tables)
-    legacy_build = _best_of(lambda: legacy.build(ids, codes), repeats)
-    new = MultiIndexHashing(num_bits, num_tables)
-    new_build = _best_of(lambda: new.build(ids, codes), repeats)
+    index = MultiIndexHashing(num_bits, num_tables)
+    build_s = _best_of(lambda: index.build(ids, codes), repeats)
 
     # Single-query radius latency, results enforced against the oracle.
     single_query = []
     for radius in radii:
         for query in queries:
-            expected = oracle.search_radius(query, radius)
-            _require_identical(f"legacy radius={radius}",
-                               legacy.search_radius(query, radius), expected)
-            _require_identical(f"new radius={radius}",
-                               new.search_radius(query, radius), expected)
-        legacy_s = _best_of(
-            lambda: [legacy.search_radius(q, radius) for q in queries], repeats)
-        new_s = _best_of(
-            lambda: [new.search_radius(q, radius) for q in queries], repeats)
+            _require_identical(f"radius={radius}",
+                               index.search_radius(query, radius),
+                               oracle.search_radius(query, radius))
+        radius_s = _best_of(
+            lambda: [index.search_radius(q, radius) for q in queries], repeats)
         single_query.append({
             "radius": radius,
-            "legacy_ms_per_query": round(legacy_s / num_queries * 1e3, 4),
-            "new_ms_per_query": round(new_s / num_queries * 1e3, 4),
-            "speedup": round(legacy_s / new_s, 2),
+            "ms_per_query": round(radius_s / num_queries * 1e3, 4),
         })
 
     # Batch kNN throughput: sequential single-query loop vs one batch call.
     expected_knn = [oracle.search_knn(q, k) for q in batch_queries]
-    sequential = [new.search_knn(q, k) for q in batch_queries]
-    batched = new.search_knn_batch(batch_queries, k)
+    sequential = [index.search_knn(q, k) for q in batch_queries]
+    batched = index.search_knn_batch(batch_queries, k)
     for label, got in (("sequential knn", sequential), ("batch knn", batched)):
         for got_one, expected_one in zip(got, expected_knn):
             _require_identical(label, got_one, expected_one)
     sequential_s = _best_of(
-        lambda: [new.search_knn(q, k) for q in batch_queries], repeats)
-    batch_s = _best_of(lambda: new.search_knn_batch(batch_queries, k), repeats)
+        lambda: [index.search_knn(q, k) for q in batch_queries], repeats)
+    batch_s = _best_of(lambda: index.search_knn_batch(batch_queries, k), repeats)
     linear_batch_s = _best_of(
         lambda: oracle.search_knn_batch(batch_queries, k), repeats)
 
     return {
         "items": num_items,
-        "build": {
-            "legacy_seconds": round(legacy_build, 4),
-            "new_seconds": round(new_build, 4),
-            "speedup": round(legacy_build / new_build, 2),
-        },
+        "build_seconds": round(build_s, 4),
         "single_query_radius": single_query,
         "batch_knn": {
             "k": k,
@@ -381,7 +265,7 @@ def main(argv=None) -> int:
                              args.k, args.batch_size, args.queries,
                              args.repeats, args.seed)
         sizes[str(num_items)] = row
-        print(f"[bench_retrieval] N={num_items}: build x{row['build']['speedup']}, "
+        print(f"[bench_retrieval] N={num_items}: build {row['build_seconds']}s, "
               f"batch-of-{args.batch_size} kNN x{row['batch_knn']['speedup']} "
               f"({row['batch_knn']['sequential_qps']} -> "
               f"{row['batch_knn']['batch_qps']} qps)", file=sys.stderr)
@@ -395,7 +279,6 @@ def main(argv=None) -> int:
                    "smoke": args.smoke},
         "sizes": sizes,
         "headline": {
-            "build_speedup_at_largest": largest["build"]["speedup"],
             "batch_knn_speedup_at_largest": largest["batch_knn"]["speedup"],
         },
     }
@@ -406,8 +289,7 @@ def main(argv=None) -> int:
         print(f"[bench_retrieval] report written to {args.out}", file=sys.stderr)
     else:
         print(payload)
-    print(f"[bench_retrieval] headline: build x"
-          f"{report['headline']['build_speedup_at_largest']}, batch kNN x"
+    print(f"[bench_retrieval] headline: batch kNN x"
           f"{report['headline']['batch_knn_speedup_at_largest']}",
           file=sys.stderr)
     return 0

@@ -158,7 +158,7 @@ class ServingConfig:
     """Query-serving tier settings (:mod:`repro.serving`).
 
     Controls the scatter-gather shard layout, the micro-batch executor that
-    coalesces concurrent CBIR queries into one vectorized scan, and the
+    coalesces concurrent CBIR queries into one scan call per shard, and the
     LRU+TTL result cache.  ``enabled`` is the single flag that routes
     :class:`~repro.earthqube.server.EarthQube` queries through the
     :class:`~repro.serving.gateway.ServingGateway` instead of the direct
@@ -172,7 +172,6 @@ class ServingConfig:
     max_workers: "int | None" = None
     batch_max_size: int = 16
     batch_max_delay_ms: float = 2.0
-    scan_chunk_rows: int = 4096
     cache_entries: int = 1024
     cache_ttl_seconds: float = 300.0
     histogram_window: int = 4096
@@ -186,7 +185,6 @@ class ServingConfig:
                  "max_workers must be None or >= 1")
         _require(self.batch_max_size >= 1, "batch_max_size must be >= 1")
         _require(self.batch_max_delay_ms >= 0.0, "batch_max_delay_ms must be >= 0")
-        _require(self.scan_chunk_rows >= 1, "scan_chunk_rows must be >= 1")
         _require(self.cache_entries >= 0, "cache_entries must be >= 0")
         _require(self.cache_ttl_seconds > 0.0, "cache_ttl_seconds must be positive")
         _require(self.histogram_window >= 1, "histogram_window must be >= 1")

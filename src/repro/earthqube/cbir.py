@@ -111,7 +111,9 @@ def shape_name_response(name: str, results: "list[SearchResult]", used: int,
 class _IndexRunner:
     """The direct :class:`~repro.planner.CodeRunner`: the service's own
     MIH index, which executes either backend (a zero probe budget forces
-    the exact scan) — so nothing is pinned and the planner chooses."""
+    the exact scan, :func:`repro.index.hamming.exact_scan` — the function
+    ``LinearScanIndex`` runs and ``repro calibrate`` times) — so nothing
+    is pinned and the planner chooses."""
 
     pinned_backend = None
     plan_context: dict = {}

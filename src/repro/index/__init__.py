@@ -7,22 +7,23 @@ buckets that are within a small hamming radius of the query image"
 infrastructure to benchmark it:
 
 * :mod:`repro.index.codes` — bit packing into uint64 words,
-* :mod:`repro.index.hamming` — popcount-based distance kernels,
-* :mod:`repro.index.hashtable` — exact bucket table with Hamming-radius
-  enumeration (the paper's structure),
-* :mod:`repro.index.mih` — Multi-Index Hashing (Norouzi & Fleet) for larger
-  radii on long codes,
+* :mod:`repro.index.hamming` — popcount-based distance kernels and
+  :func:`~repro.index.hamming.exact_scan`, the one exact ranked scan every
+  index below (and the serving tier's linear shards) runs,
+* :mod:`repro.index.mih` — Multi-Index Hashing (Norouzi & Fleet): the
+  paper's hash table, split into substring tables so bucket enumeration
+  scales to larger radii on long codes,
 * :mod:`repro.index.linear_scan` — packed brute-force scan (baseline).
 """
 
 from .codes import pack_bits, unpack_bits, codes_allclose
 from .hamming import (
+    exact_scan,
     hamming_distance,
     hamming_distances_to_query,
     pairwise_hamming,
     top_k_smallest,
 )
-from .hashtable import HashTableIndex
 from .linear_scan import LinearScanIndex
 from .mih import MultiIndexHashing
 from .results import SearchResult
@@ -35,7 +36,7 @@ __all__ = [
     "hamming_distances_to_query",
     "pairwise_hamming",
     "top_k_smallest",
-    "HashTableIndex",
+    "exact_scan",
     "MultiIndexHashing",
     "LinearScanIndex",
     "SearchResult",

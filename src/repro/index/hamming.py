@@ -3,14 +3,15 @@
 All kernels XOR packed words and count set bits with ``np.bitwise_count``
 (hardware popcount under the hood), so a scan over N codes of K bits costs
 ``N * K/64`` word operations — the fast baseline the hash table competes
-against in experiment E6.
+against in experiment E6.  :func:`exact_scan` is the one function that
+turns a code matrix into an exact ranked answer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ShapeError, ValidationError
 
 
 def _as_words(codes: np.ndarray, name: str) -> np.ndarray:
@@ -193,3 +194,75 @@ def top_k_smallest(distances: np.ndarray, k: int) -> np.ndarray:
         candidates = np.flatnonzero(distances <= boundary)
     order = np.lexsort((candidates, distances[candidates]))
     return candidates[order][:k].astype(np.int64)
+
+
+# Rows XORed per step of :func:`exact_scan`: temporaries stay at ~13 bytes
+# x this many rows (XOR words + popcounts + the int32 partial sums) however
+# large the archive or the batch gets.  Corpora up to 64k rows are one step.
+_SCAN_CHUNK_ROWS = 1 << 16
+
+
+def exact_scan(codes: np.ndarray, queries: np.ndarray, *,
+               k: "int | None" = None, radius: "int | None" = None,
+               rows: "np.ndarray | None" = None,
+               ) -> "list[tuple[np.ndarray, np.ndarray]]":
+    """Exact ranked answers of a ``(Q, W)`` query batch over ``(N, W)`` codes.
+
+    The one place a packed code matrix becomes a ranked result: every
+    exact path (``LinearScanIndex``, the MIH exact fallback, the linear
+    shard) calls this, so the unit ``repro calibrate`` times is the code
+    that serves.  Per query it returns ``(rows, distances)`` as int64
+    arrays in canonical ``(distance, insertion row)`` order:
+
+    * ``k`` only — the ``k`` nearest rows (all of them when ``k > N``),
+    * ``radius`` only — every row within ``radius``,
+    * both — the ``k`` nearest *within* ``radius``.
+
+    ``rows`` is an optional ascending gather set (the pre-filter
+    pushdown): only those rows are read, and returned row numbers are
+    members of it.  Because it ascends, position order inside the subset
+    equals row order, so :func:`top_k_smallest`'s index tie-break is the
+    insertion-row tie-break.
+
+    A batch is a loop of single scans, not a ``(Q, N)`` distance block.
+    Measured on one pinned CPU at the served shapes (clustered 64-bit
+    codes, W = 1, k = 11, Q = 16): the block was 13 % faster at N = 3k
+    (0.29 vs 0.33 ms), 4 % at N = 10k (0.59 vs 0.62 ms) and no faster at
+    N = 100k (5.2 vs 5.1 ms); at Q = 1 the two are the same code.
+    Selection, not XOR dispatch, is the per-query cost, so that margin
+    does not buy a second code shape and a Q x N temporary: the loop keeps
+    memory independent of Q.  Distances accumulate word by word into
+    int32: a reduction over the short W axis is ~10x slower than W column
+    adds, and ``argpartition`` on 8- or 16-bit keys degrades badly on
+    tie-heavy Hamming distances.
+    """
+    codes = _as_words(codes, "codes")
+    queries = _as_words(queries, "queries")
+    if codes.ndim != 2 or queries.ndim != 2 or codes.shape[1] != queries.shape[1]:
+        raise ShapeError(
+            f"expected (N, W) codes and (Q, W) queries, got {codes.shape} "
+            f"and {queries.shape}")
+    if k is None and radius is None:
+        raise ValidationError("exact_scan needs k, radius, or both")
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        codes = codes[rows]
+    num_rows, num_words = codes.shape
+    distances = np.empty(num_rows, dtype=np.int32)
+    out: "list[tuple[np.ndarray, np.ndarray]]" = []
+    for query in queries:
+        for start in range(0, num_rows, _SCAN_CHUNK_ROWS):
+            block = codes[start:start + _SCAN_CHUNK_ROWS]
+            partial = distances[start:start + _SCAN_CHUNK_ROWS]
+            partial[:] = np.bitwise_count(block[:, 0] ^ query[0])
+            for word in range(1, num_words):
+                partial += np.bitwise_count(block[:, word] ^ query[word])
+        if radius is None:
+            selected = top_k_smallest(distances, k)
+        else:
+            within = np.flatnonzero(distances <= radius)
+            selected = within[top_k_smallest(
+                distances[within], within.shape[0] if k is None else k)]
+        out.append((selected if rows is None else rows[selected],
+                    distances[selected].astype(np.int64)))
+    return out

@@ -3,7 +3,10 @@
 Computes the distance from the query to *every* stored code with the
 popcount kernel, then selects.  O(N) per query but with a tiny constant —
 this is what FAISS's ``IndexBinaryFlat`` does — so it is the honest baseline
-for demonstrating when bucket lookups actually win.
+for demonstrating when bucket lookups actually win.  The scan itself is
+:func:`repro.index.hamming.exact_scan`, the same function the MIH exact
+fallback and the linear shards run; this class owns ids, tombstones and the
+``linear.scan`` span / ``rows_scanned`` counter.
 
 Every search accepts an optional ``allowed`` row mask (filtered-similarity
 pushdown): selection is restricted to allowed insertion rows with the same
@@ -29,17 +32,10 @@ from ..obs import tracing
 from .hamming import (
     TombstoneSet,
     allowed_row_indices,
-    as_allowed_mask,
     combine_allowed_masks,
-    hamming_distances_to_query,
-    pairwise_hamming,
-    top_k_smallest,
+    exact_scan,
 )
 from .results import SearchResult
-
-# Batch scans chunk the query axis so peak memory stays bounded at
-# _BATCH_CHUNK_QUERIES * N words however large the batch gets.
-_BATCH_CHUNK_QUERIES = 256
 
 
 class LinearScanIndex:
@@ -139,128 +135,69 @@ class LinearScanIndex:
         self._tombstones.clear()
         self._row_of = None
 
-    def _effective_allowed(self, allowed: "np.ndarray | None",
-                           ) -> "np.ndarray | None":
-        return combine_allowed_masks(
-            self._tombstones.alive_mask(len(self._ids)), allowed)
+    def _scan(self, codes: np.ndarray, allowed: "np.ndarray | None",
+              **select: int) -> "list[list[SearchResult]]":
+        """Run a ``(Q, W)`` batch through the shared exact scan; ``select``
+        is ``k=`` or ``radius=``, passed on as is.
 
-    def _require_built(self) -> np.ndarray:
+        With ``allowed`` set (AND-combined with the alive mask), only the
+        allowed rows are gathered — once for the whole batch — and scanned:
+        the pre-filter pushdown, whose cost scales with the allowed subset,
+        not the corpus.
+        """
         if self._codes is None or not self._ids or len(self) == 0:
             raise EmptyIndexError("search on an empty LinearScanIndex")
         if self._pending:
             self._codes = np.vstack([self._codes, np.stack(self._pending)])
             self._pending = []
-        return self._codes
-
-    def _allowed_rows(self, allowed: np.ndarray) -> np.ndarray:
-        """The allowed insertion rows (pre-filter gather set)."""
-        return allowed_row_indices(allowed, len(self._ids))
+        queries = np.asarray(codes, dtype=np.uint64)
+        if queries.ndim != 2:
+            raise ValidationError(
+                f"batch search expects (Q, W) packed codes, got {queries.shape}")
+        allowed = combine_allowed_masks(
+            self._tombstones.alive_mask(len(self._ids)), allowed)
+        rows = (None if allowed is None
+                else allowed_row_indices(allowed, len(self._ids)))
+        scanned = len(self._ids) if rows is None else int(rows.shape[0])
+        with tracing.span("linear.scan", rows=len(self._ids),
+                          queries=int(queries.shape[0]),
+                          **select) as scan_span:
+            scan_span.add_cost(rows_scanned=scanned * int(queries.shape[0]))
+            hits = exact_scan(self._codes, queries, rows=rows, **select)
+        ids = self._ids
+        return [[SearchResult(ids[row], distance)
+                 for row, distance in zip(found.tolist(), distances.tolist())]
+                for found, distances in hits]
 
     def search_radius(self, code: np.ndarray, radius: int,
                       *, allowed: "np.ndarray | None" = None,
                       ) -> list[SearchResult]:
-        """All (allowed) items within ``radius``, nearest first.
-
-        With ``allowed`` set, only the allowed rows are gathered and
-        scanned — the pre-filter pushdown: cost scales with the allowed
-        subset, not the corpus.
-        """
+        """All (allowed) items within ``radius``, nearest first."""
         if radius < 0:
             raise ValidationError(f"radius must be >= 0, got {radius}")
-        codes = self._require_built()
         query = np.asarray(code, dtype=np.uint64)
-        allowed = self._effective_allowed(allowed)
-        with tracing.span("linear.scan", rows=len(self._ids), queries=1,
-                          radius=radius) as scan_span:
-            if allowed is None:
-                scan_span.add_cost(rows_scanned=len(self._ids))
-                distances = hamming_distances_to_query(codes, query)
-                within = np.flatnonzero(distances <= radius)
-                order = np.lexsort((within, distances[within]))
-                rows, kept = within[order], distances[within[order]]
-            else:
-                rows0 = self._allowed_rows(as_allowed_mask(allowed))
-                scan_span.add_cost(rows_scanned=len(rows0))
-                sub = hamming_distances_to_query(codes[rows0], query)
-                inside = sub <= radius
-                # rows0 ascending -> stable sort by distance is canonical.
-                order = np.argsort(sub[inside], kind="stable")
-                rows, kept = rows0[inside][order], sub[inside][order]
-        return [SearchResult(self._ids[int(row)], int(distance))
-                for row, distance in zip(rows.tolist(), kept.tolist())]
+        return self._scan(query[None, :], allowed, radius=radius)[0]
 
     def search_knn(self, code: np.ndarray, k: int,
                    *, allowed: "np.ndarray | None" = None) -> list[SearchResult]:
         """The exact ``k`` nearest (allowed) items."""
         if k <= 0:
             raise ValidationError(f"k must be positive, got {k}")
-        codes = self._require_built()
         query = np.asarray(code, dtype=np.uint64)
-        allowed = self._effective_allowed(allowed)
-        with tracing.span("linear.scan", rows=len(self._ids), queries=1,
-                          k=k) as scan_span:
-            if allowed is None:
-                scan_span.add_cost(rows_scanned=len(self._ids))
-                distances = hamming_distances_to_query(codes, query)
-                rows = top_k_smallest(distances, k)
-                return [SearchResult(self._ids[int(row)], int(distances[row]))
-                        for row in rows]
-            rows0 = self._allowed_rows(as_allowed_mask(allowed))
-            scan_span.add_cost(rows_scanned=len(rows0))
-            sub = hamming_distances_to_query(codes[rows0], query)
-            selection = top_k_smallest(sub, k)  # index tie-break == row tie-break
-            return [SearchResult(self._ids[int(rows0[s])], int(sub[s]))
-                    for s in selection.tolist()]
-
-    # ------------------------------------------------------------------ #
-    # Batch queries: one distance-matrix scan covers the whole batch
-    # ------------------------------------------------------------------ #
-
-    def _batch_distances(self, codes: np.ndarray,
-                         rows: "np.ndarray | None" = None) -> np.ndarray:
-        """``(Q, N)`` (or ``(Q, |rows|)``) distances of a query batch."""
-        archive = self._require_built()
-        queries = np.asarray(codes, dtype=np.uint64)
-        if queries.ndim != 2:
-            raise ValidationError(
-                f"batch search expects (Q, W) packed codes, got {queries.shape}")
-        if rows is not None:
-            archive = archive[rows]
-        return pairwise_hamming(queries, archive,
-                                chunk_rows=_BATCH_CHUNK_QUERIES)
+        return self._scan(query[None, :], allowed, k=k)[0]
 
     def search_knn_batch(self, codes: np.ndarray, k: int,
                          *, allowed: "np.ndarray | None" = None,
                          ) -> "list[list[SearchResult]]":
         """Exact kNN for a ``(Q, W)`` batch of packed queries.
 
-        Byte-identical to calling :meth:`search_knn` per query, but the
-        XOR/popcount work runs as one vectorized distance-matrix scan.
-        ``allowed`` (one mask shared by the whole batch) restricts every
-        query to the allowed rows, gathered once for the batch.
+        Byte-identical to calling :meth:`search_knn` per query.  ``allowed``
+        (one mask shared by the whole batch) restricts every query to the
+        allowed rows.
         """
         if k <= 0:
             raise ValidationError(f"k must be positive, got {k}")
-        allowed = self._effective_allowed(allowed)
-        rows0 = (None if allowed is None
-                 else self._allowed_rows(as_allowed_mask(allowed)))
-        with tracing.span("linear.scan", rows=len(self._ids),
-                          k=k) as scan_span:
-            distances = self._batch_distances(codes, rows0)
-            scan_span.annotate(queries=int(distances.shape[0]))
-            scan_span.add_cost(
-                rows_scanned=int(distances.shape[0]) * int(distances.shape[1]))
-        out: "list[list[SearchResult]]" = []
-        for row_distances in distances:
-            selection = top_k_smallest(row_distances, k)
-            if rows0 is None:
-                out.append([SearchResult(self._ids[int(s)], int(row_distances[s]))
-                            for s in selection.tolist()])
-            else:
-                out.append([SearchResult(self._ids[int(rows0[s])],
-                                         int(row_distances[s]))
-                            for s in selection.tolist()])
-        return out
+        return self._scan(codes, allowed, k=k)
 
     def search_radius_batch(self, codes: np.ndarray, radius: int,
                             *, allowed: "np.ndarray | None" = None,
@@ -268,25 +205,4 @@ class LinearScanIndex:
         """Radius search for a ``(Q, W)`` batch of packed queries."""
         if radius < 0:
             raise ValidationError(f"radius must be >= 0, got {radius}")
-        allowed = self._effective_allowed(allowed)
-        rows0 = (None if allowed is None
-                 else self._allowed_rows(as_allowed_mask(allowed)))
-        with tracing.span("linear.scan", rows=len(self._ids),
-                          radius=radius) as scan_span:
-            distances = self._batch_distances(codes, rows0)
-            scan_span.annotate(queries=int(distances.shape[0]))
-            scan_span.add_cost(
-                rows_scanned=int(distances.shape[0]) * int(distances.shape[1]))
-        out: "list[list[SearchResult]]" = []
-        for row_distances in distances:
-            inside = np.flatnonzero(row_distances <= radius)
-            order = np.argsort(row_distances[inside], kind="stable")
-            selection = inside[order]
-            if rows0 is None:
-                out.append([SearchResult(self._ids[int(s)], int(row_distances[s]))
-                            for s in selection.tolist()])
-            else:
-                out.append([SearchResult(self._ids[int(rows0[s])],
-                                         int(row_distances[s]))
-                            for s in selection.tolist()])
-        return out
+        return self._scan(codes, allowed, radius=radius)

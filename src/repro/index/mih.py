@@ -53,16 +53,21 @@ probes only that layer and verifies only never-seen candidates —
 accumulated (candidate, distance) arrays carry across rounds and every
 pair is XOR-verified at most once per search.
 
-When the probe count for a radius would exceed the archive size (far
-queries, k beyond the reachable neighborhood), bucket enumeration costs
-more than reading every row — the search falls back to an exact scan with
-byte-identical results, bounding both time and flip-mask memory where the
-dict-based implementation degenerated combinatorially.
+When the probe count for a radius would exceed the probe budget — by
+default the archive size (far queries, k beyond the reachable
+neighborhood); 0 when the planner priced the *linear* backend cheaper —
+bucket enumeration costs more than reading every row, and the search
+hands the still-unanswered queries, as one batch, to
+:func:`repro.index.hamming.exact_scan`: the same function
+``LinearScanIndex`` and the linear shards run, so results are
+byte-identical and both time and flip-mask memory stay bounded.  This
+module keeps the ``mih.exact_fallback`` span, the ``fallback_rows``
+counter and the packing of the answer; it has no scan of its own.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from typing import Hashable, Iterable
 
@@ -71,7 +76,13 @@ import numpy as np
 from ..errors import EmptyIndexError, ValidationError
 from ..obs import tracing
 from .codes import WORD_BITS
-from .hamming import TombstoneSet, as_allowed_mask, combine_allowed_masks
+from .hamming import (
+    TombstoneSet,
+    allowed_row_indices,
+    as_allowed_mask,
+    combine_allowed_masks,
+    exact_scan,
+)
 from .results import RadiusSearchStats, SearchResult
 
 # Flip-mask sets depend only on (substring width, substring radius); they
@@ -162,6 +173,25 @@ def _substring_keys(codes: np.ndarray, start: int, stop: int) -> np.ndarray:
     return keys
 
 
+def _substring_sizes(num_bits: int, num_tables: int) -> list[int]:
+    """Substring widths: as equal as possible, the wider ones first."""
+    base, extra = divmod(num_bits, num_tables)
+    return [base + (1 if i < extra else 0) for i in range(num_tables)]
+
+
+def substring_probe_cost(num_bits: int, num_tables: int,
+                         substring_radius: int) -> int:
+    """Bucket probes an MIH search at ``substring_radius`` issues
+    (arithmetic only — no mask generation).
+
+    The index's fallback threshold and the planner's MIH pricing are this
+    one function, so what is estimated is what the ladder compares.
+    """
+    return sum(comb(width, i)
+               for width in _substring_sizes(num_bits, num_tables)
+               for i in range(min(substring_radius, width) + 1))
+
+
 class _CSRTable:
     """One substring table: CSR bucket arrays plus a small add-overflow."""
 
@@ -246,10 +276,7 @@ class MultiIndexHashing:
                 f"num_tables must be in [1, num_bits], got {num_tables}")
         self.num_bits = num_bits
         self.num_tables = num_tables
-        # Substring boundaries: as equal as possible.
-        base = num_bits // num_tables
-        extra = num_bits % num_tables
-        sizes = [base + (1 if i < extra else 0) for i in range(num_tables)]
+        sizes = _substring_sizes(num_bits, num_tables)
         if max(sizes) > WORD_BITS:
             raise ValidationError(
                 f"substring width {max(sizes)} exceeds {WORD_BITS} bits; "
@@ -396,14 +423,9 @@ class MultiIndexHashing:
         return self._codes
 
     def _probe_cost(self, substring_radius: int) -> int:
-        """Bucket probes a search at ``substring_radius`` would issue
-        (arithmetic only — no mask generation)."""
-        total = 0
-        for start, stop in self._spans:
-            width = stop - start
-            total += sum(comb(width, i)
-                         for i in range(min(substring_radius, width) + 1))
-        return total
+        """Bucket probes a search at ``substring_radius`` would issue."""
+        return substring_probe_cost(self.num_bits, self.num_tables,
+                                    substring_radius)
 
     def _probe_budget(self) -> int:
         """Probe count beyond which bucket enumeration costs more than
@@ -609,13 +631,22 @@ class MultiIndexHashing:
         num_queries = queries.shape[0]
         archive_codes = self._materialize()
         substring_radius = radius // self.num_tables
+        empty = np.empty(0, dtype=np.int64)
         if self._probe_cost(substring_radius) > self._effective_budget(probe_budget):
             # Bucket enumeration would cost more than scanning the archive
             # (and its mask sets would be combinatorially large): verify
             # every row instead.  Same exact results, bounded cost.
-            return self._linear_radius_arrays(queries, radius, archive_codes,
-                                              allowed)
-        empty = np.empty(0, dtype=np.int64)
+            hits = self._exact_fallback(queries, archive_codes, allowed,
+                                        radius=radius)
+            total_rows = len(self._ids)
+            bounds = np.fromiter(
+                accumulate((rows.shape[0] for rows, _ in hits), initial=0),
+                dtype=np.int64, count=num_queries + 1)
+            # Probes are reported as the archive size.
+            return (np.concatenate([empty, *(rows for rows, _ in hits)]),
+                    np.concatenate([empty, *(dists for _, dists in hits)]),
+                    bounds, total_rows,
+                    np.full(num_queries, total_rows, dtype=np.int64))
         if num_queries == 1:
             with tracing.span("mih.candidates",
                               substring_radius=substring_radius) as cand_span:
@@ -680,71 +711,28 @@ class MultiIndexHashing:
         return (rows_kept[order], distances_kept[order], bounds, probes,
                 candidate_counts)
 
-    def _linear_radius_arrays(self, queries: np.ndarray, radius: int,
-                              archive_codes: np.ndarray,
-                              allowed: "np.ndarray | None" = None,
-                              ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]":
-        """Exact-scan fallback with the same return shape as
-        :meth:`_radius_arrays` (probes reported as the archive size)."""
-        num_queries = queries.shape[0]
-        total_rows = len(self._ids)
-        with tracing.span("mih.exact_fallback", rows=total_rows,
-                          queries=num_queries) as fallback_span:
-            row_chunks: list[np.ndarray] = []
-            distance_chunks: list[np.ndarray] = []
-            bounds = np.zeros(num_queries + 1, dtype=np.int64)
-            if allowed is not None:
-                # Gather the allowed subset once: the fallback scan then
-                # costs O(|allowed|) per query instead of O(N).
-                rows0 = np.flatnonzero(allowed[:archive_codes.shape[0]])
-                archive_codes = archive_codes[rows0]
-            fallback_span.add_cost(
-                fallback_rows=int(archive_codes.shape[0]) * num_queries)
-            for query_index in range(num_queries):
-                distances = np.bitwise_count(
-                    archive_codes ^ queries[query_index]).sum(axis=1).astype(np.int64)
-                within = np.flatnonzero(distances <= radius)
-                rows = within if allowed is None else rows0[within]
-                kept = distances[within]
-                order = np.argsort(kept, kind="stable")  # rows ascending -> canonical
-                row_chunks.append(rows[order])
-                distance_chunks.append(kept[order])
-                bounds[query_index + 1] = bounds[query_index] + rows.shape[0]
-            return (np.concatenate(row_chunks) if row_chunks
-                    else np.empty(0, dtype=np.int64),
-                    np.concatenate(distance_chunks) if distance_chunks
-                    else np.empty(0, dtype=np.int64),
-                    bounds, total_rows,
-                    np.full(num_queries, total_rows, dtype=np.int64))
+    def _exact_fallback(self, queries: np.ndarray, archive_codes: np.ndarray,
+                        allowed: "np.ndarray | None", **select: "int | None",
+                        ) -> "list[tuple[np.ndarray, np.ndarray]]":
+        """Per-query ``(rows, distances)`` from the shared exact scan, for
+        when probing would cost more than reading every row.
 
-    def _linear_knn(self, query: np.ndarray, k: int, limit: int,
-                    archive_codes: np.ndarray,
-                    allowed: "np.ndarray | None" = None) -> list[SearchResult]:
-        """Exact-scan kNN fallback; byte-identical to a finished ladder.
-
-        With an allowed mask, only the allowed subset is gathered and
-        scanned (pre-filter pushdown)."""
+        ``select`` is the scan's ``k=`` / ``radius=``.  With an allowed
+        mask only the allowed subset is gathered (once for the batch) and
+        scanned, so the fallback costs O(|allowed|) per query, not O(N).
+        """
+        rows = (None if allowed is None
+                else allowed_row_indices(allowed, archive_codes.shape[0]))
+        scanned = archive_codes.shape[0] if rows is None else rows.shape[0]
         with tracing.span("mih.exact_fallback", rows=len(self._ids),
-                          k=k) as fallback_span:
-            if allowed is None:
-                rows0 = None
-            else:
-                rows0 = np.flatnonzero(allowed[:archive_codes.shape[0]])
-                archive_codes = archive_codes[rows0]
-            fallback_span.add_cost(fallback_rows=int(archive_codes.shape[0]))
-            distances = np.bitwise_count(
-                archive_codes ^ query).sum(axis=1).astype(np.int64)
-            within = np.flatnonzero(distances <= limit)
-            rows = within if rows0 is None else rows0[within]
-            kept = distances[within]
-            order = np.argsort(kept, kind="stable")[:k]
-            ids = self._ids
-            return [SearchResult(ids[row], distance)
-                    for row, distance in zip(rows[order].tolist(),
-                                             kept[order].tolist())]
+                          queries=int(queries.shape[0])) as fallback_span:
+            fallback_span.add_cost(
+                fallback_rows=int(scanned) * int(queries.shape[0]))
+            return exact_scan(archive_codes, queries, rows=rows, **select)
 
     def _materialize_results(self, rows: np.ndarray, distances: np.ndarray,
-                             lo: int, hi: int) -> list[SearchResult]:
+                             lo: int = 0, hi: "int | None" = None,
+                             ) -> list[SearchResult]:
         ids = self._ids
         return [SearchResult(ids[row], distance)
                 for row, distance in zip(rows[lo:hi].tolist(),
@@ -839,7 +827,7 @@ class MultiIndexHashing:
         limit = max_radius if max_radius is not None else self.num_bits
         num_queries = queries.shape[0]
         if num_queries == 1:
-            return [self._knn_single(queries[0], k, limit, archive_codes,
+            return [self._knn_single(queries[0], k, max_radius, archive_codes,
                                      allowed, probe_budget)]
         total_rows = np.int64(len(self._ids))
         out: "list[list[SearchResult] | None]" = [None] * num_queries
@@ -860,9 +848,10 @@ class MultiIndexHashing:
                     # identical results at bounded cost instead of probing a
                     # combinatorial number of buckets.
                     knn_span.annotate(fallback=True)
-                    for query in active.tolist():
-                        out[query] = self._linear_knn(queries[query], k, limit,
-                                                      archive_codes, allowed)
+                    hits = self._exact_fallback(queries[active], archive_codes,
+                                                allowed, k=k, radius=max_radius)
+                    for query, (rows, distances) in zip(active.tolist(), hits):
+                        out[query] = self._materialize_results(rows, distances)
                     break
                 while probed_layer < substring_radius:
                     probed_layer += 1
@@ -918,11 +907,12 @@ class MultiIndexHashing:
                               layers_probed=probed_layer + 1)
         return out  # type: ignore[return-value]
 
-    def _knn_single(self, query: np.ndarray, k: int, limit: int,
-                    archive_codes: np.ndarray,
+    def _knn_single(self, query: np.ndarray, k: int,
+                    max_radius: "int | None", archive_codes: np.ndarray,
                     allowed: "np.ndarray | None" = None,
                     probe_budget: "int | None" = None) -> list[SearchResult]:
         """The incremental kNN ladder for one query (no pair keys)."""
+        limit = max_radius if max_radius is not None else self.num_bits
         acc_rows = np.empty(0, dtype=np.int64)
         acc_distances = np.empty(0, dtype=np.int64)
         radius = 0
@@ -933,8 +923,10 @@ class MultiIndexHashing:
                 if self._probe_cost(substring_radius) > self._effective_budget(probe_budget):
                     knn_span.annotate(fallback=True, ladder_radius=radius,
                                       layers_probed=probed_layer + 1)
-                    return self._linear_knn(query, k, limit, archive_codes,
-                                            allowed)
+                    (rows, distances), = self._exact_fallback(
+                        query[None, :], archive_codes, allowed,
+                        k=k, radius=max_radius)
+                    return self._materialize_results(rows, distances)
                 while probed_layer < substring_radius:
                     probed_layer += 1
                     with tracing.span("mih.layer", layer=probed_layer,

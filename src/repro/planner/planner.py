@@ -38,6 +38,7 @@ import warnings
 
 from ..config import PlannerConfig
 from ..errors import ValidationError
+from ..index.mih import substring_probe_cost
 from ..obs.calibrate import (UNIT_KEYS, check_units, load_calibration,
                              predict_cost_ns)
 from .plans import PhysicalPlan, PlanChoice
@@ -64,20 +65,6 @@ _MIN_WORKLOAD_SAMPLES = 3
 
 STRATEGY_LABELS = {None: "unfiltered", "pre": "prefilter",
                     "post": "postfilter"}
-
-
-def substring_probe_cost(num_bits: int, num_tables: int,
-                         substring_radius: int) -> int:
-    """Buckets an MIH search at ``substring_radius`` probes, mirroring
-    :meth:`repro.index.mih.MultiIndexHashing._probe_cost` for even spans."""
-    base = num_bits // num_tables
-    extra = num_bits % num_tables
-    total = 0
-    for table in range(num_tables):
-        width = base + (1 if table < extra else 0)
-        total += sum(math.comb(width, i)
-                     for i in range(min(substring_radius, width) + 1))
-    return total
 
 
 class QueryPlanner:

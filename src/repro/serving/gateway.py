@@ -112,8 +112,7 @@ class ServingGateway:
             self.config.num_shards,
             backend=self.config.shard_backend,
             mih_tables=self.config.mih_tables,
-            max_workers=self.config.max_workers,
-            scan_chunk_rows=self.config.scan_chunk_rows)
+            max_workers=self.config.max_workers)
         if names:
             self.index.build(names, codes)
         self.batcher = MicroBatcher(

@@ -15,9 +15,10 @@ regardless of shard count or scan interleaving.
 
 Two shard backends:
 
-* ``"linear"`` — packed matrix scan per shard (the E6 baseline kernel);
-  batches of queries become one vectorized ``pairwise_hamming`` call per
-  shard, which is what the micro-batcher exploits.
+* ``"linear"`` — :func:`repro.index.hamming.exact_scan` over each shard's
+  packed matrix (the E6 baseline kernel, the same function
+  ``LinearScanIndex`` and the MIH exact fallback run); a micro-batch is one
+  call per shard and filter.
 * ``"mih"`` — a :class:`~repro.index.mih.MultiIndexHashing` per shard for
   bucket-probe behaviour on very large shards.
 """
@@ -37,8 +38,7 @@ from ..index.hamming import (
     TombstoneSet,
     as_allowed_mask,
     combine_allowed_masks,
-    pairwise_hamming,
-    top_k_smallest,
+    exact_scan,
 )
 from ..index.mih import MultiIndexHashing
 from ..index.results import SearchResult
@@ -81,13 +81,19 @@ class CodeQuery:
             object.__setattr__(self, "allowed", as_allowed_mask(self.allowed))
 
     @property
+    def filter_part(self) -> "Hashable | None":
+        """Identity of this query's filter (``None`` when unfiltered): jobs
+        with equal parts share one mask translation and one scan group."""
+        if self.allowed is None:
+            return None
+        return (self.filter_key if self.filter_key is not None
+                else id(self.allowed))
+
+    @property
     def dedup_key(self) -> tuple:
         """Single-flight identity: code bytes + parameters + filter."""
         code = np.ascontiguousarray(self.code, dtype=np.uint64)
-        filter_part = (None if self.allowed is None
-                       else (self.filter_key if self.filter_key is not None
-                             else id(self.allowed)))
-        return (code.tobytes(), self.k, self.radius, filter_part)
+        return (code.tobytes(), self.k, self.radius, self.filter_part)
 
 
 class _LinearShard:
@@ -125,14 +131,14 @@ class _LinearShard:
         return np.asarray(self._rows, dtype=np.int64), codes
 
     def scan(self, queries: np.ndarray, jobs: Sequence[CodeQuery],
-             chunk_rows: int) -> "list[tuple[np.ndarray, np.ndarray]]":
+             ) -> "list[tuple[np.ndarray, np.ndarray]]":
         """Per-job ``(global_rows, distances)`` candidates from this shard.
 
-        Jobs are grouped by filter: the unfiltered group shares one
-        vectorized distance-matrix scan over the whole shard (the
-        coalescing the micro-batcher buys), and each filtered group
-        gathers its allowed rows once and scans only that subset — the
-        pre-filter pushdown, whose cost scales with the allowed rows.
+        Jobs are grouped by (filter, k, radius) and each group is one
+        :func:`exact_scan` call: the unfiltered groups scan the whole
+        shard, and a filtered group passes its allowed subset as the gather
+        set — the pre-filter pushdown, whose cost scales with the allowed
+        rows.  The global->local translation runs once per filter.
 
         Read-only: runs on pool threads after :meth:`prepare` folded pending
         codes in under the index lock (an ``add`` racing with this scan
@@ -143,45 +149,26 @@ class _LinearShard:
         if codes is None or codes.shape[0] == 0:
             return [empty for _ in jobs]
         rows = np.asarray(self._rows[:codes.shape[0]], dtype=np.int64)
-        groups: dict["Hashable | None", list[int]] = {}
+        groups: dict[tuple, list[int]] = {}
+        local_of: dict["Hashable | None", "np.ndarray | None"] = {None: None}
         for i, job in enumerate(jobs):
-            filter_part = (None if job.allowed is None
-                           else (job.filter_key if job.filter_key is not None
-                                 else id(job.allowed)))
-            groups.setdefault(filter_part, []).append(i)
-        out: "list[tuple[np.ndarray, np.ndarray] | None]" = [None] * len(jobs)
-        for filter_part, indices in groups.items():
-            if filter_part is None:
-                sub_codes, sub_rows = codes, rows
-            else:
+            part = job.filter_part
+            groups.setdefault((part, job.k, job.radius), []).append(i)
+            if part not in local_of:
                 # Global allowed mask -> this shard's allowed subset (rows
                 # beyond the mask were added after it was snapshotted and
                 # are disallowed).
-                allowed = jobs[indices[0]].allowed
-                keep = rows < allowed.shape[0]
-                keep[keep] = allowed[rows[keep]]
-                local = np.flatnonzero(keep)
-                sub_codes, sub_rows = codes[local], rows[local]
-            if sub_codes.shape[0] == 0:
-                for i in indices:
-                    out[i] = empty
-                continue
-            # Chunk over the *corpus* axis (the one that grows): peak
-            # memory is chunk_rows * Q * W words however large the shard
-            # gets.
-            group_queries = queries[np.asarray(indices, dtype=np.int64)]
-            distances = pairwise_hamming(sub_codes, group_queries,
-                                         chunk_rows=chunk_rows).T
-            for position, i in enumerate(indices):
-                job = jobs[i]
-                if job.radius is not None:
-                    local_sel = np.flatnonzero(distances[position] <= job.radius)
-                else:
-                    # Local selection order (distance, local row) equals
-                    # global (distance, global row): sub_rows ascends with
-                    # the local row index.
-                    local_sel = top_k_smallest(distances[position], job.k)
-                out[i] = (sub_rows[local_sel], distances[position][local_sel])
+                keep = rows < job.allowed.shape[0]
+                keep[keep] = job.allowed[rows[keep]]
+                local_of[part] = np.flatnonzero(keep)
+        out: "list[tuple[np.ndarray, np.ndarray] | None]" = [None] * len(jobs)
+        for (part, k, radius), indices in groups.items():
+            hits = exact_scan(codes, queries[np.asarray(indices, dtype=np.int64)],
+                              k=k, radius=radius, rows=local_of[part])
+            # ``rows`` ascends with the local row index, so the scan's
+            # (distance, local row) order is the global (distance, row) order.
+            for i, (local_rows, distances) in zip(indices, hits):
+                out[i] = (rows[local_rows], distances)
         return out  # type: ignore[return-value]
 
 
@@ -230,7 +217,7 @@ class _MIHShard:
             return np.asarray(self._global_rows, dtype=np.int64), codes
 
     def scan(self, queries: np.ndarray, jobs: Sequence[CodeQuery],
-             chunk_rows: int) -> "list[tuple[np.ndarray, np.ndarray]]":
+             ) -> "list[tuple[np.ndarray, np.ndarray]]":
         empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
         with self._shard_lock:
             if len(self._index) == 0:
@@ -246,10 +233,7 @@ class _MIHShard:
             # group): a kNN job and a radius job sharing a filter reuse it.
             masks: dict[object, "np.ndarray | None"] = {None: None}
             for i, job in enumerate(jobs):
-                filter_part = (None if job.allowed is None
-                               else (job.filter_key
-                                     if job.filter_key is not None
-                                     else id(job.allowed)))
+                filter_part = job.filter_part
                 kind = (("radius", job.radius, filter_part)
                         if job.radius is not None
                         else ("knn", job.k, filter_part))
@@ -280,8 +264,7 @@ class ShardedHammingIndex:
 
     def __init__(self, num_bits: int, num_shards: int = 4, *,
                  backend: str = "linear", mih_tables: int = 4,
-                 max_workers: "int | None" = None,
-                 scan_chunk_rows: int = 4096) -> None:
+                 max_workers: "int | None" = None) -> None:
         if num_bits <= 0 or num_bits % 8 != 0:
             raise ValidationError(
                 f"num_bits must be a positive multiple of 8, got {num_bits}")
@@ -290,13 +273,10 @@ class ShardedHammingIndex:
         if backend not in ("linear", "mih"):
             raise ValidationError(
                 f"backend must be 'linear' or 'mih', got {backend!r}")
-        if scan_chunk_rows < 1:
-            raise ValidationError(f"scan_chunk_rows must be >= 1, got {scan_chunk_rows}")
         self.num_bits = num_bits
         self.num_shards = num_shards
         self.backend = backend
         self.mih_tables = mih_tables
-        self.scan_chunk_rows = scan_chunk_rows
         self._lock = threading.RLock()
         self._ids: list[Hashable] = []
         self._shards = self._new_shards()
@@ -485,9 +465,7 @@ class ShardedHammingIndex:
             combined: dict[object, np.ndarray] = {}
             folded: list[CodeQuery] = []
             for job in unique_jobs:
-                part = (None if job.allowed is None
-                        else (job.filter_key if job.filter_key is not None
-                              else id(job.allowed)))
+                part = job.filter_part
                 mask = combined.get(part)
                 if mask is None:
                     mask = combine_allowed_masks(alive, job.allowed)
@@ -512,13 +490,11 @@ class ShardedHammingIndex:
             def scan(item) -> "list[tuple[np.ndarray, np.ndarray]]":
                 shard_index, shard = item
                 if parent is None:
-                    return shard.scan(queries, unique_jobs,
-                                      self.scan_chunk_rows)
+                    return shard.scan(queries, unique_jobs)
                 with tracing.attach(parent), \
                         tracing.span("shard.scan", shard=shard_index,
                                      items=len(shard)):
-                    return shard.scan(queries, unique_jobs,
-                                      self.scan_chunk_rows)
+                    return shard.scan(queries, unique_jobs)
 
             if len(shards) == 1:
                 per_shard = [scan((0, shards[0]))]

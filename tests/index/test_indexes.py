@@ -1,4 +1,4 @@
-"""Tests for HashTableIndex, MultiIndexHashing, and LinearScanIndex.
+"""Tests for MultiIndexHashing, LinearScanIndex and ShardedHammingIndex.
 
 The central invariant: all three index types return *identical* result sets
 for the same radius/kNN query — they differ only in cost.
@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import EmptyIndexError, SearchError, ValidationError
+from repro.errors import EmptyIndexError, ValidationError
 from repro.index import (
-    HashTableIndex,
     LinearScanIndex,
     MultiIndexHashing,
     pack_bits,
 )
+from repro.serving import ShardedHammingIndex
 
 
 def random_codes(rng, n, k):
@@ -30,93 +30,13 @@ def small_setup(rng):
 
 
 def build_all(ids, codes, num_bits, tables=4):
-    table = HashTableIndex(num_bits)
-    table.add_many(ids, codes)
     mih = MultiIndexHashing(num_bits, tables)
     mih.build(ids, codes)
     scan = LinearScanIndex(num_bits)
     scan.build(ids, codes)
-    return table, mih, scan
-
-
-class TestHashTable:
-    def test_exact_bucket(self, small_setup):
-        ids, codes = small_setup
-        index = HashTableIndex(32)
-        index.add_many(ids, codes)
-        assert "p3" in index.bucket_of(codes[3])
-
-    def test_radius_zero_is_bucket_lookup(self, small_setup):
-        ids, codes = small_setup
-        index = HashTableIndex(32)
-        index.add_many(ids, codes)
-        results = index.search_radius(codes[0], 0)
-        assert any(r.item_id == "p0" and r.distance == 0 for r in results)
-
-    def test_results_sorted_by_distance(self, small_setup):
-        ids, codes = small_setup
-        index = HashTableIndex(32)
-        index.add_many(ids, codes)
-        results = index.search_radius(codes[0], 3)
-        distances = [r.distance for r in results]
-        assert distances == sorted(distances)
-
-    def test_with_stats(self, small_setup):
-        ids, codes = small_setup
-        index = HashTableIndex(32)
-        index.add_many(ids, codes)
-        results, stats = index.search_radius(codes[0], 2, with_stats=True)
-        assert stats.radius == 2
-        # 1 + C(32,1) + C(32,2) buckets probed
-        assert stats.buckets_probed == 1 + 32 + 32 * 31 // 2
-        assert stats.results == len(results)
-
-    def test_large_radius_on_long_codes_rejected(self, rng):
-        index = HashTableIndex(128)
-        index.add_many(["a"], random_codes(rng, 1, 128))
-        with pytest.raises(SearchError):
-            index.search_radius(random_codes(rng, 1, 128)[0], 4)
-
-    def test_empty_index_raises(self, rng):
-        index = HashTableIndex(32)
-        with pytest.raises(EmptyIndexError):
-            index.search_radius(random_codes(rng, 1, 32)[0], 1)
-
-    def test_knn_grows_radius(self, rng):
-        # Clustered codes: 20 copies of one base code with <=1 bit flipped,
-        # so kNN terminates within radius 1.
-        bits = np.tile((rng.random(32) < 0.5).astype(np.uint8), (20, 1))
-        for row in range(1, 20):
-            bits[row, row % 32] ^= 1
-        codes = pack_bits(bits)
-        index = HashTableIndex(32)
-        index.add_many([f"p{i}" for i in range(20)], codes)
-        results = index.search_knn(codes[0], 5)
-        assert len(results) == 5
-        assert results[0].item_id == "p0" and results[0].distance == 0
-        assert all(r.distance <= 1 for r in results)
-
-    def test_knn_probe_budget_enforced(self, small_setup):
-        # Uniform random 32-bit codes: neighbors are far, enumeration cost
-        # explodes, and the budget must abort instead of stalling.
-        ids, codes = small_setup
-        index = HashTableIndex(32)
-        index.add_many(ids, codes)
-        with pytest.raises(SearchError):
-            index.search_knn(codes[0], 5, max_probes=10_000)
-
-    def test_num_buckets(self, rng):
-        index = HashTableIndex(16)
-        bits = np.zeros((5, 16), dtype=np.uint8)
-        bits[2:, 0] = 1  # two distinct codes
-        index.add_many(list("abcde"), pack_bits(bits))
-        assert index.num_buckets == 2
-        assert len(index) == 5
-
-    def test_misaligned_inputs_rejected(self, rng):
-        index = HashTableIndex(32)
-        with pytest.raises(ValidationError):
-            index.add_many(["a", "b"], random_codes(rng, 3, 32))
+    sharded = ShardedHammingIndex(num_bits, num_shards=3)
+    sharded.build(ids, codes)
+    return mih, scan, sharded
 
 
 class TestMultiIndexHashing:
@@ -134,7 +54,7 @@ class TestMultiIndexHashing:
 
     def test_agrees_with_linear_scan_radius(self, small_setup):
         ids, codes = small_setup
-        _, mih, scan = build_all(ids, codes, 32)
+        mih, scan, _ = build_all(ids, codes, 32)
         for radius in (0, 2, 5, 8):
             expected = {(r.item_id, r.distance) for r in scan.search_radius(codes[5], radius)}
             actual = {(r.item_id, r.distance) for r in mih.search_radius(codes[5], radius)}
@@ -142,7 +62,7 @@ class TestMultiIndexHashing:
 
     def test_knn_matches_scan(self, small_setup):
         ids, codes = small_setup
-        _, mih, scan = build_all(ids, codes, 32)
+        mih, scan, _ = build_all(ids, codes, 32)
         expected = [(r.item_id, r.distance) for r in scan.search_knn(codes[9], 10)]
         actual = [(r.item_id, r.distance) for r in mih.search_knn(codes[9], 10)]
         assert actual == expected
@@ -201,11 +121,12 @@ class TestCrossIndexAgreement:
     def test_all_agree_radius_2_on_128_bits(self, rng):
         codes = random_codes(rng, 300, 128)
         ids = list(range(300))
-        table, mih, scan = build_all(ids, codes, 128)
+        mih, scan, sharded = build_all(ids, codes, 128)
         query = codes[17]
         expected = {(r.item_id, r.distance) for r in scan.search_radius(query, 2)}
-        assert {(r.item_id, r.distance) for r in table.search_radius(query, 2)} == expected
         assert {(r.item_id, r.distance) for r in mih.search_radius(query, 2)} == expected
+        assert {(r.item_id, r.distance) for r in sharded.search_radius(query, 2)} == expected
+        sharded.close()
 
     def test_all_agree_on_clustered_codes(self, rng):
         # Clustered data: many near-duplicate codes stress bucket logic.
@@ -217,11 +138,12 @@ class TestCrossIndexAgreement:
                 noisy[row, flip] ^= 1
         codes = pack_bits(noisy)
         ids = list(range(len(noisy)))
-        table, mih, scan = build_all(ids, codes, 64)
+        mih, scan, sharded = build_all(ids, codes, 64)
         query = codes[0]
         expected = {(r.item_id, r.distance) for r in scan.search_radius(query, 2)}
-        assert {(r.item_id, r.distance) for r in table.search_radius(query, 2)} == expected
         assert {(r.item_id, r.distance) for r in mih.search_radius(query, 2)} == expected
+        assert {(r.item_id, r.distance) for r in sharded.search_radius(query, 2)} == expected
+        sharded.close()
 
 
 @settings(max_examples=20, deadline=None)

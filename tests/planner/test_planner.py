@@ -13,7 +13,8 @@ import json
 
 import pytest
 
-from repro.config import IndexConfig, PlannerConfig
+from repro.config import IndexConfig, PlannerConfig, ServingConfig
+from repro.index import MultiIndexHashing
 from repro.obs.calibrate import CALIBRATION_VERSION, save_calibration
 from repro.obs.workload import WorkloadStats
 from repro.planner import (
@@ -22,6 +23,7 @@ from repro.planner import (
     QueryPlanner,
     substring_probe_cost,
 )
+from repro.serving import ShardedHammingIndex
 
 CORPUS_SIZES = (1_000, 10_000, 50_000, 250_000)
 
@@ -134,6 +136,12 @@ class TestPlanEnumeration:
         # radius 0 probes exactly one bucket per table.
         assert substring_probe_cost(64, 4, 0) == 4
         assert substring_probe_cost(64, 4, 1) > 4
+        # Uneven split (15, 15, 14, 14, 14 bits): the planner prices with
+        # the very function the index's fallback threshold compares.
+        uneven = MultiIndexHashing(72, 5)
+        for radius in range(3):
+            assert substring_probe_cost(72, 5, radius) == \
+                uneven._probe_cost(radius)
 
 
 class TestWorkloadEstimator:
@@ -225,10 +233,19 @@ class TestRemovedKnobs:
         (IndexConfig, {"prefilter_max_selectivity": 0.2}),
         (IndexConfig, {"postfilter_overfetch": 3.0}),
         (PlannerConfig, {"enabled": False}),
+        (ServingConfig, {"scan_chunk_rows": 4096}),
     ])
     def test_removed_config_fields_raise(self, config_type, knob):
         with pytest.raises(TypeError, match="unexpected keyword"):
             config_type(**knob)
+
+    def test_sharded_index_has_no_scan_chunk_parameter(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ShardedHammingIndex(32, num_shards=2, scan_chunk_rows=4096)
+
+    def test_hash_table_index_is_gone(self):
+        with pytest.raises(ImportError):
+            from repro.index import HashTableIndex  # noqa: F401
 
     def test_overfetch_margin_lives_in_planner_config(self):
         def fetch(planner):

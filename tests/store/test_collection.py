@@ -276,8 +276,9 @@ class TestUpdateAtomicity:
         assert collection.get("b")["properties"]["n"] == 20
 
     def test_update_to_large_geometry_is_stored_and_queryable(self, collection):
-        # Any valid BoundingBox is storable: the geohash index this column
-        # replaced rejected footprints above 512 cells (about 1 x 1 degree).
+        # Any valid BoundingBox is storable: the bounding-box column has no
+        # footprint limit (the cell-cover index before it rejected anything
+        # above about 1 x 1 degree).
         huge = {"bbox": [-179.0, -89.0, 179.0, 89.0]}
         assert collection.update_one(
             {"name": "a"}, {"$set": {"location": huge}}) == 1

@@ -175,8 +175,8 @@ def test_version_1_snapshots_still_load(tmp_path):
 
 def test_legacy_geo_spec_with_cell_precisions_still_loads(tmp_path):
     """Snapshot / checkpoint files written while the geo index was a
-    geohash index map each geo field to a precision; they load into a
-    bounding-box column, and a re-save writes the plain field list."""
+    cell-cover index map each geo field to a cell precision; they load into
+    a bounding-box column, and a re-save writes the plain field list."""
     from repro.geo import BoundingBox, Rectangle
     path = tmp_path / "legacy.json"
     path.write_text(json.dumps({
