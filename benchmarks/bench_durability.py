@@ -172,8 +172,7 @@ def bench_restart(num_codes: int, directory: Path,
     start = time.perf_counter()
     snapshot = manager.load_latest()
     restored = MultiIndexHashing(NUM_BITS, 4)
-    restored.restore(snapshot.names, snapshot.codes,
-                     np.flatnonzero(~snapshot.alive))
+    restored.restore(snapshot.names, snapshot.codes, snapshot.alive)
     restore_s = time.perf_counter() - start
 
     queries = codes[rng.integers(0, num_codes, size=NUM_QUERIES)]

@@ -36,7 +36,7 @@ from ..config import IndexConfig
 from ..core.hasher import MiLaNHasher
 from ..errors import UnknownPatchError, ValidationError
 from ..features.extractor import FeatureExtractor
-from ..index.hamming import TombstoneSet
+from ..index.hamming import CodeTable
 from ..index.mih import MultiIndexHashing
 from ..index.results import SearchResult
 from ..obs import tracing
@@ -49,8 +49,8 @@ from .query import QuerySpec
 class RowFilter:
     """An allowed-row view of the archive for one metadata filter.
 
-    ``mask`` is a boolean array over index insertion rows (aligned with
-    :meth:`CBIRService.indexed_items`), ``names`` the same selection as a
+    ``mask`` is a boolean array over index insertion rows (the rows of
+    :attr:`CBIRService.table`), ``names`` the same selection as a
     frozenset of patch names (for post-filter result screening), ``count``
     the number of allowed rows, and ``fingerprint`` a hashable identity
     used in cache keys and micro-batch grouping.
@@ -123,7 +123,7 @@ class _IndexRunner:
 
     def shape(self) -> "tuple[int, int, int]":
         service = self._service
-        return (len(service._names), service.hasher.num_bits,
+        return (service.table.rows, service.hasher.num_bits,
                 service.config.mih_tables)
 
     def run(self, codes, *, k: "int | None", radius: "int | None",
@@ -163,22 +163,12 @@ class CBIRService:
         # loaded, workload-fed planner via use_planner().
         self.executor = QueryExecutor(QueryPlanner())
         self._runner = _IndexRunner(self)
+        # The paper's in-memory hash table (patch name -> packed binary
+        # code) is the index's CodeTable — the row-aligned names / codes /
+        # alive mask every tier reads.  This service keeps no copy of it:
+        # writes go through the index, reads come from `table`.
         self._index = MultiIndexHashing(hasher.num_bits, self.config.mih_tables)
-        # The paper's in-memory hash table: patch name -> packed binary code.
-        self._code_by_name: dict[str, np.ndarray] = {}
-        # Row-aligned snapshot of the same codes: _names[i] owns _codes[i].
-        # Kept so indexed_items() hands out O(1) views instead of
-        # re-stacking every stored code; online adds buffer in _pending
-        # and fold in one vstack at the next snapshot.
-        words = -(-hasher.num_bits // 64)
-        self._names: list[str] = []
-        self._codes: np.ndarray = np.empty((0, words), dtype=np.uint64)
-        self._pending: list[np.ndarray] = []
-        self._row_by_name: dict[str, int] = {}
-        # Tombstoned rows (deleted/superseded images): still present in the
-        # row-aligned store so filters stay row-stable, but dead in the
-        # index and dropped by compact().
-        self._tombstones = TombstoneSet()
+        self.table: CodeTable = self._index.table
         # Optional QuerySpec -> RowFilter resolver, attached by the system
         # facade so `filter=QuerySpec(...)` works at this level too.
         self.spec_resolver = None
@@ -189,7 +179,7 @@ class CBIRService:
         self.executor = QueryExecutor(planner)
 
     def __len__(self) -> int:
-        return len(self._code_by_name)
+        return len(self.table)
 
     def build(self, names: Sequence[str], features: np.ndarray) -> None:
         """Hash archive features and build the retrieval index."""
@@ -199,50 +189,34 @@ class CBIRService:
         if codes.shape[0] != len(names):
             raise ValidationError(
                 f"features rows ({codes.shape[0]}) must match names ({len(names)})")
-        self._code_by_name = {name: codes[i] for i, name in enumerate(names)}
-        self._names = list(names)
-        self._row_by_name = {name: i for i, name in enumerate(names)}
-        self._codes = codes
-        self._pending = []
-        self._tombstones.clear()
-        self._index.build(list(names), codes)
+        self._index.build(names, codes)
 
     def code_of(self, name: str) -> np.ndarray:
         """The stored packed code of an archive image."""
-        try:
-            return self._code_by_name[name]
-        except KeyError:
-            raise UnknownPatchError(f"no indexed image named {name!r}") from None
+        code = self.table.code_of(name)
+        if code is None:
+            raise UnknownPatchError(f"no indexed image named {name!r}")
+        return code
 
     def has(self, name: str) -> bool:
         """Is an image of that name indexed? (Owner lookup for federation.)"""
-        return name in self._code_by_name
+        return name in self.table
 
     def indexed_items(self) -> "tuple[list[str], np.ndarray]":
-        """Names and packed codes in insertion (index row) order.
+        """Alive names and their packed codes in insertion (row) order.
 
-        The serving tier builds its sharded index from this snapshot; the
-        row order matches the retrieval index's insertion order, so both
-        tiers share the same deterministic (distance, row) tie-break.
-
-        The code matrix is the service's row-aligned store itself (a view,
-        not a copy): after pending online adds are folded in — one vstack
-        amortized over all adds since the last snapshot — this is O(1) in
-        archive size, where re-stacking N stored codes per call was O(N).
-
-        The snapshot is **canonical**: if any rows are tombstoned the
-        service compacts first, so the returned rows are exactly the
-        surviving corpus and align with every mask :meth:`make_filter`
-        hands out afterwards.  A serving tier built earlier must be
-        rebuilt/compacted in the same step (see
-        :meth:`~repro.earthqube.server.EarthQube.compact_index`).
+        A pure read: nothing is compacted or renumbered.  With no
+        tombstones the codes are the table's matrix itself (a view, O(1) in
+        archive size) and the rows are index rows, aligned with every mask
+        :meth:`make_filter` hands out; with tombstones the dead rows are
+        left out, so the result is the surviving corpus in the order that
+        defines the (distance, row) tie-break.
         """
-        if len(self._tombstones):
-            self.compact()
-        if self._pending:
-            self._codes = np.vstack([self._codes, np.stack(self._pending)])
-            self._pending = []
-        return list(self._names), self._codes
+        names, codes, alive = self.table.snapshot()
+        if alive is None:
+            return names[:codes.shape[0]], codes
+        keep = np.flatnonzero(alive)
+        return [names[row] for row in keep.tolist()], codes[keep]
 
     def add_image(self, name: str, features: np.ndarray) -> np.ndarray:
         """Online ingestion: hash and index one new image.
@@ -252,16 +226,12 @@ class CBIRService:
         paper's query-by-new-example scenario motivates: newly acquired
         Sentinel images flow into the index without a rebuild.
         """
-        if name in self._code_by_name:
+        if name in self.table:
             raise ValidationError(f"image {name!r} is already indexed")
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 1:
             raise ValidationError(f"features must be 1D, got shape {features.shape}")
         code = self.hasher.hash_packed(features[None, :])[0]
-        self._code_by_name[name] = code
-        self._row_by_name[name] = len(self._names)
-        self._names.append(name)
-        self._pending.append(code)
         self._index.add(name, code)
         return code
 
@@ -274,17 +244,13 @@ class CBIRService:
         trained hasher — re-hashing would only cost time, but importing
         the shipped code makes the copy bit-exact by construction).
         """
-        if name in self._code_by_name:
+        if name in self.table:
             raise ValidationError(f"image {name!r} is already indexed")
         code = np.ascontiguousarray(np.asarray(code, dtype=np.uint64))
         words = -(-self.hasher.num_bits // 64)
         if code.shape != (words,):
             raise ValidationError(
                 f"packed code must have shape ({words},), got {code.shape}")
-        self._code_by_name[name] = code
-        self._row_by_name[name] = len(self._names)
-        self._names.append(name)
-        self._pending.append(code)
         self._index.add(name, code)
         return code
 
@@ -299,10 +265,7 @@ class CBIRService:
         is physically dropped at the next :meth:`compact`.  Returns the
         packed code that was removed.
         """
-        code = self._code_by_name.pop(name, None)
-        if code is None:
-            raise UnknownPatchError(f"no indexed image named {name!r}")
-        self._tombstones.mark(self._row_by_name.pop(name))
+        code = self.code_of(name)
         self._index.remove(name)
         return code
 
@@ -314,7 +277,7 @@ class CBIRService:
         exactly as if it had been deleted and re-ingested.  Returns the
         new packed code.
         """
-        if name not in self._code_by_name:
+        if name not in self.table:
             raise UnknownPatchError(f"no indexed image named {name!r}")
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 1:
@@ -322,51 +285,31 @@ class CBIRService:
         # Hash before mutating anything: a bad feature vector must leave
         # the old embedding fully intact.
         code = self.hasher.hash_packed(features[None, :])[0]
-        self._tombstones.mark(self._row_by_name.pop(name))
         self._index.remove(name)
-        self._code_by_name[name] = code
-        self._row_by_name[name] = len(self._names)
-        self._names.append(name)
-        self._pending.append(code)
         self._index.add(name, code)
         return code
 
     @property
     def dead_rows(self) -> int:
         """Tombstoned rows awaiting compaction."""
-        return len(self._tombstones)
+        return self.table.dead_count
 
     def compaction_due(self) -> bool:
         """Have dead rows crossed the configured compaction threshold?"""
-        return self._tombstones.due(len(self._names),
-                                    self.config.compact_min_dead,
-                                    self.config.compact_max_dead_fraction)
+        return self.table.compact_due(self.config.compact_min_dead,
+                                      self.config.compact_max_dead_fraction)
 
     def compact(self) -> None:
         """Physically drop tombstoned rows and rebuild the index.
 
-        Surviving rows keep their relative order, so every query result is
-        byte-identical before and after.  Rows are renumbered: previously
-        issued :class:`RowFilter` masks are stale after this call — the
-        serving tier must be compacted in the same step
-        (:meth:`~repro.earthqube.server.EarthQube.compact_index`).
+        The only place (with :meth:`restore_state`) rows are renumbered —
+        no read accessor does it.  Surviving rows keep their relative
+        order, so every query result is byte-identical before and after;
+        previously issued :class:`RowFilter` masks are stale, which is why
+        :meth:`~repro.earthqube.server.EarthQube.compact_index` has the
+        serving tier drop its cached masks in the same step.
         """
-        if not len(self._tombstones):
-            return
-        if self._pending:
-            self._codes = np.vstack([self._codes, np.stack(self._pending)])
-            self._pending = []
-        keep = np.flatnonzero(self._tombstones.alive_mask(len(self._names)))
-        self._names = [self._names[int(row)] for row in keep]
-        self._codes = self._codes[keep]
-        self._row_by_name = {name: i for i, name in enumerate(self._names)}
-        # Re-point the name->code map at the compacted matrix: the old
-        # entries are views into the pre-compact matrix and would pin the
-        # dead rows' memory for as long as any name is held.
-        self._code_by_name = {name: self._codes[i]
-                              for i, name in enumerate(self._names)}
-        self._tombstones.clear()
-        self._index.build(list(self._names), self._codes)
+        self._index.compact()
 
     # ------------------------------------------------------------------ #
     # Durability: physical-state capture and restore
@@ -375,23 +318,18 @@ class CBIRService:
     def snapshot_state(self) -> dict:
         """Row-aligned physical state for a checkpoint.
 
-        Unlike :meth:`indexed_items` this does **not** compact: the
-        checkpoint captures the exact physical layout — tombstoned rows in
-        place, marked dead in the ``alive`` mask — so a restored node
-        reproduces pre-crash query results byte-for-byte, including the
-        (distance, insertion row) tie-break.  Pending online adds are
-        folded in (cheap; one vstack).
+        The exact physical layout — tombstoned rows in place, marked dead
+        in the ``alive`` mask — so a restored node reproduces pre-crash
+        query results byte-for-byte, including the (distance, insertion
+        row) tie-break.
 
         Returns ``{"names": list[str], "codes": (N, W) uint64,
         "alive": (N,) bool}``, all row-aligned.
         """
-        if self._pending:
-            self._codes = np.vstack([self._codes, np.stack(self._pending)])
-            self._pending = []
-        alive = np.ones(len(self._names), dtype=bool)
-        for row in self._tombstones.dead:
-            alive[row] = False
-        return {"names": list(self._names), "codes": self._codes,
+        names, codes, alive = self.table.snapshot()
+        if alive is None:
+            alive = np.ones(codes.shape[0], dtype=bool)
+        return {"names": names[:codes.shape[0]], "codes": codes,
                 "alive": alive}
 
     def restore_state(self, names: Sequence[str], codes: np.ndarray,
@@ -402,40 +340,15 @@ class CBIRService:
         snapshot sidecar — this is what makes restart O(corpus read)
         instead of O(re-embed + rebuild).  A name may appear on several
         rows (an updated image keeps its dead predecessor row until
-        compaction) but at most the *last* occurrence may be alive; the
-        name maps are rebuilt from alive rows only.
+        compaction) but at most one occurrence may be alive.
         """
         codes = np.asarray(codes, dtype=np.uint64)
-        alive = np.asarray(alive, dtype=bool)
-        names = list(names)
         words = -(-self.hasher.num_bits // 64)
         if codes.ndim != 2 or codes.shape != (len(names), words):
             raise ValidationError(
                 f"restore needs ({len(names)}, {words}) codes, got "
                 f"{codes.shape}")
-        if alive.shape != (len(names),):
-            raise ValidationError(
-                f"alive mask shape {alive.shape} must be ({len(names)},)")
-        row_by_name: dict[str, int] = {}
-        code_by_name: dict[str, np.ndarray] = {}
-        for row, name in enumerate(names):
-            if alive[row]:
-                if name in row_by_name:
-                    raise ValidationError(
-                        f"snapshot has {name!r} alive on rows "
-                        f"{row_by_name[name]} and {row}")
-                row_by_name[name] = row
-                code_by_name[name] = codes[row]
-        self._names = names
-        self._codes = codes
-        self._pending = []
-        self._row_by_name = row_by_name
-        self._code_by_name = code_by_name
-        self._tombstones.clear()
-        dead_rows = np.flatnonzero(~alive)
-        for row in dead_rows:
-            self._tombstones.mark(int(row))
-        self._index.restore(names, codes, dead_rows)
+        self._index.restore(names, codes, alive)
 
     # ------------------------------------------------------------------ #
     # Filters
@@ -448,13 +361,7 @@ class CBIRService:
         Names not indexed by this archive are ignored (a federation-wide
         filter intersects naturally with each member's corpus).
         """
-        mask = np.zeros(len(self._names), dtype=bool)
-        allowed: list[str] = []
-        for name in names:
-            row = self._row_by_name.get(name)
-            if row is not None and not mask[row]:
-                mask[row] = True
-                allowed.append(name)
+        mask, allowed = self.table.select(names)
         return RowFilter(mask=mask, names=frozenset(allowed),
                          count=len(allowed), fingerprint=fingerprint)
 

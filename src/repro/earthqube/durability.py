@@ -421,7 +421,7 @@ class DurableEarthQube:
         (``verify_on_load``): it re-runs feature extraction.
         """
         system = self.system
-        candidates = sorted(name for name in system.cbir._code_by_name
+        candidates = sorted(name for name in system.cbir.indexed_items()[0]
                             if name in system.archive
                             and name not in self._reembedded)
         sample = candidates[:self.config.verify_sample]

@@ -72,9 +72,8 @@ class RelevanceFeedbackSession:
 
     def search(self, k: int = 10) -> SimilarityResponse:
         """Search with the current (possibly refined) query."""
-        results = self.cbir._index.search_knn(self.query_code, k)
-        max_distance = results[-1].distance if results else 0
-        return SimilarityResponse(None, results, max_distance)
+        results, used = self.cbir.query_code(self.query_code, k=k)
+        return SimilarityResponse(None, results, used)
 
     def _codes_for(self, names: "list[str]") -> np.ndarray:
         from ..index.codes import unpack_bits

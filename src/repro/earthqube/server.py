@@ -359,9 +359,9 @@ class EarthQube:
             self.db[RENDERED_IMAGES].insert_one(rendered_image_document(stored))
 
         features = self.extractor.extract(stored)
-        code = self.cbir.add_image(stored.name, features)
+        self.cbir.add_image(stored.name, features)
         if self.gateway is not None:
-            self.gateway.on_ingest(stored.name, code)
+            self.gateway.on_ingest()
         self.features = np.vstack([self.features, features[None, :]])
         self.archive.patches.append(stored)
         self.archive._by_name[stored.name] = stored
@@ -386,8 +386,8 @@ class EarthQube:
         disagree about the image.
 
         The index row is tombstoned (O(1)); once dead rows cross the
-        configured threshold the row-aligned structures are compacted in
-        one coordinated step (service + serving tier together).  The
+        configured threshold the code table is compacted (the direct index
+        and the serving tier's shards read that one table).  The
         archive/features bookkeeping (training-side artifacts, not serving
         state) is O(N) per delete — acceptable because no query path
         touches it; only re-training iterates those rows.  Returns a
@@ -402,7 +402,7 @@ class EarthQube:
                     {"name": name})
         self.cbir.remove_image(name)
         if self.gateway is not None:
-            self.gateway.on_delete(name)
+            self.gateway.on_delete()
         if name in self.archive:
             position = self.archive.remove(name)
             if position < self.features.shape[0]:
@@ -417,16 +417,15 @@ class EarthQube:
 
         The old code is tombstoned and the new one indexed under the same
         name — the image re-enters the insertion order at the end, exactly
-        as if deleted and re-ingested — and the serving tier mirrors the
-        swap.  Metadata documents are untouched (use the store's
-        ``update_one`` for those).
+        as if deleted and re-ingested.  Metadata documents are untouched
+        (use the store's ``update_one`` for those).
         """
         if not self.cbir.has(name):
             raise UnknownPatchError(f"no indexed image named {name!r}")
         features = np.asarray(features, dtype=np.float64)
-        code = self.cbir.update_image(name, features)
+        self.cbir.update_image(name, features)
         if self.gateway is not None:
-            self.gateway.on_update(name, code)
+            self.gateway.on_update()
         if name in self.archive:
             position = self.archive.index_of(name)
             if (position < self.features.shape[0]
@@ -436,11 +435,12 @@ class EarthQube:
         return {"name": name, "compacted": compacted}
 
     def compact_index(self) -> None:
-        """Compact the retrieval tier now: drop tombstoned rows everywhere.
+        """Compact the retrieval tier now: drop tombstoned rows.
 
-        The CBIR service and the serving tier renumber their rows in one
-        coordinated step, so row-aligned filter masks never cross a layout
-        boundary.  Query results are byte-identical before and after.
+        There is one code table, so there is one renumbering; the serving
+        tier drops its cached row-aligned results and filter masks in the
+        same step, so none crosses the layout boundary.  Query results are
+        byte-identical before and after.
         """
         self.cbir.compact()
         if self.gateway is not None:
@@ -520,10 +520,10 @@ class EarthQube:
                 if collection_name in self.db and \
                         self.db[collection_name].find_one({"name": name}) is None:
                     self.db[collection_name].insert_one(dict(doc))
-            code = self.cbir.add_code(name, np.asarray(entry["code"],
-                                                       dtype=np.uint64))
+            self.cbir.add_code(name, np.asarray(entry["code"],
+                                                dtype=np.uint64))
             if self.gateway is not None:
-                self.gateway.on_ingest(name, code)
+                self.gateway.on_ingest()
             imported += 1
         if realign:
             self.realign_index_rows(realign)

@@ -7,9 +7,11 @@ buckets that are within a small hamming radius of the query image"
 infrastructure to benchmark it:
 
 * :mod:`repro.index.codes` — bit packing into uint64 words,
-* :mod:`repro.index.hamming` — popcount-based distance kernels and
+* :mod:`repro.index.hamming` — popcount-based distance kernels,
   :func:`~repro.index.hamming.exact_scan`, the one exact ranked scan every
-  index below (and the serving tier's linear shards) runs,
+  index below (and the serving tier's linear shards) runs, and
+  :class:`~repro.index.hamming.CodeTable`, the one row-aligned
+  names / packed codes / alive-mask table those indexes are views of,
 * :mod:`repro.index.mih` — Multi-Index Hashing (Norouzi & Fleet): the
   paper's hash table, split into substring tables so bucket enumeration
   scales to larger radii on long codes,
@@ -18,6 +20,7 @@ infrastructure to benchmark it:
 
 from .codes import pack_bits, unpack_bits, codes_allclose
 from .hamming import (
+    CodeTable,
     exact_scan,
     hamming_distance,
     hamming_distances_to_query,
@@ -37,6 +40,7 @@ __all__ = [
     "pairwise_hamming",
     "top_k_smallest",
     "exact_scan",
+    "CodeTable",
     "MultiIndexHashing",
     "LinearScanIndex",
     "SearchResult",

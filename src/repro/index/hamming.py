@@ -4,10 +4,14 @@ All kernels XOR packed words and count set bits with ``np.bitwise_count``
 (hardware popcount under the hood), so a scan over N codes of K bits costs
 ``N * K/64`` word operations — the fast baseline the hash table competes
 against in experiment E6.  :func:`exact_scan` is the one function that
-turns a code matrix into an exact ranked answer.
+turns a code matrix into an exact ranked answer, and :class:`CodeTable`
+the one place that matrix — with its names and alive mask — is kept.
 """
 
 from __future__ import annotations
+
+import threading
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -108,64 +112,230 @@ def combine_allowed_masks(first: "np.ndarray | None",
     return first[:overlap] & second[:overlap]
 
 
-# Default standalone compaction policy: compact once dead rows exceed
-# max(DEAD_ROWS_MIN, DEAD_ROWS_FRACTION * rows).  Embedding services
-# (CBIRService) override this with their configured thresholds.
+# Compaction policy of a table nobody configured: compact once dead rows
+# reach max(DEAD_ROWS_MIN, DEAD_ROWS_FRACTION * rows).  CBIRService passes
+# its IndexConfig thresholds to CodeTable.compact_due instead.
 DEAD_ROWS_MIN = 64
 DEAD_ROWS_FRACTION = 0.25
 
 
-class TombstoneSet:
-    """Dead-row bookkeeping shared by every tombstoning index.
+class CodeTable:
+    """The archive's one row-aligned table: names, packed codes, alive flags.
 
-    Holds the set of tombstoned rows and lazily materializes the alive
-    mask over ``num_rows`` physical rows (rebuilt — never mutated in
-    place — after a removal or a row-count change, so a mask captured by
-    an in-flight scan is immutable).  Not thread-safe: callers that share
-    an index across threads must serialize access themselves.
+    This is the paper's "in-memory hash table that maps each image patch
+    name to the corresponding binary code", held once.  Row ``i`` is the
+    ``i``-th insertion: ``names[i]`` owns ``codes[i]`` and is searchable
+    while ``alive[i]``.  Every index is a view of it — ``LinearScanIndex``
+    scans it, ``MultiIndexHashing`` keeps substring tables *derived* from
+    it, the serving tier's linear shards are row ranges of its matrix — so
+    there is one row layout and nothing to replay between tiers.
+
+    Deletion tombstones (:meth:`kill` clears the alive flag, the row keeps
+    its number) and :meth:`compact` later drops dead rows and renumbers;
+    survivors keep their relative order, so the canonical (distance,
+    insertion row) ranking is unchanged by either.  ``epoch`` counts the
+    renumberings (:meth:`compact`, :meth:`restore`): derived state built
+    for one epoch is rebuilt when it sees another, and otherwise only
+    catches up with appended rows.
+
+    Thread safety.  ``lock`` serialises every mutation against
+    :meth:`snapshot`.  What a snapshot hands out is never written again:
+    appends fill rows past its end, growth and compaction *replace* the
+    matrix, the mask and the list, and ``kill`` swaps in a copy of the
+    mask.  A scan running on another thread therefore never sees a torn
+    row, a renumbered row or a half-flipped mask.  Holders of derived
+    state take ``lock`` around snapshot-and-sync so both describe the same
+    rows.
     """
 
-    __slots__ = ("dead", "_cache")
-
-    def __init__(self) -> None:
-        self.dead: set[int] = set()
-        self._cache: "np.ndarray | None" = None
+    def __init__(self, words: int) -> None:
+        self.lock = threading.RLock()
+        self.epoch = 0
+        self._names: list[Hashable] = []
+        # (capacity, W) and (capacity,): rows [0, _rows) are in use, the
+        # spare capacity doubles so an append is O(1) amortised; spare
+        # alive flags are pre-set True.
+        self._codes = np.empty((0, words), dtype=np.uint64)
+        self._alive = np.ones(0, dtype=bool)
+        self._rows = 0
+        self._dead = 0
+        self._row_of: dict[Hashable, int] = {}
 
     def __len__(self) -> int:
-        return len(self.dead)
+        """Alive rows."""
+        return self._rows - self._dead
 
-    def __contains__(self, row: int) -> bool:
-        return row in self.dead
+    def __contains__(self, name: Hashable) -> bool:
+        return name in self._row_of
 
-    def mark(self, row: int) -> None:
-        self.dead.add(row)
-        self._cache = None
+    @property
+    def rows(self) -> int:
+        """Physical rows, dead ones included."""
+        return self._rows
 
-    def clear(self) -> None:
-        self.dead = set()
-        self._cache = None
+    @property
+    def words(self) -> int:
+        return self._codes.shape[1]
 
-    def alive_mask(self, num_rows: int) -> "np.ndarray | None":
-        """The alive-row mask, or ``None`` when nothing is tombstoned."""
-        if not self.dead:
-            return None
-        if self._cache is None or self._cache.shape[0] != num_rows:
-            mask = np.ones(num_rows, dtype=bool)
-            mask[np.fromiter(self.dead, dtype=np.int64,
-                             count=len(self.dead))] = False
-            self._cache = mask
-        return self._cache
+    @property
+    def dead_count(self) -> int:
+        """Tombstoned rows awaiting compaction."""
+        return self._dead
 
-    def fraction(self, num_rows: int) -> float:
+    @property
+    def dead_fraction(self) -> float:
         """Dead rows as a fraction of physical rows (0 when empty)."""
-        return len(self.dead) / num_rows if num_rows else 0.0
+        return self._dead / self._rows if self._rows else 0.0
 
-    def due(self, num_rows: int, min_dead: int = DEAD_ROWS_MIN,
-            max_fraction: float = DEAD_ROWS_FRACTION) -> bool:
+    def compact_due(self, min_dead: int = DEAD_ROWS_MIN,
+                    max_fraction: float = DEAD_ROWS_FRACTION) -> bool:
         """Have dead rows crossed the compaction threshold?"""
-        dead = len(self.dead)
-        return dead > 0 and dead >= max(min_dead,
-                                        int(num_rows * max_fraction))
+        return self._dead > 0 and self._dead >= max(
+            min_dead, int(self._rows * max_fraction))
+
+    def row_of(self, name: Hashable) -> "int | None":
+        """The alive row of ``name`` (``None`` when absent or dead)."""
+        return self._row_of.get(name)
+
+    def code_of(self, name: Hashable) -> "np.ndarray | None":
+        """The packed code of an alive ``name`` (a view), else ``None``."""
+        with self.lock:
+            row = self._row_of.get(name)
+            return None if row is None else self._codes[row]
+
+    def select(self, names: Iterable[Hashable],
+               ) -> "tuple[np.ndarray, list[Hashable]]":
+        """Allowed-row mask over the current rows for ``names``, plus the
+        names it kept (first occurrence of each alive name, in order);
+        names with no alive row are ignored."""
+        with self.lock:
+            mask = np.zeros(self._rows, dtype=bool)
+            row_of = self._row_of.get
+            kept: list[Hashable] = []
+            for name in names:
+                row = row_of(name)
+                if row is not None and not mask[row]:
+                    mask[row] = True
+                    kept.append(name)
+        return mask, kept
+
+    def snapshot(self) -> "tuple[list[Hashable], np.ndarray, np.ndarray | None]":
+        """``(names, codes, alive)`` of the current rows, safe to read
+        without the lock (see the class docstring).
+
+        ``codes`` is the ``(rows, W)`` prefix of the matrix — a view, not a
+        copy — and ``alive`` its mask, or ``None`` when nothing is dead.
+        ``names`` is the live list: later appends lengthen it, so index it
+        only with rows below ``codes.shape[0]``.
+        """
+        with self.lock:
+            rows = self._rows
+            return (self._names, self._codes[:rows],
+                    self._alive[:rows] if self._dead else None)
+
+    def extend(self, names: Iterable[Hashable], codes: np.ndarray) -> int:
+        """Append aligned names and ``(M, W)`` codes; returns the first new
+        row.  A name may return after it was killed, not while alive."""
+        names = list(names)
+        codes = np.asarray(codes, dtype=np.uint64)
+        if codes.ndim != 2 or codes.shape != (len(names), self.words):
+            raise ValidationError(
+                f"need ({len(names)}, {self.words}) packed codes aligned "
+                f"with {len(names)} names, got {codes.shape}")
+        with self.lock:
+            taken = [name for name in names if name in self._row_of]
+            if taken or len(set(names)) != len(names):
+                raise ValidationError(
+                    f"names must be new and distinct, got {taken or names!r}")
+            first, end = self._rows, self._rows + len(names)
+            if end > self._codes.shape[0]:
+                capacity = max(end, 2 * self._codes.shape[0], 16)
+                grown = np.empty((capacity, self.words), dtype=np.uint64)
+                grown[:first] = self._codes[:first]
+                alive = np.ones(capacity, dtype=bool)
+                alive[:first] = self._alive[:first]
+                self._codes, self._alive = grown, alive
+            self._codes[first:end] = codes
+            self._names.extend(names)
+            self._row_of.update(zip(names, range(first, end)))
+            self._rows = end
+        return first
+
+    def append(self, name: Hashable, code: np.ndarray) -> int:
+        """Append one name with its ``(W,)`` code; returns its row."""
+        code = np.asarray(code, dtype=np.uint64)
+        if code.ndim != 1:
+            raise ValidationError(
+                f"append expects a single packed code, got {code.shape}")
+        return self.extend((name,), code[None, :])
+
+    def kill(self, name: Hashable) -> int:
+        """Tombstone the alive row of ``name``: O(1) in the codes, excluded
+        from every later snapshot's mask; returns the row."""
+        with self.lock:
+            row = self._row_of.pop(name, None)
+            if row is None:
+                raise ValidationError(f"no indexed item {name!r} to remove")
+            alive = self._alive.copy()
+            alive[row] = False
+            self._alive = alive
+            self._dead += 1
+        return row
+
+    def compact(self) -> None:
+        """Drop dead rows and renumber the survivors in order (new epoch).
+        Row-aligned masks issued before this call are stale after it."""
+        with self.lock:
+            if not self._dead:
+                return
+            keep = np.flatnonzero(self._alive[:self._rows])
+            names = self._names
+            self._install([names[row] for row in keep.tolist()],
+                          self._codes[keep], np.ones(keep.shape[0], dtype=bool))
+
+    def restore(self, names: Iterable[Hashable], codes: np.ndarray,
+                alive: "np.ndarray | None" = None) -> None:
+        """Replace the contents with row-aligned physical state (new epoch).
+
+        ``alive`` of ``None`` means every row is alive (a fresh build);
+        otherwise dead rows keep their positions, which is what lets a
+        checkpointed node come back with byte-identical rankings.  A name
+        may sit on several rows (an updated image keeps its dead
+        predecessor until compaction) but be alive on at most one.
+        ``codes`` is adopted, not copied — it may be a read-only mmap — and
+        is only copied when a later append outgrows it.
+        """
+        names = list(names)
+        codes = np.asarray(codes, dtype=np.uint64)
+        if codes.ndim != 2 or codes.shape[0] != len(names):
+            raise ValidationError(
+                f"need (N, W) codes aligned with N ids, got {codes.shape} "
+                f"and {len(names)} ids")
+        if alive is None:
+            alive = np.ones(len(names), dtype=bool)
+        else:
+            alive = np.array(alive, dtype=bool)
+            if alive.shape != (len(names),):
+                raise ValidationError(
+                    f"alive mask shape {alive.shape} must be ({len(names)},)")
+        with self.lock:
+            self._install(names, codes, alive)
+
+    def _install(self, names: list, codes: np.ndarray,
+                 alive: np.ndarray) -> None:
+        """Swap in a new row layout (callers hold the lock)."""
+        alive_rows = np.flatnonzero(alive).tolist()
+        row_of = dict(zip(map(names.__getitem__, alive_rows), alive_rows))
+        if len(row_of) != len(alive_rows):
+            seen: set = set()
+            twice = next(names[row] for row in alive_rows
+                         if names[row] in seen or seen.add(names[row]))
+            raise ValidationError(f"{twice!r} is alive on more than one row")
+        self._names, self._codes, self._alive = names, codes, alive
+        self._row_of = row_of
+        self._rows = len(names)
+        self._dead = len(names) - len(alive_rows)
+        self.epoch += 1
 
 
 def top_k_smallest(distances: np.ndarray, k: int) -> np.ndarray:

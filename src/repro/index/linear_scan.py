@@ -5,8 +5,10 @@ popcount kernel, then selects.  O(N) per query but with a tiny constant —
 this is what FAISS's ``IndexBinaryFlat`` does — so it is the honest baseline
 for demonstrating when bucket lookups actually win.  The scan itself is
 :func:`repro.index.hamming.exact_scan`, the same function the MIH exact
-fallback and the linear shards run; this class owns ids, tombstones and the
-``linear.scan`` span / ``rows_scanned`` counter.
+fallback and the linear shards run; ids, codes and tombstones live in a
+:class:`~repro.index.hamming.CodeTable` (its own, or one another index
+shares); this class adds the ``linear.scan`` span / ``rows_scanned``
+counter.
 
 Every search accepts an optional ``allowed`` row mask (filtered-similarity
 pushdown): selection is restricted to allowed insertion rows with the same
@@ -14,7 +16,7 @@ pushdown): selection is restricted to allowed insertion rows with the same
 disallowed rows afterwards.
 
 Deletion uses the same machinery: :meth:`LinearScanIndex.remove` tombstones
-a row, the alive mask AND-combines with any query filter, and
+a row, the table's alive mask AND-combines with any query filter, and
 :meth:`LinearScanIndex.compact` physically drops the dead rows once they
 pile up.  Because tombstoning preserves the relative order of surviving
 rows, results are byte-identical to an index rebuilt from scratch on the
@@ -30,7 +32,7 @@ import numpy as np
 from ..errors import EmptyIndexError, ValidationError
 from ..obs import tracing
 from .hamming import (
-    TombstoneSet,
+    CodeTable,
     allowed_row_indices,
     combine_allowed_masks,
     exact_scan,
@@ -39,65 +41,35 @@ from .results import SearchResult
 
 
 class LinearScanIndex:
-    """Flat array of packed codes scanned per query."""
+    """A :class:`CodeTable` scanned per query."""
 
-    def __init__(self, num_bits: int) -> None:
+    def __init__(self, num_bits: int, *, table: "CodeTable | None" = None) -> None:
         if num_bits <= 0 or num_bits % 8 != 0:
             raise ValidationError(f"num_bits must be a positive multiple of 8, got {num_bits}")
         self.num_bits = num_bits
-        self._codes: "np.ndarray | None" = None
-        self._ids: list[Hashable] = []
-        self._pending: list[np.ndarray] = []
-        self._tombstones = TombstoneSet()
-        self._row_of: "dict[Hashable, int] | None" = None
+        self.table = table if table is not None else CodeTable(-(-num_bits // 64))
 
     def __len__(self) -> int:
         """Searchable (alive) items."""
-        return len(self._ids) - len(self._tombstones)
+        return len(self.table)
 
     @property
     def dead_count(self) -> int:
         """Tombstoned rows awaiting compaction."""
-        return len(self._tombstones)
+        return self.table.dead_count
 
     @property
     def dead_fraction(self) -> float:
         """Dead rows as a fraction of physical rows (0 when empty)."""
-        return self._tombstones.fraction(len(self._ids))
+        return self.table.dead_fraction
 
     def build(self, item_ids: Iterable[Hashable], codes: np.ndarray) -> None:
         """(Re)build from aligned ids and (N, W) packed codes."""
-        codes = np.asarray(codes, dtype=np.uint64)
-        ids = list(item_ids)
-        if codes.ndim != 2 or len(ids) != codes.shape[0]:
-            raise ValidationError(
-                f"need (N, W) codes aligned with N ids, got {codes.shape} and {len(ids)} ids")
-        self._codes = codes
-        self._ids = ids
-        self._pending = []
-        self._tombstones.clear()
-        self._row_of = None
+        self.table.restore(item_ids, codes)
 
     def add(self, item_id: Hashable, code: np.ndarray) -> None:
-        """Append one item online; buffered codes fold in at the next scan."""
-        code = np.asarray(code, dtype=np.uint64)
-        if code.ndim != 1:
-            raise ValidationError(f"add expects a single packed code, got {code.shape}")
-        words = (self._codes.shape[1] if self._codes is not None
-                 else -(-self.num_bits // 64))
-        if code.shape[0] != words:
-            raise ValidationError(
-                f"packed code has {code.shape[0]} words, index stores {words}")
-        if self._codes is None:
-            self._codes = np.empty((0, code.shape[0]), dtype=np.uint64)
-        if self._row_of is not None:
-            self._row_of[item_id] = len(self._ids)
-        self._ids.append(item_id)
-        self._pending.append(code)
-
-    # ------------------------------------------------------------------ #
-    # Deletion lifecycle: tombstones + compaction
-    # ------------------------------------------------------------------ #
+        """Append one item online; searchable at the next scan."""
+        self.table.append(item_id, code)
 
     def remove(self, item_id: Hashable) -> None:
         """Tombstone one item: O(1), excluded from every later search.
@@ -105,17 +77,11 @@ class LinearScanIndex:
         The row keeps its number (masks snapshotted by callers stay
         aligned) until :meth:`compact` physically drops dead rows.
         """
-        if self._row_of is None:
-            self._row_of = {item_id: row
-                            for row, item_id in enumerate(self._ids)}
-        row = self._row_of.pop(item_id, None)
-        if row is None or row in self._tombstones:
-            raise ValidationError(f"no indexed item {item_id!r} to remove")
-        self._tombstones.mark(row)
+        self.table.kill(item_id)
 
     def compact_due(self) -> bool:
         """Default policy: dead rows exceed the standalone threshold."""
-        return self._tombstones.due(len(self._ids))
+        return self.table.compact_due()
 
     def compact(self) -> None:
         """Drop dead rows and renumber; results stay byte-identical.
@@ -124,16 +90,7 @@ class LinearScanIndex:
         (distance, insertion row) tie-break is unchanged.  Callers holding
         row-aligned masks must refresh them after compaction.
         """
-        if not len(self._tombstones):
-            return
-        if self._pending:
-            self._codes = np.vstack([self._codes, np.stack(self._pending)])
-            self._pending = []
-        alive = np.flatnonzero(self._tombstones.alive_mask(len(self._ids)))
-        self._codes = self._codes[alive]
-        self._ids = [self._ids[int(row)] for row in alive]
-        self._tombstones.clear()
-        self._row_of = None
+        self.table.compact()
 
     def _scan(self, codes: np.ndarray, allowed: "np.ndarray | None",
               **select: int) -> "list[list[SearchResult]]":
@@ -145,26 +102,22 @@ class LinearScanIndex:
         the pre-filter pushdown, whose cost scales with the allowed subset,
         not the corpus.
         """
-        if self._codes is None or not self._ids or len(self) == 0:
+        if not len(self.table):
             raise EmptyIndexError("search on an empty LinearScanIndex")
-        if self._pending:
-            self._codes = np.vstack([self._codes, np.stack(self._pending)])
-            self._pending = []
+        ids, archive, alive = self.table.snapshot()
+        total = archive.shape[0]
         queries = np.asarray(codes, dtype=np.uint64)
         if queries.ndim != 2:
             raise ValidationError(
                 f"batch search expects (Q, W) packed codes, got {queries.shape}")
-        allowed = combine_allowed_masks(
-            self._tombstones.alive_mask(len(self._ids)), allowed)
-        rows = (None if allowed is None
-                else allowed_row_indices(allowed, len(self._ids)))
-        scanned = len(self._ids) if rows is None else int(rows.shape[0])
-        with tracing.span("linear.scan", rows=len(self._ids),
+        allowed = combine_allowed_masks(alive, allowed)
+        rows = None if allowed is None else allowed_row_indices(allowed, total)
+        scanned = total if rows is None else int(rows.shape[0])
+        with tracing.span("linear.scan", rows=total,
                           queries=int(queries.shape[0]),
                           **select) as scan_span:
             scan_span.add_cost(rows_scanned=scanned * int(queries.shape[0]))
-            hits = exact_scan(self._codes, queries, rows=rows, **select)
-        ids = self._ids
+            hits = exact_scan(archive, queries, rows=rows, **select)
         return [[SearchResult(ids[row], distance)
                  for row, distance in zip(found.tolist(), distances.tolist())]
                 for found, distances in hits]

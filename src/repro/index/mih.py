@@ -77,7 +77,7 @@ from ..errors import EmptyIndexError, ValidationError
 from ..obs import tracing
 from .codes import WORD_BITS
 from .hamming import (
-    TombstoneSet,
+    CodeTable,
     allowed_row_indices,
     as_allowed_mask,
     combine_allowed_masks,
@@ -268,7 +268,8 @@ class _CSRTable:
 class MultiIndexHashing:
     """Exact Hamming-radius/KNN search via CSR substring tables."""
 
-    def __init__(self, num_bits: int, num_tables: int = 4) -> None:
+    def __init__(self, num_bits: int, num_tables: int = 4, *,
+                 table: "CodeTable | None" = None) -> None:
         if num_bits <= 0 or num_bits % 8 != 0:
             raise ValidationError(f"num_bits must be a positive multiple of 8, got {num_bits}")
         if num_tables < 1 or num_tables > num_bits:
@@ -284,96 +285,84 @@ class MultiIndexHashing:
                 f"{num_bits}-bit codes")
         starts = np.cumsum([0] + sizes[:-1])
         self._spans = [(int(s), int(s + size)) for s, size in zip(starts, sizes)]
-        self._tables = [_CSRTable() for _ in range(num_tables)]
-        self._codes: "np.ndarray | None" = None  # (N, W) packed, for verification
-        self._pending: list[np.ndarray] = []
-        self._ids: list[Hashable] = []
-        # Mutable-corpus lifecycle: tombstoned rows stay in the tables and
-        # the verification matrix but are masked out of every search (the
+        # Ids, codes and tombstones: tombstoned rows stay in the substring
+        # tables and the matrix but are masked out of every search (the
         # alive mask AND-combines with query filters) until compaction.
-        self._tombstones = TombstoneSet()
-        self._row_of: "dict[Hashable, int] | None" = None
+        self.table = table if table is not None else CodeTable(
+            -(-num_bits // WORD_BITS))
+        self._check_words(self.table.words)
+        # Derived state: the substring tables cover rows [0, _indexed) of
+        # table epoch _epoch (none yet); _sync brings them level.
+        self._epoch: "int | None" = None
+        self._indexed = 0
+        self._sync()
 
     def __len__(self) -> int:
         """Searchable (alive) items."""
-        return len(self._ids) - len(self._tombstones)
+        return len(self.table)
 
     @property
     def dead_count(self) -> int:
         """Tombstoned rows awaiting compaction."""
-        return len(self._tombstones)
+        return self.table.dead_count
 
     @property
     def dead_fraction(self) -> float:
         """Dead rows as a fraction of physical rows (0 when empty)."""
-        return self._tombstones.fraction(len(self._ids))
+        return self.table.dead_fraction
 
     @property
     def substring_spans(self) -> list[tuple[int, int]]:
         """The (start, stop) bit spans of each substring table."""
         return list(self._spans)
 
+    def _sync(self) -> None:
+        """Take the table's snapshot — the ids, codes and alive mask the
+        next search runs on — and bring the substring tables level with it.
+
+        Rows renumbered since the last sync (build, restore, compact — by
+        this index or by whoever shares the table) lay the tables out
+        afresh: one vectorised key computation and one argsort per table.
+        Appended rows join each table's overflow, retrievable right away;
+        overflow folds back into the CSR arrays once it grows past a
+        fraction of the table.
+        """
+        with self.table.lock:
+            self._ids, self._codes, self._alive = self.table.snapshot()
+            total = self._codes.shape[0]
+            if self._epoch != self.table.epoch:
+                self._epoch = self.table.epoch
+                self._tables = [_CSRTable() for _ in range(self.num_tables)]
+                for table, (start, stop) in zip(self._tables, self._spans):
+                    table.rebuild(_substring_keys(self._codes, start, stop))
+            elif self._indexed < total:
+                fresh = self._codes[self._indexed:]
+                for table, (start, stop) in zip(self._tables, self._spans):
+                    keys = _substring_keys(fresh, start, stop).tolist()
+                    for row, key in enumerate(keys, start=self._indexed):
+                        table.add(key, row)
+                    if table.compact_due():
+                        table.compact()
+            self._indexed = total
+
     def build(self, item_ids: Iterable[Hashable], codes: np.ndarray) -> None:
         """(Re)build the index from aligned ids and packed codes."""
-        codes = np.asarray(codes, dtype=np.uint64)
-        ids = list(item_ids)
-        if codes.ndim != 2 or len(ids) != codes.shape[0]:
-            raise ValidationError(
-                f"need (N, W) codes aligned with N ids, got {codes.shape} and {len(ids)} ids")
-        self._check_words(codes.shape[1])
-        self._codes = codes
-        self._pending = []
-        self._ids = ids
-        self._tombstones.clear()
-        self._row_of = None
-        self._tables = [_CSRTable() for _ in range(self.num_tables)]
-        for table, (start, stop) in zip(self._tables, self._spans):
-            table.rebuild(_substring_keys(codes, start, stop))
+        self.restore(item_ids, codes)
 
     def restore(self, item_ids: Iterable[Hashable], codes: np.ndarray,
-                dead_rows: Iterable[int]) -> None:
-        """Rebuild from checkpointed *physical* state, tombstones included.
-
-        The durability tier persists the full row-aligned code matrix plus
-        the alive mask; restoring must reproduce the exact physical layout
-        (dead rows occupy their original positions) so recovered query
-        results are byte-identical to the pre-crash node, including the
-        (distance, insertion row) tie-break.  ``codes`` may be an mmapped
-        read-only array — it is only copied if a later ingest appends.
-        """
-        self.build(item_ids, codes)
-        for row in dead_rows:
-            row = int(row)
-            if not 0 <= row < len(self._ids):
-                raise ValidationError(
-                    f"dead row {row} out of range for {len(self._ids)} rows")
-            self._tombstones.mark(row)
+                alive: "np.ndarray | None" = None) -> None:
+        """Rebuild from *physical* state: dead rows (``alive[row]`` false)
+        keep their positions — see :meth:`CodeTable.restore`."""
+        codes = np.asarray(codes, dtype=np.uint64)
+        if codes.ndim == 2:
+            self._check_words(codes.shape[1])
+        self.table.restore(item_ids, codes, alive)
+        self._sync()
 
     def add(self, item_id: Hashable, code: np.ndarray) -> None:
-        """Incrementally index one new item (online ingestion path).
-
-        New codes are buffered and folded into the verification matrix
-        lazily at the next search; substring tables get the item in their
-        overflow immediately, so it is retrievable right away.  Overflow is
-        folded back into the CSR arrays once it grows past a fraction of
-        the table.
-        """
-        code = np.asarray(code, dtype=np.uint64)
-        if code.ndim != 1:
-            raise ValidationError(f"add expects a single packed code, got {code.shape}")
-        self._check_words(code.shape[0])
-        if self._codes is None:
-            self._codes = np.empty((0, code.shape[0]), dtype=np.uint64)
-            self._pending = []
-        row = len(self._ids)
-        self._ids.append(item_id)
-        if self._row_of is not None:
-            self._row_of[item_id] = row
-        self._pending.append(code)
-        for table, (start, stop) in zip(self._tables, self._spans):
-            table.add(int(_substring_keys(code[None, :], start, stop)[0]), row)
-            if table.compact_due():
-                table.compact()
+        """Incrementally index one new item (online ingestion path)."""
+        self.table.append(item_id, code)
+        self._sync()
 
     # ------------------------------------------------------------------ #
     # Deletion lifecycle: tombstones + compaction
@@ -386,17 +375,11 @@ class MultiIndexHashing:
         the alive mask drops it before verification); :meth:`compact`
         rebuilds the tables without it once dead rows pile up.
         """
-        if self._row_of is None:
-            self._row_of = {item_id: row
-                            for row, item_id in enumerate(self._ids)}
-        row = self._row_of.pop(item_id, None)
-        if row is None or row in self._tombstones:
-            raise ValidationError(f"no indexed item {item_id!r} to remove")
-        self._tombstones.mark(row)
+        self.table.kill(item_id)
 
     def compact_due(self) -> bool:
         """Default policy: dead rows exceed the standalone threshold."""
-        return self._tombstones.due(len(self._ids))
+        return self.table.compact_due()
 
     def compact(self) -> None:
         """Rebuild without the dead rows; results stay byte-identical.
@@ -405,22 +388,8 @@ class MultiIndexHashing:
         (distance, insertion row) tie-break is unchanged.  Callers holding
         row-aligned masks must refresh them after compaction.
         """
-        if not len(self._tombstones):
-            return
-        codes = self._materialize()
-        alive = np.flatnonzero(self._tombstones.alive_mask(len(self._ids)))
-        self.build([self._ids[int(row)] for row in alive], codes[alive])
-
-    def _alive_allowed(self) -> "np.ndarray | None":
-        """The alive-row mask, or ``None`` when nothing is tombstoned."""
-        return self._tombstones.alive_mask(len(self._ids))
-
-    def _materialize(self) -> np.ndarray:
-        """Fold buffered codes into the verification matrix."""
-        if self._pending:
-            self._codes = np.vstack([self._codes, np.stack(self._pending)])
-            self._pending = []
-        return self._codes
+        self.table.compact()
+        self._sync()
 
     def _probe_cost(self, substring_radius: int) -> int:
         """Bucket probes a search at ``substring_radius`` would issue."""
@@ -435,7 +404,7 @@ class MultiIndexHashing:
         the budget doubles as a memory bound: mask arrays are never
         generated for radii past it.
         """
-        return max(len(self._ids), 1024)
+        return max(self._codes.shape[0], 1024)
 
     def _effective_budget(self, probe_budget: "int | None") -> int:
         """Resolve a caller-supplied probe budget override.
@@ -499,7 +468,7 @@ class MultiIndexHashing:
         Returns ``(query_of, row_of, buckets_probed_per_query)`` where the
         first two are aligned int64 arrays sorted by (query, row).
         """
-        total_rows = len(self._ids)
+        total_rows = self._codes.shape[0]
         query_parts: list[np.ndarray] = []
         row_parts: list[np.ndarray] = []
         probes_per_query = 0
@@ -532,7 +501,7 @@ class MultiIndexHashing:
         layer-``s`` buckets, so each round probes just the new layer
         instead of re-enumerating (and re-verifying) everything below it.
         """
-        total_rows = len(self._ids)
+        total_rows = self._codes.shape[0]
         sub_queries = queries[active]
         query_parts: list[np.ndarray] = []
         row_parts: list[np.ndarray] = []
@@ -593,7 +562,7 @@ class MultiIndexHashing:
                     row_parts.append(np.asarray(bucket_rows, dtype=np.int64))
         if not row_parts:
             return np.empty(0, dtype=np.int64), probes
-        return _sorted_unique(np.concatenate(row_parts), len(self._ids)), probes
+        return _sorted_unique(np.concatenate(row_parts), self._codes.shape[0]), probes
 
     # ------------------------------------------------------------------ #
     # Radius search
@@ -605,7 +574,8 @@ class MultiIndexHashing:
                 f"num_bits={self.num_bits} incompatible with {words} words")
 
     def _validate_batch(self, codes: np.ndarray) -> np.ndarray:
-        if self._codes is None or not self._ids or len(self) == 0:
+        self._sync()
+        if not len(self.table):
             raise EmptyIndexError("search on an empty MultiIndexHashing index")
         queries = np.asarray(codes, dtype=np.uint64)
         if queries.ndim != 2:
@@ -629,7 +599,7 @@ class MultiIndexHashing:
         verification (candidate counts report post-mask candidates).
         """
         num_queries = queries.shape[0]
-        archive_codes = self._materialize()
+        archive_codes = self._codes
         substring_radius = radius // self.num_tables
         empty = np.empty(0, dtype=np.int64)
         if self._probe_cost(substring_radius) > self._effective_budget(probe_budget):
@@ -638,7 +608,7 @@ class MultiIndexHashing:
             # every row instead.  Same exact results, bounded cost.
             hits = self._exact_fallback(queries, archive_codes, allowed,
                                         radius=radius)
-            total_rows = len(self._ids)
+            total_rows = self._codes.shape[0]
             bounds = np.fromiter(
                 accumulate((rows.shape[0] for rows, _ in hits), initial=0),
                 dtype=np.int64, count=num_queries + 1)
@@ -724,7 +694,7 @@ class MultiIndexHashing:
         rows = (None if allowed is None
                 else allowed_row_indices(allowed, archive_codes.shape[0]))
         scanned = archive_codes.shape[0] if rows is None else rows.shape[0]
-        with tracing.span("mih.exact_fallback", rows=len(self._ids),
+        with tracing.span("mih.exact_fallback", rows=self._codes.shape[0],
                           queries=int(queries.shape[0])) as fallback_span:
             fallback_span.add_cost(
                 fallback_rows=int(scanned) * int(queries.shape[0]))
@@ -757,7 +727,7 @@ class MultiIndexHashing:
         queries = self._validate_batch(codes)
         if allowed is not None:
             allowed = as_allowed_mask(allowed)
-        allowed = combine_allowed_masks(self._alive_allowed(), allowed)
+        allowed = combine_allowed_masks(self._alive, allowed)
         num_queries = queries.shape[0]
         with tracing.span("mih.radius", radius=radius,
                           queries=num_queries) as radius_span:
@@ -822,14 +792,14 @@ class MultiIndexHashing:
         queries = self._validate_batch(codes)
         if allowed is not None:
             allowed = as_allowed_mask(allowed)
-        allowed = combine_allowed_masks(self._alive_allowed(), allowed)
-        archive_codes = self._materialize()
+        allowed = combine_allowed_masks(self._alive, allowed)
+        archive_codes = self._codes
         limit = max_radius if max_radius is not None else self.num_bits
         num_queries = queries.shape[0]
         if num_queries == 1:
             return [self._knn_single(queries[0], k, max_radius, archive_codes,
                                      allowed, probe_budget)]
-        total_rows = np.int64(len(self._ids))
+        total_rows = np.int64(self._codes.shape[0])
         out: "list[list[SearchResult] | None]" = [None] * num_queries
         active = np.arange(num_queries, dtype=np.int64)
         # Accumulated verified candidates across rounds, sorted by
@@ -967,7 +937,7 @@ class MultiIndexHashing:
                          acc_distances: np.ndarray, query: int,
                          radius: int, k: int) -> list[SearchResult]:
         """Canonical top-k of one query from the accumulated candidates."""
-        total_rows = np.int64(len(self._ids))
+        total_rows = np.int64(self._codes.shape[0])
         lo = int(np.searchsorted(acc_pairs, query * total_rows))
         hi = int(np.searchsorted(acc_pairs, (query + 1) * total_rows))
         rows = acc_pairs[lo:hi] % total_rows  # ascending insertion rows

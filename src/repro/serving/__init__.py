@@ -5,9 +5,10 @@ millions of users" — the paper's interactivity claim at production scale.
 This package makes the hot query path of the reproduction concurrent and
 measurable while preserving the single-threaded path's exact results:
 
-* :mod:`repro.serving.sharding` — :class:`ShardedHammingIndex`, K-way
-  partitioned codes with a parallel scatter-gather executor and a
-  deterministic (distance, insertion row) merge,
+* :mod:`repro.serving.sharding` — :class:`ShardedHammingIndex`, K shards
+  over one :class:`~repro.index.hamming.CodeTable` (views of the CBIR
+  service's matrix, not a copy) with a parallel scatter-gather executor
+  and a deterministic (distance, insertion row) merge,
 * :mod:`repro.serving.batching` — :class:`MicroBatcher`, coalescing
   concurrent queries into one vectorized scan,
 * :mod:`repro.serving.cache` — :class:`QueryResultCache`, LRU+TTL result

@@ -11,8 +11,10 @@ through the concurrent hot path:
 2. **batch** — cache misses are coalesced by a :class:`~repro.serving.
    batching.MicroBatcher` so concurrent queries share one scan,
 3. **scatter-gather** — each batch is executed by a
-   :class:`~repro.serving.sharding.ShardedHammingIndex` that scans K
-   shards in parallel and merges per-shard top-k deterministically,
+   :class:`~repro.serving.sharding.ShardedHammingIndex` over the CBIR
+   service's own :class:`~repro.index.hamming.CodeTable` — the shards are
+   views of the matrix the service already holds, not a second copy — that
+   scans K shards in parallel and merges per-shard top-k deterministically,
 4. **metrics** — every stage records latency histograms, counters, and
    occupancy gauges into a :class:`~repro.serving.metrics.MetricsRegistry`.
 
@@ -106,21 +108,19 @@ class ServingGateway:
         self.cache = QueryResultCache(
             max_entries=self.config.cache_entries,
             ttl_seconds=self.config.cache_ttl_seconds)
-        names, codes = system.cbir.indexed_items()
         self.index = ShardedHammingIndex(
             system.hasher.num_bits,
             self.config.num_shards,
             backend=self.config.shard_backend,
             mih_tables=self.config.mih_tables,
-            max_workers=self.config.max_workers)
-        if names:
-            self.index.build(names, codes)
+            max_workers=self.config.max_workers,
+            table=system.cbir.table)
         self.batcher = MicroBatcher(
             self._execute_batch,
             max_batch_size=self.config.batch_max_size,
             max_wait_s=self.config.batch_max_delay_ms / 1e3,
             name="serving-batch")
-        # Archive generation: bumped by on_ingest.  A result computed
+        # Archive generation: bumped by every write hook.  A result computed
         # against generation G is only cached if the generation is still G
         # at put time, so a scan racing an ingest can never re-insert a
         # stale entry after the invalidation.
@@ -391,59 +391,42 @@ class ServingGateway:
             return response
 
     # ------------------------------------------------------------------ #
-    # Mutation hooks
+    # Write hooks
     # ------------------------------------------------------------------ #
+    #
+    # The shards read the table the CBIR service just wrote, so a write
+    # leaves nothing to replay here.  What a hook owes the write is the
+    # cache: every cached ranking, and every memoized ``RowFilter`` mask of
+    # a metadata filter, is a row-aligned snapshot of the corpus before the
+    # write, so all of it is dropped, and the generation bump stops an
+    # in-flight scan from re-inserting any of it.
 
-    def on_ingest(self, name: str, code: np.ndarray) -> None:
-        """Archive grew: index the new code, drop every cached result."""
-        self.index.add(name, code)
-        self._invalidate("ingest")
-        self.metrics.counter("ingest.items").increment()
-        self._update_occupancy()
+    def on_ingest(self) -> None:
+        """Archive grew: drop every cached result."""
+        self._wrote("ingest", "ingest.items")
 
-    def on_delete(self, name: str) -> None:
-        """Archive shrank: tombstone the code, drop every cached result.
+    def on_delete(self) -> None:
+        """Archive shrank (a row was tombstoned): drop every cached result."""
+        self._wrote("delete", "delete.items")
 
-        Cached entries include the memoized ``RowFilter`` masks of metadata
-        filters — they are row-aligned snapshots of the (now mutated)
-        corpus, so they are invalidated together with the query results,
-        and the generation bump stops any in-flight scan from re-inserting
-        either.
-        """
-        self.index.remove(name)
-        self._invalidate("delete")
-        self.metrics.counter("delete.items").increment()
-        self._update_occupancy()
-
-    def on_update(self, name: str, code: np.ndarray) -> None:
-        """An image was re-embedded: tombstone the old code, append the new.
-
-        Mirrors :meth:`CBIRService.update_image` exactly (remove + re-add
-        under the same name) so the gateway's global rows stay aligned with
-        the service's insertion order.
-        """
-        self.index.remove(name)
-        self.index.add(name, code)
-        self._invalidate("update")
-        self.metrics.counter("update.items").increment()
-        self._update_occupancy()
+    def on_update(self) -> None:
+        """An image was re-embedded (old row tombstoned, new row appended):
+        drop every cached result."""
+        self._wrote("update", "update.items")
 
     def on_compact(self) -> None:
-        """The service compacted: rebuild the shards on the new row layout.
+        """Rows were renumbered (compaction, realignment): drop every
+        cached result and mask."""
+        self._wrote("compact", "compact.runs")
 
-        Row numbers changed, so the sharded index is rebuilt from the
-        service's canonical snapshot and every cached result/mask (all
-        row-aligned) is dropped.
-        """
-        names, codes = self.system.cbir.indexed_items()
-        self.index.build(names, codes)
-        self._invalidate("compact")
-        self.metrics.counter("compact.runs").increment()
+    def _wrote(self, reason: str, counter: str) -> None:
+        self._invalidate(reason)
+        self.metrics.counter(counter).increment()
         self._update_occupancy()
 
     def _invalidate(self, reason: str) -> None:
-        """Bump the generation and drop every cached entry (see on_ingest:
-        a result computed against an older generation is never re-cached)."""
+        """Bump the generation and drop every cached entry (a result
+        computed against an older generation is never re-cached)."""
         with self._generation_lock:
             self._generation += 1
         dropped = self.cache.invalidate()

@@ -1,26 +1,35 @@
 """Sharded Hamming index with parallel scatter-gather query execution.
 
 One monolithic index serializes every query behind one scan.  Here the
-packed archive codes are partitioned round-robin into ``K`` shards, each a
-self-contained Hamming index; a query is *scattered* to every shard (a
-thread pool scans them in parallel — numpy's popcount kernels release the
-GIL, so shard scans genuinely overlap), then the per-shard top-k candidate
-lists are *gathered* and merged.
+rows of one :class:`~repro.index.hamming.CodeTable` — the index's own, or
+the one the CBIR service already keeps, in which case nothing is copied —
+are partitioned into ``K`` shards; a query is *scattered* to every shard
+(a thread pool scans them in parallel — numpy's popcount kernels release
+the GIL, so shard scans genuinely overlap), then the per-shard top-k
+candidate lists are *gathered* and merged.
 
 Determinism is load-bearing: every path orders candidates by the global
 ``(distance, insertion row)`` pair — exactly the tie-break of
 :func:`repro.index.hamming.top_k_smallest` and of the monolithic indexes —
 so the merged top-k of a K-shard index is byte-identical to the K=1 result
-regardless of shard count or scan interleaving.
+regardless of shard count, partition or scan interleaving.
 
 Two shard backends:
 
-* ``"linear"`` — :func:`repro.index.hamming.exact_scan` over each shard's
-  packed matrix (the E6 baseline kernel, the same function
-  ``LinearScanIndex`` and the MIH exact fallback run); a micro-batch is one
-  call per shard and filter.
+* ``"linear"`` — :func:`repro.index.hamming.exact_scan` (the E6 baseline
+  kernel, the same function ``LinearScanIndex`` and the MIH exact fallback
+  run) over a zero-copy view of the table's matrix: shard ``s`` is the
+  ``s``-th of ``K`` contiguous row ranges, cut afresh from each scan's
+  snapshot, and a local row plus the range start is the global row.
+  Ranges rather than ``codes[s::K]`` strides by measurement (one pinned
+  CPU, k = 11, two shards): the same at N = 8k (0.060 vs 0.058 ms, W = 1),
+  faster at N = 100k (0.30 vs 0.38 ms, W = 1; 0.59 vs 0.65 ms, W = 2).
+  A micro-batch is one call per shard and filter.
 * ``"mih"`` — a :class:`~repro.index.mih.MultiIndexHashing` per shard for
-  bucket-probe behaviour on very large shards.
+  bucket-probe behaviour on very large shards.  Substring tables cannot be
+  views, so each shard indexes its own rows ``s, s + K, ...`` (a stride:
+  appends never move a row to another shard) and catches up with the
+  table — rebuilt on a new epoch, extended on new rows — before a scan.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ import numpy as np
 from ..errors import EmptyIndexError, ValidationError
 from ..obs import tracing
 from ..index.hamming import (
-    TombstoneSet,
+    CodeTable,
     as_allowed_mask,
     combine_allowed_masks,
     exact_scan,
@@ -96,39 +105,18 @@ class CodeQuery:
         return (code.tobytes(), self.k, self.radius, self.filter_part)
 
 
-class _LinearShard:
-    """Packed-code matrix scan over one shard's rows."""
+_NO_HITS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
-    def __init__(self, num_bits: int) -> None:
-        self.num_bits = num_bits
-        self._rows: list[int] = []
-        self._codes: "np.ndarray | None" = None
-        self._pending: list[np.ndarray] = []
+
+class _LinearShard:
+    """One contiguous row range of the table's matrix, as a view."""
+
+    def __init__(self, codes: np.ndarray, start: int) -> None:
+        self.codes = codes
+        self.start = start
 
     def __len__(self) -> int:
-        return len(self._rows)
-
-    def add(self, row: int, code: np.ndarray) -> None:
-        self._rows.append(row)
-        self._pending.append(code)
-
-    def _materialize(self) -> "np.ndarray | None":
-        if self._pending:
-            stacked = np.stack(self._pending)
-            self._codes = stacked if self._codes is None else np.vstack(
-                [self._codes, stacked])
-            self._pending = []
-        return self._codes
-
-    def prepare(self) -> None:
-        """Fold pending codes in (called under the index lock, so scans
-        running on pool threads never mutate shard state)."""
-        self._materialize()
-
-    def snapshot(self) -> "tuple[np.ndarray, np.ndarray | None]":
-        """Aligned ``(global rows, codes)`` of this shard (for compaction)."""
-        codes = self._materialize()
-        return np.asarray(self._rows, dtype=np.int64), codes
+        return self.codes.shape[0]
 
     def scan(self, queries: np.ndarray, jobs: Sequence[CodeQuery],
              ) -> "list[tuple[np.ndarray, np.ndarray]]":
@@ -138,99 +126,81 @@ class _LinearShard:
         :func:`exact_scan` call: the unfiltered groups scan the whole
         shard, and a filtered group passes its allowed subset as the gather
         set — the pre-filter pushdown, whose cost scales with the allowed
-        rows.  The global->local translation runs once per filter.
-
-        Read-only: runs on pool threads after :meth:`prepare` folded pending
-        codes in under the index lock (an ``add`` racing with this scan
-        becomes visible at the next prepare, never corrupts this one).
+        rows.  The global->local translation (a slice of the mask) runs
+        once per filter.  Read-only, so it runs on pool threads unlocked.
         """
-        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        codes = self._codes
-        if codes is None or codes.shape[0] == 0:
-            return [empty for _ in jobs]
-        rows = np.asarray(self._rows[:codes.shape[0]], dtype=np.int64)
+        codes, start = self.codes, self.start
+        if codes.shape[0] == 0:
+            return [_NO_HITS for _ in jobs]
         groups: dict[tuple, list[int]] = {}
         local_of: dict["Hashable | None", "np.ndarray | None"] = {None: None}
         for i, job in enumerate(jobs):
             part = job.filter_part
             groups.setdefault((part, job.k, job.radius), []).append(i)
             if part not in local_of:
-                # Global allowed mask -> this shard's allowed subset (rows
-                # beyond the mask were added after it was snapshotted and
-                # are disallowed).
-                keep = rows < job.allowed.shape[0]
-                keep[keep] = job.allowed[rows[keep]]
-                local_of[part] = np.flatnonzero(keep)
+                # Rows beyond the mask were added after it was snapshotted
+                # and are disallowed: the slice simply comes up short.
+                local_of[part] = np.flatnonzero(
+                    job.allowed[start:start + codes.shape[0]])
         out: "list[tuple[np.ndarray, np.ndarray] | None]" = [None] * len(jobs)
         for (part, k, radius), indices in groups.items():
             hits = exact_scan(codes, queries[np.asarray(indices, dtype=np.int64)],
                               k=k, radius=radius, rows=local_of[part])
-            # ``rows`` ascends with the local row index, so the scan's
-            # (distance, local row) order is the global (distance, row) order.
+            # Local rows ascend with global rows, so the scan's (distance,
+            # local row) order is the global (distance, row) order.
             for i, (local_rows, distances) in zip(indices, hits):
-                out[i] = (rows[local_rows], distances)
+                out[i] = (local_rows + start, distances)
         return out  # type: ignore[return-value]
 
 
 class _MIHShard:
-    """A Multi-Index Hashing table over one shard's rows.
+    """A Multi-Index Hashing table over rows ``offset, offset + step, ...``
+    of the shared table, keyed by global row.
 
-    Unlike the linear shard, MIH searches fold pending codes in lazily, so
-    ``scan`` is *not* read-only; a per-shard lock serializes scans with
-    concurrent ``add``/other scans on the same shard (cross-shard
-    parallelism within a batch is unaffected — one pool thread per shard).
+    It holds the one copy this module makes: substring tables need their
+    own local row numbering.  Tombstones never reach it — the alive mask
+    rides each job's ``allowed`` — so it only ever grows, until a new
+    table epoch replaces it.  MIH searches sync derived state, so ``scan``
+    is *not* read-only; a per-shard lock serializes it with ``catch_up``
+    and other scans on the same shard (cross-shard parallelism within a
+    batch is unaffected — one pool thread per shard).
     """
 
-    def __init__(self, num_bits: int, mih_tables: int) -> None:
-        self.num_bits = num_bits
+    def __init__(self, num_bits: int, mih_tables: int,
+                 offset: int, step: int) -> None:
         self._index = MultiIndexHashing(num_bits, mih_tables)
-        # Global row of each local insertion row, for translating a global
-        # allowed mask into the local mask MIH's filtered search expects.
-        self._global_rows: list[int] = []
+        self._offset = offset
+        self._step = step
         self._shard_lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._index)
 
-    def add(self, row: int, code: np.ndarray) -> None:
+    def catch_up(self, codes: np.ndarray) -> None:
+        """Index this shard's rows of ``codes`` that it does not hold yet."""
         with self._shard_lock:
-            self._index.add(row, code)
-            self._global_rows.append(row)
-
-    def _local_mask(self, allowed: np.ndarray) -> np.ndarray:
-        """The shard-local allowed mask for a global allowed mask."""
-        global_rows = np.asarray(self._global_rows, dtype=np.int64)
-        keep = global_rows < allowed.shape[0]
-        mask = np.zeros(global_rows.shape[0], dtype=bool)
-        mask[keep] = allowed[global_rows[keep]]
-        return mask
-
-    def prepare(self) -> None:
-        with self._shard_lock:
-            if len(self._index):
-                self._index._materialize()
-
-    def snapshot(self) -> "tuple[np.ndarray, np.ndarray | None]":
-        """Aligned ``(global rows, codes)`` of this shard (for compaction)."""
-        with self._shard_lock:
-            codes = (self._index._materialize() if len(self._index) else None)
-            return np.asarray(self._global_rows, dtype=np.int64), codes
+            held = len(self._index)
+            first = self._offset + held * self._step
+            if held == 0:
+                rows = range(first, codes.shape[0], self._step)
+                self._index.build(rows, np.ascontiguousarray(
+                    codes[first::self._step]))
+            else:
+                for row in range(first, codes.shape[0], self._step):
+                    self._index.add(row, codes[row])
 
     def scan(self, queries: np.ndarray, jobs: Sequence[CodeQuery],
              ) -> "list[tuple[np.ndarray, np.ndarray]]":
-        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
         with self._shard_lock:
             if len(self._index) == 0:
-                return [empty for _ in jobs]
+                return [_NO_HITS for _ in jobs]
             # Group jobs by (kind, parameter, filter) and run each group
             # through the MIH batch path — candidate gathering and
             # verification vectorize across the group instead of looping
-            # queries, and one global->local mask translation covers every
-            # job sharing a filter.
+            # queries, and one global->local mask translation (a strided
+            # slice) covers every job sharing a filter.
             out: "list[tuple[np.ndarray, np.ndarray] | None]" = [None] * len(jobs)
             groups: dict[tuple, list[int]] = {}
-            # One global->local mask translation per *filter* (not per
-            # group): a kNN job and a radius job sharing a filter reuse it.
             masks: dict[object, "np.ndarray | None"] = {None: None}
             for i, job in enumerate(jobs):
                 filter_part = job.filter_part
@@ -239,7 +209,7 @@ class _MIHShard:
                         else ("knn", job.k, filter_part))
                 groups.setdefault(kind, []).append(i)
                 if filter_part not in masks:
-                    masks[filter_part] = self._local_mask(job.allowed)
+                    masks[filter_part] = job.allowed[self._offset::self._step]
             for group_key, indices in groups.items():
                 kind, parameter, filter_part = group_key
                 group_queries = queries[np.asarray(indices, dtype=np.int64)]
@@ -264,7 +234,8 @@ class ShardedHammingIndex:
 
     def __init__(self, num_bits: int, num_shards: int = 4, *,
                  backend: str = "linear", mih_tables: int = 4,
-                 max_workers: "int | None" = None) -> None:
+                 max_workers: "int | None" = None,
+                 table: "CodeTable | None" = None) -> None:
         if num_bits <= 0 or num_bits % 8 != 0:
             raise ValidationError(
                 f"num_bits must be a positive multiple of 8, got {num_bits}")
@@ -277,124 +248,88 @@ class ShardedHammingIndex:
         self.num_shards = num_shards
         self.backend = backend
         self.mih_tables = mih_tables
-        self._lock = threading.RLock()
-        self._ids: list[Hashable] = []
-        self._shards = self._new_shards()
+        self.table = table if table is not None else CodeTable(-(-num_bits // 64))
+        # MIH backend only: the shards built for table epoch _mih_epoch.
+        self._mih_shards: "list[_MIHShard]" = []
+        self._mih_epoch: "int | None" = None
+        self._lock = threading.Lock()
         self._executor: "ThreadPoolExecutor | None" = None
         self._max_workers = max_workers if max_workers is not None else num_shards
-        # Tombstoned global rows: masked out of every scan (the alive mask
-        # AND-combines with query filters) until compact() drops them.
-        self._tombstones = TombstoneSet()
-        self._row_of: "dict[Hashable, int] | None" = None
-
-    def _new_shards(self) -> list:
-        if self.backend == "linear":
-            return [_LinearShard(self.num_bits) for _ in range(self.num_shards)]
-        return [_MIHShard(self.num_bits, self.mih_tables)
-                for _ in range(self.num_shards)]
 
     def __len__(self) -> int:
         """Searchable (alive) items."""
-        with self._lock:
-            return len(self._ids) - len(self._tombstones)
+        return len(self.table)
 
     @property
     def dead_count(self) -> int:
         """Tombstoned rows awaiting compaction."""
-        with self._lock:
-            return len(self._tombstones)
+        return self.table.dead_count
 
     @property
     def dead_fraction(self) -> float:
         """Dead rows as a fraction of physical rows (0 when empty)."""
-        with self._lock:
-            return self._tombstones.fraction(len(self._ids))
+        return self.table.dead_fraction
 
     @property
     def shard_sizes(self) -> list[int]:
         """Occupancy of each shard (exported as gauges by the gateway)."""
-        with self._lock:
-            return [len(shard) for shard in self._shards]
+        return [len(shard) for shard in self._view()[2]]
+
+    def _view(self) -> "tuple[list[Hashable], np.ndarray | None, list]":
+        """``(ids, alive mask, shards)`` of the table's current rows.
+
+        Taken under the table lock, so the shards describe exactly the
+        snapshot's rows whatever a writer does next.  Linear shards are
+        views cut from the snapshot.  MIH shards persist between scans and
+        catch up here; a new epoch gets *new* shard objects, so a scan
+        still running on the previous layout keeps a consistent one.
+        """
+        with self.table.lock:
+            ids, codes, alive = self.table.snapshot()
+            if self.backend == "linear":
+                size = -(-codes.shape[0] // self.num_shards)
+                shards = [_LinearShard(codes[s * size:(s + 1) * size], s * size)
+                          for s in range(self.num_shards)]
+            else:
+                if self._mih_epoch != self.table.epoch:
+                    self._mih_epoch = self.table.epoch
+                    self._mih_shards = [
+                        _MIHShard(self.num_bits, self.mih_tables, offset,
+                                  self.num_shards)
+                        for offset in range(self.num_shards)]
+                shards = self._mih_shards
+                for shard in shards:
+                    shard.catch_up(codes)
+        return ids, alive, shards
 
     # ------------------------------------------------------------------ #
-    # Construction
+    # Construction and deletion lifecycle: the table's
     # ------------------------------------------------------------------ #
 
     def build(self, item_ids: Iterable[Hashable], codes: np.ndarray) -> None:
         """(Re)build from aligned ids and ``(N, W)`` packed codes."""
-        codes = np.asarray(codes, dtype=np.uint64)
-        ids = list(item_ids)
-        if codes.ndim != 2 or len(ids) != codes.shape[0]:
-            raise ValidationError(
-                f"need (N, W) codes aligned with N ids, got {codes.shape} and {len(ids)} ids")
-        with self._lock:
-            self._ids = []
-            self._shards = self._new_shards()
-            self._tombstones.clear()
-            self._row_of = None
-            for item_id, code in zip(ids, codes):
-                self.add(item_id, code)
+        self.table.restore(item_ids, codes)
 
     def add(self, item_id: Hashable, code: np.ndarray) -> None:
-        """Append one item; it joins shard ``row % num_shards``."""
-        code = np.asarray(code, dtype=np.uint64)
-        if code.ndim != 1:
-            raise ValidationError(f"add expects a single packed code, got {code.shape}")
-        with self._lock:
-            row = len(self._ids)
-            self._ids.append(item_id)
-            if self._row_of is not None:
-                self._row_of[item_id] = row
-            self._shards[row % self.num_shards].add(row, code)
-
-    # ------------------------------------------------------------------ #
-    # Deletion lifecycle: tombstones + per-shard compaction
-    # ------------------------------------------------------------------ #
+        """Append one item."""
+        self.table.append(item_id, code)
 
     def remove(self, item_id: Hashable) -> None:
         """Tombstone one item: O(1), excluded from every later scan."""
-        with self._lock:
-            if self._row_of is None:
-                self._row_of = {item_id: row
-                                for row, item_id in enumerate(self._ids)}
-            row = self._row_of.pop(item_id, None)
-            if row is None or row in self._tombstones:
-                raise ValidationError(f"no indexed item {item_id!r} to remove")
-            self._tombstones.mark(row)
+        self.table.kill(item_id)
 
     def compact_due(self) -> bool:
         """Default policy: dead rows exceed the standalone threshold."""
-        with self._lock:
-            return self._tombstones.due(len(self._ids))
+        return self.table.compact_due()
 
     def compact(self) -> None:
-        """Rebuild every shard without the dead rows.
+        """Drop the dead rows.
 
         Surviving items keep their relative insertion order, so the global
         (distance, insertion row) merge order — and therefore every query
         result — is byte-identical before and after.
         """
-        with self._lock:
-            if not len(self._tombstones):
-                return
-            row_parts: list[np.ndarray] = []
-            code_parts: list[np.ndarray] = []
-            for shard in self._shards:
-                rows, codes = shard.snapshot()
-                if codes is not None and codes.shape[0]:
-                    row_parts.append(rows[:codes.shape[0]])
-                    code_parts.append(codes)
-            all_rows = np.concatenate(row_parts)
-            all_codes = np.vstack(code_parts)
-            order = np.argsort(all_rows)
-            alive_mask = self._alive_allowed()
-            keep = order[alive_mask[all_rows[order]]]
-            ids = [self._ids[int(row)] for row in all_rows[keep]]
-            self.build(ids, all_codes[keep])
-
-    def _alive_allowed(self) -> "np.ndarray | None":
-        """The alive-row mask (callers must hold the index lock)."""
-        return self._tombstones.alive_mask(len(self._ids))
+        self.table.compact()
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -436,14 +371,9 @@ class ShardedHammingIndex:
         """
         if not jobs:
             return []
-        with self._lock:
-            if not self._ids or len(self._tombstones) >= len(self._ids):
-                raise EmptyIndexError("search on an empty ShardedHammingIndex")
-            ids = list(self._ids)
-            shards = list(self._shards)
-            alive = self._alive_allowed()
-            for shard in shards:
-                shard.prepare()
+        if not len(self.table):
+            raise EmptyIndexError("search on an empty ShardedHammingIndex")
+        ids, alive, shards = self._view()
 
         # Single-flight within the batch: concurrent users asking the same
         # question (popular patches, same filter) share one scan.

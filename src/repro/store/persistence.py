@@ -75,12 +75,6 @@ def decode_value(value: Any) -> Any:
     return value
 
 
-# Historical private names, kept because the durability tier and tests grew
-# against both spellings.
-_encode_value = encode_value
-_decode_value = decode_value
-
-
 def write_file_atomic(path: "str | os.PathLike", data: bytes) -> None:
     """Write ``data`` to ``path`` crash-atomically.
 

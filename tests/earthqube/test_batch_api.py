@@ -130,9 +130,10 @@ class TestIndexedItemsSnapshot:
     def test_snapshot_is_view_not_copy(self, system):
         names_a, codes_a = system.cbir.indexed_items()
         names_b, codes_b = system.cbir.indexed_items()
-        # The matrix is the service's row-aligned store itself: repeated
-        # snapshots hand out the same array, not a fresh O(N) stack.
-        assert codes_a is codes_b
+        # The matrix is the code table's own storage: repeated snapshots
+        # hand out views of the same memory, not a fresh O(N) stack.
+        assert np.shares_memory(codes_a, codes_b)
+        assert np.shares_memory(codes_a, system.cbir.table.snapshot()[1])
         assert names_a == names_b
         assert codes_a.shape[0] == len(names_a) == len(system.cbir)
 

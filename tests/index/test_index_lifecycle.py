@@ -26,19 +26,45 @@ def make_codes(rng, n=N):
                         dtype=np.uint64)
 
 
+class SharedTable:
+    """An MIH index reading a table that another index owns and writes.
+
+    Every write (build / add / remove / compact) goes through a
+    ``LinearScanIndex``; every read through a ``MultiIndexHashing`` built
+    over that index's table.  The reader never hears about a write — it
+    has to notice the table's epoch and row count by itself.
+    """
+
+    WRITES = {"build", "add", "remove", "compact"}
+
+    def __init__(self) -> None:
+        self.writer = LinearScanIndex(NUM_BITS)
+        self.reader = MultiIndexHashing(NUM_BITS, 4, table=self.writer.table)
+
+    def __len__(self) -> int:
+        return len(self.reader)
+
+    def __getattr__(self, name):
+        return getattr(self.writer if name in self.WRITES else self.reader,
+                       name)
+
+
 def build(backend: str, ids, codes):
     if backend == "linear":
         index = LinearScanIndex(NUM_BITS)
     elif backend == "mih":
         index = MultiIndexHashing(NUM_BITS, 4)
+    elif backend == "shared-table":
+        index = SharedTable()
     else:
-        index = ShardedHammingIndex(NUM_BITS, 3, backend="linear")
+        index = ShardedHammingIndex(
+            NUM_BITS, 3, backend="mih" if backend == "sharded-mih" else "linear")
     index.build(ids, codes)
     return index
 
 
 def knn(backend, index, code, k):
-    if backend == "sharded":
+    if backend.startswith("sharded"):
         results = index.search_batch([CodeQuery(code=code, k=k)])[0]
     else:
         results = index.search_knn(code, k)
@@ -46,14 +72,14 @@ def knn(backend, index, code, k):
 
 
 def radius(backend, index, code, r):
-    if backend == "sharded":
+    if backend.startswith("sharded"):
         results = index.search_batch([CodeQuery(code=code, radius=r)])[0]
     else:
         results = index.search_radius(code, r)
     return [(r_.item_id, r_.distance) for r_ in results]
 
 
-BACKENDS = ["linear", "mih", "sharded"]
+BACKENDS = ["linear", "mih", "sharded", "sharded-mih", "shared-table"]
 
 
 class TestCombineAllowedMasks:
@@ -157,7 +183,7 @@ class TestTombstoneOracle:
         oracle = build(backend, [ids[row] for row in allowed_alive],
                        codes[allowed_alive])
         for q in range(0, N, 23):
-            if backend == "sharded":
+            if backend.startswith("sharded"):
                 got = [(r.item_id, r.distance) for r in index.search_batch(
                     [CodeQuery(code=codes[q], k=15, allowed=mask)])[0]]
             else:
