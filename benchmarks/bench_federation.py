@@ -51,8 +51,7 @@ def bootstrap_node(seed: int, *, patches: int, epochs: int,
         train=TrainConfig(epochs=epochs, triplets_per_epoch=256,
                           batch_size=64, seed=seed),
         index=IndexConfig(hamming_radius=2, mih_tables=4),
-        serving=ServingConfig(enabled=serving, num_shards=2,
-                              batch_max_delay_ms=0.5),
+        serving=ServingConfig(enabled=serving, num_shards=2),
     )
     return EarthQube.bootstrap(config, store_images=False)
 

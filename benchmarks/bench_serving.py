@@ -111,8 +111,7 @@ def run_concurrent(codes: np.ndarray, ids: list, stream: np.ndarray, k: int,
     cache = QueryResultCache(max_entries=cache_entries, ttl_seconds=3600.0)
     with ShardedHammingIndex(num_bits, num_shards) as index:
         index.build(ids, codes)
-        with MicroBatcher(index.search_batch, max_batch_size=batch_size,
-                          max_wait_s=0.002) as batcher:
+        with MicroBatcher(index.search_batch, max_batch_size=batch_size) as batcher:
             def serve(query: np.ndarray) -> None:
                 key = canonical_code_key(query, k=k, radius=None)
                 if cache.get(key) is not None:

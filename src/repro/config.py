@@ -171,7 +171,6 @@ class ServingConfig:
     mih_tables: int = 4
     max_workers: "int | None" = None
     batch_max_size: int = 16
-    batch_max_delay_ms: float = 2.0
     cache_entries: int = 1024
     cache_ttl_seconds: float = 300.0
     histogram_window: int = 4096
@@ -184,7 +183,6 @@ class ServingConfig:
         _require(self.max_workers is None or self.max_workers >= 1,
                  "max_workers must be None or >= 1")
         _require(self.batch_max_size >= 1, "batch_max_size must be >= 1")
-        _require(self.batch_max_delay_ms >= 0.0, "batch_max_delay_ms must be >= 0")
         _require(self.cache_entries >= 0, "cache_entries must be >= 0")
         _require(self.cache_ttl_seconds > 0.0, "cache_ttl_seconds must be positive")
         _require(self.histogram_window >= 1, "histogram_window must be >= 1")

@@ -118,7 +118,7 @@ class ServingGateway:
         self.batcher = MicroBatcher(
             self._execute_batch,
             max_batch_size=self.config.batch_max_size,
-            max_wait_s=self.config.batch_max_delay_ms / 1e3,
+            queue_wait=self.metrics.histogram("batch.queue_wait"),
             name="serving-batch")
         # Archive generation: bumped by every write hook.  A result computed
         # against generation G is only cached if the generation is still G
@@ -324,9 +324,9 @@ class ServingGateway:
                           radius=radius, allowed=allowed,
                           filter_key=filter_key, trace=trace)
                 for code in codes]
-        # Queue wait + scan, as seen by the submitting thread; the scan
-        # alone is recorded as similar.scan on the batch worker, so queue
-        # time is the difference between the two.
+        # Queue wait + scan, as seen by the submitting thread; the batcher
+        # records the queue wait alone as batch.queue_wait and the batch
+        # worker the scan alone as similar.scan.
         with self.metrics.timer("similar.execute"), \
                 tracing.span("batch.wait", jobs=len(jobs)):
             return [future.result()
@@ -503,7 +503,6 @@ class ServingGateway:
             "num_shards": self.config.num_shards,
             "shard_backend": self.config.shard_backend,
             "batch_max_size": self.config.batch_max_size,
-            "batch_max_delay_ms": self.config.batch_max_delay_ms,
             "cache_entries": self.config.cache_entries,
             "cache_ttl_seconds": self.config.cache_ttl_seconds,
             "indexed_items": len(self.index),

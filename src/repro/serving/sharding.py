@@ -4,9 +4,9 @@ One monolithic index serializes every query behind one scan.  Here the
 rows of one :class:`~repro.index.hamming.CodeTable` — the index's own, or
 the one the CBIR service already keeps, in which case nothing is copied —
 are partitioned into ``K`` shards; a query is *scattered* to every shard
-(a thread pool scans them in parallel — numpy's popcount kernels release
-the GIL, so shard scans genuinely overlap), then the per-shard top-k
-candidate lists are *gathered* and merged.
+(the calling thread scans one and a thread pool the rest — numpy's
+popcount kernels release the GIL, so shard scans genuinely overlap), then
+the per-shard top-k candidate lists are *gathered* and merged.
 
 Determinism is load-bearing: every path orders candidates by the global
 ``(distance, insertion row)`` pair — exactly the tie-break of
@@ -413,12 +413,13 @@ class ShardedHammingIndex:
                           shards=len(shards)) as search_span:
             search_span.annotate(backend=self.backend)
             search_span.add_cost(shards_scanned=len(shards))
-            # Shard scans run on pool threads; hand the (possibly traced)
-            # context across explicitly so per-shard spans stitch in.
+            # The calling thread scans shard 0 itself, instead of sleeping
+            # while the pool scans all K.  The (possibly traced) context is
+            # handed across explicitly so per-shard spans stitch in.
             parent = tracing.capture()
 
-            def scan(item) -> "list[tuple[np.ndarray, np.ndarray]]":
-                shard_index, shard = item
+            def scan(shard_index: int) -> "list[tuple[np.ndarray, np.ndarray]]":
+                shard = shards[shard_index]
                 if parent is None:
                     return shard.scan(queries, unique_jobs)
                 with tracing.attach(parent), \
@@ -426,10 +427,9 @@ class ShardedHammingIndex:
                                      items=len(shard)):
                     return shard.scan(queries, unique_jobs)
 
-            if len(shards) == 1:
-                per_shard = [scan((0, shards[0]))]
-            else:
-                per_shard = list(self._pool().map(scan, enumerate(shards)))
+            pooled = [self._pool().submit(scan, shard_index)
+                      for shard_index in range(1, len(shards))]
+            per_shard = [scan(0)] + [future.result() for future in pooled]
 
             merged: list[list[SearchResult]] = []
             for i, job in enumerate(unique_jobs):

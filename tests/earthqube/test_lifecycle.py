@@ -39,7 +39,7 @@ def mutable_system() -> EarthQube:
                           seed=5),
         index=IndexConfig(hamming_radius=2, mih_tables=4),
         serving=ServingConfig(enabled=True, num_shards=4, batch_max_size=8,
-                              batch_max_delay_ms=1.0, cache_entries=128),
+                              cache_entries=128),
     )
     system = EarthQube.bootstrap(config, store_images=False)
     yield system

@@ -30,7 +30,7 @@ def _bootstrap(seed: int, *, num_bits: int = 32, patches: int = 48,
                           seed=seed),
         index=IndexConfig(hamming_radius=2, mih_tables=4),
         serving=ServingConfig(enabled=serving, num_shards=2,
-                              batch_max_delay_ms=0.5, cache_entries=128),
+                              cache_entries=128),
     )
     return EarthQube.bootstrap(config, store_images=False)
 

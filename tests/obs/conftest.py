@@ -29,7 +29,7 @@ def _bootstrap(seed: int, *, serving: bool = False,
         train=TrainConfig(epochs=2, triplets_per_epoch=128, batch_size=64),
         index=IndexConfig(hamming_radius=2, mih_tables=4),
         serving=ServingConfig(enabled=serving, num_shards=2,
-                              batch_max_delay_ms=0.5, cache_entries=128,
+                              cache_entries=128,
                               shard_backend=shard_backend),
     )
     return EarthQube.bootstrap(config, store_images=False)

@@ -19,7 +19,7 @@ from repro.earthqube import EarthQube
 @pytest.fixture(scope="module")
 def serving_config() -> ServingConfig:
     return ServingConfig(enabled=True, num_shards=4, batch_max_size=8,
-                         batch_max_delay_ms=1.0, cache_entries=256)
+                         cache_entries=256)
 
 
 @pytest.fixture(scope="module")

@@ -24,6 +24,12 @@ def test_metrics_payload_has_cache_and_batcher_sections(mini_system):
     assert serving["cache"]["misses"] >= 1
     assert serving["batcher"]["requests"] >= 1
     assert serving["batcher"]["batches"] >= 1
+    # Every request the batch worker took left one enqueue -> batch-start
+    # sample; nothing is queued now, so that is every request submitted.
+    assert serving["batcher"]["queue_depth"] == 0
+    queue_wait = serving["latency"]["batch.queue_wait"]
+    assert queue_wait["count"] == serving["batcher"]["requests"]
+    assert queue_wait["p50_ms"] >= 0.0
 
 
 def test_cache_and_batch_stats_flattened_into_counters_and_gauges(mini_system):

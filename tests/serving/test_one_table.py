@@ -12,6 +12,7 @@ new rows and the gateway's shards on the old ones, and every filtered
 filter.
 """
 
+import threading
 from dataclasses import replace
 from datetime import datetime
 
@@ -25,6 +26,12 @@ from repro.earthqube import DurableEarthQube, EarthQube, QuerySpec
 from repro.earthqube.cbir import CBIRService
 from repro.earthqube.ingest import ingest_archive
 from repro.geo import BoundingBox
+from repro.index import pack_bits
+from repro.index.hamming import exact_scan
+from repro.index.results import SearchResult
+from repro.obs.tracing import Tracer
+from repro.serving import CodeQuery, ShardedHammingIndex
+from repro.serving.sharding import _LinearShard
 from repro.store.database import Database
 
 SPECS = [
@@ -79,6 +86,58 @@ def test_every_write_leaves_one_copy(mini_system):
     system.compact_index()
     assert system.cbir.dead_rows == 0
     assert_one_copy(system)
+
+
+@pytest.mark.parametrize("num_shards", [1, 2, 4, 8])
+def test_scatter_equals_one_scan_of_the_whole_table(rng, monkeypatch,
+                                                    num_shards):
+    """However the rows are cut into shards, and whichever thread scans
+    which, a batch of kNN, radius and masked jobs over a tombstoned table
+    is one ``exact_scan`` of the whole table — and shard 0 is scanned by
+    the thread that asked, under a ``shard.scan`` span like the rest."""
+    codes = pack_bits((rng.random((203, 32)) < 0.5).astype(np.uint8))
+    codes[40:60] = codes[7]                     # ties across shard borders
+    ids = [f"p{row}" for row in range(codes.shape[0])]
+    allowed = rng.random(codes.shape[0]) < 0.6
+    jobs = [CodeQuery(code=codes[7], k=25),
+            CodeQuery(code=codes[150], radius=12),
+            CodeQuery(code=codes[7], k=9, allowed=allowed, filter_key="f"),
+            CodeQuery(code=codes[99], radius=13, allowed=allowed,
+                      filter_key="f"),
+            CodeQuery(code=codes[7], k=25)]     # single-flight duplicate
+
+    scanned_on: dict[int, int] = {}
+    shard_scan = _LinearShard.scan
+
+    def spy(shard, queries, shard_jobs):
+        scanned_on[shard.start] = threading.get_ident()
+        return shard_scan(shard, queries, shard_jobs)
+    monkeypatch.setattr(_LinearShard, "scan", spy)
+
+    with ShardedHammingIndex(32, num_shards) as sharded:
+        sharded.build(ids, codes)
+        for dead in (7, 41, 42, 150, 202):
+            sharded.remove(ids[dead])
+        _, _, alive = sharded.table.snapshot()
+        root = Tracer().start_trace("test")
+        with root:
+            got = sharded.search_batch(jobs)
+
+    for job, results in zip(jobs, got):
+        rows = np.flatnonzero(alive if job.allowed is None
+                              else alive & job.allowed)
+        (hit_rows, distances), = exact_scan(
+            codes, job.code[None, :], k=job.k, radius=job.radius, rows=rows)
+        assert results == [SearchResult(ids[row], int(distance))
+                           for row, distance in zip(hit_rows, distances)]
+        assert results
+    spans = [span for span in root.walk() if span.name == "shard.scan"]
+    assert sorted(span.attrs["shard"] for span in spans) == \
+        list(range(num_shards))
+    assert all(span.end_s is not None for span in spans)
+    assert len(scanned_on) == num_shards
+    assert scanned_on.pop(0) == threading.get_ident()
+    assert threading.get_ident() not in scanned_on.values()
 
 
 def test_elastic_federate_reads_a_node_without_moving_its_rows(mini_system):

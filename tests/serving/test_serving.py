@@ -140,13 +140,28 @@ class TestShardedIndex:
             CodeQuery(code=np.zeros(1, dtype=np.uint64), radius=-1)
 
 
+class GatedDoubler:
+    """An ``execute_batch`` that records each batch it is handed, flags
+    that it is ``running``, and holds the batch until ``gate`` is set."""
+
+    def __init__(self) -> None:
+        self.gate, self.running = threading.Event(), threading.Event()
+        self.batches: list[list[int]] = []
+
+    def __call__(self, requests):
+        self.batches.append(list(requests))
+        self.running.set()
+        assert self.gate.wait(timeout=10)
+        return [r * 2 for r in requests]
+
+
 class TestMicroBatcher:
     def test_coalesces_submit_many_into_batches(self, corpus):
         ids, codes, scan = corpus
         with ShardedHammingIndex(NUM_BITS, 4) as sharded:
             sharded.build(ids, codes)
-            with MicroBatcher(sharded.search_batch, max_batch_size=8,
-                              max_wait_s=0.01) as batcher:
+            with MicroBatcher(sharded.search_batch,
+                              max_batch_size=8) as batcher:
                 futures = batcher.submit_many(
                     [CodeQuery(code=codes[i], k=5) for i in range(40)])
                 results = [f.result(timeout=10) for f in futures]
@@ -154,8 +169,55 @@ class TestMicroBatcher:
         for i, result in enumerate(results):
             assert result == scan.search_knn(codes[i], 5)
         assert stats["requests"] == 40
-        assert stats["batches"] < 40  # coalescing actually happened
-        assert stats["largest_batch"] <= 8
+        # One lock hold queued all 40, so the worker found full batches.
+        assert stats["batches"] == 5
+        assert stats["largest_batch"] == 8
+
+    def test_batches_form_from_what_queued_behind_the_running_one(self):
+        """Natural batching, clock-free: the first request is dispatched
+        alone the moment it arrives; what is submitted while it executes is
+        the next batch."""
+        execute = GatedDoubler()
+        with MicroBatcher(execute, max_batch_size=8) as batcher:
+            first = batcher.submit(0)
+            assert execute.running.wait(timeout=10)
+            rest = [batcher.submit(i) for i in range(1, 6)]
+            queued = batcher.stats
+            execute.gate.set()
+            assert [f.result(timeout=10) for f in [first, *rest]] == \
+                [0, 2, 4, 6, 8, 10]
+            stats = batcher.stats
+        assert execute.batches == [[0], [1, 2, 3, 4, 5]]
+        # While five waited behind the gate, one batch of one had been
+        # taken: the mean is over requests taken, not requests submitted.
+        assert queued["requests"] == 6 and queued["queue_depth"] == 5
+        assert queued["batches"] == 1 and queued["mean_batch_size"] == 1.0
+        assert stats["requests"] == 6 and stats["batches"] == 2
+        assert stats["mean_batch_size"] == 3.0
+        assert stats["largest_batch"] == 5 <= batcher.max_batch_size
+        assert stats["queue_depth"] == 0
+
+    def test_cancelled_future_does_not_kill_the_worker(self):
+        """A caller cancelling a queued future used to make ``set_result``
+        raise on the worker thread; the thread died and every later submit
+        waited forever."""
+        execute = GatedDoubler()
+        with MicroBatcher(execute, max_batch_size=8) as batcher:
+            blocker = batcher.submit(0)
+            assert execute.running.wait(timeout=10)
+            queued = [batcher.submit(i) for i in (1, 2, 3)]
+            assert queued[1].cancel()
+            execute.gate.set()
+            assert blocker.result(timeout=10) == 0
+            assert queued[0].result(timeout=10) == 2
+            assert queued[2].result(timeout=10) == 6
+            assert queued[1].cancelled()
+            # A running future refuses cancellation instead of racing it.
+            assert not queued[0].cancel()
+            assert batcher.submit(4).result(timeout=10) == 8
+            stats = batcher.stats
+        assert stats["requests"] == 5 and stats["batches"] == 3
+        assert stats["largest_batch"] == 2
 
     def test_concurrent_submission_from_many_threads(self, corpus):
         """The ISSUE's concurrency edge case: parallel submitters, all
@@ -167,8 +229,8 @@ class TestMicroBatcher:
 
         with ShardedHammingIndex(NUM_BITS, 4) as sharded:
             sharded.build(ids, codes)
-            with MicroBatcher(sharded.search_batch, max_batch_size=16,
-                              max_wait_s=0.005) as batcher:
+            with MicroBatcher(sharded.search_batch,
+                              max_batch_size=16) as batcher:
                 def worker(offset: int) -> None:
                     try:
                         barrier.wait(timeout=10)
@@ -195,15 +257,14 @@ class TestMicroBatcher:
         def explode(requests):
             raise RuntimeError("scan failed")
 
-        with MicroBatcher(explode, max_batch_size=4, max_wait_s=0.01) as batcher:
+        with MicroBatcher(explode, max_batch_size=4) as batcher:
             futures = batcher.submit_many([1, 2, 3])
             for future in futures:
                 with pytest.raises(RuntimeError, match="scan failed"):
                     future.result(timeout=10)
 
     def test_result_count_mismatch_is_an_error(self):
-        with MicroBatcher(lambda requests: [0], max_batch_size=4,
-                          max_wait_s=0.0) as batcher:
+        with MicroBatcher(lambda requests: [0], max_batch_size=4) as batcher:
             futures = batcher.submit_many([1, 2])
             with pytest.raises(RuntimeError, match="results"):
                 for future in futures:
@@ -217,7 +278,7 @@ class TestMicroBatcher:
 
     def test_close_drains_queued_work(self):
         with MicroBatcher(lambda requests: [r * 2 for r in requests],
-                          max_batch_size=4, max_wait_s=0.05) as batcher:
+                          max_batch_size=4) as batcher:
             futures = batcher.submit_many(list(range(10)))
         # context exit closes with drain=True: everything completed
         assert [f.result(timeout=10) for f in futures] == [r * 2 for r in range(10)]
@@ -225,8 +286,6 @@ class TestMicroBatcher:
     def test_validation(self):
         with pytest.raises(ValidationError):
             MicroBatcher(lambda r: r, max_batch_size=0)
-        with pytest.raises(ValidationError):
-            MicroBatcher(lambda r: r, max_wait_s=-1.0)
 
 
 class TestQueryResultCache:
