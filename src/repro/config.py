@@ -168,24 +168,20 @@ class ServingConfig:
     enabled: bool = False
     num_shards: int = 4
     shard_backend: str = "linear"
-    mih_tables: int = 4
     max_workers: "int | None" = None
     batch_max_size: int = 16
     cache_entries: int = 1024
     cache_ttl_seconds: float = 300.0
-    histogram_window: int = 4096
 
     def __post_init__(self) -> None:
         _require(self.num_shards >= 1, f"num_shards must be >= 1, got {self.num_shards}")
         _require(self.shard_backend in ("linear", "mih"),
                  f"shard_backend must be 'linear' or 'mih', got {self.shard_backend!r}")
-        _require(self.mih_tables >= 1, "mih_tables must be >= 1")
         _require(self.max_workers is None or self.max_workers >= 1,
                  "max_workers must be None or >= 1")
         _require(self.batch_max_size >= 1, "batch_max_size must be >= 1")
         _require(self.cache_entries >= 0, "cache_entries must be >= 0")
         _require(self.cache_ttl_seconds > 0.0, "cache_ttl_seconds must be positive")
-        _require(self.histogram_window >= 1, "histogram_window must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -269,7 +265,6 @@ class FederationConfig:
     breaker_failure_threshold: int = 3
     breaker_cooldown_s: float = 30.0
     namespace_results: str = "auto"
-    histogram_window: int = 1024
     elastic: bool = False
     replication_factor: int = 1
     virtual_nodes: int = 64
@@ -288,7 +283,6 @@ class FederationConfig:
         _require(self.namespace_results in ("auto", "always", "never"),
                  f"namespace_results must be 'auto', 'always', or 'never', "
                  f"got {self.namespace_results!r}")
-        _require(self.histogram_window >= 1, "histogram_window must be >= 1")
         _require(self.replication_factor >= 1,
                  f"replication_factor must be >= 1, got {self.replication_factor}")
         _require(self.elastic or self.replication_factor == 1,

@@ -45,25 +45,69 @@ def _parse_shape(payload: "Mapping[str, Any] | None") -> "Shape | None":
         raise ValidationError("shape must be an object")
     kind = payload.get("type")
     if kind == "rectangle":
-        try:
-            return Rectangle(BoundingBox(
-                west=float(payload["west"]), south=float(payload["south"]),
-                east=float(payload["east"]), north=float(payload["north"])))
-        except KeyError as missing:
-            raise ValidationError(f"rectangle shape is missing {missing}") from None
+        west, south, east, north = _coordinates(
+            payload, kind, ("west", "south", "east", "north"))
+        return Rectangle(BoundingBox(west=west, south=south,
+                                     east=east, north=north))
     if kind == "circle":
-        try:
-            return Circle(lon=float(payload["lon"]), lat=float(payload["lat"]),
-                          radius_km=float(payload["radius_km"]))
-        except KeyError as missing:
-            raise ValidationError(f"circle shape is missing {missing}") from None
+        lon, lat, radius_km = _coordinates(
+            payload, kind, ("lon", "lat", "radius_km"))
+        return Circle(lon=lon, lat=lat, radius_km=radius_km)
     if kind == "polygon":
         coords = payload.get("coordinates")
         if not isinstance(coords, (list, tuple)):
             raise ValidationError("polygon shape needs a coordinates list")
-        return Polygon.from_coords(coords)
+        try:
+            vertices = [(float(lon), float(lat)) for lon, lat in coords]
+        except (TypeError, ValueError):
+            raise ValidationError(f"polygon coordinates must be [lon, lat] "
+                                  f"number pairs, got {coords!r}") from None
+        return Polygon.from_coords(vertices)
     raise ValidationError(
         f"unknown shape type {kind!r}; expected rectangle, circle, or polygon")
+
+
+def _coordinates(payload: Mapping[str, Any], kind: str,
+                 keys: "tuple[str, ...]") -> "list[float]":
+    """The named numeric fields of a shape payload, as floats."""
+    values = []
+    for key in keys:
+        if key not in payload:
+            raise ValidationError(f"{kind} shape is missing {key!r}")
+        try:
+            values.append(float(payload[key]))
+        except (TypeError, ValueError):
+            raise ValidationError(f"{kind} shape {key!r} must be a number, "
+                                  f"got {payload[key]!r}") from None
+    return values
+
+
+def _names(payload: Mapping[str, Any], key: str) -> "tuple[str, ...] | None":
+    """An optional list-of-strings request field; ``None`` when absent or
+    empty.  A bare string is rejected rather than split into characters."""
+    value = payload.get(key)
+    if value is None:
+        return None
+    if not isinstance(value, (list, tuple)) or not all(
+            isinstance(item, str) for item in value):
+        raise ValidationError(f"{key} must be a list of strings, got {value!r}")
+    return tuple(value) or None
+
+
+def _integer(value: Any, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"{name} must be an integer, got {value!r}") from None
+
+
+def _code_query_args(request: Mapping[str, Any]) -> dict:
+    """The ``k`` / ``radius`` arguments of a similarity request."""
+    radius = request.get("radius")
+    if radius is not None:
+        return {"k": None, "radius": _integer(radius, "radius")}
+    return {"k": _integer(request.get("k", 10), "k")}
 
 
 def parse_query_request(payload: Mapping[str, Any]) -> QuerySpec:
@@ -81,14 +125,13 @@ def parse_query_request(payload: Mapping[str, Any]) -> QuerySpec:
         raise ValidationError(
             f"unknown label_operator {operator_name!r}; "
             f"expected one of {sorted(_OPERATORS)}")
-    labels = payload.get("labels")
     return QuerySpec(
         shape=_parse_shape(payload.get("shape")),
         date_from=payload.get("date_from"),
         date_to=payload.get("date_to"),
-        seasons=tuple(payload["seasons"]) if payload.get("seasons") else None,
-        satellites=tuple(payload["satellites"]) if payload.get("satellites") else None,
-        labels=tuple(labels) if labels else None,
+        seasons=_names(payload, "seasons"),
+        satellites=_names(payload, "satellites"),
+        labels=_names(payload, "labels"),
         label_operator=operator,
         limit=payload.get("limit"),
         skip=payload.get("skip", 0),
@@ -275,12 +318,9 @@ class EarthQubeAPI:
             if not isinstance(request, Mapping) or "name" not in request:
                 raise ValidationError("similar request needs a 'name' field")
             name = str(request["name"])
-            k = request.get("k", 10)
-            radius = request.get("radius")
             trace = bool(request.get("trace", False))
             explain = bool(request.get("explain", False))
-            kwargs = ({"k": None, "radius": int(radius)} if radius is not None
-                      else {"k": int(k)})
+            kwargs = _code_query_args(request)
             kwargs["filter"] = self._parse_filter(request.get("filter"))
             meta = None
             with self._obs().request("api.similar", force_trace=trace) as ctx:
@@ -322,12 +362,9 @@ class EarthQubeAPI:
                 raise ValidationError(
                     "similar_batch request needs a non-empty 'names' list")
             names = [str(name) for name in names]
-            k = request.get("k", 10)
-            radius = request.get("radius")
             trace = bool(request.get("trace", False))
             explain = bool(request.get("explain", False))
-            kwargs = ({"k": None, "radius": int(radius)} if radius is not None
-                      else {"k": int(k)})
+            kwargs = _code_query_args(request)
             kwargs["filter"] = self._parse_filter(request.get("filter"))
             meta = None
             with self._obs().request("api.similar_batch",
@@ -379,8 +416,8 @@ class EarthQubeAPI:
     def statistics(self, request: Mapping[str, Any]) -> dict:
         """POST /statistics — label statistics for a list of names."""
         try:
-            names = request.get("names") if isinstance(request, Mapping) else None
-            if not isinstance(names, (list, tuple)) or not names:
+            names = _names(request, "names") if isinstance(request, Mapping) else None
+            if not names:
                 raise ValidationError("statistics request needs a non-empty 'names' list")
             meta = None
             if self.federation is not None:

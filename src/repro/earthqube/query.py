@@ -45,7 +45,7 @@ class QuerySpec:
             if value is not None:
                 try:
                     date.fromisoformat(value)
-                except ValueError:
+                except (TypeError, ValueError):
                     raise ValidationError(f"{name} must be ISO YYYY-MM-DD, got {value!r}") from None
         if self.date_from and self.date_to and self.date_from > self.date_to:
             raise ValidationError(
@@ -70,10 +70,13 @@ class QuerySpec:
         if not isinstance(self.label_operator, LabelOperator):
             raise ValidationError(
                 f"label_operator must be a LabelOperator, got {self.label_operator!r}")
-        if self.limit is not None and self.limit <= 0:
-            raise ValidationError(f"limit must be positive, got {self.limit}")
-        if self.skip < 0:
-            raise ValidationError(f"skip must be >= 0, got {self.skip}")
+        if self.limit is not None and (not isinstance(self.limit, int)
+                                       or self.limit <= 0):
+            raise ValidationError(
+                f"limit must be a positive integer, got {self.limit!r}")
+        if not isinstance(self.skip, int) or self.skip < 0:
+            raise ValidationError(
+                f"skip must be an integer >= 0, got {self.skip!r}")
 
     @property
     def label_filtering_enabled(self) -> bool:

@@ -51,6 +51,9 @@ SKIP_INCOMPATIBLE = "incompatible_bit_width"
 SKIP_NO_DATA = "no_matching_data"
 SKIP_REPLICA_COVERED = "replica_covered"
 
+# Latency samples each federation histogram keeps for its percentiles.
+HISTOGRAM_WINDOW = 1024
+
 
 @dataclass
 class NodeOutcome:
@@ -147,7 +150,7 @@ class FederatedExecutor:
         self.registry = registry
         self.config = config or FederationConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry(
-            histogram_window=self.config.histogram_window)
+            histogram_window=HISTOGRAM_WINDOW)
         self._clock = clock
 
     # ------------------------------------------------------------------ #

@@ -64,6 +64,7 @@ from ..planner import validate_code_query
 from ..store.faults import NO_FAULTS
 from .breaker import OPEN
 from .executor import (
+    HISTOGRAM_WINDOW,
     SKIP_INCOMPATIBLE,
     SKIP_NO_DATA,
     SKIP_REPLICA_COVERED,
@@ -104,8 +105,7 @@ class FederatedEarthQube:
                  clock: Callable[[], float] = time.monotonic,
                  faults=NO_FAULTS) -> None:
         self.config = config or FederationConfig()
-        self.metrics = MetricsRegistry(
-            histogram_window=self.config.histogram_window)
+        self.metrics = MetricsRegistry(histogram_window=HISTOGRAM_WINDOW)
         self.registry = NodeRegistry(
             failure_threshold=self.config.breaker_failure_threshold,
             cooldown_s=self.config.breaker_cooldown_s,

@@ -77,7 +77,7 @@ class _ShardRunner:
     def shape(self) -> "tuple[int, int, int]":
         gateway = self._gateway
         return (len(gateway.index), gateway.system.hasher.num_bits,
-                gateway.config.mih_tables)
+                gateway.system.config.index.mih_tables)
 
     def run(self, codes, *, k: "int | None", radius: "int | None",
             allowed: "np.ndarray | None", probe_budget: "int | None",
@@ -103,8 +103,7 @@ class ServingGateway:
                  config: "ServingConfig | None" = None) -> None:
         self.system = system
         self.config = config if config is not None else system.config.serving
-        self.metrics = MetricsRegistry(
-            histogram_window=self.config.histogram_window)
+        self.metrics = MetricsRegistry()
         self.cache = QueryResultCache(
             max_entries=self.config.cache_entries,
             ttl_seconds=self.config.cache_ttl_seconds)
@@ -112,7 +111,7 @@ class ServingGateway:
             system.hasher.num_bits,
             self.config.num_shards,
             backend=self.config.shard_backend,
-            mih_tables=self.config.mih_tables,
+            mih_tables=system.config.index.mih_tables,
             max_workers=self.config.max_workers,
             table=system.cbir.table)
         self.batcher = MicroBatcher(

@@ -9,9 +9,9 @@ This package reproduces those mechanisms:
   documents with insert/find/update/delete,
 * a Mongo-style query language (``$eq``, ``$in``, ``$all``, ``$and``,
   ``$geoIntersects`` ...) evaluated by :mod:`repro.store.matcher`,
-* hash and unique indexes (:mod:`repro.store.indexes`) plus date and
-  bounding-box columns (:mod:`repro.store.columnar`; the bounding-box
-  column is the 2D index), combined by a small query planner,
+* hash and unique indexes (:mod:`repro.store.indexes`) plus doc-id-aligned
+  date and bounding-box columns (:mod:`repro.store.columnar`; the
+  bounding-box column is the 2D index), combined by a small query planner,
 * crash-safe durability: a write-ahead log (:mod:`repro.store.wal`),
   atomic incremental checkpoints (:mod:`repro.store.snapshot`), and a
   deterministic crash-point fault-injection harness
@@ -19,7 +19,7 @@ This package reproduces those mechanisms:
 """
 
 from .collection import Collection, FindResult
-from .columnar import BBoxColumn, SortedDateColumn, iso_to_int64
+from .columnar import BBoxColumn, DateColumn, iso_to_int64
 from .database import Database
 from .faults import CRASH_POINTS, CrashPoint, FaultInjector
 from .indexes import HashIndex, UniqueIndex
@@ -34,7 +34,7 @@ __all__ = [
     "HashIndex",
     "UniqueIndex",
     "BBoxColumn",
-    "SortedDateColumn",
+    "DateColumn",
     "iso_to_int64",
     "matches",
     "WriteAheadLog",

@@ -8,26 +8,23 @@ projections* the query planner probes vectorially:
   HashIndex` posting set is mirrored as a cached sorted ``int64`` doc-id
   array, so categorical predicates (season, satellites, labels, label
   chars, country) resolve to array probes;
-* **sorted date columns** — :class:`~repro.store.columnar.SortedDateColumn`
-  keeps a value-sorted ``(int64 values, int64 doc ids)`` projection of an
-  ISO date field; range predicates become two ``np.searchsorted`` calls;
-* **bounding-box columns** — :class:`~repro.store.columnar.BBoxColumn`
-  keeps the west/south/east/north corners of a bbox-valued field in four
-  doc-id-aligned ``float64`` arrays; a spatial predicate becomes one
-  vectorised overlap test against the query shape's bounding box.
+* **aligned columns** — :class:`~repro.store.columnar.DateColumn` and
+  :class:`~repro.store.columnar.BBoxColumn` keep one row per doc id (an
+  ISO date as ``int64`` plus a known/unknown/absent state; a bounding box
+  as four ``float64`` corners), so a date range or a spatial predicate is
+  one vectorised mask.
 
-Query planning intersects the sorted id arrays of **all** applicable
-conditions (equality/``$in``/``$all`` on posting arrays, date ranges on
-sorted columns) with ``np.intersect1d`` — it no longer stops at the first
-usable index — and runs the bounding-box test of a geo condition over the
-ids that survive (over the whole column when nothing narrowed them).  The
-result is a candidate *superset*: every candidate is still verified
-against the full query by :func:`repro.store.matcher.matches`, so plans
-never change results — only cost.  ``find`` reports the chosen access
-path in :class:`FindResult.plan` (``"columnar:a&b"`` when several column
-sources were intersected) and accepts ``hint="scan"`` to force the
-sequential path, which the plan-equivalence tests use to prove plans are
-result-neutral.
+Query planning intersects the posting arrays of **all** applicable
+equality/``$in``/``$all`` conditions with ``np.intersect1d``, smallest
+first, then tests the ids that survive against every applicable aligned
+column (the first test covers the whole column when no posting array
+narrowed them).  The result is a candidate *superset*: every candidate
+is still verified against the full query by
+:func:`repro.store.matcher.matches`, so plans never change results —
+only cost.  ``find`` reports the chosen access path in
+:class:`FindResult.plan` (``"columnar:a&b"`` when several sources ran)
+and accepts ``hint="scan"`` to force the sequential path, which the
+plan-equivalence tests use to prove plans are result-neutral.
 
 Copy discipline: only the returned page is deep-copied.  Candidates,
 matched documents, sort keys, ``count``, ``distinct``, and
@@ -46,7 +43,7 @@ import numpy as np
 
 from ..errors import DocumentNotFoundError, IndexError_, StoreError
 from ..obs import tracing
-from .columnar import BBoxColumn, SortedDateColumn, iso_to_int64
+from .columnar import BBoxColumn, DateColumn, iso_to_int64
 from .indexes import HashIndex, UniqueIndex, _hashable
 from .matcher import (
     extract_all_values,
@@ -169,7 +166,7 @@ class Collection:
         self._unique_indexes: dict[str, UniqueIndex] = {}
         self._hash_indexes: dict[str, HashIndex] = {}
         self._bbox_columns: dict[str, BBoxColumn] = {}
-        self._date_columns: dict[str, SortedDateColumn] = {}
+        self._date_columns: dict[str, DateColumn] = {}
         if primary_key is not None:
             self.create_unique_index(primary_key)
 
@@ -204,10 +201,10 @@ class Collection:
         self._bbox_columns[field_path] = column
 
     def create_date_column(self, field_path: str) -> None:
-        """Create a sorted int64 column projection of an ISO date field."""
+        """Create an aligned int64 column projection of an ISO date field."""
         if field_path in self._date_columns:
             return
-        column = SortedDateColumn(field_path)
+        column = DateColumn(field_path)
         column.bulk_add(self._docs.keys(), self._docs.values())
         self._date_columns[field_path] = column
 
@@ -221,7 +218,7 @@ class Collection:
         self._bbox_columns.pop(field_path, None)
         self._date_columns.pop(field_path, None)
 
-    def _columns(self) -> "Iterator[SortedDateColumn | BBoxColumn]":
+    def _columns(self) -> "Iterator[DateColumn | BBoxColumn]":
         """Every column projection; all accept any document."""
         yield from self._date_columns.values()
         yield from self._bbox_columns.values()
@@ -265,12 +262,11 @@ class Collection:
 
         The batch is validated up front (mapping-ness, unique-key conflicts
         against the collection *and* within the batch);
-        a clean batch is then applied index-major — each index/column
-        ingests the whole batch in one pass, and date columns defer their
-        re-sort to the next probe.  A batch that would fail validation
-        falls back to the sequential path, preserving the historical
-        semantics exactly: documents before the offending one are inserted,
-        then the error is raised.
+        a clean batch is then applied index-major — each index ingests the
+        whole batch in one pass, each aligned column in one array write.  A
+        batch that would fail validation falls back to the sequential path,
+        preserving the historical semantics exactly: documents before the
+        offending one are inserted, then the error is raised.
         """
         docs = list(documents)
         prepared = self._prepare_bulk(docs)
@@ -427,11 +423,11 @@ class Collection:
                          ) -> tuple[list[int], str]:
         """Choose an access path; returns (candidate doc ids, plan name).
 
-        All applicable condition sources — posting arrays, date columns,
-        bounding-box columns — are intersected; the candidates are a
-        superset of the exact answer, in ascending doc-id order on every
-        path, so the caller's verification loop produces plan-independent
-        results.  ``hint="scan"`` forces the sequential path.
+        Posting arrays of every applicable condition are intersected and
+        the survivors tested against every applicable aligned column (date
+        and bounding-box); the candidates are a superset of the exact
+        answer, in ascending doc-id order on every path, so the caller's
+        verification loop produces plan-independent results.  ``hint="scan"`` forces the sequential path.
         """
         if hint is not None and hint != "scan":
             raise StoreError(f"unknown plan hint {hint!r}; expected 'scan'")
@@ -446,10 +442,10 @@ class Collection:
                               if i is not None})
                 return ids, f"unique_index:{field_path}"
         # Gather (tag, estimated size, materializer, tests_running) per
-        # applicable source.  Estimates are O(1) probes (posting lengths,
-        # searchsorted counts).  A bounding-box column does not load ids of
-        # its own: it tests the ids still running (``tests_running``), so
-        # it goes after every source that can shrink them.
+        # applicable source.  Posting estimates are O(1) length probes.  An
+        # aligned column does not load ids of its own: it tests the ids
+        # still running (``tests_running``), so it goes after every
+        # posting array that can shrink them.
         sources: "list[tuple[str, int, Callable[..., np.ndarray], bool]]" = []
         for field, condition in _iter_field_conditions(query):
             probe = {field: condition}
@@ -475,12 +471,11 @@ class Collection:
             if date_column is not None:
                 bounds = _date_range_bounds(condition)
                 if bounds is not None:
-                    lo, hi = bounds
                     sources.append((
-                        f"date_column:{field}",
-                        date_column.estimate_range(lo, hi),
-                        lambda dc=date_column, a=lo, b=hi: dc.ids_in_range(a, b),
-                        False))
+                        f"date_column:{field}", len(date_column),
+                        lambda among, dc=date_column, b=bounds:
+                            dc.ids_in_range(*b, among),
+                        True))
                     continue
             bbox_column = self._bbox_columns.get(field)
             if bbox_column is not None:
@@ -494,7 +489,7 @@ class Collection:
         if not sources:
             return sorted(self._docs.keys()), "scan"
         # Cost order: materialize ascending by estimated size (declaration
-        # order breaking ties), bounding-box tests last.  Intersection is
+        # order breaking ties), aligned-column tests last.  Intersection is
         # commutative, so only cost moves — the smallest source drives the
         # merge, and an empty running set skips the remaining sources.
         order = sorted(range(len(sources)),
@@ -539,7 +534,7 @@ class Collection:
         declared = list(range(len(sources)))
         alternative = declared if order != declared else declared[::-1]
         def _sizes(sequence):
-            # A bounding-box test touches the running ids: its whole
+            # An aligned-column test touches the running ids: its whole
             # column when first, else no more than the smallest source
             # ahead of it.
             sizes: list[int] = []

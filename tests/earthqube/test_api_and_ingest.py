@@ -114,6 +114,44 @@ class TestEarthQubeAPI:
         out = api.describe()
         assert out["ok"] and out["archive_patches"] == len(system.archive)
 
+    _RECTANGLE = {"type": "rectangle", "west": 0, "south": 40,
+                  "east": 10, "north": 50}
+
+    @pytest.mark.parametrize("route, body, field", [
+        ("search", {"shape": {**_RECTANGLE, "west": "abc"}}, "west"),
+        ("search", {"shape": {**_RECTANGLE, "north": None}}, "north"),
+        ("search", {"shape": {"type": "circle", "lon": "east",
+                              "lat": 47.0, "radius_km": 25}}, "lon"),
+        ("search", {"shape": {"type": "polygon",
+                              "coordinates": ["ab", "cd", "ef"]}}, "polygon"),
+        ("search", {"shape": {"type": "polygon",
+                              "coordinates": [["a", 1], [2, 3], [4, 5]]}},
+         "polygon"),
+        ("search", {"date_from": 20170101}, "date_from"),
+        ("search", {"limit": "ten"}, "limit"),
+        ("search", {"seasons": 5}, "seasons"),
+        ("search", {"labels": "Pastures"}, "labels"),
+        ("similar", {"k": "ten"}, "k"),
+        ("similar", {"k": None}, "k"),
+        ("similar", {"radius": "x"}, "radius"),
+        ("similar", {"filter": {"limit": "x"}}, "limit"),
+        ("similar_batch", {"k": [1]}, "k"),
+        ("statistics", {"names": [1, 2]}, "names"),
+    ], ids=repr)
+    def test_malformed_request_is_a_typed_error(self, api, system,
+                                                route, body, field):
+        """Malformed values answer ``ok: false`` with a ValidationError
+        (an HTTP 400) naming the field, never an untyped exception (an
+        HTTP 500)."""
+        if route == "similar":
+            body = {"name": system.archive.names[0], **body}
+        elif route == "similar_batch":
+            body = {"names": list(system.archive.names[:2]), **body}
+        out = getattr(api, route)(body)
+        assert not out["ok"]
+        assert out["error"] == "ValidationError", out
+        assert field in out["message"]
+
 
 class TestArchiveIO:
     def test_roundtrip(self, tmp_path):

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.config import IndexConfig, PlannerConfig, ServingConfig
+from repro.config import FederationConfig, IndexConfig, PlannerConfig, ServingConfig
 from repro.index import MultiIndexHashing
 from repro.obs.calibrate import CALIBRATION_VERSION, save_calibration
 from repro.obs.workload import WorkloadStats
@@ -234,6 +234,9 @@ class TestRemovedKnobs:
         (IndexConfig, {"postfilter_overfetch": 3.0}),
         (PlannerConfig, {"enabled": False}),
         (ServingConfig, {"scan_chunk_rows": 4096}),
+        (ServingConfig, {"mih_tables": 8}),
+        (ServingConfig, {"histogram_window": 4096}),
+        (FederationConfig, {"histogram_window": 1024}),
     ])
     def test_removed_config_fields_raise(self, config_type, knob):
         with pytest.raises(TypeError, match="unexpected keyword"):

@@ -6,12 +6,13 @@ intersection), ``find(query)`` must be byte-identical to
 ``find(query, hint="scan")``.
 """
 
+import numpy as np
 import pytest
 
 from repro.errors import DuplicateKeyError, StoreError
 from repro.geo import BoundingBox, Rectangle
 from repro.store import Collection
-from repro.store.columnar import SortedDateColumn, iso_to_int64
+from repro.store.columnar import DateColumn, iso_to_int64
 
 
 def make_collection(docs=None):
@@ -113,7 +114,7 @@ class TestColumnarPlans:
             {"properties.date": {"$gte": "2017-06-01", "$lte": "2017-12-31"}})
         assert result.plan == "date_column:properties.date"
         # "not-a-date" sorts above the $lte bound, so the weird doc is a
-        # candidate (unknown bucket) but fails exact verification.
+        # candidate (unknown row) but fails exact verification.
         assert {d["name"] for d in result} == {"a", "b", "d"}
 
     def test_date_range_excludes_missing_but_keeps_unknown(self, collection):
@@ -169,23 +170,22 @@ class TestDateColumnMaintenance:
         assert result.plan == "date_column:properties.date"
         assert {d["name"] for d in result} == {"c"}
 
-    def test_compaction_round_trip(self):
-        column = SortedDateColumn("d")
+    def test_removed_rows_leave_the_range(self):
+        column = DateColumn("d")
         for i in range(300):
             column.add(i, {"d": f"2017-01-{1 + i % 28:02d}"})
         for i in range(0, 300, 3):
             column.remove(i, {"d": f"2017-01-{1 + i % 28:02d}"})
         lo = iso_to_int64("2017-01-05")
         hi = iso_to_int64("2017-01-07")
-        got = set(column.ids_in_range(lo, hi).tolist())
-        expected = {i for i in range(300)
-                    if i % 3 and 5 <= 1 + i % 28 <= 7}
+        got = column.ids_in_range(lo, hi).tolist()
+        expected = [i for i in range(300)
+                    if i % 3 and 5 <= 1 + i % 28 <= 7]
         assert got == expected
 
-    def test_compacted_probe_returns_id_sorted_candidates(self):
-        # Regression: the post-compaction fast path must re-sort the
-        # value-sorted slice by doc id, or unsorted find()/pagination
-        # order would depend on the plan.
+    def test_probe_returns_id_sorted_candidates(self):
+        # Unsorted find()/pagination order must not depend on the plan:
+        # candidates come back in doc-id order whatever the date order.
         rng_days = [(i * 37) % 120 for i in range(200)]  # shuffled dates
         col = Collection("c")
         col.create_date_column("d")
@@ -200,12 +200,11 @@ class TestDateColumnMaintenance:
         assert planned.documents == scanned.documents
 
     def test_readded_id_serves_fresh_value(self):
-        # remove + re-add under the same id (the update path) must not
-        # resurrect the stale compacted entry.
-        column = SortedDateColumn("d")
+        # remove + re-add under the same id (the update path) overwrites
+        # the row: the stale value is gone.
+        column = DateColumn("d")
         for i in range(200):
             column.add(i, {"d": "2017-01-01"})
-        column.ids_in_range(None, None)  # force compaction
         column.remove(7, {"d": "2017-01-01"})
         column.add(7, {"d": "2020-01-01"})
         old = column.ids_in_range(iso_to_int64("2017-01-01"),
@@ -213,6 +212,25 @@ class TestDateColumnMaintenance:
         assert 7 not in old.tolist()
         new = column.ids_in_range(iso_to_int64("2020-01-01"), None)
         assert new.tolist() == [7]
+
+    def test_row_states(self):
+        # Known values are range-tested, unknown ones pass every range,
+        # absent ones (missing field, deleted, never added) pass none.
+        column = DateColumn("d")
+        column.bulk_add([0, 1, 2, 3, 4, 6],
+                        [{"d": "2017-03-01"}, {"d": "not-a-date"}, {},
+                         {"d": "20170301"}, {"d": "2019-01-01"},
+                         {"d": None}])
+        column.remove(4, {"d": "2019-01-01"})
+        everything = column.ids_in_range(None, None)
+        assert everything.tolist() == [0, 1, 3, 6]
+        empty_range = column.ids_in_range(iso_to_int64("2018-01-01"),
+                                          iso_to_int64("2017-01-01"))
+        assert empty_range.tolist() == [1, 3, 6]
+        among = np.array([0, 1, 2, 4, 5], dtype=np.int64)
+        assert column.ids_in_range(iso_to_int64("2017-03-01"), None,
+                                   among).tolist() == [0, 1]
+        assert len(column) == 7
 
 
 class TestIsoToInt64:
@@ -231,7 +249,7 @@ class TestIsoToInt64:
 
     def test_non_extended_formats_are_unknown(self):
         # Basic format and space separators order differently as strings
-        # than as instants; they must fall into the unknown bucket.
+        # than as instants; they must be unknown rows.
         assert iso_to_int64("20200105") is None
         assert iso_to_int64("2020-01-01 10:00:00") is None
 

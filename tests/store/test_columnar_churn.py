@@ -1,10 +1,8 @@
-"""Churn property test for the columnar planner's mutation machinery.
+"""Churn property test for the columnar planner's aligned columns.
 
-The :class:`~repro.store.columnar.SortedDateColumn` runs a pending /
-tombstone / re-add state machine (fresh values serve from a pending list,
-removals of compacted entries tombstone them, compaction folds both back
-into the sorted arrays); the :class:`~repro.store.columnar.BBoxColumn`
-overwrites and blanks doc-id-aligned rows while its capacity doubles.
+:class:`~repro.store.columnar.DateColumn` and
+:class:`~repro.store.columnar.BBoxColumn` overwrite and blank doc-id-aligned
+rows while their shared row store's capacity doubles.
 Under random interleavings of insert_one / insert_many / update_one /
 delete_one / delete_many, every planned query must stay byte-identical to
 the forced sequential scan — the planner is allowed to change cost, never
@@ -16,7 +14,7 @@ import pytest
 
 from repro.geo import BoundingBox, Circle, Polygon, Rectangle
 from repro.store import Collection
-from repro.store.columnar import BBoxColumn
+from repro.store.columnar import BBoxColumn, DateColumn, iso_to_int64
 
 DATE_FIELD = "properties.acquisition_date"
 GEO_FIELD = "location"
@@ -135,8 +133,7 @@ def test_random_churn_stays_scan_identical(seed):
         live.append(doc["name"])
         return doc
 
-    # Seed enough rows that the date column compacts at least once
-    # (overflow threshold is max(64, len >> 3)).
+    # Seed past the first capacity doubling of the aligned columns.
     col.insert_many([fresh_doc() for _ in range(120)])
     assert_plan_equivalence(col)
 
@@ -160,14 +157,14 @@ def test_random_churn_stays_scan_identical(seed):
             elif kind == 4:
                 col.update_one({"name": victim}, {"$unset": {GEO_FIELD: 1}})
             elif kind == 0:
-                # Move the date: tombstone the old value, pend the new one.
+                # Move the date: the row is overwritten in place.
                 col.update_one({"name": victim},
                                {"$set": {DATE_FIELD: random_date(rng)}})
             elif kind == 1:
-                # Drop the date entirely: the doc leaves the column.
+                # Drop the date entirely: the row becomes absent.
                 col.update_one({"name": victim}, {"$unset": {DATE_FIELD: 1}})
             else:
-                # Unparseable value: the doc moves to the unknown bucket.
+                # Unparseable value: the row becomes unknown.
                 col.update_one({"name": victim},
                                {"$set": {DATE_FIELD: "not-a-date"}})
         elif op == 8 and live:
@@ -175,8 +172,8 @@ def test_random_churn_stays_scan_identical(seed):
             col.delete_one({"name": victim})
             live.remove(victim)
         elif live:
-            # Range delete: several tombstones land in one operation —
-            # by date, or by a small AOI through the bounding-box column.
+            # Range delete: several rows blank in one operation — by
+            # date, or by a small AOI through the bounding-box column.
             lo = random_date(rng)
             query = {DATE_FIELD: {"$gte": lo, "$lte": lo[:8] + "28"}}
             if rng.integers(0, 2):
@@ -191,9 +188,10 @@ def test_random_churn_stays_scan_identical(seed):
 
     assert_plan_equivalence(col)
     assert len(col) == len(live)
-    # The column doubled past its first 64 rows, and the probes are not
+    # The columns doubled past their first 64 rows, and the probes are not
     # vacuous (the polar circle has its own test below).
     assert len(col._bbox_columns[GEO_FIELD]) == serial > 128
+    assert len(col._date_columns[DATE_FIELD]) == serial
     for shape in (RECTANGLE, CIRCLE, POLYGON):
         assert col.count({GEO_FIELD: {"$geoIntersects": shape}}) > 0, shape
 
@@ -212,12 +210,10 @@ def test_random_churn_stays_scan_identical(seed):
 
 
 def test_delete_then_readd_same_doc_id_semantics():
-    """update_one re-adds under the same doc id: the stale compacted entry
-    must stay tombstoned while the fresh value serves from pending."""
+    """update_one re-adds under the same doc id: the row is overwritten,
+    so the stale value never answers a probe again."""
     col = make_collection()
     col.insert_many([make_doc(i, np.random.default_rng(9)) for i in range(100)])
-    # Force the column to compact so doc values live in the sorted arrays.
-    col.find({DATE_FIELD: {"$gte": "2017-01-01"}})
     col.update_one({"name": "doc0"}, {"$set": {DATE_FIELD: "2019-12-31"}})
     hits = col.find({DATE_FIELD: {"$gte": "2019-01-01"}})
     assert [d["name"] for d in hits] == ["doc0"]
@@ -238,44 +234,70 @@ def test_plan_uses_date_column_after_churn():
     assert result.plan == f"date_column:{DATE_FIELD}"
 
 
-def _overlapping(boxes: dict, probe: BoundingBox) -> list:
-    return sorted(i for i, box in boxes.items() if box.intersects(probe))
+_BOX_PROBE = BoundingBox(west=2.0, south=42.0, east=6.0, north=46.0)
+_DATE_LO, _DATE_HI = "2017-03-01", "2017-06-30"
+# Per column kind: a document inside the probe, one outside it.
+_INSIDE = {BBoxColumn: {"location": {"bbox": [3.0, 43.0, 3.1, 43.1]}},
+           DateColumn: {"location": "2017-04-01"}}
+_OUTSIDE = {BBoxColumn: {"location": {"bbox": [50.0, 10.0, 50.1, 10.1]}},
+            DateColumn: {"location": "2019-01-01"}}
 
 
-def test_bbox_column_across_capacity_doublings():
-    """Rows stay doc-id-aligned while capacity doubles 64 -> 128 -> 256 ->
-    512, removed and never-valid rows are never candidates, and a restricted
-    test answers exactly the intersection with the given ids."""
-    rng = np.random.default_rng(11)
-    column = BBoxColumn("location")
-    boxes: dict[int, BoundingBox] = {}
-    probe = BoundingBox(west=2.0, south=42.0, east=6.0, north=46.0)
-    for doc_id in range(300):
+def _random_row(column, rng) -> "tuple[dict, bool]":
+    """A random document for ``column`` and whether the probe passes it."""
+    if isinstance(column, BBoxColumn):
         west, south = float(rng.uniform(0, 9)), float(rng.uniform(40, 49))
         box = BoundingBox(west=west, south=south, east=west + 0.5, north=south + 0.5)
+        return {"location": {"bbox": list(box.as_tuple())}}, box.intersects(_BOX_PROBE)
+    if rng.integers(0, 11) == 0:
+        return {"location": "not-a-date"}, True  # unknown: passes every range
+    day = f"2017-{rng.integers(1, 13):02d}-{rng.integers(1, 29):02d}"
+    return {"location": day}, _DATE_LO <= day <= _DATE_HI
+
+
+def _probe(column, among=None) -> list:
+    if isinstance(column, BBoxColumn):
+        return column.ids_intersecting(_BOX_PROBE, among).tolist()
+    return column.ids_in_range(iso_to_int64(_DATE_LO), iso_to_int64(_DATE_HI),
+                               among).tolist()
+
+
+@pytest.mark.parametrize("column_type", [BBoxColumn, DateColumn])
+def test_aligned_column_across_capacity_doublings(column_type):
+    """Rows stay doc-id-aligned while capacity doubles 64 -> 128 -> 256 ->
+    512, removed and never-valid rows are never candidates, and a restricted
+    test answers exactly the intersection with the given ids.  Both column
+    kinds share one row store, so both run the same script."""
+    rng = np.random.default_rng(11)
+    column = column_type("location")
+    passes: dict[int, bool] = {}
+
+    def expected() -> list:
+        return sorted(i for i, hit in passes.items() if hit)
+
+    for doc_id in range(300):
+        document, hit = _random_row(column, rng)
         if doc_id % 7 == 3:
-            column.add(doc_id, {"other": 1})  # no geometry: a NaN row
+            column.add(doc_id, {"other": 1})  # no such field: a blank row
         else:
-            column.add(doc_id, {"location": {"bbox": list(box.as_tuple())}})
-            boxes[doc_id] = box
+            column.add(doc_id, document)
+            passes[doc_id] = hit
         if doc_id in (63, 64, 127, 128, 255, 256):  # either side of a doubling
-            assert column.ids_intersecting(probe).tolist() == _overlapping(boxes, probe)
+            assert _probe(column) == expected()
     for doc_id in range(0, 300, 5):
         column.remove(doc_id, {})
-        boxes.pop(doc_id, None)
+        passes.pop(doc_id, None)
     # A batch that skips ids past the current capacity in one reservation.
-    batch = {doc_id: BoundingBox(west=3.0, south=43.0, east=3.1, north=43.1)
-             for doc_id in range(600, 640)}
-    column.bulk_add(list(batch), [{"location": box} for box in batch.values()])
-    boxes.update(batch)
+    batch = range(600, 640)
+    column.bulk_add(batch, [_INSIDE[column_type]] * len(batch))
+    passes.update(dict.fromkeys(batch, True))
     assert len(column) == 640
-    assert column.ids_intersecting(probe).tolist() == _overlapping(boxes, probe)
+    assert _probe(column) == expected()
     among = np.arange(1, 640, 2, dtype=np.int64)
-    assert column.ids_intersecting(probe, among).tolist() == [
-        i for i in _overlapping(boxes, probe) if i % 2]
-    # Same doc id, new geometry: the row is overwritten, not appended.
-    column.add(601, {"location": {"bbox": [50.0, 10.0, 50.1, 10.1]}})
-    assert 601 not in column.ids_intersecting(probe).tolist()
+    assert _probe(column, among) == [i for i in expected() if i % 2]
+    # Same doc id, new value: the row is overwritten, not appended.
+    column.add(601, _OUTSIDE[column_type])
+    assert 601 not in _probe(column)
     assert len(column) == 640
 
 
@@ -322,6 +344,6 @@ def test_continent_sized_aoi_on_the_geo_column_equals_scan():
                   {GEO_FIELD: {"$geoWithin": europe}, DATE_FIELD: _DATE_RANGE}):
         planned = col.find(query)
         scanned = col.find(query, hint="scan")
-        assert planned.plan.endswith(f"geo_index:{GEO_FIELD}")
+        assert f"geo_index:{GEO_FIELD}" in planned.plan
         assert planned.documents == scanned.documents
         assert 0 < planned.total_matches == scanned.total_matches < len(col)

@@ -212,9 +212,12 @@ def test_legacy_geo_spec_with_cell_precisions_still_loads(tmp_path):
 
 
 def test_date_columns_round_trip_scan_identically(tmp_path):
-    """Satellite: a date column mid-churn (pending adds + tombstones not
-    yet compacted) must save/load to a collection that answers range
-    queries identically to the live one, through the columnar plan."""
+    """A churned date column saves and loads to a collection that answers
+    range and equality queries identically to the live one and to the
+    sequential scan, through the columnar plan.  Load renumbers doc ids,
+    so the known / unknown / absent row states must be rebuilt from the
+    documents: absent, unparseable and basic-format dates are the rows
+    every probe must handle exactly."""
     db = Database("dated")
     collection = db.create_collection("events", primary_key="name")
     collection.create_date_column("when")
@@ -224,14 +227,18 @@ def test_date_columns_round_trip_scan_identically(tmp_path):
             "name": f"e{i}",
             "when": f"2024-{rng.integers(1, 13):02d}-{rng.integers(1, 29):02d}",
         })
-    # Churn *after* the initial build so the column carries live overflow
-    # state (pending list + tombstones) at save time.
     for i in range(0, 12, 2):
         collection.delete_one({"name": f"e{i}"})
     for i in range(20, 26):
         collection.update_one({"name": f"e{i}"},
                               {"$set": {"when": "2025-01-15"}})
-    collection.insert_one({"name": "late", "when": "2025-06-30"})
+    collection.insert_many([
+        {"name": "late", "when": "2025-06-30"},
+        {"name": "undated"},                     # absent
+        {"name": "garbled", "when": "soon"},     # unknown: unparseable
+        {"name": "basic", "when": "20240105"},   # unknown: basic format
+    ])
+    collection.update_one({"name": "e30"}, {"$unset": {"when": 1}})
 
     path = tmp_path / "dated.json"
     save_database(db, path)
@@ -239,13 +246,24 @@ def test_date_columns_round_trip_scan_identically(tmp_path):
 
     for query in ({"when": {"$gte": "2024-06-01", "$lt": "2025-01-01"}},
                   {"when": {"$gte": "2025-01-01"}},
-                  {"when": {"$lt": "2024-03-01"}}):
+                  {"when": {"$lt": "2024-03-01"}},
+                  {"when": "2025-01-15"},
+                  {"when": {"$eq": "2025-06-30"}}):
         live = collection.find(query, sort="name")
         restored = loaded["events"].find(query, sort="name")
-        assert restored.documents == live.documents
+        scanned = loaded["events"].find(query, sort="name", hint="scan")
+        assert restored.documents == live.documents == scanned.documents
+        assert restored.candidates_examined == live.candidates_examined
         # The rebuilt collection kept the column definition: the planner
         # answers through it, not via full scan.
         assert "date_column:when" in restored.plan
+    # As strings "soon" sorts above every ISO date and "20240105" above
+    # "2024-06-01", so this lower bound matches both unknown rows; the
+    # absent rows never match.
+    later = {doc["name"] for doc in
+             loaded["events"].find({"when": {"$gte": "2024-06-01"}})}
+    assert {"garbled", "basic"} <= later
+    assert not {"undated", "e30"} & later
 
 
 def test_save_failure_leaves_original_intact(tmp_path, code_db, monkeypatch):
