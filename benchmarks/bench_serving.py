@@ -38,9 +38,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.index import LinearScanIndex, pack_bits
+from repro.obs.metrics import LatencyHistogram
 from repro.serving import (
     CodeQuery,
-    LatencyHistogram,
     MicroBatcher,
     QueryResultCache,
     ShardedHammingIndex,

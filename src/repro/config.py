@@ -203,10 +203,10 @@ class ObsConfig:
       to *every* root request via a cost-only ledger even when the request
       is not credit-sampled, so slow queries and the workload statistics
       are always attributed,
-    * ``workload_enabled`` / ``workload_window`` — aggregate per-query-
-      family (backend x strategy x selectivity-bucket) cost and latency
-      histograms, served at ``GET /debug/workload`` and persistable as a
-      JSON workload-profile sidecar at ``workload_profile_path``.
+    * ``workload_enabled`` — aggregate per-query-family (backend x
+      strategy x selectivity-bucket) cost and latency histograms, served
+      at ``GET /debug/workload`` and persistable as a JSON
+      workload-profile sidecar at ``workload_profile_path``.
     """
 
     enabled: bool = True
@@ -215,7 +215,6 @@ class ObsConfig:
     slow_buffer_size: int = 256
     cost_tracking: bool = True
     workload_enabled: bool = True
-    workload_window: int = 512
     workload_profile_path: "str | None" = None
 
     def __post_init__(self) -> None:
@@ -224,7 +223,6 @@ class ObsConfig:
         _require(self.slow_threshold_ms >= 0.0,
                  "slow_threshold_ms must be >= 0")
         _require(self.slow_buffer_size >= 1, "slow_buffer_size must be >= 1")
-        _require(self.workload_window >= 1, "workload_window must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -533,7 +533,8 @@ class EarthQubeAPI:
 
         ``workload``: per-query-family (backend × strategy × selectivity)
         latency and cost-counter aggregates when workload statistics are
-        enabled.
+        enabled.  ``durability``: WAL fsync latency, WAL / snapshot gauges
+        and checkpoint / recovery counts when the node is durable.
 
         ``GET /metrics?format=prometheus`` returns the same snapshot as
         Prometheus text exposition (version 0.0.4) instead of JSON:
@@ -547,6 +548,8 @@ class EarthQubeAPI:
         payload: dict = {"ok": True, "serving": None}
         if self.system is not None and self.system.gateway is not None:
             payload["serving"] = self.system.gateway.metrics_snapshot()
+        if self.system is not None and self.system.durability is not None:
+            payload["durability"] = self.system.durability.metrics_snapshot()
         if self.federation is not None:
             payload["federation"] = self.federation.metrics_snapshot()
         workload = self._obs().workload

@@ -42,7 +42,7 @@ from ..config import DurabilityConfig
 from ..errors import DurabilityError, ReproError, ValidationError
 from ..geo.bbox import BoundingBox
 from ..obs import tracing
-from ..serving.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from ..store.faults import NO_FAULTS, FaultInjector
 from ..store.snapshot import SnapshotManager
 from ..store.wal import WriteAheadLog
@@ -478,6 +478,13 @@ class DurableEarthQube:
             "recovery_in_progress": self._recovery_in_progress,
             "recovery": self.recovery_info,
         }
+
+    def metrics_snapshot(self) -> dict:
+        """The ``durability`` section of ``GET /metrics``: WAL fsync
+        latency, WAL and snapshot gauges (age refreshed now), checkpoint
+        and recovery counts."""
+        self._refresh_gauges()
+        return self.metrics.snapshot()
 
     @property
     def last_applied_seq(self) -> int:

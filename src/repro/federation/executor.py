@@ -42,7 +42,7 @@ from typing import Any, Callable, Sequence
 
 from ..config import FederationConfig
 from ..obs import tracing
-from ..serving.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from .breaker import CLOSED
 from .registry import FederatedNode, NodeRegistry
 
@@ -50,9 +50,6 @@ SKIP_CIRCUIT_OPEN = "circuit_open"
 SKIP_INCOMPATIBLE = "incompatible_bit_width"
 SKIP_NO_DATA = "no_matching_data"
 SKIP_REPLICA_COVERED = "replica_covered"
-
-# Latency samples each federation histogram keeps for its percentiles.
-HISTOGRAM_WINDOW = 1024
 
 
 @dataclass
@@ -149,8 +146,7 @@ class FederatedExecutor:
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.registry = registry
         self.config = config or FederationConfig()
-        self.metrics = metrics if metrics is not None else MetricsRegistry(
-            histogram_window=HISTOGRAM_WINDOW)
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._clock = clock
 
     # ------------------------------------------------------------------ #

@@ -60,11 +60,11 @@ from ..earthqube.cbir import SimilarityResponse, shape_name_response
 from ..earthqube.query import QuerySpec
 from ..errors import EmptyIndexError, ReproError, UnknownPatchError, ValidationError
 from ..obs import Observability
+from ..obs.metrics import MetricsRegistry
 from ..planner import validate_code_query
 from ..store.faults import NO_FAULTS
 from .breaker import OPEN
 from .executor import (
-    HISTOGRAM_WINDOW,
     SKIP_INCOMPATIBLE,
     SKIP_NO_DATA,
     SKIP_REPLICA_COVERED,
@@ -82,7 +82,6 @@ from .merge import (
 from .placement import PlacementRing
 from .registry import FederatedNode, NodeRegistry
 from .repair import HINT_DELETE, HINT_INGEST, HINT_UPDATE, Hint, HintLog, ReadRepairer
-from ..serving.metrics import MetricsRegistry
 
 if TYPE_CHECKING:
     from ..earthqube.server import EarthQube
@@ -105,7 +104,7 @@ class FederatedEarthQube:
                  clock: Callable[[], float] = time.monotonic,
                  faults=NO_FAULTS) -> None:
         self.config = config or FederationConfig()
-        self.metrics = MetricsRegistry(histogram_window=HISTOGRAM_WINDOW)
+        self.metrics = MetricsRegistry()
         self.registry = NodeRegistry(
             failure_threshold=self.config.breaker_failure_threshold,
             cooldown_s=self.config.breaker_cooldown_s,

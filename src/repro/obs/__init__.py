@@ -9,6 +9,8 @@ across every layer of the stack:
   queries (with their span trees when sampled),
 * :mod:`~repro.obs.logs` — structured ``event=...`` logging with trace ids
   through the stdlib :mod:`logging` tree,
+* :mod:`~repro.obs.metrics` — the one metrics vocabulary (counters,
+  gauges, latency histograms, labeled registries) every tier records into,
 * :mod:`~repro.obs.prometheus` — Prometheus text exposition of the metric
   snapshots, labels included,
 * :mod:`~repro.obs.costs` — typed operator cost counters (rows scanned,

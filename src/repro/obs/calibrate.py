@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import platform
 import time
 from typing import Any, Iterable, Mapping, Sequence
@@ -270,12 +269,10 @@ def check_units(units: Mapping,
 
 def save_calibration(calibration: Mapping, path: str) -> dict:
     """Atomically persist a calibration document as JSON."""
+    from ..store.persistence import write_file_atomic
+
     document = dict(calibration)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(document, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_file_atomic(path, (json.dumps(document, indent=2) + "\n").encode())
     return document
 
 

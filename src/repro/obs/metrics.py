@@ -1,16 +1,19 @@
-"""Serving-tier observability: latency histograms, counters, gauges.
+"""The metrics vocabulary: latency histograms, counters, gauges.
 
 The paper demos EarthQube as an *interactive* portal; an interactive query
 tier is only tunable when every stage of the hot path is measured.  This
-module is a dependency-free miniature of the usual Prometheus client:
+module is a dependency-free miniature of the usual Prometheus client and
+the only one in the system — the serving gateway, the federation executor,
+the durability tier and the per-family workload statistics all record
+into these types:
 
 * :class:`Counter` — monotonically increasing event count (QPS numerators,
   cache hits/misses),
 * :class:`Gauge` — last-written value (shard occupancy, cache size),
 * :class:`LatencyHistogram` — sliding window of durations with p50/p95/p99
-  summaries,
-* :class:`MetricsRegistry` — the named collection the gateway exposes as a
-  JSON-compatible snapshot.
+  summaries plus lifetime cumulative buckets,
+* :class:`MetricsRegistry` — a named (optionally labeled) collection,
+  exposed as a JSON-compatible snapshot.
 
 All types are thread-safe: the scatter-gather executor and the micro-batch
 worker record from multiple threads concurrently.
@@ -112,34 +115,12 @@ class LatencyHistogram:
             if bucket < len(self._bucket_counts):
                 self._bucket_counts[bucket] += 1
 
-    def buckets(self) -> dict:
-        """Lifetime cumulative bucket counts, Prometheus ``le`` convention.
-
-        ``{"0.001": 3, ..., "5": 40, "+Inf": 41}`` — each entry counts
-        every sample ``<=`` its edge, and ``+Inf`` equals the lifetime
-        count.
-        """
-        with self._lock:
-            counts = list(self._bucket_counts)
-            total = self._count
-        cumulative = 0
-        out: dict[str, int] = {}
-        for label, count in zip(_BUCKET_LABELS, counts):
-            cumulative += count
-            out[label] = cumulative
-        out["+Inf"] = total
-        return out
-
-    def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (0..100) of the current window, seconds."""
-        with self._lock:
-            if not self._samples:
-                return 0.0
-            return float(np.percentile(np.fromiter(self._samples, dtype=np.float64), q))
-
     def summary(self) -> dict:
-        """JSON-compatible summary: count, mean and p50/p95/p99 in ms,
-        plus the lifetime cumulative ``buckets`` (see :meth:`buckets`)."""
+        """JSON-compatible summary: count, mean and p50/p95/p99/max in ms
+        over the window, plus the lifetime cumulative ``buckets`` in the
+        Prometheus ``le`` convention — ``{"0.001": 3, ..., "5": 40,
+        "+Inf": 41}``, each entry counting every sample ``<=`` its edge
+        and ``+Inf`` equal to the lifetime count."""
         with self._lock:
             count, total = self._count, self._total
             bucket_counts = list(self._bucket_counts)
@@ -170,7 +151,7 @@ _MetricKey = "tuple[str, tuple[tuple[str, str], ...]]"
 
 
 class MetricsRegistry:
-    """Named (and optionally labeled) metrics for one serving gateway.
+    """Named (and optionally labeled) metrics for one component.
 
     Metrics are created lazily on first access, so instrumentation sites
     never need registration boilerplate::
@@ -196,9 +177,8 @@ class MetricsRegistry:
     (e.g. cache hits exceeding lookups).
     """
 
-    def __init__(self, *, histogram_window: int = 4096) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._histogram_window = histogram_window
         self._counters: "dict[_MetricKey, Counter]" = {}
         self._gauges: "dict[_MetricKey, Gauge]" = {}
         self._histograms: "dict[_MetricKey, LatencyHistogram]" = {}
@@ -228,7 +208,7 @@ class MetricsRegistry:
         key = self._key(name, labels)
         with self._lock:
             if key not in self._histograms:
-                self._histograms[key] = LatencyHistogram(self._histogram_window)
+                self._histograms[key] = LatencyHistogram()
             return self._histograms[key]
 
     @contextmanager
@@ -239,22 +219,6 @@ class MetricsRegistry:
             yield
         finally:
             self.histogram(name, **labels).record(time.perf_counter() - start)
-
-    def family(self, prefix: str) -> dict:
-        """Summaries of every histogram named ``<prefix>.<label>``, by label.
-
-        The historical name-mangled convention predating real labels:
-        per-entity series registered as ``prefix.label`` read back as one
-        ``{label: summary}`` family.  Kept for dotted-name series; new
-        instrumentation should prefer ``histogram(name, **labels)`` plus
-        :meth:`labeled_family`.
-        """
-        with self._lock:
-            histograms = {name: h
-                          for (name, labels), h in self._histograms.items()
-                          if not labels and name.startswith(prefix + ".")}
-        return {name[len(prefix) + 1:]: h.summary()
-                for name, h in sorted(histograms.items())}
 
     def labeled_family(self, name: str, label: str) -> dict:
         """``{label_value: summary}`` for histogram family ``name``.
@@ -273,13 +237,6 @@ class MetricsRegistry:
         return {labels[label]: h.summary()
                 for labels, h in sorted(series, key=lambda pair: pair[0].get(label, ""))
                 if label in labels}
-
-    def qps(self, name: str) -> float:
-        """Lifetime queries-per-second of histogram ``name``."""
-        elapsed = time.perf_counter() - self._started_at
-        if elapsed <= 0.0:
-            return 0.0
-        return self.histogram(name).count / elapsed
 
     @staticmethod
     def _labeled(entries: list) -> list:

@@ -128,7 +128,7 @@ class Observability:
         self.slow_log = SlowQueryLog(capacity=self.config.slow_buffer_size,
                                      threshold_ms=self.config.slow_threshold_ms)
         self.workload: "WorkloadStats | None" = (
-            WorkloadStats(window=self.config.workload_window)
+            WorkloadStats()
             if self.config.enabled and self.config.workload_enabled else None)
         self.log = StructuredLogger(component)
 

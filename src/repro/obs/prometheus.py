@@ -1,8 +1,9 @@
 """Prometheus text-format exposition of the metrics snapshots.
 
-Renders the JSON metric snapshots (serving, federation and workload tiers)
-into the Prometheus text exposition format (version 0.0.4): ``# HELP`` /
-``# TYPE`` headers followed by ``name{label="value"} value`` samples.
+Renders the JSON metric snapshots (serving, federation, workload and
+durability tiers) into the Prometheus text exposition format (version
+0.0.4): ``# HELP`` / ``# TYPE`` headers followed by
+``name{label="value"} value`` samples.
 Counters are suffixed ``_total``, latency histograms are exposed as
 ``summary`` families in seconds (quantile samples plus
 ``_count``/``_sum``), and labeled metric families carry their labels
@@ -10,7 +11,7 @@ verbatim — per-node federation latency shows up as
 ``repro_federation_node_latency_seconds{node="a",quantile="0.5"}``.
 
 Latency summaries that carry lifetime ``buckets`` (see
-:class:`repro.serving.metrics.LatencyHistogram`) additionally render as a
+:class:`repro.obs.metrics.LatencyHistogram`) additionally render as a
 sibling *native histogram* family ``<name>_hist_seconds`` with cumulative
 ``le``-labeled ``_bucket`` samples (``+Inf`` included) — the form
 ``histogram_quantile()`` and exact ``rate()`` math consume.
@@ -152,7 +153,7 @@ def _format_value(value: float) -> str:
 def render_prometheus(payload: Mapping) -> str:
     """The ``/metrics`` payload rendered as Prometheus exposition text."""
     families: dict[str, _Family] = {}
-    for tier in ("serving", "federation", "workload"):
+    for tier in ("serving", "federation", "workload", "durability"):
         snapshot = payload.get(tier)
         if isinstance(snapshot, Mapping):
             _render_snapshot(families, tier, snapshot)

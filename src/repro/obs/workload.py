@@ -5,7 +5,8 @@ model needs the *distribution*.  :class:`WorkloadStats` is a thread-safe
 registry keyed by query family — ``(backend, strategy,
 filter-selectivity-bucket)`` — aggregating, per family:
 
-* a sliding-window latency histogram (count / mean / p50 / p95 / p99 / max),
+* a :class:`~repro.obs.metrics.LatencyHistogram` (count / mean / p50 /
+  p95 / p99 / max over its window, lifetime cumulative buckets),
 * per-counter cost statistics (total, mean, max, and a power-of-two bucket
   histogram, so "how many candidates does a ``<=1%`` MIH prefilter verify"
   is answerable without raw logs).
@@ -15,21 +16,19 @@ here — sampled or not, thanks to the cost-only ledger — so the profile
 converges on real traffic.  The store serializes to a JSON *workload
 profile* sidecar (:meth:`WorkloadStats.save`), is served at
 ``GET /debug/workload``, and exposes labeled Prometheus families
-(``repro_workload_query_latency_seconds{backend=...,strategy=...}``).
+(``repro_workload_query_latency_seconds{backend=...,strategy=...}`` and
+its ``_hist_seconds`` buckets).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
-from collections import deque
-from typing import Any, Mapping
-
-import numpy as np
+from typing import Mapping
 
 from ..errors import ValidationError
+from .metrics import LatencyHistogram
 
 PROFILE_VERSION = 1
 
@@ -71,45 +70,24 @@ class _CostStat:
 
 
 class _FamilyStats:
-    """Latency window + cost aggregates for one query family."""
+    """Latency histogram + cost aggregates for one query family."""
 
-    __slots__ = ("lock", "count", "total_ms", "window", "costs")
+    __slots__ = ("lock", "latency", "costs")
 
-    def __init__(self, window: int) -> None:
+    def __init__(self) -> None:
         self.lock = threading.Lock()
-        self.count = 0
-        self.total_ms = 0.0
-        self.window: deque[float] = deque(maxlen=window)
+        self.latency = LatencyHistogram()
         self.costs: dict[str, _CostStat] = {}
 
     def record(self, duration_ms: float, costs: "Mapping | None") -> None:
-        with self.lock:
-            self.count += 1
-            self.total_ms += float(duration_ms)
-            self.window.append(float(duration_ms))
-            if costs:
+        if costs:
+            with self.lock:
                 for key, value in costs.items():
                     stat = self.costs.get(key)
                     if stat is None:
                         stat = self.costs[key] = _CostStat()
                     stat.add(value)
-
-    def latency_summary(self) -> dict:
-        with self.lock:
-            count, total = self.count, self.total_ms
-            window = np.fromiter(self.window, dtype=np.float64)
-            if window.size == 0:
-                return {"count": count, "mean_ms": 0.0, "p50_ms": 0.0,
-                        "p95_ms": 0.0, "p99_ms": 0.0, "max_ms": 0.0}
-            p50, p95, p99 = np.percentile(window, (50, 95, 99))
-            return {
-                "count": count,
-                "mean_ms": round(total / count, 4) if count else 0.0,
-                "p50_ms": round(float(p50), 4),
-                "p95_ms": round(float(p95), 4),
-                "p99_ms": round(float(p99), 4),
-                "max_ms": round(float(window.max()), 4),
-            }
+        self.latency.record(duration_ms / 1e3)
 
     def costs_summary(self) -> dict:
         with self.lock:
@@ -120,10 +98,7 @@ class _FamilyStats:
 class WorkloadStats:
     """Thread-safe per-query-family workload statistics registry."""
 
-    def __init__(self, *, window: int = 512) -> None:
-        if window < 1:
-            raise ValidationError(f"window must be >= 1, got {window}")
-        self._window = window
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._families: "dict[tuple[str, str, str], _FamilyStats]" = {}
         self._recorded = 0
@@ -134,7 +109,7 @@ class WorkloadStats:
         with self._lock:
             stats = self._families.get(family)
             if stats is None:
-                stats = self._families[family] = _FamilyStats(self._window)
+                stats = self._families[family] = _FamilyStats()
             self._recorded += 1
         stats.record(duration_ms, costs)
 
@@ -156,13 +131,14 @@ class WorkloadStats:
             stats = self._families.get(family)
         if stats is None:
             return None
+        count = stats.latency.count
+        if not count:
+            return None
         with stats.lock:
-            if not stats.count:
-                return None
             means = {key: stat.total / max(stat.count, 1)
                      for key, stat in stats.costs.items()}
-            means["_count"] = stats.count
-            means["_mean_ms"] = stats.total_ms / stats.count
+        means["_count"] = count
+        means["_mean_ms"] = stats.latency.total_seconds * 1e3 / count
         return means
 
     def clear(self) -> int:
@@ -184,7 +160,7 @@ class WorkloadStats:
                 "backend": backend,
                 "strategy": strategy,
                 "selectivity": selectivity,
-                "latency_ms": stats.latency_summary(),
+                "latency_ms": stats.latency.summary(),
                 "costs": stats.costs_summary(),
             })
         return {"version": PROFILE_VERSION,
@@ -194,15 +170,16 @@ class WorkloadStats:
     def metrics_snapshot(self) -> dict:
         """A metrics-registry-shaped view for the Prometheus renderer.
 
-        Latency becomes one labeled summary family ``query.latency``; cost
-        totals become one labeled counter family ``query.cost`` with the
-        counter name as a ``counter`` label.
+        Latency becomes one labeled histogram family ``query.latency``
+        (quantiles plus cumulative buckets); cost totals become one labeled
+        counter family ``query.cost`` with the counter name as a
+        ``counter`` label.
         """
         latency, counters = [], []
         for (backend, strategy, selectivity), stats in self._items():
             labels = {"backend": backend, "strategy": strategy,
                       "selectivity": selectivity}
-            latency.append({"labels": labels, **stats.latency_summary()})
+            latency.append({"labels": labels, **stats.latency.summary()})
             for key, cost in stats.costs_summary().items():
                 counters.append({"labels": {**labels, "counter": key},
                                  "value": cost["total"]})
@@ -212,13 +189,11 @@ class WorkloadStats:
 
     def save(self, path: str) -> dict:
         """Atomically persist the profile sidecar; returns what was written."""
+        from ..store.persistence import write_file_atomic
+
         profile = self.snapshot()
         profile["saved_at"] = round(time.time(), 3)
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as fh:
-            json.dump(profile, fh, indent=2, sort_keys=False)
-            fh.write("\n")
-        os.replace(tmp, path)
+        write_file_atomic(path, (json.dumps(profile, indent=2) + "\n").encode())
         return profile
 
     @staticmethod
@@ -236,16 +211,18 @@ class WorkloadStats:
     def describe(self) -> dict:
         with self._lock:
             return {"families": len(self._families),
-                    "recorded_total": self._recorded,
-                    "window": self._window}
+                    "recorded_total": self._recorded}
 
 
 def merge_profiles(profiles: "list[dict]") -> dict:
     """Merge several saved profiles' cost totals (histograms summed).
 
     Latency windows cannot be merged exactly, so merged families report
-    only count-weighted mean latency — good enough for the calibration
-    cross-checks that compare cost totals across runs.
+    count-weighted mean latency, the overall max and the summed lifetime
+    latency buckets (the quantiles stay those of the first profile) —
+    good enough for the calibration cross-checks that compare cost totals
+    across runs.  A profile saved without buckets drops them from the
+    merge rather than under-count.
     """
     merged: dict[tuple[str, str, str], dict] = {}
     for profile in profiles:
@@ -263,6 +240,11 @@ def merge_profiles(profiles: "list[dict]") -> dict:
                      + other["mean_ms"] * other["count"]) / total, 4)
             lat["count"] = total
             lat["max_ms"] = max(lat["max_ms"], other["max_ms"])
+            if "buckets" in lat and "buckets" in other:
+                for le, n in other["buckets"].items():
+                    lat["buckets"][le] = lat["buckets"].get(le, 0) + n
+            else:
+                lat.pop("buckets", None)
             for name, cost in fam.get("costs", {}).items():
                 mine = into.setdefault("costs", {}).get(name)
                 if mine is None:

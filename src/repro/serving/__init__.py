@@ -13,12 +13,11 @@ measurable while preserving the single-threaded path's exact results:
   concurrent queries into one vectorized scan,
 * :mod:`repro.serving.cache` — :class:`QueryResultCache`, LRU+TTL result
   memoization with ingest invalidation,
-* :mod:`repro.serving.metrics` — latency histograms (p50/p95/p99), QPS
-  counters, occupancy gauges,
 * :mod:`repro.serving.gateway` — :class:`ServingGateway`, the facade
   wiring cache -> batcher -> shards behind the same response types as
   :class:`~repro.earthqube.server.EarthQube`, enabled by
-  ``EarthQubeConfig.serving.enabled``.
+  ``EarthQubeConfig.serving.enabled``; every stage records into a
+  :class:`repro.obs.metrics.MetricsRegistry`.
 """
 
 from .batching import BatcherClosedError, MicroBatcher
@@ -29,7 +28,6 @@ from .cache import (
     canonical_spec_key,
 )
 from .gateway import ServingGateway
-from .metrics import Counter, Gauge, LatencyHistogram, MetricsRegistry
 from .sharding import CodeQuery, ShardedHammingIndex
 
 __all__ = [
@@ -42,8 +40,4 @@ __all__ = [
     "CacheStats",
     "canonical_code_key",
     "canonical_spec_key",
-    "MetricsRegistry",
-    "LatencyHistogram",
-    "Counter",
-    "Gauge",
 ]

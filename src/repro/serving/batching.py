@@ -30,7 +30,7 @@ from concurrent.futures import Future
 from typing import Any, Callable, Sequence
 
 from ..errors import ValidationError
-from .metrics import LatencyHistogram
+from ..obs.metrics import LatencyHistogram
 
 
 class BatcherClosedError(RuntimeError):

@@ -16,7 +16,7 @@ through the concurrent hot path:
    views of the matrix the service already holds, not a second copy — that
    scans K shards in parallel and merges per-shard top-k deterministically,
 4. **metrics** — every stage records latency histograms, counters, and
-   occupancy gauges into a :class:`~repro.serving.metrics.MetricsRegistry`.
+   occupancy gauges into a :class:`~repro.obs.metrics.MetricsRegistry`.
 
 Metadata searches (document-store queries) do not go through the Hamming
 tiers; they get the cache + metrics treatment only.
@@ -36,10 +36,10 @@ from ..earthqube.query import QuerySpec
 from ..earthqube.search import SearchResponse
 from ..errors import ValidationError
 from ..obs import tracing
+from ..obs.metrics import MetricsRegistry
 from ..planner import used_radius, validate_code_query
 from .batching import MicroBatcher
 from .cache import QueryResultCache, canonical_code_key, canonical_spec_key
-from .metrics import MetricsRegistry
 from .sharding import CodeQuery, ShardedHammingIndex
 
 if TYPE_CHECKING:  # avoid a runtime import cycle with earthqube.server
@@ -344,7 +344,6 @@ class ServingGateway:
                 tracing.span("batch.execute", batch_size=len(jobs)):
             with self.metrics.timer("similar.scan"):
                 merged = self.index.search_batch(jobs)
-        self.metrics.counter("batch.executed").increment()
         self.metrics.gauge("batch.last_size").set(len(jobs))
         return merged
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import threading
 
 import pytest
 
@@ -102,6 +103,28 @@ class TestPersistence:
         save_calibration(calibration, str(path))
         loaded = load_calibration(str(path))
         assert loaded == calibration
+
+    def test_concurrent_saves_leave_one_loadable_file(self, calibration,
+                                                      tmp_path):
+        path = tmp_path / "calibration.json"
+        errors: list[Exception] = []
+
+        def worker():
+            try:
+                for _ in range(20):
+                    save_calibration(calibration, str(path))
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert load_calibration(str(path)) == calibration
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_load_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "bad.json"

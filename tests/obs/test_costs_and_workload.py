@@ -132,7 +132,7 @@ class TestCostOnlyLedger:
 
 class TestWorkloadStats:
     def _stats(self):
-        stats = WorkloadStats(window=8)
+        stats = WorkloadStats()
         for i in range(5):
             stats.record(family=("mih", "prefilter", "<=1%"),
                          duration_ms=1.0 + i,
@@ -188,12 +188,34 @@ class TestWorkloadStats:
         assert stats.recorded_total == 0
         assert stats.snapshot()["families"] == []
 
-    def test_window_validation(self):
-        with pytest.raises(ValidationError):
-            WorkloadStats(window=0)
+    def test_concurrent_saves_leave_one_loadable_file(self, tmp_path):
+        stats = self._stats()
+        path = tmp_path / "workload.json"
+        errors: list[Exception] = []
+
+        def worker():
+            try:
+                for _ in range(20):
+                    stats.save(str(path))
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert WorkloadStats.load(str(path))["recorded_total"] == 6
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_window_is_not_a_knob(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            WorkloadStats(window=512)
 
     def test_concurrent_records_are_all_counted(self):
-        stats = WorkloadStats(window=64)
+        stats = WorkloadStats()
 
         def worker():
             for _ in range(100):
@@ -230,3 +252,28 @@ class TestMergeProfiles:
         assert mih["latency_ms"]["mean_ms"] == 3.0
         assert mih["costs"]["buckets_probed"]["total"] == 40
         assert sum(mih["costs"]["buckets_probed"]["hist"].values()) == 2
+
+    def test_merge_sums_latency_buckets(self):
+        a = WorkloadStats()
+        a.record(family=("mih", "prefilter", "<=1%"), duration_ms=2.0)
+        a.record(family=("mih", "prefilter", "<=1%"), duration_ms=40.0)
+        b = WorkloadStats()
+        b.record(family=("mih", "prefilter", "<=1%"), duration_ms=3.0)
+        merged = merge_profiles([a.snapshot(), b.snapshot()])
+        buckets = merged["families"][0]["latency_ms"]["buckets"]
+        # 2 ms and 3 ms land at le=0.0025 / le=0.005, 40 ms at le=0.05.
+        assert buckets["0.001"] == 0
+        assert buckets["0.0025"] == 1
+        assert buckets["0.005"] == 2
+        assert buckets["0.05"] == 3
+        assert buckets["+Inf"] == 3 == merged["families"][0]["latency_ms"]["count"]
+
+    def test_merge_drops_buckets_a_profile_lacks(self):
+        a = WorkloadStats()
+        a.record(family=("mih", "prefilter", "<=1%"), duration_ms=2.0)
+        old = a.snapshot()
+        del old["families"][0]["latency_ms"]["buckets"]
+        merged = merge_profiles([a.snapshot(), old])
+        latency = merged["families"][0]["latency_ms"]
+        assert latency["count"] == 2
+        assert "buckets" not in latency

@@ -7,8 +7,8 @@ import re
 import pytest
 
 from repro.obs import render_prometheus
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.prometheus import sanitize_name
-from repro.serving.metrics import MetricsRegistry
 
 _METRIC_NAME = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
 _HELP_RE = re.compile(rf"^# HELP ({_METRIC_NAME}) (.+)$")
@@ -165,6 +165,35 @@ def test_workload_tier_renders_labeled_families():
     cost = families["repro_workload_query_cost_total"]
     totals = {labels["counter"]: value for _, labels, value in cost["samples"]}
     assert totals == {"buckets_probed": 52.0, "candidates_verified": 9.0}
+    hist = families["repro_workload_query_latency_hist_seconds"]
+    assert hist["type"] == "histogram"
+    by_le = {labels["le"]: value for name, labels, value in hist["samples"]
+             if name.endswith("_bucket")}
+    assert by_le["0.0025"] == 0.0 and by_le["0.005"] == 1.0  # 3 ms
+    count = [v for n, _, v in hist["samples"] if n.endswith("_count")]
+    assert by_le["+Inf"] == count[0] == 1.0
+
+
+def test_durability_tier_reaches_the_metrics_payload(direct_system, tmp_path):
+    from repro.config import DurabilityConfig
+    from repro.earthqube import DurableEarthQube, EarthQubeAPI
+
+    node = direct_system.empty_clone()
+    durable = DurableEarthQube(node, DurabilityConfig(
+        directory=str(tmp_path / "durable"), fsync="always"))
+    try:
+        node.ingest_new_patch(direct_system.archive.patches[0],
+                              auto_label_if_missing=False)
+        api = EarthQubeAPI(node)
+        payload = api.metrics()
+        assert payload["durability"]["latency"]["wal.fsync"]["count"] >= 1
+        assert payload["durability"]["gauges"]["wal.records"] == 1
+        families = parse_exposition(api.metrics(format="prometheus"))
+        fsync = families["repro_durability_wal_fsync_seconds"]
+        assert fsync["type"] == "summary"
+        assert "repro_durability_checkpoint_runs_total" in families
+    finally:
+        durable.close()
 
 
 def test_both_tiers_render_into_one_exposition(registry):

@@ -13,7 +13,8 @@ import json
 
 import pytest
 
-from repro.config import FederationConfig, IndexConfig, PlannerConfig, ServingConfig
+from repro.config import (FederationConfig, IndexConfig, ObsConfig,
+                          PlannerConfig, ServingConfig)
 from repro.index import MultiIndexHashing
 from repro.obs.calibrate import CALIBRATION_VERSION, save_calibration
 from repro.obs.workload import WorkloadStats
@@ -237,6 +238,7 @@ class TestRemovedKnobs:
         (ServingConfig, {"mih_tables": 8}),
         (ServingConfig, {"histogram_window": 4096}),
         (FederationConfig, {"histogram_window": 1024}),
+        (ObsConfig, {"workload_window": 512}),
     ])
     def test_removed_config_fields_raise(self, config_type, knob):
         with pytest.raises(TypeError, match="unexpected keyword"):

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import threading
 
+from repro.obs.metrics import Counter, LatencyHistogram, MetricsRegistry
 from repro.serving.cache import QueryResultCache
-from repro.serving.metrics import Counter, LatencyHistogram, MetricsRegistry
 
 
 def _hammer(n_threads: int, per_thread: int, work) -> None:
@@ -157,12 +157,12 @@ class TestLabeledFamilies:
         assert family["a"]["count"] == 2
         assert family["b"]["count"] == 1
 
-    def test_dotted_prefix_family_still_reads_unlabeled_series(self):
+    def test_labeled_family_leaves_unlabeled_series_out(self):
         registry = MetricsRegistry()
-        registry.histogram("node.a").record(0.001)
+        registry.histogram("node.latency").record(0.001)
         registry.histogram("node.latency", node="a").record(0.001)
-        family = registry.family("node")
-        assert list(family) == ["a"]  # labeled series stay out
+        family = registry.labeled_family("node.latency", "node")
+        assert list(family) == ["a"]  # the unlabeled series stays out
 
     def test_snapshot_families_are_json_shaped(self):
         import json

@@ -14,13 +14,10 @@ import pytest
 
 from repro.errors import EmptyIndexError, ValidationError
 from repro.index import LinearScanIndex, MultiIndexHashing, pack_bits
+from repro.obs.metrics import Counter, Gauge, LatencyHistogram, MetricsRegistry
 from repro.serving import (
     BatcherClosedError,
     CodeQuery,
-    Counter,
-    Gauge,
-    LatencyHistogram,
-    MetricsRegistry,
     MicroBatcher,
     QueryResultCache,
     ShardedHammingIndex,
@@ -383,7 +380,7 @@ class TestMetrics:
         for _ in range(10):
             histogram.record(2.0)
         assert histogram.count == 60  # lifetime count keeps growing
-        assert histogram.percentile(50) == 2.0  # window holds recent only
+        assert histogram.summary()["p50_ms"] == 2000.0  # window holds recent only
 
     def test_registry_timer_and_snapshot(self):
         registry = MetricsRegistry()

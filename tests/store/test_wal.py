@@ -295,7 +295,7 @@ def test_crash_on_nth_hit(wal_path):
 
 
 def test_metrics_gauges_track_wal(wal_path):
-    from repro.serving.metrics import MetricsRegistry
+    from repro.obs.metrics import MetricsRegistry
     metrics = MetricsRegistry()
     with WriteAheadLog(wal_path, fsync="always", metrics=metrics) as wal:
         wal.append("op", {})
