@@ -81,10 +81,11 @@ class FederatedResultMeta:
     failed: dict[str, str] = field(default_factory=dict)
     skipped: dict[str, str] = field(default_factory=dict)
     latency_s: dict[str, float] = field(default_factory=dict)
-    #: Replicated reads only: failed/ejected reader -> the replica that
-    #: answered for its ring segments instead (the fallback wave).
+    #: Failed/ejected reader -> the replica that answered for its chains
+    #: instead (the fallback wave; never set for one-member chains).
     recovered: dict[str, str] = field(default_factory=dict)
-    #: Replicated reads only: ring segments no replica could answer for.
+    #: Replica chains no reader answered for.  A static node is a
+    #: one-member chain, so each failed or ejected static node counts one.
     lost_segments: int = 0
 
     @property
@@ -96,10 +97,11 @@ class FederatedResultMeta:
     def coverage_complete(self) -> bool:
         """Does the merged result cover every patch despite failures?
 
-        Unreplicated scatters need every node (``complete``); replicated
-        reads only need one live replica per ring segment, so a failed or
-        circuit-ejected reader whose segments a fallback replica answered
-        still yields full coverage.
+        Every replica chain needs one reader that answered for it, so a
+        failed or circuit-ejected reader whose chains a fallback replica
+        answered still yields full coverage.  Nodes skipped as
+        replica-covered or as holding none of the requested data cost
+        nothing.
         """
         if self.lost_segments:
             return False
@@ -107,7 +109,7 @@ class FederatedResultMeta:
             if name not in self.recovered and name not in self.answered:
                 return False
         for name, reason in self.skipped.items():
-            if reason == SKIP_REPLICA_COVERED:
+            if reason in (SKIP_REPLICA_COVERED, SKIP_NO_DATA):
                 continue
             if name not in self.recovered:
                 return False
@@ -199,86 +201,87 @@ class FederatedExecutor:
                                       nodes_failed=len(meta.failed))
         return outcomes, meta
 
-    def scatter_replicated(self, fn: Callable[[FederatedNode], Any], *,
+    def scatter_replicated(self, fn: "Callable[[FederatedNode, list], Any]", *,
                            chains: "Sequence[tuple[str, ...]]",
                            targets: "Sequence[FederatedNode] | None" = None,
                            pre_skipped: "dict[str, str] | None" = None,
                            ) -> tuple[list[NodeOutcome], FederatedResultMeta]:
         """Read one-of-R: cover every replica chain with healthy readers.
 
-        ``chains`` are the placement ring's distinct replica sets (every
-        patch's replicas equal exactly one chain), so an answer from one
-        member of each chain covers the whole corpus.  The plan greedily
-        picks one reader per chain — preferring a node already chosen for
-        another chain (fewest nodes queried), then the first replica in
-        placement order whose breaker is closed — and scatters wave by
-        wave: a reader that fails or is ejected by its breaker has its
-        chains retried on the next untried replica in the chain, and the
-        recovery is recorded in ``meta.recovered`` (the deduplicating
-        merge absorbs any overlap).  A chain that runs out of replicas
-        counts as a lost segment (``meta.lost_segments``), the only case
-        where ``meta.coverage_complete`` turns false.
+        ``chains`` are replica sets such that an answer for each chain
+        covers the request: the placement ring's distinct replica sets in
+        an elastic federation, one ``(node,)`` chain per target node in a
+        static one.  The plan greedily picks one reader per chain —
+        preferring a node already chosen for another chain (fewest nodes
+        queried), then the first member in placement order whose breaker
+        is closed — and scatters wave by wave through :meth:`scatter`,
+        calling ``fn(node, chains)`` with the chains that reader was
+        picked for in its wave (reads ignore them; statistics count only
+        those chains' names).  A chain counts as answered only when its
+        own reader answers: a reader that fails or is ejected by its
+        breaker has its chains re-asked of another member that has not
+        failed, and the recovery is recorded in ``meta.recovered`` (the
+        deduplicating merge absorbs any overlap).  A chain that runs out
+        of members counts as a lost segment (``meta.lost_segments``) —
+        in a static federation, each failed or ejected node.
         """
         available = {node.name: node
                      for node in (targets if targets is not None
-                                  else list(self.registry))}
+                                  else self.registry)}
         meta = FederatedResultMeta(nodes_total=len(self.registry))
         if pre_skipped:
             meta.skipped.update(pre_skipped)
 
         outcomes: list[NodeOutcome] = []
-        answered: set[str] = set()
         attempted: set[str] = set()
-        chain_failures: "dict[tuple[str, ...], list[str]]" = \
-            {chain: [] for chain in chains}
+        failed: set[str] = set()
+        chain_failures: "dict[tuple[str, ...], list[str]]" = {}
         pending = list(chains)
-        while True:
-            need = [chain for chain in pending
-                    if not any(member in answered for member in chain)]
-            if not need:
-                pending = []
-                break
+        while pending:
             picks: "dict[tuple[str, ...], str]" = {}
-            wave: "dict[str, FederatedNode]" = {}
-            for chain in need:
+            assigned: "dict[str, list[tuple[str, ...]]]" = {}
+            for chain in pending:
                 candidates = [member for member in chain
-                              if member in available and member not in attempted]
+                              if member in available and member not in failed]
                 if not candidates:
+                    meta.lost_segments += 1
                     continue
-                pick = next((m for m in candidates if m in wave), None)
+                pick = next((m for m in candidates if m in assigned), None)
                 if pick is None:
                     pick = next(
                         (m for m in candidates
                          if self.registry.breaker_of(m).state == CLOSED),
                         candidates[0])
                 picks[chain] = pick
-                wave[pick] = available[pick]
-            if not wave:
-                pending = need
+                assigned.setdefault(pick, []).append(chain)
+            if not assigned:
                 break
             # Registry order keeps outcome (and merge-input) order stable.
-            wave_nodes = [wave[name] for name in self.registry.names
-                          if name in wave]
-            wave_outcomes, wave_meta = self.scatter(fn, nodes=wave_nodes)
+            wave_nodes = [available[name] for name in self.registry.names
+                          if name in assigned]
+            wave_outcomes, wave_meta = self.scatter(
+                lambda node, assigned=assigned: fn(node, assigned[node.name]),
+                nodes=wave_nodes)
             outcomes.extend(wave_outcomes)
-            meta.queried.extend(wave_meta.queried)
-            meta.answered.extend(wave_meta.answered)
+            meta.queried.extend(n for n in wave_meta.queried
+                                if n not in meta.queried)
+            meta.answered.extend(n for n in wave_meta.answered
+                                 if n not in meta.answered)
             meta.failed.update(wave_meta.failed)
             meta.skipped.update(wave_meta.skipped)
             meta.latency_s.update(wave_meta.latency_s)
-            answered.update(wave_meta.answered)
-            attempted.update(wave)
+            attempted.update(assigned)
+            failed.update(name for name in assigned
+                          if name not in wave_meta.answered)
+            pending = []
             for chain, pick in picks.items():
-                if pick in answered:
-                    for earlier in chain_failures[chain]:
-                        meta.recovered.setdefault(earlier, pick)
+                if pick in failed:
+                    chain_failures.setdefault(chain, []).append(pick)
+                    pending.append(chain)
                 else:
-                    chain_failures[chain].append(pick)
-            pending = need
+                    for earlier in chain_failures.get(chain, ()):
+                        meta.recovered.setdefault(earlier, pick)
 
-        uncovered = {chain for chain in pending
-                     if not any(member in answered for member in chain)}
-        meta.lost_segments = len(uncovered)
         for name in available:
             if name not in attempted:
                 meta.skipped.setdefault(name, SKIP_REPLICA_COVERED)
@@ -351,18 +354,3 @@ class FederatedExecutor:
         self.metrics.histogram("node.latency", node=node.name).record(latency)
         return NodeOutcome(node.name, ok=True, value=value,
                            latency_s=latency, attempts=attempts)
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-
-    def close(self) -> None:
-        """Nothing to tear down: call threads are per-scatter daemons that
-        exit with their call (abandoned timed-out calls drain on their
-        own).  Kept so the facade's lifecycle is uniform across tiers."""
-
-    def __enter__(self) -> "FederatedExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

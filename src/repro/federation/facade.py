@@ -1,35 +1,46 @@
-"""FederatedEarthQube: N independent archives behind one query surface.
+"""FederatedEarthQube: N archives behind one query surface.
 
 The facade mirrors the :class:`~repro.earthqube.server.EarthQube` query
 API — ``search``, ``similar_images``, ``similar_images_batch``,
-``statistics_for`` — but executes each call as a scatter-gather across
-every registered node and returns a :class:`FederatedResponse`: the merged
+``statistics_for`` — and returns a :class:`FederatedResponse`: the merged
 value (byte-identical in type and, for one node, in content, to the direct
 call) plus the :class:`~repro.federation.executor.FederatedResultMeta`
 that makes partial coverage explicit.
 
-CBIR queries resolve the query image to its *owning* node (by namespaced
-id ``node/patch_name``, or by scanning registration order for a bare
-name), read the packed code there, and scatter the code to every node with
-a compatible bit-width — each node answering through its own serving tier
-(cache, micro-batcher, shards) when enabled.  The owning node's self-match
-is dropped globally, exactly like the single-system paths.
+Every read is one replicated scatter
+(:meth:`~repro.federation.executor.FederatedExecutor.scatter_replicated`):
+one reader per *replica chain*, a failed reader's chains re-asked of
+another member of the chain, a chain nobody answered counted in
+``meta.lost_segments``.  The two federation kinds differ only in their
+chains and in how the merge treats overlap:
 
-**Elastic mode** (``FederationConfig(elastic=True)``) layers replication
-and live membership on top:
+* a **static** federation (the default) is the one-replica-per-node case:
+  each node is its own one-member chain, answers are disjoint, and the
+  merge concatenates them in registry order (ids namespaced as
+  ``node/patch_name`` when several archives are registered);
+* an **elastic** federation (``FederationConfig(elastic=True)``) places
+  every patch on ``replication_factor`` nodes by a consistent-hash
+  :class:`~repro.federation.placement.PlacementRing`, whose distinct
+  replica sets are the chains; the merge deduplicates replica answers by
+  patch identity and orders by the *global* ``(distance, insertion
+  seq)`` tie-break, so results are byte-identical whichever replica
+  answered.
 
-* every patch is placed on ``replication_factor`` nodes by a
-  consistent-hash :class:`~repro.federation.placement.PlacementRing`,
+CBIR queries resolve the query image to its *owning* node (a namespaced
+id routes to its node; a bare name goes to the first healthy replica in
+placement order, or the first registered holder), read the packed code
+there, and scatter the code to every node with a compatible bit-width —
+each node answering through its own serving tier (cache, micro-batcher,
+shards) when enabled.  The owning node's self-match is dropped globally,
+exactly like the single-system paths.
+
+Elastic federations also replicate writes and change membership live:
+
 * writes (``ingest_new_patch`` / ``delete_image`` / ``update_image``) fan
   out to all replicas; a write that misses a down replica is parked in
   the :class:`~repro.federation.repair.HintLog` and drained when the node
-  is reachable again,
-* reads query **one** healthy replica per ring segment
-  (:meth:`FederatedExecutor.scatter_replicated`) and fall back through
-  the replica chain on failure; the merge deduplicates replica answers
-  by patch identity and orders by the *global* ``(distance, insertion
-  seq)`` tie-break, so results are byte-identical whichever replica
-  answered,
+  is reachable again (static writes go to every holder of a bare name,
+  or to the one node of a namespaced id),
 * nodes :meth:`join_node` / :meth:`leave_node` / :meth:`node_died` live,
   with shard handoff shipped through seq-stamped snapshots
   (:func:`~repro.federation.handoff.ship_shard`) followed by a
@@ -67,7 +78,6 @@ from .breaker import OPEN
 from .executor import (
     SKIP_INCOMPATIBLE,
     SKIP_NO_DATA,
-    SKIP_REPLICA_COVERED,
     FederatedExecutor,
     FederatedResultMeta,
 )
@@ -191,6 +201,8 @@ class FederatedEarthQube:
 
     def remove_node(self, name: str) -> None:
         self.registry.remove(name)
+        # Replayed on a rejoin, a parked write could undo a later delete.
+        self.hints.discard(name)
         if self.elastic and name in self.ring:
             self.ring.remove_node(name)
 
@@ -235,13 +247,9 @@ class FederatedEarthQube:
     def resolve_image(self, name: str) -> tuple[FederatedNode, str]:
         """The (owning node, bare name) of a federated patch id.
 
-        A ``node/patch_name`` id routes to that node; a bare name is looked
-        up across nodes in registration order and the first archive that
-        indexes it owns the query (deterministic under duplicates).  In
-        elastic mode placement is authoritative instead: the first
-        replica in placement order that is registered, breaker-admitted
-        and holds the patch answers, falling back to any registered
-        holder.
+        A ``node/patch_name`` id routes to that node; a bare name goes to
+        :meth:`_holder` (in static mode: the first node in registration
+        order that indexes it, deterministic under duplicates).
         """
         prefix, bare = split_namespaced(name)
         if prefix is not None and prefix in self.registry:
@@ -250,24 +258,45 @@ class FederatedEarthQube:
                 raise UnknownPatchError(
                     f"node {prefix!r} has no indexed image named {bare!r}")
             return node, bare
-        if self.elastic:
-            for replica in self.ring.replicas_for(name):
-                if replica not in self.registry:
-                    continue
-                if self.registry.breaker_of(replica).state == OPEN:
-                    continue
+        node = self._holder(name, self.ring)
+        if node is None:
+            raise UnknownPatchError(
+                f"no federation node indexes an image named {name!r}")
+        return node, name
+
+    def _holder(self, name: str, ring: "PlacementRing | None", *,
+                exclude: "str | None" = None) -> "FederatedNode | None":
+        """The node to read patch ``name`` from (a query owner, a ship source).
+
+        The first replica in ``ring``'s placement order that is
+        registered, not breaker-open and holds the patch; failing that,
+        any registered holder in registration order.  ``exclude`` names a
+        node never to pick (the joiner being shipped to).
+        """
+        for replica in ring.replicas_for(name) if ring is not None else ():
+            if replica != exclude and replica in self.registry \
+                    and self.registry.breaker_of(replica).state != OPEN:
                 node = self.registry.get(replica)
                 if node.has_image(name):
-                    return node, name
-        for node in self.registry:
-            if node.has_image(name):
-                return node, name
-        raise UnknownPatchError(
-            f"no federation node indexes an image named {name!r}")
+                    return node
+        return next((node for node in self.registry
+                     if node.name != exclude and node.has_image(name)), None)
 
-    def _canonical_id(self, node: FederatedNode, bare: str,
-                      namespace: bool) -> str:
-        return namespaced_id(node.name, bare) if namespace else bare
+    def _chains(self, targets: "list[FederatedNode]") -> "list[tuple[str, ...]]":
+        """The replica chains a read must cover: the ring's replica sets
+        when elastic, else each scatter target on its own (so a node
+        skipped for its code width is not a lost chain)."""
+        if self.elastic:
+            return self.ring.replica_chains()
+        return [(node.name,) for node in targets]
+
+    def _merge_kwargs(self, order_of: Callable[[Any], Any]) -> dict:
+        """Merge options: elastic replicas answer overlapping sets, so
+        their answers dedupe by patch and sort by global insertion order."""
+        namespace = {"namespace": self._namespacing()}
+        if self.elastic:
+            return {**namespace, "dedupe": True, "order_of": order_of}
+        return namespace
 
     def _compatible_targets(self, num_bits: int,
                             ) -> tuple[list[FederatedNode], dict[str, str]]:
@@ -327,25 +356,17 @@ class FederatedEarthQube:
         """
         self._require_nodes()
         with self.obs.request("federation.search") as req:
-            if self.elastic:
-                node_spec = replace(spec, skip=0, limit=None)
-                outcomes, meta = self.executor.scatter_replicated(
-                    lambda node: node.search(node_spec),
-                    chains=self.ring.replica_chains())
-                merged = merge_search(
-                    [(o.node_name, o.value) for o in outcomes if o.ok],
-                    skip=spec.skip, limit=spec.limit,
-                    namespace=self._namespacing(),
-                    dedupe=True, order_of=self._doc_order)
-            else:
-                node_limit = None if spec.limit is None else spec.skip + spec.limit
-                node_spec = replace(spec, skip=0, limit=node_limit)
-                outcomes, meta = self.executor.scatter(
-                    lambda node: node.search(node_spec))
-                merged = merge_search(
-                    [(o.node_name, o.value) for o in outcomes if o.ok],
-                    skip=spec.skip, limit=spec.limit,
-                    namespace=self._namespacing())
+            head = None if spec.limit is None else spec.skip + spec.limit
+            node_spec = replace(spec, skip=0,
+                                limit=None if self.elastic else head)
+            targets = list(self.registry)
+            outcomes, meta = self.executor.scatter_replicated(
+                lambda node, _chains: node.search(node_spec),
+                chains=self._chains(targets), targets=targets)
+            merged = merge_search(
+                [(o.node_name, o.value) for o in outcomes if o.ok],
+                skip=spec.skip, limit=spec.limit,
+                **self._merge_kwargs(self._doc_order))
             req.annotate(answered=len(meta.answered), failed=len(meta.failed))
             return FederatedResponse(merged, meta)
 
@@ -369,36 +390,17 @@ class FederatedEarthQube:
             # per-node exception would be recorded as a node failure and
             # bad input could trip healthy nodes' circuit breakers.
             validate_code_query(k, radius)
-            code = owner.code_of(bare)
             request_k = None if k is None else k + 1
-            namespace = self._namespacing()
-            targets, pre_skipped = self._compatible_targets(
-                owner.system.hasher.num_bits)
-            # filter_spec rides along only when set, so stubs/peers speaking
-            # the unfiltered protocol keep working.
-            filter_kwargs = {} if filter is None else {"filter_spec": filter}
-            plan_hint = (None if filter is None else
-                         self._scatter_plan(owner, req, k=request_k,
-                                            radius=radius, filter_spec=filter))
-            fn = self._code_query_fn(code, request_k, radius, filter_kwargs,
-                                     plan_hint)
-            if self.elastic:
-                outcomes, meta = self.executor.scatter_replicated(
-                    fn, chains=self.ring.replica_chains(), targets=targets,
-                    pre_skipped=pre_skipped)
-                merged, used = merge_similarity(
-                    [(o.node_name, o.value[0], o.value[1])
-                     for o in outcomes if o.ok],
-                    k=request_k, radius=radius, namespace=namespace,
-                    dedupe=True, order_of=self._row_order)
-            else:
-                outcomes, meta = self.executor.scatter(
-                    fn, nodes=targets, pre_skipped=pre_skipped)
-                merged, used = merge_similarity(
-                    [(o.node_name, o.value[0], o.value[1])
-                     for o in outcomes if o.ok],
-                    k=request_k, radius=radius, namespace=namespace)
-            query_id = self._canonical_id(owner, bare, namespace)
+            outcomes, meta = self._scatter_codes(
+                owner, owner.code_of(bare), req, k=request_k, radius=radius,
+                filter=filter, batch=False)
+            merge_kwargs = self._merge_kwargs(self._row_order)
+            merged, used = merge_similarity(
+                [(o.node_name, o.value[0], o.value[1])
+                 for o in outcomes if o.ok],
+                k=request_k, radius=radius, **merge_kwargs)
+            query_id = namespaced_id(owner.name, bare) \
+                if merge_kwargs["namespace"] else bare
             req.annotate(owner=owner.name, answered=len(meta.answered),
                          failed=len(meta.failed))
             return FederatedResponse(
@@ -429,22 +431,39 @@ class FederatedEarthQube:
         req.annotate(plan=choice.explain())
         return choice.chosen.summary()
 
-    @staticmethod
-    def _code_query_fn(code: np.ndarray, request_k: "int | None",
-                       radius: "int | None", filter_kwargs: dict,
-                       plan_hint: "dict | None" = None):
-        hint_kwargs = {} if plan_hint is None else {"plan_hint": plan_hint}
+    def _scatter_codes(self, owner: FederatedNode, codes: np.ndarray, req, *,
+                       k: "int | None", radius: "int | None",
+                       filter: "QuerySpec | None", batch: bool):
+        """Scatter one query code (or a batch) to every compatible node.
 
-        def fn(node: FederatedNode):
+        ``filter_spec`` and the owner's ``plan_hint`` ride along only when
+        a filter is set, so stubs/peers speaking the unfiltered protocol
+        keep working.
+        """
+        targets, pre_skipped = self._compatible_targets(
+            owner.system.hasher.num_bits)
+        kwargs: dict = {"k": k, "radius": radius}
+        if filter is not None:
+            kwargs["filter_spec"] = filter
+            plan_hint = self._scatter_plan(owner, req, k=k, radius=radius,
+                                           filter_spec=filter)
+            if plan_hint is not None:
+                kwargs["plan_hint"] = plan_hint
+
+        def fn(node: FederatedNode, _chains):
             try:
-                return node.query_code(code, k=request_k, radius=radius,
-                                       **filter_kwargs, **hint_kwargs)
+                if batch:
+                    return node.query_codes_batch(codes, **kwargs)
+                return node.query_code(codes, **kwargs)
             except EmptyIndexError:
                 # An elastic replica can legitimately be empty (all its
                 # patches deleted, or a fresh joiner racing the handoff):
                 # it contributes nothing, it is not a failure.
-                return [], 0
-        return fn
+                return [([], 0)] * len(codes) if batch else ([], 0)
+
+        return self.executor.scatter_replicated(
+            fn, chains=self._chains(targets), targets=targets,
+            pre_skipped=pre_skipped)
 
     def similar_images_batch(self, names: "list[str]", *,
                              k: "int | None" = 10,
@@ -473,126 +492,57 @@ class FederatedEarthQube:
             validate_code_query(k, radius)  # before the scatter, as above
             codes = np.stack([owner.code_of(bare) for owner, bare in resolved])
             request_k = None if k is None else k + 1
-            namespace = self._namespacing()
-            targets, pre_skipped = self._compatible_targets(widths.pop())
-            filter_kwargs = {} if filter is None else {"filter_spec": filter}
-            plan_hint = (None if filter is None else
-                         self._scatter_plan(resolved[0][0], req, k=request_k,
-                                            radius=radius, filter_spec=filter))
-            hint_kwargs = {} if plan_hint is None else {"plan_hint": plan_hint}
-
-            def fn(node: FederatedNode):
-                try:
-                    return node.query_codes_batch(codes, k=request_k,
-                                                  radius=radius,
-                                                  **filter_kwargs,
-                                                  **hint_kwargs)
-                except EmptyIndexError:
-                    return [([], 0)] * len(names)
-
-            if self.elastic:
-                outcomes, meta = self.executor.scatter_replicated(
-                    fn, chains=self.ring.replica_chains(), targets=targets,
-                    pre_skipped=pre_skipped)
-            else:
-                outcomes, meta = self.executor.scatter(
-                    fn, nodes=targets, pre_skipped=pre_skipped)
+            outcomes, meta = self._scatter_codes(
+                resolved[0][0], codes, req, k=request_k, radius=radius,
+                filter=filter, batch=True)
             answered = [o for o in outcomes if o.ok]
-            dedupe_kwargs = {"dedupe": True, "order_of": self._row_order} \
-                if self.elastic else {}
+            merge_kwargs = self._merge_kwargs(self._row_order)
             responses: list[SimilarityResponse] = []
             for position, (owner, bare) in enumerate(resolved):
                 merged, used = merge_similarity(
                     [(o.node_name, o.value[position][0], o.value[position][1])
                      for o in answered],
-                    k=request_k, radius=radius, namespace=namespace,
-                    **dedupe_kwargs)
-                query_id = self._canonical_id(owner, bare, namespace)
+                    k=request_k, radius=radius, **merge_kwargs)
+                query_id = namespaced_id(owner.name, bare) \
+                    if merge_kwargs["namespace"] else bare
                 responses.append(shape_name_response(query_id, merged, used, k))
             req.annotate(answered=len(meta.answered), failed=len(meta.failed))
             return FederatedResponse(responses, meta)
 
     def statistics_for(self, names: "list[str]") -> FederatedResponse:
-        """Label statistics over federated names, summed across archives."""
+        """Label statistics over federated names, each counted once.
+
+        Names group by replica chain — the owning node in a static
+        federation (resolved as in :meth:`resolve_image`), the name's
+        registered replicas in an elastic one — and each reader counts
+        the names of the chains it was picked for; a failed reader's
+        chains are re-asked of another replica.  A name no registered
+        replica could hold contributes nothing, like the direct path's
+        silent ``$in`` miss.
+        """
         self._require_nodes()
         with self.obs.request("federation.statistics", names=len(names)):
-            if self.elastic:
-                return self._elastic_statistics(names)
-            groups: dict[str, list[str]] = {}
+            by_chain: dict[tuple[str, ...], list[str]] = {}
             for name in names:
-                owner, bare = self.resolve_image(name)
-                groups.setdefault(owner.name, []).append(bare)
-            owners = [node for node in self.registry if node.name in groups]
-            pre_skipped = {node.name: SKIP_NO_DATA for node in self.registry
-                           if node.name not in groups}
-            outcomes, meta = self.executor.scatter(
-                lambda node: node.statistics_for(groups[node.name]),
-                nodes=owners, pre_skipped=pre_skipped)
+                if self.elastic:
+                    bare = name
+                    chain = tuple(r for r in self.ring.replicas_for(name)
+                                  if r in self.registry)
+                else:
+                    owner, bare = self.resolve_image(name)
+                    chain = (owner.name,)
+                if chain:
+                    by_chain.setdefault(chain, []).append(bare)
+            holders = {member for chain in by_chain for member in chain}
+            outcomes, meta = self.executor.scatter_replicated(
+                lambda node, chains: node.statistics_for(
+                    [name for chain in chains for name in by_chain[chain]]),
+                chains=list(by_chain),
+                targets=[node for node in self.registry if node.name in holders],
+                pre_skipped={node.name: SKIP_NO_DATA for node in self.registry
+                             if node.name not in holders})
             merged = merge_statistics(o.value for o in outcomes if o.ok)
             return FederatedResponse(merged, meta)
-
-    def _elastic_statistics(self, names: "list[str]") -> FederatedResponse:
-        """Replicated statistics: each name answered by one live replica.
-
-        Names route to their first breaker-admitted replica in placement
-        order; a failed node's names retry on the next untried replica
-        (recorded in ``meta.recovered``).  Every name is counted exactly
-        once, so the merged sums equal the full-corpus oracle's.
-        """
-        meta = FederatedResultMeta(nodes_total=len(self.registry))
-        pending: list[tuple[str, list[str]]] = []  # (name, untried replicas)
-        for name in names:
-            replicas = [r for r in self.ring.replicas_for(name)
-                        if r in self.registry]
-            # A name no registered replica could hold contributes nothing,
-            # exactly like the direct path's silent $in miss.
-            if replicas:
-                preferred = sorted(
-                    replicas,
-                    key=lambda r: self.registry.breaker_of(r).state == OPEN)
-                pending.append((name, preferred))
-        collected: list = []
-        answered: set[str] = set()
-        attempted: set[str] = set()
-        failures: dict[str, list[str]] = {}
-        while pending:
-            groups: dict[str, list[str]] = {}
-            leftovers: list[tuple[str, str, list[str]]] = []
-            for name, candidates in pending:
-                usable = [r for r in candidates if r not in attempted]
-                if not usable:
-                    meta.lost_segments += 1
-                    continue
-                groups.setdefault(usable[0], []).append(name)
-                leftovers.append((name, usable[0], usable))
-            if not groups:
-                break
-            wave_nodes = [self.registry.get(n) for n in self.registry.names
-                          if n in groups]
-            outcomes, wave_meta = self.executor.scatter(
-                lambda node: node.statistics_for(groups[node.name]),
-                nodes=wave_nodes)
-            meta.queried.extend(wave_meta.queried)
-            meta.answered.extend(wave_meta.answered)
-            meta.failed.update(wave_meta.failed)
-            meta.skipped.update(wave_meta.skipped)
-            meta.latency_s.update(wave_meta.latency_s)
-            answered.update(wave_meta.answered)
-            attempted.update(groups)
-            collected.extend(o.value for o in outcomes if o.ok)
-            pending = []
-            for name, picked, candidates in leftovers:
-                if picked in answered:
-                    for earlier in failures.get(name, []):
-                        meta.recovered.setdefault(earlier, picked)
-                else:
-                    failures.setdefault(name, []).append(picked)
-                    pending.append((name, candidates))
-        for name in self.registry.names:
-            if name not in attempted:
-                meta.skipped.setdefault(name, SKIP_REPLICA_COVERED)
-        merged = merge_statistics(collected)
-        return FederatedResponse(merged, meta)
 
     # ------------------------------------------------------------------ #
     # Writes (fan-out in elastic mode)
@@ -683,18 +633,8 @@ class FederatedEarthQube:
                 name, HINT_UPDATE,
                 lambda node: node.update_image(name, features),
                 payload=features)
-        prefix, bare = split_namespaced(name)
-        if prefix is not None and prefix in self.registry:
-            node = self.registry.get(prefix)
-            return {"node": prefix, **node.update_image(bare, features)}
-        owners = [node for node in self.registry if node.has_image(name)]
-        if not owners:
-            raise UnknownPatchError(
-                f"no federation node indexes an image named {name!r}")
-        summaries = [(node.name, node.update_image(name, features))
-                     for node in owners]
-        return {"node": summaries[0][0], "nodes": [n for n, _ in summaries],
-                **summaries[0][1]}
+        return self._write_owners(
+            name, lambda node, bare: node.update_image(bare, features))
 
     def delete_image(self, name: str) -> dict:
         """Delete a federated image from *every* node that holds it.
@@ -714,16 +654,21 @@ class FederatedEarthQube:
             self._row_seq.pop(name, None)
             self._doc_seq.pop(name, None)
             return summary
+        return self._write_owners(
+            name, lambda node, bare: node.delete_image(bare))
+
+    def _write_owners(self, name: str,
+                      apply: Callable[[FederatedNode, str], dict]) -> dict:
+        """Static write: a namespaced id writes its node, a bare name
+        every registered holder (``"node"`` is the first, ``"nodes"`` all)."""
         prefix, bare = split_namespaced(name)
         if prefix is not None and prefix in self.registry:
-            node = self.registry.get(prefix)
-            summary = node.delete_image(bare)
-            return {"node": prefix, **summary}
+            return {"node": prefix, **apply(self.registry.get(prefix), bare)}
         owners = [node for node in self.registry if node.has_image(name)]
         if not owners:
             raise UnknownPatchError(
                 f"no federation node indexes an image named {name!r}")
-        summaries = [(node.name, node.delete_image(name)) for node in owners]
+        summaries = [(node.name, apply(node, name)) for node in owners]
         return {"node": summaries[0][0], "nodes": [n for n, _ in summaries],
                 **summaries[0][1]}
 
@@ -862,30 +807,19 @@ class FederatedEarthQube:
         node = self.registry.add(FederatedNode(name, system))
         new_ring = self.ring.with_node(name)
         self._joining[name] = new_ring
-        shipped = {"patches": 0, "bytes": 0, "shipments": 0}
         try:
             with self.obs.request("federation.join", node=name):
-                seq_map = self.sequence_map()
-                moving = [p for p, _ in sorted(self._row_seq.items(),
-                                               key=lambda kv: kv[1])
-                          if name in new_ring.replicas_for(p)
-                          and not node.has_image(p)]
-                by_source = self._plan_sources(moving, exclude=name)
-                for source_name in [n.name for n in self.registry
-                                    if n.name in by_source]:
-                    self._handoff_seq += 1
-                    result = ship_shard(
-                        self.registry.get(source_name).system,
-                        by_source[source_name], system,
-                        seq=self._handoff_seq, faults=self.faults,
-                        realign=seq_map)
-                    shipped["patches"] += result["patches"]
-                    shipped["bytes"] += result["bytes"]
-                    shipped["shipments"] += 1
-                    self.metrics.counter("handoff.patches",
-                                         node=name).increment(result["patches"])
-                    self.metrics.counter("handoff.bytes",
-                                         node=name).increment(result["bytes"])
+                by_source: dict[str, list[str]] = {}
+                for pname in sorted(self._row_seq, key=self._row_seq.get):
+                    if name not in new_ring.replicas_for(pname) \
+                            or node.has_image(pname):
+                        continue
+                    holder = self._holder(pname, self.ring, exclude=name)
+                    if holder is not None:
+                        by_source.setdefault(holder.name, []).append(pname)
+                shipped = self._ship([(source, by_source[source], name)
+                                      for source in self.registry.names
+                                      if source in by_source])
                 # WAL-tail catch-up: writes that raced the ship were hinted.
                 tail = self.flush_hints(name)
                 self.ring = new_ring  # the atomic flip
@@ -910,32 +844,16 @@ class FederatedEarthQube:
         self._require_elastic()
         leaving = self.registry.get(name)
         new_ring = self.ring.without_node(name)
-        seq_map = self.sequence_map()
         moves: dict[str, list[str]] = {}
-        for pname, _ in sorted(self._row_seq.items(), key=lambda kv: kv[1]):
-            if name not in self.ring.replicas_for(pname):
-                continue
-            for target in new_ring.replicas_for(pname):
-                if target in self.registry and \
-                        not self.registry.get(target).has_image(pname):
+        for pname in sorted(self._row_seq, key=self._row_seq.get):
+            if name in self.ring.replicas_for(pname):
+                for target in self._missing_copies(pname, new_ring):
                     moves.setdefault(target, []).append(pname)
-        shipped = {"patches": 0, "bytes": 0, "shipments": 0}
         with self.obs.request("federation.leave", node=name):
-            for target in [n.name for n in self.registry if n.name in moves]:
-                names_held = [p for p in moves[target] if leaving.has_image(p)]
-                self._handoff_seq += 1
-                result = ship_shard(
-                    leaving.system, names_held,
-                    self.registry.get(target).system,
-                    seq=self._handoff_seq, faults=self.faults,
-                    realign=seq_map)
-                shipped["patches"] += result["patches"]
-                shipped["bytes"] += result["bytes"]
-                shipped["shipments"] += 1
-                self.metrics.counter("handoff.patches",
-                                     node=target).increment(result["patches"])
-                self.metrics.counter("handoff.bytes",
-                                     node=target).increment(result["bytes"])
+            shipped = self._ship(
+                [(name, [p for p in moves[target] if leaving.has_image(p)],
+                  target)
+                 for target in self.registry.names if target in moves])
             self.ring = new_ring
             self.registry.remove(name)
             self.hints.discard(name)
@@ -954,46 +872,23 @@ class FederatedEarthQube:
         if name in self.registry:
             self.registry.remove(name)
         if name not in self.ring:
-            return {"node": name, "patches": 0, "bytes": 0, "lost": []}
+            return {"node": name, **self._ship([]), "lost": []}
         old_ring = self.ring
         new_ring = self.ring.without_node(name)
-        seq_map = self.sequence_map()
         moves: dict[tuple[str, str], list[str]] = {}
         lost: list[str] = []
-        for pname, _ in sorted(self._row_seq.items(), key=lambda kv: kv[1]):
+        for pname in sorted(self._row_seq, key=self._row_seq.get):
             if name not in old_ring.replicas_for(pname):
                 continue
-            survivor = next(
-                (r for r in old_ring.replicas_for(pname)
-                 if r != name and r in self.registry
-                 and self.registry.get(r).has_image(pname)),
-                None)
-            if survivor is None:
-                survivor = next((n.name for n in self.registry
-                                 if n.has_image(pname)), None)
+            survivor = self._holder(pname, old_ring)
             if survivor is None:
                 lost.append(pname)
                 continue
-            for target in new_ring.replicas_for(pname):
-                if target in self.registry and \
-                        not self.registry.get(target).has_image(pname):
-                    moves.setdefault((survivor, target), []).append(pname)
-        shipped = {"patches": 0, "bytes": 0, "shipments": 0}
+            for target in self._missing_copies(pname, new_ring):
+                moves.setdefault((survivor.name, target), []).append(pname)
         with self.obs.request("federation.node_died", node=name):
-            for source, target in sorted(moves):
-                self._handoff_seq += 1
-                result = ship_shard(
-                    self.registry.get(source).system, moves[(source, target)],
-                    self.registry.get(target).system,
-                    seq=self._handoff_seq, faults=self.faults,
-                    realign=seq_map)
-                shipped["patches"] += result["patches"]
-                shipped["bytes"] += result["bytes"]
-                shipped["shipments"] += 1
-                self.metrics.counter("handoff.patches",
-                                     node=target).increment(result["patches"])
-                self.metrics.counter("handoff.bytes",
-                                     node=target).increment(result["bytes"])
+            shipped = self._ship([(source, moves[(source, target)], target)
+                                  for source, target in sorted(moves)])
             self.ring = new_ring
             self.hints.discard(name)
         for pname in lost:
@@ -1023,24 +918,33 @@ class FederatedEarthQube:
             system.realign_index_rows(self.sequence_map())
         return node
 
-    def _plan_sources(self, names: "list[str]", *,
-                      exclude: str) -> dict[str, list[str]]:
-        """Group patches by the replica that will ship them (join path)."""
-        by_source: dict[str, list[str]] = {}
-        for pname in names:
-            source = next(
-                (r for r in self.ring.replicas_for(pname)
-                 if r != exclude and r in self.registry
-                 and self.registry.breaker_of(r).state != OPEN
-                 and self.registry.get(r).has_image(pname)),
-                None)
-            if source is None:
-                source = next((n.name for n in self.registry
-                               if n.name != exclude and n.has_image(pname)),
-                              None)
-            if source is not None:
-                by_source.setdefault(source, []).append(pname)
-        return by_source
+    def _missing_copies(self, pname: str, ring: PlacementRing) -> "list[str]":
+        """Registered replicas of ``pname`` under ``ring`` lacking a copy."""
+        return [target for target in ring.replicas_for(pname)
+                if target in self.registry
+                and not self.registry.get(target).has_image(pname)]
+
+    def _ship(self, moves: "list[tuple[str, list[str], str]]") -> dict:
+        """Ship every ``(source, names, target)`` shard, in order.
+
+        Each shipment is one :func:`ship_shard` under the next handoff
+        seq; ``handoff.patches`` / ``handoff.bytes`` count per receiving
+        node.  Returns the ``patches`` / ``bytes`` / ``shipments`` totals.
+        """
+        seq_map = self.sequence_map()
+        shipped = {"patches": 0, "bytes": 0, "shipments": 0}
+        for source, names, target in moves:
+            self._handoff_seq += 1
+            result = ship_shard(
+                self.registry.get(source).system, names,
+                self.registry.get(target).system,
+                seq=self._handoff_seq, faults=self.faults, realign=seq_map)
+            shipped["shipments"] += 1
+            for key in ("patches", "bytes"):
+                shipped[key] += result[key]
+                self.metrics.counter(f"handoff.{key}",
+                                     node=target).increment(result[key])
+        return shipped
 
     def _drop_over_replicated(self) -> int:
         """Delete copies on nodes the (new) ring no longer places them on."""
@@ -1103,10 +1007,9 @@ class FederatedEarthQube:
         return snapshot
 
     def close(self) -> None:
-        """Shut down the scatter-gather pool (nodes stay running)."""
+        """Stop the background read-repairer (nodes stay running)."""
         if self.repairer is not None:
             self.repairer.stop()
-        self.executor.close()
 
     def __enter__(self) -> "FederatedEarthQube":
         return self

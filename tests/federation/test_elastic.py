@@ -392,6 +392,110 @@ class TestHandoffCrash:
             fed.close()
 
 
+class TestHandoffAccounting:
+    """What join / leave / death report shipping, pinned on a fixed corpus.
+
+    The 36-patch R=2 federation is deterministic, so the shipped patch
+    and byte counts are exact.  The labeled ``handoff.*`` counters are
+    per receiving node and must sum to the reported totals.
+    """
+
+    def test_died_join_leave_totals_and_counters(self, oracle):
+        with make_federation(oracle) as fed:
+            died = fed.node_died("beta")
+            joined = fed.join_node("beta")
+            left = fed.leave_node("gamma")
+            snapshot = fed.metrics.snapshot()
+        assert {key: died[key] for key in ("patches", "bytes", "shipments",
+                                           "lost")} == \
+            {"patches": 23, "bytes": 11933, "shipments": 2, "lost": []}
+        assert {key: joined[key] for key in ("patches", "bytes",
+                                             "shipments")} == \
+            {"patches": 23, "bytes": 11933, "shipments": 2}
+        assert {key: left[key] for key in ("patches", "bytes",
+                                           "shipments")} == \
+            {"patches": 27, "bytes": 13745, "shipments": 2}
+        families = snapshot["families"]["counters"]
+        per_node = {name: {entry["labels"]["node"]: entry["value"]
+                           for entry in families[name]}
+                    for name in ("handoff.patches", "handoff.bytes")}
+        assert per_node == {
+            "handoff.patches": {"alpha": 28, "beta": 36, "gamma": 9},
+            "handoff.bytes": {"alpha": 13984, "beta": 18686, "gamma": 4941},
+        }
+        for key in ("patches", "bytes"):
+            assert sum(per_node[f"handoff.{key}"].values()) == \
+                died[key] + joined[key] + left[key]
+        counters = snapshot["counters"]
+        assert (counters["membership.deaths"], counters["membership.joins"],
+                counters["membership.leaves"]) == (1, 1, 1)
+
+
+class TestRemoveNodeHints:
+    def test_rejoin_after_remove_does_not_resurrect_a_delete(
+            self, extra_patches):
+        """A removed node's parked writes go with it: a hinted ingest
+        replayed after the patch was deleted would bring it back."""
+        local = fresh_oracle()
+        with make_federation(local) as fed:
+            patch = next(p for p in extra_patches
+                         if "beta" in fed.ring.replicas_for(p.name))
+
+            def boom(*args, **kwargs):
+                raise RuntimeError("node down")
+
+            beta = fed.registry.get("beta")
+            beta.ingest_new_patch = boom
+            assert fed.ingest_new_patch(patch)["hinted"] == ["beta"]
+            fed.remove_node("beta")
+            assert fed.hints.depth("beta") == 0
+            fed.delete_image(patch.name)
+            fed.join_node("beta")
+            assert not fed.registry.get("beta").has_image(patch.name)
+            total = fed.search(QuerySpec()).value.total_matches
+            assert total == local.search(QuerySpec()).total_matches == 36
+            assert_identical(local, fed, local.archive.names[:4])
+
+
+class TestLostSegments:
+    def test_r1_statistics_and_similar_count_the_same_lost_chain(
+            self, oracle):
+        config = FederationConfig(elastic=True, replication_factor=1,
+                                  max_retries=0)
+        with FederatedEarthQube.replicate(oracle, list(NODES),
+                                          config) as fed:
+            saved = break_node(fed.registry.get("beta"))
+            try:
+                names = list(oracle.archive.names)
+                query = next(n for n in names
+                             if fed.ring.replicas_for(n) != ("beta",))
+                similar = fed.similar_images(query, k=5).meta
+                stats = fed.statistics_for(names).meta
+                assert similar.lost_segments == stats.lost_segments == 1
+                assert not similar.coverage_complete
+                assert not stats.coverage_complete
+            finally:
+                heal_node(fed.registry.get("beta"), saved)
+
+    def test_every_read_falls_back_past_a_failing_reader(self, oracle):
+        """With the breaker held closed the failing node is picked on
+        every read; each chain it was picked for is re-asked of another
+        replica, so statistics count every name exactly once."""
+        with make_federation(oracle, max_retries=0,
+                             breaker_failure_threshold=1000) as fed:
+            saved = break_node(fed.registry.get("beta"))
+            try:
+                names = list(oracle.archive.names)
+                assert_identical(oracle, fed, names[:6])
+                stats = fed.statistics_for(names)
+                assert stats.value == oracle.statistics_for(names)
+                assert "beta" in stats.meta.failed
+                assert stats.meta.lost_segments == 0
+                assert stats.meta.coverage_complete
+            finally:
+                heal_node(fed.registry.get("beta"), saved)
+
+
 class TestLegacyFanOut:
     """Satellite regression: bare-name delete/update fan out to ALL owners."""
 

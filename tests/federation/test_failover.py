@@ -141,6 +141,38 @@ def test_batch_failover(pair, node_a):
     assert [len(q.results) for q in federated.value] == [3, 3, 3, 3]
 
 
+def test_failed_node_counts_one_lost_segment(node_a, node_b):
+    """A static node is a one-member replica chain: when it fails, its
+    corpus is one lost segment on every read, statistics included."""
+    from repro.earthqube import QuerySpec
+    from repro.earthqube.api import EarthQubeAPI
+    federation = FederatedEarthQube(
+        {"a": node_a, "b": node_b},
+        FederationConfig(max_retries=0, breaker_failure_threshold=10))
+    try:
+        node = federation.registry.get("b")
+        for method in ("query_code", "search", "statistics_for"):
+            setattr(node, method, broken)
+        name = node_a.archive.names[0]
+        metas = [
+            federation.similar_images(f"a/{name}", k=5).meta,
+            federation.search(QuerySpec(limit=5)).meta,
+            federation.statistics_for(
+                [f"a/{name}", f"b/{node_b.archive.names[0]}"]).meta,
+        ]
+        for meta in metas:
+            assert meta.lost_segments == 1
+            assert meta.answered == ["a"] and "b" in meta.failed
+            assert not meta.complete and not meta.coverage_complete
+        payload = EarthQubeAPI(federation=federation).similar(
+            {"name": f"a/{name}", "k": 5})
+        assert payload["partial"] is True
+        assert payload["failed_nodes"] == ["b"]
+        assert payload["federation"]["lost_segments"] == 1
+    finally:
+        federation.close()
+
+
 def test_hung_node_does_not_starve_healthy_nodes(node_a, node_b):
     """A node stuck past its timeout must not queue other nodes' calls
     behind it (each call gets its own thread): across repeated queries the
