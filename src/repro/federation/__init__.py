@@ -10,7 +10,8 @@ queryable system:
 * :mod:`repro.federation.breaker` — the per-node circuit breaker that
   ejects flapping archives and readmits them after a cooldown,
 * :mod:`repro.federation.executor` — the scatter-gather planner/executor:
-  thread-pool fan-out with per-node timeouts, bounded retries, and
+  fan-out on one persistent lane per node, per-node timeouts, bounded
+  retries, and
   explicit :class:`FederatedResultMeta` coverage accounting,
 * :mod:`repro.federation.merge` — deterministic cross-node merging by the
   global ``(distance, node order, insertion row)`` tie-break (a 1-node

@@ -1,24 +1,32 @@
 """Federated query execution: scatter-gather with fault isolation.
 
 One slow or crashed archive must not take the whole federation down.  The
-:class:`FederatedExecutor` fans a per-node callable out — one dedicated
-daemon thread per admitted node per scatter, so a hung node's stuck call
-can never occupy a worker another node needs — and gathers per-node
-outcomes under three protections:
+:class:`FederatedExecutor` fans a per-node callable out and gathers
+per-node outcomes.  Each node has one persistent daemon *lane* (a worker
+thread plus a job queue, created on the node's first call), so a node call
+is a queue hand-off rather than a thread start.  A lane takes a job only
+when idle: a call to a node whose lane is still busy — typically with a
+call stuck past its timeout — runs on a one-off daemon thread instead, so
+a hung call never queues a later call to that node (or the breaker's
+half-open probe) behind it, and no node ever waits on another node's
+worker.  Three protections apply:
 
 * **per-node timeout** — a node that does not answer within
-  ``node_timeout_s`` is counted as failed for this query (its thread
+  ``node_timeout_s`` is counted as failed for this query (its call
   finishes in the background; the result is discarded),
 * **bounded retries** — a node callable that raises is retried up to
-  ``max_retries`` times *within* its timeout budget,
+  ``max_retries`` times *within* its timeout budget: no new attempt starts
+  once the scatter's deadline has passed,
 * **circuit breaker** — ``breaker_failure_threshold`` consecutive failures
   eject the node (queries skip it outright, reported as skipped); after
   ``breaker_cooldown_s`` one half-open probe decides readmission.
 
 The breaker also bounds abandoned-thread growth: once a hung node's
-breaker opens, no new calls (threads) are sent its way until the
-half-open probe, so at most ``breaker_failure_threshold`` stuck calls
-accumulate per cooldown window.
+breaker opens, no new calls are sent its way until the half-open probe,
+so at most ``breaker_failure_threshold`` stuck calls accumulate per
+cooldown window.  A node's lane stops when :meth:`FederatedExecutor.release`
+is called for it (the node left the registry) and every lane stops on
+:meth:`FederatedExecutor.close`.
 
 Every scatter returns the per-node outcomes plus a
 :class:`FederatedResultMeta` making partial results *explicit*: which
@@ -27,15 +35,18 @@ skipped.  Per-node latency, failures and skips are recorded as labeled
 metric series (``node.latency`` / ``node.failures`` / ``node.skipped``
 with a ``node=<name>`` label) on the executor's metrics registry, and
 each scatter opens a ``federation.scatter`` trace span whose per-node
-``federation.node`` children run on the call threads (the trace context
-is captured before the fan-out and re-attached inside each thread, so
-cross-thread spans stitch into the caller's tree).
+``federation.node`` children run on the lane (or one-off) threads (the
+trace context is captured before the fan-out and re-attached for each
+call, so cross-thread spans stitch into the caller's tree and an untraced
+call never inherits an earlier call's context).
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
+import weakref
 from concurrent.futures import Future, TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -140,8 +151,53 @@ class _AttemptsExhausted(Exception):
         self.cause = cause
 
 
+class _Lane:
+    """One node's persistent worker: a daemon thread plus a job queue.
+
+    The lane holds no reference to the executor, so an executor nobody
+    closed can still be collected (its finalizer stops the lanes).
+    """
+
+    __slots__ = ("_jobs", "_idle")
+
+    def __init__(self, node_name: str) -> None:
+        self._jobs: "queue.SimpleQueue[Callable[[], None] | None]" = \
+            queue.SimpleQueue()
+        self._idle = threading.Lock()   # held while a job is queued/running
+        threading.Thread(target=self._serve, name=f"federation-{node_name}",
+                         daemon=True).start()
+
+    def offer(self, job: Callable[[], None]) -> bool:
+        """Queue ``job`` if the lane is idle; ``False`` when it is busy."""
+        if not self._idle.acquire(blocking=False):
+            return False
+        self._jobs.put(job)
+        return True
+
+    def stop(self) -> None:
+        """Exit once the job in hand (if any) finishes."""
+        self._jobs.put(None)
+
+    def _serve(self) -> None:
+        while True:
+            job = self._jobs.get()
+            if job is None:
+                return
+            try:
+                job()
+            finally:
+                del job   # drop the finished call's closure before blocking
+                self._idle.release()
+
+
+def _stop_lanes(lanes: "dict[str, _Lane]") -> None:
+    for lane in lanes.values():
+        lane.stop()
+    lanes.clear()
+
+
 class FederatedExecutor:
-    """Thread-per-call scatter-gather over the registry's healthy nodes."""
+    """Scatter-gather over the registry's healthy nodes, one lane per node."""
 
     def __init__(self, registry: NodeRegistry, config: "FederationConfig | None" = None,
                  *, metrics: "MetricsRegistry | None" = None,
@@ -150,6 +206,21 @@ class FederatedExecutor:
         self.config = config or FederationConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._clock = clock
+        self._lanes: dict[str, _Lane] = {}
+        self._lanes_lock = threading.Lock()
+        weakref.finalize(self, _stop_lanes, self._lanes)
+
+    def release(self, node_name: str) -> None:
+        """Stop ``node_name``'s lane (call after it leaves the registry)."""
+        with self._lanes_lock:
+            lane = self._lanes.pop(node_name, None)
+        if lane is not None:
+            lane.stop()
+
+    def close(self) -> None:
+        """Stop every lane; a later scatter starts fresh ones."""
+        with self._lanes_lock:
+            _stop_lanes(self._lanes)
 
     # ------------------------------------------------------------------ #
     # Scatter-gather
@@ -185,8 +256,8 @@ class FederatedExecutor:
             with tracing.span("federation.scatter", nodes=len(admitted),
                               skipped=len(meta.skipped)) as scatter_span:
                 started = self._clock()
-                futures = [self._spawn(fn, node) for node in admitted]
                 deadline = started + self.config.node_timeout_s
+                futures = [self._spawn(fn, node, deadline) for node in admitted]
                 for node, future in zip(admitted, futures):
                     outcome = self._gather_one(node, future, started, deadline)
                     outcomes.append(outcome)
@@ -289,14 +360,20 @@ class FederatedExecutor:
         outcomes.sort(key=lambda o: order.get(o.node_name, len(order)))
         return outcomes, meta
 
-    def _spawn(self, fn: Callable[[FederatedNode], Any],
-               node: FederatedNode) -> "Future[tuple[int, Any]]":
-        """Run the node call on its own daemon thread.
+    def _spawn(self, fn: Callable[[FederatedNode], Any], node: FederatedNode,
+               deadline: float) -> "Future[tuple[int, Any]]":
+        """Hand the node call to the node's lane, or a one-off thread.
 
-        Dedicated threads (instead of a shared pool) mean a node stuck past
-        its timeout only strands its own thread — it can never queue another
-        node's call behind it and burn that node's deadline.  Daemon threads
-        also keep a permanently hung archive from blocking interpreter exit.
+        Per-node workers (instead of a shared pool) mean a node stuck past
+        its timeout only strands its own lane — it can never queue another
+        node's call behind it and burn that node's deadline.  A busy lane
+        never queues a second call either: that call gets a one-off daemon
+        thread, so the next query (or half-open probe) to a hung node still
+        gets its own timeout.  Lanes are daemon threads rather than a
+        ``ThreadPoolExecutor``, whose workers are joined at interpreter
+        exit: a permanently hung archive must not block shutdown.  A lane
+        is created on the node's first call while the node is registered
+        (checked under the lane lock, so :meth:`release` cannot miss it).
         """
         future: "Future[tuple[int, Any]]" = Future()
         parent = tracing.capture()
@@ -305,7 +382,7 @@ class FederatedExecutor:
             with tracing.attach(parent), \
                     tracing.span("federation.node", node=node.name) as node_span:
                 try:
-                    result = self._call_with_retries(fn, node)
+                    result = self._call_with_retries(fn, node, deadline)
                 except BaseException as exc:
                     node_span.annotate(ok=False)
                     future.set_exception(exc)
@@ -313,19 +390,27 @@ class FederatedExecutor:
                     node_span.annotate(ok=True, attempts=result[0])
                     future.set_result(result)
 
-        threading.Thread(target=run, name=f"federation-{node.name}",
+        with self._lanes_lock:
+            lane = self._lanes.get(node.name)
+            if lane is None and node.name in self.registry:
+                lane = self._lanes[node.name] = _Lane(node.name)
+            if lane is not None and lane.offer(run):
+                return future
+        threading.Thread(target=run, name=f"federation-{node.name}-busy",
                          daemon=True).start()
         return future
 
     def _call_with_retries(self, fn: Callable[[FederatedNode], Any],
-                           node: FederatedNode) -> tuple[int, Any]:
+                           node: FederatedNode,
+                           deadline: float) -> tuple[int, Any]:
         attempts = 0
         while True:
             attempts += 1
             try:
                 return attempts, fn(node)
             except BaseException as exc:
-                if attempts > self.config.max_retries:
+                if attempts > self.config.max_retries \
+                        or self._clock() >= deadline:
                     raise _AttemptsExhausted(attempts, exc) from exc
 
     def _gather_one(self, node: FederatedNode, future, started: float,

@@ -200,11 +200,16 @@ class FederatedEarthQube:
                 self._doc_seq[name] = seq
 
     def remove_node(self, name: str) -> None:
-        self.registry.remove(name)
+        self._deregister(name)
         # Replayed on a rejoin, a parked write could undo a later delete.
         self.hints.discard(name)
         if self.elastic and name in self.ring:
             self.ring.remove_node(name)
+
+    def _deregister(self, name: str) -> None:
+        """Drop ``name`` from the registry and stop its executor lane."""
+        self.registry.remove(name)
+        self.executor.release(name)
 
     @property
     def num_nodes(self) -> int:
@@ -824,7 +829,7 @@ class FederatedEarthQube:
                 tail = self.flush_hints(name)
                 self.ring = new_ring  # the atomic flip
         except BaseException:
-            self.registry.remove(name)
+            self._deregister(name)
             self.hints.discard(name)
             raise
         finally:
@@ -855,7 +860,7 @@ class FederatedEarthQube:
                   target)
                  for target in self.registry.names if target in moves])
             self.ring = new_ring
-            self.registry.remove(name)
+            self._deregister(name)
             self.hints.discard(name)
         self.metrics.counter("membership.leaves").increment()
         return {"node": name, **shipped}
@@ -870,7 +875,7 @@ class FederatedEarthQube:
         """
         self._require_elastic()
         if name in self.registry:
-            self.registry.remove(name)
+            self._deregister(name)
         if name not in self.ring:
             return {"node": name, **self._ship([]), "lost": []}
         old_ring = self.ring
@@ -907,7 +912,7 @@ class FederatedEarthQube:
         :meth:`node_died` instead rejoins through the full handoff.
         """
         if name in self.registry:
-            self.registry.remove(name)
+            self._deregister(name)
         if self.elastic and name not in self.ring:
             self.join_node(name, system)
             return self.registry.get(name)
@@ -1007,9 +1012,11 @@ class FederatedEarthQube:
         return snapshot
 
     def close(self) -> None:
-        """Stop the background read-repairer (nodes stay running)."""
+        """Stop the background read-repairer and the executor's per-node
+        lanes (nodes stay running; a later read starts fresh lanes)."""
         if self.repairer is not None:
             self.repairer.stop()
+        self.executor.close()
 
     def __enter__(self) -> "FederatedEarthQube":
         return self

@@ -35,14 +35,27 @@ _TRACE_IDS = count(1)
 
 _local = threading.local()
 
+#: Exact built-in types that are already JSON-safe.
+_AS_IS = frozenset((str, bool, int, float, type(None)))
+
+
 def _clean(value: Any) -> Any:
     """Coerce a span attribute to a JSON-safe value.
 
     Containers are kept structured (recursively cleaned) so attributes
     like the planner's ``plan`` decision survive into profiles instead of
-    degrading to their ``repr``.
+    degrading to their ``repr``.  Exact built-in scalars and containers
+    take a type-identity fast path; subclasses, numpy scalars and other
+    objects fall through to the ``numbers`` ABC checks.
     """
-    if isinstance(value, (str, bool, type(None))):
+    kind = type(value)
+    if kind in _AS_IS:
+        return value
+    if kind is dict:
+        return {str(key): _clean(item) for key, item in value.items()}
+    if kind is list or kind is tuple:
+        return [_clean(item) for item in value]
+    if isinstance(value, str):  # bool and None are final: handled above
         return value
     if isinstance(value, numbers.Integral):  # numpy ints from scan stats
         return int(value)

@@ -175,7 +175,8 @@ def test_failed_node_counts_one_lost_segment(node_a, node_b):
 
 def test_hung_node_does_not_starve_healthy_nodes(node_a, node_b):
     """A node stuck past its timeout must not queue other nodes' calls
-    behind it (each call gets its own thread): across repeated queries the
+    behind it (each node has its own lane, and a call that finds its lane
+    busy gets a one-off thread): across repeated queries the
     healthy node keeps answering and only the hung node's breaker trips."""
     federation = FederatedEarthQube(
         {"a": node_a, "b": node_b},
@@ -235,6 +236,30 @@ def test_retry_recovers_a_flaky_node(node_a, node_b):
         federated = federation.similar_images(node_a.archive.names[0], k=5)
         assert federated.meta.answered == ["a", "b"]
         assert calls["n"] == 2
+    finally:
+        federation.close()
+
+
+def test_no_retry_starts_after_the_deadline(node_a, node_b):
+    """Retries stay within the timeout budget: a node that fails after
+    0.1 s under a 0.15 s timeout gets its second attempt (started at
+    0.1 s) and no third or fourth, although ``max_retries`` allows them."""
+    federation = FederatedEarthQube(
+        {"a": node_a, "b": node_b},
+        FederationConfig(node_timeout_s=0.15, max_retries=3))
+    try:
+        attempts = []
+
+        def slow_failure(code, *, k=None, radius=None):
+            attempts.append(time.monotonic())
+            time.sleep(0.1)
+            raise RuntimeError("node down")
+
+        federation.registry.get("b").query_code = slow_failure
+        federated = federation.similar_images(node_a.archive.names[0], k=5)
+        assert "timeout" in federated.meta.failed["b"]
+        time.sleep(0.5)  # past when attempts 3 and 4 would have started
+        assert len(attempts) == 2
     finally:
         federation.close()
 

@@ -134,6 +134,54 @@ class TestSerialization:
         assert "duration_ms" not in stuck
         root.__enter__()
 
+    def test_attribute_cleaning_matches_the_abc_chain(self):
+        """The exact-type fast path in ``_clean`` returns what the plain
+        ``numbers`` ABC chain returns, for every kind of attribute."""
+        import collections
+        import enum
+        import fractions
+        import numbers
+
+        def reference(value):
+            if isinstance(value, (str, bool, type(None))):
+                return value
+            if isinstance(value, numbers.Integral):
+                return int(value)
+            if isinstance(value, numbers.Real):
+                return float(value)
+            if isinstance(value, dict):
+                return {str(key): reference(item) for key, item in value.items()}
+            if isinstance(value, (list, tuple)):
+                return [reference(item) for item in value]
+            return repr(value)
+
+        class Label(str):
+            pass
+
+        class Level(enum.IntEnum):
+            HIGH = 3
+
+        class Opaque:
+            def __repr__(self) -> str:
+                return "<opaque>"
+
+        Pair = collections.namedtuple("Pair", "left right")
+        values = [
+            "plain", Label("sub"), True, False, None, 7, -2 ** 70, 0.5,
+            float("nan"), Level.HIGH, fractions.Fraction(1, 3), 2 + 1j,
+            np.int64(5), np.uint8(200), np.float32(0.25), np.float64(1.5),
+            np.bool_(True), np.array([1, 2]), b"raw", {1, 2}, Opaque(),
+            (1, (2.5, ("deep", np.int32(4)))), [[], (), {}],
+            Pair(np.int16(1), "r"),
+            {"plan": "linear:pre", 3: np.float64(2.0), (1, 2): [None, True],
+             None: {"nested": (Level.HIGH, Opaque())}},
+            collections.OrderedDict(b=1, a=np.int8(2)),
+            collections.defaultdict(list, {"k": [1.0]}),
+        ]
+        for value in values:
+            cleaned, expected = tracing._clean(value), reference(value)
+            assert repr(cleaned) == repr(expected), value
+
 
 class TestSampler:
     def test_rate_one_samples_everything(self):
