@@ -33,11 +33,18 @@ from ..store.database import Database, IMAGE_DATA, METADATA, RENDERED_IMAGES
 from .cart import DownloadCart
 from .cbir import CBIRService, SimilarityResponse
 from .feedback import FeedbackService
-from .ingest import decode_rendered_document, ingest_archive
+from .ingest import (decode_rendered_document, image_data_document,
+                     ingest_archive, metadata_document,
+                     rendered_image_document)
 from .markers import MarkerClusterer, markers_from_documents
 from .query import QuerySpec
 from .search import SearchResponse, SearchService
 from .statistics import LabelStatistics, label_statistics
+
+
+def _require_positive_k(k: int) -> None:
+    if k <= 0:
+        raise ValidationError(f"k must be positive, got {k}")
 
 
 class EarthQube:
@@ -53,7 +60,12 @@ class EarthQube:
         self.extractor = extractor
         self.hasher = hasher
         self.cbir = cbir
-        self.features = features
+        # Rows [0, _feature_rows) of _features are the feature matrix; the
+        # spare capacity doubles like CodeTable's code matrix, so an ingest
+        # appends in O(1) amortised.  The buffer is this node's own copy:
+        # deletes shift its rows in place.
+        self._features = np.array(features, dtype=np.float64)
+        self._feature_rows = self._features.shape[0]
         self.search_service = SearchService(db, codec)
         self.feedback_service = FeedbackService(db)
         # Let CBIR resolve QuerySpec filters against the metadata tier
@@ -79,6 +91,24 @@ class EarthQube:
         self.planner = QueryPlanner.from_config(
             config.planner, workload=self.obs.workload)
         self.cbir.use_planner(self.planner)
+
+    @property
+    def features(self) -> np.ndarray:
+        """The ``(N, D)`` feature matrix, row-aligned with the archive.
+
+        Training-side state: no query path reads it.  A view of the row
+        buffer, so a later ingest or delete shows through it.
+        """
+        return self._features[:self._feature_rows]
+
+    def _append_features(self, features: np.ndarray) -> None:
+        rows = self._feature_rows
+        if rows == self._features.shape[0]:
+            grown = np.empty((max(16, 2 * rows), self._features.shape[1]))
+            grown[:rows] = self._features[:rows]
+            self._features = grown
+        self._features[rows] = features
+        self._feature_rows = rows + 1
 
     # ------------------------------------------------------------------ #
     # Bootstrap
@@ -307,21 +337,28 @@ class EarthQube:
     # ------------------------------------------------------------------ #
 
     def auto_label(self, patch: Patch, *, k: int = 10,
-                   min_votes: "int | None" = None) -> list[str]:
+                   min_votes: "int | None" = None,
+                   features: "np.ndarray | None" = None) -> list[str]:
         """Predict CLC labels for an unlabeled image by neighbour voting.
 
         The "automatic labeling process" the paper sketches: retrieve the
         ``k`` most similar archive images and keep every label that occurs
         in at least ``min_votes`` of them (default: half).
+
+        ``features`` is the patch's feature vector when the caller already
+        extracted it (:meth:`ingest_new_patch` does): the vote hashes that
+        vector instead of extracting the patch a second time.  Without it
+        the patch is extracted here.
         """
-        if k <= 0:
-            raise ValidationError(f"k must be positive, got {k}")
-        similar = self.cbir.query_by_patch(patch, k=k)
+        _require_positive_k(k)
+        if features is None:
+            similar = self.cbir.query_by_patch(patch, k=k)
+        else:
+            similar = self.cbir.query_by_features(features, k=k)
         documents = self.documents_for(similar.names)
         if not documents:
             return []
         threshold = min_votes if min_votes is not None else max(1, len(documents) // 2)
-        from .statistics import label_statistics
         stats = label_statistics(documents)
         return [bar.label for bar in stats if bar.count >= threshold]
 
@@ -330,19 +367,30 @@ class EarthQube:
         """Add a newly acquired image to the live system.
 
         Inserts the metadata/image/rendered documents, hashes the image, and
-        updates the Hamming index in place — no rebuild.  When the patch
-        carries no trusted labels and ``auto_label_if_missing`` is set, the
-        neighbour-voting annotator supplies them first.
+        updates the Hamming index in place — no rebuild.  When
+        ``auto_label_if_missing`` is set, the neighbour-voting annotator
+        supplies the labels first.
+
+        The patch is extracted exactly once: the one feature vector drives
+        the label vote (:meth:`auto_label`) and is hashed into the index.
+        Extraction reads only the bands, which the stored patch shares with
+        ``patch``, so relabelling cannot change it.  Validation (the name is
+        in neither the archive nor the index, ``k`` is positive) and the
+        extraction both run before any write, so a rejected ingest leaves
+        nothing behind.
 
         Returns a summary dict (name, labels used, whether they were
         auto-assigned).
         """
-        if patch.name in self.archive:
-            raise ValidationError(f"patch {patch.name!r} already exists in the archive")
+        if patch.name in self.archive or self.cbir.has(patch.name):
+            raise ValidationError(f"patch {patch.name!r} already exists")
+        if auto_label_if_missing:
+            _require_positive_k(k)
+        features = self.extractor.extract(patch)
         auto_labeled = False
         labels = patch.labels
         if auto_label_if_missing:
-            predicted = self.auto_label(patch, k=k)
+            predicted = self.auto_label(patch, k=k, features=features)
             if predicted:
                 labels = tuple(predicted)
                 auto_labeled = True
@@ -352,17 +400,15 @@ class EarthQube:
             season=patch.season, s2_bands=patch.s2_bands,
             s1_bands=patch.s1_bands)
 
-        from .ingest import image_data_document, metadata_document, rendered_image_document
         self.db[METADATA].insert_one(metadata_document(stored, self.codec))
         if RENDERED_IMAGES in self.db and len(self.db[RENDERED_IMAGES]) > 0:
             self.db["image_data"].insert_one(image_data_document(stored))
             self.db[RENDERED_IMAGES].insert_one(rendered_image_document(stored))
 
-        features = self.extractor.extract(stored)
         self.cbir.add_image(stored.name, features)
         if self.gateway is not None:
             self.gateway.on_ingest()
-        self.features = np.vstack([self.features, features[None, :]])
+        self._append_features(features)
         self.archive.patches.append(stored)
         self.archive._by_name[stored.name] = stored
         self.archive._index_by_name[stored.name] = len(self.archive.patches) - 1
@@ -405,8 +451,13 @@ class EarthQube:
             self.gateway.on_delete()
         if name in self.archive:
             position = self.archive.remove(name)
-            if position < self.features.shape[0]:
-                self.features = np.delete(self.features, position, axis=0)
+            rows = self._feature_rows
+            if position < rows:
+                # Shift the later rows up in place (numpy buffers the
+                # overlapping copy); the capacity stays for later ingests.
+                self._features[position:rows - 1] = \
+                    self._features[position + 1:rows]
+                self._feature_rows = rows - 1
         compacted = self.maybe_compact_index()
         return {"name": name, "documents_deleted": documents_deleted,
                 "compacted": compacted}

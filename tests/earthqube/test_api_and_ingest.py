@@ -220,8 +220,19 @@ class TestOnlineIngestion:
         with pytest.raises(ValidationError):
             system.ingest_new_patch(patch)
 
+    def test_ingest_of_an_indexed_name_writes_nothing(self, system):
+        """A name the index holds but the archive does not (added through
+        the public ``cbir.add_image``) is rejected before any document is
+        inserted."""
+        node = system.empty_clone()
+        node.cbir.add_image("x-1", np.zeros(system.extractor.dimension))
+        with pytest.raises(ValidationError):
+            node.ingest_new_patch(_new_patch(system.config.archive, name="x-1"),
+                                  auto_label_if_missing=False)
+        assert node.db["metadata"].count({"name": "x-1"}) == 0
+        assert "x-1" not in node.archive and len(node.features) == 0
+
     def test_cbir_add_image_duplicate_rejected(self, system):
-        import numpy as np
         with pytest.raises(ValidationError):
             system.cbir.add_image(system.archive.names[0],
                                   np.zeros(system.extractor.dimension))
