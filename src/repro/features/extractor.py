@@ -7,6 +7,13 @@ histograms of the RGB+NIR bands.  Sentinel-1, when present, adds moments of
 VV, VH, and the VH/VV ratio.  The resulting dimension is reported by
 :attr:`FeatureExtractor.dimension` and stays fixed for a given config, so
 feature matrices can be preallocated.
+
+:meth:`FeatureExtractor.extract` is the one kernel: it stacks its rows by
+size and dtype (10 m + S1, 20 m, 60 m, indices) and sorts each stack once;
+quantiles, histograms and the non-finite check read the sorted rows.
+``extract_many`` loops it into a preallocated matrix, because a stacked
+whole-archive pass held float64 copies of every band (~90 MB for 100
+patches) and was slower on the one-patch ingest.
 """
 
 from __future__ import annotations
@@ -15,18 +22,19 @@ import numpy as np
 
 from ..bigearthnet.patch import Patch, S2_BANDS_10M, S2_BAND_NAMES
 from ..config import FeatureConfig
-from ..errors import ValidationError
+from ..errors import ShapeError, ValidationError
 from .spectral import ndbi, ndvi, ndwi
 from .statistics import (
-    band_moments,
-    band_moments_batch,
     gradient_energy,
-    histogram_features,
     local_variance,
+    sort_with_moments,
+    sorted_histograms,
 )
 
 _MOMENTS = 5
 _HISTOGRAM_BANDS = ("B02", "B03", "B04", "B08")
+_INDEX_ROWS = ("NDVI", "NDWI", "NDBI")
+_S1_ROWS = ("VV", "VH", "VH/VV")
 
 
 class FeatureExtractor:
@@ -42,10 +50,10 @@ class FeatureExtractor:
         if cfg.include_texture:
             dim += len(S2_BANDS_10M) * 2              # gradient energy + local variance
         if cfg.include_spectral_indices:
-            dim += 3 * _MOMENTS                       # NDVI, NDWI, NDBI moments
+            dim += len(_INDEX_ROWS) * _MOMENTS        # NDVI, NDWI, NDBI moments
         dim += len(_HISTOGRAM_BANDS) * cfg.histogram_bins
         if cfg.include_s1:
-            dim += 3 * _MOMENTS                       # VV, VH, VH/VV ratio moments
+            dim += len(_S1_ROWS) * _MOMENTS           # VV, VH, VH/VV ratio moments
         return dim
 
     @property
@@ -54,35 +62,39 @@ class FeatureExtractor:
         return self._dimension
 
     def extract(self, patch: Patch) -> np.ndarray:
-        """Feature vector of one patch (float64, length :attr:`dimension`)."""
+        """Feature vector of one patch (float64, length :attr:`dimension`).
+
+        Raises :class:`ValidationError` naming the band when a band, or a
+        row derived from it, holds a NaN or an infinite pixel.
+        """
         cfg = self.config
-        parts: list[np.ndarray] = []
-        for band_name in S2_BAND_NAMES:
-            parts.append(band_moments(patch.s2_bands[band_name]))
-        if cfg.include_texture:
-            for band_name in S2_BANDS_10M:
-                band = patch.s2_bands[band_name]
-                parts.append(np.array([gradient_energy(band), local_variance(band)]))
+        s2 = patch.s2_bands
+        rows = {name: s2[name] for name in S2_BAND_NAMES}
         if cfg.include_spectral_indices:
-            nir = patch.s2_bands["B08"]
-            red = patch.s2_bands["B04"]
-            green = patch.s2_bands["B03"]
-            swir = _upsample_to(patch.s2_bands["B11"], nir.shape[0])
-            parts.append(band_moments(ndvi(nir, red)))
-            parts.append(band_moments(ndwi(green, nir)))
-            parts.append(band_moments(ndbi(swir, nir)))
-        for band_name in _HISTOGRAM_BANDS:
-            parts.append(histogram_features(patch.s2_bands[band_name], cfg.histogram_bins))
-        if cfg.include_s1:
-            if patch.has_s1:
-                vv, vh = patch.s1_bands["VV"], patch.s1_bands["VH"]
-                ratio = vh / (vv + 1e-6)
-                parts.append(band_moments(vv))
-                parts.append(band_moments(vh))
-                parts.append(band_moments(ratio))
-            else:
-                # Archives generated without S1 keep the dimension stable.
-                parts.append(np.zeros(3 * _MOMENTS))
+            nir, red, green = s2["B08"], s2["B04"], s2["B03"]
+            swir = _upsample_to(s2["B11"], nir.shape[0])
+            rows.update(zip(_INDEX_ROWS, (ndvi(nir, red), ndwi(green, nir),
+                                          ndbi(swir, nir))))
+        has_s1 = cfg.include_s1 and patch.has_s1
+        if has_s1:
+            vv, vh = patch.s1_bands["VV"], patch.s1_bands["VH"]
+            rows.update(zip(_S1_ROWS, (vv, vh, vh / (vv + 1e-6))))
+        moments, ordered = _sorted_moments(patch.name, rows)
+
+        parts: list[np.ndarray] = [moments[name] for name in S2_BAND_NAMES]
+        if cfg.include_texture:
+            for name in S2_BANDS_10M:
+                parts.append(np.array([gradient_energy(s2[name]),
+                                       local_variance(s2[name])]))
+        if cfg.include_spectral_indices:
+            parts.extend(moments[name] for name in _INDEX_ROWS)
+        parts.append(sorted_histograms(
+            [ordered[name] for name in _HISTOGRAM_BANDS], cfg.histogram_bins).ravel())
+        if has_s1:
+            parts.extend(moments[name] for name in _S1_ROWS)
+        elif cfg.include_s1:
+            # Archives generated without S1 keep the dimension stable.
+            parts.append(np.zeros(len(_S1_ROWS) * _MOMENTS))
         vector = np.concatenate(parts)
         if vector.shape[0] != self._dimension:
             raise ValidationError(
@@ -91,94 +103,46 @@ class FeatureExtractor:
         return vector
 
     def extract_many(self, patches: "list[Patch] | tuple[Patch, ...]") -> np.ndarray:
-        """``(N, dimension)`` feature matrix for a list of patches.
-
-        Band moments (per-band, spectral-index, and Sentinel-1) are
-        computed for *all* patches of a band in one stacked vectorized
-        pass — bitwise-identical to :meth:`extract` per patch, and free of
-        per-patch Python dispatch (the win grows as band resolution
-        shrinks relative to patch count).  Archives with ragged band
-        shapes fall back to the per-patch path.
-        """
-        patches = list(patches)
+        """``(N, dimension)`` feature matrix: row ``i`` is :meth:`extract`
+        of ``patches[i]``."""
         if not patches:
             raise ValidationError("extract_many needs at least one patch")
-        stacks = self._stack_bands(patches)
-        if stacks is None:
-            out = np.empty((len(patches), self._dimension), dtype=np.float64)
-            for row, patch in enumerate(patches):
-                out[row] = self.extract(patch)
-            return out
-        return self._extract_many_stacked(patches, stacks)
+        out = np.empty((len(patches), self._dimension), dtype=np.float64)
+        for row, patch in enumerate(patches):
+            out[row] = self.extract(patch)
+        return out
 
-    def _stack_bands(self, patches: "list[Patch]",
-                     ) -> "dict[str, np.ndarray] | None":
-        """Per-band ``(N, H, W)`` stacks, or None when the fast path
-        cannot apply (ragged shapes, or a mix of with/without S1)."""
-        cfg = self.config
-        if cfg.include_s1 and any(p.has_s1 for p in patches) \
-                and not all(p.has_s1 for p in patches):
-            return None
-        stacks: dict[str, np.ndarray] = {}
-        try:
-            for band_name in S2_BAND_NAMES:
-                stacks[band_name] = np.stack(
-                    [patch.s2_bands[band_name] for patch in patches])
-            if cfg.include_s1 and patches[0].has_s1:
-                stacks["VV"] = np.stack([p.s1_bands["VV"] for p in patches])
-                stacks["VH"] = np.stack([p.s1_bands["VH"] for p in patches])
-        except ValueError:
-            return None
-        return stacks
 
-    def _extract_many_stacked(self, patches: "list[Patch]",
-                              stacks: "dict[str, np.ndarray]") -> np.ndarray:
-        """The vectorized fast path; column order mirrors :meth:`extract`."""
-        cfg = self.config
-        num = len(patches)
-        columns: list[np.ndarray] = []
-        for band_name in S2_BAND_NAMES:
-            columns.append(band_moments_batch(stacks[band_name]))
-        if cfg.include_texture:
-            # Texture kernels stay per-patch: on full-archive stacks the
-            # gradient temporaries fall out of cache and run slower than
-            # the cache-sized 2-D loop.
-            for band_name in S2_BANDS_10M:
-                stack = stacks[band_name]
-                texture = np.empty((num, 2), dtype=np.float64)
-                for row in range(num):
-                    texture[row, 0] = gradient_energy(stack[row])
-                    texture[row, 1] = local_variance(stack[row])
-                columns.append(texture)
-        if cfg.include_spectral_indices:
-            nir = stacks["B08"]
-            red = stacks["B04"]
-            green = stacks["B03"]
-            swir = _upsample_stack(stacks["B11"], nir.shape[1])
-            columns.append(band_moments_batch(ndvi(nir, red)))
-            columns.append(band_moments_batch(ndwi(green, nir)))
-            columns.append(band_moments_batch(ndbi(swir, nir)))
-        for band_name in _HISTOGRAM_BANDS:
-            stack = stacks[band_name]
-            histograms = np.empty((num, cfg.histogram_bins), dtype=np.float64)
-            for row in range(num):
-                histograms[row] = histogram_features(stack[row], cfg.histogram_bins)
-            columns.append(histograms)
-        if cfg.include_s1:
-            if "VV" in stacks:
-                vv, vh = stacks["VV"], stacks["VH"]
-                ratio = vh / (vv + 1e-6)
-                columns.append(band_moments_batch(vv))
-                columns.append(band_moments_batch(vh))
-                columns.append(band_moments_batch(ratio))
-            else:
-                columns.append(np.zeros((num, 3 * _MOMENTS)))
-        matrix = np.concatenate(columns, axis=1)
-        if matrix.shape[1] != self._dimension:
-            raise ValidationError(
-                f"feature dimension mismatch: produced {matrix.shape[1]}, "
-                f"expected {self._dimension}")
-        return matrix
+def _sorted_moments(patch_name: str, rows: "dict[str, np.ndarray]",
+                    ) -> "tuple[dict[str, np.ndarray], dict[str, np.ndarray]]":
+    """``[mean, std, p10, p50, p90]`` and the ascending pixels of each
+    named 2-D row, with one sort per stack of same-size, same-dtype rows.
+
+    float32 rows are sorted as float32: widening is exact and monotonic, so
+    the order and every value read back are those of the float64 band.
+    """
+    stacks: dict[tuple, list[str]] = {}
+    for name, band in rows.items():
+        if band.ndim != 2:
+            raise ShapeError(f"band {name} must be 2D, got shape {band.shape}")
+        dtype = np.float32 if band.dtype == np.float32 else np.float64
+        stacks.setdefault((band.size, dtype), []).append(name)
+    moments: dict[str, np.ndarray] = {}
+    ordered: dict[str, np.ndarray] = {}
+    for (size, dtype), names in stacks.items():
+        stack = np.empty((len(names), size), dtype=dtype)
+        for i, name in enumerate(names):
+            stack[i] = rows[name].ravel()
+        stack_moments = sort_with_moments(stack)
+        for i, name in enumerate(names):
+            moments[name], ordered[name] = stack_moments[i], stack[i]
+    # NaN sorts last and -inf / +inf to the ends: the check is free.
+    bad = [name for name in rows
+           if not (np.isfinite(ordered[name][0]) and np.isfinite(ordered[name][-1]))]
+    if bad:
+        raise ValidationError(
+            f"patch {patch_name!r} has non-finite pixels in {', '.join(bad)}")
+    return moments, ordered
 
 
 def _upsample_to(band: np.ndarray, side: int) -> np.ndarray:
@@ -187,11 +151,3 @@ def _upsample_to(band: np.ndarray, side: int) -> np.ndarray:
     if factor <= 1:
         return band
     return np.repeat(np.repeat(band, factor, axis=0), factor, axis=1)
-
-
-def _upsample_stack(stack: np.ndarray, side: int) -> np.ndarray:
-    """Batch form of :func:`_upsample_to` over an ``(N, H, W)`` stack."""
-    factor = side // stack.shape[1]
-    if factor <= 1:
-        return stack
-    return np.repeat(np.repeat(stack, factor, axis=1), factor, axis=2)

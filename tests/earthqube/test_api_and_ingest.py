@@ -232,6 +232,33 @@ class TestOnlineIngestion:
         assert node.db["metadata"].count({"name": "x-1"}) == 0
         assert "x-1" not in node.archive and len(node.features) == 0
 
+    @pytest.mark.parametrize("call, satellite, band, value", [
+        ("ingest", "s2", "B02", np.nan),
+        ("ingest", "s1", "VV", np.inf),
+        ("similar_new", "s2", "B05", np.nan),
+    ], ids=repr)
+    def test_non_finite_pixels_rejected_before_any_write(
+            self, system, call, satellite, band, value):
+        """One NaN or infinite pixel is a typed error naming the band, and
+        neither an ingest nor a query-by-new-example leaves anything
+        behind."""
+        patch = _new_patch(system.config.archive, name="NEW_NON_FINITE")
+        getattr(patch, f"{satellite}_bands")[band][3, 5] = value
+
+        def counts():
+            return (len(system.archive), len(system.cbir),
+                    len(system.db["metadata"]), len(system.features))
+
+        before = counts()
+        with pytest.raises(ValidationError, match=band):
+            if call == "ingest":
+                system.ingest_new_patch(patch)
+            else:
+                system.similar_to_new_image(patch, k=5)
+        assert counts() == before
+        assert "NEW_NON_FINITE" not in system.archive
+        assert not system.cbir.has("NEW_NON_FINITE")
+
     def test_cbir_add_image_duplicate_rejected(self, system):
         with pytest.raises(ValidationError):
             system.cbir.add_image(system.archive.names[0],

@@ -204,43 +204,15 @@ class TestPCA:
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-9)
 
 
-class TestBandMomentsBatch:
-    def test_bitwise_equal_to_per_band_path(self):
-        from repro.features.statistics import band_moments_batch
-        rng = np.random.default_rng(5)
-        stack = rng.random((9, 24, 24))
-        batch = band_moments_batch(stack)
-        assert batch.shape == (9, 5)
-        for row in range(stack.shape[0]):
-            assert np.array_equal(batch[row], band_moments(stack[row]))
+class TestExtractManyIsALoop:
+    """``extract_many`` fills its matrix with one :meth:`extract` per row."""
 
-    def test_requires_3d(self):
-        from repro.features.statistics import band_moments_batch
-        with pytest.raises(ShapeError):
-            band_moments_batch(np.zeros((4, 4)))
-
-
-class TestExtractManyVectorized:
-    def test_bitwise_equal_to_per_patch_path(self, archive, extractor):
-        """The vectorized fast path must be exactly the per-patch matrix."""
+    def test_rows_equal_extract(self, archive, extractor):
         patches = archive.patches[:25]
-        fast = extractor.extract_many(patches)
-        slow = np.stack([extractor.extract(patch) for patch in patches])
-        assert np.array_equal(fast, slow)
+        matrix = extractor.extract_many(patches)
+        rows = np.stack([extractor.extract(patch) for patch in patches])
+        assert np.array_equal(matrix, rows)
 
     def test_single_patch_batch(self, archive, extractor):
-        fast = extractor.extract_many(archive.patches[:1])
-        assert np.array_equal(fast[0], extractor.extract(archive.patches[0]))
-
-    def test_ragged_shapes_fall_back(self, archive, extractor):
-        """Mixed band resolutions across patches use the per-patch path."""
-        import copy
-        a, b = archive.patches[0], archive.patches[1]
-        scaled = copy.deepcopy(b)
-        scaled.s2_bands.update(
-            {name: np.repeat(np.repeat(band, 2, axis=0), 2, axis=1)
-             for name, band in b.s2_bands.items()})
-        expected_a = extractor.extract(a)
-        matrix = extractor.extract_many([a, scaled])
-        assert np.array_equal(matrix[0], expected_a)
-        assert np.array_equal(matrix[1], extractor.extract(scaled))
+        matrix = extractor.extract_many(archive.patches[:1])
+        assert np.array_equal(matrix[0], extractor.extract(archive.patches[0]))
