@@ -13,8 +13,8 @@ robustness machinery end to end:
    byte-identical and coverage-complete (``availability`` is the fraction
    that did — the acceptance bar is 1.0), and the report records how many
    patches/bytes the survivors re-replicated,
-3. **rejoin sweep** — the dead node rejoins through snapshot shard
-   handoff (``join_node``); queries after the flip must again match the
+3. **rejoin sweep** — the dead node rejoins through an in-memory shard
+   copy (``join_node``); queries after the flip must again match the
    oracle, and the handoff volume/latency is recorded,
 4. **replication overhead** — read throughput of the same corpus at R=1
    vs R=2 (one-of-R scatter should not pay for the extra copies).

@@ -6,7 +6,7 @@ elastic federation members, then walks the whole churn lifecycle:
 1. verify the federation answers byte-identically to the single system,
 2. declare a member dead mid-run — queries keep answering, byte-identical,
    from the surviving replicas, while the survivors re-replicate its shard,
-3. rejoin the node through snapshot shard handoff and verify again,
+3. rejoin the node through an in-memory shard copy and verify again,
 4. write through an outage: the missed replica catches up from the hint
    log and the anti-entropy scanner certifies all copies converged.
 
@@ -85,7 +85,7 @@ def main() -> None:
 
     # ------------------------------------------------------------------ #
     # Rejoin. The returning node starts as an empty clone, receives its
-    # shard via seq-stamped snapshot handoff, replays any writes that
+    # shard in memory from current replicas, replays any writes that
     # raced the transfer, and only then flips into the placement ring.
     # ------------------------------------------------------------------ #
     print("\nRejoining beta through shard handoff ...")

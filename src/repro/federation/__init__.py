@@ -26,10 +26,13 @@ live membership:
 
 * :mod:`repro.federation.placement` — the consistent-hash
   :class:`PlacementRing` assigning every patch to R replicas,
-* :mod:`repro.federation.handoff` — :func:`ship_shard`, snapshot-backed
-  shard transfer for join/leave rebalancing,
 * :mod:`repro.federation.repair` — the :class:`HintLog` of writes that
   missed a down replica and the anti-entropy :class:`ReadRepairer`.
+
+Join, leave, death and read-repair all move replica copies with one
+routine, ``FederatedEarthQube._ship``: the source node's
+``export_shard`` dict is handed in memory to the target's
+``import_shard``; a durable target journals that import in its own WAL.
 """
 
 from .breaker import CircuitBreaker
@@ -40,7 +43,6 @@ from .executor import (
     NodeOutcome,
 )
 from .facade import FederatedEarthQube, FederatedResponse
-from .handoff import ship_shard
 from .merge import (
     merge_search,
     merge_similarity,
@@ -71,7 +73,6 @@ __all__ = [
     "merge_similarity",
     "merge_statistics",
     "namespaced_id",
-    "ship_shard",
     "split_namespaced",
     "stable_hash",
 ]

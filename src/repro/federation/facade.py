@@ -41,10 +41,11 @@ Elastic federations also replicate writes and change membership live:
   the :class:`~repro.federation.repair.HintLog` and drained when the node
   is reachable again (static writes go to every holder of a bare name,
   or to the one node of a namespaced id),
-* nodes :meth:`join_node` / :meth:`leave_node` / :meth:`node_died` live,
-  with shard handoff shipped through seq-stamped snapshots
-  (:func:`~repro.federation.handoff.ship_shard`) followed by a
-  hint-drain catch-up and an atomic ring flip,
+* nodes :meth:`join_node` / :meth:`leave_node` / :meth:`node_died` live:
+  one routine (:meth:`_ship`) copies each moving shard in memory from a
+  holding replica (``export_shard`` → ``import_shard``, the same copy
+  read-repair makes), then a hint-drain catch-up and an atomic ring flip
+  follow; a durable receiver journals the import in its own WAL,
 * a :class:`~repro.federation.repair.ReadRepairer` detects replica
   divergence from per-partition digests and re-syncs in the background.
 
@@ -60,6 +61,7 @@ ranking at every tie.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
@@ -73,7 +75,7 @@ from ..errors import EmptyIndexError, ReproError, UnknownPatchError, ValidationE
 from ..obs import Observability
 from ..obs.metrics import MetricsRegistry
 from ..planner import validate_code_query
-from ..store.faults import NO_FAULTS
+from ..store.wal import encode_payload
 from .breaker import OPEN
 from .executor import (
     SKIP_INCOMPATIBLE,
@@ -81,7 +83,6 @@ from .executor import (
     FederatedExecutor,
     FederatedResultMeta,
 )
-from .handoff import ship_shard
 from .merge import (
     merge_search,
     merge_similarity,
@@ -111,8 +112,7 @@ class FederatedEarthQube:
     def __init__(self,
                  nodes: "Mapping[str, EarthQube] | Iterable[FederatedNode] | None" = None,
                  config: "FederationConfig | None" = None, *,
-                 clock: Callable[[], float] = time.monotonic,
-                 faults=NO_FAULTS) -> None:
+                 clock: Callable[[], float] = time.monotonic) -> None:
         self.config = config or FederationConfig()
         self.metrics = MetricsRegistry()
         self.registry = NodeRegistry(
@@ -123,9 +123,7 @@ class FederatedEarthQube:
                                           metrics=self.metrics, clock=clock)
         self.obs = Observability(self.config.obs, component="federation")
         # Elastic-mode state: placement ring, hint log, global insertion
-        # sequences, read-repairer, and the fault injector handoff
-        # snapshots are written under (armable crash points in tests).
-        self.faults = faults
+        # sequences, read-repairer.
         self.ring = PlacementRing(
             replication_factor=self.config.replication_factor,
             virtual_nodes=self.config.virtual_nodes,
@@ -138,7 +136,6 @@ class FederatedEarthQube:
         self._next_seq = 0
         self._row_seq: dict[str, int] = {}   # name -> CBIR insertion seq
         self._doc_seq: dict[str, int] = {}   # name -> document insertion seq
-        self._handoff_seq = 0
         # Nodes mid-join: name -> prospective ring; writes during the
         # handoff are additionally hinted to the joining node (the
         # WAL-tail catch-up drained before the ring flips).
@@ -573,6 +570,18 @@ class FederatedEarthQube:
         if name in self._row_seq:
             raise ValidationError(f"patch {name!r} already exists in the federation")
         replicas = self.ring.replicas_for(name)
+        # A reachable replica still holding an untracked copy has a parked
+        # delete for it: apply that first, or reject before any replica
+        # writes (one replica applying while another refuses would leave a
+        # copy read-repair never scans).
+        for replica in replicas:
+            node, _reason = self._writable_node(replica)
+            if node is None or not node.has_image(name):
+                continue
+            self.flush_hints(replica)
+            if node.has_image(name):
+                raise ValidationError(
+                    f"replica {replica!r} still holds a copy of {name!r}")
         applied: list[str] = []
         failed: dict[str, str] = {}
         deferred_hints: list[tuple[str, Hint]] = []
@@ -794,8 +803,8 @@ class FederatedEarthQube:
         """Add a node to a live elastic federation, with shard handoff.
 
         The sequence is: register the node (still off the ring) → compute
-        its prospective placement → ship every patch it will own from a
-        current replica through seq-stamped snapshots → drain the hint
+        its prospective placement → copy every patch it will own from a
+        current replica (:meth:`_ship`) → drain the hint
         tail that accumulated while shipping (writes racing the join) →
         flip the ring → drop copies other nodes no longer own.  A failure
         anywhere before the flip rolls the registration back: the ring
@@ -851,14 +860,13 @@ class FederatedEarthQube:
         new_ring = self.ring.without_node(name)
         moves: dict[str, list[str]] = {}
         for pname in sorted(self._row_seq, key=self._row_seq.get):
-            if name in self.ring.replicas_for(pname):
+            if name in self.ring.replicas_for(pname) and leaving.has_image(pname):
                 for target in self._missing_copies(pname, new_ring):
                     moves.setdefault(target, []).append(pname)
         with self.obs.request("federation.leave", node=name):
-            shipped = self._ship(
-                [(name, [p for p in moves[target] if leaving.has_image(p)],
-                  target)
-                 for target in self.registry.names if target in moves])
+            shipped = self._ship([(name, moves[target], target)
+                                  for target in self.registry.names
+                                  if target in moves])
             self.ring = new_ring
             self._deregister(name)
             self.hints.discard(name)
@@ -930,25 +938,29 @@ class FederatedEarthQube:
                 and not self.registry.get(target).has_image(pname)]
 
     def _ship(self, moves: "list[tuple[str, list[str], str]]") -> dict:
-        """Ship every ``(source, names, target)`` shard, in order.
+        """Copy every ``(source, names, target)`` shard, in order.
 
-        Each shipment is one :func:`ship_shard` under the next handoff
-        seq; ``handoff.patches`` / ``handoff.bytes`` count per receiving
-        node.  Returns the ``patches`` / ``bytes`` / ``shipments`` totals.
+        The one replica-copy routine (join, leave, death and read-repair):
+        the source's :meth:`EarthQube.export_shard` dict goes straight to
+        the target's :meth:`EarthQube.import_shard`, which re-sorts its
+        rows to the global insertion order (a durable target journals the
+        import as its own ``shard.import`` WAL record).  ``bytes`` is the
+        shard's encoded JSON size, what that record carries;
+        ``handoff.patches`` / ``handoff.bytes`` count per receiving node.
+        Returns the ``patches`` / ``bytes`` / ``shipments`` totals.
         """
         seq_map = self.sequence_map()
         shipped = {"patches": 0, "bytes": 0, "shipments": 0}
         for source, names, target in moves:
-            self._handoff_seq += 1
-            result = ship_shard(
-                self.registry.get(source).system, names,
-                self.registry.get(target).system,
-                seq=self._handoff_seq, faults=self.faults, realign=seq_map)
+            shard = self.registry.get(source).system.export_shard(names)
+            self.registry.get(target).system.import_shard(shard, realign=seq_map)
+            sizes = {"patches": len(names),
+                     "bytes": len(json.dumps(encode_payload(shard)))}
             shipped["shipments"] += 1
-            for key in ("patches", "bytes"):
-                shipped[key] += result[key]
+            for key, size in sizes.items():
+                shipped[key] += size
                 self.metrics.counter(f"handoff.{key}",
-                                     node=target).increment(result[key])
+                                     node=target).increment(size)
         return shipped
 
     def _drop_over_replicated(self) -> int:
@@ -1032,8 +1044,7 @@ class FederatedEarthQube:
     def replicate(cls, template: "EarthQube", node_names: "list[str]",
                   config: "FederationConfig | None" = None, *,
                   serving: bool = False,
-                  clock: Callable[[], float] = time.monotonic,
-                  faults=NO_FAULTS) -> "FederatedEarthQube":
+                  clock: Callable[[], float] = time.monotonic) -> "FederatedEarthQube":
         """Build an elastic federation holding ``template``'s corpus.
 
         Every node starts as an empty clone of ``template`` (sharing its
@@ -1047,7 +1058,7 @@ class FederatedEarthQube:
             config = FederationConfig(
                 elastic=True,
                 replication_factor=min(2, max(1, len(node_names))))
-        fed = cls(None, config, clock=clock, faults=faults)
+        fed = cls(None, config, clock=clock)
         for node_name in node_names:
             fed.add_node(node_name, template.empty_clone(serving=serving))
         for patch in template.archive.patches:

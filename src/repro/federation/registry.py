@@ -165,7 +165,7 @@ class FederatedNode:
         return self.system.delete_image(name)
 
     # ------------------------------------------------------------------ #
-    # Replication surface (write fan-out, handoff, anti-entropy)
+    # Replication surface (write fan-out, anti-entropy)
     # ------------------------------------------------------------------ #
 
     def ingest_new_patch(self, patch, *, auto_label_if_missing: bool = False,
@@ -177,15 +177,6 @@ class FederatedNode:
     def update_image(self, name: str, features: np.ndarray) -> dict:
         """Apply one fanned-out re-embedding to this replica."""
         return self.system.update_image(name, features)
-
-    def export_shard(self, names: list[str]) -> dict:
-        """Package this replica's copies of ``names`` for handoff."""
-        return self.system.export_shard(names)
-
-    def import_shard(self, shard: dict, *,
-                     realign: "dict[str, int] | None" = None) -> dict:
-        """Apply a handoff shard to this replica."""
-        return self.system.import_shard(shard, realign=realign)
 
     def shard_digest(self, names: list[str]) -> str:
         """Content digest of this replica's copies (anti-entropy)."""

@@ -12,9 +12,10 @@ Two mechanisms keep R copies of every patch identical:
   (a node that lost state, a torn crash) is *detected* by comparing
   per-partition content digests across each replica set and *healed* by
   copying the authoritative version — the earliest replica in placement
-  order that holds the patch — over the divergent copies.  Digests make
-  the common all-in-sync case O(partitions) digest comparisons; only a
-  divergent partition is drilled into patch by patch.
+  order that holds the patch — over the divergent copies, with the
+  facade's one replica-copy routine (``FederatedEarthQube._ship``).
+  Digests make the common all-in-sync case O(partitions) digest
+  comparisons; only a divergent partition is drilled into patch by patch.
 
 The repairer runs synchronously (:meth:`ReadRepairer.scan`, used by
 tests and the REST admin surface) or as a background daemon
@@ -170,8 +171,7 @@ class ReadRepairer:
                         continue
                     # Divergent bits: drop the local copy, re-import below.
                     node.delete_image(name)
-                shard = authority.export_shard([name])
-                node.import_shard(shard, realign=fed.sequence_map())
+                fed._ship([(authority.name, [name], node.name)])
                 fed.metrics.counter("repair.synced", node=node.name).increment()
                 synced += 1
         return synced

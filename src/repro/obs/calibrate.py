@@ -269,7 +269,7 @@ def check_units(units: Mapping,
 
 def save_calibration(calibration: Mapping, path: str) -> dict:
     """Atomically persist a calibration document as JSON."""
-    from ..store.persistence import write_file_atomic
+    from ..store.snapshot import write_file_atomic
 
     document = dict(calibration)
     write_file_atomic(path, (json.dumps(document, indent=2) + "\n").encode())

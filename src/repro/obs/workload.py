@@ -189,7 +189,7 @@ class WorkloadStats:
 
     def save(self, path: str) -> dict:
         """Atomically persist the profile sidecar; returns what was written."""
-        from ..store.persistence import write_file_atomic
+        from ..store.snapshot import write_file_atomic
 
         profile = self.snapshot()
         profile["saved_at"] = round(time.time(), 3)

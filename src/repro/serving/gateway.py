@@ -7,7 +7,8 @@ same response types and byte-identical rankings — but executes them
 through the concurrent hot path:
 
 1. **cache** — canonicalized query keys hit an LRU+TTL result cache
-   (:mod:`repro.serving.cache`); online ingestion invalidates it,
+   (:mod:`repro.serving.cache`); every write invalidates it, including a
+   direct write to the metadata collection (seen by its write counter),
 2. **batch** — cache misses are coalesced by a :class:`~repro.serving.
    batching.MicroBatcher` so concurrent queries share one scan,
 3. **scatter-gather** — each batch is executed by a
@@ -38,6 +39,7 @@ from ..errors import ValidationError
 from ..obs import tracing
 from ..obs.metrics import MetricsRegistry
 from ..planner import used_radius, validate_code_query
+from ..store.database import METADATA
 from .batching import MicroBatcher
 from .cache import QueryResultCache, canonical_code_key, canonical_spec_key
 from .sharding import CodeQuery, ShardedHammingIndex
@@ -125,6 +127,9 @@ class ServingGateway:
         # stale entry after the invalidation.
         self._generation = 0
         self._generation_lock = threading.Lock()
+        # The metadata collection and its write count at the last
+        # invalidation.
+        self._store_seen = self._metadata_state()
         self._update_occupancy()
 
     # ------------------------------------------------------------------ #
@@ -204,6 +209,7 @@ class ServingGateway:
         into the batch, so they still coalesce with each other.
         """
         validate_code_query(k, radius)
+        self._check_store()
         codes = [np.asarray(code, dtype=np.uint64) for code in codes]
         fingerprint = None if filter is None else repr(filter)
 
@@ -360,6 +366,7 @@ class ServingGateway:
         what other callers receive.
         """
         with self.metrics.timer("search.total"):
+            self._check_store()
             key = canonical_spec_key(spec)
             with tracing.span("cache.lookup") as lookup_span:
                 cached = self.cache.get(key)
@@ -422,9 +429,23 @@ class ServingGateway:
         self.metrics.counter(counter).increment()
         self._update_occupancy()
 
+    def _metadata_state(self) -> tuple:
+        # Through ``system.db`` every time: recovery swaps the database.
+        collection = self.system.db[METADATA]
+        return collection, collection.writes
+
+    def _check_store(self) -> None:
+        """Drop the cache if the metadata collection was written (or
+        swapped) since the last invalidation.  Facade writes call a hook,
+        which records the count; a direct collection write — a metadata
+        fix, a journaled ``store.update_one`` — calls none."""
+        if self._metadata_state() != self._store_seen:
+            self._wrote("store", "store.writes")
+
     def _invalidate(self, reason: str) -> None:
         """Bump the generation and drop every cached entry (a result
         computed against an older generation is never re-cached)."""
+        self._store_seen = self._metadata_state()
         with self._generation_lock:
             self._generation += 1
         dropped = self.cache.invalidate()

@@ -13,7 +13,8 @@ This package reproduces those mechanisms:
   date and bounding-box columns (:mod:`repro.store.columnar`; the
   bounding-box column is the 2D index), combined by a small query planner,
 * crash-safe durability: a write-ahead log (:mod:`repro.store.wal`),
-  atomic incremental checkpoints (:mod:`repro.store.snapshot`), and a
+  atomic checkpoints (:mod:`repro.store.snapshot`) — the only on-disk
+  image of a database, encoded with the WAL's value codec — and a
   deterministic crash-point fault-injection harness
   (:mod:`repro.store.faults`).
 """

@@ -163,6 +163,9 @@ class Collection:
         self.primary_key = primary_key
         self._docs: dict[int, dict] = {}
         self._next_id = 0
+        # Completed writes, so a cache of query answers can tell whether
+        # the collection changed since it last looked.
+        self.writes = 0
         self._unique_indexes: dict[str, UniqueIndex] = {}
         self._hash_indexes: dict[str, HashIndex] = {}
         self._bbox_columns: dict[str, BBoxColumn] = {}
@@ -255,6 +258,7 @@ class Collection:
             column.add(doc_id, doc)
         self._docs[doc_id] = doc
         self._next_id += 1
+        self.writes += 1
         return doc_id
 
     def insert_many(self, documents: Iterable[Mapping[str, Any]]) -> list[int]:
@@ -284,6 +288,7 @@ class Collection:
         for doc_id, doc in zip(doc_ids, prepared):
             self._docs[doc_id] = doc
         self._next_id += len(prepared)
+        self.writes += 1
         return doc_ids
 
     def _prepare_bulk(self, docs: "list[Any]") -> "list[dict] | None":
@@ -311,6 +316,7 @@ class Collection:
             doc = self._docs.get(doc_id)
             if doc is not None and matches(doc, query):
                 self._remove(doc_id)
+                self.writes += 1
                 return 1
         return 0
 
@@ -320,6 +326,8 @@ class Collection:
                    if doc_id in self._docs and matches(self._docs[doc_id], query)]
         for doc_id in victims:
             self._remove(doc_id)
+        if victims:
+            self.writes += 1
         return len(victims)
 
     def update_one(self, query: Mapping[str, Any],
@@ -350,6 +358,7 @@ class Collection:
             for column in self._columns():
                 column.add(doc_id, new_doc)
             self._docs[doc_id] = new_doc
+            self.writes += 1
             return 1
         return 0
 

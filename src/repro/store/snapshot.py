@@ -1,33 +1,39 @@
-"""Incremental checkpoints: atomic, WAL-aware snapshots of the data tier.
+"""Checkpoints: the one on-disk image of a node's data tier.
 
-A checkpoint captures the document store (JSON, via
-:func:`~repro.store.persistence.database_snapshot`) *and* the CBIR
-physical state — the packed ``(N, W)`` Hamming code matrix, the
-row-aligned alive mask, and the row-aligned name list — in seq-stamped
-sidecar files::
+A checkpoint captures the document store *and* the CBIR physical state —
+the packed ``(N, W)`` Hamming code matrix, the row-aligned alive mask,
+and the row-aligned name list — in seq-stamped sidecar files::
 
-    db-<seq>.json      document store snapshot
+    db-<seq>.json      document store image (database_snapshot)
     codes-<seq>.npy    packed code matrix, uint64 (N, W)   (mmap-able)
     alive-<seq>.npy    alive mask, bool (N,)               (mmap-able)
     names-<seq>.json   row-aligned item names
     manifest.json      the commit point
 
-Persisting the code matrix makes restart O(corpus read) instead of
-O(re-embed + rebuild): load mmaps the ``.npy`` sidecars and hands them to
-the index's restore path — no feature extraction, no hashing.
+This is the only on-disk image of a database: :func:`database_snapshot`
+holds every collection's documents and index definitions (indexes are
+rebuilt on load).  Persisting the code matrix makes restart O(corpus
+read) instead of O(re-embed + rebuild): load mmaps the ``.npy`` sidecars
+and hands them to the index's restore path.
+
+Documents are encoded with the WAL's codec
+(:func:`~repro.store.wal.encode_payload`), so a value that survives a WAL
+record survives a checkpoint.  Image format 3 reserves the codec's
+``__nd__`` array marker; format 1 and 2 images decode it as a plain key.
 
 Crash atomicity
 ---------------
 
 Every sidecar is staged + fsynced + ``os.replace``-committed individually,
 but none of them *mean* anything until ``manifest.json`` — replaced last —
-points at them.  A crash anywhere before the manifest replace leaves the
-previous checkpoint fully intact (its manifest still points at its own
-sidecars, which are only garbage-collected *after* the new manifest is
-durable).  The manifest records the WAL sequence the checkpoint covers, so
-the log can be truncated to it afterwards; a crash between manifest commit
-and truncate is harmless because replay skips records at or below the
-covered sequence.
+points at them.  A rename is durable only once its directory is fsynced,
+so the directory is fsynced after the sidecar renames (the manifest never
+reaches disk ahead of its sidecars) and after the manifest rename (the
+caller's WAL truncate never reaches disk ahead of the manifest covering
+it).  A crash before the manifest replace leaves the previous checkpoint
+intact: its sidecars are garbage-collected only after the new manifest is
+durable.  A crash between manifest commit and truncate is harmless:
+replay skips records at or below the sequence the manifest covers.
 
 Fault injection points (:mod:`repro.store.faults`):
 ``snapshot.after_tmp_write`` (sidecars durable, manifest still old),
@@ -40,19 +46,115 @@ from __future__ import annotations
 import io
 import json
 import os
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import DurabilityError
+from ..errors import DurabilityError, StoreError
+from .collection import Collection
 from .database import Database
 from .faults import NO_FAULTS, FaultInjector
-from .persistence import database_from_snapshot, database_snapshot, write_file_atomic
+from .wal import decode_payload, encode_payload
 
 _MANIFEST_VERSION = 1
 _MANIFEST_NAME = "manifest.json"
+
+# Version 2 added the reserved-key escape, version 3 reserves "__nd__".
+_FORMAT_VERSION = 3
+_SUPPORTED_VERSIONS = (1, 2, 3)
+
+
+def write_file_atomic(path: "str | os.PathLike", data: bytes) -> None:
+    """Write ``data`` to ``path`` crash-atomically.
+
+    Stages in a temp file in the *same directory* (``os.replace`` must not
+    cross filesystems), fsyncs the data, then commits with ``os.replace``
+    — at every instant the path holds either the old complete content or
+    the new complete content, never a torn mix.
+    """
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=target.parent,
+                                    prefix=target.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_name, target)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Make the renames inside ``directory`` durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _index_spec(collection: Collection) -> dict:
+    return {
+        "primary_key": collection.primary_key,
+        "unique": [f for f in collection._unique_indexes if f != collection.primary_key],
+        "hash": list(collection._hash_indexes),
+        "geo": list(collection._bbox_columns),
+        "date_columns": list(collection._date_columns),
+    }
+
+
+def database_snapshot(db: Database) -> dict:
+    """The JSON-compatible image of a whole database."""
+    snapshot = {
+        "format_version": _FORMAT_VERSION,
+        "name": db.name,
+        "collections": {},
+    }
+    for name in db.collection_names():
+        collection = db[name]
+        # The codec builds new containers, so it reads the stored documents
+        # in place (in doc-id order, like ``find()``, minus its deep copy).
+        documents, _plan, _examined = collection._matching_docs(None)
+        snapshot["collections"][name] = {
+            "indexes": _index_spec(collection),
+            "documents": [encode_payload(doc) for doc in documents],
+        }
+    return snapshot
+
+
+def database_from_snapshot(snapshot: dict) -> Database:
+    """Rebuild a database (documents + index definitions) from its image."""
+    version = snapshot.get("format_version")
+    if version not in _SUPPORTED_VERSIONS:
+        raise StoreError(f"unsupported snapshot version {version!r}")
+    arrays = version >= 3
+    db = Database(snapshot.get("name", "restored"))
+    for name, payload in snapshot["collections"].items():
+        spec = payload["indexes"]
+        collection = db.create_collection(name, primary_key=spec.get("primary_key"))
+        for field in spec.get("unique", []):
+            collection.create_unique_index(field)
+        for field in spec.get("hash", []):
+            collection.create_index(field)
+        # Older files hold {field: cell precision} here, newer ones a list
+        # of fields; iterating either yields the fields.
+        for field in spec.get("geo", []):
+            collection.create_geo_index(field)
+        for field in spec.get("date_columns", []):
+            collection.create_date_column(field)
+        documents = [decode_payload(doc, arrays=arrays)
+                     for doc in payload["documents"]]
+        collection.insert_many(documents)
+    return db
 
 
 def _npy_bytes(array: np.ndarray) -> bytes:
@@ -116,7 +218,8 @@ class SnapshotManager:
         JSON-compatible dict stored verbatim in the manifest (the
         durability tier keeps bookkeeping there that must survive WAL
         truncation, e.g. which images were re-embedded from external
-        features).
+        features).  The checkpoint is durable, manifest included, when
+        this returns.
         """
         codes = np.ascontiguousarray(codes, dtype=np.uint64)
         alive = np.ascontiguousarray(alive, dtype=bool)
@@ -139,6 +242,7 @@ class SnapshotManager:
         write_file_atomic(self.directory / files["alive"], _npy_bytes(alive))
         write_file_atomic(self.directory / files["names"],
                           json.dumps(list(names)).encode("utf-8"))
+        _fsync_directory(self.directory)
         self.faults.fire("snapshot.after_tmp_write")
         manifest = {
             "format_version": _MANIFEST_VERSION,
@@ -158,6 +262,7 @@ class SnapshotManager:
             os.fsync(handle.fileno())
         self.faults.fire("snapshot.before_manifest_replace")
         os.replace(tmp, self.manifest_path)
+        _fsync_directory(self.directory)
         self.faults.fire("snapshot.after_manifest_replace")
         self.collect_garbage()
         return SnapshotInfo(wal_seq=manifest["wal_seq"],
@@ -215,7 +320,8 @@ class SnapshotManager:
         Returns None when no checkpoint has ever been committed.  Raises
         :class:`DurabilityError` if the manifest references missing or
         misaligned sidecars (a committed manifest guarantees they exist —
-        their absence means external damage, not a crash).
+        their absence means external damage, not a crash), and
+        :class:`StoreError` for a document image of an unsupported format.
         """
         info = self.read_manifest()
         if info is None:

@@ -15,7 +15,10 @@ length-prefixed records::
     uint32 length | uint32 crc32(body) | body
 
 ``body`` is UTF-8 JSON ``{"seq": n, "op": "...", "payload": {...}}`` with
-binary/array payload values wrapped by :func:`encode_payload`.  Sequence
+binary/array payload values wrapped by :func:`encode_payload` — the one
+value codec, which also encodes checkpoint documents
+(:mod:`repro.store.snapshot`), so a value that survives a record survives
+a checkpoint.  Sequence
 numbers are assigned monotonically by the log and never reused — a
 checkpoint records the sequence it covers and :meth:`WriteAheadLog.truncate`
 drops everything at or below it while the numbering continues.
@@ -63,52 +66,69 @@ _RECORD_HEADER = struct.Struct("<II")  # body length, crc32(body)
 
 FSYNC_POLICIES = ("always", "interval", "off")
 
-_RESERVED = frozenset({"__bytes__", "__nd__", "__esc__"})
+#: Exact types JSON encodes as themselves (subclasses such as numpy's
+#: ``float64`` take the slow path).
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 def encode_payload(value: Any) -> Any:
-    """JSON-encode a WAL payload value.
+    """JSON-encode a WAL payload or checkpoint document value.
 
-    Extends the persistence codec with numpy arrays (dtype + shape + raw
-    little-endian bytes, bit-exact round trip) and applies the same
-    reserved-key escape so user dicts can never be mistaken for markers.
+    ``bytes`` become base64 under ``__bytes__``; numpy arrays keep dtype,
+    shape and raw little-endian bytes under ``__nd__`` (bit-exact round
+    trip); numpy scalars become Python scalars.  Injective: a user dict
+    using a reserved key (``__bytes__``, ``__nd__``, ``__esc__``) is
+    wrapped in an ``__esc__`` marker so :func:`decode_payload` returns it
+    verbatim.  JSON scalars, dicts and lists are checked first: they are
+    nearly every value a document holds.
     """
+    kind = type(value)
+    if kind in _JSON_SCALARS:
+        return value
+    if kind is dict or isinstance(value, dict):
+        encoded = {str(k): v if type(v) in _JSON_SCALARS else encode_payload(v)
+                   for k, v in value.items()}
+        if "__bytes__" in encoded or "__nd__" in encoded or "__esc__" in encoded:
+            return {"__esc__": True, "value": encoded}
+        return encoded
+    if kind is list or isinstance(value, (list, tuple)):
+        return [v if type(v) in _JSON_SCALARS else encode_payload(v)
+                for v in value]
+    if isinstance(value, bytes):
+        return {"__bytes__": base64.b64encode(value).decode("ascii")}
     if isinstance(value, np.ndarray):
-        array = np.ascontiguousarray(value)
         return {"__nd__": {
-            "dtype": array.dtype.str,
-            "shape": list(array.shape),
-            "data": base64.b64encode(array.tobytes()).decode("ascii"),
+            "dtype": value.dtype.str,
+            "shape": list(value.shape),
+            "data": base64.b64encode(value.tobytes()).decode("ascii"),
         }}
     if isinstance(value, (np.integer, np.floating, np.bool_)):
         return value.item()
-    if isinstance(value, bytes):
-        return {"__bytes__": base64.b64encode(value).decode("ascii")}
-    if isinstance(value, dict):
-        encoded = {str(k): encode_payload(v) for k, v in value.items()}
-        if _RESERVED & set(encoded):
-            return {"__esc__": True, "value": encoded}
-        return encoded
-    if isinstance(value, (list, tuple)):
-        return [encode_payload(v) for v in value]
     return value
 
 
-def decode_payload(value: Any) -> Any:
-    """Invert :func:`encode_payload`."""
+def decode_payload(value: Any, *, arrays: bool = True) -> Any:
+    """Invert :func:`encode_payload`.
+
+    ``arrays=False`` reads ``__nd__`` as a plain key, for checkpoint images
+    written before the marker was reserved there.
+    """
     if isinstance(value, dict):
-        if set(value) == {"__esc__", "value"} and value["__esc__"] is True:
-            return {k: decode_payload(v) for k, v in value["value"].items()}
-        if set(value) == {"__nd__"}:
-            spec = value["__nd__"]
-            data = base64.b64decode(spec["data"])
-            return np.frombuffer(data, dtype=np.dtype(spec["dtype"])).reshape(
-                spec["shape"]).copy()
-        if set(value) == {"__bytes__"}:
-            return base64.b64decode(value["__bytes__"])
-        return {k: decode_payload(v) for k, v in value.items()}
+        size = len(value)
+        if size == 2 and value.get("__esc__") is True and "value" in value:
+            return {k: decode_payload(v, arrays=arrays)
+                    for k, v in value["value"].items()}
+        if size == 1:
+            if "__bytes__" in value:
+                return base64.b64decode(value["__bytes__"])
+            if arrays and "__nd__" in value:
+                spec = value["__nd__"]
+                data = base64.b64decode(spec["data"])
+                return np.frombuffer(data, dtype=np.dtype(spec["dtype"])).reshape(
+                    tuple(spec["shape"])).copy()
+        return {k: decode_payload(v, arrays=arrays) for k, v in value.items()}
     if isinstance(value, list):
-        return [decode_payload(v) for v in value]
+        return [decode_payload(v, arrays=arrays) for v in value]
     return value
 
 

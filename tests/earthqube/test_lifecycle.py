@@ -26,7 +26,7 @@ from repro.earthqube.api import EarthQubeAPI
 from repro.errors import UnknownPatchError
 from repro.index.mih import MultiIndexHashing
 from repro.store.database import METADATA
-from repro.store.persistence import load_database, save_database
+from repro.store.snapshot import SnapshotManager
 
 
 @pytest.fixture()
@@ -250,14 +250,20 @@ class TestRestAndPersistence:
         assert not system.cbir.has(victim)
         federation.close()
 
-    def test_deletion_round_trips_through_persistence(self, mutable_system, tmp_path):
+    def test_deletion_round_trips_through_persistence(self, mutable_system,
+                                                      tmp_path):
         system = mutable_system
         victims = system.archive.names[:3]
         for victim in victims:
             system.delete_image(victim)
-        target = tmp_path / "snapshot.json"
-        save_database(system.db, target)
-        restored = load_database(target)
+        manager = SnapshotManager(tmp_path / "checkpoint")
+        state = system.cbir.snapshot_state()
+        manager.write(system.db, names=state["names"], codes=state["codes"],
+                      alive=state["alive"], wal_seq=1)
+        loaded = manager.load_latest()
+        restored = loaded.db
+        assert not set(victims) & {name for name, alive
+                                   in zip(loaded.names, loaded.alive) if alive}
         assert len(restored[METADATA]) == len(system.db[METADATA])
         for victim in victims:
             assert restored[METADATA].find_one({"name": victim}) is None

@@ -28,15 +28,14 @@ from repro.earthqube import EarthQube, QuerySpec
 from repro.earthqube.api import EarthQubeAPI
 from repro.errors import UnknownPatchError, ValidationError
 from repro.federation import FederatedEarthQube, PlacementRing, stable_hash
-from repro.store.faults import CrashPoint, FaultInjector
+from repro.store.faults import CrashPoint
 
 NODES = ["alpha", "beta", "gamma"]
 
 #: FederatedNode methods stubbed out to model a live-but-erroring member.
 BROKEN_METHODS = (
     "query_code", "query_codes_batch", "search", "statistics_for",
-    "ingest_new_patch", "update_image", "delete_image",
-    "export_shard", "import_shard", "shard_digest",
+    "ingest_new_patch", "update_image", "delete_image", "shard_digest",
 )
 
 
@@ -326,6 +325,37 @@ class TestHintedHandoff:
             # Beta converged bit-for-bit: every replica group digests equal.
             assert fed.repairer.scan()["divergent_groups"] == 0
 
+    def test_reingest_after_a_parked_delete_lands_on_every_replica(self):
+        """Regression: a replica healed with a delete still parked kept its
+        old copy, refused the re-ingest after another replica had applied
+        it, and left a copy only some readers saw (35 matches with it up,
+        36 with it down).  The parked delete now applies first."""
+        local = fresh_oracle()
+        with make_federation(local) as fed:
+            name = local.archive.names[5]
+            patch = local.archive.get(name)
+            first, second = fed.ring.replicas_for(name)
+            lagging = fed.registry.get(second)
+            saved = break_node(lagging)
+            fed.delete_image(name)
+            heal_node(lagging, saved)
+            assert fed.hints.depth(second) > 0 and lagging.has_image(name)
+
+            summary = fed.ingest_new_patch(patch)
+            assert sorted(summary["replicas"]) == sorted([first, second])
+            local.delete_image(name)
+            local.ingest_new_patch(patch, auto_label_if_missing=False)
+            fed.repairer.scan()
+            assert_identical(local, fed, list(local.archive.names))
+            assert fed.search(QuerySpec()).value.total_matches == 36
+            saved = break_node(lagging)
+            try:
+                response = fed.search(QuerySpec())
+                assert response.value.total_matches == 36
+                assert response.meta.coverage_complete
+            finally:
+                heal_node(lagging, saved)
+
     def test_replication_lag_gauge_tracks_hint_depth(self, extra_patches):
         local = fresh_oracle()
         with make_federation(local, max_retries=0,
@@ -369,35 +399,44 @@ class TestReadRepair:
 
 
 class TestHandoffCrash:
-    def test_crash_before_manifest_replace_rolls_back_the_join(self, oracle):
-        faults = FaultInjector()
-        config = FederationConfig(elastic=True, replication_factor=2)
-        fed = FederatedEarthQube.replicate(oracle, list(NODES), config,
-                                           faults=faults)
-        try:
-            faults.arm("snapshot.before_manifest_replace", hits=1)
+    def test_crash_mid_handoff_rolls_back_the_join(self, oracle):
+        with make_federation(oracle) as fed:
+            joiner = oracle.empty_clone()
+            real_import = joiner.import_shard
+            calls = []
+
+            def crashing_import(shard, **kwargs):
+                calls.append(len(shard["entries"]))
+                if len(calls) == 2:
+                    raise CrashPoint("shard.import", len(calls))
+                return real_import(shard, **kwargs)
+
+            joiner.import_shard = crashing_import
             with pytest.raises(CrashPoint):
-                fed.join_node("delta")
+                fed.join_node("delta", joiner)
+            assert len(calls) == 2
             # The ring never flipped: membership and placement unchanged,
             # every query still byte-identical.
             assert "delta" not in fed.registry
             assert "delta" not in fed.ring
             assert_identical(oracle, fed, oracle.archive.names[:6])
-            # Retry after the "crash" succeeds (snapshot staging is
-            # atomic-by-manifest, so the torn attempt left no damage).
-            summary = fed.join_node("delta")
+            # A retry succeeds: the first shipment's copies are kept (the
+            # import is idempotent per patch), the rest are shipped.
+            summary = fed.join_node("delta", joiner)
             assert summary["patches"] > 0
+            assert all(fed.registry.get("delta").has_image(name)
+                       for name in oracle.archive.names
+                       if "delta" in fed.ring.replicas_for(name))
             assert_identical(oracle, fed, list(oracle.archive.names))
-        finally:
-            fed.close()
 
 
 class TestHandoffAccounting:
     """What join / leave / death report shipping, pinned on a fixed corpus.
 
     The 36-patch R=2 federation is deterministic, so the shipped patch
-    and byte counts are exact.  The labeled ``handoff.*`` counters are
-    per receiving node and must sum to the reported totals.
+    and byte counts are exact; a shipment's bytes are its shard's encoded
+    JSON size.  The labeled ``handoff.*`` counters are per receiving node
+    and must sum to the reported totals.
     """
 
     def test_died_join_leave_totals_and_counters(self, oracle):
@@ -408,20 +447,20 @@ class TestHandoffAccounting:
             snapshot = fed.metrics.snapshot()
         assert {key: died[key] for key in ("patches", "bytes", "shipments",
                                            "lost")} == \
-            {"patches": 23, "bytes": 11933, "shipments": 2, "lost": []}
+            {"patches": 23, "bytes": 12447, "shipments": 2, "lost": []}
         assert {key: joined[key] for key in ("patches", "bytes",
                                              "shipments")} == \
-            {"patches": 23, "bytes": 11933, "shipments": 2}
+            {"patches": 23, "bytes": 12447, "shipments": 2}
         assert {key: left[key] for key in ("patches", "bytes",
                                            "shipments")} == \
-            {"patches": 27, "bytes": 13745, "shipments": 2}
+            {"patches": 27, "bytes": 14675, "shipments": 2}
         families = snapshot["families"]["counters"]
         per_node = {name: {entry["labels"]["node"]: entry["value"]
                            for entry in families[name]}
                     for name in ("handoff.patches", "handoff.bytes")}
         assert per_node == {
             "handoff.patches": {"alpha": 28, "beta": 36, "gamma": 9},
-            "handoff.bytes": {"alpha": 13984, "beta": 18686, "gamma": 4941},
+            "handoff.bytes": {"alpha": 15018, "beta": 19613, "gamma": 4938},
         }
         for key in ("patches", "bytes"):
             assert sum(per_node[f"handoff.{key}"].values()) == \

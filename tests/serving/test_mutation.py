@@ -1,4 +1,5 @@
-"""Store-level mutation through the serving tier: on_delete / on_update.
+"""Store-level mutation through the serving tier: on_delete / on_update,
+and direct writes to the metadata collection.
 
 Regression suite for the stale-cache bug: the gateway's generation used to
 bump only in ``on_ingest``, so a deletion or re-embedding left cached
@@ -8,6 +9,7 @@ serving the pre-mutation corpus forever.
 
 import numpy as np
 
+from repro.bigearthnet.patch import Patch
 from repro.earthqube import QuerySpec
 
 
@@ -136,3 +138,49 @@ class TestCoordinatedCompaction:
         assert shaped(before) == shaped(after)
         assert shaped(before_filtered) == shaped(after_filtered)
         assert gateway.metrics_snapshot()["counters"]["compact.runs"] >= 1
+
+
+class TestDirectStoreWrite:
+    """Regression: a write straight to the metadata collection (a metadata
+    fix) calls no gateway hook, and the served ``search`` and filtered
+    ``similar_images`` kept answering from the pre-write cache until the
+    TTL ran out."""
+
+    def test_metadata_write_invalidates_search_and_filter_masks(
+            self, mini_system):
+        system = mini_system
+        names = [n for n in system.archive.names if system.cbir.has(n)]
+        spec = QuerySpec(seasons=("Summer",))
+        before = system.search(spec)          # cached by the gateway
+        matched = {doc["name"] for doc in before.documents}
+        outsider = next(n for n in names if n not in matched)
+        query = next(n for n in names if n != outsider)
+        k = len(names)
+        filtered = system.similar_images(query, k=k, filter=spec)
+        assert outsider not in filtered.names  # its mask is memoized too
+
+        system.db["metadata"].update_one(
+            {"name": outsider}, {"$set": {"properties.season": "Summer"}})
+        after = system.search(spec)
+        assert after.total_matches == before.total_matches + 1
+        assert outsider in {doc["name"] for doc in after.documents}
+        refiltered = system.similar_images(query, k=k, filter=spec)
+        assert outsider in refiltered.names
+        assert shaped(refiltered) == direct_ranked(system, query, k, spec)
+
+    def test_one_ingest_is_still_one_invalidation(self, mini_system):
+        system = mini_system
+        donor = system.archive.patches[0]
+        patch = Patch(name="DIRECT_WRITE_INGEST", labels=donor.labels,
+                      country=donor.country, bbox=donor.bbox,
+                      acquisition_date=donor.acquisition_date,
+                      season=donor.season, s2_bands=donor.s2_bands,
+                      s1_bands=donor.s1_bands)
+        spec = QuerySpec(seasons=("Summer",))
+        system.search(spec)
+        cache = system.gateway.cache
+        invalidations = cache.stats_snapshot()["invalidations"]
+        system.ingest_new_patch(patch, auto_label_if_missing=False)
+        system.search(spec)
+        system.similar_images(patch.name, k=5, filter=spec)
+        assert cache.stats_snapshot()["invalidations"] == invalidations + 1

@@ -1,4 +1,4 @@
-"""Tests for the CLI, store persistence, evaluator, refinement, spectral
+"""Tests for the CLI, store checkpoints, evaluator, refinement, spectral
 hashing, and archive summary."""
 
 import io as iolib
@@ -10,10 +10,9 @@ from repro.baselines.spectral import SpectralHashing
 from repro.bigearthnet.summary import summarize_archive
 from repro.cli import main
 from repro.earthqube.refinement import RelevanceFeedbackSession, RocchioWeights
-from repro.errors import NotFittedError, StoreError, ValidationError
+from repro.errors import DurabilityError, NotFittedError, ValidationError
 from repro.metrics.evaluation import EvaluationReport, RetrievalEvaluator
-from repro.store import Database
-from repro.store.persistence import load_database, save_database
+from repro.store import Database, SnapshotManager
 
 
 class TestCLI:
@@ -73,9 +72,10 @@ class TestStorePersistence:
         db["feedback"].insert_one({"text": "hi", "category": "comment",
                                    "submitted_at": "2026-01-01T00:00:00"})
 
-        path = tmp_path / "snapshot.json"
-        save_database(db, path)
-        restored = load_database(path)
+        manager = SnapshotManager(tmp_path / "checkpoint")
+        manager.write(db, names=[], codes=np.zeros((0, 1), dtype=np.uint64),
+                      alive=np.zeros(0, dtype=bool), wal_seq=1)
+        restored = manager.load_latest().db
 
         assert set(restored.collection_names()) == set(db.collection_names())
         doc = restored["metadata"].get("p1")
@@ -91,8 +91,14 @@ class TestStorePersistence:
         assert len(result) == 1
 
     def test_load_missing_file(self, tmp_path):
-        with pytest.raises(StoreError):
-            load_database(tmp_path / "absent.json")
+        manager = SnapshotManager(tmp_path / "checkpoint")
+        assert manager.load_latest() is None
+        info = manager.write(Database.earthqube_schema(), names=[],
+                             codes=np.zeros((0, 1), dtype=np.uint64),
+                             alive=np.zeros(0, dtype=bool), wal_seq=1)
+        (manager.directory / info.files["db"]).unlink()
+        with pytest.raises(DurabilityError):
+            manager.load_latest()
 
 
 class TestRetrievalEvaluator:
