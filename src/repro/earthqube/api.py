@@ -265,8 +265,10 @@ class EarthQubeAPI:
         store's cost-ordered intersection ran — the chosen source order,
         the rejected declaration order with predicted costs, and the
         measured intersection cost; ``candidates_examined`` counts the
-        index candidates the matcher verified.  ``trace=true`` adds
-        ``trace_id`` and the request's span ``trace`` tree.
+        index candidates, of which the ``docs_examined`` cost went through
+        the matcher and ``rows_decided`` were answered by the columns.
+        ``trace=true`` adds ``trace_id`` and the request's span ``trace``
+        tree.
         """
         try:
             if not isinstance(request, Mapping):

@@ -72,7 +72,7 @@ class SearchService:
         """Run the query; returns the (paginated) documents and plan info.
 
         Pagination is pushed into the store: only the requested page is
-        deep-copied, while ``total_matches`` still reports the full
+        copied, while ``total_matches`` still reports the full
         pre-pagination match count.
         """
         query = self.compile_query(spec, use_codec=use_codec)

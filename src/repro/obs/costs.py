@@ -17,6 +17,7 @@ counter                   attached by
 ``ids_intersected``       columnar planner posting-list intersections
 ``postings_loaded``       columnar planner candidate source sizes
 ``docs_examined``         document-store predicate evaluation
+``rows_decided``          store candidates a column answered exactly
 ``cache_hits/misses``     serving result cache lookups
 ``nodes_answered/failed`` federation scatter-gather
 ``wal_records_replayed``  durability recovery replay

@@ -25,7 +25,6 @@ tiers; they get the cache + metrics treatment only.
 
 from __future__ import annotations
 
-import copy
 import threading
 from typing import TYPE_CHECKING
 
@@ -40,6 +39,7 @@ from ..obs import tracing
 from ..obs.metrics import MetricsRegistry
 from ..planner import used_radius, validate_code_query
 from ..store.database import METADATA
+from ..store.jsontree import copy_tree
 from .batching import MicroBatcher
 from .cache import QueryResultCache, canonical_code_key, canonical_spec_key
 from .sharding import CodeQuery, ShardedHammingIndex
@@ -361,9 +361,10 @@ class ServingGateway:
         """Query-panel search with result caching and latency metrics.
 
         The document store hands out reference-independent document copies;
-        the cache preserves that isolation by deep-copying documents on
-        every hit, so one caller mutating its response can never poison
-        what other callers receive.
+        the cache preserves that isolation by copying documents with the
+        store's :func:`~repro.store.jsontree.copy_tree` on every hit, so
+        one caller mutating its response can never poison what other
+        callers receive.
         """
         with self.metrics.timer("search.total"):
             self._check_store()
@@ -377,7 +378,7 @@ class ServingGateway:
                 tracing.annotate(plan=cached.plan,
                                  candidates_examined=cached.candidates_examined)
                 return SearchResponse(
-                    documents=copy.deepcopy(cached.documents),
+                    documents=copy_tree(cached.documents),
                     total_matches=cached.total_matches,
                     plan=cached.plan,
                     candidates_examined=cached.candidates_examined)
@@ -389,7 +390,7 @@ class ServingGateway:
                                 candidates_examined=response.candidates_examined)
             if generation == self._generation:
                 self.cache.put(key, SearchResponse(
-                    documents=copy.deepcopy(response.documents),
+                    documents=copy_tree(response.documents),
                     total_matches=response.total_matches,
                     plan=response.plan,
                     candidates_examined=response.candidates_examined))

@@ -11,7 +11,10 @@ This package reproduces those mechanisms:
   ``$geoIntersects`` ...) evaluated by :mod:`repro.store.matcher`,
 * hash and unique indexes (:mod:`repro.store.indexes`) plus doc-id-aligned
   date and bounding-box columns (:mod:`repro.store.columnar`; the
-  bounding-box column is the 2D index), combined by a small query planner,
+  bounding-box column is the 2D index), combined by a small query planner
+  that sends only the candidates no column decided to the matcher,
+* one copier for every document handed out
+  (:func:`~repro.store.jsontree.copy_tree`),
 * crash-safe durability: a write-ahead log (:mod:`repro.store.wal`),
   atomic checkpoints (:mod:`repro.store.snapshot`) — the only on-disk
   image of a database, encoded with the WAL's value codec — and a

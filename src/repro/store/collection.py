@@ -18,22 +18,33 @@ Query planning intersects the posting arrays of **all** applicable
 equality/``$in``/``$all`` conditions with ``np.intersect1d``, smallest
 first, then tests the ids that survive against every applicable aligned
 column (the first test covers the whole column when no posting array
-narrowed them).  The result is a candidate *superset*: every candidate
-is still verified against the full query by
-:func:`repro.store.matcher.matches`, so plans never change results —
-only cost.  ``find`` reports the chosen access path in
-:class:`FindResult.plan` (``"columnar:a&b"`` when several sources ran)
-and accepts ``hint="scan"`` to force the sequential path, which the
+narrowed them).  The result is a candidate *superset*, and most of it is
+already an exact answer:
+
+* a posting array is the exact answer of an equality or ``$in`` over
+  plain values (strings and non-NaN numbers);
+* a date column decides every known value strictly inside the range (the
+  embedding is monotone, so a strict ``int64`` inequality is a strict
+  string one) and leaves unknown values and values on a bound undecided;
+* a bounding-box column decides ``$geoIntersects`` with a rectangle for
+  every row outside its float-rounding pad.
+
+When the query is a pure conjunction and every condition has such a
+source, only the undecided candidates are verified by
+:func:`repro.store.matcher.matches`; otherwise every candidate is.  So
+plans never change results, only cost.  ``find`` reports the chosen access
+path in :class:`FindResult.plan` (``"columnar:a&b"`` when several sources
+ran) and accepts ``hint="scan"`` to force the sequential path, which the
 plan-equivalence tests use to prove plans are result-neutral.
 
-Copy discipline: only the returned page is deep-copied.  Candidates,
-matched documents, sort keys, ``count``, ``distinct``, and
-:meth:`Collection.field_values` all operate on in-place references.
+Copy discipline: only the returned page is copied, by
+:func:`repro.store.jsontree.copy_tree`.  Candidates, matched ids, sort
+keys, ``count``, ``distinct``, and :meth:`Collection.field_values` all
+read documents in place.
 """
 
 from __future__ import annotations
 
-import copy
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -42,9 +53,11 @@ from typing import Any, Callable, Iterable, Iterator
 import numpy as np
 
 from ..errors import DocumentNotFoundError, IndexError_, StoreError
+from ..geo.shapes import Rectangle
 from ..obs import tracing
 from .columnar import BBoxColumn, DateColumn, iso_to_int64
 from .indexes import HashIndex, UniqueIndex, _hashable
+from .jsontree import copy_tree
 from .matcher import (
     extract_all_values,
     extract_equality,
@@ -90,6 +103,22 @@ def _iter_field_conditions(query: Mapping[str, Any]):
             yield key, condition
 
 
+def _is_conjunction(query: Mapping[str, Any]) -> bool:
+    """True when ``query`` is nothing but the conditions
+    :func:`_iter_field_conditions` yields: no ``$or``/``$nor`` and every
+    ``$and`` a non-empty list of documents.  Deciding each of those
+    conditions then decides the query."""
+    for key, condition in query.items():
+        if key == "$and":
+            if not (isinstance(condition, (list, tuple)) and condition
+                    and all(isinstance(sub, Mapping) and _is_conjunction(sub)
+                            for sub in condition)):
+                return False
+        elif key.startswith("$"):
+            return False
+    return True
+
+
 def _scalar_values(values: Iterable[Any]) -> bool:
     """True when every value is usable as a posting key: ``None`` matches
     missing fields (not indexed) and list/tuple operands match whole-array
@@ -99,22 +128,52 @@ def _scalar_values(values: Iterable[Any]) -> bool:
                for v in values)
 
 
+_PLAIN = frozenset({str, int, float, bool})
+
+
+def _plain(value: Any) -> bool:
+    """A value whose posting lookup agrees with the matcher's equality:
+    hash and ``==`` are consistent for these exact types.  NaN is out: it
+    equals nothing, yet a dict lookup finds its own posting by identity."""
+    return type(value) in _PLAIN and value == value
+
+
+def _exact_equality(condition: Any) -> bool:
+    """True when the posting probe of ``condition`` is its exact answer:
+    a bare plain value, or an operator document holding only ``$eq`` of
+    one or only ``$in`` of a list of them."""
+    if _plain(condition):
+        return True
+    if not isinstance(condition, Mapping) or len(condition) != 1:
+        return False
+    (op, operand), = condition.items()
+    if op == "$eq":
+        return _plain(operand)
+    return (op == "$in" and isinstance(operand, (list, tuple))
+            and all(_plain(value) for value in operand))
+
+
 _DATE_LOWER_OPS = ("$gt", "$gte")
 _DATE_UPPER_OPS = ("$lt", "$lte")
 
 
 def _date_range_bounds(condition: Any,
-                       ) -> "tuple[int | None, int | None] | None":
-    """The inclusive ``[lo, hi]`` int64 range of a date condition.
+                       ) -> "tuple[int | None, int | None, bool] | None":
+    """The inclusive ``[lo, hi]`` int64 range of a date condition, and
+    whether the range says everything the condition does.
 
     Builds the tightest inclusive range that is still a superset of the
-    string predicate (strict bounds are widened to inclusive — the exact
-    matcher re-applies strictness).  Returns ``None`` when the condition
-    has no parseable ordered constraint; a ``None`` bound is an open side.
+    string predicate (strict bounds are widened to inclusive; values on a
+    bound stay undecided, see :meth:`DateColumn.select_range`).  Returns
+    ``None`` when the condition has no parseable ordered constraint; a
+    ``None`` bound is an open side.  The flag is false when the condition
+    holds anything the range leaves out: another operator, or an operand
+    that does not parse.
     """
     lo: "int | None" = None
     hi: "int | None" = None
     applicable = False
+    complete = True
     if isinstance(condition, str):
         point = iso_to_int64(condition)
         if point is None:
@@ -126,15 +185,26 @@ def _date_range_bounds(condition: Any,
             if op in _DATE_LOWER_OPS or op in _DATE_UPPER_OPS or op == "$eq":
                 parsed = iso_to_int64(operand)
                 if parsed is None:
+                    complete = False
                     continue
                 if op in _DATE_LOWER_OPS or op == "$eq":
                     lo = parsed if lo is None else max(lo, parsed)
                 if op in _DATE_UPPER_OPS or op == "$eq":
                     hi = parsed if hi is None else min(hi, parsed)
                 applicable = True
+            else:
+                complete = False
     if not applicable:
         return None
-    return lo, hi
+    return lo, hi, complete
+
+
+def _rectangle_intersects(condition: Any, shape: Any) -> bool:
+    """True when ``condition`` is only a ``$geoIntersects`` with a
+    rectangle, whose matcher test is the column's closed-interval
+    overlap."""
+    return (isinstance(condition, Mapping) and len(condition) == 1
+            and "$geoIntersects" in condition and type(shape) is Rectangle)
 
 
 def _intersection_cost_ns(sizes: "list[int]", unit_ns: float) -> float:
@@ -312,18 +382,17 @@ class Collection:
 
     def delete_one(self, query: Mapping[str, Any]) -> int:
         """Delete the first matching document; returns number deleted (0/1)."""
-        for doc_id in self._plan_candidates(query)[0]:
-            doc = self._docs.get(doc_id)
-            if doc is not None and matches(doc, query):
-                self._remove(doc_id)
-                self.writes += 1
-                return 1
+        candidates, _, undecided = self._plan_candidates(query)
+        for doc_id in self._verified(query, candidates, undecided):
+            self._remove(doc_id)
+            self.writes += 1
+            return 1
         return 0
 
     def delete_many(self, query: Mapping[str, Any]) -> int:
         """Delete all matching documents; returns the count."""
-        victims = [doc_id for doc_id in self._plan_candidates(query)[0]
-                   if doc_id in self._docs and matches(self._docs[doc_id], query)]
+        candidates, _, undecided = self._plan_candidates(query)
+        victims = list(self._verified(query, candidates, undecided))
         for doc_id in victims:
             self._remove(doc_id)
         if victims:
@@ -338,11 +407,9 @@ class Collection:
         receiving a copy of the document and returning the replacement.
         Returns the number of documents updated (0 or 1).
         """
-        for doc_id in self._plan_candidates(query)[0]:
-            doc = self._docs.get(doc_id)
-            if doc is None or not matches(doc, query):
-                continue
-            new_doc = self._apply_update(doc, update)
+        candidates, _, undecided = self._plan_candidates(query)
+        for doc_id in self._verified(query, candidates, undecided):
+            new_doc = self._apply_update(self._docs[doc_id], update)
             # Validate the replacement against every index that can reject
             # it BEFORE mutating anything: a failing update must leave the
             # document and all indexes exactly as they were (previously the
@@ -378,13 +445,13 @@ class Collection:
     @staticmethod
     def _apply_update(doc: dict, update: "Mapping[str, Any] | Callable[[dict], dict]") -> dict:
         if callable(update):
-            new_doc = update(copy.deepcopy(doc))
+            new_doc = update(copy_tree(doc))
             if not isinstance(new_doc, dict):
                 raise StoreError("update callable must return a dict")
             return new_doc
         if not isinstance(update, Mapping) or set(update) - {"$set", "$unset"}:
             raise StoreError("update document must contain only $set/$unset")
-        new_doc = copy.deepcopy(doc)
+        new_doc = copy_tree(doc)
         for path, value in (update.get("$set") or {}).items():
             _set_path(new_doc, path, value)
         for path in (update.get("$unset") or {}):
@@ -407,6 +474,14 @@ class Collection:
     def __len__(self) -> int:
         return len(self._docs)
 
+    def documents(self) -> list[dict]:
+        """Every stored document in doc-id order, by reference.
+
+        For readers that build new containers from the documents (the
+        checkpoint encoder); callers must not mutate them.
+        """
+        return [self._docs[doc_id] for doc_id in sorted(self._docs)]
+
     def count(self, query: "Mapping[str, Any] | None" = None) -> int:
         """Number of documents matching ``query`` (all when ``None``).
 
@@ -414,8 +489,7 @@ class Collection:
         """
         if not query:
             return len(self._docs)
-        matched, _, _ = self._matching_docs(query)
-        return len(matched)
+        return len(self._matching_ids(query)[0])
 
     def get(self, key: Any) -> dict:
         """Primary-key point lookup; raises when absent or no primary key."""
@@ -425,38 +499,51 @@ class Collection:
         if doc_id is None:
             raise DocumentNotFoundError(
                 f"no document with {self.primary_key}={key!r} in {self.name!r}")
-        return copy.deepcopy(self._docs[doc_id])
+        return copy_tree(self._docs[doc_id])
 
     def _plan_candidates(self, query: Mapping[str, Any],
                          *, hint: "str | None" = None,
-                         ) -> tuple[list[int], str]:
-        """Choose an access path; returns (candidate doc ids, plan name).
+                         ) -> "tuple[list[int], str, set[int] | None]":
+        """Choose an access path; returns (candidate doc ids, plan name,
+        undecided ids).
 
         Posting arrays of every applicable condition are intersected and
         the survivors tested against every applicable aligned column (date
         and bounding-box); the candidates are a superset of the exact
         answer, in ascending doc-id order on every path, so the caller's
-        verification loop produces plan-independent results.  ``hint="scan"`` forces the sequential path.
+        verification produces plan-independent results.  The third item
+        names the candidates that still need the matcher: ``None`` means
+        all of them, a set means every other candidate is a match (see the
+        module docstring for when a source decides its condition).
+        ``hint="scan"`` forces the sequential path.
         """
         if hint is not None and hint != "scan":
             raise StoreError(f"unknown plan hint {hint!r}; expected 'scan'")
-        if not query or hint == "scan":
-            return sorted(self._docs.keys()), "scan"
+        if not query:
+            return sorted(self._docs.keys()), "scan", set()
+        if hint == "scan":
+            return sorted(self._docs.keys()), "scan", None
         # Unique-index equality short-circuits: the candidate set is at most
-        # one doc per pinned value, already minimal.
+        # one doc per pinned value, already minimal, and exact when the
+        # query is that one condition.
         for field_path, index in self._unique_indexes.items():
             values = extract_equality(query, field_path)
             if values is not None:
                 ids = sorted({i for i in (index.find(v) for v in values)
                               if i is not None})
-                return ids, f"unique_index:{field_path}"
-        # Gather (tag, estimated size, materializer, tests_running) per
-        # applicable source.  Posting estimates are O(1) length probes.  An
-        # aligned column does not load ids of its own: it tests the ids
-        # still running (``tests_running``), so it goes after every
-        # posting array that can shrink them.
-        sources: "list[tuple[str, int, Callable[..., np.ndarray], bool]]" = []
-        for field, condition in _iter_field_conditions(query):
+                decided = (len(query) == 1 and field_path in query
+                           and _exact_equality(query[field_path]))
+                return ids, f"unique_index:{field_path}", (
+                    set() if decided else None)
+        conditions = list(_iter_field_conditions(query))
+        # Gather (tag, estimated size, materializer, tests_running, exact)
+        # per applicable source.  Posting estimates are O(1) length probes.
+        # An aligned column does not load ids of its own: it tests the ids
+        # still running (``tests_running``) and also returns the ones it
+        # cannot decide, so it goes after every posting array that can
+        # shrink them.  ``exact`` says the source decides its condition.
+        sources: "list[tuple[str, int, Callable[..., Any], bool, bool]]" = []
+        for field, condition in conditions:
             probe = {field: condition}
             hash_index = self._hash_indexes.get(field)
             if hash_index is not None:
@@ -466,7 +553,7 @@ class Collection:
                         f"hash_index:{field}",
                         hash_index.estimate_any(values),
                         lambda hi=hash_index, v=values: hi.postings_any(v),
-                        False))
+                        False, _exact_equality(condition)))
                     continue
                 all_values = extract_all_values(probe, field)
                 if all_values is not None and _scalar_values(all_values):
@@ -474,17 +561,18 @@ class Collection:
                         f"hash_index:{field}",
                         hash_index.estimate_all(all_values),
                         lambda hi=hash_index, v=all_values: hi.postings_all(v),
-                        False))
+                        False, False))
                     continue
             date_column = self._date_columns.get(field)
             if date_column is not None:
                 bounds = _date_range_bounds(condition)
                 if bounds is not None:
+                    lo, hi, complete = bounds
                     sources.append((
                         f"date_column:{field}", len(date_column),
-                        lambda among, dc=date_column, b=bounds:
-                            dc.ids_in_range(*b, among),
-                        True))
+                        lambda among, dc=date_column, lo=lo, hi=hi:
+                            dc.select_range(lo, hi, among),
+                        True, complete))
                     continue
             bbox_column = self._bbox_columns.get(field)
             if bbox_column is not None:
@@ -493,10 +581,10 @@ class Collection:
                     sources.append((
                         f"geo_index:{field}", len(bbox_column),
                         lambda among, bc=bbox_column, b=shape.bounding_box():
-                            bc.ids_intersecting(b, among),
-                        True))
+                            bc.select_intersecting(b, among),
+                        True, _rectangle_intersects(condition, shape)))
         if not sources:
-            return sorted(self._docs.keys()), "scan"
+            return sorted(self._docs.keys()), "scan", None
         # Cost order: materialize ascending by estimated size (declaration
         # order breaking ties), aligned-column tests last.  Intersection is
         # commutative, so only cost moves — the smallest source drives the
@@ -505,12 +593,15 @@ class Collection:
                        key=lambda i: (sources[i][3], sources[i][1], i))
         loaded = 0
         candidates: "np.ndarray | None" = None
+        undecided: list[np.ndarray] = []
         started = time.perf_counter_ns()
         for position in order:
-            _, rows, materialize, tests_running = sources[position]
+            _, rows, materialize, tests_running, _ = sources[position]
             if tests_running:
                 loaded += rows if candidates is None else len(candidates)
-                candidates = materialize(candidates)
+                candidates, flagged = materialize(candidates)
+                if flagged.shape[0]:
+                    undecided.append(flagged)
             else:
                 ids = materialize()
                 loaded += int(ids.shape[0])
@@ -525,7 +616,13 @@ class Collection:
             self._annotate_store_plan(sources, order, measured_ns)
         tags = list(dict.fromkeys(sources[i][0] for i in order))
         plan = tags[0] if len(tags) == 1 else "columnar:" + "&".join(tags)
-        return candidates.tolist(), plan
+        if not (len(sources) == len(conditions) and _is_conjunction(query)
+                and all(source[4] for source in sources)):
+            return candidates.tolist(), plan, None
+        if not undecided:
+            return candidates.tolist(), plan, set()
+        recheck = np.intersect1d(candidates, np.concatenate(undecided))
+        return candidates.tolist(), plan, set(recheck.tolist())
 
     @staticmethod
     def _annotate_store_plan(sources, order: "list[int]",
@@ -548,7 +645,7 @@ class Collection:
             # ahead of it.
             sizes: list[int] = []
             for i in sequence:
-                _, est, _, tests_running = sources[i]
+                _, est, _, tests_running, _ = sources[i]
                 sizes.append(min(sizes + [est]) if tests_running else est)
             return sizes
         def _entry(sequence):
@@ -562,23 +659,31 @@ class Collection:
                                 for i, size in zip(order, _sizes(order))},
             "measured_ns": int(measured_ns)})
 
-    def _matching_docs(self, query: "Mapping[str, Any] | None",
-                       *, hint: "str | None" = None,
-                       ) -> tuple[list[dict], str, int]:
-        """Plan, verify, and return matching docs as in-place references."""
+    def _verified(self, query: Mapping[str, Any], candidates: "list[int]",
+                  undecided: "set[int] | None") -> Iterator[int]:
+        """The candidates matching ``query``, lazily; only the undecided
+        ones (all when ``undecided`` is ``None``) go through the matcher."""
+        docs = self._docs
+        for doc_id in candidates:
+            if (undecided is not None and doc_id not in undecided) \
+                    or matches(docs[doc_id], query):
+                yield doc_id
+
+    def _matching_ids(self, query: "Mapping[str, Any] | None",
+                      *, hint: "str | None" = None,
+                      ) -> tuple[list[int], str, int]:
+        """Plan and verify: the matching doc ids in ascending order, the
+        plan name and the number of candidates the plan produced."""
         query = query or {}
-        candidate_ids, plan = self._plan_candidates(query, hint=hint)
-        matched: list[dict] = []
-        examined = 0
-        for doc_id in candidate_ids:
-            doc = self._docs.get(doc_id)
-            if doc is None:
-                continue
-            examined += 1
-            if matches(doc, query):
-                matched.append(doc)
-        tracing.add_cost(docs_examined=examined)
-        return matched, plan, examined
+        candidates, plan, undecided = self._plan_candidates(query, hint=hint)
+        if undecided is not None and not undecided:
+            matched = candidates
+        else:
+            matched = list(self._verified(query, candidates, undecided))
+        examined = len(candidates) if undecided is None else len(undecided)
+        tracing.add_cost(docs_examined=examined,
+                         rows_decided=len(candidates) - examined)
+        return matched, plan, len(candidates)
 
     def find(self, query: "Mapping[str, Any] | None" = None, *,
              projection: "list[str] | None" = None,
@@ -590,12 +695,13 @@ class Collection:
         ``projection`` keeps only the listed top-level fields; ``sort`` is a
         dotted field path; ``limit``/``skip`` paginate after sorting;
         ``hint="scan"`` bypasses the planner.  Only the final post-skip/limit
-        page is deep-copied, and each document's sort key is extracted
+        page is copied, and each document's sort key is extracted
         exactly once (decorate-sort), not per comparison.
         """
-        matched, plan, examined = self._matching_docs(query, hint=hint)
+        matched, plan, candidates = self._matching_ids(query, hint=hint)
+        docs = self._docs
         if sort is not None:
-            keys = [_sort_key(get_path(doc, sort)) for doc in matched]
+            keys = [_sort_key(get_path(docs[doc_id], sort)) for doc_id in matched]
             order = sorted(range(len(matched)), key=keys.__getitem__,
                            reverse=descending)
             matched = [matched[i] for i in order]
@@ -604,14 +710,14 @@ class Collection:
             matched = matched[skip:]
         if limit is not None:
             matched = matched[:limit]
-        out: list[dict] = []
-        for doc in matched:
-            if projection is None:
-                out.append(copy.deepcopy(doc))
-            else:
-                out.append({k: copy.deepcopy(doc[k]) for k in projection if k in doc})
+        page = [docs[doc_id] for doc_id in matched]
+        if projection is None:
+            out = [copy_tree(doc) for doc in page]
+        else:
+            out = [{k: copy_tree(doc[k]) for k in projection if k in doc}
+                   for doc in page]
         return FindResult(documents=out, plan=plan,
-                          candidates_examined=examined, total_matches=total)
+                          candidates_examined=candidates, total_matches=total)
 
     def find_one(self, query: "Mapping[str, Any] | None" = None) -> "dict | None":
         """First matching document, or ``None``."""
@@ -627,10 +733,10 @@ class Collection:
         This is the zero-copy projection behind filtered similarity search
         (resolving a metadata filter to the allowed patch names).
         """
-        matched, _, _ = self._matching_docs(query)
+        docs = self._docs
         values = []
-        for doc in matched:
-            value = get_path(doc, field_path)
+        for doc_id in self._matching_ids(query)[0]:
+            value = get_path(docs[doc_id], field_path)
             if not is_missing(value):
                 values.append(value)
         return values
@@ -641,8 +747,8 @@ class Collection:
         array values contribute their elements (multikey semantics).  Works
         on references — no candidate is copied."""
         values: set[Any] = set()
-        for doc in self._matching_docs(query)[0]:
-            value = get_path(doc, field_path)
+        for doc_id in self._matching_ids(query)[0]:
+            value = get_path(self._docs[doc_id], field_path)
             if is_missing(value):
                 continue
             if isinstance(value, (list, tuple)):

@@ -22,7 +22,11 @@ the column-shaped building blocks:
   comparison matches a missing value.  A box row is ``(west, south, east,
   north)`` and the test is a closed-interval overlap with the query
   shape's bounding box; rows the matcher cannot read as a box are ``NaN``,
-  which compares false.
+  which compares false.  Each test also returns the passing ids it cannot
+  decide (``select_range``, ``select_intersecting``): unknown dates and
+  dates on a bound, boxes that touch only the padding.  The planner sends
+  only those to the matcher when the condition is one the column states
+  exactly.
 * :func:`ids_array` / :func:`intersect_id_arrays` — conversion and
   intersection helpers over sorted unique id arrays.
 
@@ -151,15 +155,21 @@ class _AlignedColumn:
     def remove(self, doc_id: int, document: Mapping[str, Any]) -> None:
         self._rows[:, doc_id] = self._BLANK
 
-    def _ids_where(self, test: "Callable[..., np.ndarray]",
-                   among: "np.ndarray | None") -> np.ndarray:
-        """Sorted doc ids whose row passes ``test`` (a vectorised predicate
-        over the block's rows), tested over the sorted id array ``among``
-        when given, over every row otherwise."""
+    def _select(self, test: "Callable[..., np.ndarray]",
+                undecided: "Callable[..., np.ndarray]",
+                among: "np.ndarray | None",
+                ) -> "tuple[np.ndarray, np.ndarray]":
+        """``(ids, undecided ids)``: the sorted doc ids whose row passes
+        ``test`` (a vectorised predicate over the block's rows), tested over
+        the sorted id array ``among`` when given, over every row otherwise;
+        and those of them whose row ``undecided`` flags, a predicate
+        evaluated over the passing rows only."""
         if among is None:
-            return np.flatnonzero(test(*self._rows[:, :self._size]))
-        # Row by row: 1-D takes are twice as fast as one 2-D take.
-        return among[test(*(row[among] for row in self._rows))]
+            ids = np.flatnonzero(test(*self._rows[:, :self._size]))
+        else:
+            # Row by row: 1-D takes are twice as fast as one 2-D take.
+            ids = among[test(*(row[among] for row in self._rows))]
+        return ids, ids[undecided(*(row[ids] for row in self._rows))]
 
 
 # Date row states: no value (never a candidate), a parsed value (tested
@@ -189,10 +199,21 @@ class DateColumn(_AlignedColumn):
         parsed = iso_to_int64(value)
         return (0, _UNKNOWN) if parsed is None else (parsed, _KNOWN)
 
-    def ids_in_range(self, lo: "int | None", hi: "int | None",
-                     among: "np.ndarray | None" = None) -> np.ndarray:
-        """Sorted doc ids with value in the inclusive ``[lo, hi]`` range
-        (``None`` bound = open side), plus every unknown one."""
+    def select_range(self, lo: "int | None", hi: "int | None",
+                     among: "np.ndarray | None" = None,
+                     ) -> "tuple[np.ndarray, np.ndarray]":
+        """The sorted doc ids with value in the inclusive ``[lo, hi]``
+        range (``None`` bound = open side) plus every unknown one; and the
+        ids among them the range cannot decide for the string comparison
+        it stands for: unknown values, and known values equal to a bound.
+
+        A known value strictly inside the range passes the string
+        predicate: the embedding is monotone, so a strict ``int64``
+        inequality implies the strict string one.  On a bound it may not:
+        two spellings of one instant (``2020-01-05`` and
+        ``2020-01-05T00:00``) tie as integers but not as strings, and the
+        planner widened strict bounds to inclusive.
+        """
         def in_range(values: np.ndarray, states: np.ndarray) -> np.ndarray:
             hit = states == _KNOWN
             if lo is not None:
@@ -200,7 +221,14 @@ class DateColumn(_AlignedColumn):
             if hi is not None:
                 hit &= values <= hi
             return hit | (states == _UNKNOWN)
-        return self._ids_where(in_range, among)
+
+        def on_bound(values: np.ndarray, states: np.ndarray) -> np.ndarray:
+            flag = states == _UNKNOWN
+            for bound in (lo, hi):
+                if bound is not None:
+                    flag |= values == bound
+            return flag
+        return self._select(in_range, on_bound, among)
 
 
 # Slack added to the query box on every side.  The exact matcher accepts
@@ -228,13 +256,21 @@ class BBoxColumn(_AlignedColumn):
         box = _as_bbox(get_path(document, self.field))
         return self._BLANK if box is None else box.as_tuple()
 
-    def ids_intersecting(self, box: BoundingBox,
-                         among: "np.ndarray | None" = None) -> np.ndarray:
-        """Sorted doc ids whose stored box overlaps ``box`` (closed
-        intervals, as :meth:`BoundingBox.intersects`)."""
-        def overlaps(west, south, east, north) -> np.ndarray:
-            return ((west <= box.east + _BBOX_PAD_DEG)
-                    & (east >= box.west - _BBOX_PAD_DEG)
-                    & (south <= box.north + _BBOX_PAD_DEG)
-                    & (north >= box.south - _BBOX_PAD_DEG))
-        return self._ids_where(overlaps, among)
+    def select_intersecting(self, box: BoundingBox,
+                            among: "np.ndarray | None" = None,
+                            ) -> "tuple[np.ndarray, np.ndarray]":
+        """The sorted doc ids whose stored box overlaps ``box`` padded by
+        ``_BBOX_PAD_DEG`` (closed intervals, as
+        :meth:`BoundingBox.intersects`); and the ids among them that
+        overlap only the padding.  Every other id overlaps ``box`` itself,
+        which is the exact answer when the query shape is that rectangle."""
+        def overlaps(pad: float) -> "Callable[..., np.ndarray]":
+            def test(west, south, east, north) -> np.ndarray:
+                return ((west <= box.east + pad) & (east >= box.west - pad)
+                        & (south <= box.north + pad)
+                        & (north >= box.south - pad))
+            return test
+
+        strict = overlaps(0.0)
+        return self._select(overlaps(_BBOX_PAD_DEG),
+                            lambda *rows: ~strict(*rows), among)

@@ -122,11 +122,11 @@ def database_snapshot(db: Database) -> dict:
     for name in db.collection_names():
         collection = db[name]
         # The codec builds new containers, so it reads the stored documents
-        # in place (in doc-id order, like ``find()``, minus its deep copy).
-        documents, _plan, _examined = collection._matching_docs(None)
+        # in place (in doc-id order, like ``find()``, minus its copy).
         snapshot["collections"][name] = {
             "indexes": _index_spec(collection),
-            "documents": [encode_payload(doc) for doc in documents],
+            "documents": [encode_payload(doc)
+                          for doc in collection.documents()],
         }
     return snapshot
 

@@ -178,7 +178,7 @@ class TestDateColumnMaintenance:
             column.remove(i, {"d": f"2017-01-{1 + i % 28:02d}"})
         lo = iso_to_int64("2017-01-05")
         hi = iso_to_int64("2017-01-07")
-        got = column.ids_in_range(lo, hi).tolist()
+        got = column.select_range(lo, hi)[0].tolist()
         expected = [i for i in range(300)
                     if i % 3 and 5 <= 1 + i % 28 <= 7]
         assert got == expected
@@ -207,10 +207,10 @@ class TestDateColumnMaintenance:
             column.add(i, {"d": "2017-01-01"})
         column.remove(7, {"d": "2017-01-01"})
         column.add(7, {"d": "2020-01-01"})
-        old = column.ids_in_range(iso_to_int64("2017-01-01"),
-                                  iso_to_int64("2017-12-31"))
+        old, _ = column.select_range(iso_to_int64("2017-01-01"),
+                                     iso_to_int64("2017-12-31"))
         assert 7 not in old.tolist()
-        new = column.ids_in_range(iso_to_int64("2020-01-01"), None)
+        new, _ = column.select_range(iso_to_int64("2020-01-01"), None)
         assert new.tolist() == [7]
 
     def test_row_states(self):
@@ -222,14 +222,14 @@ class TestDateColumnMaintenance:
                          {"d": "20170301"}, {"d": "2019-01-01"},
                          {"d": None}])
         column.remove(4, {"d": "2019-01-01"})
-        everything = column.ids_in_range(None, None)
+        everything, _ = column.select_range(None, None)
         assert everything.tolist() == [0, 1, 3, 6]
-        empty_range = column.ids_in_range(iso_to_int64("2018-01-01"),
-                                          iso_to_int64("2017-01-01"))
+        empty_range, _ = column.select_range(iso_to_int64("2018-01-01"),
+                                             iso_to_int64("2017-01-01"))
         assert empty_range.tolist() == [1, 3, 6]
         among = np.array([0, 1, 2, 4, 5], dtype=np.int64)
-        assert column.ids_in_range(iso_to_int64("2017-03-01"), None,
-                                   among).tolist() == [0, 1]
+        assert column.select_range(iso_to_int64("2017-03-01"), None,
+                                   among)[0].tolist() == [0, 1]
         assert len(column) == 7
 
 

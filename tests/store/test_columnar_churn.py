@@ -257,9 +257,9 @@ def _random_row(column, rng) -> "tuple[dict, bool]":
 
 def _probe(column, among=None) -> list:
     if isinstance(column, BBoxColumn):
-        return column.ids_intersecting(_BOX_PROBE, among).tolist()
-    return column.ids_in_range(iso_to_int64(_DATE_LO), iso_to_int64(_DATE_HI),
-                               among).tolist()
+        return column.select_intersecting(_BOX_PROBE, among)[0].tolist()
+    return column.select_range(iso_to_int64(_DATE_LO), iso_to_int64(_DATE_HI),
+                               among)[0].tolist()
 
 
 @pytest.mark.parametrize("column_type", [BBoxColumn, DateColumn])
