@@ -109,7 +109,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     weight_decay: float = 0.0
     triplets_per_epoch: int = 2048
-    semi_hard: bool = True
     seed: int = 13
     log_every: int = 0
     early_stop_patience: int = 0
@@ -159,10 +158,11 @@ class ServingConfig:
 
     Controls the scatter-gather shard layout, the micro-batch executor that
     coalesces concurrent CBIR queries into one scan call per shard, and the
-    LRU+TTL result cache.  ``enabled`` is the single flag that routes
-    :class:`~repro.earthqube.server.EarthQube` queries through the
+    LRU+TTL result cache (300 s TTL).  ``enabled`` is the single flag that
+    routes :class:`~repro.earthqube.server.EarthQube` queries through the
     :class:`~repro.serving.gateway.ServingGateway` instead of the direct
-    single-threaded path.
+    single-threaded path.  Shards are always linear scans over views of the
+    CBIR code table; ``shard_backend`` accepts only ``"linear"``.
     """
 
     enabled: bool = False
@@ -171,17 +171,15 @@ class ServingConfig:
     max_workers: "int | None" = None
     batch_max_size: int = 16
     cache_entries: int = 1024
-    cache_ttl_seconds: float = 300.0
 
     def __post_init__(self) -> None:
         _require(self.num_shards >= 1, f"num_shards must be >= 1, got {self.num_shards}")
-        _require(self.shard_backend in ("linear", "mih"),
-                 f"shard_backend must be 'linear' or 'mih', got {self.shard_backend!r}")
+        _require(self.shard_backend == "linear",
+                 f"shard_backend must be 'linear', got {self.shard_backend!r}")
         _require(self.max_workers is None or self.max_workers >= 1,
                  "max_workers must be None or >= 1")
         _require(self.batch_max_size >= 1, "batch_max_size must be >= 1")
         _require(self.cache_entries >= 0, "cache_entries must be >= 0")
-        _require(self.cache_ttl_seconds > 0.0, "cache_ttl_seconds must be positive")
 
 
 @dataclass(frozen=True)
@@ -195,8 +193,8 @@ class ObsConfig:
     * ``sample_rate`` — fraction of requests that get a root trace
       (deterministic credit sampling: ``0.1`` traces every 10th request);
       the default keeps tracing always-on at low cost,
-    * ``slow_threshold_ms`` / ``slow_buffer_size`` — any request slower
-      than the threshold is recorded in a bounded ring buffer served at
+    * ``slow_threshold_ms`` — any request slower than the threshold is
+      recorded in a bounded (256-entry) ring buffer served at
       ``GET /debug/slow_queries`` (with its span tree when sampled),
     * ``cost_tracking`` — attach operator cost counters (rows scanned,
       buckets probed, candidates verified, ...) and per-stage self-times
@@ -212,7 +210,6 @@ class ObsConfig:
     enabled: bool = True
     sample_rate: float = 0.1
     slow_threshold_ms: float = 100.0
-    slow_buffer_size: int = 256
     cost_tracking: bool = True
     workload_enabled: bool = True
     workload_profile_path: "str | None" = None
@@ -222,7 +219,6 @@ class ObsConfig:
                  f"sample_rate must be in [0, 1], got {self.sample_rate}")
         _require(self.slow_threshold_ms >= 0.0,
                  "slow_threshold_ms must be >= 0")
-        _require(self.slow_buffer_size >= 1, "slow_buffer_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -232,16 +228,10 @@ class FederationConfig:
     Controls the scatter-gather executor that fans a query out to every
     registered :class:`~repro.federation.registry.FederatedNode`: per-node
     timeouts and bounded retries, the circuit breaker that ejects flapping
-    nodes (and readmits them after a cooldown through a half-open probe),
-    and how patch ids are namespaced when results from several archives are
-    merged.
-
-    ``namespace_results`` is one of:
-
-    * ``"auto"`` — namespace ids as ``node/patch_name`` only when more than
-      one node is registered, so a 1-node federation stays byte-identical
-      to querying the node directly (the default),
-    * ``"always"`` / ``"never"`` — force namespacing on or off.
+    nodes (and readmits them after a cooldown through a half-open probe).
+    A static federation of more than one node namespaces merged patch ids
+    as ``node/patch_name``; a 1-node federation stays byte-identical to
+    querying the node directly.
 
     **Elastic mode** (``elastic=True``) turns the static registry into a
     replicated, rebalancing federation: every patch is placed on
@@ -252,22 +242,17 @@ class FederationConfig:
     replica per ring segment and fall back through the replica chain on
     failure, and nodes may join/leave live with shard handoff.  Elastic
     federations treat the members as replicas of *one* logical corpus, so
-    ``namespace_results`` must not be forced ``"always"`` (replica answers
-    deduplicate by bare patch identity).  ``ring_partitions`` buckets
-    patches for the anti-entropy digest comparison;
-    ``repair_interval_s > 0`` starts the background read-repair daemon.
+    they never namespace ids (replica answers deduplicate by bare patch
+    identity).  Read-repair runs on demand (``federation.repairer.scan()``).
     """
 
     node_timeout_s: float = 5.0
     max_retries: int = 1
     breaker_failure_threshold: int = 3
     breaker_cooldown_s: float = 30.0
-    namespace_results: str = "auto"
     elastic: bool = False
     replication_factor: int = 1
     virtual_nodes: int = 64
-    ring_partitions: int = 32
-    repair_interval_s: float = 0.0
     obs: ObsConfig = field(default_factory=ObsConfig)
 
     def __post_init__(self) -> None:
@@ -278,22 +263,12 @@ class FederationConfig:
                  "breaker_failure_threshold must be >= 1")
         _require(self.breaker_cooldown_s >= 0.0,
                  "breaker_cooldown_s must be >= 0")
-        _require(self.namespace_results in ("auto", "always", "never"),
-                 f"namespace_results must be 'auto', 'always', or 'never', "
-                 f"got {self.namespace_results!r}")
         _require(self.replication_factor >= 1,
                  f"replication_factor must be >= 1, got {self.replication_factor}")
         _require(self.elastic or self.replication_factor == 1,
                  "replication_factor > 1 requires elastic=True")
         _require(self.virtual_nodes >= 1,
                  f"virtual_nodes must be >= 1, got {self.virtual_nodes}")
-        _require(self.ring_partitions >= 1,
-                 f"ring_partitions must be >= 1, got {self.ring_partitions}")
-        _require(self.repair_interval_s >= 0.0,
-                 "repair_interval_s must be >= 0")
-        _require(not (self.elastic and self.namespace_results == "always"),
-                 "elastic federations hold replicas of one logical corpus; "
-                 "namespace_results='always' would break replica dedup")
 
 
 @dataclass(frozen=True)
@@ -310,9 +285,8 @@ class DurabilityConfig:
       a crash loses at most the un-synced tail the OS had not flushed,
     * ``"off"`` — never fsync from the WAL (benchmarks only).
 
-    ``auto_checkpoint_records`` triggers a checkpoint automatically once
-    the WAL holds that many records (0 = manual checkpoints only).
-    ``verify_on_load`` re-extracts a sample of ``verify_sample`` patches on
+    Checkpoints are taken on demand (``DurableEarthQube.checkpoint()``).
+    ``verify_on_load`` re-extracts a sample of 16 patches on
     recovery and checks their hash codes against the snapshot matrix — a
     debug oracle, off by default because it re-runs feature extraction.
     """
@@ -320,18 +294,13 @@ class DurabilityConfig:
     directory: "str | None" = None
     fsync: str = "interval"
     fsync_interval: int = 8
-    auto_checkpoint_records: int = 0
     verify_on_load: bool = False
-    verify_sample: int = 16
 
     def __post_init__(self) -> None:
         _require(self.fsync in ("always", "interval", "off"),
                  f"fsync must be 'always', 'interval', or 'off', got {self.fsync!r}")
         _require(self.fsync_interval >= 1,
                  f"fsync_interval must be >= 1, got {self.fsync_interval}")
-        _require(self.auto_checkpoint_records >= 0,
-                 "auto_checkpoint_records must be >= 0")
-        _require(self.verify_sample >= 1, "verify_sample must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -377,9 +346,3 @@ class EarthQubeConfig:
     serving: ServingConfig = field(default_factory=ServingConfig)
     obs: ObsConfig = field(default_factory=ObsConfig)
     durability: DurabilityConfig = field(default_factory=DurabilityConfig)
-    max_rendered_images: int = 1000
-    cart_page_limit: int = 50
-
-    def __post_init__(self) -> None:
-        _require(self.max_rendered_images > 0, "max_rendered_images must be positive")
-        _require(self.cart_page_limit > 0, "cart_page_limit must be positive")

@@ -78,7 +78,7 @@ class MiLaNTrainer:
         stall = 0
 
         for epoch in range(cfg.epochs):
-            if cfg.semi_hard and epoch > 0:
+            if epoch > 0:
                 current_codes = network.encode(features)
                 anchors, positives, negatives = sampler.sample_semi_hard(
                     cfg.triplets_per_epoch, current_codes, self.milan_config.triplet_margin)

@@ -15,6 +15,7 @@ well-behaved HTTP 400.
 
 from __future__ import annotations
 
+import numbers
 from typing import TYPE_CHECKING, Any, Mapping
 
 from ..errors import ReproError, ValidationError
@@ -95,11 +96,20 @@ def _names(payload: Mapping[str, Any], key: str) -> "tuple[str, ...] | None":
 
 
 def _integer(value: Any, name: str) -> int:
-    try:
+    """An integral number, or the decimal string a query string carries.
+
+    Never truncated: a bool or a fraction is a ValidationError, not 1 or 2.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(
-            f"{name} must be an integer, got {value!r}") from None
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def _code_query_args(request: Mapping[str, Any]) -> dict:
@@ -442,8 +452,12 @@ class EarthQubeAPI:
         try:
             if not isinstance(request, Mapping) or "text" not in request:
                 raise ValidationError("feedback request needs a 'text' field")
+            text = request["text"]
+            if not isinstance(text, str):
+                raise ValidationError(
+                    f"feedback text must be a string, got {text!r}")
             self._require_system().submit_feedback(
-                str(request["text"]),
+                text,
                 category=request.get("category", "comment"))
         except ReproError as exc:
             return self._error(exc)
@@ -655,17 +669,16 @@ class EarthQubeAPI:
         first.  Traced entries carry their span tree, so a tail-latency
         spike can be drilled into after the fact."""
         try:
-            if limit is not None and int(limit) < 1:
-                raise ValidationError(f"limit must be >= 1, got {limit}")
-        except (TypeError, ValueError):
-            return self._error(ValidationError(
-                f"limit must be an integer, got {limit!r}"))
+            if limit is not None:
+                limit = _integer(limit, "limit")
+                if limit < 1:
+                    raise ValidationError(f"limit must be >= 1, got {limit}")
         except ReproError as exc:
             return self._error(exc)
         log = self._obs().slow_log
         entries = log.snapshot()
         if limit is not None:
-            entries = entries[:int(limit)]
+            entries = entries[:limit]
         info = log.describe()
         return {"ok": True, "threshold_ms": info["threshold_ms"],
                 "capacity": info["capacity"],

@@ -429,6 +429,9 @@ class CBIRService:
         Either ``k`` (nearest neighbors, radius grown as needed) or an
         explicit Hamming ``radius``.
         """
+        # The caller's k, before the self-match's +1 could lift a 0 past
+        # the check in _execute.
+        validate_code_query(k, radius)
         code = self.code_of(name)
         # Request one extra result: the query matches itself at distance 0
         # and is dropped from the response.
@@ -471,6 +474,7 @@ class CBIRService:
         ``filter`` (shared by the whole batch) restricts every query to the
         metadata-matching images.
         """
+        validate_code_query(k, radius)
         queries = list(queries)
         responses: "list[SimilarityResponse | None]" = [None] * len(queries)
         name_positions: list[int] = []

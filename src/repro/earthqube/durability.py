@@ -9,7 +9,7 @@ the document store *and* the CBIR index — survive a ``kill -9``:
   ``delete_many``, ``cbir.add_image``, facade ``ingest_new_patch``/
   ``delete_image``/``update_image``/``compact_index``) is journaled to a
   :class:`~repro.store.wal.WriteAheadLog` *before* the in-memory apply,
-* :meth:`checkpoint` writes an atomic
+* :meth:`checkpoint` (on demand; no write triggers one) writes an atomic
   :class:`~repro.store.snapshot.SnapshotManager` checkpoint — document
   store plus the packed code matrix and alive mask — covering the WAL
   sequence reached, then truncates the log,
@@ -49,6 +49,8 @@ from ..store.wal import WriteAheadLog
 
 _WAL_FILE = "wal.log"
 _CHECKPOINT_DIR = "checkpoint"
+#: Patches the ``verify_on_load`` oracle re-extracts on recovery.
+VERIFY_SAMPLE = 16
 
 #: Collection mutation methods that take the WAL detour.
 _STORE_OPS = ("insert_one", "insert_many", "update_one",
@@ -161,7 +163,6 @@ class DurableEarthQube:
             finally:
                 self._in_op = False
             self._last_applied_seq = seq
-            self._maybe_auto_checkpoint()
             return result
         wrapped.__wrapped__ = original  # type: ignore[attr-defined]
         return wrapped
@@ -269,11 +270,6 @@ class DurableEarthQube:
         self.metrics.counter("checkpoint.runs").increment()
         self._refresh_gauges()
         return info
-
-    def _maybe_auto_checkpoint(self) -> None:
-        limit = self.config.auto_checkpoint_records
-        if limit and self.wal.record_count >= limit:
-            self.checkpoint()
 
     def _refresh_gauges(self) -> None:
         info = self.snapshots.read_manifest()
@@ -424,7 +420,7 @@ class DurableEarthQube:
         candidates = sorted(name for name in system.cbir.indexed_items()[0]
                             if name in system.archive
                             and name not in self._reembedded)
-        sample = candidates[:self.config.verify_sample]
+        sample = candidates[:VERIFY_SAMPLE]
         with tracing.span("recover.verify", sample=len(sample)):
             for name in sample:
                 patch = system.archive._by_name[name]

@@ -41,6 +41,9 @@ from .query import QuerySpec
 from .search import SearchResponse, SearchService
 from .statistics import LabelStatistics, label_statistics
 
+#: Most results one map view renders (``render_many``).
+MAX_RENDERED_IMAGES = 1000
+
 
 def _require_positive_k(k: int) -> None:
     if k <= 0:
@@ -309,11 +312,9 @@ class EarthQube:
         return decode_rendered_document(doc)
 
     def render_many(self, names: "list[str]") -> dict[str, np.ndarray]:
-        """Render up to ``max_rendered_images`` results on the map."""
-        limit = self.config.max_rendered_images
-        if len(names) > limit:
-            names = names[:limit]
-        return {name: self.render(name) for name in names}
+        """Render up to ``MAX_RENDERED_IMAGES`` results on the map."""
+        return {name: self.render(name)
+                for name in names[:MAX_RENDERED_IMAGES]}
 
     def markers_for(self, response: "SearchResponse | list[dict]",
                     zoom: "int | None" = None):
@@ -325,8 +326,8 @@ class EarthQube:
         return MarkerClusterer(zoom).cluster(markers)
 
     def new_cart(self) -> DownloadCart:
-        """A fresh download cart honoring the configured page limit."""
-        return DownloadCart(page_limit=self.config.cart_page_limit)
+        """A fresh download cart (50 names per result page)."""
+        return DownloadCart()
 
     def submit_feedback(self, text: str, *, category: str = "comment") -> int:
         """Store anonymous user feedback."""

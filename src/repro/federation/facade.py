@@ -126,13 +126,10 @@ class FederatedEarthQube:
         # sequences, read-repairer.
         self.ring = PlacementRing(
             replication_factor=self.config.replication_factor,
-            virtual_nodes=self.config.virtual_nodes,
-            partitions=self.config.ring_partitions) if self.config.elastic \
+            virtual_nodes=self.config.virtual_nodes) if self.config.elastic \
             else None
         self.hints = HintLog(metrics=self.metrics)
-        self.repairer = ReadRepairer(
-            self, interval_s=self.config.repair_interval_s) \
-            if self.config.elastic else None
+        self.repairer = ReadRepairer(self) if self.config.elastic else None
         self._next_seq = 0
         self._row_seq: dict[str, int] = {}   # name -> CBIR insertion seq
         self._doc_seq: dict[str, int] = {}   # name -> document insertion seq
@@ -148,8 +145,6 @@ class FederatedEarthQube:
                 for node in nodes:
                     self.registry.add(node)
                     self._on_node_added(node)
-        if self.repairer is not None and self.config.repair_interval_s > 0:
-            self.repairer.start()
 
     @property
     def elastic(self) -> bool:
@@ -226,13 +221,8 @@ class FederatedEarthQube:
         return snapshot
 
     def _namespacing(self) -> bool:
-        mode = self.config.namespace_results
-        if mode == "always":
-            return True
-        if mode == "never":
-            return False
         # Elastic federations replicate *one* logical corpus across the
-        # members; names are globally unique, so "auto" never namespaces.
+        # members; names are globally unique, so they never namespace.
         if self.elastic:
             return False
         return len(self.registry) > 1
@@ -990,7 +980,7 @@ class FederatedEarthQube:
             "num_nodes": len(snapshot),
             "total_corpus": sum(entry["capabilities"]["corpus_size"]
                                 for entry in snapshot),
-            "namespace_results": self.config.namespace_results,
+            "namespace_results": "auto",
             "node_timeout_s": self.config.node_timeout_s,
             "max_retries": self.config.max_retries,
             "breaker_failure_threshold": self.config.breaker_failure_threshold,
@@ -1024,10 +1014,8 @@ class FederatedEarthQube:
         return snapshot
 
     def close(self) -> None:
-        """Stop the background read-repairer and the executor's per-node
-        lanes (nodes stay running; a later read starts fresh lanes)."""
-        if self.repairer is not None:
-            self.repairer.stop()
+        """Stop the executor's per-node lanes (nodes stay running; a later
+        read starts fresh lanes)."""
         self.executor.close()
 
     def __enter__(self) -> "FederatedEarthQube":

@@ -17,9 +17,9 @@ Two mechanisms keep R copies of every patch identical:
   Digests make the common all-in-sync case O(partitions) digest
   comparisons; only a divergent partition is drilled into patch by patch.
 
-The repairer runs synchronously (:meth:`ReadRepairer.scan`, used by
-tests and the REST admin surface) or as a background daemon
-(:meth:`start` / :meth:`stop`).
+The repairer runs on demand (:meth:`ReadRepairer.scan`, called by the
+tests and ``examples/elastic_federation.py``); no thread runs it in the
+background.
 """
 
 from __future__ import annotations
@@ -96,16 +96,8 @@ class HintLog:
 class ReadRepairer:
     """Anti-entropy scanner over an elastic federation's replica sets."""
 
-    def __init__(self, federation: "FederatedEarthQube", *,
-                 interval_s: float = 0.0) -> None:
+    def __init__(self, federation: "FederatedEarthQube") -> None:
         self.federation = federation
-        self.interval_s = interval_s
-        self._stop_event = threading.Event()
-        self._thread: "threading.Thread | None" = None
-
-    # ------------------------------------------------------------------ #
-    # One synchronous pass
-    # ------------------------------------------------------------------ #
 
     def scan(self) -> dict:
         """Compare digests across every replica set; sync divergent copies.
@@ -175,34 +167,3 @@ class ReadRepairer:
                 fed.metrics.counter("repair.synced", node=node.name).increment()
                 synced += 1
         return synced
-
-    # ------------------------------------------------------------------ #
-    # Background daemon
-    # ------------------------------------------------------------------ #
-
-    def start(self, interval_s: "float | None" = None) -> None:
-        """Run :meth:`scan` every ``interval_s`` seconds on a daemon thread."""
-        if interval_s is not None:
-            self.interval_s = interval_s
-        if self.interval_s <= 0:
-            raise ValueError("start() needs a positive repair interval")
-        if self._thread is not None and self._thread.is_alive():
-            return
-        self._stop_event.clear()
-
-        def loop() -> None:
-            while not self._stop_event.wait(self.interval_s):
-                try:
-                    self.scan()
-                except Exception:  # noqa: BLE001 - a failed pass must not
-                    pass           # kill the daemon; the next pass retries.
-
-        self._thread = threading.Thread(target=loop, name="read-repair",
-                                        daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop_event.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None

@@ -127,7 +127,7 @@ class CodeTable:
     ``i``-th insertion: ``names[i]`` owns ``codes[i]`` and is searchable
     while ``alive[i]``.  Every index is a view of it — ``LinearScanIndex``
     scans it, ``MultiIndexHashing`` keeps substring tables *derived* from
-    it, the serving tier's linear shards are row ranges of its matrix — so
+    it, the serving tier's shards are row ranges of its matrix — so
     there is one row layout and nothing to replay between tiers.
 
     Deletion tombstones (:meth:`kill` clears the alive flag, the row keeps

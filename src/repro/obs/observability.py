@@ -125,8 +125,7 @@ class Observability:
                                   and self.config.cost_tracking)
         self.tracer = tracing.Tracer(enabled=self.config.enabled,
                                      sample_rate=self.config.sample_rate)
-        self.slow_log = SlowQueryLog(capacity=self.config.slow_buffer_size,
-                                     threshold_ms=self.config.slow_threshold_ms)
+        self.slow_log = SlowQueryLog(threshold_ms=self.config.slow_threshold_ms)
         self.workload: "WorkloadStats | None" = (
             WorkloadStats()
             if self.config.enabled and self.config.workload_enabled else None)
@@ -196,7 +195,7 @@ class Observability:
                 "enabled": self.config.enabled,
                 "sample_rate": self.config.sample_rate,
                 "slow_threshold_ms": self.config.slow_threshold_ms,
-                "slow_buffer_size": self.config.slow_buffer_size,
+                "slow_buffer_size": self.slow_log.capacity,
                 "cost_tracking": self.cost_tracking,
                 "workload_enabled": self.workload is not None,
             },

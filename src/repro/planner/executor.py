@@ -128,7 +128,7 @@ class QueryExecutor:
         if runner.pinned_backend is None:
             return choice
         # The other backend was priced only as a reported alternative, and
-        # the pin is configuration, not a caller's force.  The runner's
+        # the pin is the runner's, not a caller's force.  The runner's
         # own ladder policy applies, so no probe budget is pushed down —
         # or reported as if it were.
         return replace(choice,

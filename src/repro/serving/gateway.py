@@ -53,10 +53,9 @@ class _ShardRunner:
     """The gateway's :class:`~repro.planner.CodeRunner`, one per request:
     cache -> ``CodeQuery`` -> micro-batcher -> shards.
 
-    The backend is pinned by configuration (the sharded index scans
-    through ``shard_backend``), so the executor's live decisions are the
-    pre/post filter mode and the post-filter over-fetch; the shards keep
-    their own ladder policy and index-internal spans stay intact.
+    The backend is pinned to ``"linear"`` (every shard is an exact scan of
+    a row range), so the executor's live decisions are the pre/post filter
+    mode and the post-filter over-fetch.
 
     ``filter_key`` is the request's filter fingerprint (``None``:
     unfiltered request).  Masked runs are pre-filter pushdowns: the mask
@@ -68,11 +67,12 @@ class _ShardRunner:
     and stores the outcomes itself.
     """
 
+    pinned_backend = "linear"
+
     def __init__(self, gateway: "ServingGateway",
                  filter_key: "str | None") -> None:
         self._gateway = gateway
         self._filter_key = filter_key
-        self.pinned_backend = gateway.index.backend
         self.plan_context = {"tier": "sharded",
                              "shards": gateway.index.num_shards}
 
@@ -107,13 +107,10 @@ class ServingGateway:
         self.config = config if config is not None else system.config.serving
         self.metrics = MetricsRegistry()
         self.cache = QueryResultCache(
-            max_entries=self.config.cache_entries,
-            ttl_seconds=self.config.cache_ttl_seconds)
+            max_entries=self.config.cache_entries)
         self.index = ShardedHammingIndex(
             system.hasher.num_bits,
             self.config.num_shards,
-            backend=self.config.shard_backend,
-            mih_tables=system.config.index.mih_tables,
             max_workers=self.config.max_workers,
             table=system.cbir.table)
         self.batcher = MicroBatcher(
@@ -146,6 +143,9 @@ class ServingGateway:
         micro-batch grouping so filtered and unfiltered traffic never mix.
         """
         with self.metrics.timer("similar.total"):
+            # The caller's k, before the self-match's +1 (as in
+            # CBIRService.query_by_name).
+            validate_code_query(k, radius)
             code = self.system.cbir.code_of(name)
             # The query matches itself at distance 0; fetch one extra and
             # drop it, exactly like CBIRService.query_by_name.
@@ -512,7 +512,7 @@ class ServingGateway:
         })
         snapshot["shards"] = {
             "count": self.index.num_shards,
-            "backend": self.index.backend,
+            "backend": self.config.shard_backend,
             "sizes": self.index.shard_sizes,
         }
         return snapshot
@@ -524,7 +524,7 @@ class ServingGateway:
             "shard_backend": self.config.shard_backend,
             "batch_max_size": self.config.batch_max_size,
             "cache_entries": self.config.cache_entries,
-            "cache_ttl_seconds": self.config.cache_ttl_seconds,
+            "cache_ttl_seconds": self.cache.ttl_seconds,
             "indexed_items": len(self.index),
         }
 

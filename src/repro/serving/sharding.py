@@ -14,22 +14,15 @@ Determinism is load-bearing: every path orders candidates by the global
 so the merged top-k of a K-shard index is byte-identical to the K=1 result
 regardless of shard count, partition or scan interleaving.
 
-Two shard backends:
-
-* ``"linear"`` — :func:`repro.index.hamming.exact_scan` (the E6 baseline
-  kernel, the same function ``LinearScanIndex`` and the MIH exact fallback
-  run) over a zero-copy view of the table's matrix: shard ``s`` is the
-  ``s``-th of ``K`` contiguous row ranges, cut afresh from each scan's
-  snapshot, and a local row plus the range start is the global row.
-  Ranges rather than ``codes[s::K]`` strides by measurement (one pinned
-  CPU, k = 11, two shards): the same at N = 8k (0.060 vs 0.058 ms, W = 1),
-  faster at N = 100k (0.30 vs 0.38 ms, W = 1; 0.59 vs 0.65 ms, W = 2).
-  A micro-batch is one call per shard and filter.
-* ``"mih"`` — a :class:`~repro.index.mih.MultiIndexHashing` per shard for
-  bucket-probe behaviour on very large shards.  Substring tables cannot be
-  views, so each shard indexes its own rows ``s, s + K, ...`` (a stride:
-  appends never move a row to another shard) and catches up with the
-  table — rebuilt on a new epoch, extended on new rows — before a scan.
+Every shard is a linear scan: :func:`repro.index.hamming.exact_scan` (the
+E6 baseline kernel, the same function ``LinearScanIndex`` and the MIH exact
+fallback run) over a zero-copy view of the table's matrix.  Shard ``s`` is
+the ``s``-th of ``K`` contiguous row ranges, cut afresh from each scan's
+snapshot, and a local row plus the range start is the global row.  Ranges
+rather than ``codes[s::K]`` strides by measurement (one pinned CPU,
+k = 11, two shards): the same at N = 8k (0.060 vs 0.058 ms, W = 1), faster
+at N = 100k (0.30 vs 0.38 ms, W = 1; 0.59 vs 0.65 ms, W = 2).  A
+micro-batch is one call per shard and filter.
 """
 
 from __future__ import annotations
@@ -49,7 +42,6 @@ from ..index.hamming import (
     combine_allowed_masks,
     exact_scan,
 )
-from ..index.mih import MultiIndexHashing
 from ..index.results import SearchResult
 
 
@@ -153,87 +145,10 @@ class _LinearShard:
         return out  # type: ignore[return-value]
 
 
-class _MIHShard:
-    """A Multi-Index Hashing table over rows ``offset, offset + step, ...``
-    of the shared table, keyed by global row.
-
-    It holds the one copy this module makes: substring tables need their
-    own local row numbering.  Tombstones never reach it — the alive mask
-    rides each job's ``allowed`` — so it only ever grows, until a new
-    table epoch replaces it.  MIH searches sync derived state, so ``scan``
-    is *not* read-only; a per-shard lock serializes it with ``catch_up``
-    and other scans on the same shard (cross-shard parallelism within a
-    batch is unaffected — one pool thread per shard).
-    """
-
-    def __init__(self, num_bits: int, mih_tables: int,
-                 offset: int, step: int) -> None:
-        self._index = MultiIndexHashing(num_bits, mih_tables)
-        self._offset = offset
-        self._step = step
-        self._shard_lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def catch_up(self, codes: np.ndarray) -> None:
-        """Index this shard's rows of ``codes`` that it does not hold yet."""
-        with self._shard_lock:
-            held = len(self._index)
-            first = self._offset + held * self._step
-            if held == 0:
-                rows = range(first, codes.shape[0], self._step)
-                self._index.build(rows, np.ascontiguousarray(
-                    codes[first::self._step]))
-            else:
-                for row in range(first, codes.shape[0], self._step):
-                    self._index.add(row, codes[row])
-
-    def scan(self, queries: np.ndarray, jobs: Sequence[CodeQuery],
-             ) -> "list[tuple[np.ndarray, np.ndarray]]":
-        with self._shard_lock:
-            if len(self._index) == 0:
-                return [_NO_HITS for _ in jobs]
-            # Group jobs by (kind, parameter, filter) and run each group
-            # through the MIH batch path — candidate gathering and
-            # verification vectorize across the group instead of looping
-            # queries, and one global->local mask translation (a strided
-            # slice) covers every job sharing a filter.
-            out: "list[tuple[np.ndarray, np.ndarray] | None]" = [None] * len(jobs)
-            groups: dict[tuple, list[int]] = {}
-            masks: dict[object, "np.ndarray | None"] = {None: None}
-            for i, job in enumerate(jobs):
-                filter_part = job.filter_part
-                kind = (("radius", job.radius, filter_part)
-                        if job.radius is not None
-                        else ("knn", job.k, filter_part))
-                groups.setdefault(kind, []).append(i)
-                if filter_part not in masks:
-                    masks[filter_part] = job.allowed[self._offset::self._step]
-            for group_key, indices in groups.items():
-                kind, parameter, filter_part = group_key
-                group_queries = queries[np.asarray(indices, dtype=np.int64)]
-                local_mask = masks[filter_part]
-                if kind == "radius":
-                    batches = self._index.search_radius_batch(
-                        group_queries, parameter, allowed=local_mask)
-                else:
-                    batches = self._index.search_knn_batch(
-                        group_queries, parameter, allowed=local_mask)
-                for i, results in zip(indices, batches):
-                    rows = np.fromiter((r.item_id for r in results),
-                                       dtype=np.int64, count=len(results))
-                    distances = np.fromiter((r.distance for r in results),
-                                            dtype=np.int64, count=len(results))
-                    out[i] = (rows, distances)
-        return out  # type: ignore[return-value]
-
-
 class ShardedHammingIndex:
     """K-shard Hamming index with a parallel scatter-gather executor."""
 
     def __init__(self, num_bits: int, num_shards: int = 4, *,
-                 backend: str = "linear", mih_tables: int = 4,
                  max_workers: "int | None" = None,
                  table: "CodeTable | None" = None) -> None:
         if num_bits <= 0 or num_bits % 8 != 0:
@@ -241,17 +156,9 @@ class ShardedHammingIndex:
                 f"num_bits must be a positive multiple of 8, got {num_bits}")
         if num_shards < 1:
             raise ValidationError(f"num_shards must be >= 1, got {num_shards}")
-        if backend not in ("linear", "mih"):
-            raise ValidationError(
-                f"backend must be 'linear' or 'mih', got {backend!r}")
         self.num_bits = num_bits
         self.num_shards = num_shards
-        self.backend = backend
-        self.mih_tables = mih_tables
         self.table = table if table is not None else CodeTable(-(-num_bits // 64))
-        # MIH backend only: the shards built for table epoch _mih_epoch.
-        self._mih_shards: "list[_MIHShard]" = []
-        self._mih_epoch: "int | None" = None
         self._lock = threading.Lock()
         self._executor: "ThreadPoolExecutor | None" = None
         self._max_workers = max_workers if max_workers is not None else num_shards
@@ -275,31 +182,14 @@ class ShardedHammingIndex:
         """Occupancy of each shard (exported as gauges by the gateway)."""
         return [len(shard) for shard in self._view()[2]]
 
-    def _view(self) -> "tuple[list[Hashable], np.ndarray | None, list]":
-        """``(ids, alive mask, shards)`` of the table's current rows.
-
-        Taken under the table lock, so the shards describe exactly the
-        snapshot's rows whatever a writer does next.  Linear shards are
-        views cut from the snapshot.  MIH shards persist between scans and
-        catch up here; a new epoch gets *new* shard objects, so a scan
-        still running on the previous layout keeps a consistent one.
-        """
-        with self.table.lock:
-            ids, codes, alive = self.table.snapshot()
-            if self.backend == "linear":
-                size = -(-codes.shape[0] // self.num_shards)
-                shards = [_LinearShard(codes[s * size:(s + 1) * size], s * size)
-                          for s in range(self.num_shards)]
-            else:
-                if self._mih_epoch != self.table.epoch:
-                    self._mih_epoch = self.table.epoch
-                    self._mih_shards = [
-                        _MIHShard(self.num_bits, self.mih_tables, offset,
-                                  self.num_shards)
-                        for offset in range(self.num_shards)]
-                shards = self._mih_shards
-                for shard in shards:
-                    shard.catch_up(codes)
+    def _view(self) -> "tuple[list[Hashable], np.ndarray | None, list[_LinearShard]]":
+        """``(ids, alive mask, shards)`` of the table's current rows: the
+        shards are views cut from one snapshot, so they describe exactly
+        its rows whatever a writer does next."""
+        ids, codes, alive = self.table.snapshot()
+        size = -(-codes.shape[0] // self.num_shards)
+        shards = [_LinearShard(codes[s * size:(s + 1) * size], s * size)
+                  for s in range(self.num_shards)]
         return ids, alive, shards
 
     # ------------------------------------------------------------------ #
@@ -366,8 +256,8 @@ class ShardedHammingIndex:
     def search_batch(self, jobs: Sequence[CodeQuery]) -> list[list[SearchResult]]:
         """Scatter a batch of queries to every shard, gather and merge.
 
-        Every shard scans the *whole batch* in one vectorized pass (linear
-        backend), so the per-query overhead amortizes across the batch.
+        Every shard scans the *whole batch* in one vectorized pass, so the
+        per-query overhead amortizes across the batch.
         """
         if not jobs:
             return []
@@ -411,7 +301,7 @@ class ShardedHammingIndex:
         with tracing.span("shards.search", jobs=len(jobs),
                           unique=len(unique_jobs),
                           shards=len(shards)) as search_span:
-            search_span.annotate(backend=self.backend)
+            search_span.annotate(backend="linear")
             search_span.add_cost(shards_scanned=len(shards))
             # The calling thread scans shard 0 itself, instead of sleeping
             # while the pool scans all K.  The (possibly traced) context is

@@ -8,7 +8,7 @@ import pytest
 from repro.bigearthnet import Patch, SyntheticArchive
 from repro.bigearthnet.io import load_archive, save_archive
 from repro.bigearthnet.synthesis import PatchSynthesizer
-from repro.config import ArchiveConfig
+from repro.config import ArchiveConfig, ServingConfig
 from repro.earthqube.api import EarthQubeAPI, parse_query_request
 from repro.errors import ArchiveError, ValidationError
 from repro.geo import BoundingBox
@@ -135,8 +135,19 @@ class TestEarthQubeAPI:
         ("similar", {"k": None}, "k"),
         ("similar", {"radius": "x"}, "radius"),
         ("similar", {"filter": {"limit": "x"}}, "limit"),
+        # Never truncated: int() read 2.7 as 2 and True as 1.
+        ("similar", {"k": 2.7}, "k"),
+        ("similar", {"k": True}, "k"),
+        ("similar", {"k": float("inf")}, "k"),
+        ("similar", {"radius": 1.5}, "radius"),
+        ("similar", {"radius": False}, "radius"),
         ("similar_batch", {"k": [1]}, "k"),
+        ("similar_batch", {"k": 2.5}, "k"),
         ("statistics", {"names": [1, 2]}, "names"),
+        # Never stringified: str() stored {"a": 1} as "{'a': 1}".
+        ("feedback", {"text": {"a": 1}}, "text"),
+        ("feedback", {"text": 5}, "text"),
+        ("feedback", {"text": None}, "text"),
     ], ids=repr)
     def test_malformed_request_is_a_typed_error(self, api, system,
                                                 route, body, field):
@@ -151,6 +162,47 @@ class TestEarthQubeAPI:
         assert not out["ok"]
         assert out["error"] == "ValidationError", out
         assert field in out["message"]
+
+
+def _similar_body(system, route, **fields):
+    names = list(system.archive.names[:2])
+    if route == "similar":
+        return {"name": names[0], **fields}
+    return {"names": names, **fields}
+
+
+class TestSimilarK:
+    @pytest.mark.parametrize("served", [False, True],
+                             ids=["direct", "served"])
+    @pytest.mark.parametrize("route", ["similar", "similar_batch"])
+    def test_zero_k_is_rejected_on_both_paths(self, system, route, served):
+        """Regression: the self-match's +1 lifted ``k: 0`` past validation
+        everywhere but the served batch route."""
+        if served:
+            system.enable_serving(ServingConfig(enabled=True, num_shards=2))
+        try:
+            out = getattr(EarthQubeAPI(system), route)(
+                _similar_body(system, route, k=0))
+        finally:
+            if served:
+                system.disable_serving()
+        assert out["ok"] is False
+        assert out["error"] == "ValidationError", out
+        assert "k" in out["message"]
+
+    @pytest.mark.parametrize("route", ["similar", "similar_batch"])
+    def test_integral_values_still_parse(self, system, route):
+        call = getattr(EarthQubeAPI(system), route)
+
+        def answer(k):
+            out = call(_similar_body(system, route, k=k))
+            if route == "similar":
+                return [out["results"]]
+            return [query["results"] for query in out["queries"]]
+
+        assert all(len(results) == 3 for results in answer(3))
+        for k in (3.0, "3"):
+            assert answer(k) == answer(3)
 
 
 class TestArchiveIO:

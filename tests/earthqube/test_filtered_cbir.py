@@ -178,8 +178,8 @@ class TestFilteredServingTier:
     @pytest.mark.parametrize("serving", [
         ServingConfig(enabled=True, num_shards=1),
         ServingConfig(enabled=True, num_shards=4),
-        ServingConfig(enabled=True, num_shards=2, shard_backend="mih"),
-    ], ids=["K1-linear", "K4-linear", "K2-mih"])
+        ServingConfig(enabled=True, num_shards=2),
+    ], ids=["K1-linear", "K4-linear", "K2-linear"])
     def test_gateway_matches_direct(self, system, serving):
         spec = SPECS[1]
         broad = SPECS[4]

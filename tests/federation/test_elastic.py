@@ -181,10 +181,6 @@ class TestElasticConfig:
         with pytest.raises(ValidationError):
             FederationConfig(replication_factor=2)
 
-    def test_elastic_forbids_forced_namespacing(self):
-        with pytest.raises(ValidationError):
-            FederationConfig(elastic=True, namespace_results="always")
-
 
 class TestElasticIdentity:
     def test_single_node_r1_matches_direct(self, oracle):
@@ -544,8 +540,7 @@ class TestLegacyFanOut:
         left = fresh_oracle()
         right = left.empty_clone()
         right.import_shard(left.export_shard(list(left.archive.names)))
-        fed = FederatedEarthQube({"left": left, "right": right},
-                                 FederationConfig(namespace_results="never"))
+        fed = FederatedEarthQube({"left": left, "right": right})
         yield fed, left
         fed.close()
 

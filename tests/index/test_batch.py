@@ -295,26 +295,24 @@ class TestMIHBatch:
 
 
 class TestShardedBatch:
-    @pytest.mark.parametrize("backend", ["linear", "mih"])
     @pytest.mark.parametrize("num_shards", [1, 4])
     def test_knn_batch_equals_loop_and_oracle(self, corpus, queries,
-                                              backend, num_shards):
+                                              num_shards):
         ids, codes = corpus
         scan = LinearScanIndex(32)
         scan.build(ids, codes)
-        with ShardedHammingIndex(32, num_shards, backend=backend) as index:
+        with ShardedHammingIndex(32, num_shards) as index:
             index.build(ids, codes)
             batch = index.search_knn_batch(queries, 6)
             for query, results in zip(queries, batch):
                 assert pairs(results) == pairs(index.search_knn(query, 6))
                 assert pairs(results) == pairs(scan.search_knn(query, 6))
 
-    @pytest.mark.parametrize("backend", ["linear", "mih"])
-    def test_radius_batch_equals_oracle(self, corpus, queries, backend):
+    def test_radius_batch_equals_oracle(self, corpus, queries):
         ids, codes = corpus
         scan = LinearScanIndex(32)
         scan.build(ids, codes)
-        with ShardedHammingIndex(32, 3, backend=backend) as index:
+        with ShardedHammingIndex(32, 3) as index:
             index.build(ids, codes)
             batch = index.search_radius_batch(queries, 5)
             for query, results in zip(queries, batch):

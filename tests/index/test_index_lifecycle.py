@@ -57,8 +57,7 @@ def build(backend: str, ids, codes):
     elif backend == "shared-table":
         index = SharedTable()
     else:
-        index = ShardedHammingIndex(
-            NUM_BITS, 3, backend="mih" if backend == "sharded-mih" else "linear")
+        index = ShardedHammingIndex(NUM_BITS, 3)
     index.build(ids, codes)
     return index
 
@@ -79,7 +78,7 @@ def radius(backend, index, code, r):
     return [(r_.item_id, r_.distance) for r_ in results]
 
 
-BACKENDS = ["linear", "mih", "sharded", "sharded-mih", "shared-table"]
+BACKENDS = ["linear", "mih", "sharded", "shared-table"]
 
 
 class TestCombineAllowedMasks:

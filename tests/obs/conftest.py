@@ -21,24 +21,22 @@ from repro.config import (
 from repro.earthqube import EarthQube
 
 
-def _bootstrap(seed: int, *, serving: bool = False,
-               shard_backend: str = "linear") -> EarthQube:
+def _bootstrap(seed: int, *, serving: bool = False) -> EarthQube:
     config = EarthQubeConfig(
         archive=ArchiveConfig(num_patches=48, seed=seed),
         milan=MiLaNConfig(num_bits=32, hidden_sizes=(48,)),
         train=TrainConfig(epochs=2, triplets_per_epoch=128, batch_size=64),
         index=IndexConfig(hamming_radius=2, mih_tables=4),
         serving=ServingConfig(enabled=serving, num_shards=2,
-                              cache_entries=128,
-                              shard_backend=shard_backend),
+                              cache_entries=128),
     )
     return EarthQube.bootstrap(config, store_images=False)
 
 
 @pytest.fixture(scope="module")
 def served_system() -> EarthQube:
-    """A system whose gateway shards scan through MIH (index spans)."""
-    system = _bootstrap(41, serving=True, shard_backend="mih")
+    """A system answering through the gateway's linear shards."""
+    system = _bootstrap(41, serving=True)
     yield system
     system.disable_serving()
 
@@ -51,7 +49,7 @@ def direct_system() -> EarthQube:
 
 @pytest.fixture(scope="module")
 def federation(served_system, direct_system):
-    """Two-node federation: served MIH node 'a' plus direct node 'b'."""
+    """Two-node federation: served node 'a' plus direct node 'b'."""
     fed = EarthQube.federate({"a": served_system, "b": direct_system})
     yield fed
     fed.close()

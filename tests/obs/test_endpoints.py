@@ -108,6 +108,9 @@ class TestSlowQueriesEndpoint:
         api = EarthQubeAPI(served_system)
         assert api.slow_queries(limit=0)["error"] == "ValidationError"
         assert api.slow_queries(limit="nope")["error"] == "ValidationError"
+        # Never truncated: int() read 2.5 as 2 and True as 1.
+        assert api.slow_queries(limit=2.5)["error"] == "ValidationError"
+        assert api.slow_queries(limit=True)["error"] == "ValidationError"
 
     def test_empty_log_returns_empty_entries(self, direct_system):
         direct_system.obs.slow_log.clear()
@@ -127,7 +130,7 @@ class TestWorkloadEndpoint:
         assert payload["recorded_total"] >= 4
         families = {(f["backend"], f["strategy"], f["selectivity"])
                     for f in payload["families"]}
-        assert ("mih", "unfiltered", "none") in families
+        assert ("linear", "unfiltered", "none") in families
         json.dumps(payload)
 
     def test_filtered_similar_is_described_alike_on_both_tiers(

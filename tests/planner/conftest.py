@@ -20,23 +20,21 @@ from repro.config import (
 from repro.earthqube import EarthQube
 
 
-def _bootstrap(seed: int, *, serving: bool = False,
-               shard_backend: str = "mih") -> EarthQube:
+def _bootstrap(seed: int, *, serving: bool = False) -> EarthQube:
     config = EarthQubeConfig(
         archive=ArchiveConfig(num_patches=56, seed=seed),
         milan=MiLaNConfig(num_bits=32, hidden_sizes=(48,)),
         train=TrainConfig(epochs=2, triplets_per_epoch=128, batch_size=64),
         index=IndexConfig(hamming_radius=2, mih_tables=4),
         serving=ServingConfig(enabled=serving, num_shards=2,
-                              cache_entries=128,
-                              shard_backend=shard_backend),
+                              cache_entries=128),
     )
     return EarthQube.bootstrap(config, store_images=False)
 
 
 @pytest.fixture(scope="module")
 def served_system() -> EarthQube:
-    """A system answering through MIH-backed gateway shards."""
+    """A system answering through the gateway's linear shards."""
     system = _bootstrap(73, serving=True)
     yield system
     system.disable_serving()

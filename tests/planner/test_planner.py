@@ -13,8 +13,11 @@ import json
 
 import pytest
 
-from repro.config import (FederationConfig, IndexConfig, ObsConfig,
-                          PlannerConfig, ServingConfig)
+from repro.config import (DurabilityConfig, EarthQubeConfig,
+                          FederationConfig, IndexConfig, ObsConfig,
+                          PlannerConfig, ServingConfig, TrainConfig)
+from repro.errors import ValidationError
+from repro.federation.repair import ReadRepairer
 from repro.index import MultiIndexHashing
 from repro.obs.calibrate import CALIBRATION_VERSION, save_calibration
 from repro.obs.workload import WorkloadStats
@@ -239,14 +242,40 @@ class TestRemovedKnobs:
         (ServingConfig, {"histogram_window": 4096}),
         (FederationConfig, {"histogram_window": 1024}),
         (ObsConfig, {"workload_window": 512}),
+        (DurabilityConfig, {"auto_checkpoint_records": 100}),
+        (DurabilityConfig, {"verify_sample": 4}),
+        (FederationConfig, {"repair_interval_s": 1.0}),
+        (FederationConfig, {"ring_partitions": 64}),
+        (FederationConfig, {"namespace_results": "always"}),
+        (ServingConfig, {"cache_ttl_seconds": 60.0}),
+        (ObsConfig, {"slow_buffer_size": 64}),
+        (TrainConfig, {"semi_hard": False}),
+        (EarthQubeConfig, {"cart_page_limit": 20}),
+        (EarthQubeConfig, {"max_rendered_images": 10}),
     ])
     def test_removed_config_fields_raise(self, config_type, knob):
         with pytest.raises(TypeError, match="unexpected keyword"):
             config_type(**knob)
 
+    def test_shard_backend_accepts_only_linear(self):
+        assert ServingConfig(shard_backend="linear").shard_backend == "linear"
+        with pytest.raises(ValidationError, match="shard_backend"):
+            ServingConfig(shard_backend="mih")
+
     def test_sharded_index_has_no_scan_chunk_parameter(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
             ShardedHammingIndex(32, num_shards=2, scan_chunk_rows=4096)
+
+    @pytest.mark.parametrize("knob", [{"backend": "mih"},
+                                      {"backend": "linear"},
+                                      {"mih_tables": 4}])
+    def test_sharded_index_has_no_backend_parameter(self, knob):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ShardedHammingIndex(32, num_shards=2, **knob)
+
+    def test_read_repairer_has_no_daemon(self):
+        assert not hasattr(ReadRepairer, "start")
+        assert not hasattr(ReadRepairer, "stop")
 
     def test_hash_table_index_is_gone(self):
         with pytest.raises(ImportError):

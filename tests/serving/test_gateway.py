@@ -42,14 +42,13 @@ class TestBootstrapFlag:
 
     def test_mih_tables_come_from_the_index_config(self, mini_system,
                                                    monkeypatch):
-        """One knob: MIH shards are built, and priced, with
+        """One knob: the gateway's plans are priced with
         ``IndexConfig.mih_tables``; ServingConfig keeps no copy of it."""
         config = mini_system.config
         monkeypatch.setattr(mini_system, "config", dataclasses.replace(
             config, index=dataclasses.replace(config.index, mih_tables=8)))
         with ServingGateway(mini_system, ServingConfig(
-                enabled=True, num_shards=2, shard_backend="mih")) as gateway:
-            assert gateway.index.mih_tables == 8
+                enabled=True, num_shards=2)) as gateway:
             assert _ShardRunner(gateway, None).shape()[2] == 8
 
 

@@ -43,10 +43,9 @@ def corpus(rng):
 
 class TestShardedIndex:
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 8])
-    @pytest.mark.parametrize("backend", ["linear", "mih"])
-    def test_knn_identical_across_shard_counts(self, corpus, num_shards, backend):
+    def test_knn_identical_across_shard_counts(self, corpus, num_shards):
         ids, codes, scan = corpus
-        with ShardedHammingIndex(NUM_BITS, num_shards, backend=backend) as sharded:
+        with ShardedHammingIndex(NUM_BITS, num_shards) as sharded:
             sharded.build(ids, codes)
             for qi in (0, 17, 150, 299):
                 assert sharded.search_knn(codes[qi], 15) == scan.search_knn(codes[qi], 15)
@@ -125,8 +124,6 @@ class TestShardedIndex:
             ShardedHammingIndex(33, 4)
         with pytest.raises(ValidationError):
             ShardedHammingIndex(NUM_BITS, 0)
-        with pytest.raises(ValidationError):
-            ShardedHammingIndex(NUM_BITS, 4, backend="faiss")
         with pytest.raises(ValidationError):
             CodeQuery(code=np.zeros(1, dtype=np.uint64))  # neither k nor radius
         with pytest.raises(ValidationError):

@@ -11,6 +11,7 @@ import numpy as np
 from repro import MiLaNHasher
 from repro.bigearthnet.io import load_archive, save_archive
 from repro.earthqube import EarthQubeAPI, QuerySpec
+from repro.earthqube.server import MAX_RENDERED_IMAGES
 
 
 class TestArchivePersistenceIntegration:
@@ -45,8 +46,8 @@ class TestHasherPortability:
 
 
 class TestSystemLimits:
-    def test_render_many_respects_configured_cap(self, system):
-        cap = system.config.max_rendered_images
+    def test_render_many_respects_the_cap(self, system):
+        cap = MAX_RENDERED_IMAGES
         names = system.archive.names * (cap // len(system.archive) + 2)
         # Build a name list longer than the cap from real names (duplicates
         # are fine for the cap check).
@@ -54,9 +55,9 @@ class TestSystemLimits:
         renders = system.render_many(unique_names)
         assert len(renders) <= cap
 
-    def test_cart_page_limit_comes_from_config(self, system):
+    def test_new_cart_pages_fifty_names(self, system):
         cart = system.new_cart()
-        assert cart.page_limit == system.config.cart_page_limit
+        assert cart.page_limit == 50
 
 
 class TestAPIOverSystemFlows:

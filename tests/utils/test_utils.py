@@ -156,9 +156,6 @@ class TestConfigs:
     def test_earthqube_config_composition(self):
         config = EarthQubeConfig(archive=ArchiveConfig(num_patches=10))
         assert config.archive.num_patches == 10
-        assert config.cart_page_limit == 50
-        with pytest.raises(ValidationError):
-            EarthQubeConfig(max_rendered_images=0)
 
     def test_configs_are_frozen(self):
         config = ArchiveConfig()
