@@ -54,7 +54,7 @@ def bootstrap_oracle(*, patches: int, epochs: int) -> EarthQube:
         milan=MiLaNConfig(num_bits=32, hidden_sizes=(48,)),
         train=TrainConfig(epochs=epochs, triplets_per_epoch=256,
                           batch_size=64, seed=7),
-        index=IndexConfig(hamming_radius=2, mih_tables=4),
+        index=IndexConfig(hamming_radius=2),
     )
     return EarthQube.bootstrap(config, store_images=False)
 

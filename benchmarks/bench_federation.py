@@ -50,7 +50,7 @@ def bootstrap_node(seed: int, *, patches: int, epochs: int,
         milan=MiLaNConfig(num_bits=num_bits, hidden_sizes=(48,)),
         train=TrainConfig(epochs=epochs, triplets_per_epoch=256,
                           batch_size=64, seed=seed),
-        index=IndexConfig(hamming_radius=2, mih_tables=4),
+        index=IndexConfig(hamming_radius=2),
         serving=ServingConfig(enabled=serving, num_shards=2),
     )
     return EarthQube.bootstrap(config, store_images=False)

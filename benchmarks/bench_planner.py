@@ -1,15 +1,17 @@
 """Cost-based planner picks vs every fixed strategy, on a measured grid.
 
-The query planner prices four physical plans per filtered kNN query —
-{MIH, linear} x {pre-filter, post-filter} — and is supposed to pick the
-one that is actually fastest.  This benchmark checks that claim the only
-way that counts: it *measures* all four fixed plans on a corpus-size x
-filter-selectivity grid, asks the planner (warmed with workload evidence
-exactly as the live system warms it) for its pick, and scores a
-**mispick** whenever the picked plan's measured time exceeds the best
-fixed plan's by more than 15%.
+Every similarity query runs the one exact scan (``LinearScanIndex``);
+the query planner prices the two physical plans of a filtered kNN query
+— pre-filter (the allowed-row mask pushed into the scan) and post-filter
+(an over-fetched unfiltered scan, screened and refilled) — and is
+supposed to pick the one that is actually faster.  This benchmark checks
+that claim the only way that counts: it *measures* both fixed plans on a
+corpus-size x filter-selectivity grid, asks the planner (warmed with
+workload evidence exactly as the live system warms it) for its pick, and
+scores a **mispick** whenever the picked plan's measured time exceeds the
+best fixed plan's by more than 15%.
 
-Every ranking — all four fixed plans, every grid cell — is checked
+Every ranking — both fixed plans, every grid cell — is checked
 byte-identical against a brute-force filter-then-rank oracle before any
 timing is reported; a mismatch aborts the run.  Plans must only move
 work around, never change results.
@@ -23,7 +25,6 @@ Usage::
 """
 
 import argparse
-import itertools
 import json
 import sys
 import time
@@ -31,13 +32,12 @@ import time
 import numpy as np
 
 from bench_filtered_search import clustered_codes, oracle_filtered_knn, timed
-from repro.index import MultiIndexHashing
+from repro.index import LinearScanIndex
 from repro.obs.costs import measure, selectivity_bucket
 from repro.obs.workload import WorkloadStats
 from repro.planner import QueryPlanner
 
 NUM_BITS = 128
-NUM_TABLES = 4
 K = 10
 NUM_QUERIES = 24
 WARMUP_QUERIES = 6
@@ -58,36 +58,31 @@ STRATEGY_LABELS = {"pre": "prefilter", "post": "postfilter"}
 def execute_plan(index, plan, query, mask, allowed_rows):
     """Run one physical plan the way the execution tier does.
 
-    Both backends run on the same MIH object: ``probe_budget=0`` is the
-    planner's "linear" backend (the exact-scan path), any positive budget
-    is the MIH radius ladder.  Post-filter plans over-fetch by the plan's
-    ``overfetch`` and refill by doubling, exactly like the CBIR tier.
+    Pre-filter plans scan the allowed rows only; post-filter plans scan
+    everything, over-fetch by the plan's ``overfetch`` and refill by
+    quadrupling, exactly like :class:`repro.planner.QueryExecutor`.
     """
     if plan.filter_mode == "pre":
-        results = index.search_knn(query, K, allowed=mask,
-                                   probe_budget=plan.probe_budget)
+        results = index.search_knn(query, K, allowed=mask)
         return [(int(r.item_id), r.distance) for r in results]
     n = len(index)
     fetch = int(plan.overfetch or K)
     while True:
-        results = index.search_knn(query, fetch,
-                                   probe_budget=plan.probe_budget)
+        results = index.search_knn(query, fetch)
         kept = [(int(r.item_id), r.distance) for r in results
                 if int(r.item_id) in allowed_rows]
         if len(kept) >= K or fetch >= n:
             return kept[:K]
-        fetch = min(n, fetch * 2)
+        fetch = min(n, fetch * 4)
 
 
 def fixed_plans(planner, *, corpus_size, selectivity, filter_count):
-    """The four forced strategies, as the planner itself prices them."""
+    """Both forced strategies, as the planner itself prices them."""
     plans = {}
-    for backend, mode in itertools.product(("linear", "mih"),
-                                           ("pre", "post")):
+    for mode in ("pre", "post"):
         choice = planner.plan_similarity(
             corpus_size=corpus_size, k=K, selectivity=selectivity,
-            filter_count=filter_count, num_bits=NUM_BITS,
-            num_tables=NUM_TABLES, forced_mode=mode, forced_backend=backend)
+            filter_count=filter_count, forced_mode=mode)
         plans[choice.chosen.key] = choice.chosen
     return plans
 
@@ -119,7 +114,7 @@ def sweep(sizes, selectivities, rng) -> tuple[dict, list]:
     cells = []
     for n in sizes:
         codes = clustered_codes(n, rng)
-        index = MultiIndexHashing(NUM_BITS, NUM_TABLES)
+        index = LinearScanIndex(NUM_BITS)
         index.build(list(range(n)), codes)
         queries = codes[rng.integers(0, n, size=NUM_QUERIES)]
         size_report: dict = {}
@@ -163,12 +158,10 @@ def sweep(sizes, selectivities, rng) -> tuple[dict, list]:
 
             plan_s = timed(lambda: [planner.plan_similarity(
                 corpus_size=n, k=K, selectivity=selectivity,
-                filter_count=filter_count, num_bits=NUM_BITS,
-                num_tables=NUM_TABLES) for _ in range(NUM_QUERIES)])
+                filter_count=filter_count) for _ in range(NUM_QUERIES)])
             choice = planner.plan_similarity(
                 corpus_size=n, k=K, selectivity=selectivity,
-                filter_count=filter_count, num_bits=NUM_BITS,
-                num_tables=NUM_TABLES)
+                filter_count=filter_count)
             picked = choice.chosen.key
             best_key = min(timings, key=timings.get)
             worst_key = max(timings, key=timings.get)
@@ -214,7 +207,7 @@ def main(argv=None) -> int:
     most_selective = str(min(selectivities))
     headline_cell = grid[largest][most_selective]
     report = {
-        "config": {"num_bits": NUM_BITS, "num_tables": NUM_TABLES, "k": K,
+        "config": {"num_bits": NUM_BITS, "k": K,
                    "num_queries": NUM_QUERIES,
                    "warmup_queries": WARMUP_QUERIES,
                    "mispick_tolerance": MISPICK_TOLERANCE,

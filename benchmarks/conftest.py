@@ -84,7 +84,7 @@ def bench_system(bench_archive, bench_hasher, bench_extractor,
         archive=bench_archive.config,
         milan=bench_hasher.milan_config,
         train=bench_hasher.train_config,
-        index=IndexConfig(hamming_radius=2, mih_tables=4),
+        index=IndexConfig(hamming_radius=2),
     )
     codec = LabelCharCodec()
     db = Database.earthqube_schema()

@@ -125,8 +125,8 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class IndexConfig:
-    """Hash-index settings: Hamming radius, multi-index substring count,
-    and the tombstone-compaction thresholds.
+    """Hash-index settings: Hamming radius and the tombstone-compaction
+    thresholds.
 
     How a metadata-filtered similarity query executes (pre-filter mask
     pushdown vs over-fetched post-filter) is not configured here: the
@@ -135,7 +135,6 @@ class IndexConfig:
     """
 
     hamming_radius: int = 2
-    mih_tables: int = 4
     # Mutable-corpus lifecycle: a deleted/updated image tombstones its index
     # row (O(1), excluded from every search via the alive mask); once the
     # dead rows exceed max(compact_min_dead, compact_max_dead_fraction * N)
@@ -146,7 +145,6 @@ class IndexConfig:
 
     def __post_init__(self) -> None:
         _require(self.hamming_radius >= 0, "hamming_radius must be >= 0")
-        _require(self.mih_tables >= 1, "mih_tables must be >= 1")
         _require(self.compact_min_dead >= 1, "compact_min_dead must be >= 1")
         _require(0.0 < self.compact_max_dead_fraction <= 1.0,
                  "compact_max_dead_fraction must be in (0, 1]")
@@ -309,10 +307,10 @@ class PlannerConfig:
 
     Every similarity query is planned by
     :class:`~repro.planner.QueryPlanner`: candidate physical plans
-    (backend, pre/post filter, over-fetch, MIH ladder depth) are priced
-    with calibrated unit costs plus live workload statistics, and the
-    cheapest is run by the shared :class:`~repro.planner.QueryExecutor`
-    (an explicit ``strategy=`` or federation plan hint pins a dimension).
+    (pre/post filter, over-fetch) are priced with calibrated unit costs
+    plus live workload statistics, and the cheapest is run by the shared
+    :class:`~repro.planner.QueryExecutor` (an explicit ``strategy=`` or a
+    federation plan hint pins the filter mode).
 
     * ``calibration_path`` — calibration sidecar auto-loaded at system
       construction (``repro calibrate --out calibration.json``); when the

@@ -130,7 +130,10 @@ def parse_query_request(payload: Mapping[str, Any]) -> QuerySpec:
     if unknown:
         raise ValidationError(f"unknown request fields: {sorted(unknown)}")
     operator_name = payload.get("label_operator", "some")
-    operator = _OPERATORS.get(operator_name)
+    # Only a string can name an operator; a list or object would not even
+    # hash for the lookup.
+    operator = (_OPERATORS.get(operator_name)
+                if isinstance(operator_name, str) else None)
     if operator is None:
         raise ValidationError(
             f"unknown label_operator {operator_name!r}; "

@@ -9,7 +9,8 @@ within a small hamming radius."
 
 :class:`CBIRService` implements exactly that: a name -> packed-code map for
 archive queries, on-the-fly feature extraction + hashing for new images, and
-a Hamming index (MIH by default) for the radius/kNN search.
+an exact Hamming scan (:class:`~repro.index.linear_scan.LinearScanIndex`,
+i.e. :func:`~repro.index.hamming.exact_scan`) for the radius/kNN search.
 
 Filtered similarity (EarthQube's *combined* queries — metadata constraints
 joined with content similarity) runs through the same entry points: every
@@ -18,7 +19,7 @@ allowed patch names, or a :class:`~repro.earthqube.query.QuerySpec` when a
 ``spec_resolver`` is attached (the bootstrapped system wires it to the
 metadata search service).  The shared
 :class:`~repro.planner.QueryExecutor` prices **pre-filter** (restrict the
-Hamming scan / MIH verification to the allowed-row mask) against
+Hamming scan to the allowed-row mask) against
 **post-filter** (adaptively over-fetched unfiltered search + refill) and
 runs the cheaper plan on this service's index; both return byte-identical
 rankings equal to a brute-force filter-then-rank oracle.
@@ -37,7 +38,7 @@ from ..core.hasher import MiLaNHasher
 from ..errors import UnknownPatchError, ValidationError
 from ..features.extractor import FeatureExtractor
 from ..index.hamming import CodeTable
-from ..index.mih import MultiIndexHashing
+from ..index.linear_scan import LinearScanIndex
 from ..index.results import SearchResult
 from ..obs import tracing
 from ..planner import (PlanChoice, QueryExecutor, QueryPlanner,
@@ -110,42 +111,29 @@ def shape_name_response(name: str, results: "list[SearchResult]", used: int,
 
 class _IndexRunner:
     """The direct :class:`~repro.planner.CodeRunner`: the service's own
-    MIH index, which executes either backend (a zero probe budget forces
-    the exact scan, :func:`repro.index.hamming.exact_scan` — the function
-    ``LinearScanIndex`` runs and ``repro calibrate`` times) — so nothing
-    is pinned and the planner chooses."""
+    exact scan (:class:`~repro.index.linear_scan.LinearScanIndex`)."""
 
-    pinned_backend = None
     plan_context: dict = {}
 
     def __init__(self, service: "CBIRService") -> None:
         self._service = service
 
-    def shape(self) -> "tuple[int, int, int]":
-        service = self._service
-        return (service.table.rows, service.hasher.num_bits,
-                service.config.mih_tables)
+    def corpus_size(self) -> int:
+        return self._service.table.rows
 
     def run(self, codes, *, k: "int | None", radius: "int | None",
-            allowed: "np.ndarray | None", probe_budget: "int | None",
-            ) -> "list[list[SearchResult]]":
+            allowed: "np.ndarray | None") -> "list[list[SearchResult]]":
         # Search methods are looked up on the index per call, never bound
         # ahead: the benchmark's traced run wraps them on the instance.
         index = self._service._index
         if len(codes) == 1:
             if radius is not None:
-                return [index.search_radius(codes[0], radius, allowed=allowed,
-                                            probe_budget=probe_budget)]
-            return [index.search_knn(codes[0], k, allowed=allowed,
-                                     probe_budget=probe_budget)]
-        # More than one code: the index's native batch path — one
-        # vectorized probe/verify pass instead of a Python loop.
-        codes = np.asarray(codes, dtype=np.uint64)
+                return [index.search_radius(codes[0], radius, allowed=allowed)]
+            return [index.search_knn(codes[0], k, allowed=allowed)]
+        # More than one code: one scan pass for the whole batch.
         if radius is not None:
-            return index.search_radius_batch(codes, radius, allowed=allowed,
-                                             probe_budget=probe_budget)
-        return index.search_knn_batch(codes, k, allowed=allowed,
-                                      probe_budget=probe_budget)
+            return index.search_radius_batch(codes, radius, allowed=allowed)
+        return index.search_knn_batch(codes, k, allowed=allowed)
 
 
 class CBIRService:
@@ -167,7 +155,7 @@ class CBIRService:
         # code) is the index's CodeTable — the row-aligned names / codes /
         # alive mask every tier reads.  This service keeps no copy of it:
         # writes go through the index, reads come from `table`.
-        self._index = MultiIndexHashing(hasher.num_bits, self.config.mih_tables)
+        self._index = LinearScanIndex(hasher.num_bits)
         self.table: CodeTable = self._index.table
         # Optional QuerySpec -> RowFilter resolver, attached by the system
         # facade so `filter=QuerySpec(...)` works at this level too.
@@ -222,7 +210,7 @@ class CBIRService:
         """Online ingestion: hash and index one new image.
 
         Returns the packed code.  The image becomes retrievable immediately
-        (the MIH substring tables are updated in place) — the extension the
+        (its row is appended to the scanned table) — the extension the
         paper's query-by-new-example scenario motivates: newly acquired
         Sentinel images flow into the index without a rebuild.
         """
@@ -300,7 +288,7 @@ class CBIRService:
                                       self.config.compact_max_dead_fraction)
 
     def compact(self) -> None:
-        """Physically drop tombstoned rows and rebuild the index.
+        """Physically drop tombstoned rows and renumber the survivors.
 
         The only place (with :meth:`restore_state`) rows are renumbered —
         no read accessor does it.  Surviving rows keep their relative
@@ -348,7 +336,7 @@ class CBIRService:
             raise ValidationError(
                 f"restore needs ({len(names)}, {words}) codes, got "
                 f"{codes.shape}")
-        self._index.restore(names, codes, alive)
+        self.table.restore(names, codes, alive)
 
     # ------------------------------------------------------------------ #
     # Filters
@@ -469,7 +457,7 @@ class CBIRService:
         :meth:`query_by_name` semantics: self-match dropped, truncated to
         ``k``) or a 1-D feature vector (matching :meth:`query_by_features`).
         The whole batch runs through the index's native batch path — one
-        vectorized probe/verify pass instead of a Python loop — and the
+        vectorized scan pass instead of a Python loop — and the
         responses are byte-identical to looping the single-query methods.
         ``filter`` (shared by the whole batch) restricts every query to the
         metadata-matching images.

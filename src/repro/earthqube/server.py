@@ -642,7 +642,6 @@ class EarthQube:
             "feature_dimension": self.extractor.dimension,
             "code_bits": self.hasher.num_bits,
             "hamming_radius": self.config.index.hamming_radius,
-            "mih_tables": self.config.index.mih_tables,
             "collections": self.db.collection_names(),
             "metadata_documents": len(self.db[METADATA]),
         }

@@ -405,16 +405,15 @@ class FederatedEarthQube:
         """Plan once at the owning node; return the summary to scatter.
 
         The owner's planner prices the query against its own corpus and
-        workload statistics; the chosen plan's summary (backend + filter
-        mode) rides the scatter as a ``plan_hint`` so every member runs
-        one consistent strategy, and the full decision (rejected
+        workload statistics; the chosen plan's summary (its filter mode)
+        rides the scatter as a ``plan_hint`` so every member runs one
+        consistent strategy, and the full decision (rejected
         alternatives, predicted costs) is recorded on the federation
         request span for ``explain=true``.  ``None`` — scatter without a
         hint — when the filter matches nothing at the owner; call
-        sites also skip the hint entirely for unfiltered queries, both
-        because each member's backend choice should track its own corpus
-        size and so stubs/peers speaking the unfiltered protocol keep
-        working.
+        sites also skip the hint entirely for unfiltered queries (there
+        is no filter mode to pin) so stubs/peers speaking the unfiltered
+        protocol keep working.
         """
         choice = owner.plan_choice(k=k, radius=radius,
                                    filter_spec=filter_spec)

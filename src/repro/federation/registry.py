@@ -121,7 +121,7 @@ class FederatedNode:
         every archive applies the same metadata constraints to its own
         corpus before its candidates join the federated merge.
         ``plan_hint`` (the front-end planner's chosen-plan summary) pins
-        the transferable plan dimensions on this node's own planner.
+        the filter mode on this node's own planner.
         """
         if self.system.gateway is not None:
             return self.system.gateway.query_code(code, k=k, radius=radius,

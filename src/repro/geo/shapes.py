@@ -88,8 +88,10 @@ class Circle(Shape):
             raise GeoError(f"circle center longitude out of range: {self.lon}")
         if not -90.0 <= self.lat <= 90.0:
             raise GeoError(f"circle center latitude out of range: {self.lat}")
-        if self.radius_km <= 0.0:
-            raise GeoError(f"circle radius must be positive, got {self.radius_km}")
+        # NaN compares false to everything, so finiteness is checked first.
+        if not math.isfinite(self.radius_km) or self.radius_km <= 0.0:
+            raise GeoError(
+                f"circle radius must be positive and finite, got {self.radius_km}")
 
     def contains_point(self, lon: float, lat: float) -> bool:
         return haversine_km(self.lon, self.lat, lon, lat) <= self.radius_km

@@ -12,10 +12,14 @@ infrastructure to benchmark it:
   index below (and the serving tier's linear shards) runs, and
   :class:`~repro.index.hamming.CodeTable`, the one row-aligned
   names / packed codes / alive-mask table those indexes are views of,
+* :mod:`repro.index.linear_scan` — the packed exact scan: what
+  ``CBIRService`` answers every query with,
 * :mod:`repro.index.mih` — Multi-Index Hashing (Norouzi & Fleet): the
   paper's hash table, split into substring tables so bucket enumeration
-  scales to larger radii on long codes,
-* :mod:`repro.index.linear_scan` — packed brute-force scan (baseline).
+  scales to larger radii on long codes.  A library index behind the
+  paper-figure benchmarks (E6 retrieval speed, E8 radius sweep), not the
+  serving path: at the archive sizes served here the exact scan is
+  cheaper.
 """
 
 from .codes import pack_bits, unpack_bits, codes_allclose

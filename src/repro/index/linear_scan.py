@@ -1,4 +1,5 @@
-"""Packed-code linear scan: the brute-force baseline of experiment E6.
+"""Packed-code linear scan: the brute-force baseline of experiment E6, and
+the index ``CBIRService`` answers every query with.
 
 Computes the distance from the query to *every* stored code with the
 popcount kernel, then selects.  O(N) per query but with a tiny constant —

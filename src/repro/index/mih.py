@@ -53,9 +53,8 @@ probes only that layer and verifies only never-seen candidates —
 accumulated (candidate, distance) arrays carry across rounds and every
 pair is XOR-verified at most once per search.
 
-When the probe count for a radius would exceed the probe budget — by
-default the archive size (far queries, k beyond the reachable
-neighborhood); 0 when the planner priced the *linear* backend cheaper —
+When the probe count for a radius would exceed the probe budget — the
+archive size (far queries, k beyond the reachable neighborhood) —
 bucket enumeration costs more than reading every row, and the search
 hands the still-unanswered queries, as one batch, to
 :func:`repro.index.hamming.exact_scan`: the same function
@@ -177,19 +176,6 @@ def _substring_sizes(num_bits: int, num_tables: int) -> list[int]:
     """Substring widths: as equal as possible, the wider ones first."""
     base, extra = divmod(num_bits, num_tables)
     return [base + (1 if i < extra else 0) for i in range(num_tables)]
-
-
-def substring_probe_cost(num_bits: int, num_tables: int,
-                         substring_radius: int) -> int:
-    """Bucket probes an MIH search at ``substring_radius`` issues
-    (arithmetic only — no mask generation).
-
-    The index's fallback threshold and the planner's MIH pricing are this
-    one function, so what is estimated is what the ladder compares.
-    """
-    return sum(comb(width, i)
-               for width in _substring_sizes(num_bits, num_tables)
-               for i in range(min(substring_radius, width) + 1))
 
 
 class _CSRTable:
@@ -392,9 +378,10 @@ class MultiIndexHashing:
         self._sync()
 
     def _probe_cost(self, substring_radius: int) -> int:
-        """Bucket probes a search at ``substring_radius`` would issue."""
-        return substring_probe_cost(self.num_bits, self.num_tables,
-                                    substring_radius)
+        """Bucket probes a search at ``substring_radius`` would issue
+        (arithmetic only — no mask generation)."""
+        return sum(comb(stop - start, i) for start, stop in self._spans
+                   for i in range(min(substring_radius, stop - start) + 1))
 
     def _probe_budget(self) -> int:
         """Probe count beyond which bucket enumeration costs more than
@@ -405,19 +392,6 @@ class MultiIndexHashing:
         generated for radii past it.
         """
         return max(self._codes.shape[0], 1024)
-
-    def _effective_budget(self, probe_budget: "int | None") -> int:
-        """Resolve a caller-supplied probe budget override.
-
-        The cost-based planner passes its calibrated ladder-depth bound
-        here; ``0`` forces the exact-scan path outright (how a plan
-        expresses the *linear* backend on this index), ``None`` keeps the
-        row-count default.  Any budget yields byte-identical results —
-        the fallback is exact — so this knob only moves cost around.
-        """
-        if probe_budget is None:
-            return self._probe_budget()
-        return max(int(probe_budget), 0)
 
     # ------------------------------------------------------------------ #
     # Candidate gathering (shared by every search path)
@@ -586,7 +560,6 @@ class MultiIndexHashing:
 
     def _radius_arrays(self, queries: np.ndarray, radius: int,
                        allowed: "np.ndarray | None" = None,
-                       probe_budget: "int | None" = None,
                        ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]":
         """Verified results of a radius batch, as raw arrays.
 
@@ -602,7 +575,7 @@ class MultiIndexHashing:
         archive_codes = self._codes
         substring_radius = radius // self.num_tables
         empty = np.empty(0, dtype=np.int64)
-        if self._probe_cost(substring_radius) > self._effective_budget(probe_budget):
+        if self._probe_cost(substring_radius) > self._probe_budget():
             # Bucket enumeration would cost more than scanning the archive
             # (and its mask sets would be combinatorially large): verify
             # every row instead.  Same exact results, bounded cost.
@@ -711,7 +684,6 @@ class MultiIndexHashing:
     def search_radius_batch(self, codes: np.ndarray, radius: int,
                             *, with_stats: bool = False,
                             allowed: "np.ndarray | None" = None,
-                            probe_budget: "int | None" = None,
                             ) -> ("list[list[SearchResult]] | tuple[list[list[SearchResult]], "
                                   "list[RadiusSearchStats]]"):
         """Radius search for a ``(Q, W)`` batch of packed queries.
@@ -732,7 +704,7 @@ class MultiIndexHashing:
         with tracing.span("mih.radius", radius=radius,
                           queries=num_queries) as radius_span:
             rows, distances, bounds, probes, candidate_counts = \
-                self._radius_arrays(queries, radius, allowed, probe_budget)
+                self._radius_arrays(queries, radius, allowed)
             radius_span.annotate(buckets_probed=probes,
                                  candidates=int(candidate_counts.sum()))
         out = [self._materialize_results(rows, distances, int(bounds[query]),
@@ -750,7 +722,6 @@ class MultiIndexHashing:
     def search_radius(self, code: np.ndarray, radius: int,
                       *, with_stats: bool = False,
                       allowed: "np.ndarray | None" = None,
-                      probe_budget: "int | None" = None,
                       ) -> "list[SearchResult] | tuple[list[SearchResult], RadiusSearchStats]":
         """All (allowed) items within Hamming ``radius``, nearest first."""
         code = np.asarray(code, dtype=np.uint64)
@@ -759,8 +730,7 @@ class MultiIndexHashing:
                 f"search_radius expects a single packed code, got {code.shape}")
         batch = self.search_radius_batch(code[None, :], radius,
                                          with_stats=with_stats,
-                                         allowed=allowed,
-                                         probe_budget=probe_budget)
+                                         allowed=allowed)
         if with_stats:
             results, stats_list = batch
             return results[0], stats_list[0]
@@ -773,7 +743,6 @@ class MultiIndexHashing:
     def search_knn_batch(self, codes: np.ndarray, k: int,
                          *, max_radius: "int | None" = None,
                          allowed: "np.ndarray | None" = None,
-                         probe_budget: "int | None" = None,
                          ) -> "list[list[SearchResult]]":
         """The ``k`` nearest items for a ``(Q, W)`` batch of queries.
 
@@ -798,7 +767,7 @@ class MultiIndexHashing:
         num_queries = queries.shape[0]
         if num_queries == 1:
             return [self._knn_single(queries[0], k, max_radius, archive_codes,
-                                     allowed, probe_budget)]
+                                     allowed)]
         total_rows = np.int64(self._codes.shape[0])
         out: "list[list[SearchResult] | None]" = [None] * num_queries
         active = np.arange(num_queries, dtype=np.int64)
@@ -812,7 +781,7 @@ class MultiIndexHashing:
         with tracing.span("mih.knn", queries=num_queries, k=k) as knn_span:
             while active.shape[0]:
                 substring_radius = radius // self.num_tables
-                if self._probe_cost(substring_radius) > self._effective_budget(probe_budget):
+                if self._probe_cost(substring_radius) > self._probe_budget():
                     # The ladder degenerated (far queries / k beyond the
                     # reachable neighborhood): finishing by exact scan gives
                     # identical results at bounded cost instead of probing a
@@ -879,8 +848,7 @@ class MultiIndexHashing:
 
     def _knn_single(self, query: np.ndarray, k: int,
                     max_radius: "int | None", archive_codes: np.ndarray,
-                    allowed: "np.ndarray | None" = None,
-                    probe_budget: "int | None" = None) -> list[SearchResult]:
+                    allowed: "np.ndarray | None" = None) -> list[SearchResult]:
         """The incremental kNN ladder for one query (no pair keys)."""
         limit = max_radius if max_radius is not None else self.num_bits
         acc_rows = np.empty(0, dtype=np.int64)
@@ -890,7 +858,7 @@ class MultiIndexHashing:
         with tracing.span("mih.knn", queries=1, k=k) as knn_span:
             while True:
                 substring_radius = radius // self.num_tables
-                if self._probe_cost(substring_radius) > self._effective_budget(probe_budget):
+                if self._probe_cost(substring_radius) > self._probe_budget():
                     knn_span.annotate(fallback=True, ladder_radius=radius,
                                       layers_probed=probed_layer + 1)
                     (rows, distances), = self._exact_fallback(
@@ -955,8 +923,7 @@ class MultiIndexHashing:
 
     def search_knn(self, code: np.ndarray, k: int,
                    *, max_radius: "int | None" = None,
-                   allowed: "np.ndarray | None" = None,
-                   probe_budget: "int | None" = None) -> list[SearchResult]:
+                   allowed: "np.ndarray | None" = None) -> list[SearchResult]:
         """The ``k`` nearest (allowed) items, growing the radius in
         substring steps.
 
@@ -970,5 +937,4 @@ class MultiIndexHashing:
             raise ValidationError(
                 f"search_knn expects a single packed code, got {code.shape}")
         return self.search_knn_batch(code[None, :], k, max_radius=max_radius,
-                                     allowed=allowed,
-                                     probe_budget=probe_budget)[0]
+                                     allowed=allowed)[0]

@@ -11,9 +11,9 @@ geometrically until ``k`` survivors exist or the corpus is exhausted),
 ``radius_used``, and the span annotations ``explain=true`` and the
 workload statistics read.
 
-What differs between tiers is only *how packed codes get searched*, so
+What differs between tiers is only *how packed codes get scanned*, so
 the executor is parameterised by a small :class:`CodeRunner`: the direct
-MIH index (:mod:`repro.earthqube.cbir`) or the gateway's
+exact scan (:mod:`repro.earthqube.cbir`) or the gateway's
 cache -> micro-batcher -> shards pipeline (:mod:`repro.serving.gateway`).
 Tests substitute an in-memory fake.
 """
@@ -21,7 +21,6 @@ Tests substitute an in-memory fake.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import TYPE_CHECKING, Protocol, Sequence
 
 from ..errors import ValidationError
@@ -57,23 +56,20 @@ def used_radius(results: "Sequence[SearchResult]",
 
 
 class CodeRunner(Protocol):
-    """How one tier searches packed codes.
+    """How one tier scans packed codes.
 
-    ``pinned_backend`` names the one backend the runner can execute
-    (``None``: it obeys the planner's choice, probe budget included).  A
-    pinned runner keeps its own probe ladder, and ``plan_context`` is
-    merged into its plans' ``explain`` context.
+    ``plan_context`` (the tier's description) is merged into its plans'
+    ``explain`` context.
     """
 
-    pinned_backend: "str | None"
     plan_context: dict
 
-    def shape(self) -> "tuple[int, int, int]":
-        """``(corpus rows, code bits, MIH tables)`` the planner prices."""
+    def corpus_size(self) -> int:
+        """The corpus rows the planner prices."""
 
     def run(self, codes: "Sequence[np.ndarray]", *, k: "int | None",
             radius: "int | None", allowed: "np.ndarray | None",
-            probe_budget: "int | None") -> "list[list[SearchResult]]":
+            ) -> "list[list[SearchResult]]":
         """One ranking per code: radius search when ``radius`` is set,
         else kNN; ``allowed`` restricts the search to masked rows."""
 
@@ -90,16 +86,14 @@ class QueryExecutor:
         """The physical plan for one query; ``None`` for an empty filter
         (nothing to run, so nothing to plan).
 
-        Candidate plans (linear vs MIH backend, pre vs post filtering,
-        probe budget, over-fetch size) are priced and the cheapest wins;
-        an explicit ``strategy=`` pins the filter mode, a federation
-        ``plan_hint`` pins whatever of the owner's decision transfers to
-        this runner, and a runner's ``pinned_backend`` pins the backend.
+        Pre- and post-filtering (with its over-fetch size) are priced and
+        the cheaper wins; an explicit ``strategy=`` pins the filter mode,
+        else a federation ``plan_hint`` pins the owner's.
         """
         if row_filter is not None and row_filter.count == 0:
             return None
         forced_mode = selectivity = filter_count = None
-        corpus_size, num_bits, num_tables = runner.shape()
+        corpus_size = runner.corpus_size()
         if row_filter is not None:
             if strategy not in FILTER_STRATEGIES:
                 raise ValidationError(
@@ -111,30 +105,12 @@ class QueryExecutor:
                 forced_mode = plan_hint.get("filter_mode")
             selectivity = row_filter.selectivity(corpus_size)
             filter_count = row_filter.count
-        backend = runner.pinned_backend
-        if backend is None and plan_hint:
-            backend = plan_hint.get("backend")
-            if backend not in ("mih", "linear"):
-                # The hint came from a tier with a different backend menu
-                # (e.g. a gateway's "sharded"); keep the transferable part.
-                backend = None
         # Looked up per call: the benchmark's traced run wraps the planner
         # instance's plan_similarity.
-        choice = self.planner.plan_similarity(
-            corpus_size=corpus_size, k=k, radius=radius,
-            selectivity=selectivity, filter_count=filter_count,
-            num_bits=num_bits, num_tables=num_tables,
-            forced_mode=forced_mode, forced_backend=backend)
-        if runner.pinned_backend is None:
-            return choice
-        # The other backend was priced only as a reported alternative, and
-        # the pin is the runner's, not a caller's force.  The runner's
-        # own ladder policy applies, so no probe budget is pushed down —
-        # or reported as if it were.
-        return replace(choice,
-                       chosen=replace(choice.chosen, probe_budget=None),
-                       forced=choice.forced and forced_mode is not None,
-                       context={**choice.context, **runner.plan_context})
+        return self.planner.plan_similarity(
+            corpus_size=corpus_size, k=k, selectivity=selectivity,
+            filter_count=filter_count, forced_mode=forced_mode,
+            context=runner.plan_context)
 
     def execute(self, runner: CodeRunner, codes: "Sequence[np.ndarray]", *,
                 k: "int | None", radius: "int | None",
@@ -166,18 +142,17 @@ class QueryExecutor:
         started = time.perf_counter_ns()
         if mode != "post":
             rankings = runner.run(
-                codes, k=k, radius=radius, probe_budget=plan.probe_budget,
+                codes, k=k, radius=radius,
                 allowed=row_filter.mask if mode == "pre" else None)
         elif radius is not None:
             rankings = [
                 [r for r in results if r.item_id in row_filter.names]
                 for results in runner.run(codes, k=None, radius=radius,
-                                          allowed=None,
-                                          probe_budget=plan.probe_budget)]
+                                          allowed=None)]
         else:
             rankings = self._postfilter_knn(
                 runner, codes, k, row_filter.names, fetch=plan.overfetch,
-                corpus_size=corpus_size, probe_budget=plan.probe_budget)
+                corpus_size=corpus_size)
         tracing.annotate(plan=choice.explain(
             measured_ns=time.perf_counter_ns() - started))
         return [(results, used_radius(results, radius))
@@ -186,8 +161,7 @@ class QueryExecutor:
     @staticmethod
     def _postfilter_knn(runner: CodeRunner, codes: "Sequence[np.ndarray]",
                         k: int, names: frozenset, *, fetch: int,
-                        corpus_size: int, probe_budget: "int | None",
-                        ) -> "list[list[SearchResult]]":
+                        corpus_size: int) -> "list[list[SearchResult]]":
         """Adaptive over-fetch + refill: unfiltered kNN, screened by name.
 
         The unfiltered ranking is a deterministic (distance, insertion
@@ -200,8 +174,7 @@ class QueryExecutor:
         pending: "Sequence[int]" = range(len(codes))
         batch = codes
         while True:
-            fetched = runner.run(batch, k=fetch, radius=None, allowed=None,
-                                 probe_budget=probe_budget)
+            fetched = runner.run(batch, k=fetch, radius=None, allowed=None)
             short = []
             for position, results in zip(pending, fetched):
                 kept = [r for r in results if r.item_id in names]

@@ -1,9 +1,11 @@
-"""The cost-based query planner (ROADMAP: "one cost model ... that picks
-linear vs MIH vs sharded, pre- vs post-filter, radius ladder depth, and
-metadata intersection order per query").
+"""The cost-based query planner: pre- vs post-filter, and the over-fetch.
 
-:class:`QueryPlanner` enumerates the physical plans that can answer a
-similarity query, prices each one with
+Every similarity query runs the one exact scan
+(:func:`repro.index.hamming.exact_scan`); what varies is where a metadata
+filter applies.  :class:`QueryPlanner` enumerates the physical plans that
+can answer a query — pushing the allowed-row mask into the scan
+(pre-filter) or screening an over-fetched unfiltered ranking
+(post-filter) — prices each one with
 :func:`repro.obs.calibrate.predict_cost_ns` over calibrated per-operator
 unit costs, and returns a :class:`~repro.planner.plans.PlanChoice` whose
 chosen plan the execution tiers obey.  Two estimators feed the counters
@@ -13,21 +15,19 @@ being priced:
   :class:`repro.obs.workload.WorkloadStats`: once a (backend, strategy,
   selectivity-bucket) family has been observed a few times, its measured
   mean counters are the estimate.  Evidence beats modeling.
-* **analytic** — a closed-form fallback for cold families.  Its first-order
-  shape: an exact scan touches every (allowed) row; an MIH ladder touches
-  ``~k / selectivity`` candidates plus per-table probe overhead.  The model
-  is deliberately coarse — it only has to order plans, and it is monotone
-  in the corpus size (more rows never price cheaper), which the pricing
-  tests pin down.
+* **analytic** — a closed-form fallback for cold families: a pre-filter
+  scan touches every allowed row, a post-filter scan every row plus the
+  over-fetched candidates it screens.  The model is deliberately coarse —
+  it only has to order plans, and it is monotone in the corpus size (more
+  rows never price cheaper), which the pricing tests pin down.
 
-The planner never trades correctness: every plan it can emit returns
-byte-identical rankings (pre/post filtering and the MIH exact-scan
-fallback are all result-preserving), so a bad estimate costs latency only.
+The planner never trades correctness: pre- and post-filtering return
+byte-identical rankings, so a bad estimate costs latency only.
 
-Unit costs come from ``calibration.json`` (PR 8's ``repro calibrate``);
-when no calibration is on disk the planner falls back to
-:data:`DEFAULT_UNITS` and reports ``calibrated=False`` so operators can
-see they are pricing with shipped defaults rather than garbage.
+Unit costs come from ``calibration.json`` (``repro calibrate``); when no
+calibration is on disk the planner falls back to :data:`DEFAULT_UNITS`
+and reports ``calibrated=False`` so operators can see they are pricing
+with shipped defaults rather than garbage.
 """
 
 from __future__ import annotations
@@ -38,16 +38,15 @@ import warnings
 
 from ..config import PlannerConfig
 from ..errors import ValidationError
-from ..index.mih import substring_probe_cost
 from ..obs.calibrate import (UNIT_KEYS, check_units, load_calibration,
                              predict_cost_ns)
 from .plans import PhysicalPlan, PlanChoice
 
 #: Built-in fallback unit costs (nanoseconds), used when no calibration has
 #: been run.  The absolute values are rough; what matters is the *ratios* —
-#: a vectorized scan row costs ~3 orders of magnitude less than a bucket
-#: probe, and candidate verification sits in between — which is what the
-#: pre/post and linear/MIH crossovers are priced from.
+#: a vectorized scan row costs ~2 orders of magnitude less than screening
+#: one over-fetched candidate — which is what the pre/post crossover is
+#: priced from.  The table keeps every key of ``calibration.json``.
 DEFAULT_UNITS = {
     "linear_scan_ns_per_row": 1.0,
     "mih_probe_ns_per_bucket": 400.0,
@@ -55,10 +54,6 @@ DEFAULT_UNITS = {
     "intersect_ns_per_id": 15.0,
     "cache_lookup_ns": 800.0,
 }
-
-#: Fixed per-table ladder overhead (buckets probed at layer zero and flip
-#: mask bookkeeping), charged to every MIH plan.
-_MIH_TABLE_OVERHEAD_BUCKETS = 4
 
 #: Families observed fewer times than this keep the analytic estimate.
 _MIN_WORKLOAD_SAMPLES = 3
@@ -127,14 +122,14 @@ class QueryPlanner:
         """Predicted nanoseconds for a counter profile under these units."""
         return predict_cost_ns(self.units, counters)
 
-    def _workload_counters(self, backend: str, filter_mode: "str | None",
+    def _workload_counters(self, filter_mode: "str | None",
                            selectivity: "float | None") -> "dict | None":
         """Measured mean counters for this plan's query family, if the
         workload store has seen it often enough to trust."""
         if self.workload is None:
             return None
         from ..obs.costs import selectivity_bucket
-        family = (backend, STRATEGY_LABELS[filter_mode],
+        family = (PhysicalPlan.backend, STRATEGY_LABELS[filter_mode],
                   selectivity_bucket(selectivity))
         means = self.workload.cost_means(family)
         if not means or means.get("_count", 0) < _MIN_WORKLOAD_SAMPLES:
@@ -165,136 +160,71 @@ class QueryPlanner:
             counters["candidates_verified"] = overfetch
         return counters
 
-    def _mih_counters(self, filter_mode: "str | None", *, corpus_size: int,
-                      k: "int | None", radius: "int | None",
-                      selectivity: "float | None", overfetch: "int | None",
-                      num_bits: int, num_tables: int) -> dict:
-        overhead = _MIH_TABLE_OVERHEAD_BUCKETS * max(num_tables, 1)
-        if radius is not None:
-            buckets = substring_probe_cost(num_bits, num_tables,
-                                           radius // max(num_tables, 1))
-            # Uniform-model candidate mass: per-table substring ball hits.
-            width = max(num_bits // max(num_tables, 1), 1)
-            ball = sum(math.comb(width, i)
-                       for i in range(min(radius // max(num_tables, 1),
-                                          width) + 1))
-            frac = min(1.0, num_tables * ball / float(2 ** min(width, 62)))
-            gathered = min(corpus_size, max(1, math.ceil(corpus_size * frac)))
-            verified = gathered
-            if filter_mode == "pre" and selectivity is not None:
-                verified = max(1, math.ceil(gathered * selectivity))
-            return {"buckets_probed": overhead + buckets,
-                    "candidates_verified": verified}
-        # kNN ladder: must surface ~k/selectivity candidates before k
-        # allowed survivors exist (selectivity 1.0 when unfiltered).
-        k = int(k or 1)
-        if filter_mode == "post":
-            need = min(corpus_size, int(overfetch or k))
-        elif filter_mode == "pre" and selectivity:
-            need = min(corpus_size, math.ceil(k / max(selectivity, 1e-9)))
-        else:
-            need = min(corpus_size, k)
-        verified = need
-        if filter_mode == "pre" and selectivity is not None:
-            # Disallowed candidates are dropped before verification.
-            verified = max(k, math.ceil(need * selectivity))
-        return {"buckets_probed": overhead + need,
-                "candidates_verified": min(corpus_size, verified)}
-
-    def _probe_budget_for(self, scan_rows: int) -> int:
-        """Ladder depth as a probe budget: probing stops paying once the
-        buckets cost more than scanning the rows the fallback would touch.
-        Calibration-aware replacement for the row-count default budget."""
-        probe_ns = max(self.units.get("mih_probe_ns_per_bucket", 1.0), 1e-9)
-        scan_ns = self.units.get("linear_scan_ns_per_row", 1.0)
-        return max(64, math.ceil(max(scan_rows, 1) * scan_ns / probe_ns))
-
     # ------------------------------------------------------------------ #
     # Plan enumeration + choice
     # ------------------------------------------------------------------ #
 
     def enumerate_plans(self, *, corpus_size: int, k: "int | None" = None,
-                        radius: "int | None" = None,
                         selectivity: "float | None" = None,
                         filter_count: "int | None" = None,
-                        num_bits: int = 128, num_tables: int = 4,
-                        backends: "tuple[str, ...]" = ("mih", "linear"),
                         ) -> "list[PhysicalPlan]":
-        """Every candidate plan for one query, priced, cheapest first."""
+        """Every candidate plan for one query, priced, cheapest first.
+
+        ``k`` sizes a post-filter kNN's over-fetch; a radius query
+        (``k=None``) screens the unfiltered radius ball instead.
+        """
         filtered = selectivity is not None
         modes = ("pre", "post") if filtered else (None,)
         factor = self.config.overfetch_factor
         plans = []
-        for backend in backends:
-            for mode in modes:
-                overfetch = None
-                if mode == "post" and k is not None:
-                    overfetch = self._overfetch(k, corpus_size,
-                                                int(filter_count or 0), factor)
-                counters = self._workload_counters(backend, mode, selectivity)
-                estimator = "workload"
-                if counters is None:
-                    estimator = "analytic"
-                    if backend == "mih":
-                        counters = self._mih_counters(
-                            mode, corpus_size=corpus_size, k=k, radius=radius,
-                            selectivity=selectivity, overfetch=overfetch,
-                            num_bits=num_bits, num_tables=num_tables)
-                    else:
-                        counters = self._linear_counters(
-                            mode, corpus_size=corpus_size,
-                            filter_count=filter_count, overfetch=overfetch)
-                probe_budget = None
-                if backend == "linear":
-                    probe_budget = 0  # force the exact-scan path
-                elif backend == "mih":
-                    scan_rows = (int(filter_count or 0) if mode == "pre"
-                                 else corpus_size)
-                    probe_budget = self._probe_budget_for(scan_rows)
-                plans.append(PhysicalPlan(
-                    backend=backend, filter_mode=mode, overfetch=overfetch,
-                    probe_budget=probe_budget,
-                    predicted_ns=self.price(counters),
-                    predicted_counters=tuple(sorted(
-                        (key, int(value)) for key, value in counters.items())),
-                    estimator=estimator))
+        for mode in modes:
+            overfetch = None
+            if mode == "post" and k is not None:
+                overfetch = self._overfetch(k, corpus_size,
+                                            int(filter_count or 0), factor)
+            counters = self._workload_counters(mode, selectivity)
+            estimator = "workload"
+            if counters is None:
+                estimator = "analytic"
+                counters = self._linear_counters(
+                    mode, corpus_size=corpus_size,
+                    filter_count=filter_count, overfetch=overfetch)
+            plans.append(PhysicalPlan(
+                filter_mode=mode, overfetch=overfetch,
+                predicted_ns=self.price(counters),
+                predicted_counters=tuple(sorted(
+                    (key, int(value)) for key, value in counters.items())),
+                estimator=estimator))
         plans.sort(key=lambda plan: (plan.predicted_ns, plan.key))
         return plans
 
     def plan_similarity(self, *, corpus_size: int, k: "int | None" = None,
-                        radius: "int | None" = None,
                         selectivity: "float | None" = None,
                         filter_count: "int | None" = None,
-                        num_bits: int = 128, num_tables: int = 4,
-                        backends: "tuple[str, ...]" = ("mih", "linear"),
                         forced_mode: "str | None" = None,
-                        forced_backend: "str | None" = None,
-                        ) -> PlanChoice:
-        """Choose the cheapest plan (or honor a forced strategy/backend).
+                        context: "dict | None" = None) -> PlanChoice:
+        """Choose the cheapest plan (or honor a forced filter mode).
 
         ``forced_mode`` pins pre/post (an explicit ``strategy=`` or a
-        federation plan hint); ``forced_backend`` pins the backend.  Alternatives are still priced
-        and reported as rejected so ``explain`` shows the tradeoff.
+        federation plan hint); the alternative is still priced and
+        reported as rejected so ``explain`` shows the tradeoff.
+        ``context`` (the runner's tier description) joins the decision's
+        ``explain`` context.
         """
         plans = self.enumerate_plans(
-            corpus_size=corpus_size, k=k, radius=radius,
-            selectivity=selectivity, filter_count=filter_count,
-            num_bits=num_bits, num_tables=num_tables, backends=backends)
-        forced = forced_mode is not None or forced_backend is not None
+            corpus_size=corpus_size, k=k, selectivity=selectivity,
+            filter_count=filter_count)
         eligible = [plan for plan in plans
-                    if (forced_mode is None or plan.filter_mode == forced_mode)
-                    and (forced_backend is None
-                         or plan.backend == forced_backend)]
-        if not eligible:  # a hint named a backend this tier cannot run
-            eligible, forced = plans, False
-        chosen = eligible[0]
+                    if forced_mode is None or plan.filter_mode == forced_mode]
+        forced = forced_mode is not None and bool(eligible)
+        chosen = (eligible or plans)[0]
         rejected = tuple(plan for plan in plans if plan is not chosen)
-        context = {"corpus_size": corpus_size}
+        described = {"corpus_size": corpus_size}
         if selectivity is not None:
-            context["selectivity"] = round(float(selectivity), 6)
+            described["selectivity"] = round(float(selectivity), 6)
         return PlanChoice(chosen=chosen, rejected=rejected,
                           calibrated=self.calibrated, forced=forced,
-                          context=context)
+                          context={**described, **(context or {})})
 
     def describe(self) -> dict:
         """Operator-facing summary (``planner.calibrated`` gauge source)."""

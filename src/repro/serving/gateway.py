@@ -53,9 +53,8 @@ class _ShardRunner:
     """The gateway's :class:`~repro.planner.CodeRunner`, one per request:
     cache -> ``CodeQuery`` -> micro-batcher -> shards.
 
-    The backend is pinned to ``"linear"`` (every shard is an exact scan of
-    a row range), so the executor's live decisions are the pre/post filter
-    mode and the post-filter over-fetch.
+    Every shard is an exact scan of a row range; the executor's live
+    decisions are the pre/post filter mode and the post-filter over-fetch.
 
     ``filter_key`` is the request's filter fingerprint (``None``:
     unfiltered request).  Masked runs are pre-filter pushdowns: the mask
@@ -67,8 +66,6 @@ class _ShardRunner:
     and stores the outcomes itself.
     """
 
-    pinned_backend = "linear"
-
     def __init__(self, gateway: "ServingGateway",
                  filter_key: "str | None") -> None:
         self._gateway = gateway
@@ -76,14 +73,11 @@ class _ShardRunner:
         self.plan_context = {"tier": "sharded",
                              "shards": gateway.index.num_shards}
 
-    def shape(self) -> "tuple[int, int, int]":
-        gateway = self._gateway
-        return (len(gateway.index), gateway.system.hasher.num_bits,
-                gateway.system.config.index.mih_tables)
+    def corpus_size(self) -> int:
+        return len(self._gateway.index)
 
     def run(self, codes, *, k: "int | None", radius: "int | None",
-            allowed: "np.ndarray | None", probe_budget: "int | None",
-            ) -> "list[list]":
+            allowed: "np.ndarray | None") -> "list[list]":
         gateway = self._gateway
         if allowed is not None:
             return gateway._scan(codes, k=k, radius=radius, allowed=allowed,

@@ -62,7 +62,7 @@ def system_config() -> EarthQubeConfig:
         archive=ArchiveConfig(num_patches=SYSTEM_PATCHES, seed=7),
         milan=MiLaNConfig(num_bits=64, hidden_sizes=(128, 64)),
         train=TrainConfig(epochs=12, triplets_per_epoch=768, batch_size=64, seed=3),
-        index=IndexConfig(hamming_radius=2, mih_tables=4),
+        index=IndexConfig(hamming_radius=2),
     )
 
 

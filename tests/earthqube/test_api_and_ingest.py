@@ -143,6 +143,14 @@ class TestEarthQubeAPI:
         ("similar", {"radius": False}, "radius"),
         ("similar_batch", {"k": [1]}, "k"),
         ("similar_batch", {"k": 2.5}, "k"),
+        # An unhashable operator raised TypeError from the lookup.
+        ("search", {"labels": ["x"], "label_operator": ["some"]},
+         "label_operator"),
+        ("similar", {"filter": {"labels": ["x"],
+                                "label_operator": ["some"]}},
+         "label_operator"),
+        ("similar_batch", {"filter": {"label_operator": {"a": 1}}},
+         "label_operator"),
         ("statistics", {"names": [1, 2]}, "names"),
         # Never stringified: str() stored {"a": 1} as "{'a': 1}".
         ("feedback", {"text": {"a": 1}}, "text"),
@@ -162,6 +170,15 @@ class TestEarthQubeAPI:
         assert not out["ok"]
         assert out["error"] == "ValidationError", out
         assert field in out["message"]
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+def test_non_finite_circle_radius_is_a_geo_error(system, radius):
+    """NaN answered ``ok`` with no matches and inf with every patch."""
+    out = EarthQubeAPI(system).search({"shape": {
+        "type": "circle", "lon": 8.0, "lat": 47.0, "radius_km": radius}})
+    assert not out["ok"]
+    assert out["error"] == "GeoError", out
 
 
 def _similar_body(system, route, **fields):

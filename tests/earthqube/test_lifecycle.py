@@ -24,7 +24,7 @@ from repro.config import (
 from repro.earthqube import EarthQube, QuerySpec
 from repro.earthqube.api import EarthQubeAPI
 from repro.errors import UnknownPatchError
-from repro.index.mih import MultiIndexHashing
+from repro.index.linear_scan import LinearScanIndex
 from repro.store.database import METADATA
 from repro.store.snapshot import SnapshotManager
 
@@ -37,7 +37,7 @@ def mutable_system() -> EarthQube:
         milan=MiLaNConfig(num_bits=32, hidden_sizes=(48,)),
         train=TrainConfig(epochs=4, triplets_per_epoch=256, batch_size=64,
                           seed=5),
-        index=IndexConfig(hamming_radius=2, mih_tables=4),
+        index=IndexConfig(hamming_radius=2),
         serving=ServingConfig(enabled=True, num_shards=4, batch_max_size=8,
                               cache_entries=128),
     )
@@ -50,12 +50,11 @@ def shaped(response):
     return [(str(r.item_id), r.distance) for r in response.results]
 
 
-def rebuilt_oracle(system: EarthQube) -> MultiIndexHashing:
+def rebuilt_oracle(system: EarthQube) -> LinearScanIndex:
     """An index rebuilt from scratch on the surviving corpus."""
     system.compact_index()  # canonical layout (coordinated across tiers)
     names, codes = system.cbir.indexed_items()
-    oracle = MultiIndexHashing(system.hasher.num_bits,
-                               system.config.index.mih_tables)
+    oracle = LinearScanIndex(system.hasher.num_bits)
     oracle.build(list(names), codes)
     return oracle
 
@@ -166,7 +165,7 @@ class TestRebuildOracle:
                     queries, system.similar_images_batch(queries, k=k)):
                 assert shaped(response) == \
                     oracle_by_name(system, oracle, query, k)
-            # Direct (MIH) path.
+            # Direct path.
             system.disable_serving()
             for query in queries:
                 assert shaped(system.similar_images(query, k=k)) == \
@@ -201,7 +200,7 @@ class TestRebuildOracle:
         system = mutable_system
         # Tighten the compaction policy on the live service.
         system.cbir.config = IndexConfig(
-            hamming_radius=2, mih_tables=4,
+            hamming_radius=2,
             compact_min_dead=3, compact_max_dead_fraction=0.01)
         compactions = 0
         names = list(system.archive.names)

@@ -28,7 +28,7 @@ def _bootstrap(seed: int, *, num_bits: int = 32, patches: int = 48,
         milan=MiLaNConfig(num_bits=num_bits, hidden_sizes=(48,)),
         train=TrainConfig(epochs=2, triplets_per_epoch=128, batch_size=64,
                           seed=seed),
-        index=IndexConfig(hamming_radius=2, mih_tables=4),
+        index=IndexConfig(hamming_radius=2),
         serving=ServingConfig(enabled=serving, num_shards=2,
                               cache_entries=128),
     )

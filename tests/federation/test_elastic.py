@@ -45,7 +45,7 @@ def _config(*, patches: int, seed: int) -> EarthQubeConfig:
         milan=MiLaNConfig(num_bits=32, hidden_sizes=(48,)),
         train=TrainConfig(epochs=2, triplets_per_epoch=128, batch_size=64,
                           seed=seed),
-        index=IndexConfig(hamming_radius=2, mih_tables=4),
+        index=IndexConfig(hamming_radius=2),
     )
 
 

@@ -78,6 +78,12 @@ class TestCircle:
         with pytest.raises(GeoError):
             Circle(lon=0.0, lat=0.0, radius_km=0.0)
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"),
+                                        float("-inf")])
+    def test_non_finite_radius(self, radius):
+        with pytest.raises(GeoError, match="finite"):
+            Circle(lon=0.0, lat=0.0, radius_km=radius)
+
     def test_invalid_center(self):
         with pytest.raises(GeoError):
             Circle(lon=200.0, lat=0.0, radius_km=1.0)

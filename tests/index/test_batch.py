@@ -445,11 +445,11 @@ class TestExactScanKernel:
 
         expected = pairs(scan.search_knn(batch[0], 5, allowed=allowed))
         assert len(calls) == 1
-        assert pairs(mih.search_knn(batch[0], 5, allowed=allowed,
-                                     probe_budget=0)) == expected
+        # A zero probe budget sends MIH straight to its exact fallback.
+        monkeypatch.setattr(mih, "_probe_budget", lambda: 0)
+        assert pairs(mih.search_knn(batch[0], 5, allowed=allowed)) == expected
         assert len(calls) == 2
-        batched = mih.search_knn_batch(batch, 5, allowed=allowed,
-                                       probe_budget=0)
+        batched = mih.search_knn_batch(batch, 5, allowed=allowed)
         assert len(calls) == 3
         assert pairs(batched[0]) == expected
         # ShardedHammingIndex.search_knn is search_batch of one unfiltered

@@ -1,9 +1,9 @@
 """Observability fixtures: one served system and one small federation.
 
 The traced-query acceptance tests need the full stack on the hot path —
-cache, micro-batcher, MIH-backed shards, and a federation scatter — so the
-served node runs its shards on the MIH backend (index-internal spans) and
-the second node answers through the direct CBIR path.
+cache, micro-batcher, shards, and a federation scatter — so the served
+node answers through its gateway's shards and the second node through the
+direct CBIR path.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ def _bootstrap(seed: int, *, serving: bool = False) -> EarthQube:
         archive=ArchiveConfig(num_patches=48, seed=seed),
         milan=MiLaNConfig(num_bits=32, hidden_sizes=(48,)),
         train=TrainConfig(epochs=2, triplets_per_epoch=128, batch_size=64),
-        index=IndexConfig(hamming_radius=2, mih_tables=4),
+        index=IndexConfig(hamming_radius=2),
         serving=ServingConfig(enabled=serving, num_shards=2,
                               cache_entries=128),
     )

@@ -2,7 +2,7 @@
 
 The equivalence suite needs every execution path live — direct CBIR,
 gateway (cache + batcher + shards), and a federation scatter — so one
-node serves through MIH shards and the other answers directly.
+node serves through the gateway's shards and the other answers directly.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ def _bootstrap(seed: int, *, serving: bool = False) -> EarthQube:
         archive=ArchiveConfig(num_patches=56, seed=seed),
         milan=MiLaNConfig(num_bits=32, hidden_sizes=(48,)),
         train=TrainConfig(epochs=2, triplets_per_epoch=128, batch_size=64),
-        index=IndexConfig(hamming_radius=2, mih_tables=4),
+        index=IndexConfig(hamming_radius=2),
         serving=ServingConfig(enabled=serving, num_shards=2,
                               cache_entries=128),
     )

@@ -2,7 +2,7 @@
 
 Two halves.  Against a fake in-memory runner (what the runner seam is
 for): the post-filter refill policy, the empty-filter short-circuit,
-forced strategies and plan hints, radius screening, pinned runners.
+forced strategies and plan hints, radius screening, runner context.
 Against the real direct and gateway tiers: a code-query request plans
 exactly once — however many refill rounds or batch misses it takes — and
 a cache hit plans zero times.
@@ -27,18 +27,16 @@ class FakeRunner:
 
     plan_context = {"tier": "fake"}
 
-    def __init__(self, corpus, *, pinned_backend=None):
+    def __init__(self, corpus):
         self.corpus = list(corpus)
-        self.pinned_backend = pinned_backend
         self.runs = []
 
-    def shape(self):
-        return len(self.corpus), 32, 4
+    def corpus_size(self):
+        return len(self.corpus)
 
-    def run(self, codes, *, k, radius, allowed, probe_budget):
+    def run(self, codes, *, k, radius, allowed):
         self.runs.append({"queries": len(codes), "k": k, "radius": radius,
-                          "masked": allowed is not None,
-                          "probe_budget": probe_budget})
+                          "masked": allowed is not None})
         return [self.rank(code, k=k, radius=radius, allowed=allowed)
                 for code in codes]
 
@@ -127,8 +125,7 @@ class TestPostfilterRefill:
             strategy="post")
         first = choice.chosen.overfetch
         assert runner.runs[0] == {"queries": 3, "k": first, "radius": None,
-                                  "masked": False, "probe_budget":
-                                  choice.chosen.probe_budget}
+                                  "masked": False}
         assert [run["queries"] for run in runner.runs[1:]] == \
             [1] * (len(runner.runs) - 1)
         for code, (results, _) in zip([0, 500, 999], outcomes):
@@ -176,24 +173,22 @@ class TestStrategiesAndHints:
         assert not any(run["masked"] for run in runner.runs)
         assert results == runner.rank(7, k=4, allowed=row_filter.mask)
 
-    def test_hint_pins_mode_and_backend_unless_strategy_says(self, executor):
+    def test_hint_pins_mode_unless_strategy_says(self, executor):
         runner = FakeRunner(range(100))
         row_filter = row_filter_of(runner, range(10))
-        hint = {"backend": "linear", "filter_mode": "post"}
+        hint = {"filter_mode": "post"}
         hinted = executor.plan(runner, row_filter, k=2, radius=None,
                                plan_hint=hint)
         assert hinted.chosen.key == "linear:post" and hinted.forced
-        assert hinted.chosen.probe_budget == 0  # linear = forced exact scan
         explicit = executor.plan(runner, row_filter, k=2, radius=None,
                                  strategy="pre", plan_hint=hint)
         assert explicit.chosen.key == "linear:pre"
 
-    def test_unknown_hint_backend_falls_back_to_pricing(self, executor):
+    def test_unfiltered_hint_does_not_force(self, executor):
         runner = FakeRunner(range(100))
         priced = executor.plan(runner, None, k=2, radius=None)
         hinted = executor.plan(runner, None, k=2, radius=None,
-                               plan_hint={"backend": "sharded",
-                                          "filter_mode": None})
+                               plan_hint={"filter_mode": None})
         assert hinted.chosen == priced.chosen
         assert not hinted.forced
 
@@ -243,22 +238,17 @@ class TestRadiusQueries:
         assert pre == post
 
 
-class TestPinnedRunner:
-    def test_pin_is_not_a_force_and_keeps_its_own_ladder(self, executor):
-        runner = FakeRunner(range(100), pinned_backend="mih")
+class TestRunnerContext:
+    def test_runner_context_joins_the_plan_context(self, executor):
+        runner = FakeRunner(range(100))
         row_filter = row_filter_of(runner, range(10))
-        outcomes, choice = executor.execute(
-            runner, [5], k=2, radius=None, row_filter=row_filter,
-            plan_hint={"backend": "linear"})  # a pinned runner ignores it
-        assert choice.chosen.backend == "mih"
+        _, choice = executor.execute(runner, [5], k=2, radius=None,
+                                     row_filter=row_filter)
+        assert choice.context == {"corpus_size": 100, "selectivity": 0.1,
+                                  "tier": "fake"}
         assert not choice.forced
-        assert choice.chosen.probe_budget is None
-        assert all(run["probe_budget"] is None for run in runner.runs)
-        assert choice.context["tier"] == "fake"
-        assert {plan.backend for plan in choice.rejected} >= {"linear"}
-        forced = executor.plan(runner, row_filter, k=2, radius=None,
-                               strategy="post")
-        assert forced.forced and forced.chosen.key == "mih:post"
+        assert [plan.filter_mode for plan in choice.rejected] == \
+            [{"pre": "post", "post": "pre"}[choice.chosen.filter_mode]]
 
 
 # --------------------------------------------------------------------- #
@@ -306,9 +296,10 @@ class TestPlansOncePerRequest:
             "refill": (far_filter(system, names[0], 10), "post"),
         }[case]
         plans = count_calls(monkeypatch, system.planner, "plan_similarity")
-        # Every index run, single or batch, lands in search_knn_batch once.
-        runs = count_calls(monkeypatch, system.cbir._index,
-                           "search_knn_batch")
+        # A one-code run is a search_knn, a larger one a search_knn_batch.
+        singles = count_calls(monkeypatch, system.cbir._index, "search_knn")
+        batches = count_calls(monkeypatch, system.cbir._index,
+                              "search_knn_batch")
         if queries == 1:
             system.cbir.query_code(codes[0], k=2, filter=row_filter,
                                    strategy=strategy)
@@ -317,7 +308,8 @@ class TestPlansOncePerRequest:
                                           strategy=strategy)
         assert len(plans) == 1
         if case == "refill":
-            assert len(runs) >= 2  # the over-fetch really came up short
+            # The over-fetch really came up short.
+            assert len(singles) + len(batches) >= 2
 
     @pytest.mark.parametrize("queries", [1, 3], ids=["single", "batch"])
     @pytest.mark.parametrize("case", ["unfiltered", "pre", "post", "refill"])

@@ -1,10 +1,10 @@
 """Planner-equivalence suite: every emittable plan vs the linear oracle.
 
 The planner's one hard invariant is that it never trades correctness —
-any plan it can emit (linear vs MIH backend, pre vs post filtering, any
-probe budget) must return rankings byte-identical to a forced linear
-scan.  This suite pins that down on every execution path: direct,
-batch, filtered, gateway (cache + batcher + shards), and federated.
+any plan it can emit (pre vs post filtering, any over-fetch) must return
+rankings byte-identical to a brute-force filter-then-rank oracle.  This
+suite pins that down on every execution path: direct, batch, filtered,
+gateway (cache + batcher + shards), and federated.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import pytest
 from repro.earthqube import QuerySpec
 from repro.earthqube.api import EarthQubeAPI
 from repro.index.hamming import hamming_distances_to_query
-
-LINEAR_ORACLE = {"backend": "linear"}
 
 FILTERS = [
     QuerySpec(seasons=("Summer",)),
@@ -48,24 +46,18 @@ def allowed_names(system, spec):
 
 
 class TestDirectPathEquivalence:
-    def test_unfiltered_backends_identical(self, direct_system):
+    def test_unfiltered_matches_oracle(self, direct_system):
         system = direct_system
         name = system.archive.names[0]
         code = system.cbir.code_of(name)
         expected = linear_oracle_knn(system, name, 10, drop_self=False)
         auto, _ = system.cbir.query_code(code, k=10)
-        forced_linear, _ = system.cbir.query_code(code, k=10,
-                                                  plan_hint=LINEAR_ORACLE)
-        forced_mih, _ = system.cbir.query_code(code, k=10,
-                                               plan_hint={"backend": "mih"})
-        for results in (auto, forced_linear, forced_mih):
-            assert shaped(results) == expected
+        assert shaped(auto) == expected
 
     @pytest.mark.parametrize("spec", FILTERS, ids=lambda s: s.describe())
-    @pytest.mark.parametrize("backend", ["mih", "linear"])
     @pytest.mark.parametrize("strategy", ["auto", "pre", "post"])
     def test_every_filtered_plan_matches_oracle(self, direct_system, spec,
-                                                backend, strategy):
+                                                strategy):
         system = direct_system
         name = system.archive.names[2]
         expected = linear_oracle_knn(system, name, 7,
@@ -73,8 +65,7 @@ class TestDirectPathEquivalence:
                                      drop_self=False)
         results, _ = system.cbir.query_code(
             system.cbir.code_of(name), k=7,
-            filter=system.row_filter_for(spec), strategy=strategy,
-            plan_hint={"backend": backend})
+            filter=system.row_filter_for(spec), strategy=strategy)
         assert shaped(results) == expected
 
     @pytest.mark.parametrize("spec", FILTERS[:2], ids=lambda s: s.describe())
@@ -84,24 +75,22 @@ class TestDirectPathEquivalence:
         row_filter = system.row_filter_for(spec)
         baseline = None
         for strategy in ("pre", "post"):
-            for backend in ("mih", "linear"):
-                results, used = system.cbir.query_code(
-                    system.cbir.code_of(name), radius=3, filter=row_filter,
-                    strategy=strategy, plan_hint={"backend": backend})
-                current = (shaped(results), used)
-                if baseline is None:
-                    baseline = current
-                assert current == baseline, (strategy, backend)
+            results, used = system.cbir.query_code(
+                system.cbir.code_of(name), radius=3, filter=row_filter,
+                strategy=strategy)
+            current = (shaped(results), used)
+            if baseline is None:
+                baseline = current
+            assert current == baseline, strategy
 
-    def test_planned_query_identical_to_forced_linear(self, direct_system):
+    def test_planned_query_identical_to_code_query(self, direct_system):
         system = direct_system
         name = system.archive.names[1]
         row_filter = system.row_filter_for(FILTERS[0])
         planned = system.cbir.query_by_name(name, k=8, filter=row_filter)
         # query_by_name asks the index for k + 1 and drops the self-match.
         oracle, used = system.cbir.query_code(
-            system.cbir.code_of(name), k=9, filter=row_filter,
-            plan_hint=LINEAR_ORACLE)
+            system.cbir.code_of(name), k=9, filter=row_filter)
         assert shaped(planned.results) == \
             [pair for pair in shaped(oracle) if pair[0] != name][:8]
         assert planned.radius_used == used
@@ -119,8 +108,9 @@ class TestBatchPathEquivalence:
             assert shaped(response.results) == \
                 linear_oracle_knn(system, name, 6, allowed)
 
-    @pytest.mark.parametrize("backend", ["mih", "linear"])
-    def test_forced_batch_backends_identical(self, direct_system, backend):
+    @pytest.mark.parametrize("strategy", ["pre", "post"])
+    def test_forced_batch_strategies_identical(self, direct_system,
+                                               strategy):
         import numpy as np
         system = direct_system
         names = list(system.archive.names[:4])
@@ -128,7 +118,7 @@ class TestBatchPathEquivalence:
         spec = FILTERS[1]
         row_filter = system.row_filter_for(spec)
         forced = system.cbir.query_codes_batch(
-            codes, k=6, filter=row_filter, plan_hint={"backend": backend})
+            codes, k=6, filter=row_filter, strategy=strategy)
         baseline = system.cbir.query_codes_batch(codes, k=6,
                                                  filter=row_filter)
         assert [(shaped(r), used) for r, used in forced] == \
@@ -176,14 +166,13 @@ class TestGatewayPathEquivalence:
 
 
 def federated_linear_oracle(nodes, code, query_id, k, spec):
-    """Each node's forced-linear direct answer, merged by the federation's
+    """Each node's direct exact-scan answer, merged by the federation's
     global (distance, node order, insertion row) tie-break and shaped like
     a by-name response (k + 1 fetched, self-match dropped)."""
     merged = []
     for node_name, system in nodes:  # registry order
         results, _ = system.cbir.query_code(
-            code, k=k + 1, filter=system.row_filter_for(spec),
-            plan_hint=LINEAR_ORACLE)
+            code, k=k + 1, filter=system.row_filter_for(spec))
         merged.extend((f"{node_name}/{r.item_id}", r.distance)
                       for r in results)
     merged.sort(key=lambda pair: pair[1])
@@ -244,9 +233,42 @@ class TestExplainPlanPayload:
         api = EarthQubeAPI(served_system)
         served_system.gateway.cache.invalidate()
         payload = api.similar({"name": served_system.archive.names[5],
-                               "k": 5, "explain": True})
+                               "k": 5, "explain": True,
+                               "filter": {"seasons": ["Summer"]}})
         assert payload["ok"], payload
         self._assert_plan_section(payload["explain"]["plan"])
+
+    def test_unfiltered_explain_has_one_plan(self, served_system):
+        api = EarthQubeAPI(served_system)
+        served_system.gateway.cache.invalidate()
+        payload = api.similar({"name": served_system.archive.names[5],
+                               "k": 5, "explain": True})
+        assert payload["ok"], payload
+        plan = payload["explain"]["plan"]
+        assert plan["chosen"]["plan"] == "linear:unfiltered"
+        assert plan["rejected"] == []
+        assert plan["context"]["tier"] == "sharded"
+
+    @pytest.mark.parametrize("route, body", [
+        ("similar", {"k": 5}),
+        ("similar", {"radius": 3}),
+        ("similar", {"k": 5, "filter": {"seasons": ["Summer"]}}),
+        ("similar_batch", {"k": 4}),
+    ], ids=["knn", "radius", "filtered", "batch"])
+    def test_direct_explain_costs_are_exact_scans(self, direct_system,
+                                                  route, body):
+        """The direct path answers with the exact scan: its costs count
+        scanned rows, never probed buckets or a fallback."""
+        api = EarthQubeAPI(direct_system)
+        names = list(direct_system.archive.names[:3])
+        target = ({"name": names[0]} if route == "similar"
+                  else {"names": names})
+        payload = getattr(api, route)({**target, **body, "explain": True})
+        assert payload["ok"], payload
+        costs = payload["explain"]["costs"]
+        assert costs["rows_scanned"] > 0
+        assert "buckets_probed" not in costs
+        assert "fallback_rows" not in costs
 
     def test_served_cache_hit_reports_cache_plan(self, served_system):
         api = EarthQubeAPI(served_system)

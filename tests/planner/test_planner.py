@@ -2,7 +2,7 @@
 
 Pins down the pricing properties the planner's choices rest on —
 monotonicity in corpus size, calibrated-unit loading with default
-fallback, forced strategies/backends, the workload estimator taking over
+fallback, forced strategies, the workload estimator taking over
 from the analytic model — and that the knobs the planner superseded are
 gone rather than silently accepted.
 """
@@ -18,15 +18,9 @@ from repro.config import (DurabilityConfig, EarthQubeConfig,
                           PlannerConfig, ServingConfig, TrainConfig)
 from repro.errors import ValidationError
 from repro.federation.repair import ReadRepairer
-from repro.index import MultiIndexHashing
 from repro.obs.calibrate import CALIBRATION_VERSION, save_calibration
 from repro.obs.workload import WorkloadStats
-from repro.planner import (
-    DEFAULT_UNITS,
-    PhysicalPlan,
-    QueryPlanner,
-    substring_probe_cost,
-)
+from repro.planner import DEFAULT_UNITS, PhysicalPlan, QueryPlanner
 from repro.serving import ShardedHammingIndex
 
 CORPUS_SIZES = (1_000, 10_000, 50_000, 250_000)
@@ -42,7 +36,7 @@ class TestPricingMonotonicity:
     @pytest.mark.parametrize("selectivity", [None, 0.01, 0.1, 0.5, 1.0])
     def test_knn_plans_monotone_in_corpus_size(self, selectivity):
         planner = QueryPlanner()
-        kwargs = dict(k=10, num_bits=64, num_tables=4)
+        kwargs = dict(k=10)
         if selectivity is not None:
             kwargs["selectivity"] = selectivity
         previous: "dict[str, float]" = {}
@@ -62,10 +56,10 @@ class TestPricingMonotonicity:
         planner = QueryPlanner()
         previous: "dict[str, float]" = {}
         for n in CORPUS_SIZES:
-            current = plans_by_key(planner, corpus_size=n, radius=4,
+            # A radius query: no k, so no over-fetch to size.
+            current = plans_by_key(planner, corpus_size=n,
                                    selectivity=0.2,
-                                   filter_count=max(1, n // 5),
-                                   num_bits=64, num_tables=4)
+                                   filter_count=max(1, n // 5))
             for key, plan in current.items():
                 if key in previous:
                     assert plan.predicted_ns >= previous[key]
@@ -81,22 +75,19 @@ class TestPricingMonotonicity:
 
 
 class TestPlanEnumeration:
-    def test_every_backend_mode_combination_priced(self):
+    def test_every_filter_mode_priced(self):
         planner = QueryPlanner()
         plans = planner.enumerate_plans(corpus_size=5_000, k=10,
                                         selectivity=0.1, filter_count=500)
-        assert {plan.key for plan in plans} == {
-            "mih:pre", "mih:post", "linear:pre", "linear:post"}
+        assert {plan.key for plan in plans} == {"linear:pre", "linear:post"}
         assert plans == sorted(plans,
                                key=lambda p: (p.predicted_ns, p.key))
 
-    def test_linear_plans_force_exact_scan(self):
+    def test_unfiltered_query_has_one_plan(self):
         planner = QueryPlanner()
-        for plan in planner.enumerate_plans(corpus_size=5_000, k=10):
-            if plan.backend == "linear":
-                assert plan.probe_budget == 0
-            else:
-                assert plan.probe_budget >= 64
+        choice = planner.plan_similarity(corpus_size=5_000, k=10)
+        assert choice.chosen.key == "linear:unfiltered"
+        assert choice.rejected == ()
 
     def test_highly_selective_filter_prefers_prefilter(self):
         # 1% selectivity: scanning the 100 allowed rows is orders of
@@ -111,7 +102,7 @@ class TestPlanEnumeration:
         planner = QueryPlanner()
         choice = planner.plan_similarity(corpus_size=10_000, k=10,
                                          selectivity=0.2, filter_count=2_000)
-        assert len(choice.rejected) == 3
+        assert len(choice.rejected) == 1
         assert all(plan.predicted_ns >= choice.chosen.predicted_ns
                    for plan in choice.rejected)
         explain = choice.explain(measured_ns=123.4)
@@ -119,43 +110,31 @@ class TestPlanEnumeration:
         assert explain["measured_ns"] == 123.4
         json.dumps(explain)
 
-    def test_forced_mode_and_backend_are_honored(self):
+    def test_forced_mode_is_honored(self):
         planner = QueryPlanner()
         choice = planner.plan_similarity(corpus_size=10_000, k=10,
                                          selectivity=0.01, filter_count=100,
-                                         forced_mode="post",
-                                         forced_backend="linear")
+                                         forced_mode="post")
         assert choice.chosen.key == "linear:post"
         assert choice.forced
         assert choice.rejected  # alternatives still priced for explain
 
-    def test_unrunnable_forced_backend_falls_back_to_pricing(self):
+    def test_unknown_forced_mode_falls_back_to_pricing(self):
         planner = QueryPlanner()
         choice = planner.plan_similarity(corpus_size=10_000, k=10,
-                                         forced_backend="sharded")
-        assert choice.chosen.backend in ("mih", "linear")
+                                         selectivity=0.01, filter_count=100,
+                                         forced_mode="sideways")
+        assert choice.chosen.filter_mode in ("pre", "post")
         assert not choice.forced
-
-    def test_substring_probe_cost_matches_radius_zero(self):
-        # radius 0 probes exactly one bucket per table.
-        assert substring_probe_cost(64, 4, 0) == 4
-        assert substring_probe_cost(64, 4, 1) > 4
-        # Uneven split (15, 15, 14, 14, 14 bits): the planner prices with
-        # the very function the index's fallback threshold compares.
-        uneven = MultiIndexHashing(72, 5)
-        for radius in range(3):
-            assert substring_probe_cost(72, 5, radius) == \
-                uneven._probe_cost(radius)
 
 
 class TestWorkloadEstimator:
-    FAMILY = ("mih", "prefilter", "<=10%")
+    FAMILY = ("linear", "prefilter", "<=10%")
 
     def _seed(self, workload, count):
         for _ in range(count):
             workload.record(family=self.FAMILY, duration_ms=1.0,
-                            costs={"buckets_probed": 40,
-                                   "candidates_verified": 90})
+                            costs={"rows_scanned": 40})
 
     def test_observed_family_beats_analytic_model(self):
         workload = WorkloadStats()
@@ -163,11 +142,10 @@ class TestWorkloadEstimator:
         planner = QueryPlanner(workload=workload)
         plans = plans_by_key(planner, corpus_size=10_000, k=10,
                              selectivity=0.05, filter_count=500)
-        assert plans["mih:pre"].estimator == "workload"
-        assert plans["mih:pre"].counters == {"buckets_probed": 40,
-                                             "candidates_verified": 90}
+        assert plans["linear:pre"].estimator == "workload"
+        assert plans["linear:pre"].counters == {"rows_scanned": 40}
         # Cold families keep the analytic model.
-        assert plans["mih:post"].estimator == "analytic"
+        assert plans["linear:post"].estimator == "analytic"
 
     def test_underobserved_family_stays_analytic(self):
         workload = WorkloadStats()
@@ -175,7 +153,7 @@ class TestWorkloadEstimator:
         planner = QueryPlanner(workload=workload)
         plans = plans_by_key(planner, corpus_size=10_000, k=10,
                              selectivity=0.05, filter_count=500)
-        assert plans["mih:pre"].estimator == "analytic"
+        assert plans["linear:pre"].estimator == "analytic"
 
 
 class TestCalibrationLoading:
@@ -220,14 +198,6 @@ class TestCalibrationLoading:
                 PlannerConfig(calibration_path=str(path)))
         assert planner.calibrated is False
 
-    def test_probe_budget_tracks_unit_ratio(self):
-        cheap_probes = dict(DEFAULT_UNITS)
-        cheap_probes["mih_probe_ns_per_bucket"] = 2.0
-        deep = QueryPlanner(cheap_probes, calibrated=True)
-        shallow = QueryPlanner()
-        assert deep._probe_budget_for(100_000) > \
-            shallow._probe_budget_for(100_000)
-
 
 class TestRemovedKnobs:
     """No silent acceptance of a removed knob: the dataclasses reject
@@ -239,6 +209,7 @@ class TestRemovedKnobs:
         (PlannerConfig, {"enabled": False}),
         (ServingConfig, {"scan_chunk_rows": 4096}),
         (ServingConfig, {"mih_tables": 8}),
+        (IndexConfig, {"mih_tables": 4}),
         (ServingConfig, {"histogram_window": 4096}),
         (FederationConfig, {"histogram_window": 1024}),
         (ObsConfig, {"workload_window": 512}),
@@ -303,11 +274,18 @@ class TestDescribe:
         assert summary["workload_attached"] is False
 
     def test_physical_plan_dict_shapes(self):
-        plan = PhysicalPlan(backend="mih", filter_mode="post", overfetch=40,
-                            probe_budget=128, predicted_ns=1234.5,
-                            predicted_counters=(("buckets_probed", 16),))
+        plan = PhysicalPlan(filter_mode="post", overfetch=40,
+                            predicted_ns=1234.5,
+                            predicted_counters=(("rows_scanned", 16),))
         as_dict = plan.as_dict()
-        assert as_dict["plan"] == "mih:post"
+        assert as_dict["plan"] == "linear:post"
+        assert as_dict["backend"] == "linear"
         assert as_dict["overfetch"] == 40
-        assert as_dict["probe_budget"] == 128
-        assert plan.summary() == {"backend": "mih", "filter_mode": "post"}
+        assert "probe_budget" not in as_dict
+        assert plan.summary() == {"filter_mode": "post"}
+
+    @pytest.mark.parametrize("knob", [{"backend": "mih"},
+                                      {"probe_budget": 0}])
+    def test_physical_plan_has_no_backend_axis(self, knob):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            PhysicalPlan(filter_mode="pre", **knob)

@@ -29,7 +29,7 @@ def mini_system(serving_config) -> EarthQube:
         archive=ArchiveConfig(num_patches=72, seed=11),
         milan=MiLaNConfig(num_bits=32, hidden_sizes=(48,)),
         train=TrainConfig(epochs=4, triplets_per_epoch=256, batch_size=64, seed=5),
-        index=IndexConfig(hamming_radius=2, mih_tables=4),
+        index=IndexConfig(hamming_radius=2),
         serving=serving_config,
     )
     system = EarthQube.bootstrap(config, store_images=False)

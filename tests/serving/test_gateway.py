@@ -4,7 +4,6 @@ while adding caching, invalidation, and observability."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from datetime import datetime
 
@@ -16,7 +15,6 @@ from repro.config import ServingConfig
 from repro.earthqube import EarthQubeAPI, QuerySpec
 from repro.geo.bbox import BoundingBox
 from repro.serving import ServingGateway
-from repro.serving.gateway import _ShardRunner
 
 
 def _new_patch(config, name, labels=("Coniferous forest", "Water bodies")):
@@ -39,17 +37,6 @@ class TestBootstrapFlag:
         mini_system.similar_images(mini_system.archive.names[0], k=3)
         after = mini_system.gateway.metrics.histogram("similar.total").count
         assert after == before + 1
-
-    def test_mih_tables_come_from_the_index_config(self, mini_system,
-                                                   monkeypatch):
-        """One knob: the gateway's plans are priced with
-        ``IndexConfig.mih_tables``; ServingConfig keeps no copy of it."""
-        config = mini_system.config
-        monkeypatch.setattr(mini_system, "config", dataclasses.replace(
-            config, index=dataclasses.replace(config.index, mih_tables=8)))
-        with ServingGateway(mini_system, ServingConfig(
-                enabled=True, num_shards=2)) as gateway:
-            assert _ShardRunner(gateway, None).shape()[2] == 8
 
 
 class TestByteIdenticalResults:

@@ -146,8 +146,6 @@ class TestConfigs:
         IndexConfig(hamming_radius=0)
         with pytest.raises(ValidationError):
             IndexConfig(hamming_radius=-1)
-        with pytest.raises(ValidationError):
-            IndexConfig(mih_tables=0)
 
     def test_removed_geo_index_knob_raises(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
