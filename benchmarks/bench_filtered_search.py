@@ -3,7 +3,7 @@
 EarthQube's combined queries join metadata constraints with content-based
 similarity.  This benchmark sweeps **filter selectivity x corpus size** and
 measures, for every index backend (packed linear scan, Multi-Index
-Hashing, sharded scatter-gather):
+Hashing, the serving tier's index):
 
 * **prefilter** — the pushdown: the allowed-row mask rides into the index,
   which gathers/verifies only allowed rows (cost scales with the allowed
@@ -178,7 +178,6 @@ def sweep_similarity(sizes, selectivities, rng) -> dict:
                     "identical_to_oracle": identical,
                 }
             size_report[str(selectivity)] = cell
-        backends["sharded"].close()
         report[str(n)] = size_report
     return report
 

@@ -3,7 +3,7 @@
 The AgoraEO archive is a *living* one — new acquisitions flow in, revoked
 or superseded patches flow out.  This benchmark measures what the
 tombstone lifecycle buys on that workload, per index backend (packed
-linear scan, Multi-Index Hashing, sharded scatter-gather):
+linear scan, Multi-Index Hashing, the serving tier's index):
 
 * **tombstone** — the lifecycle path: ``remove()`` marks the row dead
   (O(1)) and the next query masks it out; one churn event costs a
@@ -171,8 +171,6 @@ def churn_to_fraction(backend: str, index, state: dict, target: float,
             rebuilt = build_on(backend, ids, codes)
             run_knn(backend, rebuilt, state["queries"][:1])
             rebuild_samples.append(time.perf_counter() - start)
-            if backend == "sharded":
-                rebuilt.close()
         events += 1
     tombstone_ms = float(np.mean(tombstone_samples)) * 1e3
     rebuild_ms = float(np.mean(rebuild_samples)) * 1e3
@@ -190,8 +188,6 @@ def verify_identical(backend: str, index, state: dict) -> None:
     oracle = build_on(backend, ids, codes)
     got = run_knn(backend, index, state["queries"])
     want = run_knn(backend, oracle, state["queries"])
-    if backend == "sharded":
-        oracle.close()
     if got != want:
         raise SystemExit(
             f"ORACLE MISMATCH: {backend} tombstoned results differ from "
@@ -220,8 +216,6 @@ def bench_backend(backend: str, n: int, rng: np.random.Generator) -> dict:
         rebuilt = build_on(backend, ids_now, codes_now)
         rebuild_ms = (time.perf_counter() - start) * 1e3
         rebuilt_ms = time_queries(backend, rebuilt, queries)
-        if backend == "sharded":
-            rebuilt.close()
 
         start = time.perf_counter()
         index.compact()
@@ -245,8 +239,6 @@ def bench_backend(backend: str, n: int, rng: np.random.Generator) -> dict:
             "compact_ms": round(compact_ms, 3),
             "full_rebuild_ms": round(rebuild_ms, 3),
         }
-    if backend == "sharded":
-        index.close()
     return row
 
 

@@ -1,4 +1,4 @@
-"""Serving-tier benchmark: throughput/latency vs the unsharded baseline.
+"""Serving-tier benchmark: throughput/latency vs the single-threaded baseline.
 
 Standalone script (not a pytest-benchmark suite): it stands up the serving
 primitives over a synthetic packed-code corpus — retrieval speed does not
@@ -6,13 +6,10 @@ depend on code semantics — and measures:
 
 1. **baseline** — sequential single-threaded kNN over one monolithic
    ``LinearScanIndex`` (the pre-serving query path),
-2. **shard sweep** — sequential kNN through ``ShardedHammingIndex`` at
-   several shard counts (scatter-gather parallelism; wins scale with
-   physical cores),
-3. **batch sweep** — concurrent clients submitting through the
+2. **batch sweep** — concurrent clients submitting through the
    ``MicroBatcher`` at several batch sizes (query coalescing +
    within-batch single-flight dedup),
-4. **cache sweep** — the full cache -> batcher -> shards pipeline under
+3. **cache sweep** — the full cache -> batcher -> index pipeline under
    query streams with different reuse levels (interactive portals are
    dominated by repeated queries).
 
@@ -90,42 +87,29 @@ def run_baseline(index: LinearScanIndex, stream: np.ndarray, k: int) -> dict:
             "latency": histogram.summary()}
 
 
-def run_sharded_sequential(codes: np.ndarray, ids: list, stream: np.ndarray,
-                           k: int, num_bits: int, num_shards: int) -> dict:
-    with ShardedHammingIndex(num_bits, num_shards) as index:
-        index.build(ids, codes)
-        start = time.perf_counter()
-        for query in stream:
-            index.search_knn(query, k)
-        elapsed = time.perf_counter() - start
-    return {"shards": num_shards,
-            "qps": round(len(stream) / elapsed, 1),
-            "wall_seconds": round(elapsed, 4)}
-
-
 def run_concurrent(codes: np.ndarray, ids: list, stream: np.ndarray, k: int,
-                   num_bits: int, num_shards: int, batch_size: int,
+                   num_bits: int, batch_size: int,
                    clients: int, cache_entries: int) -> dict:
-    """The full pipeline: cache -> micro-batcher -> sharded scatter-gather,
+    """The full pipeline: cache -> micro-batcher -> one scan per batch,
     driven by concurrent client threads."""
     cache = QueryResultCache(max_entries=cache_entries, ttl_seconds=3600.0)
-    with ShardedHammingIndex(num_bits, num_shards) as index:
-        index.build(ids, codes)
-        with MicroBatcher(index.search_batch, max_batch_size=batch_size) as batcher:
-            def serve(query: np.ndarray) -> None:
-                key = canonical_code_key(query, k=k, radius=None)
-                if cache.get(key) is not None:
-                    return
-                results = batcher.submit(CodeQuery(code=query, k=k)).result()
-                cache.put(key, tuple(results))
+    index = ShardedHammingIndex(num_bits)
+    index.build(ids, codes)
+    with MicroBatcher(index.search_batch, max_batch_size=batch_size) as batcher:
+        def serve(query: np.ndarray) -> None:
+            key = canonical_code_key(query, k=k, radius=None)
+            if cache.get(key) is not None:
+                return
+            results = batcher.submit(CodeQuery(code=query, k=k)).result()
+            cache.put(key, tuple(results))
 
-            start = time.perf_counter()
-            with ThreadPoolExecutor(max_workers=clients,
-                                    thread_name_prefix="client") as pool:
-                list(pool.map(serve, stream, chunksize=8))
-            elapsed = time.perf_counter() - start
-            batch_stats = batcher.stats
-    return {"shards": num_shards, "batch_size": batch_size,
+        start = time.perf_counter()
+        with ThreadPoolExecutor(max_workers=clients,
+                                thread_name_prefix="client") as pool:
+            list(pool.map(serve, stream, chunksize=8))
+        elapsed = time.perf_counter() - start
+        batch_stats = batcher.stats
+    return {"batch_size": batch_size,
             "clients": clients, "cache_entries": cache_entries,
             "qps": round(len(stream) / elapsed, 1),
             "wall_seconds": round(elapsed, 4),
@@ -144,7 +128,6 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--k", type=int, default=10)
     parser.add_argument("--clients", type=int, default=8,
                         help="concurrent client threads")
-    parser.add_argument("--shards", type=int, nargs="+", default=[1, 2, 4, 8])
     parser.add_argument("--batch-sizes", type=int, nargs="+", default=[1, 8, 32])
     parser.add_argument("--distinct-fractions", type=float, nargs="+",
                         default=[1.0, 0.5, 0.1],
@@ -159,7 +142,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     if args.smoke:
         args.items, args.queries = 2_000, 200
-        args.shards, args.batch_sizes = [1, 4], [1, 8]
+        args.batch_sizes = [1, 8]
         args.distinct_fractions = [1.0, 0.25]
 
     codes = random_packed_codes(args.items, args.bits, args.seed)
@@ -175,16 +158,8 @@ def main(argv: "list[str] | None" = None) -> int:
     baseline = run_baseline(baseline_index, base_stream, args.k)
     print(f"[bench_serving] baseline: {baseline['qps']} qps", file=sys.stderr)
 
-    shard_sweep = [run_sharded_sequential(codes, ids, base_stream, args.k,
-                                          args.bits, shards)
-                   for shards in args.shards]
-    for row in shard_sweep:
-        print(f"[bench_serving] shards={row['shards']}: {row['qps']} qps "
-              "(sequential)", file=sys.stderr)
-
-    mid_shards = args.shards[len(args.shards) // 2]
     batch_sweep = [run_concurrent(codes, ids, base_stream, args.k, args.bits,
-                                  mid_shards, batch_size, args.clients,
+                                  batch_size, args.clients,
                                   cache_entries=0)
                    for batch_size in args.batch_sizes]
     for row in batch_sweep:
@@ -196,7 +171,7 @@ def main(argv: "list[str] | None" = None) -> int:
     for fraction in args.distinct_fractions:
         stream = make_stream(codes, args.queries, fraction, args.seed + 1)
         row = run_concurrent(codes, ids, stream, args.k, args.bits,
-                             mid_shards, best_batch, args.clients,
+                             best_batch, args.clients,
                              cache_entries=4096)
         row["distinct_fraction"] = fraction
         cache_sweep.append(row)
@@ -210,7 +185,6 @@ def main(argv: "list[str] | None" = None) -> int:
                    "clients": args.clients, "seed": args.seed,
                    "smoke": args.smoke},
         "baseline_single_threaded": baseline,
-        "shard_sweep_sequential": shard_sweep,
         "batch_sweep_concurrent_no_cache": batch_sweep,
         "cache_sweep_concurrent": cache_sweep,
         "concurrent_best_qps": concurrent_best,

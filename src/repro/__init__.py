@@ -10,8 +10,8 @@ The package implements the paper's full stack (see DESIGN.md):
 * a MongoDB-style document store with a columnar query planner and a
   bounding-box 2D index (:mod:`repro.store`, :mod:`repro.geo`),
 * the EarthQube search system itself (:mod:`repro.earthqube`),
-* a concurrent serving tier — sharded scatter-gather execution,
-  micro-batching, result caching, metrics (:mod:`repro.serving`).
+* a concurrent serving tier — micro-batched exact scans, result
+  caching, metrics (:mod:`repro.serving`).
 
 Quickstart::
 

@@ -154,13 +154,16 @@ class IndexConfig:
 class ServingConfig:
     """Query-serving tier settings (:mod:`repro.serving`).
 
-    Controls the scatter-gather shard layout, the micro-batch executor that
-    coalesces concurrent CBIR queries into one scan call per shard, and the
-    LRU+TTL result cache (300 s TTL).  ``enabled`` is the single flag that
-    routes :class:`~repro.earthqube.server.EarthQube` queries through the
+    Controls the micro-batch executor that coalesces concurrent CBIR
+    queries into one scan call and the LRU+TTL result cache (300 s TTL).
+    ``enabled`` is the single flag that routes
+    :class:`~repro.earthqube.server.EarthQube` queries through the
     :class:`~repro.serving.gateway.ServingGateway` instead of the direct
-    single-threaded path.  Shards are always linear scans over views of the
-    CBIR code table; ``shard_backend`` accepts only ``"linear"``.
+    single-threaded path.  A batch is one linear scan of the CBIR code
+    table on the thread that leads it.  ``num_shards`` is only reported
+    (``describe()``), ``shard_backend`` accepts only ``"linear"``, and
+    ``max_workers`` is validated and unused: all three are kept for
+    callers that still set them.
     """
 
     enabled: bool = False

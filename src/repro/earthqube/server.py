@@ -74,7 +74,7 @@ class EarthQube:
         # Let CBIR resolve QuerySpec filters against the metadata tier
         # (filtered-similarity pushdown).
         self.cbir.spec_resolver = self.row_filter_for
-        # The optional serving tier (sharding + batching + caching); routed
+        # The optional serving tier (batching + caching); routed
         # to by search/similar_images when enabled.  See repro.serving.
         self.gateway = None
         # The optional durability tier; set by DurableEarthQube when it
@@ -149,7 +149,7 @@ class EarthQube:
         cbir.build(archive.names, features)
         system = cls(config, archive, db, codec, extractor, hasher, cbir, features)
         if config.serving.enabled:
-            log(f"enabling serving tier ({config.serving.num_shards} shards) ...")
+            log("enabling serving tier ...")
             system.enable_serving()
         log("ready")
         return system
@@ -169,7 +169,7 @@ class EarthQube:
         self.cbir.spec_resolver = self.row_filter_for
 
     # ------------------------------------------------------------------ #
-    # Serving tier (repro.serving): concurrent sharded query execution
+    # Serving tier (repro.serving): concurrent batched query execution
     # ------------------------------------------------------------------ #
 
     def enable_serving(self, config: "ServingConfig | None" = None):
@@ -202,7 +202,7 @@ class EarthQube:
         ``nodes`` maps federation-unique node names to bootstrapped
         systems; ``config`` is an optional
         :class:`~repro.config.FederationConfig`.  Each node keeps its own
-        serving tier (cache, batching, shards) — the federation scatters
+        serving tier (cache, batching, one scan) — the federation scatters
         to it and merges deterministically across nodes.
         """
         from ..federation.facade import FederatedEarthQube
@@ -434,7 +434,7 @@ class EarthQube:
 
         The index row is tombstoned (O(1)); once dead rows cross the
         configured threshold the code table is compacted (the direct index
-        and the serving tier's shards read that one table).  The
+        and the serving tier's index read that one table).  The
         archive/features bookkeeping (training-side artifacts, not serving
         state) is O(N) per delete — acceptable because no query path
         touches it; only re-training iterates those rows.  Returns a

@@ -13,7 +13,6 @@ counter                   attached by
 ``candidates_verified``   MIH exact Hamming verification
 ``ladder_layers``         MIH incremental radius ladder depth
 ``fallback_rows``         MIH exact-scan fallback (budget exceeded)
-``shards_scanned``        scatter-gather shard fan-out
 ``ids_intersected``       columnar planner posting-list intersections
 ``postings_loaded``       columnar planner candidate source sizes
 ``docs_examined``         document-store predicate evaluation

@@ -15,8 +15,8 @@ into these types:
 * :class:`MetricsRegistry` — a named (optionally labeled) collection,
   exposed as a JSON-compatible snapshot.
 
-All types are thread-safe: the scatter-gather executor and the micro-batch
-worker record from multiple threads concurrently.
+All types are thread-safe: the federation's node lanes and the threads
+leading micro-batches record from multiple threads concurrently.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 A *trace* is the tree of timed operations behind one request: the root span
 covers the whole ``similar_images`` call, child spans cover the cache
-lookup, the micro-batch wait, each shard scan, the MIH candidate/verify
+lookup, the micro-batch wait, the code scan, the MIH candidate/verify
 phases, and each federation RPC.  The tree is what turns "p99 is 40 ms"
 into "the p99 queries all re-probe the radius ladder on shard 3".
 
@@ -13,10 +13,11 @@ The design goals, in order:
    returns a shared no-op singleton after one ``getattr`` and a ``None``
    check — no allocation, no lock, no clock read.
 2. **Thread-safe context propagation.**  The active span lives in a
-   ``threading.local``.  Crossing a thread boundary (micro-batch worker,
-   shard pool, federation scatter threads) is explicit: the submitting side
-   calls :func:`capture`, the worker wraps its work in :func:`attach` — so
-   spans recorded on worker threads stitch into the submitter's tree.
+   ``threading.local``.  Crossing a thread boundary (a micro-batch led by
+   another submitter, federation scatter threads) is explicit:
+   the submitting side calls :func:`capture`, the worker wraps its work in
+   :func:`attach` — so spans recorded on worker threads stitch into the
+   submitter's tree.
 3. **Determinism.**  Trace/span ids come from process-wide counters and
    sampling uses a deterministic credit accumulator (see :class:`Tracer`),
    so a test run produces the same decisions every time.
@@ -211,7 +212,7 @@ class CostSpan:
     every :func:`add_cost` counter still fold into this single ledger, so
     the slow-query ring and the workload statistics cover 100% of traffic.
 
-    Thread-safe: shard-pool and federation workers that :func:`attach` a
+    Thread-safe: batch leaders and federation workers that :func:`attach` a
     captured cost context fold their stages under one lock.
     """
 

@@ -1,20 +1,19 @@
-"""The query-serving tier: concurrent, sharded, cached, observable.
+"""The query-serving tier: concurrent, batched, cached, observable.
 
 The ROADMAP's north star is a portal that survives "heavy traffic from
 millions of users" — the paper's interactivity claim at production scale.
 This package makes the hot query path of the reproduction concurrent and
 measurable while preserving the single-threaded path's exact results:
 
-* :mod:`repro.serving.sharding` — :class:`ShardedHammingIndex`, K shards
-  over one :class:`~repro.index.hamming.CodeTable` (views of the CBIR
-  service's matrix, not a copy) with a parallel scatter-gather executor
-  and a deterministic (distance, insertion row) merge,
+* :mod:`repro.serving.sharding` — :class:`ShardedHammingIndex`, one exact
+  scan of one :class:`~repro.index.hamming.CodeTable` (the CBIR service's
+  matrix, not a copy) per micro-batch, in (distance, insertion row) order,
 * :mod:`repro.serving.batching` — :class:`MicroBatcher`, coalescing
-  concurrent queries into one vectorized scan,
+  concurrent queries into one vectorized scan run by a waiting caller,
 * :mod:`repro.serving.cache` — :class:`QueryResultCache`, LRU+TTL result
   memoization with ingest invalidation,
 * :mod:`repro.serving.gateway` — :class:`ServingGateway`, the facade
-  wiring cache -> batcher -> shards behind the same response types as
+  wiring cache -> batcher -> index behind the same response types as
   :class:`~repro.earthqube.server.EarthQube`, enabled by
   ``EarthQubeConfig.serving.enabled``; every stage records into a
   :class:`repro.obs.metrics.MetricsRegistry`.

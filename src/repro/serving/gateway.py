@@ -1,4 +1,4 @@
-"""The serving gateway: sharding + batching + caching behind one facade.
+"""The serving gateway: caching + batching + one scan behind one facade.
 
 :class:`ServingGateway` sits between :class:`~repro.earthqube.api.
 EarthQubeAPI` and the index/store tiers.  It answers the same questions as
@@ -10,12 +10,14 @@ through the concurrent hot path:
    (:mod:`repro.serving.cache`); every write invalidates it, including a
    direct write to the metadata collection (seen by its write counter),
 2. **batch** — cache misses are coalesced by a :class:`~repro.serving.
-   batching.MicroBatcher` so concurrent queries share one scan,
-3. **scatter-gather** — each batch is executed by a
+   batching.MicroBatcher` so concurrent queries share one scan; the
+   batcher has no thread of its own, so a miss on an idle gateway runs on
+   the thread that asked,
+3. **scan** — each batch is one exact scan by a
    :class:`~repro.serving.sharding.ShardedHammingIndex` over the CBIR
-   service's own :class:`~repro.index.hamming.CodeTable` — the shards are
-   views of the matrix the service already holds, not a second copy — that
-   scans K shards in parallel and merges per-shard top-k deterministically,
+   service's own :class:`~repro.index.hamming.CodeTable` — the matrix the
+   service already holds, not a second copy — on the thread leading the
+   batch,
 4. **metrics** — every stage records latency histograms, counters, and
    occupancy gauges into a :class:`~repro.obs.metrics.MetricsRegistry`.
 
@@ -51,9 +53,9 @@ if TYPE_CHECKING:  # avoid a runtime import cycle with earthqube.server
 
 class _ShardRunner:
     """The gateway's :class:`~repro.planner.CodeRunner`, one per request:
-    cache -> ``CodeQuery`` -> micro-batcher -> shards.
+    cache -> ``CodeQuery`` -> micro-batcher -> index.
 
-    Every shard is an exact scan of a row range; the executor's live
+    The index runs one exact scan of the table; the executor's live
     decisions are the pre/post filter mode and the post-filter over-fetch.
 
     ``filter_key`` is the request's filter fingerprint (``None``:
@@ -70,8 +72,7 @@ class _ShardRunner:
                  filter_key: "str | None") -> None:
         self._gateway = gateway
         self._filter_key = filter_key
-        self.plan_context = {"tier": "sharded",
-                             "shards": gateway.index.num_shards}
+        self.plan_context = {"tier": "sharded", "shards": 1}
 
     def corpus_size(self) -> int:
         return len(self._gateway.index)
@@ -105,13 +106,11 @@ class ServingGateway:
         self.index = ShardedHammingIndex(
             system.hasher.num_bits,
             self.config.num_shards,
-            max_workers=self.config.max_workers,
             table=system.cbir.table)
         self.batcher = MicroBatcher(
             self._execute_batch,
             max_batch_size=self.config.batch_max_size,
-            queue_wait=self.metrics.histogram("batch.queue_wait"),
-            name="serving-batch")
+            queue_wait=self.metrics.histogram("batch.queue_wait"))
         # Archive generation: bumped by every write hook.  A result computed
         # against generation G is only cached if the generation is still G
         # at put time, so a scan racing an ingest can never re-insert a
@@ -130,7 +129,7 @@ class ServingGateway:
     def similar_images(self, name: str, *, k: "int | None" = 10,
                        radius: "int | None" = None,
                        filter: "QuerySpec | None" = None) -> SimilarityResponse:
-        """Query-by-existing-example through cache -> batcher -> shards.
+        """Query-by-existing-example through cache -> batcher -> index.
 
         ``filter`` (a metadata :class:`QuerySpec`) restricts the ranking to
         matching images; the filter fingerprint joins the cache key and
@@ -153,11 +152,11 @@ class ServingGateway:
                              radius: "int | None" = None,
                              filter: "QuerySpec | None" = None,
                              ) -> list[SimilarityResponse]:
-        """Batch CBIR through the same cache -> batcher -> shards pipeline.
+        """Batch CBIR through the same cache -> batcher -> index pipeline.
 
         One response per name, in request order.  Cache hits are answered
         immediately; all misses are submitted to the micro-batcher in one
-        go (they coalesce into one scatter-gather scan, sharing it with any
+        go (they coalesce into one scan, sharing it with any
         concurrent single queries).  Responses are byte-identical to
         calling :meth:`similar_images` per name.
         """
@@ -178,7 +177,7 @@ class ServingGateway:
         """Raw packed-code search: ``(results, radius_used)``.
 
         The federation tier's per-node entry point — the same
-        cache -> batcher -> shards pipeline as :meth:`similar_images`, but
+        cache -> batcher -> index pipeline as :meth:`similar_images`, but
         without name resolution or self-match shaping (the federated
         caller shapes the merged response itself).  ``strategy`` pins the
         pre/post filter plan; ``plan_hint`` carries the federation owner's
@@ -197,8 +196,7 @@ class ServingGateway:
         """Batch :meth:`query_code`: one ``(results, radius_used)`` per code.
 
         Cache hits are answered immediately; all misses are submitted to
-        the micro-batcher in one go (they coalesce into one scatter-gather
-        scan, sharing it with any concurrent single queries).  Filtered
+        the micro-batcher in one go (they coalesce into one scan, sharing it with any concurrent single queries).  Filtered
         misses that take the pre-filter plan carry the shared allowed mask
         into the batch, so they still coalesce with each other.
         """
@@ -316,28 +314,36 @@ class ServingGateway:
               allowed: "np.ndarray | None" = None,
               filter_key: "str | None" = None) -> "list[list]":
         """Submit one job per code to the micro-batcher in one go (they
-        coalesce into one scatter-gather scan, sharing it with any
-        concurrent queries) and wait for the rankings."""
+        coalesce into one scan, sharing it with any concurrent queries)
+        and wait for the rankings.  If one fails, the jobs still queued
+        are cancelled: nobody reads them, and the next caller to lead a
+        batch would otherwise scan them ahead of its own."""
         trace = tracing.capture()
         jobs = [CodeQuery(code=code, k=None if radius is not None else k,
                           radius=radius, allowed=allowed,
                           filter_key=filter_key, trace=trace)
                 for code in codes]
         # Queue wait + scan, as seen by the submitting thread; the batcher
-        # records the queue wait alone as batch.queue_wait and the batch
-        # worker the scan alone as similar.scan.
+        # records the queue wait alone as batch.queue_wait and the batch's
+        # leader the scan alone as similar.scan.
         with self.metrics.timer("similar.execute"), \
                 tracing.span("batch.wait", jobs=len(jobs)):
-            return [future.result()
-                    for future in self.batcher.submit_many(jobs)]
+            futures = self.batcher.submit_many(jobs)
+            try:
+                return [future.result() for future in futures]
+            except BaseException:
+                for future in futures:
+                    future.cancel()
+                raise
 
     def _execute_batch(self, jobs: "list[CodeQuery]") -> "list[list]":
-        """Batch executor: one scatter-gather scan for the whole batch.
+        """Batch executor: one scan for the whole batch.
 
-        Runs on the micro-batch worker thread, so the submitter's trace
-        context (carried by the first traced job) is re-attached here —
-        the batch-execution subtree stitches under that query's span while
-        coalesced riders simply share the scan.
+        Runs on whichever waiting submitter leads the batch, not always
+        the one that queued it, so the submitter's trace context (carried
+        by the first traced job) is re-attached here — the batch-execution
+        subtree stitches under that query's span while coalesced riders
+        simply share the scan.
         """
         ctx = next((job.trace for job in jobs if job.trace is not None), None)
         with tracing.attach(ctx), \
@@ -394,7 +400,7 @@ class ServingGateway:
     # Write hooks
     # ------------------------------------------------------------------ #
     #
-    # The shards read the table the CBIR service just wrote, so a write
+    # The index reads the table the CBIR service just wrote, so a write
     # leaves nothing to replay here.  What a hook owes the write is the
     # cache: every cached ranking, and every memoized ``RowFilter`` mask of
     # a metadata filter, is a row-aligned snapshot of the corpus before the
@@ -504,10 +510,11 @@ class ServingGateway:
             "batch.largest": batcher_stats["largest_batch"],
             "batch.queue_depth": batcher_stats["queue_depth"],
         })
+        sizes = self.index.shard_sizes
         snapshot["shards"] = {
-            "count": self.index.num_shards,
+            "count": len(sizes),
             "backend": self.config.shard_backend,
-            "sizes": self.index.shard_sizes,
+            "sizes": sizes,
         }
         return snapshot
 
@@ -523,9 +530,8 @@ class ServingGateway:
         }
 
     def close(self) -> None:
-        """Stop the batch worker and the scatter-gather pool."""
+        """Run what is still queued, then refuse new work."""
         self.batcher.close()
-        self.index.close()
 
     def __enter__(self) -> "ServingGateway":
         return self

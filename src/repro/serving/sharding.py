@@ -1,34 +1,25 @@
-"""Sharded Hamming index with parallel scatter-gather query execution.
+"""The serving tier's Hamming index: one exact scan of the code table.
 
-One monolithic index serializes every query behind one scan.  Here the
-rows of one :class:`~repro.index.hamming.CodeTable` — the index's own, or
+The index reads one :class:`~repro.index.hamming.CodeTable` — its own, or
 the one the CBIR service already keeps, in which case nothing is copied —
-are partitioned into ``K`` shards; a query is *scattered* to every shard
-(the calling thread scans one and a thread pool the rest — numpy's
-popcount kernels release the GIL, so shard scans genuinely overlap), then
-the per-shard top-k candidate lists are *gathered* and merged.
+and answers a micro-batch with :func:`repro.index.hamming.exact_scan` (the
+E6 baseline kernel, the same function ``LinearScanIndex`` runs) over the
+table's matrix: one call per (filter, k, radius) group, on the thread that
+runs the batch.  ``exact_scan`` already orders by ``(distance, insertion
+row)`` — the tie-break of :func:`repro.index.hamming.top_k_smallest` and
+of the monolithic indexes — so results are byte-identical to the direct
+path with no merge.
 
-Determinism is load-bearing: every path orders candidates by the global
-``(distance, insertion row)`` pair — exactly the tie-break of
-:func:`repro.index.hamming.top_k_smallest` and of the monolithic indexes —
-so the merged top-k of a K-shard index is byte-identical to the K=1 result
-regardless of shard count, partition or scan interleaving.
-
-Every shard is a linear scan: :func:`repro.index.hamming.exact_scan` (the
-E6 baseline kernel, the same function ``LinearScanIndex`` and the MIH exact
-fallback run) over a zero-copy view of the table's matrix.  Shard ``s`` is
-the ``s``-th of ``K`` contiguous row ranges, cut afresh from each scan's
-snapshot, and a local row plus the range start is the global row.  Ranges
-rather than ``codes[s::K]`` strides by measurement (one pinned CPU,
-k = 11, two shards): the same at N = 8k (0.060 vs 0.058 ms, W = 1), faster
-at N = 100k (0.30 vs 0.38 ms, W = 1; 0.59 vs 0.65 ms, W = 2).  A
-micro-batch is one call per shard and filter.
+One scan rather than row ranges on a thread pool, by measurement (single
+64-bit queries, k = 11, 2 vCPU Xeon): at 10k rows, unpinned, one range
+took 0.21 ms and two 0.55 ms; pinned to one CPU, as the end-to-end
+benchmark runs, two ranges lost even at 590k rows (5.0 ms against
+4.6 ms).  ``num_shards`` is accepted and validated for existing callers;
+it does not change how a scan runs.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Hashable, Iterable, Sequence
 
@@ -38,6 +29,7 @@ from ..errors import EmptyIndexError, ValidationError
 from ..obs import tracing
 from ..index.hamming import (
     CodeTable,
+    allowed_row_indices,
     as_allowed_mask,
     combine_allowed_masks,
     exact_scan,
@@ -50,9 +42,8 @@ class CodeQuery:
     """One retrieval request against packed codes: kNN or radius search.
 
     ``allowed`` is an optional boolean mask over *global* insertion rows
-    (the filtered-similarity pushdown): every shard restricts its scan /
-    verification to the allowed rows, and the merged result equals
-    filtering a global ranking.  ``filter_key`` is the filter's
+    (the filtered-similarity pushdown): the scan gathers only the allowed
+    rows, so the result equals filtering a global ranking.  ``filter_key`` is the filter's
     fingerprint — it joins the single-flight dedup key so two queries only
     share a scan when they share both code *and* filter, and it groups
     jobs within a micro-batch so one mask translation covers the group.
@@ -97,59 +88,10 @@ class CodeQuery:
         return (code.tobytes(), self.k, self.radius, self.filter_part)
 
 
-_NO_HITS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-
-
-class _LinearShard:
-    """One contiguous row range of the table's matrix, as a view."""
-
-    def __init__(self, codes: np.ndarray, start: int) -> None:
-        self.codes = codes
-        self.start = start
-
-    def __len__(self) -> int:
-        return self.codes.shape[0]
-
-    def scan(self, queries: np.ndarray, jobs: Sequence[CodeQuery],
-             ) -> "list[tuple[np.ndarray, np.ndarray]]":
-        """Per-job ``(global_rows, distances)`` candidates from this shard.
-
-        Jobs are grouped by (filter, k, radius) and each group is one
-        :func:`exact_scan` call: the unfiltered groups scan the whole
-        shard, and a filtered group passes its allowed subset as the gather
-        set — the pre-filter pushdown, whose cost scales with the allowed
-        rows.  The global->local translation (a slice of the mask) runs
-        once per filter.  Read-only, so it runs on pool threads unlocked.
-        """
-        codes, start = self.codes, self.start
-        if codes.shape[0] == 0:
-            return [_NO_HITS for _ in jobs]
-        groups: dict[tuple, list[int]] = {}
-        local_of: dict["Hashable | None", "np.ndarray | None"] = {None: None}
-        for i, job in enumerate(jobs):
-            part = job.filter_part
-            groups.setdefault((part, job.k, job.radius), []).append(i)
-            if part not in local_of:
-                # Rows beyond the mask were added after it was snapshotted
-                # and are disallowed: the slice simply comes up short.
-                local_of[part] = np.flatnonzero(
-                    job.allowed[start:start + codes.shape[0]])
-        out: "list[tuple[np.ndarray, np.ndarray] | None]" = [None] * len(jobs)
-        for (part, k, radius), indices in groups.items():
-            hits = exact_scan(codes, queries[np.asarray(indices, dtype=np.int64)],
-                              k=k, radius=radius, rows=local_of[part])
-            # Local rows ascend with global rows, so the scan's (distance,
-            # local row) order is the global (distance, row) order.
-            for i, (local_rows, distances) in zip(indices, hits):
-                out[i] = (local_rows + start, distances)
-        return out  # type: ignore[return-value]
-
-
 class ShardedHammingIndex:
-    """K-shard Hamming index with a parallel scatter-gather executor."""
+    """Hamming index over one code table, answered by one exact scan."""
 
     def __init__(self, num_bits: int, num_shards: int = 4, *,
-                 max_workers: "int | None" = None,
                  table: "CodeTable | None" = None) -> None:
         if num_bits <= 0 or num_bits % 8 != 0:
             raise ValidationError(
@@ -157,11 +99,7 @@ class ShardedHammingIndex:
         if num_shards < 1:
             raise ValidationError(f"num_shards must be >= 1, got {num_shards}")
         self.num_bits = num_bits
-        self.num_shards = num_shards
         self.table = table if table is not None else CodeTable(-(-num_bits // 64))
-        self._lock = threading.Lock()
-        self._executor: "ThreadPoolExecutor | None" = None
-        self._max_workers = max_workers if max_workers is not None else num_shards
 
     def __len__(self) -> int:
         """Searchable (alive) items."""
@@ -179,18 +117,9 @@ class ShardedHammingIndex:
 
     @property
     def shard_sizes(self) -> list[int]:
-        """Occupancy of each shard (exported as gauges by the gateway)."""
-        return [len(shard) for shard in self._view()[2]]
-
-    def _view(self) -> "tuple[list[Hashable], np.ndarray | None, list[_LinearShard]]":
-        """``(ids, alive mask, shards)`` of the table's current rows: the
-        shards are views cut from one snapshot, so they describe exactly
-        its rows whatever a writer does next."""
-        ids, codes, alive = self.table.snapshot()
-        size = -(-codes.shape[0] // self.num_shards)
-        shards = [_LinearShard(codes[s * size:(s + 1) * size], s * size)
-                  for s in range(self.num_shards)]
-        return ids, alive, shards
+        """Rows a scan covers, as one range (exported as the gateway's
+        ``shard.0.items`` gauge)."""
+        return [self.table.rows]
 
     # ------------------------------------------------------------------ #
     # Construction and deletion lifecycle: the table's
@@ -215,8 +144,8 @@ class ShardedHammingIndex:
     def compact(self) -> None:
         """Drop the dead rows.
 
-        Surviving items keep their relative insertion order, so the global
-        (distance, insertion row) merge order — and therefore every query
+        Surviving items keep their relative insertion order, so the
+        (distance, insertion row) order — and therefore every query
         result — is byte-identical before and after.
         """
         self.table.compact()
@@ -235,7 +164,7 @@ class ShardedHammingIndex:
 
     def search_knn_batch(self, codes: np.ndarray, k: int,
                          ) -> "list[list[SearchResult]]":
-        """Exact kNN for a ``(Q, W)`` batch: one scatter-gather pass."""
+        """Exact kNN for a ``(Q, W)`` batch: one scan."""
         queries = np.asarray(codes, dtype=np.uint64)
         if queries.ndim != 2:
             raise ValidationError(
@@ -245,7 +174,7 @@ class ShardedHammingIndex:
 
     def search_radius_batch(self, codes: np.ndarray, radius: int,
                             ) -> "list[list[SearchResult]]":
-        """Radius search for a ``(Q, W)`` batch: one scatter-gather pass."""
+        """Radius search for a ``(Q, W)`` batch: one scan."""
         queries = np.asarray(codes, dtype=np.uint64)
         if queries.ndim != 2:
             raise ValidationError(
@@ -254,16 +183,19 @@ class ShardedHammingIndex:
                                   for query in queries])
 
     def search_batch(self, jobs: Sequence[CodeQuery]) -> list[list[SearchResult]]:
-        """Scatter a batch of queries to every shard, gather and merge.
+        """Answer a batch of queries with one scan of the table.
 
-        Every shard scans the *whole batch* in one vectorized pass, so the
-        per-query overhead amortizes across the batch.
+        Jobs are grouped by (filter, k, radius) and each group is one
+        vectorized :func:`exact_scan` call, so the per-query overhead
+        amortizes across the batch.  Unfiltered groups scan every live
+        row; a filtered group passes its allowed rows as the gather set —
+        the pre-filter pushdown, whose cost scales with the allowed rows.
         """
         if not jobs:
             return []
         if not len(self.table):
             raise EmptyIndexError("search on an empty ShardedHammingIndex")
-        ids, alive, shards = self._view()
+        ids, codes, alive = self.table.snapshot()
 
         # Single-flight within the batch: concurrent users asking the same
         # question (popular patches, same filter) share one scan.
@@ -280,8 +212,8 @@ class ShardedHammingIndex:
         if alive is not None:
             # Fold tombstones into every job's allowed mask.  Combined
             # masks are memoized per original filter identity so jobs
-            # sharing a filter keep sharing one mask object — the shard
-            # scan groups by that identity and translates it once.
+            # sharing a filter keep sharing one mask object — the scan
+            # groups by that identity and translates it once.
             combined: dict[object, np.ndarray] = {}
             folded: list[CodeQuery] = []
             for job in unique_jobs:
@@ -300,36 +232,27 @@ class ShardedHammingIndex:
 
         with tracing.span("shards.search", jobs=len(jobs),
                           unique=len(unique_jobs),
-                          shards=len(shards)) as search_span:
+                          rows=codes.shape[0]) as search_span:
             search_span.annotate(backend="linear")
-            search_span.add_cost(shards_scanned=len(shards))
-            # The calling thread scans shard 0 itself, instead of sleeping
-            # while the pool scans all K.  The (possibly traced) context is
-            # handed across explicitly so per-shard spans stitch in.
-            parent = tracing.capture()
-
-            def scan(shard_index: int) -> "list[tuple[np.ndarray, np.ndarray]]":
-                shard = shards[shard_index]
-                if parent is None:
-                    return shard.scan(queries, unique_jobs)
-                with tracing.attach(parent), \
-                        tracing.span("shard.scan", shard=shard_index,
-                                     items=len(shard)):
-                    return shard.scan(queries, unique_jobs)
-
-            pooled = [self._pool().submit(scan, shard_index)
-                      for shard_index in range(1, len(shards))]
-            per_shard = [scan(0)] + [future.result() for future in pooled]
-
-            merged: list[list[SearchResult]] = []
+            groups: dict[tuple, list[int]] = {}
+            rows_of: dict["Hashable | None", "np.ndarray | None"] = {None: None}
             for i, job in enumerate(unique_jobs):
-                rows = np.concatenate([per_shard[s][i][0] for s in range(len(shards))])
-                dists = np.concatenate([per_shard[s][i][1] for s in range(len(shards))])
-                order = np.lexsort((rows, dists))
-                if job.k is not None:
-                    order = order[:job.k]
-                merged.append([SearchResult(ids[int(rows[j])], int(dists[j]))
-                               for j in order])
+                part = job.filter_part
+                groups.setdefault((part, job.k, job.radius), []).append(i)
+                if part not in rows_of:
+                    # Rows beyond the mask were added after it was
+                    # snapshotted and are disallowed.
+                    rows_of[part] = allowed_row_indices(job.allowed,
+                                                        codes.shape[0])
+            merged: "list[list[SearchResult]]" = [[] for _ in unique_jobs]
+            for (part, k, radius), indices in groups.items():
+                hits = exact_scan(codes,
+                                  queries[np.asarray(indices, dtype=np.int64)],
+                                  k=k, radius=radius, rows=rows_of[part])
+                for i, (rows, distances) in zip(indices, hits):
+                    merged[i] = [SearchResult(ids[row], distance)
+                                 for row, distance in zip(rows.tolist(),
+                                                          distances.tolist())]
         # Duplicates get their own list (callers may truncate in place).
         out = []
         seen_slots: set[int] = set()
@@ -338,28 +261,3 @@ class ShardedHammingIndex:
             out.append(result if slot not in seen_slots else list(result))
             seen_slots.add(slot)
         return out
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
-                    thread_name_prefix="shard-scan")
-            return self._executor
-
-    def close(self) -> None:
-        """Shut down the scatter-gather thread pool."""
-        with self._lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
-
-    def __enter__(self) -> "ShardedHammingIndex":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

@@ -301,29 +301,29 @@ class TestShardedBatch:
         ids, codes = corpus
         scan = LinearScanIndex(32)
         scan.build(ids, codes)
-        with ShardedHammingIndex(32, num_shards) as index:
-            index.build(ids, codes)
-            batch = index.search_knn_batch(queries, 6)
-            for query, results in zip(queries, batch):
-                assert pairs(results) == pairs(index.search_knn(query, 6))
-                assert pairs(results) == pairs(scan.search_knn(query, 6))
+        index = ShardedHammingIndex(32, num_shards)
+        index.build(ids, codes)
+        batch = index.search_knn_batch(queries, 6)
+        for query, results in zip(queries, batch):
+            assert pairs(results) == pairs(index.search_knn(query, 6))
+            assert pairs(results) == pairs(scan.search_knn(query, 6))
 
     def test_radius_batch_equals_oracle(self, corpus, queries):
         ids, codes = corpus
         scan = LinearScanIndex(32)
         scan.build(ids, codes)
-        with ShardedHammingIndex(32, 3) as index:
-            index.build(ids, codes)
-            batch = index.search_radius_batch(queries, 5)
-            for query, results in zip(queries, batch):
-                assert pairs(results) == pairs(scan.search_radius(query, 5))
+        index = ShardedHammingIndex(32, 3)
+        index.build(ids, codes)
+        batch = index.search_radius_batch(queries, 5)
+        for query, results in zip(queries, batch):
+            assert pairs(results) == pairs(scan.search_radius(query, 5))
 
     def test_batch_shape_validation(self, corpus):
         ids, codes = corpus
-        with ShardedHammingIndex(32, 2) as index:
-            index.build(ids, codes)
-            with pytest.raises(ValidationError):
-                index.search_knn_batch(codes[0], 3)
+        index = ShardedHammingIndex(32, 2)
+        index.build(ids, codes)
+        with pytest.raises(ValidationError):
+            index.search_knn_batch(codes[0], 3)
 
 
 def reference_scan(codes, queries, k, radius, rows):

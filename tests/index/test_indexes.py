@@ -126,7 +126,6 @@ class TestCrossIndexAgreement:
         expected = {(r.item_id, r.distance) for r in scan.search_radius(query, 2)}
         assert {(r.item_id, r.distance) for r in mih.search_radius(query, 2)} == expected
         assert {(r.item_id, r.distance) for r in sharded.search_radius(query, 2)} == expected
-        sharded.close()
 
     def test_all_agree_on_clustered_codes(self, rng):
         # Clustered data: many near-duplicate codes stress bucket logic.
@@ -143,7 +142,6 @@ class TestCrossIndexAgreement:
         expected = {(r.item_id, r.distance) for r in scan.search_radius(query, 2)}
         assert {(r.item_id, r.distance) for r in mih.search_radius(query, 2)} == expected
         assert {(r.item_id, r.distance) for r in sharded.search_radius(query, 2)} == expected
-        sharded.close()
 
 
 @settings(max_examples=20, deadline=None)

@@ -2,7 +2,7 @@
 
 The PR's acceptance bar: a single ``trace=true`` similarity query through
 the serving gateway on a federated node returns *one* span tree — cache,
-micro-batch, one scan per shard, and per-node federation spans all
+micro-batch, the code scan, and per-node federation spans all
 sharing the root's trace id — whose timings are internally consistent; and
 tracing (on, forced, or sampled out) never changes the query results.
 """
@@ -39,13 +39,13 @@ class TestStitchedTree:
     def test_one_tree_covers_every_tier(self, served_system, federation):
         response = self._traced_response(served_system, federation)
         names = _names(response["trace"])
-        # Serving tier on node 'a': cache, micro-batch, sharded scan.
+        # Serving tier on node 'a': cache, micro-batch, the code scan.
         assert {"cache.lookup", "batch.wait", "batch.execute",
-                "shards.search", "shard.scan"} <= names
-        # Index internals: every shard's linear scan is its own span.
-        scanned = {node["attrs"]["shard"] for node, _ in _walk(response["trace"])
-                   if node["name"] == "shard.scan"}
-        assert scanned == set(range(served_system.gateway.index.num_shards))
+                "shards.search"} <= names
+        # One scan covers every row of the node's code table.
+        scanned = [node["attrs"]["rows"] for node, _ in _walk(response["trace"])
+                   if node["name"] == "shards.search"]
+        assert scanned == [served_system.cbir.table.rows]
         # Federation tier: the scatter plus one span per queried node.
         assert {"federation.scatter", "federation.node"} <= names
 

@@ -5,6 +5,7 @@ while adding caching, invalidation, and observability."""
 from __future__ import annotations
 
 import json
+import threading
 from datetime import datetime
 
 import pytest
@@ -14,6 +15,7 @@ from repro.bigearthnet.synthesis import PatchSynthesizer
 from repro.config import ServingConfig
 from repro.earthqube import EarthQubeAPI, QuerySpec
 from repro.geo.bbox import BoundingBox
+from repro.errors import ValidationError
 from repro.serving import ServingGateway
 
 
@@ -137,7 +139,8 @@ class TestObservability:
     def test_metrics_snapshot_shape(self, mini_system):
         mini_system.similar_images(mini_system.archive.names[0], k=3)
         snapshot = mini_system.gateway.metrics_snapshot()
-        assert snapshot["shards"]["count"] == 4
+        # The index scans the whole table as one range.
+        assert snapshot["shards"]["count"] == 1
         assert sum(snapshot["shards"]["sizes"]) == len(mini_system.cbir)
         assert snapshot["cache"]["hits"] + snapshot["cache"]["misses"] > 0
         assert snapshot["batcher"]["requests"] >= 1
@@ -145,6 +148,22 @@ class TestObservability:
         for key in ("count", "p50_ms", "p95_ms", "p99_ms", "qps"):
             assert key in latency
         json.dumps(snapshot)
+
+    def test_shard_count_is_one_range(self, mini_system):
+        """``/metrics`` and the plan context report the one range a scan
+        covers; ``describe()`` keeps the configured ``num_shards``."""
+        gateway = mini_system.gateway
+        payload = EarthQubeAPI(mini_system).similar(
+            {"name": mini_system.archive.names[1], "k": 3, "explain": True})
+        assert payload["ok"], payload
+        assert payload["explain"]["plan"]["context"]["shards"] == 1
+        snapshot = gateway.metrics_snapshot()
+        rows = mini_system.cbir.table.rows
+        assert snapshot["shards"]["count"] == 1
+        assert snapshot["shards"]["sizes"] == [rows]
+        assert snapshot["gauges"]["shard.0.items"] == rows
+        assert "shard.1.items" not in snapshot["gauges"]
+        assert mini_system.describe()["serving"]["num_shards"] == 4
 
     def test_api_metrics_endpoint(self, mini_system):
         api = EarthQubeAPI(mini_system)
@@ -168,3 +187,84 @@ class TestObservability:
         info = mini_system.describe()
         assert info["serving"]["shard_backend"] == "linear"
         assert info["serving"]["indexed_items"] == len(mini_system.cbir)
+
+
+class TestCallerRuns:
+    def test_a_miss_runs_on_the_calling_thread(self, mini_system,
+                                               monkeypatch):
+        """No thread hop on a miss: the scan runs on the thread that asked,
+        and serving it starts no thread."""
+        gateway = mini_system.gateway
+        scanned_on: list[int] = []
+        search_batch = gateway.index.search_batch
+
+        def spy(jobs):
+            scanned_on.append(threading.get_ident())
+            return search_batch(jobs)
+        monkeypatch.setattr(gateway.index, "search_batch", spy)
+        threads = threading.active_count()
+        for name in mini_system.archive.names[:5]:
+            gateway.cache.invalidate()
+            mini_system.similar_images(name, k=3)
+        assert scanned_on == [threading.get_ident()] * 5
+        assert threading.active_count() == threads
+
+    def test_concurrent_submitters_get_oracle_answers(self, mini_system):
+        """Eight threads lead and ride batches; every answer equals the
+        direct path's."""
+        names = mini_system.archive.names[:24]
+        expected = {name: mini_system.cbir.query_by_name(name, k=6).results
+                    for name in names}
+        barrier = threading.Barrier(8)
+        errors: list[BaseException] = []
+        with ServingGateway(
+                mini_system,
+                ServingConfig(enabled=True, num_shards=4, batch_max_size=8,
+                              cache_entries=0)) as gateway:
+            def client(offset: int) -> None:
+                try:
+                    barrier.wait(timeout=10)
+                    for name in names[offset::8] * 3:
+                        got = gateway.similar_images(name, k=6).results
+                        if got != expected[name]:
+                            raise AssertionError(f"wrong ranking for {name}")
+                except BaseException as exc:  # surfaced after join
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=client, args=(offset,))
+                       for offset in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            stats = gateway.batcher.stats
+        assert not errors
+        assert stats["requests"] == len(names) * 3
+        assert stats["queue_depth"] == 0
+
+    def test_a_failed_batch_leaves_nothing_queued(self, mini_system,
+                                                   monkeypatch):
+        """When the first batch of a 20-job request fails, the request's
+        other jobs are cancelled: the next caller scans only its own."""
+        names = mini_system.archive.names[:20]
+        with ServingGateway(
+                mini_system,
+                ServingConfig(enabled=True, batch_max_size=4,
+                              cache_entries=0)) as gateway:
+            batches: list[int] = []
+            search_batch = gateway.index.search_batch
+
+            def failing(jobs):
+                batches.append(len(jobs))
+                if len(batches) == 1:
+                    raise ValidationError("scan failed")
+                return search_batch(jobs)
+            monkeypatch.setattr(gateway.index, "search_batch", failing)
+            with pytest.raises(ValidationError, match="scan failed"):
+                gateway.similar_images_batch(names, k=3)
+            assert gateway.batcher.stats["queue_depth"] == 0
+            assert batches == [4]
+            response = gateway.similar_images(names[0], k=3)
+            assert response.results == \
+                mini_system.cbir.query_by_name(names[0], k=3).results
+            assert batches == [4, 1]

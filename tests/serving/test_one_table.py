@@ -1,13 +1,13 @@
 """One code table behind every tier of a serving node.
 
-The gateway's shards are views of the CBIR service's ``CodeTable``; there
-is no second row layout to keep in step.  These tests pin that down after
+The gateway's index scans the CBIR service's ``CodeTable``; there is no
+second row layout to keep in step.  These tests pin that down after
 every kind of write and after crash recovery, and hold the regression for
 the bug the second layout caused: a *read* accessor
 (``CBIRService.indexed_items``) used to compact the service as a side
 effect, so anything that called it on a serving node with tombstones —
 ``EarthQube.federate(..., elastic=True)`` does — left the service on the
-new rows and the gateway's shards on the old ones, and every filtered
+new rows and the gateway's index on the old ones, and every filtered
 ``similar`` through the gateway then answered with patches outside the
 filter.
 """
@@ -30,8 +30,7 @@ from repro.index import pack_bits
 from repro.index.hamming import exact_scan
 from repro.index.results import SearchResult
 from repro.obs.tracing import Tracer
-from repro.serving import CodeQuery, ShardedHammingIndex
-from repro.serving.sharding import _LinearShard
+from repro.serving import CodeQuery, ShardedHammingIndex, sharding
 from repro.store.database import Database
 
 SPECS = [
@@ -57,12 +56,7 @@ def assert_one_copy(system: EarthQube) -> None:
     assert gateway.index.table is cbir.table
     assert len(gateway.index) == len(cbir)
     assert gateway.index.dead_count == cbir.dead_rows
-    _, codes, _ = cbir.table.snapshot()
-    _, _, shards = gateway.index._view()
-    assert sum(len(shard) for shard in shards) == codes.shape[0]
-    for shard in shards:
-        if len(shard):
-            assert np.shares_memory(shard.codes, codes)
+    assert gateway.index.shard_sizes == [cbir.table.rows]
     # The direct index ranks the same rows: same answer, tie-breaks included.
     name = cbir.indexed_items()[0][0]
     assert gateway.similar_images(name, k=7).results == \
@@ -91,12 +85,12 @@ def test_every_write_leaves_one_copy(mini_system):
 @pytest.mark.parametrize("num_shards", [1, 2, 4, 8])
 def test_scatter_equals_one_scan_of_the_whole_table(rng, monkeypatch,
                                                     num_shards):
-    """However the rows are cut into shards, and whichever thread scans
-    which, a batch of kNN, radius and masked jobs over a tombstoned table
-    is one ``exact_scan`` of the whole table — and shard 0 is scanned by
-    the thread that asked, under a ``shard.scan`` span like the rest."""
+    """Whatever ``num_shards`` says, a batch of kNN, radius and masked jobs
+    over a tombstoned table is one ``exact_scan`` of the whole table per
+    (filter, k, radius) group, run by the thread that asked under one
+    ``shards.search`` span."""
     codes = pack_bits((rng.random((203, 32)) < 0.5).astype(np.uint8))
-    codes[40:60] = codes[7]                     # ties across shard borders
+    codes[40:60] = codes[7]                     # ties: the row decides
     ids = [f"p{row}" for row in range(codes.shape[0])]
     allowed = rng.random(codes.shape[0]) < 0.6
     jobs = [CodeQuery(code=codes[7], k=25),
@@ -106,22 +100,21 @@ def test_scatter_equals_one_scan_of_the_whole_table(rng, monkeypatch,
                       filter_key="f"),
             CodeQuery(code=codes[7], k=25)]     # single-flight duplicate
 
-    scanned_on: dict[int, int] = {}
-    shard_scan = _LinearShard.scan
+    scanned_on: list[tuple[int, int]] = []
 
-    def spy(shard, queries, shard_jobs):
-        scanned_on[shard.start] = threading.get_ident()
-        return shard_scan(shard, queries, shard_jobs)
-    monkeypatch.setattr(_LinearShard, "scan", spy)
+    def spy(table_codes, queries, **kwargs):
+        scanned_on.append((threading.get_ident(), table_codes.shape[0]))
+        return exact_scan(table_codes, queries, **kwargs)
+    monkeypatch.setattr(sharding, "exact_scan", spy)
 
-    with ShardedHammingIndex(32, num_shards) as sharded:
-        sharded.build(ids, codes)
-        for dead in (7, 41, 42, 150, 202):
-            sharded.remove(ids[dead])
-        _, _, alive = sharded.table.snapshot()
-        root = Tracer().start_trace("test")
-        with root:
-            got = sharded.search_batch(jobs)
+    sharded = ShardedHammingIndex(32, num_shards)
+    sharded.build(ids, codes)
+    for dead in (7, 41, 42, 150, 202):
+        sharded.remove(ids[dead])
+    _, _, alive = sharded.table.snapshot()
+    root = Tracer().start_trace("test")
+    with root:
+        got = sharded.search_batch(jobs)
 
     for job, results in zip(jobs, got):
         rows = np.flatnonzero(alive if job.allowed is None
@@ -131,13 +124,11 @@ def test_scatter_equals_one_scan_of_the_whole_table(rng, monkeypatch,
         assert results == [SearchResult(ids[row], int(distance))
                            for row, distance in zip(hit_rows, distances)]
         assert results
-    spans = [span for span in root.walk() if span.name == "shard.scan"]
-    assert sorted(span.attrs["shard"] for span in spans) == \
-        list(range(num_shards))
+    spans = [span for span in root.walk() if span.name == "shards.search"]
+    assert [span.attrs["rows"] for span in spans] == [codes.shape[0]]
     assert all(span.end_s is not None for span in spans)
-    assert len(scanned_on) == num_shards
-    assert scanned_on.pop(0) == threading.get_ident()
-    assert threading.get_ident() not in scanned_on.values()
+    # Two unfiltered and two masked groups; the duplicate rides along.
+    assert scanned_on == [(threading.get_ident(), codes.shape[0])] * 4
 
 
 def test_elastic_federate_reads_a_node_without_moving_its_rows(mini_system):

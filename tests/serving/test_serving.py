@@ -1,13 +1,16 @@
-"""Unit tests for the serving tier: sharding, batching, caching, metrics.
+"""Unit tests for the serving tier: the index, batching, caching, metrics.
 
-The central invariant mirrors the index suite's: a K-shard scatter-gather
-index returns *identical* results to the monolithic indexes for every
-query — sharding changes cost, never answers.
+The central invariant mirrors the index suite's: the serving index returns
+*identical* results to the monolithic indexes for every query, whatever
+``num_shards`` it was configured with.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor, TimeoutError as FutureTimeout
 
 import numpy as np
 import pytest
@@ -45,79 +48,80 @@ class TestShardedIndex:
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 8])
     def test_knn_identical_across_shard_counts(self, corpus, num_shards):
         ids, codes, scan = corpus
-        with ShardedHammingIndex(NUM_BITS, num_shards) as sharded:
-            sharded.build(ids, codes)
-            for qi in (0, 17, 150, 299):
-                assert sharded.search_knn(codes[qi], 15) == scan.search_knn(codes[qi], 15)
+        sharded = ShardedHammingIndex(NUM_BITS, num_shards)
+        sharded.build(ids, codes)
+        for qi in (0, 17, 150, 299):
+            assert sharded.search_knn(codes[qi], 15) == scan.search_knn(codes[qi], 15)
 
     @pytest.mark.parametrize("num_shards", [1, 4])
     def test_radius_identical_to_linear_scan(self, corpus, num_shards):
         ids, codes, scan = corpus
-        with ShardedHammingIndex(NUM_BITS, num_shards) as sharded:
-            sharded.build(ids, codes)
-            for radius in (0, 5, 12):
-                assert (sharded.search_radius(codes[3], radius)
-                        == scan.search_radius(codes[3], radius))
+        sharded = ShardedHammingIndex(NUM_BITS, num_shards)
+        sharded.build(ids, codes)
+        for radius in (0, 5, 12):
+            assert (sharded.search_radius(codes[3], radius)
+                    == scan.search_radius(codes[3], radius))
 
     def test_matches_mih_tie_break(self, corpus):
-        """The merged (distance, insertion row) order is the MIH order too."""
+        """The (distance, insertion row) order is the MIH order too."""
         ids, codes, _ = corpus
         mih = MultiIndexHashing(NUM_BITS, 4)
         mih.build(ids, codes)
-        with ShardedHammingIndex(NUM_BITS, 8) as sharded:
-            sharded.build(ids, codes)
-            assert sharded.search_knn(codes[42], 25) == mih.search_knn(codes[42], 25)
+        sharded = ShardedHammingIndex(NUM_BITS, 8)
+        sharded.build(ids, codes)
+        assert sharded.search_knn(codes[42], 25) == mih.search_knn(codes[42], 25)
 
     def test_empty_shards_are_harmless(self, rng):
-        """Fewer items than shards: some shards stay empty, results exact."""
+        """Fewer items than ``num_shards``: one range holds them all, and
+        the results are exact."""
         codes = random_codes(rng, 3)
         ids = ["a", "b", "c"]
         scan = LinearScanIndex(NUM_BITS)
         scan.build(ids, codes)
-        with ShardedHammingIndex(NUM_BITS, 8) as sharded:
-            sharded.build(ids, codes)
-            assert sharded.shard_sizes.count(0) == 5
-            assert sharded.search_knn(codes[0], 2) == scan.search_knn(codes[0], 2)
-            assert sharded.search_radius(codes[0], NUM_BITS) \
-                == scan.search_radius(codes[0], NUM_BITS)
+        sharded = ShardedHammingIndex(NUM_BITS, 8)
+        sharded.build(ids, codes)
+        assert sharded.shard_sizes == [3]
+        assert sharded.search_knn(codes[0], 2) == scan.search_knn(codes[0], 2)
+        assert sharded.search_radius(codes[0], NUM_BITS) \
+            == scan.search_radius(codes[0], NUM_BITS)
 
     def test_k_larger_than_corpus_returns_everything(self, corpus):
         ids, codes, scan = corpus
-        with ShardedHammingIndex(NUM_BITS, 4) as sharded:
-            sharded.build(ids, codes)
-            results = sharded.search_knn(codes[0], 10_000)
-            assert len(results) == len(ids)
-            assert results == scan.search_knn(codes[0], 10_000)
+        sharded = ShardedHammingIndex(NUM_BITS, 4)
+        sharded.build(ids, codes)
+        results = sharded.search_knn(codes[0], 10_000)
+        assert len(results) == len(ids)
+        assert results == scan.search_knn(codes[0], 10_000)
 
     def test_incremental_add_equals_rebuild(self, rng):
         codes = random_codes(rng, 60)
         ids = [f"p{i}" for i in range(60)]
-        with ShardedHammingIndex(NUM_BITS, 4) as incremental, \
-                ShardedHammingIndex(NUM_BITS, 4) as rebuilt:
-            incremental.build(ids[:40], codes[:40])
-            for i in range(40, 60):
-                incremental.add(ids[i], codes[i])
-            rebuilt.build(ids, codes)
-            for qi in (0, 45, 59):
-                assert (incremental.search_knn(codes[qi], 12)
-                        == rebuilt.search_knn(codes[qi], 12))
+        incremental = ShardedHammingIndex(NUM_BITS, 4)
+        rebuilt = ShardedHammingIndex(NUM_BITS, 4)
+        incremental.build(ids[:40], codes[:40])
+        for i in range(40, 60):
+            incremental.add(ids[i], codes[i])
+        rebuilt.build(ids, codes)
+        for qi in (0, 45, 59):
+            assert (incremental.search_knn(codes[qi], 12)
+                    == rebuilt.search_knn(codes[qi], 12))
 
     def test_batch_with_mixed_jobs(self, corpus):
         ids, codes, scan = corpus
         jobs = [CodeQuery(code=codes[0], k=5),
                 CodeQuery(code=codes[1], radius=8),
                 CodeQuery(code=codes[2], k=1)]
-        with ShardedHammingIndex(NUM_BITS, 4) as sharded:
-            sharded.build(ids, codes)
-            batch = sharded.search_batch(jobs)
+        sharded = ShardedHammingIndex(NUM_BITS, 4)
+        sharded.build(ids, codes)
+        batch = sharded.search_batch(jobs)
         assert batch[0] == scan.search_knn(codes[0], 5)
         assert batch[1] == scan.search_radius(codes[1], 8)
         assert batch[2] == scan.search_knn(codes[2], 1)
 
     def test_empty_index_raises(self):
-        with ShardedHammingIndex(NUM_BITS, 4) as sharded:
-            with pytest.raises(EmptyIndexError):
-                sharded.search_knn(np.zeros(1, dtype=np.uint64), 1)
+        sharded = ShardedHammingIndex(NUM_BITS, 4)
+        with pytest.raises(EmptyIndexError):
+            sharded.search_knn(np.zeros(1, dtype=np.uint64), 1)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -149,21 +153,27 @@ class GatedDoubler:
         return [r * 2 for r in requests]
 
 
+def lead_from_a_helper(batcher, request, pool):
+    """Submit ``request`` from a helper thread that waits on it, so the
+    helper leads its batch while this thread goes on submitting."""
+    return pool.submit(lambda: batcher.submit(request).result(timeout=10))
+
+
 class TestMicroBatcher:
     def test_coalesces_submit_many_into_batches(self, corpus):
         ids, codes, scan = corpus
-        with ShardedHammingIndex(NUM_BITS, 4) as sharded:
-            sharded.build(ids, codes)
-            with MicroBatcher(sharded.search_batch,
-                              max_batch_size=8) as batcher:
-                futures = batcher.submit_many(
-                    [CodeQuery(code=codes[i], k=5) for i in range(40)])
-                results = [f.result(timeout=10) for f in futures]
-                stats = batcher.stats
+        sharded = ShardedHammingIndex(NUM_BITS, 4)
+        sharded.build(ids, codes)
+        with MicroBatcher(sharded.search_batch,
+                          max_batch_size=8) as batcher:
+            futures = batcher.submit_many(
+                [CodeQuery(code=codes[i], k=5) for i in range(40)])
+            results = [f.result(timeout=10) for f in futures]
+            stats = batcher.stats
         for i, result in enumerate(results):
             assert result == scan.search_knn(codes[i], 5)
         assert stats["requests"] == 40
-        # One lock hold queued all 40, so the worker found full batches.
+        # One lock hold queued all 40, so each leader took a full batch.
         assert stats["batches"] == 5
         assert stats["largest_batch"] == 8
 
@@ -172,8 +182,9 @@ class TestMicroBatcher:
         alone the moment it arrives; what is submitted while it executes is
         the next batch."""
         execute = GatedDoubler()
-        with MicroBatcher(execute, max_batch_size=8) as batcher:
-            first = batcher.submit(0)
+        with MicroBatcher(execute, max_batch_size=8) as batcher, \
+                ThreadPoolExecutor(1) as helper:
+            first = lead_from_a_helper(batcher, 0, helper)
             assert execute.running.wait(timeout=10)
             rest = [batcher.submit(i) for i in range(1, 6)]
             queued = batcher.stats
@@ -194,10 +205,11 @@ class TestMicroBatcher:
     def test_cancelled_future_does_not_kill_the_worker(self):
         """A caller cancelling a queued future used to make ``set_result``
         raise on the worker thread; the thread died and every later submit
-        waited forever."""
+        waited forever.  Now the leader drops the cancelled one."""
         execute = GatedDoubler()
-        with MicroBatcher(execute, max_batch_size=8) as batcher:
-            blocker = batcher.submit(0)
+        with MicroBatcher(execute, max_batch_size=8) as batcher, \
+                ThreadPoolExecutor(1) as helper:
+            blocker = lead_from_a_helper(batcher, 0, helper)
             assert execute.running.wait(timeout=10)
             queued = [batcher.submit(i) for i in (1, 2, 3)]
             assert queued[1].cancel()
@@ -221,31 +233,114 @@ class TestMicroBatcher:
         errors: list[Exception] = []
         barrier = threading.Barrier(num_threads)
 
-        with ShardedHammingIndex(NUM_BITS, 4) as sharded:
-            sharded.build(ids, codes)
-            with MicroBatcher(sharded.search_batch,
-                              max_batch_size=16) as batcher:
-                def worker(offset: int) -> None:
-                    try:
-                        barrier.wait(timeout=10)
-                        for i in range(offset, offset + per_thread):
-                            got = batcher.submit(
-                                CodeQuery(code=codes[i], k=7)).result(timeout=10)
-                            if got != scan.search_knn(codes[i], 7):
-                                raise AssertionError(f"wrong result for query {i}")
-                    except Exception as exc:  # surfaced after join
-                        errors.append(exc)
+        sharded = ShardedHammingIndex(NUM_BITS, 4)
+        sharded.build(ids, codes)
+        with MicroBatcher(sharded.search_batch,
+                          max_batch_size=16) as batcher:
+            def worker(offset: int) -> None:
+                try:
+                    barrier.wait(timeout=10)
+                    for i in range(offset, offset + per_thread):
+                        got = batcher.submit(
+                            CodeQuery(code=codes[i], k=7)).result(timeout=10)
+                        if got != scan.search_knn(codes[i], 7):
+                            raise AssertionError(f"wrong result for query {i}")
+                except Exception as exc:  # surfaced after join
+                    errors.append(exc)
 
-                threads = [threading.Thread(target=worker, args=(t * per_thread,))
-                           for t in range(num_threads)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=30)
-                stats = batcher.stats
+            threads = [threading.Thread(target=worker, args=(t * per_thread,))
+                       for t in range(num_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            stats = batcher.stats
         assert not errors
         assert stats["requests"] == num_threads * per_thread
         assert stats["queue_depth"] == 0
+
+    def test_one_leader_at_a_time_under_contention(self):
+        """Eight submitters on a fast switch interval: batches never
+        overlap, every request runs exactly once, nothing is left queued."""
+        running, overlaps, seen = [0], [], []
+        lock = threading.Lock()
+
+        def execute(requests):
+            with lock:
+                running[0] += 1
+                overlaps.append(running[0])
+            time.sleep(0)
+            with lock:
+                running[0] -= 1
+                seen.extend(requests)
+            return [r * 2 for r in requests]
+
+        errors: list[BaseException] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with MicroBatcher(execute, max_batch_size=4) as batcher:
+                def client(offset: int) -> None:
+                    try:
+                        for r in range(offset, offset + 200):
+                            if batcher.submit(r).result(timeout=30) != r * 2:
+                                raise AssertionError(f"wrong result for {r}")
+                    except BaseException as exc:  # surfaced after join
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=client, args=(t * 200,))
+                           for t in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = batcher.stats
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert max(overlaps) == 1
+        assert sorted(seen) == list(range(1600))
+        assert stats["requests"] == 1600 and stats["queue_depth"] == 0
+
+    def test_a_failed_leader_steps_down(self):
+        """A ``BaseException`` from the batch reaches the leader and every
+        member, leadership is released, and the next submitter runs."""
+        class Abort(BaseException):
+            pass
+
+        def execute(requests):
+            if 0 in requests:
+                raise Abort()
+            return [r * 2 for r in requests]
+
+        with MicroBatcher(execute, max_batch_size=4) as batcher:
+            failed = batcher.submit_many([0, 1])
+            with pytest.raises(Abort):
+                failed[0].result(timeout=10)
+            assert isinstance(failed[1].exception(timeout=10), Abort)
+            assert batcher.submit(2).result(timeout=10) == 4
+            assert batcher.stats["batches"] == 2
+
+    def test_result_times_out_while_another_thread_leads(self):
+        """A waiter whose request is in someone else's running batch times
+        out; the same future completes once waited on again."""
+        execute = GatedDoubler()
+        with MicroBatcher(execute, max_batch_size=8) as batcher:
+            futures = batcher.submit_many([1, 2])
+            leader = threading.Thread(target=futures[0].result,
+                                      kwargs={"timeout": 10})
+            leader.start()
+            assert execute.running.wait(timeout=10)
+            with pytest.raises(FutureTimeout):
+                futures[1].result(timeout=0.05)
+            with pytest.raises(FutureTimeout):
+                futures[1].exception(timeout=0)
+            assert not futures[1].done()
+            execute.gate.set()
+            assert futures[1].result(timeout=10) == 4
+            leader.join(timeout=10)
+        assert execute.batches == [[1, 2]]
 
     def test_batch_failure_propagates_to_every_waiter(self):
         def explode(requests):
