@@ -347,16 +347,20 @@ class EarthQube:
         in at least ``min_votes`` of them (default: half).
 
         ``features`` is the patch's feature vector when the caller already
-        extracted it (:meth:`ingest_new_patch` does): the vote hashes that
-        vector instead of extracting the patch a second time.  Without it
-        the patch is extracted here.
+        extracted it: the vote hashes that vector instead of extracting the
+        patch a second time.  Without it the patch is extracted here.
         """
         _require_positive_k(k)
         if features is None:
             similar = self.cbir.query_by_patch(patch, k=k)
         else:
             similar = self.cbir.query_by_features(features, k=k)
-        documents = self.documents_for(similar.names)
+        return self._vote(similar.names, min_votes)
+
+    def _vote(self, names: "list[str]", min_votes: "int | None") -> list[str]:
+        """Every label in at least ``min_votes`` (default: half) of the
+        ``names``' metadata documents."""
+        documents = self.documents_for(names)
         if not documents:
             return []
         threshold = min_votes if min_votes is not None else max(1, len(documents) // 2)
@@ -372,13 +376,13 @@ class EarthQube:
         ``auto_label_if_missing`` is set, the neighbour-voting annotator
         supplies the labels first.
 
-        The patch is extracted exactly once: the one feature vector drives
-        the label vote (:meth:`auto_label`) and is hashed into the index.
-        Extraction reads only the bands, which the stored patch shares with
-        ``patch``, so relabelling cannot change it.  Validation (the name is
-        in neither the archive nor the index, ``k`` is positive) and the
-        extraction both run before any write, so a rejected ingest leaves
-        nothing behind.
+        The patch is extracted and hashed exactly once: the one packed code
+        drives the label vote (the neighbour vote :meth:`auto_label` casts)
+        and is indexed.  Extraction reads only the bands, which the stored
+        patch shares with ``patch``, so relabelling cannot change it.
+        Validation (the name is in neither the archive nor the index, ``k``
+        is positive), the extraction and the hash all run before any write,
+        so a rejected ingest leaves nothing behind.
 
         Returns a summary dict (name, labels used, whether they were
         auto-assigned).
@@ -388,10 +392,12 @@ class EarthQube:
         if auto_label_if_missing:
             _require_positive_k(k)
         features = self.extractor.extract(patch)
+        code = self.hasher.hash_packed(features[None, :])[0]
         auto_labeled = False
         labels = patch.labels
         if auto_label_if_missing:
-            predicted = self.auto_label(patch, k=k, features=features)
+            results, _ = self.cbir.query_code(code, k=k)
+            predicted = self._vote([str(r.item_id) for r in results], None)
             if predicted:
                 labels = tuple(predicted)
                 auto_labeled = True
@@ -406,7 +412,7 @@ class EarthQube:
             self.db["image_data"].insert_one(image_data_document(stored))
             self.db[RENDERED_IMAGES].insert_one(rendered_image_document(stored))
 
-        self.cbir.add_image(stored.name, features)
+        self.cbir.add_code(stored.name, code)
         if self.gateway is not None:
             self.gateway.on_ingest()
         self._append_features(features)

@@ -61,7 +61,6 @@ ranking at every tie.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
@@ -75,7 +74,7 @@ from ..errors import EmptyIndexError, ReproError, UnknownPatchError, ValidationE
 from ..obs import Observability
 from ..obs.metrics import MetricsRegistry
 from ..planner import validate_code_query
-from ..store.wal import encode_payload
+from ..store.wal import encode_record
 from .breaker import OPEN
 from .executor import (
     SKIP_INCOMPATIBLE,
@@ -934,8 +933,10 @@ class FederatedEarthQube:
         the target's :meth:`EarthQube.import_shard`, which re-sorts its
         rows to the global insertion order (a durable target journals the
         import as its own ``shard.import`` WAL record).  ``bytes`` is the
-        shard's encoded JSON size, what that record carries;
-        ``handoff.patches`` / ``handoff.bytes`` count per receiving node.
+        length of a ``shard.import`` record body carrying the shard, as
+        the WAL's record encoder writes it (codes as raw bytes after the
+        JSON head); ``handoff.patches`` / ``handoff.bytes`` count per
+        receiving node.
         Returns the ``patches`` / ``bytes`` / ``shipments`` totals.
         """
         seq_map = self.sequence_map()
@@ -944,7 +945,7 @@ class FederatedEarthQube:
             shard = self.registry.get(source).system.export_shard(names)
             self.registry.get(target).system.import_shard(shard, realign=seq_map)
             sizes = {"patches": len(names),
-                     "bytes": len(json.dumps(encode_payload(shard)))}
+                     "bytes": len(encode_record(0, "shard.import", shard))}
             shipped["shipments"] += 1
             for key, size in sizes.items():
                 shipped[key] += size

@@ -14,11 +14,18 @@ length-prefixed records::
 
     uint32 length | uint32 crc32(body) | body
 
-``body`` is UTF-8 JSON ``{"seq": n, "op": "...", "payload": {...}}`` with
-binary/array payload values wrapped by :func:`encode_payload` — the one
-value codec, which also encodes checkpoint documents
-(:mod:`repro.store.snapshot`), so a value that survives a record survives
-a checkpoint.  Sequence
+``body`` (built by :func:`encode_record`) is a UTF-8 JSON head
+``{"seq": n, "op": "...", "payload": {...}}`` with values wrapped by
+:func:`encode_payload` — the one value codec, which also encodes
+checkpoint documents (:mod:`repro.store.snapshot`), so a value that
+survives a record survives a checkpoint.  When the payload's numpy
+arrays hold any bytes, the head is followed by ``\n`` and a blob section: each array's
+raw ``tobytes()``, one after another, and its ``__nd__`` spec carries
+``"blob": [offset, nbytes]`` into that section instead of the base64
+``"data"`` a checkpoint document inlines.  ``json.dumps`` never emits a
+raw newline, so the head ends at the first ``\n``; a body without one
+is a head alone — every record written before the blob section existed
+— and replays unchanged.  Sequence
 numbers are assigned monotonically by the log and never reused — a
 checkpoint records the sequence it covers and :meth:`WriteAheadLog.truncate`
 drops everything at or below it while the numbering continues.
@@ -71,65 +78,119 @@ FSYNC_POLICIES = ("always", "interval", "off")
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
-def encode_payload(value: Any) -> Any:
+def encode_payload(value: Any, blobs: "bytearray | None" = None) -> Any:
     """JSON-encode a WAL payload or checkpoint document value.
 
     ``bytes`` become base64 under ``__bytes__``; numpy arrays keep dtype,
-    shape and raw little-endian bytes under ``__nd__`` (bit-exact round
-    trip); numpy scalars become Python scalars.  Injective: a user dict
-    using a reserved key (``__bytes__``, ``__nd__``, ``__esc__``) is
-    wrapped in an ``__esc__`` marker so :func:`decode_payload` returns it
-    verbatim.  JSON scalars, dicts and lists are checked first: they are
-    nearly every value a document holds.
+    shape and raw bytes under ``__nd__`` (bit-exact round trip): inline as
+    base64 ``data``, or, when a ``blobs`` section is given, appended to it
+    with ``"blob": [offset, nbytes]`` in the spec.  Numpy scalars become
+    Python scalars.  Injective: a user dict using a reserved key
+    (``__bytes__``, ``__nd__``, ``__esc__``) is wrapped in an ``__esc__``
+    marker so :func:`decode_payload` returns it verbatim.  JSON scalars,
+    dicts and lists are checked first: they are nearly every value a
+    document holds.
     """
     kind = type(value)
     if kind in _JSON_SCALARS:
         return value
     if kind is dict or isinstance(value, dict):
-        encoded = {str(k): v if type(v) in _JSON_SCALARS else encode_payload(v)
+        encoded = {str(k): v if type(v) in _JSON_SCALARS
+                   else encode_payload(v, blobs)
                    for k, v in value.items()}
         if "__bytes__" in encoded or "__nd__" in encoded or "__esc__" in encoded:
             return {"__esc__": True, "value": encoded}
         return encoded
     if kind is list or isinstance(value, (list, tuple)):
-        return [v if type(v) in _JSON_SCALARS else encode_payload(v)
+        return [v if type(v) in _JSON_SCALARS else encode_payload(v, blobs)
                 for v in value]
     if isinstance(value, bytes):
         return {"__bytes__": base64.b64encode(value).decode("ascii")}
     if isinstance(value, np.ndarray):
-        return {"__nd__": {
-            "dtype": value.dtype.str,
-            "shape": list(value.shape),
-            "data": base64.b64encode(value.tobytes()).decode("ascii"),
-        }}
+        spec = {"dtype": value.dtype.str, "shape": list(value.shape)}
+        raw = value.tobytes()
+        if blobs is None:
+            spec["data"] = base64.b64encode(raw).decode("ascii")
+        else:
+            spec["blob"] = [len(blobs), len(raw)]
+            blobs += raw
+        return {"__nd__": spec}
     if isinstance(value, (np.integer, np.floating, np.bool_)):
         return value.item()
     return value
 
 
-def decode_payload(value: Any, *, arrays: bool = True) -> Any:
+def decode_payload(value: Any, *, arrays: bool = True,
+                   blobs: "memoryview | None" = None) -> Any:
     """Invert :func:`encode_payload`.
 
-    ``arrays=False`` reads ``__nd__`` as a plain key, for checkpoint images
-    written before the marker was reserved there.
+    ``blobs`` is the record's blob section a ``"blob"`` spec points into
+    (``None``: empty); a spec reaching outside it raises ``ValueError``.
+    ``arrays=False`` reads ``__nd__`` as a plain key, for checkpoint
+    images written before the marker was reserved there.
     """
     if isinstance(value, dict):
         size = len(value)
         if size == 2 and value.get("__esc__") is True and "value" in value:
-            return {k: decode_payload(v, arrays=arrays)
+            return {k: decode_payload(v, arrays=arrays, blobs=blobs)
                     for k, v in value["value"].items()}
         if size == 1:
             if "__bytes__" in value:
                 return base64.b64decode(value["__bytes__"])
             if arrays and "__nd__" in value:
-                spec = value["__nd__"]
-                data = base64.b64decode(spec["data"])
-                return np.frombuffer(data, dtype=np.dtype(spec["dtype"])).reshape(
-                    tuple(spec["shape"])).copy()
-        return {k: decode_payload(v, arrays=arrays) for k, v in value.items()}
+                return _decode_array(value["__nd__"], blobs)
+        return {k: decode_payload(v, arrays=arrays, blobs=blobs)
+                for k, v in value.items()}
     if isinstance(value, list):
-        return [decode_payload(v, arrays=arrays) for v in value]
+        return [decode_payload(v, arrays=arrays, blobs=blobs) for v in value]
     return value
+
+
+def _decode_array(spec: dict, blobs: "memoryview | None") -> np.ndarray:
+    if "blob" in spec:
+        offset, nbytes = (int(n) for n in spec["blob"])
+        size = 0 if blobs is None else len(blobs)
+        if offset < 0 or nbytes < 0 or offset + nbytes > size:
+            raise ValueError(
+                f"array blob [{offset}, {nbytes}] lies outside the record's "
+                f"{size}-byte blob section")
+        data = blobs[offset:offset + nbytes] if nbytes else b""
+    else:
+        data = base64.b64decode(spec["data"])
+    return np.frombuffer(data, dtype=np.dtype(spec["dtype"])).reshape(
+        tuple(spec["shape"])).copy()
+
+
+def encode_record(seq: int, op: str, payload: Any) -> bytes:
+    """The body of one WAL record: JSON head, then any arrays' raw bytes.
+
+    The one record encoder (:meth:`WriteAheadLog.append`; the federation's
+    handoff accounting measures shipments with it).  A payload with no
+    array bytes is the head alone.
+    """
+    blobs = bytearray()
+    head = json.dumps({"seq": seq, "op": op,
+                       "payload": encode_payload(payload, blobs)},
+                      separators=(",", ":")).encode("utf-8")
+    if not blobs:
+        return head
+    return b"".join((head, b"\n", blobs))
+
+
+def _decode_record(body: bytes) -> "tuple[int, str, Any]":
+    """Invert :func:`encode_record`: ``(seq, op, payload)``.
+
+    Raises ``ValueError`` / ``KeyError`` / ``TypeError`` on a body that
+    does not decode.
+    """
+    newline = body.find(b"\n")
+    if newline < 0:
+        head, blobs = body, None
+    else:
+        head, blobs = body[:newline], memoryview(body)[newline + 1:]
+    decoded = json.loads(head.decode("utf-8"))
+    return (int(decoded["seq"]), str(decoded["op"]),
+            decode_payload(decoded.get("payload"), blobs=blobs))
 
 
 @dataclass(frozen=True)
@@ -160,7 +221,6 @@ class WriteAheadLog:
         self.faults = faults if faults is not None else NO_FAULTS
         self._metrics = metrics
         self._since_fsync = 0
-        self._records: list = []  # only the count matters; see _scan
         if self.path.exists():
             records, valid_end, base_seq = self._scan(self.path)
             # A torn tail survives on disk until now; cut it off so new
@@ -220,9 +280,7 @@ class WriteAheadLog:
         state untouched.
         """
         seq = self._last_seq + 1
-        body = json.dumps({"seq": seq, "op": op,
-                           "payload": encode_payload(payload)},
-                          separators=(",", ":")).encode("utf-8")
+        body = encode_record(seq, op, payload)
         header = _RECORD_HEADER.pack(len(body), zlib.crc32(body))
         # Header first, flushed separately: a crash between the two writes
         # leaves a header that promises more bytes than the file holds —
@@ -301,9 +359,7 @@ class WriteAheadLog:
                     f"checksum with {len(data) - body_end} valid bytes "
                     f"after it — log damaged at rest")
             try:
-                decoded = json.loads(body.decode("utf-8"))
-                seq, op = int(decoded["seq"]), str(decoded["op"])
-                payload = decode_payload(decoded.get("payload"))
+                seq, op, payload = _decode_record(body)
             except (ValueError, KeyError, TypeError) as exc:
                 raise WALCorruptionError(
                     f"WAL {path} record at offset {offset} passed its "
@@ -352,10 +408,7 @@ class WriteAheadLog:
         with open(tmp, "wb") as handle:
             handle.write(_HEADER.pack(_MAGIC, upto_seq))
             for record in kept:
-                body = json.dumps(
-                    {"seq": record.seq, "op": record.op,
-                     "payload": encode_payload(record.payload)},
-                    separators=(",", ":")).encode("utf-8")
+                body = encode_record(record.seq, record.op, record.payload)
                 handle.write(_RECORD_HEADER.pack(len(body), zlib.crc32(body)))
                 handle.write(body)
             handle.flush()

@@ -1,11 +1,12 @@
-"""One feature extraction per ingest.
+"""One feature extraction and one hash per ingest.
 
-``ingest_new_patch`` extracts the patch once and hands that vector both to
-the neighbour vote (``auto_label(..., features=...)``) and to the index
-(``cbir.add_image``).  These tests count the extractor calls on every
-ingest route — plain, serving, journaled, recovery replay — and check the
-result against a twin system driven the two-extraction way: same labels,
-same metadata document, same packed code, same feature row.
+``ingest_new_patch`` extracts the patch once, hashes that vector once, and
+hands the packed code both to the neighbour vote (``cbir.query_code``) and
+to the index (``cbir.add_code``).  These tests count the extractor and
+hasher calls on every ingest route — plain, serving, journaled, recovery
+replay — and check the result against a twin system driven the
+two-extraction, two-hash way: same labels, same metadata document, same
+packed code, same feature row.
 """
 
 from dataclasses import replace
@@ -74,6 +75,43 @@ def extractions(seed, monkeypatch):
     return calls
 
 
+@pytest.fixture
+def hashes(seed, monkeypatch):
+    """The number of rows the shared hasher is asked to hash, per call."""
+    calls: list[int] = []
+    original = seed.hasher.hash_packed
+
+    def counting(features):
+        calls.append(len(features))
+        return original(features)
+
+    monkeypatch.setattr(seed.hasher, "hash_packed", counting)
+    return calls
+
+
+@pytest.mark.parametrize("auto_label", [True, False])
+def test_one_hash_per_ingest(seed, hashes, auto_label):
+    node = fresh_node(seed)
+    hashes.clear()          # building the node hashed its archive
+    node.ingest_new_patch(new_patch("HASH_DIRECT"),
+                          auto_label_if_missing=auto_label)
+    assert hashes == [1]
+
+
+def test_one_hash_per_journaled_ingest(seed, hashes, tmp_path):
+    node = fresh_node(seed)
+    durable = DurableEarthQube(node, DurabilityConfig(directory=str(tmp_path)))
+    hashes.clear()
+    try:
+        node.ingest_new_patch(new_patch("HASH_DURABLE"))
+        assert hashes == [1]
+        node.ingest_new_patch(new_patch("HASH_DURABLE_2", 4343),
+                              auto_label_if_missing=False)
+        assert hashes == [1, 1]
+    finally:
+        durable.close()
+
+
 @pytest.mark.parametrize("auto_label", [True, False])
 def test_one_extraction_per_ingest(seed, extractions, auto_label):
     node = fresh_node(seed)
@@ -136,7 +174,8 @@ def test_ingest_matches_the_two_extraction_twin(seed, auto_label):
     patch = new_patch("ONCE_TWIN")
     summary = node.ingest_new_patch(patch, auto_label_if_missing=auto_label)
 
-    # The twin: vote from its own extraction, hash a second one.
+    # The twin: vote from its own extraction and hash, then extract and
+    # hash a second time for the index.
     labels, auto_labeled = patch.labels, False
     if auto_label:
         predicted = twin.auto_label(patch)

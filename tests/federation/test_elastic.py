@@ -430,9 +430,10 @@ class TestHandoffAccounting:
     """What join / leave / death report shipping, pinned on a fixed corpus.
 
     The 36-patch R=2 federation is deterministic, so the shipped patch
-    and byte counts are exact; a shipment's bytes are its shard's encoded
-    JSON size.  The labeled ``handoff.*`` counters are per receiving node
-    and must sum to the reported totals.
+    and byte counts are exact; a shipment's bytes are the length of a
+    ``shard.import`` WAL record body carrying its shard.  The labeled
+    ``handoff.*`` counters are per receiving node and must sum to the
+    reported totals.
     """
 
     def test_died_join_leave_totals_and_counters(self, oracle):
@@ -443,20 +444,20 @@ class TestHandoffAccounting:
             snapshot = fed.metrics.snapshot()
         assert {key: died[key] for key in ("patches", "bytes", "shipments",
                                            "lost")} == \
-            {"patches": 23, "bytes": 12447, "shipments": 2, "lost": []}
+            {"patches": 23, "bytes": 11659, "shipments": 2, "lost": []}
         assert {key: joined[key] for key in ("patches", "bytes",
                                              "shipments")} == \
-            {"patches": 23, "bytes": 12447, "shipments": 2}
+            {"patches": 23, "bytes": 11659, "shipments": 2}
         assert {key: left[key] for key in ("patches", "bytes",
                                            "shipments")} == \
-            {"patches": 27, "bytes": 14675, "shipments": 2}
+            {"patches": 27, "bytes": 13735, "shipments": 2}
         families = snapshot["families"]["counters"]
         per_node = {name: {entry["labels"]["node"]: entry["value"]
                            for entry in families[name]}
                     for name in ("handoff.patches", "handoff.bytes")}
         assert per_node == {
             "handoff.patches": {"alpha": 28, "beta": 36, "gamma": 9},
-            "handoff.bytes": {"alpha": 15018, "beta": 19613, "gamma": 4938},
+            "handoff.bytes": {"alpha": 14046, "beta": 18371, "gamma": 4636},
         }
         for key in ("patches", "bytes"):
             assert sum(per_node[f"handoff.{key}"].values()) == \

@@ -1,12 +1,14 @@
 """The one value codec: WAL records and checkpoint documents.
 
 ``encode_payload`` / ``decode_payload`` encode both the WAL's record
-payloads and the checkpoint's document image.  Two properties are pinned
-here: every value the system stores round-trips through JSON exactly,
-and on every document the document store holds, the codec writes the
-same JSON the former document-only codec (inlined below as the oracle)
-wrote — so checkpoint images differ only where a user dict uses the newly
-reserved ``__nd__`` key, which is now escaped.
+payloads and the checkpoint's document image.  Three properties are
+pinned here: every value the system stores round-trips exactly, through
+JSON alone (checkpoint documents, arrays inline) and through a WAL record
+(arrays in its blob section); and on every document the document store
+holds, the codec writes the same JSON the former document-only codec
+(inlined below as the oracle) wrote — so checkpoint images differ only
+where a user dict uses the newly reserved ``__nd__`` key, which is now
+escaped.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from hypothesis.extra import numpy as hnp
 
 from repro.config import ArchiveConfig, EarthQubeConfig, MiLaNConfig, TrainConfig
 from repro.earthqube import EarthQube
-from repro.store.wal import decode_payload, encode_payload
+from repro.store.wal import (_decode_record, decode_payload, encode_payload,
+                             encode_record)
 
 from test_snapshot import RESERVED_KEY_DOCUMENTS
 
@@ -109,6 +112,32 @@ def assert_same(decoded, original) -> None:
 def test_every_value_survives_json(value):
     text = json.dumps(encode_payload(value))
     assert_same(decode_payload(json.loads(text)), value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values)
+def test_every_value_survives_a_wal_record(value):
+    seq, op, decoded = _decode_record(encode_record(7, "op", value))
+    assert (seq, op) == (7, "op")
+    assert_same(decoded, value)
+
+
+def test_inline_and_blob_forms_differ_only_in_array_data():
+    value = {"bands": [np.arange(6, dtype=np.float32).reshape(2, 3),
+                       np.array(7, dtype=np.uint64)], "name": "p"}
+    blobs = bytearray()
+    inline, split = encode_payload(value), encode_payload(value, blobs)
+    for inline_nd, split_nd, array in zip(inline["bands"], split["bands"],
+                                          value["bands"]):
+        inline_spec = dict(inline_nd["__nd__"])
+        split_spec = dict(split_nd["__nd__"])
+        offset, nbytes = split_spec.pop("blob")
+        assert base64.b64decode(inline_spec.pop("data")) == \
+            bytes(blobs[offset:offset + nbytes]) == array.tobytes()
+        assert inline_spec == split_spec
+    assert len(blobs) == 24 + 8
+    assert decode_payload(json.loads(json.dumps(split)),
+                          blobs=memoryview(bytes(blobs)))["name"] == "p"
 
 
 @given(st.dictionaries(st.sampled_from(RESERVED), leaves, min_size=1))

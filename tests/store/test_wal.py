@@ -1,5 +1,7 @@
-"""Write-ahead log unit tests: framing, torn tails, corruption, truncate."""
+"""Write-ahead log unit tests: framing, record format, torn tails,
+corruption, truncate."""
 
+import json
 import struct
 import zlib
 
@@ -118,6 +120,140 @@ def test_invalid_fsync_policy_rejected(wal_path):
         WriteAheadLog(wal_path, fsync="sometimes")
     with pytest.raises(ValidationError):
         WriteAheadLog(wal_path, fsync="interval", fsync_interval=0)
+
+
+# --------------------------------------------------------------------- #
+# Record format: JSON head, then the arrays' raw bytes
+# --------------------------------------------------------------------- #
+
+def _frame(body: bytes) -> bytes:
+    return struct.pack("<II", len(body), zlib.crc32(body)) + body
+
+
+def _bodies(path):
+    """Every record body in a log file, in order."""
+    data = path.read_bytes()
+    offset, bodies = 16, []
+    while offset < len(data):
+        length, _ = struct.unpack_from("<II", data, offset)
+        bodies.append(data[offset + 8:offset + 8 + length])
+        offset += 8 + length
+    return bodies
+
+
+def _odd_arrays():
+    rng = np.random.default_rng(11)
+    return {
+        "f32": rng.random((5, 3)).astype(np.float32),
+        "f64": rng.normal(size=7),
+        "u64": rng.integers(0, 2**64 - 1, size=4, dtype=np.uint64),
+        "zero_d": np.array(2.5),
+        "strided": np.arange(24, dtype=np.int32).reshape(4, 6)[:, ::2],
+        "big_endian": rng.random(6).astype(">f8"),
+        "empty": np.zeros((0, 3), dtype=np.float32),
+    }
+
+
+def _assert_bit_exact(decoded, original):
+    assert decoded.dtype == original.dtype
+    assert decoded.shape == original.shape
+    assert decoded.tobytes() == original.tobytes()
+
+
+def test_arrays_round_trip_bit_exact_through_append_and_replay(wal_path):
+    arrays = _odd_arrays()
+    payload = {"top": arrays, "nested": [{"inner": list(arrays.values())}],
+               "blob_bytes": b"\x00\n\xff"}
+    with WriteAheadLog(wal_path, fsync="off") as wal:
+        wal.append("arrays", payload)
+    [record] = read_records(wal_path)
+    for key, original in arrays.items():
+        _assert_bit_exact(record.payload["top"][key], original)
+    for decoded, original in zip(record.payload["nested"][0]["inner"],
+                                 arrays.values()):
+        _assert_bit_exact(decoded, original)
+    assert record.payload["blob_bytes"] == b"\x00\n\xff"
+
+
+def test_arrays_ride_after_the_head_as_raw_bytes(wal_path):
+    band = np.arange(64, dtype=np.float32).reshape(8, 8)
+    with WriteAheadLog(wal_path) as wal:
+        wal.append("band", {"B02": band})
+        wal.append("plain", {"i": 1})
+    with_arrays, plain = _bodies(wal_path)
+    head, blobs = with_arrays.split(b"\n", 1)
+    spec = json.loads(head)["payload"]["B02"]["__nd__"]
+    assert spec == {"dtype": "<f4", "shape": [8, 8], "blob": [0, 256]}
+    assert blobs == band.tobytes()
+    # A record without arrays is the JSON head alone.
+    assert plain == b'{"seq":2,"op":"plain","payload":{"i":1}}'
+
+
+def test_inline_encoded_record_replays_and_survives_truncate(wal_path):
+    arrays = _odd_arrays()
+    with WriteAheadLog(wal_path) as wal:
+        wal.append("first", {"i": 1})
+    # A record body as written before the blob section existed.
+    legacy = json.dumps({"seq": 2, "op": "legacy",
+                         "payload": encode_payload({"arrays": arrays})},
+                        separators=(",", ":")).encode("utf-8")
+    assert b"\n" not in legacy
+    with open(wal_path, "ab") as handle:
+        handle.write(_frame(legacy))
+    with WriteAheadLog(wal_path) as wal:
+        assert wal.append("third", {"band": arrays["f32"]}) == 3
+        [legacy_record] = [r for r in wal.replay() if r.op == "legacy"]
+        for key, original in arrays.items():
+            _assert_bit_exact(legacy_record.payload["arrays"][key], original)
+        assert wal.truncate(1) == 2
+        records = wal.replay()
+    assert [r.op for r in records] == ["legacy", "third"]
+    for key, original in arrays.items():
+        _assert_bit_exact(records[0].payload["arrays"][key], original)
+    _assert_bit_exact(records[1].payload["band"], arrays["f32"])
+
+
+def test_flipped_byte_in_a_midlog_blob_section_raises(wal_path):
+    with WriteAheadLog(wal_path) as wal:
+        wal.append("arrays", {"band": np.ones(32, dtype=np.float32)})
+        first_end = wal_path.stat().st_size
+        wal.append("after", {"i": 2})
+    data = bytearray(wal_path.read_bytes())
+    data[first_end - 10] ^= 0x01  # inside the first record's blob section
+    wal_path.write_bytes(bytes(data))
+    with pytest.raises(WALCorruptionError, match="damaged at rest"):
+        read_records(wal_path)
+
+
+def test_final_record_cut_inside_its_blob_section_is_torn(wal_path):
+    with WriteAheadLog(wal_path) as wal:
+        wal.append("keep", {"i": 1})
+        wal.append("torn", {"band": np.ones(32, dtype=np.float32)})
+    wal_path.write_bytes(_truncated(wal_path, 40))  # 128 blob bytes
+    assert [r.op for r in read_records(wal_path)] == ["keep"]
+
+
+@pytest.mark.parametrize("blob", [[0, 9], [4, 8], [-1, 4], [9, 0]])
+def test_blob_spec_outside_the_section_raises(wal_path, blob):
+    with WriteAheadLog(wal_path) as wal:
+        wal.append("first", {"i": 1})
+    spec = {"dtype": "<u8", "shape": [blob[1] // 8], "blob": blob}
+    head = json.dumps({"seq": 2, "op": "bad",
+                       "payload": {"codes": {"__nd__": spec}}})
+    with open(wal_path, "ab") as handle:
+        handle.write(_frame(head.encode() + b"\n" + bytes(8)))
+    with pytest.raises(WALCorruptionError, match="does not decode"):
+        read_records(wal_path)
+
+
+def test_user_dict_shaped_like_a_blob_spec_comes_back_verbatim(wal_path):
+    lookalike = {"__nd__": {"dtype": "<f4", "shape": [1], "blob": [0, 4]}}
+    payload = {"doc": lookalike, "band": np.ones(1, dtype=np.float32)}
+    with WriteAheadLog(wal_path) as wal:
+        wal.append("tricky", payload)
+    [record] = read_records(wal_path)
+    assert record.payload["doc"] == lookalike
+    _assert_bit_exact(record.payload["band"], payload["band"])
 
 
 # --------------------------------------------------------------------- #
