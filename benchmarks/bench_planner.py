@@ -1,20 +1,26 @@
-"""Cost-based planner picks vs every fixed strategy, on a measured grid.
+"""The one filtered plan: ``exact_scan``'s two arms on a measured grid.
 
-Every similarity query runs the one exact scan (``LinearScanIndex``);
-the query planner prices the two physical plans of a filtered kNN query
-— pre-filter (the allowed-row mask pushed into the scan) and post-filter
-(an over-fetched unfiltered scan, screened and refilled) — and is
-supposed to pick the one that is actually faster.  This benchmark checks
-that claim the only way that counts: it *measures* both fixed plans on a
-corpus-size x filter-selectivity grid, asks the planner (warmed with
-workload evidence exactly as the live system warms it) for its pick, and
-scores a **mispick** whenever the picked plan's measured time exceeds the
-best fixed plan's by more than 15%.
+Every filtered similarity query pushes its allowed rows into
+:func:`repro.index.hamming.exact_scan`, which picks one of two arms:
 
-Every ranking — both fixed plans, every grid cell — is checked
-byte-identical against a brute-force filter-then-rank oracle before any
-timing is reported; a mismatch aborts the run.  Plans must only move
-work around, never change results.
+* **gather** — copy ``codes[rows]`` and scan only those rows;
+* **scan** — scan every row, then select among ``distances[rows]``.
+
+A single query scans when the rows cover at least
+``DENSE_ROWS_FRACTION`` of the table; a batch always gathers.  This
+benchmark measures both arms on a (rows x code bits) x selectivity x
+query-kind (single kNN, single radius, a kNN batch of 16) grid and
+scores that rule's pick: a **mispick** is a cell where the picked arm's
+measured time exceeds the faster arm's by more than 15 %.  Each arm is
+forced by pinning the module constant around the timed calls (0 makes a
+single query scan; a batch, or the constant 2, gathers), so what is
+timed is the kernel that serves.  Every cell also reports the picked
+arm's time over an unfiltered scan of the same table.
+
+Every ranking — both arms, every cell — is checked byte-identical against
+a brute-force filter-then-rank oracle before any timing is reported; a
+mismatch aborts the run.  The arms may only move work around, never
+change results.
 
 The JSON report lands in ``--out`` (default ``BENCH_planner.json``).
 
@@ -31,162 +37,152 @@ import time
 
 import numpy as np
 
-from bench_filtered_search import clustered_codes, oracle_filtered_knn, timed
-from repro.index import LinearScanIndex
-from repro.obs.costs import measure, selectivity_bucket
-from repro.obs.workload import WorkloadStats
-from repro.planner import QueryPlanner
+from repro.index import hamming
+from repro.index.hamming import (exact_scan, hamming_distances_to_query,
+                                 scans_every_row)
 
-NUM_BITS = 128
-K = 10
-NUM_QUERIES = 24
-WARMUP_QUERIES = 6
-SIZES = [10_000, 50_000]
-SELECTIVITIES = [0.01, 0.05, 0.2]
-SMOKE_SIZES = [6_000]
-SMOKE_SELECTIVITIES = [0.01, 0.2]
-#: A pick within this factor of the measured-fastest fixed plan is fine.
+K = 11
+RADIUS = 8
+NUM_QUERIES = 16
+REPEATS = 5
+#: (rows, code bits) tables; the 590k-row cell is the paper's archive size.
+TABLES = [(10_000, 128), (50_000, 64), (50_000, 128), (590_000, 64)]
+SELECTIVITIES = [0.01, 0.05, 0.2, 0.5, 0.9, 1.0]
+SMOKE_TABLES = [(20_000, 64), (20_000, 128)]
+SMOKE_SELECTIVITIES = [0.01, 0.2, 0.5, 1.0]
+#: Query kind -> (selection, queries per ``exact_scan`` call).
+KINDS = {"knn": ({"k": K}, 1), "radius": ({"radius": RADIUS}, 1),
+         "knn_batch16": ({"k": K}, 16)}
+#: A pick within this factor of the faster arm is fine.
 MISPICK_TOLERANCE = 1.15
-
-STRATEGY_LABELS = {"pre": "prefilter", "post": "postfilter"}
-
-
-# --------------------------------------------------------------------- #
-# Plan execution
-# --------------------------------------------------------------------- #
-
-def execute_plan(index, plan, query, mask, allowed_rows):
-    """Run one physical plan the way the execution tier does.
-
-    Pre-filter plans scan the allowed rows only; post-filter plans scan
-    everything, over-fetch by the plan's ``overfetch`` and refill by
-    quadrupling, exactly like :class:`repro.planner.QueryExecutor`.
-    """
-    if plan.filter_mode == "pre":
-        results = index.search_knn(query, K, allowed=mask)
-        return [(int(r.item_id), r.distance) for r in results]
-    n = len(index)
-    fetch = int(plan.overfetch or K)
-    while True:
-        results = index.search_knn(query, fetch)
-        kept = [(int(r.item_id), r.distance) for r in results
-                if int(r.item_id) in allowed_rows]
-        if len(kept) >= K or fetch >= n:
-            return kept[:K]
-        fetch = min(n, fetch * 4)
+#: Values of DENSE_ROWS_FRACTION that force each arm of a single query.
+FORCE = {"gather": 2.0, "scan": 0.0}
 
 
-def fixed_plans(planner, *, corpus_size, selectivity, filter_count):
-    """Both forced strategies, as the planner itself prices them."""
-    plans = {}
-    for mode in ("pre", "post"):
-        choice = planner.plan_similarity(
-            corpus_size=corpus_size, k=K, selectivity=selectivity,
-            filter_count=filter_count, forced_mode=mode)
-        plans[choice.chosen.key] = choice.chosen
-    return plans
+def clustered_codes(n: int, words: int, rng: np.random.Generator) -> np.ndarray:
+    """Cluster-structured packed codes (what a trained hasher emits):
+    ~200 rows per center, six random bit flips per row."""
+    centers = rng.integers(0, np.iinfo(np.uint64).max,
+                           size=(max(8, n // 200), words), dtype=np.uint64)
+    codes = centers[rng.integers(0, centers.shape[0], size=n)]
+    flips = rng.integers(0, 64 * words, size=(n, 6))
+    for column in range(flips.shape[1]):
+        word, bit = np.divmod(flips[:, column], 64)
+        codes[np.arange(n), word] ^= np.uint64(1) << bit.astype(np.uint64)
+    return codes
 
 
-def warm_workload(workload, index, plans, queries, mask, allowed_rows,
-                  selectivity):
-    """Feed measured per-family cost counters into the workload store —
-    the same evidence the live system accumulates — so the planner prices
-    observed families from measurements rather than the analytic model."""
-    bucket = selectivity_bucket(selectivity)
-    for plan in plans.values():
-        family = (plan.backend, STRATEGY_LABELS[plan.filter_mode], bucket)
-        for query in queries[:WARMUP_QUERIES]:
-            start = time.perf_counter()
-            with measure() as ledger:
-                execute_plan(index, plan, query, mask, allowed_rows)
-            workload.record(
-                family=family,
-                duration_ms=(time.perf_counter() - start) * 1e3,
-                costs=ledger.report()["costs"])
+def oracle(codes, query, rows, *, k=None, radius=None) -> list:
+    """Brute-force filter-then-rank ground truth."""
+    distances = hamming_distances_to_query(codes, query)[rows]
+    keep = np.arange(rows.shape[0]) if radius is None \
+        else np.flatnonzero(distances <= radius)
+    order = keep[np.lexsort((keep, distances[keep]))]
+    if k is not None:
+        order = order[:k]
+    return [(int(rows[i]), int(distances[i])) for i in order]
 
 
-# --------------------------------------------------------------------- #
-# Grid sweep
-# --------------------------------------------------------------------- #
+def run(codes, queries, rows, select, batch) -> list:
+    """``exact_scan`` over ``batch`` queries per call, as requests run it."""
+    out = []
+    for start in range(0, len(queries), batch):
+        for found, distances in exact_scan(
+                codes, queries[start:start + batch], rows=rows, **select):
+            out.append(list(zip(found.tolist(), distances.tolist())))
+    return out
 
-def sweep(sizes, selectivities, rng) -> tuple[dict, list]:
+
+def timed(fn) -> float:
+    """Best-of-``REPEATS`` wall time of ``fn()`` in seconds, after one
+    warm-up call."""
+    fn()
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def forced(arm: str, fn):
+    """Run ``fn`` with the kernel pinned to one arm."""
+    constant = hamming.DENSE_ROWS_FRACTION
+    hamming.DENSE_ROWS_FRACTION = FORCE[arm]
+    try:
+        return fn()
+    finally:
+        hamming.DENSE_ROWS_FRACTION = constant
+
+
+def sweep(tables, selectivities, rng) -> "tuple[dict, list]":
     report: dict = {}
     cells = []
-    for n in sizes:
-        codes = clustered_codes(n, rng)
-        index = LinearScanIndex(NUM_BITS)
-        index.build(list(range(n)), codes)
+    for n, bits in tables:
+        codes = clustered_codes(n, bits // 64, rng)
         queries = codes[rng.integers(0, n, size=NUM_QUERIES)]
-        size_report: dict = {}
-        for selectivity in selectivities:
-            mask = rng.random(n) < selectivity
-            if not mask.any():
-                mask[rng.integers(0, n)] = True
-            allowed_rows = set(np.flatnonzero(mask).tolist())
-            filter_count = int(mask.sum())
-            oracles = [oracle_filtered_knn(codes, query, mask, K)
-                       for query in queries]
-
-            # Fresh per-corpus workload, as a live node would accumulate.
-            workload = WorkloadStats()
-            planner = QueryPlanner(workload=workload)
-            plans = fixed_plans(planner, corpus_size=n,
-                                selectivity=selectivity,
-                                filter_count=filter_count)
-            warm_workload(workload, index, plans, queries, mask,
-                          allowed_rows, selectivity)
-
-            cell: dict = {"allowed_rows": filter_count, "fixed": {}}
-            timings = {}
-            for key, plan in plans.items():
-                rankings = [execute_plan(index, plan, query, mask,
-                                         allowed_rows)
+        table_report: dict = {}
+        for kind, (select, batch) in KINDS.items():
+            unfiltered_s = timed(
+                lambda: run(codes, queries, None, select, batch))
+            by_selectivity: dict = {}
+            for selectivity in selectivities:
+                rows = np.flatnonzero(rng.random(n) < selectivity)
+                if rows.shape[0] == 0:
+                    rows = np.array([int(rng.integers(0, n))])
+                expected = [oracle(codes, query, rows, **select)
                             for query in queries]
-                if rankings != oracles:
-                    raise SystemExit(
-                        f"ranking mismatch vs oracle: plan={key} "
-                        f"n={n} selectivity={selectivity}")
-                seconds = timed(lambda plan=plan: [
-                    execute_plan(index, plan, query, mask, allowed_rows)
-                    for query in queries])
-                timings[key] = seconds / NUM_QUERIES
-                cell["fixed"][key] = {
-                    "ms_per_query": round(timings[key] * 1e3, 4),
-                    "predicted_ns": round(plan.predicted_ns, 1),
-                    "identical_to_oracle": True,
+                cell: dict = {"allowed_rows": int(rows.shape[0]), "arms": {}}
+                timings = {}
+                # A batch never scans, so its scan arm is what it would
+                # cost: one single-query scan per query.
+                arms = {
+                    "gather": lambda: forced("gather", lambda: run(
+                        codes, queries, rows, select, batch)),
+                    "scan": lambda: forced("scan", lambda: run(
+                        codes, queries, rows, select, 1)),
                 }
-
-            plan_s = timed(lambda: [planner.plan_similarity(
-                corpus_size=n, k=K, selectivity=selectivity,
-                filter_count=filter_count) for _ in range(NUM_QUERIES)])
-            choice = planner.plan_similarity(
-                corpus_size=n, k=K, selectivity=selectivity,
-                filter_count=filter_count)
-            picked = choice.chosen.key
-            best_key = min(timings, key=timings.get)
-            worst_key = max(timings, key=timings.get)
-            mispick = timings[picked] > MISPICK_TOLERANCE * timings[best_key]
-            cell["planner"] = {
-                "picked": picked,
-                "estimator": choice.chosen.estimator,
-                "ms_per_query": round(timings[picked] * 1e3, 4),
-                "planning_overhead_us_per_query":
-                    round(plan_s / NUM_QUERIES * 1e6, 2),
-                "measured_best": best_key,
-                "vs_best_fixed": round(timings[picked] / timings[best_key], 3),
-                "vs_worst_fixed_speedup":
-                    round(timings[worst_key] / timings[picked], 2),
-                "mispick": mispick,
-            }
-            cells.append(cell)
-            size_report[str(selectivity)] = cell
-        report[str(n)] = size_report
+                for arm, answer in arms.items():
+                    if answer() != expected:
+                        raise SystemExit(
+                            f"ranking mismatch vs oracle: arm={arm} n={n} "
+                            f"bits={bits} kind={kind} "
+                            f"selectivity={selectivity}")
+                    seconds = timed(answer)
+                    timings[arm] = seconds / NUM_QUERIES
+                    cell["arms"][arm] = {
+                        "ms_per_query": round(timings[arm] * 1e3, 4),
+                        "identical_to_oracle": True,
+                    }
+                picked = ("scan" if scans_every_row(n, rows, batch)
+                          else "gather")
+                best = min(timings, key=timings.get)
+                cell.update({
+                    "picked": picked,
+                    "measured_best": best,
+                    "picked_vs_best_arm":
+                        round(timings[picked] / timings[best], 3),
+                    "picked_vs_unfiltered":
+                        round(timings[picked] * NUM_QUERIES / unfiltered_s,
+                              3),
+                    "mispick":
+                        timings[picked] > MISPICK_TOLERANCE * timings[best],
+                })
+                cells.append(cell)
+                by_selectivity[str(selectivity)] = cell
+                print(f"[bench_planner] n={n} bits={bits} {kind} "
+                      f"s={selectivity}: gather "
+                      f"{cell['arms']['gather']['ms_per_query']} ms, scan "
+                      f"{cell['arms']['scan']['ms_per_query']} ms, picked "
+                      f"{picked}{' (MISPICK)' if cell['mispick'] else ''}",
+                      file=sys.stderr)
+            table_report[kind] = {
+                "unfiltered_ms_per_query":
+                    round(unfiltered_s / NUM_QUERIES * 1e3, 4),
+                "selectivities": by_selectivity}
+        report[f"{n}x{bits}"] = table_report
     return report, cells
 
-
-# --------------------------------------------------------------------- #
-# Entry point
-# --------------------------------------------------------------------- #
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -196,47 +192,40 @@ def main(argv=None) -> int:
                         help="tiny configuration for CI smoke runs")
     parser.add_argument("--seed", type=int, default=20220711)
     args = parser.parse_args(argv)
-    sizes = SMOKE_SIZES if args.smoke else SIZES
+    tables = SMOKE_TABLES if args.smoke else TABLES
     selectivities = SMOKE_SELECTIVITIES if args.smoke else SELECTIVITIES
     rng = np.random.default_rng(args.seed)
 
-    grid, cells = sweep(sizes, selectivities, rng)
+    grid, cells = sweep(tables, selectivities, rng)
 
-    mispicks = sum(cell["planner"]["mispick"] for cell in cells)
-    largest = str(max(sizes))
-    most_selective = str(min(selectivities))
-    headline_cell = grid[largest][most_selective]
+    mispicks = sum(cell["mispick"] for cell in cells)
     report = {
-        "config": {"num_bits": NUM_BITS, "k": K,
-                   "num_queries": NUM_QUERIES,
-                   "warmup_queries": WARMUP_QUERIES,
+        "config": {"k": K, "radius": RADIUS, "num_queries": NUM_QUERIES,
+                   "repeats": REPEATS,
                    "mispick_tolerance": MISPICK_TOLERANCE,
-                   "sizes": sizes, "selectivities": selectivities,
+                   "tables": [f"{n}x{bits}" for n, bits in tables],
+                   "selectivities": selectivities,
                    "seed": args.seed, "smoke": args.smoke},
+        "dense_rows_fraction": hamming.DENSE_ROWS_FRACTION,
         "grid": grid,
         "mispick_rate": round(mispicks / len(cells), 3),
         "headline": {
-            "corpus": int(largest),
-            "selectivity": float(most_selective),
             "cells": len(cells),
             "mispicks": mispicks,
             "identical_to_oracle": True,
-            "planner_picked": headline_cell["planner"]["picked"],
-            "planner_vs_worst_fixed_speedup":
-                headline_cell["planner"]["vs_worst_fixed_speedup"],
-            "max_vs_best_fixed": max(cell["planner"]["vs_best_fixed"]
-                                     for cell in cells),
+            "max_picked_vs_best_arm":
+                max(cell["picked_vs_best_arm"] for cell in cells),
+            "max_picked_vs_unfiltered":
+                max(cell["picked_vs_unfiltered"] for cell in cells),
         },
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)
     print(f"[bench_planner] {len(cells)} cells, {mispicks} mispicks "
-          f"(rate {report['mispick_rate']}); n={largest} "
-          f"selectivity={most_selective}: picked "
-          f"{report['headline']['planner_picked']}, "
-          f"x{report['headline']['planner_vs_worst_fixed_speedup']} vs "
-          f"worst fixed (all rankings oracle-identical); "
-          f"report -> {args.out}")
+          f"(rate {report['mispick_rate']}) at DENSE_ROWS_FRACTION="
+          f"{hamming.DENSE_ROWS_FRACTION}; picked arm at most "
+          f"x{report['headline']['max_picked_vs_unfiltered']} an unfiltered "
+          f"scan (all rankings oracle-identical); report -> {args.out}")
     return 0
 
 

@@ -9,8 +9,9 @@ Commands mirror the library workflow:
 * ``similar``   — bootstrap and run CBIR from an archive image,
 * ``describe``  — print the bootstrapped system summary,
 * ``calibrate`` — measure per-unit operator costs (ns/row scanned,
-  ns/bucket probed, ...) on this machine and optionally write the
-  ``calibration.json`` sidecar the cost model consumes.
+  ns/bucket probed, ...) on this machine and optionally write them to a
+  ``calibration.json`` file; no query path reads it (the observability
+  benchmark ranks linear scan vs MIH with it).
 
 The CLI is intentionally thin: every command maps 1:1 onto public API calls
 so it doubles as living documentation.
@@ -86,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_arguments(describe)
 
     calibrate = commands.add_parser(
-        "calibrate", help="measure per-unit operator costs on this machine")
+        "calibrate", help="measure per-unit operator costs on this machine "
+                          "(a report; no query path reads it)")
     calibrate.add_argument("--sizes", type=int, nargs="+",
                            default=[2000, 8000],
                            help="synthetic corpus sizes (default: 2000 8000)")

@@ -128,10 +128,11 @@ class IndexConfig:
     """Hash-index settings: Hamming radius and the tombstone-compaction
     thresholds.
 
-    How a metadata-filtered similarity query executes (pre-filter mask
-    pushdown vs over-fetched post-filter) is not configured here: the
-    cost-based planner prices both per query (:class:`PlannerConfig`,
-    :mod:`repro.planner`) and both return byte-identical rankings.
+    How a metadata-filtered similarity query executes is not configured
+    here: its allowed rows are pushed into the exact scan, which gathers
+    a sparse set and scans a dense one whole
+    (:data:`repro.index.hamming.DENSE_ROWS_FRACTION`); both arms return
+    byte-identical rankings.
     """
 
     hamming_radius: int = 2
@@ -305,36 +306,6 @@ class DurabilityConfig:
 
 
 @dataclass(frozen=True)
-class PlannerConfig:
-    """Cost-based query-planner settings (:mod:`repro.planner`).
-
-    Every similarity query is planned by
-    :class:`~repro.planner.QueryPlanner`: candidate physical plans
-    (pre/post filter, over-fetch) are priced with calibrated unit costs
-    plus live workload statistics, and the cheapest is run by the shared
-    :class:`~repro.planner.QueryExecutor` (an explicit ``strategy=`` or a
-    federation plan hint pins the filter mode).
-
-    * ``calibration_path`` — calibration sidecar auto-loaded at system
-      construction (``repro calibrate --out calibration.json``); when the
-      file is missing the planner prices with built-in default units and
-      reports ``calibrated=False`` (the ``planner.calibrated`` gauge).
-    * ``overfetch_factor`` — safety margin on the ``k / selectivity``
-      initial fetch of post-filter plans.
-
-    Every plan in the planner's search space returns byte-identical
-    rankings; this config only moves latency around.
-    """
-
-    calibration_path: "str | None" = "calibration.json"
-    overfetch_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        _require(self.overfetch_factor >= 1.0,
-                 "overfetch_factor must be >= 1")
-
-
-@dataclass(frozen=True)
 class EarthQubeConfig:
     """Top-level EarthQube system configuration (ties all tiers together)."""
 
@@ -343,7 +314,6 @@ class EarthQubeConfig:
     milan: MiLaNConfig = field(default_factory=MiLaNConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     index: IndexConfig = field(default_factory=IndexConfig)
-    planner: PlannerConfig = field(default_factory=PlannerConfig)
     serving: ServingConfig = field(default_factory=ServingConfig)
     obs: ObsConfig = field(default_factory=ObsConfig)
     durability: DurabilityConfig = field(default_factory=DurabilityConfig)

@@ -209,11 +209,10 @@ class EarthQubeAPI:
         span tree when traced, from the cost-only ledger otherwise, and
         are omitted only when cost tracking is disabled.
 
-        When the query planner recorded its decision on the span tree the
-        section also carries ``plan`` (the similarity planner's chosen
-        plan, the rejected alternatives with predicted costs, and the
-        measured execution cost) and ``store_plan`` (the columnar
-        intersection-order decision).  Legacy string ``plan`` annotations
+        When a filtered similarity query recorded its plan on the span tree
+        the section also carries ``plan`` (the one plan, the filter's
+        selectivity and tier context, and the measured execution cost) and
+        ``store_plan`` (the columnar intersection-order decision).  Legacy string ``plan`` annotations
         (the metadata access path) are left to the route's own fields.
         """
         profile = request_ctx.profile()
@@ -323,9 +322,9 @@ class EarthQubeAPI:
         optional ``filter`` object (search-request schema) restricts the
         ranking to metadata-matching images (filtered similarity).
         ``explain=true`` adds an ``explain`` section with the request's
-        operator cost counters, per-stage self-times, and the query
-        planner's ``plan`` record — chosen physical plan, rejected
-        alternatives with predicted costs, and the measured execution
+        operator cost counters, per-stage self-times, and, for a filtered
+        query, its ``plan`` record — the one plan (``linear:pre``), the
+        filter's selectivity and tier context, and the measured execution
         cost (plus ``store_plan`` when a metadata filter ran the columnar
         intersection planner).
         """
@@ -366,8 +365,8 @@ class EarthQubeAPI:
         object applied to the whole batch.  The whole batch executes one
         coalesced index pass; the response carries one entry per name, in
         request order, each shaped exactly like a ``/similar`` response.
-        ``explain=true`` adds the batch's cost counters and the planner's
-        ``plan`` record, as on ``/similar``.
+        ``explain=true`` adds the batch's cost counters and, when
+        filtered, the ``plan`` record, as on ``/similar``.
         """
         try:
             if not isinstance(request, Mapping):

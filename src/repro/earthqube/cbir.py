@@ -18,11 +18,10 @@ query method accepts ``filter`` — a :class:`RowFilter`, an iterable of
 allowed patch names, or a :class:`~repro.earthqube.query.QuerySpec` when a
 ``spec_resolver`` is attached (the bootstrapped system wires it to the
 metadata search service).  The shared
-:class:`~repro.planner.QueryExecutor` prices **pre-filter** (restrict the
-Hamming scan to the allowed-row mask) against
-**post-filter** (adaptively over-fetched unfiltered search + refill) and
-runs the cheaper plan on this service's index; both return byte-identical
-rankings equal to a brute-force filter-then-rank oracle.
+:class:`~repro.planner.QueryExecutor` pushes the filter's allowed rows
+into this service's exact scan, which gathers a sparse set and scans a
+dense one whole; either way the ranking equals a brute-force
+filter-then-rank oracle.
 """
 
 from __future__ import annotations
@@ -41,8 +40,7 @@ from ..index.hamming import CodeTable
 from ..index.linear_scan import LinearScanIndex
 from ..index.results import SearchResult
 from ..obs import tracing
-from ..planner import (PlanChoice, QueryExecutor, QueryPlanner,
-                       validate_code_query)
+from ..planner import QueryExecutor, validate_code_query
 from .query import QuerySpec
 
 
@@ -51,14 +49,12 @@ class RowFilter:
     """An allowed-row view of the archive for one metadata filter.
 
     ``mask`` is a boolean array over index insertion rows (the rows of
-    :attr:`CBIRService.table`), ``names`` the same selection as a
-    frozenset of patch names (for post-filter result screening), ``count``
-    the number of allowed rows, and ``fingerprint`` a hashable identity
-    used in cache keys and micro-batch grouping.
+    :attr:`CBIRService.table`), ``count`` the number of allowed rows, and
+    ``fingerprint`` a hashable identity used in cache keys and micro-batch
+    grouping.
     """
 
     mask: np.ndarray
-    names: frozenset
     count: int
     fingerprint: "Hashable | None" = None
 
@@ -146,10 +142,9 @@ class CBIRService:
         self.hasher = hasher
         self.extractor = extractor
         self.config = config or IndexConfig()
-        # The one query path (plan -> execute -> annotate), shared with the
-        # serving gateway; the system facade swaps in its calibration-
-        # loaded, workload-fed planner via use_planner().
-        self.executor = QueryExecutor(QueryPlanner())
+        # The one query path (filter pushdown -> exact scan -> annotate),
+        # shared with the serving gateway.
+        self.executor = QueryExecutor()
         self._runner = _IndexRunner(self)
         # The paper's in-memory hash table (patch name -> packed binary
         # code) is the index's CodeTable — the row-aligned names / codes /
@@ -160,11 +155,6 @@ class CBIRService:
         # Optional QuerySpec -> RowFilter resolver, attached by the system
         # facade so `filter=QuerySpec(...)` works at this level too.
         self.spec_resolver = None
-
-    def use_planner(self, planner: QueryPlanner) -> None:
-        """Adopt a shared planner instance (the system facade's
-        calibration-loaded, workload-fed one)."""
-        self.executor = QueryExecutor(planner)
 
     def __len__(self) -> int:
         return len(self.table)
@@ -350,8 +340,8 @@ class CBIRService:
         filter intersects naturally with each member's corpus).
         """
         mask, allowed = self.table.select(names)
-        return RowFilter(mask=mask, names=frozenset(allowed),
-                         count=len(allowed), fingerprint=fingerprint)
+        return RowFilter(mask=mask, count=len(allowed),
+                         fingerprint=fingerprint)
 
     def _coerce_filter(self, filter: object) -> "RowFilter | None":
         if filter is None or isinstance(filter, RowFilter):
@@ -371,47 +361,32 @@ class CBIRService:
             f"filter must be a RowFilter, QuerySpec, or iterable of names, "
             f"got {type(filter).__name__}")
 
-    def plan_query(self, row_filter: "RowFilter | None" = None, *,
-                   k: "int | None" = None, radius: "int | None" = None,
-                   strategy: str = "auto") -> "PlanChoice | None":
-        """The planner's decision for one query, without executing it
-        (``None`` for an empty filter: there is nothing to run).
-
-        The federation front-end calls this on a query's owning node and
-        scatters the chosen plan's summary so every member executes one
-        consistent strategy (results are byte-identical either way — the
-        hint only pins latency behavior).
-        """
-        return self.executor.plan(self._runner, row_filter, k=k,
-                                  radius=radius, strategy=strategy)
-
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
 
     def query(self, query, *, k: "int | None" = 10,
-              radius: "int | None" = None, filter: object = None,
-              strategy: str = "auto") -> SimilarityResponse:
+              radius: "int | None" = None,
+              filter: object = None) -> SimilarityResponse:
         """Unified (optionally filtered) CBIR entry point.
 
         ``query`` is an archive image name (``str``), an external
         :class:`~repro.bigearthnet.patch.Patch`, or a 1-D feature vector.
         ``filter`` restricts results to metadata-matching images (see the
-        module docstring); ``strategy`` forces the pre/post plan (tests and
-        benchmarks — ``"auto"`` is the cost-based default).
+        module docstring).
         """
         if isinstance(query, str):
             return self.query_by_name(query, k=k, radius=radius,
-                                      filter=filter, strategy=strategy)
+                                      filter=filter)
         if isinstance(query, Patch):
             return self.query_by_patch(query, k=k, radius=radius,
-                                       filter=filter, strategy=strategy)
+                                       filter=filter)
         return self.query_by_features(query, k=k, radius=radius,
-                                      filter=filter, strategy=strategy)
+                                      filter=filter)
 
     def query_by_name(self, name: str, *, k: "int | None" = 10,
-                      radius: "int | None" = None, filter: object = None,
-                      strategy: str = "auto") -> SimilarityResponse:
+                      radius: "int | None" = None,
+                      filter: object = None) -> SimilarityResponse:
         """Query-by-existing-example: similarity search from an archive image.
 
         Either ``k`` (nearest neighbors, radius grown as needed) or an
@@ -425,32 +400,32 @@ class CBIRService:
         # and is dropped from the response.
         [(results, used)] = self._execute(
             [code], k=None if k is None else k + 1, radius=radius,
-            filter=filter, strategy=strategy)
+            filter=filter)
         return shape_name_response(name, results, used, k)
 
     def query_by_patch(self, patch: Patch, *, k: "int | None" = 10,
-                       radius: "int | None" = None, filter: object = None,
-                       strategy: str = "auto") -> SimilarityResponse:
+                       radius: "int | None" = None,
+                       filter: object = None) -> SimilarityResponse:
         """Query-by-new-example: hash an external image on the fly."""
         features = self.extractor.extract(patch)
         return self.query_by_features(features, k=k, radius=radius,
-                                      filter=filter, strategy=strategy)
+                                      filter=filter)
 
     def query_by_features(self, features: np.ndarray, *, k: "int | None" = 10,
-                          radius: "int | None" = None, filter: object = None,
-                          strategy: str = "auto") -> SimilarityResponse:
+                          radius: "int | None" = None,
+                          filter: object = None) -> SimilarityResponse:
         """Similarity search from a raw feature vector."""
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 1:
             raise ValidationError(f"query features must be 1D, got shape {features.shape}")
         code = self.hasher.hash_packed(features[None, :])[0]
         [(results, used)] = self._execute([code], k=k, radius=radius,
-                                          filter=filter, strategy=strategy)
+                                          filter=filter)
         return SimilarityResponse(None, results, used)
 
     def query_batch(self, queries: Sequence, *, k: "int | None" = 10,
-                    radius: "int | None" = None, filter: object = None,
-                    strategy: str = "auto") -> list[SimilarityResponse]:
+                    radius: "int | None" = None,
+                    filter: object = None) -> list[SimilarityResponse]:
         """Batch CBIR: one ranked response per query, in request order.
 
         Each query is either an archive image name (``str``, matching
@@ -487,58 +462,46 @@ class CBIRService:
             # distance 0 is dropped from the response.
             outcomes = self._execute(
                 name_codes, k=None if k is None else k + 1, radius=radius,
-                filter=filter, strategy=strategy)
+                filter=filter)
             for position, (results, used) in zip(name_positions, outcomes):
                 responses[position] = shape_name_response(
                     queries[position], results, used, k)
         if feature_positions:
             outcomes = self._execute(feature_codes, k=k, radius=radius,
-                                     filter=filter, strategy=strategy)
+                                     filter=filter)
             for position, (results, used) in zip(feature_positions, outcomes):
                 responses[position] = SimilarityResponse(None, results, used)
         return responses  # type: ignore[return-value]
 
     def query_code(self, code: np.ndarray, *, k: "int | None" = None,
                    radius: "int | None" = None, filter: object = None,
-                   strategy: str = "auto", plan_hint: "dict | None" = None,
                    ) -> "tuple[list[SearchResult], int]":
         """Raw packed-code search: ``(results, radius_used)``.
 
         The federation tier's per-node entry point — a remote peer resolves
         a query to a code once, then every member archive answers the same
-        code (each applying ``filter`` against its own metadata).
-        ``plan_hint`` carries the owner node's plan summary so federation
-        members make one consistent pre/post decision instead of each
-        re-planning from local statistics.  No self-match handling:
-        response shaping is the caller's job.
+        code (each applying ``filter`` against its own metadata).  No
+        self-match handling: response shaping is the caller's job.
         """
         return self._execute([np.asarray(code, dtype=np.uint64)], k=k,
-                             radius=radius, filter=filter, strategy=strategy,
-                             plan_hint=plan_hint)[0]
+                             radius=radius, filter=filter)[0]
 
     def query_codes_batch(self, codes: np.ndarray, *, k: "int | None" = None,
                           radius: "int | None" = None, filter: object = None,
-                          strategy: str = "auto",
-                          plan_hint: "dict | None" = None,
                           ) -> "list[tuple[list[SearchResult], int]]":
         """Batch :meth:`query_code`: one ``(results, radius_used)`` per row."""
         codes = np.asarray(codes, dtype=np.uint64)
         if codes.ndim != 2:
             raise ValidationError(
                 f"batch code query expects (Q, W) packed codes, got {codes.shape}")
-        return self._execute(codes, k=k, radius=radius, filter=filter,
-                             strategy=strategy, plan_hint=plan_hint)
+        return self._execute(codes, k=k, radius=radius, filter=filter)
 
     def _execute(self, codes, *, k: "int | None", radius: "int | None",
-                 filter: object, strategy: str,
-                 plan_hint: "dict | None" = None,
-                 ) -> "list[tuple[list[SearchResult], int]]":
+                 filter: object) -> "list[tuple[list[SearchResult], int]]":
         """Every query method's hand-off to the shared executor."""
         # Rejected here too, before a QuerySpec filter costs a metadata
         # search to resolve.
         validate_code_query(k, radius)
-        outcomes, _ = self.executor.execute(
+        return self.executor.execute(
             self._runner, codes, k=k, radius=radius,
-            row_filter=self._coerce_filter(filter), strategy=strategy,
-            plan_hint=plan_hint)
-        return outcomes
+            row_filter=self._coerce_filter(filter))

@@ -28,7 +28,6 @@ from ..core.hasher import MiLaNHasher
 from ..errors import UnknownPatchError, ValidationError
 from ..features.extractor import FeatureExtractor
 from ..obs import Observability
-from ..planner import QueryPlanner
 from ..store.database import Database, IMAGE_DATA, METADATA, RENDERED_IMAGES
 from .cart import DownloadCart
 from .cbir import CBIRService, SimilarityResponse
@@ -86,14 +85,10 @@ class EarthQube:
         # scatter into this node) degrades to a child span, stitching the
         # node's work into the caller's tree.  See repro.obs.
         self.obs = Observability(config.obs)
-        # The shared cost-based query planner (repro.planner): auto-loads
-        # calibration.json when present (falling back to shipped default
-        # units), reads live workload statistics, and is consulted by the
-        # CBIR service, the serving gateway, and the federation facade so
-        # every tier prices plans with the same units.
-        self.planner = QueryPlanner.from_config(
-            config.planner, workload=self.obs.workload)
-        self.cbir.use_planner(self.planner)
+        # Writes the explain record of a filtered similarity query on
+        # every path through this node: the direct scan and the gateway
+        # share the CBIR service's executor.  See repro.planner.
+        self.planner = self.cbir.executor.planner
 
     @property
     def features(self) -> np.ndarray:
@@ -244,8 +239,9 @@ class EarthQube:
         images' button).
 
         ``filter`` joins a metadata query with the similarity search: only
-        images matching the spec are ranked, with a cost-based pre-filter
-        (masked scan) vs post-filter (over-fetch + refill) plan choice.
+        images matching the spec are ranked.  Their rows are pushed into
+        the exact scan, which gathers a sparse set and scans a dense one
+        whole (:func:`~repro.index.hamming.exact_scan`).
         """
         if radius is None and k is None:
             radius = self.config.index.hamming_radius
@@ -651,7 +647,6 @@ class EarthQube:
             "collections": self.db.collection_names(),
             "metadata_documents": len(self.db[METADATA]),
         }
-        summary["planner"] = self.planner.describe()
         summary["serving"] = (self.gateway.describe()
                               if self.gateway is not None else None)
         return summary

@@ -383,7 +383,7 @@ class FederatedEarthQube:
             validate_code_query(k, radius)
             request_k = None if k is None else k + 1
             outcomes, meta = self._scatter_codes(
-                owner, owner.code_of(bare), req, k=request_k, radius=radius,
+                owner, owner.code_of(bare), k=request_k, radius=radius,
                 filter=filter, batch=False)
             merge_kwargs = self._merge_kwargs(self._row_order)
             merged, used = merge_similarity(
@@ -397,48 +397,20 @@ class FederatedEarthQube:
             return FederatedResponse(
                 shape_name_response(query_id, merged, used, k), meta)
 
-    @staticmethod
-    def _scatter_plan(owner: FederatedNode, req, *, k: "int | None",
-                      radius: "int | None",
-                      filter_spec) -> "dict | None":
-        """Plan once at the owning node; return the summary to scatter.
-
-        The owner's planner prices the query against its own corpus and
-        workload statistics; the chosen plan's summary (its filter mode)
-        rides the scatter as a ``plan_hint`` so every member runs one
-        consistent strategy, and the full decision (rejected
-        alternatives, predicted costs) is recorded on the federation
-        request span for ``explain=true``.  ``None`` — scatter without a
-        hint — when the filter matches nothing at the owner; call
-        sites also skip the hint entirely for unfiltered queries (there
-        is no filter mode to pin) so stubs/peers speaking the unfiltered
-        protocol keep working.
-        """
-        choice = owner.plan_choice(k=k, radius=radius,
-                                   filter_spec=filter_spec)
-        if choice is None:
-            return None
-        req.annotate(plan=choice.explain())
-        return choice.chosen.summary()
-
-    def _scatter_codes(self, owner: FederatedNode, codes: np.ndarray, req, *,
+    def _scatter_codes(self, owner: FederatedNode, codes: np.ndarray, *,
                        k: "int | None", radius: "int | None",
                        filter: "QuerySpec | None", batch: bool):
         """Scatter one query code (or a batch) to every compatible node.
 
-        ``filter_spec`` and the owner's ``plan_hint`` ride along only when
-        a filter is set, so stubs/peers speaking the unfiltered protocol
-        keep working.
+        ``filter_spec`` rides along only when a filter is set, so
+        stubs/peers speaking the unfiltered protocol keep working; each
+        node resolves it against its own metadata tier.
         """
         targets, pre_skipped = self._compatible_targets(
             owner.system.hasher.num_bits)
         kwargs: dict = {"k": k, "radius": radius}
         if filter is not None:
             kwargs["filter_spec"] = filter
-            plan_hint = self._scatter_plan(owner, req, k=k, radius=radius,
-                                           filter_spec=filter)
-            if plan_hint is not None:
-                kwargs["plan_hint"] = plan_hint
 
         def fn(node: FederatedNode, _chains):
             try:
@@ -483,7 +455,7 @@ class FederatedEarthQube:
             codes = np.stack([owner.code_of(bare) for owner, bare in resolved])
             request_k = None if k is None else k + 1
             outcomes, meta = self._scatter_codes(
-                resolved[0][0], codes, req, k=request_k, radius=radius,
+                resolved[0][0], codes, k=request_k, radius=radius,
                 filter=filter, batch=True)
             answered = [o for o in outcomes if o.ok]
             merge_kwargs = self._merge_kwargs(self._row_order)

@@ -97,56 +97,34 @@ class FederatedNode:
             raise UnknownPatchError(
                 f"node {self.name!r} has no indexed image named {name!r}") from None
 
-    def plan_choice(self, *, k: "int | None" = None,
-                    radius: "int | None" = None,
-                    filter_spec: "QuerySpec | None" = None):
-        """This node's planner decision for one code query (``None`` when
-        the filter matches nothing here).
-
-        Computed against the node's own corpus and metadata tier; the
-        federation front-end calls this on the owning node, records the
-        decision on the request span, and scatters the chosen plan's
-        summary as a hint so every member runs one consistent strategy.
-        """
-        return self.system.cbir.plan_query(
-            self.system.row_filter_for(filter_spec), k=k, radius=radius)
-
     def query_code(self, code: np.ndarray, *, k: "int | None" = None,
                    radius: "int | None" = None,
-                   filter_spec: "QuerySpec | None" = None,
-                   plan_hint: "dict | None" = None) -> tuple[list, int]:
+                   filter_spec: "QuerySpec | None" = None) -> tuple[list, int]:
         """One packed-code CBIR query, via the node's gateway if enabled.
 
-        ``filter_spec`` is resolved against *this node's* metadata tier —
-        every archive applies the same metadata constraints to its own
-        corpus before its candidates join the federated merge.
-        ``plan_hint`` (the front-end planner's chosen-plan summary) pins
-        the filter mode on this node's own planner.
+        ``filter_spec`` is resolved once, against *this node's* metadata
+        tier — every archive applies the same metadata constraints to its
+        own corpus before its candidates join the federated merge.
         """
         if self.system.gateway is not None:
             return self.system.gateway.query_code(code, k=k, radius=radius,
-                                                  filter=filter_spec,
-                                                  plan_hint=plan_hint)
+                                                  filter=filter_spec)
         return self.system.cbir.query_code(
             code, k=k, radius=radius,
-            filter=self.system.row_filter_for(filter_spec),
-            plan_hint=plan_hint)
+            filter=self.system.row_filter_for(filter_spec))
 
     def query_codes_batch(self, codes: np.ndarray, *, k: "int | None" = None,
                           radius: "int | None" = None,
                           filter_spec: "QuerySpec | None" = None,
-                          plan_hint: "dict | None" = None,
                           ) -> list[tuple[list, int]]:
         """Batch packed-code CBIR, via the node's gateway if enabled."""
         if self.system.gateway is not None:
             return self.system.gateway.query_codes_batch(codes, k=k,
                                                          radius=radius,
-                                                         filter=filter_spec,
-                                                         plan_hint=plan_hint)
+                                                         filter=filter_spec)
         return self.system.cbir.query_codes_batch(
             codes, k=k, radius=radius,
-            filter=self.system.row_filter_for(filter_spec),
-            plan_hint=plan_hint)
+            filter=self.system.row_filter_for(filter_spec))
 
     def search(self, spec: "QuerySpec") -> "SearchResponse":
         """Query-panel search against this archive."""

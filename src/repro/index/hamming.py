@@ -371,6 +371,32 @@ def top_k_smallest(distances: np.ndarray, k: int) -> np.ndarray:
 # large the archive or the batch gets.  Corpora up to 64k rows are one step.
 _SCAN_CHUNK_ROWS = 1 << 16
 
+#: A single query whose gather set covers at least this fraction of the
+#: table is not gathered: :func:`exact_scan` scans every row and selects
+#: among the allowed rows' distances, since copying ``codes[rows]`` costs
+#: more than the XORs it saves once the set is dense.  A batch always
+#: gathers: its one copy serves every query, while the scan arm pays a
+#: ``distances[rows]`` gather per query.  ``benchmarks/bench_planner.py``
+#: times both arms per (rows, bits, selectivity, query kind) cell and
+#: scores this rule's pick.
+DENSE_ROWS_FRACTION = 0.35
+
+
+def scans_every_row(num_rows: int, rows: "np.ndarray | None",
+                    num_queries: int = 1) -> bool:
+    """Does :func:`exact_scan` scan every row of a ``num_rows`` table for
+    a ``num_queries`` batch, rather than gather ``rows``?"""
+    return rows is None or (num_queries == 1
+                            and len(rows) >= DENSE_ROWS_FRACTION * num_rows)
+
+
+def scanned_rows(num_rows: int, rows: "np.ndarray | None",
+                 num_queries: int = 1) -> int:
+    """Rows :func:`exact_scan` reads per query of that batch."""
+    if scans_every_row(num_rows, rows, num_queries):
+        return num_rows
+    return len(rows)
+
 
 def exact_scan(codes: np.ndarray, queries: np.ndarray, *,
                k: "int | None" = None, radius: "int | None" = None,
@@ -388,11 +414,16 @@ def exact_scan(codes: np.ndarray, queries: np.ndarray, *,
     * ``radius`` only — every row within ``radius``,
     * both — the ``k`` nearest *within* ``radius``.
 
-    ``rows`` is an optional ascending gather set (the pre-filter
-    pushdown): only those rows are read, and returned row numbers are
-    members of it.  Because it ascends, position order inside the subset
-    equals row order, so :func:`top_k_smallest`'s index tie-break is the
-    insertion-row tie-break.
+    ``rows`` is an optional ascending set of allowed rows (a metadata
+    filter pushed into the scan): returned row numbers are members of it.
+    A sparse set, or any set of a batch, is gathered (``codes[rows]``)
+    and only those rows are read; for a single query a set covering at
+    least :data:`DENSE_ROWS_FRACTION` of the table is not, and every row
+    is scanned before selecting among ``distances[rows]``.
+    :func:`scans_every_row` says which.  Both arms
+    select over the allowed rows in ascending order, so position order
+    equals row order, :func:`top_k_smallest`'s index tie-break is the
+    insertion-row tie-break, and the two return identical answers.
 
     A batch is a loop of single scans, not a ``(Q, N)`` distance block.
     Measured on one pinned CPU at the served shapes (clustered 64-bit
@@ -414,9 +445,12 @@ def exact_scan(codes: np.ndarray, queries: np.ndarray, *,
             f"and {queries.shape}")
     if k is None and radius is None:
         raise ValidationError("exact_scan needs k, radius, or both")
+    dense = False
     if rows is not None:
         rows = np.asarray(rows, dtype=np.int64)
-        codes = codes[rows]
+        dense = scans_every_row(codes.shape[0], rows, queries.shape[0])
+        if not dense:
+            codes = codes[rows]
     num_rows, num_words = codes.shape
     distances = np.empty(num_rows, dtype=np.int32)
     out: "list[tuple[np.ndarray, np.ndarray]]" = []
@@ -427,12 +461,14 @@ def exact_scan(codes: np.ndarray, queries: np.ndarray, *,
             partial[:] = np.bitwise_count(block[:, 0] ^ query[0])
             for word in range(1, num_words):
                 partial += np.bitwise_count(block[:, word] ^ query[word])
+        # One distance per candidate row, in ascending row order.
+        keys = distances[rows] if dense else distances
         if radius is None:
-            selected = top_k_smallest(distances, k)
+            selected = top_k_smallest(keys, k)
         else:
-            within = np.flatnonzero(distances <= radius)
+            within = np.flatnonzero(keys <= radius)
             selected = within[top_k_smallest(
-                distances[within], within.shape[0] if k is None else k)]
+                keys[within], within.shape[0] if k is None else k)]
         out.append((selected if rows is None else rows[selected],
-                    distances[selected].astype(np.int64)))
+                    keys[selected].astype(np.int64)))
     return out

@@ -37,6 +37,7 @@ from .hamming import (
     allowed_row_indices,
     combine_allowed_masks,
     exact_scan,
+    scanned_rows,
 )
 from .results import SearchResult
 
@@ -98,10 +99,10 @@ class LinearScanIndex:
         """Run a ``(Q, W)`` batch through the shared exact scan; ``select``
         is ``k=`` or ``radius=``, passed on as is.
 
-        With ``allowed`` set (AND-combined with the alive mask), only the
-        allowed rows are gathered — once for the whole batch — and scanned:
-        the pre-filter pushdown, whose cost scales with the allowed subset,
-        not the corpus.
+        With ``allowed`` set (AND-combined with the alive mask), the
+        allowed rows are pushed into the scan, which gathers a sparse set
+        and scans a dense one whole; ``rows_scanned`` counts the rows it
+        read.
         """
         if not len(self.table):
             raise EmptyIndexError("search on an empty LinearScanIndex")
@@ -113,7 +114,7 @@ class LinearScanIndex:
                 f"batch search expects (Q, W) packed codes, got {queries.shape}")
         allowed = combine_allowed_masks(alive, allowed)
         rows = None if allowed is None else allowed_row_indices(allowed, total)
-        scanned = total if rows is None else int(rows.shape[0])
+        scanned = scanned_rows(total, rows, int(queries.shape[0]))
         with tracing.span("linear.scan", rows=total,
                           queries=int(queries.shape[0]),
                           **select) as scan_span:

@@ -44,9 +44,9 @@ from .tracing import add_cost  # noqa: F401  (re-exported instrumentation API)
 FAMILY_ATTRS = ("backend", "strategy", "filter_mode", "selectivity")
 
 #: Extra attributes carried through into request profiles (not part of the
-#: family key): the planner's decision records ride the span so
-#: ``explain=true`` can report chosen vs rejected plans — ``plan`` for the
-#: similarity planner, ``store_plan`` for the columnar intersection order.
+#: family key): the plan records ride the span so ``explain=true`` can
+#: report them — ``plan`` for a filtered similarity query, ``store_plan``
+#: for the columnar intersection order.
 PROFILE_ATTRS = FAMILY_ATTRS + ("plan", "store_plan")
 
 #: Upper edges of the filter-selectivity buckets (fraction of the corpus).

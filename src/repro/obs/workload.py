@@ -118,29 +118,6 @@ class WorkloadStats:
         with self._lock:
             return self._recorded
 
-    def cost_means(self, family: "tuple[str, str, str]") -> "dict | None":
-        """Mean cost counters observed for one query family, or ``None``.
-
-        The query planner's *workload* estimator: once a family has live
-        measurements, its mean counters (priced by the calibrated units)
-        beat any analytic model.  Keys are counter names plus ``_count``
-        (requests recorded) and ``_mean_ms`` (mean latency) so callers can
-        judge how much evidence backs the estimate.
-        """
-        with self._lock:
-            stats = self._families.get(family)
-        if stats is None:
-            return None
-        count = stats.latency.count
-        if not count:
-            return None
-        with stats.lock:
-            means = {key: stat.total / max(stat.count, 1)
-                     for key, stat in stats.costs.items()}
-        means["_count"] = count
-        means["_mean_ms"] = stats.latency.total_seconds * 1e3 / count
-        return means
-
     def clear(self) -> int:
         with self._lock:
             dropped = len(self._families)

@@ -1,16 +1,12 @@
-"""Cost-based query planning (`repro.planner`).
+"""The one similarity query path (`repro.planner`).
 
-Every similarity query runs the one exact scan; one module owns the
-decisions left around it: pre- vs post-filter with over-fetch sizing,
-and columnar intersection order.  Plans are priced with calibrated
-per-operator unit costs (:mod:`repro.obs.calibrate`) refined by live
-workload statistics (:mod:`repro.obs.workload`); the chosen
-:class:`PhysicalPlan` is run by the one :class:`QueryExecutor` every tier
-answers similarity queries through, and surfaced through
-``explain=true``.
+Every similarity query — direct, served or federated — runs through
+:class:`QueryExecutor`: a metadata filter's allowed rows are pushed into
+the one exact scan (:func:`repro.index.hamming.exact_scan`), which gathers
+a sparse set and scans a dense one whole.  There is one plan, so nothing
+is priced; :class:`QueryPlanner` writes the ``plan`` record that
+``explain=true`` shows for a filtered query.
 """
 
-from .executor import (CodeRunner, QueryExecutor, used_radius,
+from .executor import (CodeRunner, QueryExecutor, QueryPlanner, used_radius,
                        validate_code_query)
-from .planner import DEFAULT_UNITS, QueryPlanner
-from .plans import PhysicalPlan, PlanChoice

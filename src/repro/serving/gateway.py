@@ -39,7 +39,7 @@ from ..earthqube.search import SearchResponse
 from ..errors import ValidationError
 from ..obs import tracing
 from ..obs.metrics import MetricsRegistry
-from ..planner import used_radius, validate_code_query
+from ..planner import validate_code_query
 from ..store.database import METADATA
 from ..store.jsontree import copy_tree
 from .batching import MicroBatcher
@@ -53,19 +53,12 @@ if TYPE_CHECKING:  # avoid a runtime import cycle with earthqube.server
 
 class _ShardRunner:
     """The gateway's :class:`~repro.planner.CodeRunner`, one per request:
-    cache -> ``CodeQuery`` -> micro-batcher -> index.
-
-    The index runs one exact scan of the table; the executor's live
-    decisions are the pre/post filter mode and the post-filter over-fetch.
+    ``CodeQuery`` -> micro-batcher -> index.
 
     ``filter_key`` is the request's filter fingerprint (``None``:
-    unfiltered request).  Masked runs are pre-filter pushdowns: the mask
-    and the fingerprint ride the jobs so same-filter queries coalesce.
-    Unmasked runs of a *filtered* request are post-filter over-fetches:
-    they go through the cache under unfiltered keys, sharing entries and
-    scans with unfiltered traffic.  Unmasked runs of an unfiltered request
-    scan straight away — the gateway already missed on exactly those keys
-    and stores the outcomes itself.
+    unfiltered request); it rides the jobs with the allowed mask so
+    same-filter queries coalesce.  The gateway already missed the cache on
+    exactly these codes and stores the outcomes itself.
     """
 
     def __init__(self, gateway: "ServingGateway",
@@ -79,18 +72,8 @@ class _ShardRunner:
 
     def run(self, codes, *, k: "int | None", radius: "int | None",
             allowed: "np.ndarray | None") -> "list[list]":
-        gateway = self._gateway
-        if allowed is not None:
-            return gateway._scan(codes, k=k, radius=radius, allowed=allowed,
-                                 filter_key=self._filter_key)
-        if self._filter_key is None:
-            return gateway._scan(codes, k=k, radius=radius)
-        outcomes = gateway._through_cache(
-            codes, k=k, radius=radius, fingerprint=None,
-            compute=lambda misses: [
-                (results, used_radius(results, radius))
-                for results in gateway._scan(misses, k=k, radius=radius)])
-        return [results for results, _ in outcomes]
+        return self._gateway._scan(codes, k=k, radius=radius, allowed=allowed,
+                                   filter_key=self._filter_key)
 
 
 class ServingGateway:
@@ -171,34 +154,28 @@ class ServingGateway:
 
     def query_code(self, code: np.ndarray, *, k: "int | None" = None,
                    radius: "int | None" = None,
-                   filter: "QuerySpec | None" = None,
-                   strategy: str = "auto",
-                   plan_hint: "dict | None" = None) -> tuple[list, int]:
+                   filter: "QuerySpec | None" = None) -> tuple[list, int]:
         """Raw packed-code search: ``(results, radius_used)``.
 
         The federation tier's per-node entry point — the same
         cache -> batcher -> index pipeline as :meth:`similar_images`, but
         without name resolution or self-match shaping (the federated
-        caller shapes the merged response itself).  ``strategy`` pins the
-        pre/post filter plan; ``plan_hint`` carries the federation owner's
-        plan summary so members decide consistently.
+        caller shapes the merged response itself).
         """
         return self.query_codes_batch([code], k=k, radius=radius,
-                                      filter=filter, strategy=strategy,
-                                      plan_hint=plan_hint)[0]
+                                      filter=filter)[0]
 
     def query_codes_batch(self, codes, *, k: "int | None" = None,
                           radius: "int | None" = None,
                           filter: "QuerySpec | None" = None,
-                          strategy: str = "auto",
-                          plan_hint: "dict | None" = None,
                           ) -> "list[tuple[list, int]]":
         """Batch :meth:`query_code`: one ``(results, radius_used)`` per code.
 
         Cache hits are answered immediately; all misses are submitted to
-        the micro-batcher in one go (they coalesce into one scan, sharing it with any concurrent single queries).  Filtered
-        misses that take the pre-filter plan carry the shared allowed mask
-        into the batch, so they still coalesce with each other.
+        the micro-batcher in one go (they coalesce into one scan, sharing
+        it with any concurrent single queries).  Filtered misses carry the
+        shared allowed mask into the batch, so they still coalesce with
+        each other.
         """
         validate_code_query(k, radius)
         self._check_store()
@@ -207,15 +184,12 @@ class ServingGateway:
 
         def execute(misses: "list[np.ndarray]") -> "list[tuple[list, int]]":
             row_filter = None if filter is None else self._row_filter(filter)
-            outcomes, choice = self.system.cbir.executor.execute(
+            if row_filter is not None and row_filter.count:
+                self.metrics.counter("filter.prefilter").increment(
+                    len(misses))
+            return self.system.cbir.executor.execute(
                 _ShardRunner(self, fingerprint), misses, k=k, radius=radius,
-                row_filter=row_filter, strategy=strategy,
-                plan_hint=plan_hint)
-            if choice is not None and choice.chosen.filter_mode is not None:
-                self.metrics.counter(
-                    "filter.prefilter" if choice.chosen.filter_mode == "pre"
-                    else "filter.postfilter").increment(len(misses))
-            return outcomes
+                row_filter=row_filter)
 
         return self._through_cache(codes, k=k, radius=radius,
                                    fingerprint=fingerprint, compute=execute)
@@ -472,9 +446,6 @@ class ServingGateway:
         self.metrics.gauge("cache.entries").set(len(self.cache))
         self.metrics.gauge("index.alive").set(len(self.index))
         self.metrics.gauge("index.dead_rows").set(self.index.dead_count)
-        # 1 when pricing from a measured calibration, 0 on shipped defaults.
-        self.metrics.gauge("planner.calibrated").set(
-            int(self.system.planner.calibrated))
 
     # ------------------------------------------------------------------ #
     # Introspection / lifecycle

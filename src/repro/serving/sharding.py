@@ -33,6 +33,7 @@ from ..index.hamming import (
     as_allowed_mask,
     combine_allowed_masks,
     exact_scan,
+    scanned_rows,
 )
 from ..index.results import SearchResult
 
@@ -188,8 +189,8 @@ class ShardedHammingIndex:
         Jobs are grouped by (filter, k, radius) and each group is one
         vectorized :func:`exact_scan` call, so the per-query overhead
         amortizes across the batch.  Unfiltered groups scan every live
-        row; a filtered group passes its allowed rows as the gather set —
-        the pre-filter pushdown, whose cost scales with the allowed rows.
+        row; a filtered group pushes its allowed rows into the scan, and
+        ``rows_scanned`` counts the rows the scan read.
         """
         if not jobs:
             return []
@@ -246,6 +247,8 @@ class ShardedHammingIndex:
                                                         codes.shape[0])
             merged: "list[list[SearchResult]]" = [[] for _ in unique_jobs]
             for (part, k, radius), indices in groups.items():
+                search_span.add_cost(rows_scanned=len(indices) * scanned_rows(
+                    codes.shape[0], rows_of[part], len(indices)))
                 hits = exact_scan(codes,
                                   queries[np.asarray(indices, dtype=np.int64)],
                                   k=k, radius=radius, rows=rows_of[part])

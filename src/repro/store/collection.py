@@ -207,7 +207,12 @@ def _rectangle_intersects(condition: Any, shape: Any) -> bool:
             and "$geoIntersects" in condition and type(shape) is Rectangle)
 
 
-def _intersection_cost_ns(sizes: "list[int]", unit_ns: float) -> float:
+#: Nanoseconds per posting id loaded by an intersection: the unit the
+#: intersection-order record in ``explain`` prices its orders with.
+INTERSECT_NS_PER_ID = 15.0
+
+
+def _intersection_cost_ns(sizes: "list[int]") -> float:
     """Predicted cost of intersecting sources in the given order.
 
     The first source is materialized whole; each later step merges the
@@ -222,7 +227,7 @@ def _intersection_cost_ns(sizes: "list[int]", unit_ns: float) -> float:
     for size in sizes[1:]:
         touched += running + size
         running = min(running, size)
-    return touched * unit_ns
+    return touched * INTERSECT_NS_PER_ID
 
 
 class Collection:
@@ -635,8 +640,6 @@ class Collection:
         reversed (worst-case) order is reported as the rejected
         alternative instead.
         """
-        from ..planner import DEFAULT_UNITS
-        unit = DEFAULT_UNITS["intersect_ns_per_id"]
         declared = list(range(len(sources)))
         alternative = declared if order != declared else declared[::-1]
         def _sizes(sequence):
@@ -650,8 +653,8 @@ class Collection:
             return sizes
         def _entry(sequence):
             return {"order": [sources[i][0] for i in sequence],
-                    "predicted_ns": round(_intersection_cost_ns(
-                        _sizes(sequence), unit), 1)}
+                    "predicted_ns": round(
+                        _intersection_cost_ns(_sizes(sequence)), 1)}
         tracing.annotate(store_plan={
             "chosen": _entry(order),
             "rejected": [_entry(alternative)],

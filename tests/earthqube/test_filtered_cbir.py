@@ -1,19 +1,16 @@
-"""Filtered similarity search: plan equivalence against a brute-force
-filter-then-rank oracle, across strategies, tiers, and backends.
+"""Filtered similarity search: the one plan against a brute-force
+filter-then-rank oracle, across filter densities and tiers.
 
 Also covers the store-side plan-equivalence satellite: every query the
 search service compiles must be byte-identical between the planned and the
 forced-scan access paths.
 """
 
-import numpy as np
 import pytest
 
 from repro.config import ServingConfig
 from repro.earthqube import LabelOperator, QuerySpec
 from repro.earthqube.api import EarthQubeAPI
-from repro.earthqube.cbir import RowFilter
-from repro.errors import ValidationError
 from repro.geo import BoundingBox, Rectangle
 from repro.index.hamming import hamming_distances_to_query
 
@@ -82,16 +79,13 @@ class TestCompiledPlanEquivalence:
 
 class TestFilteredKnnOracle:
     @pytest.mark.parametrize("spec", SPECS[1:], ids=lambda s: s.describe())
-    def test_strategies_match_oracle(self, system, spec):
+    def test_filter_matches_oracle(self, system, spec):
         name = system.archive.names[3]
         allowed = set(system.search_service.matching_names(spec))
         expected = oracle_filtered_knn(system, name, 7, allowed)
-        row_filter = system.row_filter_for(spec)
-        for strategy in ("pre", "post", "auto"):
-            response = system.cbir.query_by_name(name, k=7,
-                                                 filter=row_filter,
-                                                 strategy=strategy)
-            assert shaped(response) == expected, strategy
+        response = system.cbir.query_by_name(
+            name, k=7, filter=system.row_filter_for(spec))
+        assert shaped(response) == expected
 
     def test_system_facade_matches_oracle(self, system):
         spec = SPECS[1]
@@ -127,26 +121,26 @@ class TestFilteredKnnOracle:
         name = system.archive.names[2]
         allowed = set(system.search_service.matching_names(spec))
         expected = oracle_filtered_radius(system, name, 8, allowed)
-        row_filter = system.row_filter_for(spec)
-        for strategy in ("pre", "post"):
-            response = system.cbir.query_by_name(name, k=None, radius=8,
-                                                 filter=row_filter,
-                                                 strategy=strategy)
-            assert shaped(response) == expected, strategy
-            assert response.radius_used == 8
+        response = system.cbir.query_by_name(
+            name, k=None, radius=8, filter=system.row_filter_for(spec))
+        assert shaped(response) == expected
+        assert response.radius_used == 8
 
     def test_query_by_features_with_filter(self, system, rng):
         spec = SPECS[1]
         features = system.features[7]
-        pre = system.cbir.query_by_features(features, k=9,
-                                            filter=system.row_filter_for(spec),
-                                            strategy="pre")
-        post = system.cbir.query_by_features(features, k=9,
-                                             filter=system.row_filter_for(spec),
-                                             strategy="post")
-        assert shaped(pre) == shaped(post)
+        by_features = system.cbir.query_by_features(
+            features, k=9, filter=system.row_filter_for(spec))
+        # Row 7's features hash to row 7's code: the by-name ranking with
+        # the query image kept.
+        name = system.archive.names[7]
         allowed = set(system.search_service.matching_names(spec))
-        assert all(name in allowed for name, _ in shaped(pre))
+        by_name = system.cbir.query_code(
+            system.cbir.code_of(name), k=9,
+            filter=system.row_filter_for(spec))
+        assert shaped(by_features) == [(str(r.item_id), r.distance)
+                                       for r in by_name[0]]
+        assert all(name in allowed for name, _ in shaped(by_features))
 
     def test_batch_equals_sequential(self, system):
         spec = SPECS[3]
@@ -164,14 +158,6 @@ class TestFilteredKnnOracle:
         via_names = system.cbir.query(
             name, k=6, filter=system.search_service.matching_names(spec))
         assert shaped(via_spec) == shaped(via_names)
-
-    def test_bad_strategy_rejected(self, system):
-        with pytest.raises(ValidationError):
-            system.cbir.query_by_name(system.archive.names[0], k=3,
-                                      filter=RowFilter(
-                                          mask=np.ones(1, dtype=bool),
-                                          names=frozenset({"x"}), count=1),
-                                      strategy="sideways")
 
 
 class TestFilteredServingTier:
@@ -193,7 +179,7 @@ class TestFilteredServingTier:
             # Second call exercises the filtered cache entry.
             assert shaped(system.similar_images(name, k=8,
                                                 filter=spec)) == direct
-            # A broad filter takes the post-filter plan; still identical.
+            # A broad filter takes the dense kernel arm; still identical.
             assert shaped(system.similar_images(name, k=8,
                                                 filter=broad)) == direct_broad
             # Unfiltered traffic for the same code stays separate.
@@ -215,8 +201,7 @@ class TestFilteredServingTier:
             spec = SPECS[1]
             system.similar_images(system.archive.names[0], k=4, filter=spec)
             snapshot = system.gateway.metrics_snapshot()
-            assert (snapshot["counters"].get("filter.prefilter", 0)
-                    + snapshot["counters"].get("filter.postfilter", 0)) >= 1
+            assert snapshot["counters"]["filter.prefilter"] >= 1
         finally:
             system.disable_serving()
 

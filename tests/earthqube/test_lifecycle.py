@@ -171,7 +171,7 @@ class TestRebuildOracle:
                 assert shaped(system.similar_images(query, k=k)) == \
                     oracle_by_name(system, oracle, query, k)
             system.enable_serving()
-            # Filtered path (pre and post plans) vs filter-then-rank oracle.
+            # Filtered path vs filter-then-rank oracle.
             allowed = set(system.search_service.matching_names(spec))
             for query in queries:
                 expected = [(name, distance) for name, distance

@@ -152,9 +152,8 @@ class TestWorkloadEndpoint:
             assert vocabulary <= set(attrs), (tier, attrs)
             assert "filter_plan" not in attrs
             assert attrs["filter_count"] > 0
-            assert attrs["strategy"] == {"pre": "prefilter",
-                                         "post": "postfilter"}[
-                                             attrs["filter_mode"]]
+            assert (attrs["strategy"], attrs["filter_mode"]) == \
+                ("prefilter", "pre")
 
     def test_workload_disabled_is_a_validation_error(self, served_system):
         workload = served_system.obs.workload

@@ -1,24 +1,28 @@
-"""Planner-equivalence suite: every emittable plan vs the linear oracle.
+"""Plan-equivalence suite: the one plan, on both kernel arms, vs the oracle.
 
-The planner's one hard invariant is that it never trades correctness —
-any plan it can emit (pre vs post filtering, any over-fetch) must return
-rankings byte-identical to a brute-force filter-then-rank oracle.  This
-suite pins that down on every execution path: direct, batch, filtered,
-gateway (cache + batcher + shards), and federated.
+A filtered query pushes its allowed rows into ``exact_scan``, which
+gathers a sparse set and scans a dense one whole.  Whichever arm the
+filter's density picks, the ranking must be byte-identical to a
+brute-force filter-then-rank oracle.  This suite pins that down on every
+execution path: direct, batch, filtered, gateway (cache + batcher +
+index), and federated.  ``FILTERS`` holds filters on both sides of
+``DENSE_ROWS_FRACTION`` on both fixture systems.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.earthqube import QuerySpec
 from repro.earthqube.api import EarthQubeAPI
-from repro.index.hamming import hamming_distances_to_query
+from repro.index.hamming import DENSE_ROWS_FRACTION, hamming_distances_to_query
 
 FILTERS = [
     QuerySpec(seasons=("Summer",)),
     QuerySpec(seasons=("Winter", "Autumn")),
     QuerySpec(date_from="2017-03-01", date_to="2017-09-30"),
+    QuerySpec(seasons=("Winter", "Autumn", "Spring", "Summer")),
 ]
 
 
@@ -37,6 +41,16 @@ def linear_oracle_knn(system, name, k, allowed=None, *, drop_self=True):
     return [(names[row], int(distances[row])) for row in rows[:k]]
 
 
+def linear_oracle_radius(system, name, radius, allowed):
+    """Brute-force filtered radius ranking, query image kept."""
+    names, codes = system.cbir.indexed_items()
+    distances = hamming_distances_to_query(codes, system.cbir.code_of(name))
+    rows = [row for row, item in enumerate(names)
+            if item in allowed and distances[row] <= radius]
+    rows.sort(key=lambda row: (distances[row], row))
+    return [(names[row], int(distances[row])) for row in rows]
+
+
 def shaped(results):
     return [(str(r.item_id), r.distance) for r in results]
 
@@ -46,6 +60,16 @@ def allowed_names(system, spec):
 
 
 class TestDirectPathEquivalence:
+    @pytest.mark.parametrize("system_name", ["direct_system",
+                                             "served_system"])
+    def test_filters_drive_both_kernel_arms(self, request, system_name):
+        system = request.getfixturevalue(system_name)
+        rows = system.cbir.table.rows
+        fractions = [len(allowed_names(system, spec)) / rows
+                     for spec in FILTERS]
+        assert min(fractions) < DENSE_ROWS_FRACTION <= max(fractions)
+        assert max(fractions) == 1.0
+
     def test_unfiltered_matches_oracle(self, direct_system):
         system = direct_system
         name = system.archive.names[0]
@@ -55,9 +79,7 @@ class TestDirectPathEquivalence:
         assert shaped(auto) == expected
 
     @pytest.mark.parametrize("spec", FILTERS, ids=lambda s: s.describe())
-    @pytest.mark.parametrize("strategy", ["auto", "pre", "post"])
-    def test_every_filtered_plan_matches_oracle(self, direct_system, spec,
-                                                strategy):
+    def test_filtered_matches_oracle(self, direct_system, spec):
         system = direct_system
         name = system.archive.names[2]
         expected = linear_oracle_knn(system, name, 7,
@@ -65,23 +87,19 @@ class TestDirectPathEquivalence:
                                      drop_self=False)
         results, _ = system.cbir.query_code(
             system.cbir.code_of(name), k=7,
-            filter=system.row_filter_for(spec), strategy=strategy)
+            filter=system.row_filter_for(spec))
         assert shaped(results) == expected
 
-    @pytest.mark.parametrize("spec", FILTERS[:2], ids=lambda s: s.describe())
-    def test_radius_plans_match_oracle(self, direct_system, spec):
+    @pytest.mark.parametrize("spec", FILTERS, ids=lambda s: s.describe())
+    def test_radius_matches_oracle(self, direct_system, spec):
         system = direct_system
         name = system.archive.names[4]
-        row_filter = system.row_filter_for(spec)
-        baseline = None
-        for strategy in ("pre", "post"):
-            results, used = system.cbir.query_code(
-                system.cbir.code_of(name), radius=3, filter=row_filter,
-                strategy=strategy)
-            current = (shaped(results), used)
-            if baseline is None:
-                baseline = current
-            assert current == baseline, strategy
+        results, used = system.cbir.query_code(
+            system.cbir.code_of(name), radius=3,
+            filter=system.row_filter_for(spec))
+        assert shaped(results) == linear_oracle_radius(
+            system, name, 3, allowed_names(system, spec))
+        assert used == 3
 
     def test_planned_query_identical_to_code_query(self, direct_system):
         system = direct_system
@@ -108,21 +126,21 @@ class TestBatchPathEquivalence:
             assert shaped(response.results) == \
                 linear_oracle_knn(system, name, 6, allowed)
 
-    @pytest.mark.parametrize("strategy", ["pre", "post"])
-    def test_forced_batch_strategies_identical(self, direct_system,
-                                               strategy):
-        import numpy as np
+    @pytest.mark.parametrize("spec", FILTERS, ids=lambda s: s.describe())
+    def test_code_batch_matches_single_codes(self, direct_system, spec):
         system = direct_system
         names = list(system.archive.names[:4])
         codes = np.stack([system.cbir.code_of(name) for name in names])
-        spec = FILTERS[1]
         row_filter = system.row_filter_for(spec)
-        forced = system.cbir.query_codes_batch(
-            codes, k=6, filter=row_filter, strategy=strategy)
-        baseline = system.cbir.query_codes_batch(codes, k=6,
-                                                 filter=row_filter)
-        assert [(shaped(r), used) for r, used in forced] == \
-            [(shaped(r), used) for r, used in baseline]
+        batch = system.cbir.query_codes_batch(codes, k=6, filter=row_filter)
+        singles = [system.cbir.query_code(code, k=6, filter=row_filter)
+                   for code in codes]
+        assert [(shaped(r), used) for r, used in batch] == \
+            [(shaped(r), used) for r, used in singles]
+        allowed = allowed_names(system, spec)
+        for name, (results, _) in zip(names, batch):
+            assert shaped(results) == linear_oracle_knn(
+                system, name, 6, allowed, drop_self=False)
 
 
 class TestGatewayPathEquivalence:
@@ -151,19 +169,6 @@ class TestGatewayPathEquivalence:
             assert shaped(response.results) == \
                 linear_oracle_knn(system, name, 5, allowed)
 
-    @pytest.mark.parametrize("strategy", ["pre", "post"])
-    def test_gateway_forced_strategies_identical(self, served_system,
-                                                 strategy):
-        system = served_system
-        name = system.archive.names[2]
-        spec = FILTERS[0]
-        code = system.cbir.code_of(name)
-        baseline = system.gateway.query_code(code, k=6, filter=spec)
-        forced = system.gateway.query_code(code, k=6, filter=spec,
-                                           strategy=strategy)
-        assert (shaped(forced[0]), forced[1]) == \
-            (shaped(baseline[0]), baseline[1])
-
 
 def federated_linear_oracle(nodes, code, query_id, k, spec):
     """Each node's direct exact-scan answer, merged by the federation's
@@ -182,10 +187,10 @@ def federated_linear_oracle(nodes, code, query_id, k, spec):
 
 
 class TestFederatedPathEquivalence:
+    @pytest.mark.parametrize("spec", FILTERS, ids=lambda s: s.describe())
     def test_federated_filtered_identical_to_forced_linear(
-            self, federation, served_system, direct_system):
+            self, federation, served_system, direct_system, spec):
         name = served_system.archive.names[0]
-        spec = FILTERS[0]
         planned = federation.similar_images(f"a/{name}", k=8, filter=spec)
         expected, used = federated_linear_oracle(
             [("a", served_system), ("b", direct_system)],
@@ -208,18 +213,42 @@ class TestFederatedPathEquivalence:
             assert shaped(response.results) == expected
             assert response.radius_used == used
 
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+    def test_filter_resolved_once_per_node(self, federation, served_system,
+                                           direct_system, monkeypatch,
+                                           batch):
+        nodes = {"a": served_system, "b": direct_system}
+        served_system.gateway.cache.invalidate()
+        resolved = {node: 0 for node in nodes}
+        for node, system in nodes.items():
+            service = system.search_service
+            original = service.matching_names
+
+            def counted(spec, node=node, original=original):
+                resolved[node] += 1
+                return original(spec)
+
+            monkeypatch.setattr(service, "matching_names", counted)
+        name = f"a/{served_system.archive.names[0]}"
+        if batch:
+            federation.similar_images_batch(
+                [name, f"b/{direct_system.archive.names[0]}"], k=4,
+                filter=FILTERS[0])
+        else:
+            federation.similar_images(name, k=4, filter=FILTERS[0])
+        assert resolved == {"a": 1, "b": 1}
+
 
 class TestExplainPlanPayload:
-    """The acceptance-criterion payload: chosen plan, >=1 rejected
-    alternative with predicted cost, and the measured cost."""
+    """A filtered query's ``plan`` record: the one plan, the filter's
+    selectivity against the corpus, and the measured cost."""
 
-    def _assert_plan_section(self, plan):
-        assert plan["chosen"]["plan"]
-        assert plan["chosen"]["predicted_ns"] >= 0
-        assert len(plan["rejected"]) >= 1
-        assert all("predicted_ns" in alt for alt in plan["rejected"])
+    def _assert_plan_section(self, plan, system):
+        assert plan["chosen"] == {"plan": "linear:pre"}
+        assert plan["context"]["corpus_size"] == system.cbir.table.rows
+        assert 0 < plan["context"]["selectivity"] <= 1
         assert plan["measured_ns"] >= 0
-        assert plan["calibrated"] in (True, False)
+        assert set(plan) == {"chosen", "context", "measured_ns"}
 
     def test_direct_similar_explain_carries_plan(self, direct_system):
         api = EarthQubeAPI(direct_system)
@@ -227,7 +256,7 @@ class TestExplainPlanPayload:
                                "k": 5, "explain": True,
                                "filter": {"seasons": ["Summer"]}})
         assert payload["ok"], payload
-        self._assert_plan_section(payload["explain"]["plan"])
+        self._assert_plan_section(payload["explain"]["plan"], direct_system)
 
     def test_served_similar_explain_carries_plan(self, served_system):
         api = EarthQubeAPI(served_system)
@@ -236,18 +265,26 @@ class TestExplainPlanPayload:
                                "k": 5, "explain": True,
                                "filter": {"seasons": ["Summer"]}})
         assert payload["ok"], payload
-        self._assert_plan_section(payload["explain"]["plan"])
+        self._assert_plan_section(payload["explain"]["plan"], served_system)
 
-    def test_unfiltered_explain_has_one_plan(self, served_system):
+    def test_unfiltered_explain_has_no_plan(self, served_system):
         api = EarthQubeAPI(served_system)
         served_system.gateway.cache.invalidate()
         payload = api.similar({"name": served_system.archive.names[5],
                                "k": 5, "explain": True})
         assert payload["ok"], payload
-        plan = payload["explain"]["plan"]
-        assert plan["chosen"]["plan"] == "linear:unfiltered"
-        assert plan["rejected"] == []
-        assert plan["context"]["tier"] == "sharded"
+        assert "plan" not in payload["explain"]
+        assert payload["explain"]["costs"]["rows_scanned"] > 0
+
+    def test_served_plan_carries_the_tier(self, served_system):
+        api = EarthQubeAPI(served_system)
+        served_system.gateway.cache.invalidate()
+        payload = api.similar({"name": served_system.archive.names[5],
+                               "k": 5, "explain": True,
+                               "filter": {"seasons": ["Summer"]}})
+        assert payload["ok"], payload
+        context = payload["explain"]["plan"]["context"]
+        assert (context["tier"], context["shards"]) == ("sharded", 1)
 
     @pytest.mark.parametrize("route, body", [
         ("similar", {"k": 5}),
@@ -284,7 +321,7 @@ class TestExplainPlanPayload:
             {"names": list(direct_system.archive.names[:3]), "k": 4,
              "explain": True, "filter": {"seasons": ["Summer"]}})
         assert payload["ok"], payload
-        self._assert_plan_section(payload["explain"]["plan"])
+        self._assert_plan_section(payload["explain"]["plan"], direct_system)
 
     def test_filtered_explain_carries_store_plan(self, direct_system):
         api = EarthQubeAPI(direct_system)
@@ -298,17 +335,9 @@ class TestExplainPlanPayload:
         assert store_plan["chosen"]["order"]
         assert store_plan["rejected"]
 
-    def test_calibrated_gauge_exported(self, served_system):
+    def test_no_planner_state_left_to_report(self, served_system):
         api = EarthQubeAPI(served_system)
         api.similar({"name": served_system.archive.names[0], "k": 3})
         snapshot = api.metrics()["serving"]
-        assert snapshot["gauges"]["planner.calibrated"] == \
-            int(served_system.planner.calibrated)
-
-    def test_planner_summary_in_describe(self, direct_system):
-        summary = direct_system.describe()["planner"]
-        assert "enabled" not in summary
-        assert set(summary["units"]) == {
-            "linear_scan_ns_per_row", "mih_probe_ns_per_bucket",
-            "mih_verify_ns_per_candidate", "intersect_ns_per_id",
-            "cache_lookup_ns"}
+        assert "planner.calibrated" not in snapshot["gauges"]
+        assert "planner" not in served_system.describe()

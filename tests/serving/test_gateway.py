@@ -150,11 +150,13 @@ class TestObservability:
         json.dumps(snapshot)
 
     def test_shard_count_is_one_range(self, mini_system):
-        """``/metrics`` and the plan context report the one range a scan
-        covers; ``describe()`` keeps the configured ``num_shards``."""
+        """``/metrics`` and a filtered query's plan context report the one
+        range a scan covers; ``describe()`` keeps the configured
+        ``num_shards``."""
         gateway = mini_system.gateway
         payload = EarthQubeAPI(mini_system).similar(
-            {"name": mini_system.archive.names[1], "k": 3, "explain": True})
+            {"name": mini_system.archive.names[1], "k": 3, "explain": True,
+             "filter": {"seasons": ["Summer"]}})
         assert payload["ok"], payload
         assert payload["explain"]["plan"]["context"]["shards"] == 1
         snapshot = gateway.metrics_snapshot()
