@@ -11,9 +11,12 @@ sampling configurations:
    ``--rates`` (default 0.0 / 0.1 / 1.0) with cost counters *off* (the
    tracing-only configuration), so the sweep covers the sampled-out fast
    path, the default light sampling, and full tracing,
-3. **cost-counter sweep** — the same rates with ``cost_tracking`` and the
-   workload store *on*, reporting the qps overhead the typed operator
-   counters add over tracing alone at each rate.
+3. **cost-counter sweep** — the same rates with ``cost_tracking`` *on*,
+   reporting the qps overhead the typed operator counters add over tracing
+   alone at each rate.
+
+Both sweeps record every request into the ``query.latency`` histogram
+that ``/metrics`` serves, as a deployed system does.
 
 Every configuration runs the *identical* stream best-of ``--trials`` (the
 minimum wall time is the least noisy estimator for a fixed workload), and
@@ -24,14 +27,8 @@ The headline numbers are ``overhead_pct_at_default_sampling`` (the qps
 cost of the default 10% sampling relative to the sampled-out rate-0.0
 loop) and ``overhead_pct_cost_counters_at_full_tracing`` (what the
 counters add over tracing alone at 100% sampling).  ``--smoke`` asserts
-both stay below 10%.
-
-A final **prediction check** measures per-unit operator costs with the
-calibration runner (:mod:`repro.obs.calibrate`), then asks whether the
-calibrated cost model ranks linear-scan vs. MIH filtered kNN correctly at
-1% and 50% filter selectivity — predicted cost from the measured counters
-against measured wall time.  The JSON report is written to ``--out``
-(default: stdout).
+both stay below 10%.  The JSON report is written to ``--out`` (default:
+stdout).
 
 Usage::
 
@@ -49,12 +46,10 @@ import time
 import numpy as np
 
 from repro.config import ObsConfig
-from repro.index import LinearScanIndex, MultiIndexHashing, pack_bits
-from repro.obs import Observability, measure
-from repro.obs.calibrate import predict_cost_ns, run_calibration
+from repro.index import MultiIndexHashing, pack_bits
+from repro.obs import Observability
 
 DEFAULT_RATES = (0.0, 0.1, 1.0)
-PREDICT_SELECTIVITIES = (0.01, 0.5)
 
 
 def random_packed_codes(num_items: int, num_bits: int, seed: int) -> np.ndarray:
@@ -98,73 +93,6 @@ def best_of(trials: int, index: MultiIndexHashing, stream: np.ndarray,
     return best, checksum
 
 
-def prediction_check(items: int, bits: int, k: int, seed: int, *,
-                     queries: int = 16, trials: int = 3) -> dict:
-    """Does the calibrated cost model rank linear vs. MIH correctly?
-
-    For each selectivity in :data:`PREDICT_SELECTIVITIES`, runs the same
-    filtered kNN stream through both backends, then compares the
-    measured-wall-time winner against the winner predicted by pricing
-    each backend's measured cost counters with the calibrated units.
-    """
-    codes = random_packed_codes(items, bits, seed + 5)
-    rng = np.random.default_rng(seed + 6)
-    stream = codes[rng.integers(0, items, queries)]
-    linear = LinearScanIndex(bits)
-    linear.build(list(range(items)), codes)
-    mih = MultiIndexHashing(bits)
-    mih.build(list(range(items)), codes)
-
-    calibration = run_calibration(
-        corpus_sizes=(max(items // 25, 500), max(items // 5, 1000)),
-        num_bits=bits, num_queries=16, seed=seed + 7)
-    units = calibration["units"]
-
-    def run(index) -> "tuple[float, dict]":
-        best = float("inf")
-        for _ in range(trials):
-            start = time.perf_counter()
-            for query in stream:
-                index.search_knn(query, k, allowed=allowed)
-            best = min(best, time.perf_counter() - start)
-        with measure() as ledger:
-            for query in stream:
-                index.search_knn(query, k, allowed=allowed)
-        return best, ledger.report()["costs"]
-
-    report: dict = {"items": items, "queries": queries,
-                    "calibration_units": units, "selectivities": {}}
-    all_correct = True
-    for selectivity in PREDICT_SELECTIVITIES:
-        allowed = rng.random(items) < selectivity
-        linear_s, linear_costs = run(linear)
-        mih_s, mih_costs = run(mih)
-        predicted = {"linear": predict_cost_ns(units, linear_costs),
-                     "mih": predict_cost_ns(units, mih_costs)}
-        measured_winner = "linear" if linear_s <= mih_s else "mih"
-        predicted_winner = min(predicted, key=predicted.get)
-        correct = measured_winner == predicted_winner
-        all_correct = all_correct and correct
-        report["selectivities"][f"{selectivity:g}"] = {
-            "allowed_rows": int(allowed.sum()),
-            "measured_ms_per_query": {
-                "linear": round(linear_s / queries * 1e3, 4),
-                "mih": round(mih_s / queries * 1e3, 4)},
-            "predicted_us_per_stream": {
-                name: round(value / 1e3, 2)
-                for name, value in predicted.items()},
-            "costs": {"linear": linear_costs, "mih": mih_costs},
-            "measured_winner": measured_winner,
-            "predicted_winner": predicted_winner,
-            "ordering_correct": correct,
-        }
-        print(f"[bench_observability] predict sel={selectivity:g}: measured "
-              f"{measured_winner}, predicted {predicted_winner} "
-              f"({'ok' if correct else 'MISMATCH'})", file=sys.stderr)
-    report["ordering_correct"] = all_correct
-    return report
-
-
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--items", type=int, default=20_000,
@@ -183,22 +111,15 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out", type=str, default=None,
                         help="write the JSON report here (default: stdout)")
-    parser.add_argument("--workload-out", type=str, default=None,
-                        help="also save the workload profile recorded during "
-                             "the full-sampling cost run as a JSON sidecar")
-    parser.add_argument("--predict-items", type=int, default=50_000,
-                        help="corpus size for the calibrated linear-vs-MIH "
-                             "prediction check (0 disables it)")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny configuration for CI smoke runs; asserts "
                              "the <10%% sampling and cost-counter overhead "
-                             "bounds and the prediction-ordering check")
+                             "bounds")
     args = parser.parse_args(argv)
 
     if args.smoke:
         args.items, args.queries = 4_000, 400
         args.trials = 3
-        args.predict_items = min(args.predict_items, 8_000)
 
     codes = random_packed_codes(args.items, args.bits, args.seed)
     stream = codes[np.random.default_rng(args.seed + 1)
@@ -223,8 +144,7 @@ def main(argv: "list[str] | None" = None) -> int:
     for rate in args.rates:
         obs = Observability(ObsConfig(sample_rate=rate,
                                       slow_threshold_ms=1e9,
-                                      cost_tracking=False,
-                                      workload_enabled=False),
+                                      cost_tracking=False),
                             component="bench")
         elapsed, digest = best_of(args.trials, index, stream, args.k, obs)
         assert digest == baseline_sum, \
@@ -244,30 +164,31 @@ def main(argv: "list[str] | None" = None) -> int:
               f"({rows[f'{rate:g}']['requests_sampled']} traced)",
               file=sys.stderr)
 
-        # Same rate with cost counters + the workload store on: what do
-        # the typed operator counters add over tracing alone?
+        # Same rate with cost counters on: what do the typed operator
+        # counters add over tracing alone?
         obs_costs = Observability(ObsConfig(sample_rate=rate,
                                             slow_threshold_ms=1e9,
-                                            cost_tracking=True,
-                                            workload_enabled=True),
+                                            cost_tracking=True),
                                   component="bench")
         cost_elapsed, cost_digest = best_of(args.trials, index, stream,
                                             args.k, obs_costs)
         assert cost_digest == baseline_sum, \
             f"cost tracking at rate {rate} changed retrieval results"
         cost_qps = args.queries / cost_elapsed
-        workload = obs_costs.workload.describe()
+        recorded = sum(series["count"] for series in
+                       obs_costs.metrics.snapshot()["families"]["latency"]
+                       ["query.latency"])
         cost_rows[f"{rate:g}"] = {
             "sample_rate": rate,
             "qps": round(cost_qps, 1),
             "wall_seconds": round(cost_elapsed, 4),
             "overhead_pct_vs_tracing_only":
                 round(100.0 * (qps - cost_qps) / qps, 2),
-            "workload_recorded": workload["recorded_total"],
+            "workload_recorded": recorded,
             "identical_results": True,
         }
         print(f"[bench_observability] rate={rate:g}+costs: {cost_qps:.1f} "
-              f"qps ({workload['recorded_total']} profiled)",
+              f"qps ({recorded} latencies recorded)",
               file=sys.stderr)
 
     zero = rows.get("0") or min(rows.values(), key=lambda r: r["sample_rate"])
@@ -281,11 +202,6 @@ def main(argv: "list[str] | None" = None) -> int:
             return None
         return round(100.0 * (zero["qps"] - row["qps"]) / zero["qps"], 2)
 
-    prediction = None
-    if args.predict_items:
-        prediction = prediction_check(args.predict_items, args.bits, args.k,
-                                      args.seed)
-
     report = {
         "config": {"items": args.items, "bits": args.bits,
                    "queries": args.queries, "k": args.k,
@@ -295,25 +211,14 @@ def main(argv: "list[str] | None" = None) -> int:
                    "wall_seconds": round(baseline_s, 4)},
         "rates": rows,
         "cost_tracking": cost_rows,
-        "prediction": prediction,
         "headline": {
             "overhead_pct_sampled_out": zero["overhead_pct_vs_no_obs"],
             "overhead_pct_at_default_sampling": overhead_vs_zero(default),
             "overhead_pct_at_full_tracing": overhead_vs_zero(full),
             "overhead_pct_cost_counters_at_full_tracing":
                 cost_full["overhead_pct_vs_tracing_only"],
-            "prediction_ordering_correct":
-                None if prediction is None
-                else prediction["ordering_correct"],
         },
     }
-
-    if args.workload_out:
-        # The workload profile from the last (highest-rate) cost run: a
-        # fully populated per-family histogram sidecar for CI artifacts.
-        obs_costs.workload.save(args.workload_out)
-        print(f"[bench_observability] workload profile -> "
-              f"{args.workload_out}", file=sys.stderr)
 
     text = json.dumps(report, indent=2)
     if args.out:
@@ -334,15 +239,9 @@ def main(argv: "list[str] | None" = None) -> int:
         assert cost_overhead < 10.0, \
             f"cost counters must add <10% qps over tracing at 100% " \
             f"sampling, measured {cost_overhead}%"
-        if prediction is not None:
-            assert prediction["ordering_correct"], \
-                "calibrated cost model mis-ranked linear vs MIH: " \
-                f"{prediction['selectivities']}"
         print(f"[bench_observability] smoke ok: default-sampling "
               f"{report['headline']['overhead_pct_at_default_sampling']}%, "
-              f"cost counters {cost_overhead}% (< 10% bounds), "
-              f"prediction ordering "
-              f"{report['headline']['prediction_ordering_correct']}",
+              f"cost counters {cost_overhead}% (< 10% bounds)",
               file=sys.stderr)
     return 0
 

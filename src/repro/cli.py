@@ -7,11 +7,7 @@ Commands mirror the library workflow:
   model state,
 * ``search``    — bootstrap a system and run a label/season search,
 * ``similar``   — bootstrap and run CBIR from an archive image,
-* ``describe``  — print the bootstrapped system summary,
-* ``calibrate`` — measure per-unit operator costs (ns/row scanned,
-  ns/bucket probed, ...) on this machine and optionally write them to a
-  ``calibration.json`` file; no query path reads it (the observability
-  benchmark ranks linear scan vs MIH with it).
+* ``describe``  — print the bootstrapped system summary.
 
 The CLI is intentionally thin: every command maps 1:1 onto public API calls
 so it doubles as living documentation.
@@ -86,21 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_archive_arguments(describe)
     _add_train_arguments(describe)
 
-    calibrate = commands.add_parser(
-        "calibrate", help="measure per-unit operator costs on this machine "
-                          "(a report; no query path reads it)")
-    calibrate.add_argument("--sizes", type=int, nargs="+",
-                           default=[2000, 8000],
-                           help="synthetic corpus sizes (default: 2000 8000)")
-    calibrate.add_argument("--bits", type=int, default=64,
-                           help="hash code length in bits (default 64)")
-    calibrate.add_argument("--queries", type=int, default=32,
-                           help="queries per measurement (default 32)")
-    calibrate.add_argument("--radius", type=int, default=6,
-                           help="MIH probe radius (default 6)")
-    calibrate.add_argument("--seed", type=int, default=7,
-                           help="synthetic corpus seed")
-    calibrate.add_argument("--out", help="write calibration JSON here")
     return parser
 
 
@@ -178,28 +159,12 @@ def _command_describe(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _command_calibrate(args: argparse.Namespace, out) -> int:
-    from .obs.calibrate import run_calibration, save_calibration
-
-    calibration = run_calibration(
-        corpus_sizes=tuple(args.sizes), num_bits=args.bits,
-        num_queries=args.queries, radius=args.radius, seed=args.seed)
-    if args.out:
-        save_calibration(calibration, args.out)
-        print(f"wrote calibration to {args.out}", file=out)
-    print(json.dumps({"host": calibration["host"],
-                      "corpus_sizes": calibration["corpus_sizes"],
-                      "units": calibration["units"]}, indent=2), file=out)
-    return 0
-
-
 _COMMANDS = {
     "generate": _command_generate,
     "train": _command_train,
     "search": _command_search,
     "similar": _command_similar,
     "describe": _command_describe,
-    "calibrate": _command_calibrate,
 }
 
 

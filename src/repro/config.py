@@ -188,10 +188,12 @@ class ServingConfig:
 class ObsConfig:
     """Observability settings (:mod:`repro.obs`).
 
-    Controls end-to-end query tracing and the slow-query log:
+    Controls end-to-end query tracing, the slow-query log and the
+    per-family query latency histogram:
 
-    * ``enabled`` — master switch; when off, no request is ever traced and
-      ``trace=true`` API requests are served without a span tree,
+    * ``enabled`` — master switch; when off, no request is ever traced,
+      ``trace=true`` API requests are served without a span tree, and
+      ``/metrics`` carries no ``workload`` (query latency) section,
     * ``sample_rate`` — fraction of requests that get a root trace
       (deterministic credit sampling: ``0.1`` traces every 10th request);
       the default keeps tracing always-on at low cost,
@@ -201,20 +203,14 @@ class ObsConfig:
     * ``cost_tracking`` — attach operator cost counters (rows scanned,
       buckets probed, candidates verified, ...) and per-stage self-times
       to *every* root request via a cost-only ledger even when the request
-      is not credit-sampled, so slow queries and the workload statistics
-      are always attributed,
-    * ``workload_enabled`` — aggregate per-query-family (backend x
-      strategy x selectivity-bucket) cost and latency histograms, served
-      at ``GET /debug/workload`` and persistable as a JSON
-      workload-profile sidecar at ``workload_profile_path``.
+      is not credit-sampled, so slow queries and ``explain=true`` are
+      always attributed and query latency is labelled by its filter.
     """
 
     enabled: bool = True
     sample_rate: float = 0.1
     slow_threshold_ms: float = 100.0
     cost_tracking: bool = True
-    workload_enabled: bool = True
-    workload_profile_path: "str | None" = None
 
     def __post_init__(self) -> None:
         _require(0.0 <= self.sample_rate <= 1.0,

@@ -112,6 +112,31 @@ def _integer(value: Any, name: str) -> int:
     raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def _flag(value: Any, name: str) -> bool:
+    """A JSON boolean, or the ``"true"`` / ``"false"`` a query string
+    carries; anything else (``"no"``, ``0``, ``[]``) is a ValidationError
+    rather than its truthiness."""
+    if value is True or value == "true":
+        return True
+    if value is False or value == "false":
+        return False
+    raise ValidationError(f"{name} must be true or false, got {value!r}")
+
+
+#: The fields a similarity request may carry besides its name field.
+_SIMILARITY_FIELDS = frozenset({"k", "radius", "filter", "trace", "explain"})
+
+
+def _similarity_request(request: Any, name_field: str) -> None:
+    """Reject a similarity body that is not an object or carries a field
+    the route does not read, with ``/search``'s message."""
+    if not isinstance(request, Mapping):
+        raise ValidationError("request body must be an object")
+    unknown = set(request) - _SIMILARITY_FIELDS - {name_field}
+    if unknown:
+        raise ValidationError(f"unknown request fields: {sorted(unknown)}")
+
+
 def _code_query_args(request: Mapping[str, Any]) -> dict:
     """The ``k`` / ``radius`` arguments of a similarity request."""
     radius = request.get("radius")
@@ -286,8 +311,8 @@ class EarthQubeAPI:
             if not isinstance(request, Mapping):
                 raise ValidationError("request body must be an object")
             request = dict(request)
-            explain = bool(request.pop("explain", False))
-            trace = bool(request.pop("trace", False))
+            explain = _flag(request.pop("explain", False), "explain")
+            trace = _flag(request.pop("trace", False), "trace")
             spec = parse_query_request(request)
             with self._obs().request("api.search", force_trace=trace) as ctx:
                 if self.federation is not None:
@@ -329,11 +354,15 @@ class EarthQubeAPI:
         intersection planner).
         """
         try:
-            if not isinstance(request, Mapping) or "name" not in request:
+            _similarity_request(request, "name")
+            if "name" not in request:
                 raise ValidationError("similar request needs a 'name' field")
-            name = str(request["name"])
-            trace = bool(request.get("trace", False))
-            explain = bool(request.get("explain", False))
+            name = request["name"]
+            if not isinstance(name, str):
+                raise ValidationError(
+                    f"similar name must be a string, got {name!r}")
+            trace = _flag(request.get("trace", False), "trace")
+            explain = _flag(request.get("explain", False), "explain")
             kwargs = _code_query_args(request)
             kwargs["filter"] = self._parse_filter(request.get("filter"))
             meta = None
@@ -369,15 +398,14 @@ class EarthQubeAPI:
         filtered, the ``plan`` record, as on ``/similar``.
         """
         try:
-            if not isinstance(request, Mapping):
-                raise ValidationError("similar_batch request must be an object")
-            names = request.get("names")
-            if not isinstance(names, (list, tuple)) or not names:
+            _similarity_request(request, "names")
+            names = _names(request, "names")
+            if not names:
                 raise ValidationError(
                     "similar_batch request needs a non-empty 'names' list")
-            names = [str(name) for name in names]
-            trace = bool(request.get("trace", False))
-            explain = bool(request.get("explain", False))
+            names = list(names)
+            trace = _flag(request.get("trace", False), "trace")
+            explain = _flag(request.get("explain", False), "explain")
             kwargs = _code_query_args(request)
             kwargs["filter"] = self._parse_filter(request.get("filter"))
             meta = None
@@ -549,10 +577,13 @@ class EarthQubeAPI:
         serving tier is enabled (``null`` otherwise).  ``federation``:
         scatter-gather latency with the per-node series when federated.
 
-        ``workload``: per-query-family (backend × strategy × selectivity)
-        latency and cost-counter aggregates when workload statistics are
-        enabled.  ``durability``: WAL fsync latency, WAL / snapshot gauges
-        and checkpoint / recovery counts when the node is durable.
+        ``workload``: the ``query.latency`` histogram of every root
+        request, one series per ``strategy`` (``prefilter`` /
+        ``unfiltered``) and filter ``selectivity`` bucket (``none``,
+        ``<=1%``, ...), when observability is enabled; per-request costs
+        are in ``explain=true`` and the slow-query log.  ``durability``:
+        WAL fsync latency, WAL / snapshot gauges and checkpoint /
+        recovery counts when the node is durable.
 
         ``GET /metrics?format=prometheus`` returns the same snapshot as
         Prometheus text exposition (version 0.0.4) instead of JSON:
@@ -570,9 +601,9 @@ class EarthQubeAPI:
             payload["durability"] = self.system.durability.metrics_snapshot()
         if self.federation is not None:
             payload["federation"] = self.federation.metrics_snapshot()
-        workload = self._obs().workload
-        if workload is not None:
-            payload["workload"] = workload.metrics_snapshot()
+        latency = self._obs().metrics
+        if latency is not None:
+            payload["workload"] = latency.snapshot()
         if format == "prometheus":
             return render_prometheus(payload)
         return payload
@@ -686,20 +717,3 @@ class EarthQubeAPI:
                 "capacity": info["capacity"],
                 "recorded_total": info["recorded_total"],
                 "count": len(entries), "entries": entries}
-
-    def workload(self) -> dict:
-        """GET /debug/workload — the workload-statistics profile.
-
-        One entry per query family — ``(backend, strategy,
-        filter-selectivity bucket)`` — with its latency percentile summary
-        and per-cost-counter aggregates (total / mean / max / power-of-two
-        histogram).  Every root request lands here, sampled or not, so the
-        profile converges on real traffic; the same document persists as
-        the workload-profile JSON sidecar.
-        """
-        profile = self._obs().workload_profile()
-        if profile is None:
-            return self._error(ValidationError(
-                "workload statistics are disabled "
-                "(ObsConfig.workload_enabled=false)"))
-        return {"ok": True, **profile}

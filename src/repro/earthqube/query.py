@@ -70,11 +70,14 @@ class QuerySpec:
         if not isinstance(self.label_operator, LabelOperator):
             raise ValidationError(
                 f"label_operator must be a LabelOperator, got {self.label_operator!r}")
+        # bool is an int subclass: ``limit: true`` is not a page size of 1.
         if self.limit is not None and (not isinstance(self.limit, int)
+                                       or isinstance(self.limit, bool)
                                        or self.limit <= 0):
             raise ValidationError(
                 f"limit must be a positive integer, got {self.limit!r}")
-        if not isinstance(self.skip, int) or self.skip < 0:
+        if (not isinstance(self.skip, int) or isinstance(self.skip, bool)
+                or self.skip < 0):
             raise ValidationError(
                 f"skip must be an integer >= 0, got {self.skip!r}")
 

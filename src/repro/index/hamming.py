@@ -406,8 +406,8 @@ def exact_scan(codes: np.ndarray, queries: np.ndarray, *,
 
     The one place a packed code matrix becomes a ranked result: every
     exact path (``LinearScanIndex``, the MIH exact fallback, the linear
-    shard) calls this, so the unit ``repro calibrate`` times is the code
-    that serves.  Per query it returns ``(rows, distances)`` as int64
+    shard) calls this, so what a benchmark times here is the code that
+    serves.  Per query it returns ``(rows, distances)`` as int64
     arrays in canonical ``(distance, insertion row)`` order:
 
     * ``k`` only — the ``k`` nearest rows (all of them when ``k > N``),

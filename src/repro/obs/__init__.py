@@ -14,24 +14,15 @@ across every layer of the stack:
 * :mod:`~repro.obs.prometheus` — Prometheus text exposition of the metric
   snapshots, labels included,
 * :mod:`~repro.obs.costs` — typed operator cost counters (rows scanned,
-  buckets probed, candidates verified, ...) folded into per-request
-  profiles and (backend × strategy × selectivity) query families,
-* :mod:`~repro.obs.workload` — the thread-safe per-family workload
-  statistics store behind ``GET /debug/workload`` and the JSON workload
-  profile sidecar,
-* :mod:`~repro.obs.calibrate` — the calibration runner measuring per-unit
-  operator costs (ns/row, ns/bucket, ...) on the deployed hardware,
+  candidates verified, ...) folded into the per-request profiles that
+  ``explain=true`` and the slow-query log report, and the filter
+  selectivity buckets that label query latency,
 * :mod:`~repro.obs.observability` — the per-system facade tying the above
-  together behind :class:`~repro.config.ObsConfig`.
+  together behind :class:`~repro.config.ObsConfig`, including the
+  ``query.latency`` histogram split by strategy and selectivity.
 """
 
-from .calibrate import (
-    load_calibration,
-    predict_cost_ns,
-    run_calibration,
-    save_calibration,
-)
-from .costs import family_key, measure, profile_from_tree, selectivity_bucket
+from .costs import measure, profile_from_tree, selectivity_bucket
 from .observability import Observability, RequestContext
 from .prometheus import render_prometheus
 from .slowlog import SlowQueryLog
@@ -48,7 +39,6 @@ from .tracing import (
     current_span,
     span,
 )
-from .workload import WorkloadStats, merge_profiles
 
 __all__ = [
     "NULL_SPAN",
@@ -59,21 +49,14 @@ __all__ = [
     "Span",
     "StructuredLogger",
     "Tracer",
-    "WorkloadStats",
     "add_cost",
     "annotate",
     "attach",
     "capture",
     "current_span",
-    "family_key",
-    "load_calibration",
     "measure",
-    "merge_profiles",
-    "predict_cost_ns",
     "profile_from_tree",
     "render_prometheus",
-    "run_calibration",
-    "save_calibration",
     "selectivity_bucket",
     "span",
 ]

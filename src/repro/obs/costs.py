@@ -1,8 +1,7 @@
 """Operator cost accounting: typed work counters on the span tree.
 
-PR-6 spans record *wall time*; this module records *work* — the counter
-vocabulary a cost model actually needs (ROADMAP: "calibrated per deployment
-from measured scan/probe/merge costs"):
+Spans record *wall time*; this module records *work* — how many rows,
+candidates, postings and documents a request touched:
 
 ========================  ====================================================
 counter                   attached by
@@ -27,9 +26,9 @@ Instrumentation sites call :func:`repro.obs.tracing.add_cost` (or
 ``span.add_cost(...)`` on a span they already hold); both degrade to the
 no-op singleton / one ``getattr`` when the request is untraced.  This
 module is the *read* side: folding a finished span tree (or a cost-only
-:class:`~repro.obs.tracing.CostSpan` ledger) into one request profile, and
-classifying requests into the (backend x strategy x selectivity-bucket)
-families the workload statistics store aggregates over.
+:class:`~repro.obs.tracing.CostSpan` ledger) into the request profile that
+``explain=true`` and the slow-query log report, and bucketing a filter's
+selectivity for the ``query.latency`` label.
 """
 
 from __future__ import annotations
@@ -40,13 +39,14 @@ from typing import Any, Iterator
 from . import tracing
 from .tracing import add_cost  # noqa: F401  (re-exported instrumentation API)
 
-#: Span/ledger attributes that classify a request into a query family.
-FAMILY_ATTRS = ("backend", "strategy", "filter_mode", "selectivity")
+#: Span/ledger attributes that describe a query's family: how its filter
+#: ran and how selective it was.
+FAMILY_ATTRS = ("strategy", "filter_mode", "selectivity")
 
-#: Extra attributes carried through into request profiles (not part of the
-#: family key): the plan records ride the span so ``explain=true`` can
-#: report them — ``plan`` for a filtered similarity query, ``store_plan``
-#: for the columnar intersection order.
+#: Extra attributes carried through into request profiles: the plan
+#: records ride the span so ``explain=true`` can report them — ``plan``
+#: for a filtered similarity query, ``store_plan`` for the columnar
+#: intersection order.
 PROFILE_ATTRS = FAMILY_ATTRS + ("plan", "store_plan")
 
 #: Upper edges of the filter-selectivity buckets (fraction of the corpus).
@@ -70,23 +70,14 @@ def selectivity_bucket(selectivity: "float | None") -> str:
     return _SELECTIVITY_LABELS[-1]
 
 
-def family_key(attrs: "dict | None") -> "tuple[str, str, str]":
-    """The (backend, strategy, selectivity-bucket) family of a request."""
-    attrs = attrs or {}
-    backend = str(attrs.get("backend") or "unknown")
-    strategy = str(attrs.get("strategy") or attrs.get("filter_mode")
-                   or "unfiltered")
-    return backend, strategy, selectivity_bucket(attrs.get("selectivity"))
-
-
 def profile_from_tree(tree: "dict | None") -> "dict | None":
     """Fold an ``as_dict`` span tree into one request cost profile.
 
     Returns ``{"costs": totals, "stages": {name: {count, self_time_ms,
     costs}}, "attrs": family attributes}`` — the same shape a cost-only
     :meth:`~repro.obs.tracing.CostSpan.report` produces, so the slow-query
-    ring and the workload store consume one format regardless of whether
-    the request was credit-sampled.
+    ring and ``explain=true`` read one format regardless of whether the
+    request was credit-sampled.
     """
     if tree is None:
         return None
@@ -130,7 +121,7 @@ def measure(name: str = "measure") -> "Iterator[tracing.CostSpan]":
     Installs a fresh :class:`~repro.obs.tracing.CostSpan` as this thread's
     active context — any instrumented call inside the block reports into
     it, whether or not an :class:`~repro.obs.Observability` request wraps
-    the caller.  Used by the calibration runner and by tests::
+    the caller.  Used by benchmarks and tests::
 
         with measure() as ledger:
             index.search_knn(code, k=10)

@@ -4,8 +4,8 @@ The paper demos EarthQube as an *interactive* portal; an interactive query
 tier is only tunable when every stage of the hot path is measured.  This
 module is a dependency-free miniature of the usual Prometheus client and
 the only one in the system — the serving gateway, the federation executor,
-the durability tier and the per-family workload statistics all record
-into these types:
+the durability tier and the per-family query latency all record into
+these types:
 
 * :class:`Counter` — monotonically increasing event count (QPS numerators,
   cache hits/misses),

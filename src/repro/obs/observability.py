@@ -11,8 +11,10 @@ their work in :meth:`Observability.request`, which
   the caller's tree rather than start a second root,
 * always measures wall-clock duration (one ``perf_counter`` pair, even when
   untraced) so the slow-query log sees *every* request, and
-* on root completion feeds the slow-query ring buffer and the structured
-  event log.
+* on root completion records that duration into the ``query.latency``
+  histogram labelled by ``strategy`` (``prefilter`` / ``unfiltered``) and
+  filter ``selectivity`` bucket, and feeds the slow-query ring buffer and
+  the structured event log.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ import time
 from typing import Any
 
 from ..config import ObsConfig
-from ..errors import ValidationError
 from . import costs, tracing
 from .logs import StructuredLogger
+from .metrics import MetricsRegistry
 from .slowlog import SlowQueryLog
-from .workload import WorkloadStats
 
 
 class RequestContext:
@@ -67,6 +68,22 @@ class RequestContext:
         if self.is_root and self.span is not None:
             return self.span.as_dict()
         return None
+
+    def attr(self, key: str) -> Any:
+        """The first value the request's span tree (or cost-only ledger)
+        recorded for attribute ``key``, else the request's own — the same
+        first-seen rule :func:`~repro.obs.costs.profile_from_tree` folds
+        by, without building the tree."""
+        if self.span is not None:
+            for node in self.span.walk():
+                value = node.attrs.get(key)
+                if value is not None:
+                    return value
+        elif isinstance(self._ledger, tracing.CostSpan):
+            value = self._ledger.attrs.get(key)
+            if value is not None:
+                return value
+        return self.attrs.get(key)
 
     def profile(self) -> "dict | None":
         """The request's cost profile: counters, stage self-times, family
@@ -126,9 +143,10 @@ class Observability:
         self.tracer = tracing.Tracer(enabled=self.config.enabled,
                                      sample_rate=self.config.sample_rate)
         self.slow_log = SlowQueryLog(threshold_ms=self.config.slow_threshold_ms)
-        self.workload: "WorkloadStats | None" = (
-            WorkloadStats()
-            if self.config.enabled and self.config.workload_enabled else None)
+        #: Query latency by family, served in ``/metrics`` as the
+        #: ``workload`` tier (``None`` when observability is off).
+        self.metrics: "MetricsRegistry | None" = (
+            MetricsRegistry() if self.config.enabled else None)
         self.log = StructuredLogger(component)
 
     def request(self, route: str, *, force_trace: bool = False,
@@ -148,17 +166,17 @@ class Observability:
                            duration_ms=duration_ms,
                            error=exc_type.__name__, **fields)
             return
-        tree = request.tree()
-        profile = (costs.profile_from_tree(tree) if tree is not None
-                   else request.profile())
-        if self.workload is not None:
-            family_attrs = dict(request.attrs)
-            if profile is not None:
-                family_attrs.update(profile["attrs"])
-            self.workload.record(family=costs.family_key(family_attrs),
-                                 duration_ms=duration_ms,
-                                 costs=(profile or {}).get("costs"))
+        if self.metrics is not None:
+            self.metrics.histogram(
+                "query.latency",
+                strategy=request.attr("strategy") or "unfiltered",
+                selectivity=costs.selectivity_bucket(
+                    request.attr("selectivity")),
+            ).record(duration_ms / 1e3)
         if duration_ms >= self.slow_log.threshold_ms:
+            tree = request.tree()
+            profile = (costs.profile_from_tree(tree) if tree is not None
+                       else request.profile())
             self.slow_log.record(route=request.route, duration_ms=duration_ms,
                                  trace_id=request.trace_id,
                                  attrs=request.attrs, trace=tree,
@@ -172,21 +190,6 @@ class Observability:
                            trace_id=request.trace_id, route=request.route,
                            duration_ms=duration_ms, **fields)
 
-    def workload_profile(self) -> "dict | None":
-        """The current workload-statistics profile (``None`` if disabled)."""
-        return self.workload.snapshot() if self.workload is not None else None
-
-    def save_workload_profile(self, path: "str | None" = None) -> dict:
-        """Persist the workload profile sidecar to ``path`` (or the
-        configured ``workload_profile_path``)."""
-        if self.workload is None:
-            raise ValidationError("workload statistics are disabled")
-        path = path if path is not None else self.config.workload_profile_path
-        if path is None:
-            raise ValidationError(
-                "no path given and ObsConfig.workload_profile_path unset")
-        return self.workload.save(path)
-
     def describe(self) -> dict:
         """JSON-compatible view of knobs and tracer/slow-log state."""
         return {
@@ -197,10 +200,7 @@ class Observability:
                 "slow_threshold_ms": self.config.slow_threshold_ms,
                 "slow_buffer_size": self.slow_log.capacity,
                 "cost_tracking": self.cost_tracking,
-                "workload_enabled": self.workload is not None,
             },
             "tracer": self.tracer.stats(),
             "slow_log": self.slow_log.describe(),
-            "workload": (self.workload.describe()
-                         if self.workload is not None else None),
         }

@@ -210,7 +210,8 @@ class CostSpan:
     Instrumentation sites then get a :class:`_StageSpan` from :func:`span`
     — no tree is built, no ids are allocated, but per-stage self-time and
     every :func:`add_cost` counter still fold into this single ledger, so
-    the slow-query ring and the workload statistics cover 100% of traffic.
+    the slow-query ring, ``explain=true`` and the query-latency labels
+    cover 100% of traffic.
 
     Thread-safe: batch leaders and federation workers that :func:`attach` a
     captured cost context fold their stages under one lock.

@@ -6,7 +6,8 @@ Query-by-Example over packed hash codes, optionally restricted by a
 metadata filter.  :class:`QueryExecutor` owns that operation once: the
 ``(k, radius)`` validation, the empty-filter short-circuit, the filter's
 allowed rows pushed into the exact scan, ``radius_used``, and the span
-annotations ``explain=true`` and the workload statistics read.
+annotations ``explain=true`` and the ``/metrics`` query-latency labels
+read.
 
 There is one plan.  :func:`repro.index.hamming.exact_scan` decides
 locally whether to gather the allowed rows or scan every row and select
@@ -110,16 +111,15 @@ class QueryExecutor:
         """
         validate_code_query(k, radius)
         if row_filter is None:
-            tracing.annotate(backend="linear")
             rankings = runner.run(codes, k=k, radius=radius, allowed=None)
         elif row_filter.count == 0:
             return [([], used_radius((), radius)) for _ in codes]
         else:
             corpus_size = runner.corpus_size()
             selectivity = row_filter.selectivity(corpus_size)
-            # The workload statistics families are keyed on these
-            # spellings (``strategy`` names the family).
-            tracing.annotate(backend="linear", filter_mode="pre",
+            # ``/metrics`` labels query latency by ``strategy`` and the
+            # bucket of ``selectivity``.
+            tracing.annotate(filter_mode="pre",
                              filter_count=row_filter.count,
                              strategy="prefilter", selectivity=selectivity)
             # Looked up per call: a profiler may wrap plan_similarity on

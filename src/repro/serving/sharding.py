@@ -234,7 +234,6 @@ class ShardedHammingIndex:
         with tracing.span("shards.search", jobs=len(jobs),
                           unique=len(unique_jobs),
                           rows=codes.shape[0]) as search_span:
-            search_span.annotate(backend="linear")
             groups: dict[tuple, list[int]] = {}
             rows_of: dict["Hashable | None", "np.ndarray | None"] = {None: None}
             for i, job in enumerate(unique_jobs):

@@ -171,6 +171,51 @@ class TestEarthQubeAPI:
         assert out["error"] == "ValidationError", out
         assert field in out["message"]
 
+    @pytest.mark.parametrize("route, body, field", [
+        # bool() switched both on for any non-empty string.
+        ("search", {"explain": "yes"}, "explain"),
+        ("search", {"trace": "no"}, "trace"),
+        ("similar", {"explain": "false", "trace": "no"}, "trace"),
+        ("similar", {"trace": "no"}, "trace"),
+        ("similar_batch", {"explain": 1}, "explain"),
+        ("similar_batch", {"trace": [0]}, "trace"),
+        # bool is an int subclass: true read as a page of 1.
+        ("search", {"limit": True}, "limit"),
+        ("search", {"skip": True}, "skip"),
+        # Never stringified: str(5) answered "no indexed image named '5'".
+        ("similar", {"name": 5}, "name"),
+        ("similar", {"name": None}, "name"),
+        ("similar_batch", {"names": [5]}, "names"),
+        # The similarity routes ignored fields they do not read.
+        ("similar", {"zzz": 1}, "zzz"),
+        ("similar", {"limit": 3}, "limit"),
+        ("similar_batch", {"zzz": 1}, "zzz"),
+        ("similar_batch", {"name": "x"}, "name"),
+    ], ids=repr)
+    def test_flag_name_and_field_errors_are_typed(self, api, system,
+                                                  route, body, field):
+        """Each of these answered ``ok`` (or an UnknownPatchError) before
+        it was a ValidationError naming the field."""
+        if route == "similar":
+            body = {"name": system.archive.names[0], **body}
+        elif route == "similar_batch":
+            body = {"names": list(system.archive.names[:2]), **body}
+        out = getattr(api, route)(body)
+        assert not out["ok"]
+        assert out["error"] == "ValidationError", out
+        assert field in out["message"]
+
+    @pytest.mark.parametrize("value, on", [
+        (True, True), (False, False), ("true", True), ("false", False)])
+    def test_flags_take_json_and_query_string_booleans(self, api, system,
+                                                       value, on):
+        """``"false"`` switched both on too."""
+        out = api.similar({"name": system.archive.names[0], "k": 3,
+                           "explain": value, "trace": value})
+        assert out["ok"], out
+        assert ("explain" in out) is on
+        assert ("trace_id" in out) is on
+
 
 @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
 def test_non_finite_circle_radius_is_a_geo_error(system, radius):

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro.config import ObsConfig
 from repro.earthqube.api import EarthQubeAPI
-from repro.obs import costs
+from repro.obs import Observability, costs
 
 from test_prometheus import parse_exposition
 
@@ -119,23 +122,59 @@ class TestSlowQueriesEndpoint:
         assert payload["entries"] == []
 
 
-class TestWorkloadEndpoint:
-    def test_workload_profile_accumulates_query_families(self, served_system):
-        served_system.obs.workload.clear()
-        api = EarthQubeAPI(served_system)
-        for name in served_system.archive.names[:4]:
-            assert api.similar({"name": name, "k": 5})["ok"]
-        payload = api.workload()
-        assert payload["ok"] is True
-        assert payload["recorded_total"] >= 4
-        families = {(f["backend"], f["strategy"], f["selectivity"])
-                    for f in payload["families"]}
-        assert ("linear", "unfiltered", "none") in families
-        json.dumps(payload)
+def _latency_counts(system) -> dict:
+    """``{(strategy, selectivity): count}`` of the ``query.latency``
+    series, read from both ``/metrics`` forms (which must agree)."""
+    api = EarthQubeAPI(system)
+    series = api.metrics()["workload"]["families"]["latency"].get(
+        "query.latency", [])
+    from_json = {(entry["labels"]["strategy"], entry["labels"]["selectivity"]):
+                 entry["count"] for entry in series}
+    families = parse_exposition(api.metrics(format="prometheus"))
+    assert "repro_workload_query_cost_total" not in families
+    empty = {"samples": []}
+    from_text = {(labels["strategy"], labels["selectivity"]): int(value)
+                 for name, labels, value in families.get(
+                     "repro_workload_query_latency_seconds", empty)["samples"]
+                 if name.endswith("_count")}
+    assert from_text == from_json
+    hist = families.get("repro_workload_query_latency_hist_seconds", empty)
+    if from_json:
+        assert hist["type"] == "histogram"
+        assert {(labels["strategy"], labels["selectivity"])
+                for _, labels, _ in hist["samples"]} == set(from_json)
+    for name, labels, value in hist["samples"]:
+        assert "backend" not in labels
+        if name.endswith("_bucket") and labels["le"] == "+Inf":
+            assert value == from_json[(labels["strategy"],
+                                       labels["selectivity"])]
+    return from_json
+
+
+class TestQueryLatencySeries:
+    @pytest.mark.parametrize("tier", ["direct", "served"])
+    def test_one_series_per_strategy_and_selectivity(
+            self, tier, served_system, direct_system):
+        system = served_system if tier == "served" else direct_system
+        if system.gateway is not None:
+            system.gateway.cache.invalidate()
+        before = _latency_counts(system)
+        api = EarthQubeAPI(system)
+        assert api.similar({"name": system.archive.names[0], "k": 4})["ok"]
+        filtered = api.similar({"name": system.archive.names[1], "k": 4,
+                                "filter": {"seasons": ["Summer"]},
+                                "explain": True})
+        assert filtered["ok"], filtered
+        bucket = costs.selectivity_bucket(
+            filtered["explain"]["plan"]["context"]["selectivity"])
+        after = _latency_counts(system)
+        grew = {family: after[family] - before.get(family, 0)
+                for family in after if after[family] != before.get(family, 0)}
+        assert grew == {("unfiltered", "none"): 1, ("prefilter", bucket): 1}
 
     def test_filtered_similar_is_described_alike_on_both_tiers(
             self, served_system, direct_system):
-        # /debug/workload families and slow-query entries are built from
+        # The query-latency labels and slow-query entries are built from
         # these attributes: the same query must not read differently
         # depending on the tier that ran it.
         vocabulary = set(costs.FAMILY_ATTRS) | {"filter_count"}
@@ -151,25 +190,21 @@ class TestWorkloadEndpoint:
             attrs = ledger.report()["attrs"]
             assert vocabulary <= set(attrs), (tier, attrs)
             assert "filter_plan" not in attrs
+            assert "backend" not in attrs
             assert attrs["filter_count"] > 0
             assert (attrs["strategy"], attrs["filter_mode"]) == \
                 ("prefilter", "pre")
 
-    def test_workload_disabled_is_a_validation_error(self, served_system):
-        workload = served_system.obs.workload
+    def test_disabled_observability_has_no_latency_section(
+            self, served_system):
+        obs = served_system.obs
         try:
-            served_system.obs.workload = None
-            payload = EarthQubeAPI(served_system).workload()
+            served_system.obs = Observability(ObsConfig(enabled=False))
+            payload = EarthQubeAPI(served_system).metrics()
         finally:
-            served_system.obs.workload = workload
-        assert payload["error"] == "ValidationError"
-
-    def test_workload_prometheus_families_render(self, served_system):
-        api = EarthQubeAPI(served_system)
-        api.similar({"name": served_system.archive.names[0], "k": 5})
-        families = parse_exposition(api.metrics(format="prometheus"))
-        assert "repro_workload_query_latency_seconds" in families
-        assert "repro_workload_query_cost_total" in families
+            served_system.obs = obs
+        assert payload["ok"] is True
+        assert "workload" not in payload
 
 
 class TestExplainCosts:

@@ -133,6 +133,44 @@ class TestSlowLogIntegration:
         assert description["slow_log"]["capacity"] == 256
 
 
+def _latency_series(obs: Observability) -> dict:
+    """``{(strategy, selectivity): count}`` of ``query.latency``."""
+    series = obs.metrics.snapshot()["families"]["latency"].get(
+        "query.latency", [])
+    return {(entry["labels"]["strategy"], entry["labels"]["selectivity"]):
+            entry["count"] for entry in series}
+
+
+class TestQueryLatency:
+    @pytest.mark.parametrize("force_trace", [False, True],
+                             ids=["ledger", "traced"])
+    def test_labels_come_from_the_scan_annotation(self, force_trace):
+        obs = Observability(ObsConfig(sample_rate=0.0))
+        with obs.request("api.similar", force_trace=force_trace):
+            with tracing.span("scan"):
+                tracing.annotate(strategy="prefilter", selectivity=0.05)
+        with obs.request("api.similar", force_trace=force_trace):
+            pass
+        assert _latency_series(obs) == {("prefilter", "<=10%"): 1,
+                                        ("unfiltered", "none"): 1}
+
+    def test_request_attrs_label_a_bare_request(self):
+        obs = Observability(ObsConfig(sample_rate=0.0, cost_tracking=False))
+        with obs.request("similar", strategy="prefilter", selectivity=0.6):
+            tracing.annotate(strategy="ignored")  # no active context
+        assert _latency_series(obs) == {("prefilter", ">50%"): 1}
+
+    def test_nested_and_failed_requests_record_nothing_extra(self):
+        obs = Observability(ObsConfig(sample_rate=0.0))
+        with obs.request("api.similar"):
+            with obs.request("similar"):
+                pass
+        with pytest.raises(RuntimeError):
+            with obs.request("api.similar"):
+                raise RuntimeError("boom")
+        assert _latency_series(obs) == {("unfiltered", "none"): 1}
+
+
 class TestSlowQueryLog:
     def test_capacity_bounds_the_buffer(self):
         log = SlowQueryLog(capacity=3, threshold_ms=0.0)

@@ -149,31 +149,6 @@ def test_labeled_histogram_buckets_render_per_series(registry):
             assert value == 1.0
 
 
-def test_workload_tier_renders_labeled_families():
-    from repro.obs import WorkloadStats
-
-    stats = WorkloadStats()
-    stats.record(family=("mih", "prefilter", "<=1%"), duration_ms=3.0,
-                 costs={"buckets_probed": 52, "candidates_verified": 9})
-    families = parse_exposition(
-        render_prometheus({"workload": stats.metrics_snapshot()}))
-    latency = families["repro_workload_query_latency_seconds"]
-    labels = latency["samples"][0][1]
-    assert labels["backend"] == "mih"
-    assert labels["strategy"] == "prefilter"
-    assert labels["selectivity"] == "<=1%"
-    cost = families["repro_workload_query_cost_total"]
-    totals = {labels["counter"]: value for _, labels, value in cost["samples"]}
-    assert totals == {"buckets_probed": 52.0, "candidates_verified": 9.0}
-    hist = families["repro_workload_query_latency_hist_seconds"]
-    assert hist["type"] == "histogram"
-    by_le = {labels["le"]: value for name, labels, value in hist["samples"]
-             if name.endswith("_bucket")}
-    assert by_le["0.0025"] == 0.0 and by_le["0.005"] == 1.0  # 3 ms
-    count = [v for n, _, v in hist["samples"] if n.endswith("_count")]
-    assert by_le["+Inf"] == count[0] == 1.0
-
-
 def test_durability_tier_reaches_the_metrics_payload(direct_system, tmp_path):
     from repro.config import DurabilityConfig
     from repro.earthqube import DurableEarthQube, EarthQubeAPI

@@ -62,6 +62,8 @@ class TestRemovedKnobs:
         (TrainConfig, {"semi_hard": False}),
         (EarthQubeConfig, {"cart_page_limit": 20}),
         (EarthQubeConfig, {"max_rendered_images": 10}),
+        (ObsConfig, {"workload_enabled": True}),
+        (ObsConfig, {"workload_profile_path": "workload.json"}),
     ])
     def test_removed_config_fields_raise(self, config_type, knob):
         with pytest.raises(TypeError, match="unexpected keyword"):
