@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import logging
+import threading
+from types import SimpleNamespace
 
 import pytest
 
 from repro.config import ObsConfig
 from repro.errors import ValidationError
-from repro.obs import Observability, SlowQueryLog, tracing
+from repro.obs import Observability, SlowQueryLog, observability, tracing
 from repro.obs.logs import StructuredLogger
 
 
@@ -169,6 +171,53 @@ class TestQueryLatency:
             with obs.request("api.similar"):
                 raise RuntimeError("boom")
         assert _latency_series(obs) == {("unfiltered", "none"): 1}
+
+
+    def test_concurrent_requests_are_all_counted(self):
+        obs = Observability(ObsConfig(sample_rate=0.0))
+        errors: list[Exception] = []
+
+        def worker(strategy):
+            try:
+                for _ in range(100):
+                    with obs.request("api.similar"):
+                        if strategy is not None:
+                            tracing.annotate(strategy=strategy,
+                                             selectivity=0.5)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker,
+                                    args=("prefilter" if i % 2 else None,))
+                   for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert _latency_series(obs) == {("prefilter", "<=50%"): 400,
+                                        ("unfiltered", "none"): 400}
+
+    @pytest.mark.parametrize("duration_ms, le", [(2.0, "0.0025"),
+                                                 (3.0, "0.005"),
+                                                 (40.0, "0.05")])
+    def test_duration_lands_in_its_cumulative_bucket(self, monkeypatch,
+                                                     duration_ms, le):
+        clock = iter([5.0, 5.0 + duration_ms / 1e3])
+        monkeypatch.setattr(observability, "time",
+                            SimpleNamespace(perf_counter=lambda: next(clock)))
+        obs = Observability(ObsConfig(sample_rate=0.0))
+        with obs.request("api.similar"):
+            pass
+        (entry,) = obs.metrics.snapshot()["families"]["latency"][
+            "query.latency"]
+        buckets = entry["buckets"]
+        edges = list(buckets)
+        first = edges.index(le)
+        assert all(buckets[edge] == 0 for edge in edges[:first])
+        assert all(buckets[edge] == 1 for edge in edges[first:])
+        assert entry["count"] == 1
 
 
 class TestSlowQueryLog:

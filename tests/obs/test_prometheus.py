@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -147,6 +148,33 @@ def test_labeled_histogram_buckets_render_per_series(registry):
     for name, labels, value in hist["samples"]:
         if name.endswith("_bucket") and labels["le"] == "+Inf":
             assert value == 1.0
+
+
+def test_workload_tier_renders_labeled_families(monkeypatch):
+    from repro.config import ObsConfig
+    from repro.obs import Observability, observability, tracing
+
+    clock = iter([10.0, 10.003])  # one request lasting 3 ms
+    monkeypatch.setattr(observability, "time",
+                        SimpleNamespace(perf_counter=lambda: next(clock)))
+    obs = Observability(ObsConfig(sample_rate=0.0))
+    with obs.request("api.similar"):
+        tracing.annotate(strategy="prefilter", selectivity=0.004)
+    families = parse_exposition(
+        render_prometheus({"workload": obs.metrics.snapshot()}))
+    assert "repro_workload_query_cost_total" not in families
+    latency = families["repro_workload_query_latency_seconds"]
+    assert latency["type"] == "summary"
+    assert {(labels["strategy"], labels["selectivity"])
+            for _, labels, _ in latency["samples"]} == {("prefilter", "<=1%")}
+    assert all("backend" not in labels for _, labels, _ in latency["samples"])
+    hist = families["repro_workload_query_latency_hist_seconds"]
+    assert hist["type"] == "histogram"
+    by_le = {labels["le"]: value for name, labels, value in hist["samples"]
+             if name.endswith("_bucket")}
+    assert by_le["0.0025"] == 0.0 and by_le["0.005"] == 1.0  # 3 ms
+    count = [v for n, _, v in hist["samples"] if n.endswith("_count")]
+    assert by_le["+Inf"] == count[0] == 1.0
 
 
 def test_durability_tier_reaches_the_metrics_payload(direct_system, tmp_path):

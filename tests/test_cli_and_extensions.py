@@ -57,6 +57,11 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    def test_calibrate_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["calibrate"])
+        assert "invalid choice: 'calibrate'" in capsys.readouterr().err
+
 
 class TestStorePersistence:
     def test_roundtrip_with_indexes_and_bytes(self, tmp_path):
