@@ -28,6 +28,7 @@ from .server import EarthQube
 
 if TYPE_CHECKING:
     from ..federation.facade import FederatedEarthQube
+    from ..index.results import Ranking
 
 _OPERATORS = {op.value: op for op in LabelOperator}
 
@@ -143,6 +144,15 @@ def _code_query_args(request: Mapping[str, Any]) -> dict:
     if radius is not None:
         return {"k": None, "radius": _integer(radius, "radius")}
     return {"k": _integer(request.get("k", 10), "k")}
+
+
+def _ranked(ranking: "Ranking") -> list[dict]:
+    """A ranking's rows as the wire's ``{"name", "distance"}`` objects:
+    the one place a ranking becomes per-row objects.  A system's ids are
+    its patch names (namespaced under federation), already strings."""
+    return [{"name": name, "distance": distance}
+            for name, distance in zip(ranking.ids,
+                                      ranking.distances.tolist())]
 
 
 def parse_query_request(payload: Mapping[str, Any]) -> QuerySpec:
@@ -378,8 +388,7 @@ class EarthQubeAPI:
             "ok": True,
             "query": result.query_name,
             "radius_used": result.radius_used,
-            "results": [{"name": str(r.item_id), "distance": r.distance}
-                        for r in result.results],
+            "results": _ranked(result.ranking),
         }
         if explain:
             payload["explain"] = self._attach_costs({}, ctx)
@@ -426,8 +435,7 @@ class EarthQubeAPI:
             "queries": [{
                 "query": response.query_name,
                 "radius_used": response.radius_used,
-                "results": [{"name": str(r.item_id), "distance": r.distance}
-                            for r in response.results],
+                "results": _ranked(response.ranking),
             } for response in responses],
         }
         if explain:

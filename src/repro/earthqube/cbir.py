@@ -38,7 +38,7 @@ from ..errors import UnknownPatchError, ValidationError
 from ..features.extractor import FeatureExtractor
 from ..index.hamming import CodeTable
 from ..index.linear_scan import LinearScanIndex
-from ..index.results import SearchResult
+from ..index.results import Ranking, SearchResult
 from ..obs import tracing
 from ..planner import QueryExecutor, validate_code_query
 from .query import QuerySpec
@@ -63,34 +63,67 @@ class RowFilter:
         return self.count / corpus_size if corpus_size else 0.0
 
 
-@dataclass
 class SimilarityResponse:
-    """A ranked CBIR result: neighbor names with Hamming distances."""
+    """A ranked CBIR result: neighbor names with Hamming distances.
 
-    query_name: "str | None"
-    results: list[SearchResult]
-    radius_used: int
+    ``ranking`` is the immutable :class:`~repro.index.results.Ranking` the
+    scan produced, shared with the result cache and never copied;
+    ``results`` is its per-row :class:`SearchResult` list, built on first
+    read for library callers (a caller mutating that list changes only
+    its own response).
+    """
+
+    __slots__ = ("query_name", "ranking", "radius_used", "_results")
+
+    def __init__(self, query_name: "str | None",
+                 results: "Ranking | Iterable[SearchResult]",
+                 radius_used: int) -> None:
+        self.query_name = query_name
+        self.ranking = (results if type(results) is Ranking
+                        else Ranking.of(results))
+        self.radius_used = radius_used
+        self._results: "list[SearchResult] | None" = None
+
+    @property
+    def results(self) -> list[SearchResult]:
+        """The ranking as :class:`SearchResult` rows, nearest first."""
+        if self._results is None:
+            self._results = list(self.ranking)
+        return self._results
 
     def __len__(self) -> int:
-        return len(self.results)
+        return len(self.ranking)
 
     def __iter__(self):
         return iter(self.results)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimilarityResponse):
+            return NotImplemented
+        return ((self.query_name, self.radius_used, self.ranking)
+                == (other.query_name, other.radius_used, other.ranking))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (f"SimilarityResponse(query_name={self.query_name!r}, "
+                f"results={self.results!r}, radius_used={self.radius_used!r})")
+
     @property
     def names(self) -> list[str]:
         """Neighbor patch names, nearest first."""
-        return [str(r.item_id) for r in self.results]
+        return [str(item_id) for item_id in self.ranking.ids]
 
     def excluding_query(self) -> "SimilarityResponse":
         """Drop the query itself from the ranking (self-match at distance 0)."""
         if self.query_name is None:
             return self
-        filtered = [r for r in self.results if r.item_id != self.query_name]
-        return SimilarityResponse(self.query_name, filtered, self.radius_used)
+        return SimilarityResponse(self.query_name,
+                                  self.ranking.without(self.query_name),
+                                  self.radius_used)
 
 
-def shape_name_response(name: str, results: "list[SearchResult]", used: int,
+def shape_name_response(name: str, ranking: Ranking, used: int,
                         k: "int | None") -> SimilarityResponse:
     """Query-by-name response shaping, shared by every query path.
 
@@ -99,10 +132,10 @@ def shape_name_response(name: str, results: "list[SearchResult]", used: int,
     single-query, batch, and gateway paths must all shape identically or
     their byte-for-byte equivalence breaks.
     """
-    response = SimilarityResponse(name, results, used).excluding_query()
-    if k is not None and len(response.results) > k:
-        response.results = response.results[:k]
-    return response
+    ranking = ranking.without(name)
+    if k is not None and len(ranking.ids) > k:
+        ranking = ranking[:k]
+    return SimilarityResponse(name, ranking, used)
 
 
 class _IndexRunner:
@@ -118,7 +151,7 @@ class _IndexRunner:
         return self._service.table.rows
 
     def run(self, codes, *, k: "int | None", radius: "int | None",
-            allowed: "np.ndarray | None") -> "list[list[SearchResult]]":
+            allowed: "np.ndarray | None") -> "list[Ranking]":
         # Search methods are looked up on the index per call, never bound
         # ahead: the benchmark's traced run wraps them on the instance.
         index = self._service._index
@@ -398,10 +431,10 @@ class CBIRService:
         code = self.code_of(name)
         # Request one extra result: the query matches itself at distance 0
         # and is dropped from the response.
-        [(results, used)] = self._execute(
+        [(ranking, used)] = self._execute(
             [code], k=None if k is None else k + 1, radius=radius,
             filter=filter)
-        return shape_name_response(name, results, used, k)
+        return shape_name_response(name, ranking, used, k)
 
     def query_by_patch(self, patch: Patch, *, k: "int | None" = 10,
                        radius: "int | None" = None,
@@ -419,9 +452,9 @@ class CBIRService:
         if features.ndim != 1:
             raise ValidationError(f"query features must be 1D, got shape {features.shape}")
         code = self.hasher.hash_packed(features[None, :])[0]
-        [(results, used)] = self._execute([code], k=k, radius=radius,
+        [(ranking, used)] = self._execute([code], k=k, radius=radius,
                                           filter=filter)
-        return SimilarityResponse(None, results, used)
+        return SimilarityResponse(None, ranking, used)
 
     def query_batch(self, queries: Sequence, *, k: "int | None" = 10,
                     radius: "int | None" = None,
@@ -463,20 +496,20 @@ class CBIRService:
             outcomes = self._execute(
                 name_codes, k=None if k is None else k + 1, radius=radius,
                 filter=filter)
-            for position, (results, used) in zip(name_positions, outcomes):
+            for position, (ranking, used) in zip(name_positions, outcomes):
                 responses[position] = shape_name_response(
-                    queries[position], results, used, k)
+                    queries[position], ranking, used, k)
         if feature_positions:
             outcomes = self._execute(feature_codes, k=k, radius=radius,
                                      filter=filter)
-            for position, (results, used) in zip(feature_positions, outcomes):
-                responses[position] = SimilarityResponse(None, results, used)
+            for position, (ranking, used) in zip(feature_positions, outcomes):
+                responses[position] = SimilarityResponse(None, ranking, used)
         return responses  # type: ignore[return-value]
 
     def query_code(self, code: np.ndarray, *, k: "int | None" = None,
                    radius: "int | None" = None, filter: object = None,
-                   ) -> "tuple[list[SearchResult], int]":
-        """Raw packed-code search: ``(results, radius_used)``.
+                   ) -> "tuple[Ranking, int]":
+        """Raw packed-code search: ``(ranking, radius_used)``.
 
         The federation tier's per-node entry point — a remote peer resolves
         a query to a code once, then every member archive answers the same
@@ -488,8 +521,8 @@ class CBIRService:
 
     def query_codes_batch(self, codes: np.ndarray, *, k: "int | None" = None,
                           radius: "int | None" = None, filter: object = None,
-                          ) -> "list[tuple[list[SearchResult], int]]":
-        """Batch :meth:`query_code`: one ``(results, radius_used)`` per row."""
+                          ) -> "list[tuple[Ranking, int]]":
+        """Batch :meth:`query_code`: one ``(ranking, radius_used)`` per row."""
         codes = np.asarray(codes, dtype=np.uint64)
         if codes.ndim != 2:
             raise ValidationError(
@@ -497,7 +530,7 @@ class CBIRService:
         return self._execute(codes, k=k, radius=radius, filter=filter)
 
     def _execute(self, codes, *, k: "int | None", radius: "int | None",
-                 filter: object) -> "list[tuple[list[SearchResult], int]]":
+                 filter: object) -> "list[tuple[Ranking, int]]":
         """Every query method's hand-off to the shared executor."""
         # Rejected here too, before a QuerySpec filter costs a metadata
         # search to resolve.

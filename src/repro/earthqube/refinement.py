@@ -72,8 +72,8 @@ class RelevanceFeedbackSession:
 
     def search(self, k: int = 10) -> SimilarityResponse:
         """Search with the current (possibly refined) query."""
-        results, used = self.cbir.query_code(self.query_code, k=k)
-        return SimilarityResponse(None, results, used)
+        ranking, used = self.cbir.query_code(self.query_code, k=k)
+        return SimilarityResponse(None, ranking, used)
 
     def _codes_for(self, names: "list[str]") -> np.ndarray:
         from ..index.codes import unpack_bits

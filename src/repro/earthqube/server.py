@@ -17,6 +17,7 @@ what the browser UI would render.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 
@@ -355,13 +356,21 @@ class EarthQube:
 
     def _vote(self, names: "list[str]", min_votes: "int | None") -> list[str]:
         """Every label in at least ``min_votes`` (default: half) of the
-        ``names``' metadata documents."""
-        documents = self.documents_for(names)
-        if not documents:
+        ``names``' metadata documents, most votes first (ties by label).
+
+        The labels are read in place: nothing is copied to count them.  A
+        name without a metadata document raises, as :meth:`documents_for`
+        does.
+        """
+        if not names:
             return []
-        threshold = min_votes if min_votes is not None else max(1, len(documents) // 2)
-        stats = label_statistics(documents)
-        return [bar.label for bar in stats if bar.count >= threshold]
+        metadata = self.db[METADATA]
+        votes = Counter(label for name in names
+                        for label in metadata.get_field(
+                            name, "properties.labels", ()))
+        threshold = min_votes if min_votes is not None else max(1, len(names) // 2)
+        ranked = sorted(votes.items(), key=lambda item: (-item[1], item[0]))
+        return [label for label, count in ranked if count >= threshold]
 
     def ingest_new_patch(self, patch: Patch, *, auto_label_if_missing: bool = True,
                          k: int = 10) -> dict:
@@ -392,8 +401,8 @@ class EarthQube:
         auto_labeled = False
         labels = patch.labels
         if auto_label_if_missing:
-            results, _ = self.cbir.query_code(code, k=k)
-            predicted = self._vote([str(r.item_id) for r in results], None)
+            ranking, _ = self.cbir.query_code(code, k=k)
+            predicted = self._vote([str(name) for name in ranking.ids], None)
             if predicted:
                 labels = tuple(predicted)
                 auto_labeled = True

@@ -71,6 +71,7 @@ from ..config import FederationConfig
 from ..earthqube.cbir import SimilarityResponse, shape_name_response
 from ..earthqube.query import QuerySpec
 from ..errors import EmptyIndexError, ReproError, UnknownPatchError, ValidationError
+from ..index.results import EMPTY_RANKING
 from ..obs import Observability
 from ..obs.metrics import MetricsRegistry
 from ..planner import validate_code_query
@@ -85,6 +86,7 @@ from .executor import (
 from .merge import (
     merge_search,
     merge_similarity,
+    merge_similarity_batch,
     merge_statistics,
     namespaced_id,
     split_namespaced,
@@ -321,10 +323,6 @@ class FederatedEarthQube:
         """Every live patch the elastic federation places."""
         return list(self._row_seq)
 
-    def _row_order(self, item_id: object) -> "tuple[int, object]":
-        seq = self._row_seq.get(item_id)
-        return (0, seq) if seq is not None else (1, str(item_id))
-
     def _doc_order(self, name: str) -> "tuple[int, object]":
         seq = self._doc_seq.get(name)
         return (0, seq) if seq is not None else (1, str(name))
@@ -385,10 +383,9 @@ class FederatedEarthQube:
             outcomes, meta = self._scatter_codes(
                 owner, owner.code_of(bare), k=request_k, radius=radius,
                 filter=filter, batch=False)
-            merge_kwargs = self._merge_kwargs(self._row_order)
+            merge_kwargs = self._merge_kwargs(self._row_seq.get)
             merged, used = merge_similarity(
-                [(o.node_name, o.value[0], o.value[1])
-                 for o in outcomes if o.ok],
+                [(o.node_name, *o.value) for o in outcomes if o.ok],
                 k=request_k, radius=radius, **merge_kwargs)
             query_id = namespaced_id(owner.name, bare) \
                 if merge_kwargs["namespace"] else bare
@@ -421,7 +418,8 @@ class FederatedEarthQube:
                 # An elastic replica can legitimately be empty (all its
                 # patches deleted, or a fresh joiner racing the handoff):
                 # it contributes nothing, it is not a failure.
-                return [([], 0)] * len(codes) if batch else ([], 0)
+                return ([(EMPTY_RANKING, 0)] * len(codes) if batch
+                        else (EMPTY_RANKING, 0))
 
         return self.executor.scatter_replicated(
             fn, chains=self._chains(targets), targets=targets,
@@ -457,17 +455,17 @@ class FederatedEarthQube:
             outcomes, meta = self._scatter_codes(
                 resolved[0][0], codes, k=request_k, radius=radius,
                 filter=filter, batch=True)
-            answered = [o for o in outcomes if o.ok]
-            merge_kwargs = self._merge_kwargs(self._row_order)
+            merge_kwargs = self._merge_kwargs(self._row_seq.get)
+            merged = merge_similarity_batch(
+                [(o.node_name, [ranking for ranking, _ in o.value])
+                 for o in outcomes if o.ok],
+                queries=len(resolved), k=request_k, radius=radius,
+                **merge_kwargs)
             responses: list[SimilarityResponse] = []
-            for position, (owner, bare) in enumerate(resolved):
-                merged, used = merge_similarity(
-                    [(o.node_name, o.value[position][0], o.value[position][1])
-                     for o in answered],
-                    k=request_k, radius=radius, **merge_kwargs)
+            for (owner, bare), (ranking, used) in zip(resolved, merged):
                 query_id = namespaced_id(owner.name, bare) \
                     if merge_kwargs["namespace"] else bare
-                responses.append(shape_name_response(query_id, merged, used, k))
+                responses.append(shape_name_response(query_id, ranking, used, k))
             req.annotate(answered=len(meta.answered), failed=len(meta.failed))
             return FederatedResponse(responses, meta)
 

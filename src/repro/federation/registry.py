@@ -31,6 +31,7 @@ if TYPE_CHECKING:
     from ..earthqube.search import SearchResponse
     from ..earthqube.server import EarthQube
     from ..earthqube.statistics import LabelStatistics
+    from ..index.results import Ranking
 
 NAMESPACE_SEPARATOR = "/"
 
@@ -99,7 +100,8 @@ class FederatedNode:
 
     def query_code(self, code: np.ndarray, *, k: "int | None" = None,
                    radius: "int | None" = None,
-                   filter_spec: "QuerySpec | None" = None) -> tuple[list, int]:
+                   filter_spec: "QuerySpec | None" = None,
+                   ) -> "tuple[Ranking, int]":
         """One packed-code CBIR query, via the node's gateway if enabled.
 
         ``filter_spec`` is resolved once, against *this node's* metadata
@@ -116,7 +118,7 @@ class FederatedNode:
     def query_codes_batch(self, codes: np.ndarray, *, k: "int | None" = None,
                           radius: "int | None" = None,
                           filter_spec: "QuerySpec | None" = None,
-                          ) -> list[tuple[list, int]]:
+                          ) -> "list[tuple[Ranking, int]]":
         """Batch packed-code CBIR, via the node's gateway if enabled."""
         if self.system.gateway is not None:
             return self.system.gateway.query_codes_batch(codes, k=k,

@@ -33,7 +33,7 @@ from .hamming import (
 )
 from .linear_scan import LinearScanIndex
 from .mih import MultiIndexHashing
-from .results import SearchResult
+from .results import Ranking, SearchResult
 
 __all__ = [
     "pack_bits",
@@ -47,5 +47,6 @@ __all__ = [
     "CodeTable",
     "MultiIndexHashing",
     "LinearScanIndex",
+    "Ranking",
     "SearchResult",
 ]

@@ -39,7 +39,7 @@ from .hamming import (
     exact_scan,
     scanned_rows,
 )
-from .results import SearchResult
+from .results import Ranking
 
 
 class LinearScanIndex:
@@ -95,9 +95,10 @@ class LinearScanIndex:
         self.table.compact()
 
     def _scan(self, codes: np.ndarray, allowed: "np.ndarray | None",
-              **select: int) -> "list[list[SearchResult]]":
+              **select: int) -> "list[Ranking]":
         """Run a ``(Q, W)`` batch through the shared exact scan; ``select``
-        is ``k=`` or ``radius=``, passed on as is.
+        is ``k=`` or ``radius=``, passed on as is.  Each query's kept rows
+        become one :class:`Ranking` of their ids and the scan's distances.
 
         With ``allowed`` set (AND-combined with the alive mask), the
         allowed rows are pushed into the scan, which gathers a sparse set
@@ -120,13 +121,12 @@ class LinearScanIndex:
                           **select) as scan_span:
             scan_span.add_cost(rows_scanned=scanned * int(queries.shape[0]))
             hits = exact_scan(archive, queries, rows=rows, **select)
-        return [[SearchResult(ids[row], distance)
-                 for row, distance in zip(found.tolist(), distances.tolist())]
+        return [Ranking([ids[row] for row in found.tolist()], distances)
                 for found, distances in hits]
 
     def search_radius(self, code: np.ndarray, radius: int,
                       *, allowed: "np.ndarray | None" = None,
-                      ) -> list[SearchResult]:
+                      ) -> Ranking:
         """All (allowed) items within ``radius``, nearest first."""
         if radius < 0:
             raise ValidationError(f"radius must be >= 0, got {radius}")
@@ -134,7 +134,7 @@ class LinearScanIndex:
         return self._scan(query[None, :], allowed, radius=radius)[0]
 
     def search_knn(self, code: np.ndarray, k: int,
-                   *, allowed: "np.ndarray | None" = None) -> list[SearchResult]:
+                   *, allowed: "np.ndarray | None" = None) -> Ranking:
         """The exact ``k`` nearest (allowed) items."""
         if k <= 0:
             raise ValidationError(f"k must be positive, got {k}")
@@ -143,7 +143,7 @@ class LinearScanIndex:
 
     def search_knn_batch(self, codes: np.ndarray, k: int,
                          *, allowed: "np.ndarray | None" = None,
-                         ) -> "list[list[SearchResult]]":
+                         ) -> "list[Ranking]":
         """Exact kNN for a ``(Q, W)`` batch of packed queries.
 
         Byte-identical to calling :meth:`search_knn` per query.  ``allowed``
@@ -156,7 +156,7 @@ class LinearScanIndex:
 
     def search_radius_batch(self, codes: np.ndarray, radius: int,
                             *, allowed: "np.ndarray | None" = None,
-                            ) -> "list[list[SearchResult]]":
+                            ) -> "list[Ranking]":
         """Radius search for a ``(Q, W)`` batch of packed queries."""
         if radius < 0:
             raise ValidationError(f"radius must be >= 0, got {radius}")

@@ -29,13 +29,13 @@ import time
 from typing import TYPE_CHECKING, Protocol, Sequence
 
 from ..errors import ValidationError
+from ..index.results import EMPTY_RANKING, Ranking
 from ..obs import tracing
 
 if TYPE_CHECKING:
     import numpy as np
 
     from ..earthqube.cbir import RowFilter
-    from ..index.results import SearchResult
 
 
 def validate_code_query(k: "int | None", radius: "int | None") -> None:
@@ -47,13 +47,12 @@ def validate_code_query(k: "int | None", radius: "int | None") -> None:
         raise ValidationError("provide k > 0 or an explicit radius")
 
 
-def used_radius(results: "Sequence[SearchResult]",
-                radius: "int | None") -> int:
+def used_radius(ranking: Ranking, radius: "int | None") -> int:
     """The Hamming radius a ranking covers: the requested one, else the
     distance of the farthest neighbor returned (0 when empty)."""
     if radius is not None:
         return radius
-    return results[-1].distance if results else 0
+    return int(ranking.distances[-1]) if len(ranking) else 0
 
 
 class CodeRunner(Protocol):
@@ -70,7 +69,7 @@ class CodeRunner(Protocol):
 
     def run(self, codes: "Sequence[np.ndarray]", *, k: "int | None",
             radius: "int | None", allowed: "np.ndarray | None",
-            ) -> "list[list[SearchResult]]":
+            ) -> "Sequence[Ranking]":
         """One ranking per code: radius search when ``radius`` is set,
         else kNN; ``allowed`` restricts the search to masked rows."""
 
@@ -102,8 +101,8 @@ class QueryExecutor:
     def execute(self, runner: CodeRunner, codes: "Sequence[np.ndarray]", *,
                 k: "int | None", radius: "int | None",
                 row_filter: "RowFilter | None" = None,
-                ) -> "list[tuple[list[SearchResult], int]]":
-        """Answer ``codes``: one ``(results, radius_used)`` per code.
+                ) -> "list[tuple[Ranking, int]]":
+        """Answer ``codes``: one ``(ranking, radius_used)`` per code.
 
         A filter's allowed rows are pushed into the scan; an empty filter
         runs nothing.  Every answer is the ranking of filter-then-exact-
@@ -113,7 +112,8 @@ class QueryExecutor:
         if row_filter is None:
             rankings = runner.run(codes, k=k, radius=radius, allowed=None)
         elif row_filter.count == 0:
-            return [([], used_radius((), radius)) for _ in codes]
+            return [(EMPTY_RANKING, used_radius(EMPTY_RANKING, radius))
+                    for _ in codes]
         else:
             corpus_size = runner.corpus_size()
             selectivity = row_filter.selectivity(corpus_size)
@@ -133,5 +133,5 @@ class QueryExecutor:
             record["measured_ns"] = round(
                 float(time.perf_counter_ns() - started), 1)
             tracing.annotate(plan=record)
-        return [(results, used_radius(results, radius))
-                for results in rankings]
+        return [(ranking, used_radius(ranking, radius))
+                for ranking in rankings]

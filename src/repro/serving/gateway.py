@@ -37,6 +37,7 @@ from ..earthqube.cbir import SimilarityResponse, shape_name_response
 from ..earthqube.query import QuerySpec
 from ..earthqube.search import SearchResponse
 from ..errors import ValidationError
+from ..index.results import Ranking
 from ..obs import tracing
 from ..obs.metrics import MetricsRegistry
 from ..planner import validate_code_query
@@ -71,7 +72,7 @@ class _ShardRunner:
         return len(self._gateway.index)
 
     def run(self, codes, *, k: "int | None", radius: "int | None",
-            allowed: "np.ndarray | None") -> "list[list]":
+            allowed: "np.ndarray | None") -> "list[Ranking]":
         return self._gateway._scan(codes, k=k, radius=radius, allowed=allowed,
                                    filter_key=self._filter_key)
 
@@ -126,9 +127,9 @@ class ServingGateway:
             # The query matches itself at distance 0; fetch one extra and
             # drop it, exactly like CBIRService.query_by_name.
             request_k = None if k is None else k + 1
-            results, used = self.query_code(code, k=request_k, radius=radius,
+            ranking, used = self.query_code(code, k=request_k, radius=radius,
                                             filter=filter)
-            return shape_name_response(name, results, used, k)
+            return shape_name_response(name, ranking, used, k)
 
     def similar_images_batch(self, names: "list[str]", *,
                              k: "int | None" = 10,
@@ -149,13 +150,13 @@ class ServingGateway:
             request_k = None if k is None else k + 1
             outcomes = self.query_codes_batch(codes, k=request_k,
                                               radius=radius, filter=filter)
-            return [shape_name_response(name, results, used, k)
-                    for name, (results, used) in zip(names, outcomes)]
+            return [shape_name_response(name, ranking, used, k)
+                    for name, (ranking, used) in zip(names, outcomes)]
 
     def query_code(self, code: np.ndarray, *, k: "int | None" = None,
                    radius: "int | None" = None,
-                   filter: "QuerySpec | None" = None) -> tuple[list, int]:
-        """Raw packed-code search: ``(results, radius_used)``.
+                   filter: "QuerySpec | None" = None) -> "tuple[Ranking, int]":
+        """Raw packed-code search: ``(ranking, radius_used)``.
 
         The federation tier's per-node entry point — the same
         cache -> batcher -> index pipeline as :meth:`similar_images`, but
@@ -168,8 +169,8 @@ class ServingGateway:
     def query_codes_batch(self, codes, *, k: "int | None" = None,
                           radius: "int | None" = None,
                           filter: "QuerySpec | None" = None,
-                          ) -> "list[tuple[list, int]]":
-        """Batch :meth:`query_code`: one ``(results, radius_used)`` per code.
+                          ) -> "list[tuple[Ranking, int]]":
+        """Batch :meth:`query_code`: one ``(ranking, radius_used)`` per code.
 
         Cache hits are answered immediately; all misses are submitted to
         the micro-batcher in one go (they coalesce into one scan, sharing
@@ -182,14 +183,16 @@ class ServingGateway:
         codes = [np.asarray(code, dtype=np.uint64) for code in codes]
         fingerprint = None if filter is None else repr(filter)
 
-        def execute(misses: "list[np.ndarray]") -> "list[tuple[list, int]]":
+        def execute(misses: "list[np.ndarray]"):
             row_filter = None if filter is None else self._row_filter(filter)
+            prefilter = None
             if row_filter is not None and row_filter.count:
                 self.metrics.counter("filter.prefilter").increment(
                     len(misses))
+                prefilter = (row_filter.count, len(self.index))
             return self.system.cbir.executor.execute(
                 _ShardRunner(self, fingerprint), misses, k=k, radius=radius,
-                row_filter=row_filter)
+                row_filter=row_filter), prefilter
 
         return self._through_cache(codes, k=k, radius=radius,
                                    fingerprint=fingerprint, compute=execute)
@@ -205,9 +208,9 @@ class ServingGateway:
                 raise ValidationError(
                     f"query features must be 1D, got shape {features.shape}")
             code = self.system.hasher.hash_packed(features[None, :])[0]
-            results, used = self.query_code(code, k=k, radius=radius,
+            ranking, used = self.query_code(code, k=k, radius=radius,
                                             filter=filter)
-            return SimilarityResponse(None, results, used)
+            return SimilarityResponse(None, ranking, used)
 
     def similar_to_new_image(self, patch: "Patch", *, k: "int | None" = 10,
                              radius: "int | None" = None,
@@ -245,9 +248,16 @@ class ServingGateway:
 
     def _through_cache(self, codes: "list[np.ndarray]", *, k: "int | None",
                        radius: "int | None", fingerprint: "str | None",
-                       compute) -> "list[tuple[list, int]]":
+                       compute) -> "list[tuple[Ranking, int]]":
         """Per-code result-cache lookup; ``compute(miss_codes)`` answers
         the misses in one go and its outcomes are stored.
+
+        ``compute`` returns ``(outcomes, prefilter)``: ``prefilter`` is
+        the filter's ``(allowed count, corpus size)`` when the executor
+        pushed one into the scan, else ``None``.  An entry keeps it, so a
+        hit carries the same ``strategy`` / ``selectivity`` labels the
+        miss did.  Entries hold the immutable rankings themselves: a hit
+        hands out the cached ranking, never a copy.
 
         A radius query executes identically whatever k the caller wants
         afterwards (truncation happens at the response layer), so k is
@@ -257,19 +267,26 @@ class ServingGateway:
                                    radius=radius,
                                    filter_fingerprint=fingerprint)
                 for code in codes]
-        outcomes: "list[tuple[list, int] | None]" = [None] * len(codes)
+        outcomes: "list[tuple[Ranking, int] | None]" = [None] * len(codes)
         misses: list[int] = []
+        prefilter = None
         with tracing.span("cache.lookup", queries=len(codes)) as lookup_span:
             for position, key in enumerate(keys):
                 cached = self.cache.get(key)
                 if cached is not None:
-                    outcomes[position] = (list(cached[0]), cached[1])
+                    outcomes[position] = cached[:2]
+                    prefilter = cached[2] or prefilter
                 else:
                     misses.append(position)
             lookup_span.annotate(hits=len(codes) - len(misses),
                                  misses=len(misses))
             lookup_span.add_cost(cache_hits=len(codes) - len(misses),
                                  cache_misses=len(misses))
+        if prefilter is not None:
+            count, corpus_size = prefilter
+            tracing.annotate(strategy="prefilter",
+                             selectivity=count / corpus_size
+                             if corpus_size else 0.0)
         if not misses:
             tracing.annotate(plan={"source": "cache"})
             return outcomes  # type: ignore[return-value]
@@ -277,16 +294,16 @@ class ServingGateway:
         # a racing ingest invalidates mid-resolution, and results computed
         # from the stale mask must not be re-cached afterwards.
         generation = self._generation
-        computed = compute([codes[position] for position in misses])
-        for position, (results, used) in zip(misses, computed):
+        computed, prefilter = compute([codes[position] for position in misses])
+        for position, (ranking, used) in zip(misses, computed):
             if generation == self._generation:
-                self.cache.put(keys[position], (tuple(results), used))
-            outcomes[position] = (results, used)
+                self.cache.put(keys[position], (ranking, used, prefilter))
+            outcomes[position] = (ranking, used)
         return outcomes  # type: ignore[return-value]
 
     def _scan(self, codes, *, k: "int | None", radius: "int | None",
               allowed: "np.ndarray | None" = None,
-              filter_key: "str | None" = None) -> "list[list]":
+              filter_key: "str | None" = None) -> "list[Ranking]":
         """Submit one job per code to the micro-batcher in one go (they
         coalesce into one scan, sharing it with any concurrent queries)
         and wait for the rankings.  If one fails, the jobs still queued
@@ -310,7 +327,7 @@ class ServingGateway:
                     future.cancel()
                 raise
 
-    def _execute_batch(self, jobs: "list[CodeQuery]") -> "list[list]":
+    def _execute_batch(self, jobs: "list[CodeQuery]") -> "list[Ranking]":
         """Batch executor: one scan for the whole batch.
 
         Runs on whichever waiting submitter leads the batch, not always

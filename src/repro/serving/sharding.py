@@ -35,7 +35,7 @@ from ..index.hamming import (
     exact_scan,
     scanned_rows,
 )
-from ..index.results import SearchResult
+from ..index.results import Ranking
 
 
 @dataclass(frozen=True)
@@ -155,16 +155,16 @@ class ShardedHammingIndex:
     # Queries
     # ------------------------------------------------------------------ #
 
-    def search_knn(self, code: np.ndarray, k: int) -> list[SearchResult]:
+    def search_knn(self, code: np.ndarray, k: int) -> Ranking:
         """The exact ``k`` nearest items, (distance, insertion row) order."""
         return self.search_batch([CodeQuery(code=code, k=k)])[0]
 
-    def search_radius(self, code: np.ndarray, radius: int) -> list[SearchResult]:
+    def search_radius(self, code: np.ndarray, radius: int) -> Ranking:
         """All items within ``radius``, nearest first."""
         return self.search_batch([CodeQuery(code=code, radius=radius)])[0]
 
     def search_knn_batch(self, codes: np.ndarray, k: int,
-                         ) -> "list[list[SearchResult]]":
+                         ) -> "list[Ranking]":
         """Exact kNN for a ``(Q, W)`` batch: one scan."""
         queries = np.asarray(codes, dtype=np.uint64)
         if queries.ndim != 2:
@@ -174,7 +174,7 @@ class ShardedHammingIndex:
                                   for query in queries])
 
     def search_radius_batch(self, codes: np.ndarray, radius: int,
-                            ) -> "list[list[SearchResult]]":
+                            ) -> "list[Ranking]":
         """Radius search for a ``(Q, W)`` batch: one scan."""
         queries = np.asarray(codes, dtype=np.uint64)
         if queries.ndim != 2:
@@ -183,7 +183,7 @@ class ShardedHammingIndex:
         return self.search_batch([CodeQuery(code=query, radius=radius)
                                   for query in queries])
 
-    def search_batch(self, jobs: Sequence[CodeQuery]) -> list[list[SearchResult]]:
+    def search_batch(self, jobs: Sequence[CodeQuery]) -> "list[Ranking]":
         """Answer a batch of queries with one scan of the table.
 
         Jobs are grouped by (filter, k, radius) and each group is one
@@ -244,7 +244,7 @@ class ShardedHammingIndex:
                     # snapshotted and are disallowed.
                     rows_of[part] = allowed_row_indices(job.allowed,
                                                         codes.shape[0])
-            merged: "list[list[SearchResult]]" = [[] for _ in unique_jobs]
+            rankings: "list[Ranking | None]" = [None] * len(unique_jobs)
             for (part, k, radius), indices in groups.items():
                 search_span.add_cost(rows_scanned=len(indices) * scanned_rows(
                     codes.shape[0], rows_of[part], len(indices)))
@@ -252,14 +252,7 @@ class ShardedHammingIndex:
                                   queries[np.asarray(indices, dtype=np.int64)],
                                   k=k, radius=radius, rows=rows_of[part])
                 for i, (rows, distances) in zip(indices, hits):
-                    merged[i] = [SearchResult(ids[row], distance)
-                                 for row, distance in zip(rows.tolist(),
-                                                          distances.tolist())]
-        # Duplicates get their own list (callers may truncate in place).
-        out = []
-        seen_slots: set[int] = set()
-        for slot in slots:
-            result = merged[slot]
-            out.append(result if slot not in seen_slots else list(result))
-            seen_slots.add(slot)
-        return out
+                    rankings[i] = Ranking([ids[row] for row in rows.tolist()],
+                                          distances)
+        # Rankings are immutable: duplicates share one.
+        return [rankings[slot] for slot in slots]  # type: ignore[misc]

@@ -498,13 +498,24 @@ class Collection:
 
     def get(self, key: Any) -> dict:
         """Primary-key point lookup; raises when absent or no primary key."""
+        return copy_tree(self._by_key(key))
+
+    def get_field(self, key: Any, field_path: str, default: Any = None) -> Any:
+        """``field_path`` of the document with primary key ``key``, by
+        reference (callers must treat it as read-only), or ``default``
+        when the document lacks it.  Raises like :meth:`get` when no such
+        document exists; nothing is copied."""
+        value = get_path(self._by_key(key), field_path)
+        return default if is_missing(value) else value
+
+    def _by_key(self, key: Any) -> dict:
         if self.primary_key is None:
             raise StoreError(f"collection {self.name!r} has no primary key")
         doc_id = self._unique_indexes[self.primary_key].find(key)
         if doc_id is None:
             raise DocumentNotFoundError(
                 f"no document with {self.primary_key}={key!r} in {self.name!r}")
-        return copy_tree(self._docs[doc_id])
+        return self._docs[doc_id]
 
     def _plan_candidates(self, query: Mapping[str, Any],
                          *, hint: "str | None" = None,

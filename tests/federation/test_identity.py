@@ -99,3 +99,26 @@ def test_namespaced_name_also_resolves(single):
     name = system.archive.names[2]
     assert (federation.similar_images(f"solo/{name}", k=5).value
             == system.similar_images(name, k=5))
+
+
+@pytest.mark.parametrize("serving", [False, True])
+def test_an_empty_member_contributes_nothing(node_a, node_b, serving):
+    """An empty index raises ``EmptyIndexError`` on the node; the member
+    answers with an empty ranking, which changes no merged ranking."""
+    with_empty = FederatedEarthQube(
+        {"a": node_a, "b": node_b, "e": node_b.empty_clone(serving=serving)})
+    without = FederatedEarthQube({"a": node_a, "b": node_b})
+    try:
+        names = ([f"a/{name}" for name in node_a.archive.names[:3]]
+                 + [f"b/{name}" for name in node_b.archive.names[:3]])
+        for name in names:
+            for kwargs in ({"k": 7}, {"k": None, "radius": 3}):
+                got = with_empty.similar_images(name, **kwargs)
+                assert got.value == without.similar_images(name, **kwargs).value
+                assert "e" in got.meta.answered and not got.meta.failed
+        for kwargs in ({"k": 5}, {"k": None, "radius": 2}):
+            assert (with_empty.similar_images_batch(names, **kwargs).value
+                    == without.similar_images_batch(names, **kwargs).value)
+    finally:
+        with_empty.close()
+        without.close()

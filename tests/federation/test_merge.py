@@ -11,7 +11,7 @@ from repro.federation.merge import (
     namespaced_id,
     split_namespaced,
 )
-from repro.index.results import SearchResult
+from repro.index.results import Ranking, SearchResult
 
 
 def results(*pairs):
@@ -32,10 +32,10 @@ class TestNamespacing:
 
 class TestMergeSimilarity:
     def test_single_node_is_identity(self):
-        ranked = results(("x", 0), ("y", 1), ("z", 3))
+        ranked = Ranking.of(results(("x", 0), ("y", 1), ("z", 3)))
         merged, used = merge_similarity([("a", ranked, 3)], k=3)
         assert merged == ranked
-        assert merged[0] is ranked[0]  # not even copied
+        assert merged is ranked  # not even copied
         assert used == 3
 
     def test_equal_distances_keep_node_order(self):
@@ -100,7 +100,7 @@ class TestMergeSimilarityDedupe:
         b = results(("new", 2))
         merged, _ = merge_similarity(
             [("a", a, 2), ("b", b, 2)], k=2, dedupe=True,
-            order_of=lambda item: (0, seq[item]))
+            order_of=seq.get)
         assert [r.item_id for r in merged] == ["new", "old"]
 
     def test_truncation_happens_after_dedupe(self):

@@ -172,6 +172,31 @@ class TestQueryLatencySeries:
                 for family in after if after[family] != before.get(family, 0)}
         assert grew == {("unfiltered", "none"): 1, ("prefilter", bucket): 1}
 
+    @pytest.mark.parametrize("route", ["similar", "similar_batch"])
+    def test_a_cache_hit_keeps_the_filter_labels(self, route, served_system):
+        # The second request is answered from the gateway's result cache;
+        # it ran the same filter and must be counted in the same series.
+        gateway = served_system.gateway
+        gateway.cache.invalidate()
+        api = EarthQubeAPI(served_system)
+        names = served_system.archive.names[2:4]
+        request = ({"name": names[0]} if route == "similar"
+                   else {"names": list(names)})
+        request.update(k=4, filter={"seasons": ["Summer"]})
+        before = _latency_counts(served_system)
+        first = getattr(api, route)({**request, "explain": True})
+        hits = gateway.cache.stats.hits
+        second = getattr(api, route)(request)
+        assert first["ok"] and second["ok"]
+        assert gateway.cache.stats.hits == hits + len(
+            request.get("names", [None]))
+        bucket = costs.selectivity_bucket(
+            first["explain"]["plan"]["context"]["selectivity"])
+        after = _latency_counts(served_system)
+        grew = {family: after[family] - before.get(family, 0)
+                for family in after if after[family] != before.get(family, 0)}
+        assert grew == {("prefilter", bucket): 2}
+
     def test_filtered_similar_is_described_alike_on_both_tiers(
             self, served_system, direct_system):
         # The query-latency labels and slow-query entries are built from

@@ -16,7 +16,7 @@ import pytest
 from repro.earthqube import QuerySpec
 from repro.earthqube.cbir import RowFilter
 from repro.errors import ValidationError
-from repro.index.results import SearchResult
+from repro.index.results import Ranking, SearchResult
 from repro.obs import costs
 from repro.planner import QueryExecutor, QueryPlanner
 
@@ -37,7 +37,8 @@ class FakeRunner:
     def run(self, codes, *, k, radius, allowed):
         self.runs.append({"queries": len(codes), "k": k, "radius": radius,
                           "masked": allowed is not None})
-        return [self.rank(code, k=k, radius=radius, allowed=allowed)
+        return [Ranking.of(self.rank(code, k=k, radius=radius,
+                                     allowed=allowed))
                 for code in codes]
 
     def rank(self, code, *, k=None, radius=None, allowed=None):

@@ -16,6 +16,7 @@ from repro.config import ServingConfig
 from repro.earthqube import EarthQubeAPI, QuerySpec
 from repro.geo.bbox import BoundingBox
 from repro.errors import ValidationError
+from repro.index.results import SearchResult
 from repro.serving import ServingGateway
 
 
@@ -103,6 +104,34 @@ class TestCachingBehaviour:
         first.results.clear()  # a rude caller mutates its response
         second = mini_system.similar_images(name, k=5)
         assert len(second.results) == 5
+
+    def test_mutating_a_response_cannot_change_a_later_hit(self, mini_system):
+        gateway = mini_system.gateway
+        gateway.cache.invalidate()
+        name = mini_system.archive.names[3]
+        expected = mini_system.cbir.query_by_name(name, k=5)
+        first = mini_system.similar_images(name, k=5)
+        first.results.reverse()
+        first.results.append(SearchResult("intruder", 0))
+        with pytest.raises(ValueError):
+            first.ranking.distances[0] = 99
+        with pytest.raises(TypeError):
+            first.ranking.ids[0] = "intruder"
+        hits = gateway.cache.stats.hits
+        second = mini_system.similar_images(name, k=5)
+        assert gateway.cache.stats.hits == hits + 1
+        assert second == expected
+        assert second.results == expected.results
+
+    def test_a_hit_hands_out_the_cached_ranking(self, mini_system):
+        # Immutable, so shared as is: no copy on put or on hit.
+        gateway = mini_system.gateway
+        gateway.cache.invalidate()
+        code = mini_system.cbir.code_of(mini_system.archive.names[4])
+        ranking, _ = gateway.query_code(code, k=6)
+        again, _ = gateway.query_code(code, k=6)
+        assert again is ranking
+        assert not ranking.distances.flags.writeable
 
     def test_search_response_cached_and_copied(self, mini_system):
         gateway = mini_system.gateway

@@ -79,6 +79,24 @@ class TestPointLookups:
         with pytest.raises(StoreError):
             col.get("a")
 
+    def test_get_field_reads_in_place(self, collection):
+        labels = collection.get_field("a", "properties.labels")
+        assert labels == ["x", "y"]
+        assert collection.get_field("a", "properties.labels") is labels
+        assert collection.get_field("a", "properties.missing", ()) == ()
+        assert collection.get_field("a", "properties.missing") is None
+
+    def test_get_field_raises_like_get(self, collection):
+        with pytest.raises(DocumentNotFoundError) as by_get:
+            collection.get("zzz")
+        with pytest.raises(DocumentNotFoundError) as by_field:
+            collection.get_field("zzz", "properties.labels")
+        assert str(by_field.value) == str(by_get.value)
+        col = Collection("nopk")
+        col.insert_one({"a": 1})
+        with pytest.raises(StoreError):
+            col.get_field("a", "a")
+
     def test_find_returns_copies(self, collection):
         doc = collection.find({"name": "a"}).documents[0]
         doc["properties"]["n"] = 999
