@@ -46,7 +46,7 @@ from repro.bigearthnet.archive import SyntheticArchive
 from repro.config import ArchiveConfig, MiLaNConfig, TrainConfig
 from repro.core.hasher import MiLaNHasher
 from repro.features.extractor import FeatureExtractor
-from repro.index.mih import MultiIndexHashing
+from repro.index import LinearScanIndex
 from repro.store.database import Database
 from repro.store.snapshot import SnapshotManager
 from repro.store.wal import WriteAheadLog, encode_payload
@@ -152,7 +152,7 @@ def bench_restart(num_codes: int, directory: Path,
     codes = hasher.hash_packed(features)
     hash_s = time.perf_counter() - start
     start = time.perf_counter()
-    original = MultiIndexHashing(NUM_BITS, 4)
+    original = LinearScanIndex(NUM_BITS)
     original.build(names, codes)
     build_s = time.perf_counter() - start
 
@@ -171,8 +171,8 @@ def bench_restart(num_codes: int, directory: Path,
     # Restart path A: load the checkpoint (mmap) and restore the index.
     start = time.perf_counter()
     snapshot = manager.load_latest()
-    restored = MultiIndexHashing(NUM_BITS, 4)
-    restored.restore(snapshot.names, snapshot.codes, snapshot.alive)
+    restored = LinearScanIndex(NUM_BITS)
+    restored.table.restore(snapshot.names, snapshot.codes, snapshot.alive)
     restore_s = time.perf_counter() - start
 
     queries = codes[rng.integers(0, num_codes, size=NUM_QUERIES)]

@@ -2,8 +2,8 @@
 
 EarthQube's combined queries join metadata constraints with content-based
 similarity.  This benchmark sweeps **filter selectivity x corpus size** and
-measures, for every index backend (packed linear scan, Multi-Index
-Hashing, the serving tier's index):
+measures, for every index backend (packed linear scan, the serving
+tier's index):
 
 * **prefilter** — the pushdown: the allowed-row mask rides into the index,
   which gathers/verifies only allowed rows (cost scales with the allowed
@@ -34,7 +34,7 @@ import time
 
 import numpy as np
 
-from repro.index import LinearScanIndex, MultiIndexHashing
+from repro.index import LinearScanIndex
 from repro.index.hamming import hamming_distances_to_query
 from repro.serving.sharding import CodeQuery, ShardedHammingIndex
 from repro.store import Collection
@@ -54,11 +54,7 @@ SMOKE_SELECTIVITIES = [0.01, 0.2]
 # --------------------------------------------------------------------- #
 
 def clustered_codes(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Cluster-structured packed codes (what a trained hasher emits).
-
-    Uniform random codes have no near neighbors, which pushes every MIH
-    kNN into the degenerate exhaustive regime regardless of filtering.
-    """
+    """Cluster-structured packed codes (what a trained hasher emits)."""
     num_centers = max(8, n // 200)
     centers = rng.integers(0, np.iinfo(np.uint64).max, size=(num_centers, WORDS),
                            dtype=np.uint64)
@@ -88,11 +84,9 @@ def build_backends(codes: np.ndarray) -> dict:
     ids = list(range(codes.shape[0]))
     linear = LinearScanIndex(NUM_BITS)
     linear.build(ids, codes)
-    mih = MultiIndexHashing(NUM_BITS, 4)
-    mih.build(ids, codes)
     sharded = ShardedHammingIndex(NUM_BITS, 4)
     sharded.build(ids, codes)
-    return {"linear": linear, "mih": mih, "sharded": sharded}
+    return {"linear": linear, "sharded": sharded}
 
 
 def prefilter_search(backend_name: str, backend, query: np.ndarray,
@@ -273,10 +267,10 @@ def main(argv=None) -> int:
             "selectivity": float(most_selective),
             "prefilter_speedup_by_backend": {
                 backend: headline_cell[backend]["speedup"]
-                for backend in ("linear", "mih", "sharded")},
+                for backend in ("linear", "sharded")},
             "min_prefilter_speedup": min(
                 headline_cell[backend]["speedup"]
-                for backend in ("linear", "mih", "sharded")),
+                for backend in ("linear", "sharded")),
             "columnar_metadata_speedup_at_largest":
                 metadata[largest]["speedup"],
         },

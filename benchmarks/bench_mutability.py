@@ -3,7 +3,7 @@
 The AgoraEO archive is a *living* one — new acquisitions flow in, revoked
 or superseded patches flow out.  This benchmark measures what the
 tombstone lifecycle buys on that workload, per index backend (packed
-linear scan, Multi-Index Hashing, the serving tier's index):
+linear scan, the serving tier's index):
 
 * **tombstone** — the lifecycle path: ``remove()`` marks the row dead
   (O(1)) and the next query masks it out; one churn event costs a
@@ -39,7 +39,7 @@ import time
 
 import numpy as np
 
-from repro.index import LinearScanIndex, MultiIndexHashing
+from repro.index import LinearScanIndex
 from repro.serving.sharding import CodeQuery, ShardedHammingIndex
 
 NUM_BITS = 128
@@ -71,8 +71,6 @@ def clustered_codes(n: int, rng: np.random.Generator) -> np.ndarray:
 def make_index(backend: str):
     if backend == "linear":
         return LinearScanIndex(NUM_BITS)
-    if backend == "mih":
-        return MultiIndexHashing(NUM_BITS, 4)
     return ShardedHammingIndex(NUM_BITS, 4)
 
 
@@ -80,8 +78,6 @@ def run_knn(backend: str, index, queries: np.ndarray) -> list:
     if backend == "sharded":
         batches = index.search_batch(
             [CodeQuery(code=query, k=K) for query in queries])
-    elif backend == "mih":
-        batches = index.search_knn_batch(queries, K)
     else:
         batches = index.search_knn_batch(queries, K)
     return [[(r.item_id, r.distance) for r in results] for results in batches]
@@ -260,7 +256,7 @@ def main(argv=None) -> int:
     worst_overall = float("inf")
     for n in sizes:
         row = {}
-        for backend in ("linear", "mih", "sharded"):
+        for backend in ("linear", "sharded"):
             print(f"[bench_mutability] n={n} backend={backend} ...",
                   flush=True)
             row[backend] = bench_backend(backend, n, rng)

@@ -3,23 +3,20 @@
 The paper stores hash codes "as keys in a hash table, thereby enabling
 real-time nearest neighbor search"; queries "retrieve all images in the hash
 buckets that are within a small hamming radius of the query image"
-(Sections 1 and 2.2).  This package implements that mechanism plus the
-infrastructure to benchmark it:
+(Sections 1 and 2.2).  Here that radius query is
+:meth:`~repro.index.linear_scan.LinearScanIndex.search_radius` over
+:func:`~repro.index.hamming.exact_scan`: at the archive sizes served, one
+popcount pass over the packed codes returns the same rows, in the same
+order, faster than probing buckets.
 
 * :mod:`repro.index.codes` — bit packing into uint64 words,
 * :mod:`repro.index.hamming` — popcount-based distance kernels,
-  :func:`~repro.index.hamming.exact_scan`, the one exact ranked scan every
-  index below (and the serving tier's linear shards) runs, and
+  :func:`~repro.index.hamming.exact_scan`, the one exact ranked scan
+  (kNN, radius, or both) every search runs, and
   :class:`~repro.index.hamming.CodeTable`, the one row-aligned
-  names / packed codes / alive-mask table those indexes are views of,
+  names / packed codes / alive-mask table the indexes are views of,
 * :mod:`repro.index.linear_scan` — the packed exact scan: what
-  ``CBIRService`` answers every query with,
-* :mod:`repro.index.mih` — Multi-Index Hashing (Norouzi & Fleet): the
-  paper's hash table, split into substring tables so bucket enumeration
-  scales to larger radii on long codes.  A library index behind the
-  paper-figure benchmarks (E6 retrieval speed, E8 radius sweep), not the
-  serving path: at the archive sizes served here the exact scan is
-  cheaper.
+  ``CBIRService`` answers every query with.
 """
 
 from .codes import pack_bits, unpack_bits, codes_allclose
@@ -32,7 +29,6 @@ from .hamming import (
     top_k_smallest,
 )
 from .linear_scan import LinearScanIndex
-from .mih import MultiIndexHashing
 from .results import Ranking, SearchResult
 
 __all__ = [
@@ -45,7 +41,6 @@ __all__ = [
     "top_k_smallest",
     "exact_scan",
     "CodeTable",
-    "MultiIndexHashing",
     "LinearScanIndex",
     "Ranking",
     "SearchResult",

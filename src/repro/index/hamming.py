@@ -2,10 +2,10 @@
 
 All kernels XOR packed words and count set bits with ``np.bitwise_count``
 (hardware popcount under the hood), so a scan over N codes of K bits costs
-``N * K/64`` word operations — the fast baseline the hash table competes
-against in experiment E6.  :func:`exact_scan` is the one function that
-turns a code matrix into an exact ranked answer, and :class:`CodeTable`
-the one place that matrix — with its names and alive mask — is kept.
+``N * K/64`` word operations.  :func:`exact_scan` is the one function
+that turns a code matrix into an exact ranked answer — kNN and the
+paper's radius query alike — and :class:`CodeTable` the one place that
+matrix — with its names and alive mask — is kept.
 """
 
 from __future__ import annotations
@@ -126,31 +126,24 @@ class CodeTable:
     name to the corresponding binary code", held once.  Row ``i`` is the
     ``i``-th insertion: ``names[i]`` owns ``codes[i]`` and is searchable
     while ``alive[i]``.  Every index is a view of it — ``LinearScanIndex``
-    scans it, ``MultiIndexHashing`` keeps substring tables *derived* from
-    it, the serving tier's shards are row ranges of its matrix — so
+    scans it and the serving tier's index scans the same matrix — so
     there is one row layout and nothing to replay between tiers.
 
     Deletion tombstones (:meth:`kill` clears the alive flag, the row keeps
     its number) and :meth:`compact` later drops dead rows and renumbers;
     survivors keep their relative order, so the canonical (distance,
-    insertion row) ranking is unchanged by either.  ``epoch`` counts the
-    renumberings (:meth:`compact`, :meth:`restore`): derived state built
-    for one epoch is rebuilt when it sees another, and otherwise only
-    catches up with appended rows.
+    insertion row) ranking is unchanged by either.
 
     Thread safety.  ``lock`` serialises every mutation against
     :meth:`snapshot`.  What a snapshot hands out is never written again:
     appends fill rows past its end, growth and compaction *replace* the
     matrix, the mask and the list, and ``kill`` swaps in a copy of the
     mask.  A scan running on another thread therefore never sees a torn
-    row, a renumbered row or a half-flipped mask.  Holders of derived
-    state take ``lock`` around snapshot-and-sync so both describe the same
-    rows.
+    row, a renumbered row or a half-flipped mask.
     """
 
     def __init__(self, words: int) -> None:
         self.lock = threading.RLock()
-        self.epoch = 0
         self._names: list[Hashable] = []
         # (capacity, W) and (capacity,): rows [0, _rows) are in use, the
         # spare capacity doubles so an append is O(1) amortised; spare
@@ -283,7 +276,7 @@ class CodeTable:
         return row
 
     def compact(self) -> None:
-        """Drop dead rows and renumber the survivors in order (new epoch).
+        """Drop dead rows and renumber the survivors in order.
         Row-aligned masks issued before this call are stale after it."""
         with self.lock:
             if not self._dead:
@@ -295,7 +288,7 @@ class CodeTable:
 
     def restore(self, names: Iterable[Hashable], codes: np.ndarray,
                 alive: "np.ndarray | None" = None) -> None:
-        """Replace the contents with row-aligned physical state (new epoch).
+        """Replace the contents with row-aligned physical state.
 
         ``alive`` of ``None`` means every row is alive (a fresh build);
         otherwise dead rows keep their positions, which is what lets a
@@ -335,7 +328,6 @@ class CodeTable:
         self._row_of = row_of
         self._rows = len(names)
         self._dead = len(names) - len(alive_rows)
-        self.epoch += 1
 
 
 def top_k_smallest(distances: np.ndarray, k: int) -> np.ndarray:
@@ -405,10 +397,10 @@ def exact_scan(codes: np.ndarray, queries: np.ndarray, *,
     """Exact ranked answers of a ``(Q, W)`` query batch over ``(N, W)`` codes.
 
     The one place a packed code matrix becomes a ranked result: every
-    exact path (``LinearScanIndex``, the MIH exact fallback, the linear
-    shard) calls this, so what a benchmark times here is the code that
-    serves.  Per query it returns ``(rows, distances)`` as int64
-    arrays in canonical ``(distance, insertion row)`` order:
+    search (``LinearScanIndex``, the serving tier's index) calls this, so
+    what a benchmark times here is the code that serves.  Per query it
+    returns ``(rows, distances)`` as int64 arrays in canonical
+    ``(distance, insertion row)`` order:
 
     * ``k`` only — the ``k`` nearest rows (all of them when ``k > N``),
     * ``radius`` only — every row within ``radius``,

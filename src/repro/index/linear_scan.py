@@ -1,12 +1,11 @@
-"""Packed-code linear scan: the brute-force baseline of experiment E6, and
-the index ``CBIRService`` answers every query with.
+"""Packed-code linear scan: the index ``CBIRService`` answers every query
+with, and the one Hamming search of experiments E6 and E8.
 
 Computes the distance from the query to *every* stored code with the
 popcount kernel, then selects.  O(N) per query but with a tiny constant —
-this is what FAISS's ``IndexBinaryFlat`` does — so it is the honest baseline
-for demonstrating when bucket lookups actually win.  The scan itself is
-:func:`repro.index.hamming.exact_scan`, the same function the MIH exact
-fallback and the linear shards run; ids, codes and tombstones live in a
+this is what FAISS's ``IndexBinaryFlat`` does.  The scan itself is
+:func:`repro.index.hamming.exact_scan`, the same function the serving
+tier's index runs; ids, codes and tombstones live in a
 :class:`~repro.index.hamming.CodeTable` (its own, or one another index
 shares); this class adds the ``linear.scan`` span / ``rows_scanned``
 counter.

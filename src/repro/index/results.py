@@ -9,15 +9,15 @@ response, until ``api.py`` renders the page it returns.  A ranking is
 immutable (a tuple of ids, a read-only array), so every tier can share
 one without copying it.
 
-:class:`SearchResult` is the per-row view: the baselines and MIH return
-lists of them, and a :class:`Ranking` reads as a sequence of them for
-library callers that iterate.
+:class:`SearchResult` is the per-row view: the baselines return lists
+of them, and a :class:`Ranking` reads as a sequence of them for library
+callers that iterate.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator
 
@@ -119,14 +119,3 @@ def _view(ids: tuple, distances: np.ndarray) -> Ranking:
 
 
 EMPTY_RANKING = Ranking((), ())
-
-
-@dataclass
-class RadiusSearchStats:
-    """Instrumentation of one radius search (experiment E8)."""
-
-    radius: int
-    buckets_probed: int = 0
-    candidates: int = 0
-    results: int = 0
-    extra: dict = field(default_factory=dict)

@@ -7,11 +7,6 @@ candidates, postings and documents a request touched:
 counter                   attached by
 ========================  ====================================================
 ``rows_scanned``          linear scans (full and allowed-subset)
-``buckets_probed``        MIH candidate gathering (per ladder layer)
-``candidates_deduped``    MIH candidate union after bucket dedup
-``candidates_verified``   MIH exact Hamming verification
-``ladder_layers``         MIH incremental radius ladder depth
-``fallback_rows``         MIH exact-scan fallback (budget exceeded)
 ``ids_intersected``       columnar planner posting-list intersections
 ``postings_loaded``       columnar planner candidate source sizes
 ``docs_examined``         document-store predicate evaluation
@@ -125,7 +120,7 @@ def measure(name: str = "measure") -> "Iterator[tracing.CostSpan]":
 
         with measure() as ledger:
             index.search_knn(code, k=10)
-        print(ledger.report()["costs"])  # {'buckets_probed': 52, ...}
+        print(ledger.report()["costs"])  # {'rows_scanned': 10000}
     """
     ledger = tracing.CostSpan(name)
     with ledger:

@@ -2,9 +2,9 @@
 
 A *trace* is the tree of timed operations behind one request: the root span
 covers the whole ``similar_images`` call, child spans cover the cache
-lookup, the micro-batch wait, the code scan, the MIH candidate/verify
-phases, and each federation RPC.  The tree is what turns "p99 is 40 ms"
-into "the p99 queries all re-probe the radius ladder on shard 3".
+lookup, the micro-batch wait, the code scan and each federation RPC.  The
+tree is what turns "p99 is 40 ms" into "the p99 queries all wait on one
+slow node".
 
 The design goals, in order:
 
@@ -322,9 +322,9 @@ def span(name: str, **attrs: Any):
     This is the single instrumentation entry point.  The untraced fast path
     is one ``getattr`` plus a ``None`` check::
 
-        with span("mih.probe", radius=r) as sp:
+        with span("linear.scan", rows=n) as sp:
             ...
-            sp.annotate(candidates=n)
+            sp.annotate(results=len(found))
 
     Under a cost-only request (root not credit-sampled) the parent is a
     :class:`CostSpan` and a :class:`_StageSpan` is returned instead — same

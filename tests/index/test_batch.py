@@ -2,7 +2,7 @@
 
 The contract of the batch query engine: ``search_knn_batch`` /
 ``search_radius_batch`` return results *byte-identical* to looping the
-single-query path, across MIH, linear-scan, and sharded backends —
+single-query path, across the linear-scan and sharded backends —
 including k > corpus, duplicate queries inside one batch, and indexes
 mutated through the incremental ``add`` path.
 """
@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import EmptyIndexError, ShapeError, ValidationError
-from repro.index import LinearScanIndex, MultiIndexHashing, pack_bits
+from repro.index import LinearScanIndex, pack_bits
 from repro.index import hamming
 from repro.index.hamming import exact_scan
-from repro.index.mih import _FLIP_MASK_CACHE, flip_masks
 from repro.serving import CodeQuery, ShardedHammingIndex
 
 
@@ -56,39 +55,6 @@ def queries(corpus, rng):
     return codes[picks]
 
 
-class TestFlipMasks:
-    def test_counts_and_popcounts(self):
-        from math import comb
-        for width, radius in [(8, 0), (8, 2), (12, 3), (5, 5)]:
-            masks = flip_masks(width, radius)
-            expected = sum(comb(width, i) for i in range(radius + 1))
-            assert masks.shape[0] == expected
-            assert masks.dtype == np.uint64
-            popcounts = np.bitwise_count(masks)
-            assert popcounts.max() <= radius or radius == 0
-            assert (masks < (1 << width)).all()
-            assert np.unique(masks).shape[0] == expected
-
-    def test_zero_mask_first(self):
-        assert flip_masks(8, 2)[0] == 0
-
-    def test_cached_identity(self):
-        _FLIP_MASK_CACHE.pop((16, 2), None)
-        first = flip_masks(16, 2)
-        assert flip_masks(16, 2) is first
-
-    def test_radius_clipped_to_width(self):
-        assert flip_masks(4, 99).shape[0] == 16  # all 4-bit masks
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            flip_masks(0, 1)
-        with pytest.raises(ValidationError):
-            flip_masks(65, 1)
-        with pytest.raises(ValidationError):
-            flip_masks(8, -1)
-
-
 class TestLinearScanBatch:
     def test_knn_batch_equals_loop(self, corpus, queries):
         ids, codes = corpus
@@ -127,171 +93,6 @@ class TestLinearScanBatch:
             scan.search_radius_batch(queries, -1)
         with pytest.raises(ValidationError):
             scan.search_knn_batch(queries[0], 3)  # 1D, not a batch
-
-
-class TestMIHBatch:
-    def test_knn_batch_equals_loop_and_oracle(self, corpus, queries):
-        ids, codes = corpus
-        mih = MultiIndexHashing(32, 4)
-        mih.build(ids, codes)
-        scan = LinearScanIndex(32)
-        scan.build(ids, codes)
-        batch = mih.search_knn_batch(queries, 5)
-        for query, results in zip(queries, batch):
-            assert pairs(results) == pairs(mih.search_knn(query, 5))
-            assert pairs(results) == pairs(scan.search_knn(query, 5))
-
-    @pytest.mark.parametrize("radius", [0, 2, 5, 9])
-    def test_radius_batch_equals_loop_and_oracle(self, corpus, queries, radius):
-        ids, codes = corpus
-        mih = MultiIndexHashing(32, 4)
-        mih.build(ids, codes)
-        scan = LinearScanIndex(32)
-        scan.build(ids, codes)
-        batch = mih.search_radius_batch(queries, radius)
-        for query, results in zip(queries, batch):
-            assert pairs(results) == pairs(mih.search_radius(query, radius))
-            assert pairs(results) == pairs(scan.search_radius(query, radius))
-
-    def test_duplicate_queries_get_identical_results(self, corpus, queries):
-        ids, codes = corpus
-        mih = MultiIndexHashing(32, 4)
-        mih.build(ids, codes)
-        batch = mih.search_knn_batch(queries, 5)
-        assert pairs(batch[0]) == pairs(batch[3]) == pairs(batch[7])
-
-    def test_k_larger_than_corpus(self, corpus, queries):
-        ids, codes = corpus
-        mih = MultiIndexHashing(32, 4)
-        mih.build(ids, codes)
-        scan = LinearScanIndex(32)
-        scan.build(ids, codes)
-        batch = mih.search_knn_batch(queries[:3], 10_000)
-        for query, results in zip(queries[:3], batch):
-            assert len(results) == len(ids)
-            assert pairs(results) == pairs(scan.search_knn(query, 10_000))
-
-    def test_max_radius_respected_in_batch(self, corpus, queries):
-        ids, codes = corpus
-        mih = MultiIndexHashing(32, 4)
-        mih.build(ids, codes)
-        batch = mih.search_knn_batch(queries, 10_000, max_radius=4)
-        for query, results in zip(queries, batch):
-            assert pairs(results) == pairs(
-                mih.search_knn(query, 10_000, max_radius=4))
-            assert all(r.distance <= 4 for r in results)
-
-    def test_batch_with_stats(self, corpus, queries):
-        ids, codes = corpus
-        mih = MultiIndexHashing(32, 4)
-        mih.build(ids, codes)
-        batch, stats = mih.search_radius_batch(queries, 4, with_stats=True)
-        assert len(stats) == len(batch)
-        for results, stat in zip(batch, stats):
-            assert stat.radius == 4
-            assert stat.results == len(results)
-            assert stat.buckets_probed > 0
-            assert 0 <= stat.candidates <= len(ids)
-        # Per-query stats agree with the single-query path.
-        _, single = mih.search_radius(queries[0], 4, with_stats=True)
-        assert stats[0].buckets_probed == single.buckets_probed
-        assert stats[0].candidates == single.candidates
-
-    def test_incremental_add_overflow_path(self, corpus, queries, rng):
-        """Items added after build (CSR overflow) are found identically."""
-        ids, codes = corpus
-        split = 60
-        mih = MultiIndexHashing(32, 4)
-        mih.build(ids[:split], codes[:split])
-        for row in range(split, len(ids)):
-            mih.add(ids[row], codes[row])
-        rebuilt = MultiIndexHashing(32, 4)
-        rebuilt.build(ids, codes)
-        for radius in (0, 3, 6):
-            assert [pairs(r) for r in mih.search_radius_batch(queries, radius)] \
-                == [pairs(r) for r in rebuilt.search_radius_batch(queries, radius)]
-        assert [pairs(r) for r in mih.search_knn_batch(queries, 8)] \
-            == [pairs(r) for r in rebuilt.search_knn_batch(queries, 8)]
-
-    def test_add_compaction_threshold_crossed(self, rng):
-        """Adding enough items to trigger CSR compaction keeps results exact."""
-        codes = clustered_codes(rng, 400, 32)
-        ids = list(range(400))
-        mih = MultiIndexHashing(32, 4)
-        mih.build(ids[:20], codes[:20])
-        for row in range(20, 400):  # overflow threshold (64) crossed repeatedly
-            mih.add(ids[row], codes[row])
-        scan = LinearScanIndex(32)
-        scan.build(ids, codes)
-        for query in codes[:6]:
-            assert pairs(mih.search_radius(query, 5)) == \
-                pairs(scan.search_radius(query, 5))
-
-    def test_knn_reaches_complement_bucket(self):
-        """Regression: at layer == substring width the flip-mask layer is a
-        single all-ones mask, which must still be XORed — otherwise the
-        complement bucket is probed as the base bucket and the farthest
-        item is silently missed."""
-        codes = pack_bits(np.stack([np.zeros(8, dtype=np.uint8),
-                                    np.ones(8, dtype=np.uint8)]))
-        mih = MultiIndexHashing(8, 4)
-        mih.build(["zero", "ones"], codes)
-        assert pairs(mih.search_knn(codes[0], 2)) == [("zero", 0), ("ones", 8)]
-        batch = mih.search_knn_batch(codes, 2)
-        assert pairs(batch[0]) == [("zero", 0), ("ones", 8)]
-        assert pairs(batch[1]) == [("ones", 0), ("zero", 8)]
-
-    def test_degenerate_knn_falls_back_to_exact_scan(self, rng):
-        """Far queries / k beyond the reachable neighborhood must finish
-        (exact, oracle-identical) instead of enumerating a combinatorial
-        number of buckets: uniform random 128-bit codes have no neighbors
-        at small radii, which used to push the ladder into ~C(32, 12)
-        flip-mask territory."""
-        codes = random_codes(rng, 40, 128)
-        ids = list(range(40))
-        mih = MultiIndexHashing(128, 4)
-        mih.build(ids, codes)
-        scan = LinearScanIndex(128)
-        scan.build(ids, codes)
-        single = mih.search_knn(codes[0], 5)
-        assert pairs(single) == pairs(scan.search_knn(codes[0], 5))
-        batch = mih.search_knn_batch(codes[:3], 45)  # k > corpus
-        for query, results in zip(codes[:3], batch):
-            assert pairs(results) == pairs(scan.search_knn(query, 45))
-        capped = mih.search_knn(codes[0], 5, max_radius=20)
-        expected = [p for p in pairs(scan.search_knn(codes[0], 5))
-                    if p[1] <= 20]
-        assert pairs(capped) == expected
-
-    def test_short_codes_rejected(self, rng):
-        mih = MultiIndexHashing(128, 4)
-        with pytest.raises(ValidationError):
-            mih.build([0, 1], np.ones((2, 1), dtype=np.uint64))
-        mih.build(list(range(4)), random_codes(rng, 4, 128))
-        with pytest.raises(ValidationError):
-            mih.search_radius(np.ones(1, dtype=np.uint64), 2)
-        with pytest.raises(ValidationError):
-            mih.search_knn_batch(np.ones((2, 1), dtype=np.uint64), 3)
-        with pytest.raises(ValidationError):
-            mih.add(9, np.ones(1, dtype=np.uint64))
-
-    def test_empty_index_raises(self, queries):
-        mih = MultiIndexHashing(32, 4)
-        with pytest.raises(EmptyIndexError):
-            mih.search_radius_batch(queries, 2)
-        with pytest.raises(EmptyIndexError):
-            mih.search_knn_batch(queries, 3)
-
-    def test_batch_shape_validation(self, corpus):
-        ids, codes = corpus
-        mih = MultiIndexHashing(32, 4)
-        mih.build(ids, codes)
-        with pytest.raises(ValidationError):
-            mih.search_radius_batch(codes[0], 2)  # 1D input
-        with pytest.raises(ValidationError):
-            mih.search_knn_batch(codes, 0)
-        with pytest.raises(ValidationError):
-            mih.search_radius_batch(codes, -1)
 
 
 class TestShardedBatch:
@@ -416,26 +217,25 @@ class TestExactScanKernel:
         with pytest.raises(ShapeError):
             exact_scan(codes, tie_heavy_codes(rng, 128)[:2], k=3)
 
-    def test_three_callers_one_kernel(self, rng, monkeypatch):
-        """Every exact path is one call into the same function — a batch of
+    def test_two_callers_one_kernel(self, rng, monkeypatch):
+        """Every search is one call into the same function — a batch of
         16 is one call, not sixteen — and under tombstones plus an allowed
-        mask all of them return the same ranking."""
-        from repro.index import linear_scan, mih as mih_module
+        mask both callers return the same ranking."""
+        from repro.index import linear_scan
         from repro.serving import sharding
         calls = []
 
         def spy(*args, **kwargs):
             calls.append(kwargs)
             return exact_scan(*args, **kwargs)
-        for module in (linear_scan, mih_module, sharding):
+        for module in (linear_scan, sharding):
             monkeypatch.setattr(module, "exact_scan", spy)
 
         codes = tie_heavy_codes(rng, 64)
         ids = [f"p{i}" for i in range(codes.shape[0])]
         scan = LinearScanIndex(64)
-        mih = MultiIndexHashing(64, 4)
         sharded = ShardedHammingIndex(64, num_shards=1)
-        for index in (scan, mih, sharded):
+        for index in (scan, sharded):
             index.build(ids, codes)
             for dead in ("p0", "p3", "p40"):
                 index.remove(dead)
@@ -445,18 +245,14 @@ class TestExactScanKernel:
 
         expected = pairs(scan.search_knn(batch[0], 5, allowed=allowed))
         assert len(calls) == 1
-        # A zero probe budget sends MIH straight to its exact fallback.
-        monkeypatch.setattr(mih, "_probe_budget", lambda: 0)
-        assert pairs(mih.search_knn(batch[0], 5, allowed=allowed)) == expected
+        batched = scan.search_knn_batch(batch, 5, allowed=allowed)
         assert len(calls) == 2
-        batched = mih.search_knn_batch(batch, 5, allowed=allowed)
-        assert len(calls) == 3
         assert pairs(batched[0]) == expected
         # ShardedHammingIndex.search_knn is search_batch of one unfiltered
         # CodeQuery; the mask rides the same call.
         assert pairs(sharded.search_batch(
             [CodeQuery(code=batch[0], k=5, allowed=allowed)])[0]) == expected
-        assert len(calls) == 4
+        assert len(calls) == 3
         survivors = [pair for pair in reference_scan(
             codes, batch[:1], k=None, radius=None, rows=None)[0]
             if pair[1] not in (0, 3, 40, 1, 2, 12, 50)][:5]
@@ -469,8 +265,8 @@ class TestExactScanKernel:
        radius=st.integers(min_value=0, max_value=8))
 def test_property_batch_equals_sequential(seed, k, radius):
     """Property: for random corpora and query batches (with duplicates),
-    every backend's batch path equals its own sequential path and the
-    linear-scan oracle."""
+    the batch path equals the sequential path and the pure-Python
+    reference."""
     rng = np.random.default_rng(seed)
     codes = clustered_codes(rng, 90, 48)
     ids = list(range(90))
@@ -480,15 +276,17 @@ def test_property_batch_equals_sequential(seed, k, radius):
 
     scan = LinearScanIndex(48)
     scan.build(ids, codes)
-    mih = MultiIndexHashing(48, 4)
-    mih.build(ids, codes)
 
-    oracle_knn = [pairs(scan.search_knn(q, k)) for q in queries]
+    def oracle(**select):
+        return [[(row, d) for d, row in ranked] for ranked in reference_scan(
+            codes, queries, rows=None, **select)]
+
+    oracle_knn = oracle(k=k, radius=None)
+    assert [pairs(scan.search_knn(q, k)) for q in queries] == oracle_knn
     assert [pairs(r) for r in scan.search_knn_batch(queries, k)] == oracle_knn
-    assert [pairs(r) for r in mih.search_knn_batch(queries, k)] == oracle_knn
 
-    oracle_radius = [pairs(scan.search_radius(q, radius)) for q in queries]
-    assert [pairs(r) for r in scan.search_radius_batch(queries, radius)] \
+    oracle_radius = oracle(k=None, radius=radius)
+    assert [pairs(scan.search_radius(q, radius)) for q in queries] \
         == oracle_radius
-    assert [pairs(r) for r in mih.search_radius_batch(queries, radius)] \
+    assert [pairs(r) for r in scan.search_radius_batch(queries, radius)] \
         == oracle_radius

@@ -134,9 +134,10 @@ def test_random_interleavings_match_the_model(words, seed):
             table.append(name, np.array(code, dtype=np.uint64))
             model.append([name, code, True])
         elif op == "compact":
-            epoch = table.epoch
+            dead = sum(not row[2] for row in model)
+            assert table.dead_count == dead
             table.compact()
-            assert table.epoch == epoch + any(not row[2] for row in model)
+            assert table.dead_count == 0 and table.rows == len(model) - dead
             model[:] = [row for row in model if row[2]]
         elif op == "restore":
             # Physical state as a checkpoint holds it: dead rows in place.
@@ -235,7 +236,7 @@ def test_readers_never_see_a_torn_snapshot_while_a_writer_churns():
     table = CodeTable(2)
     stop = threading.Event()
     failures: list = []
-    snapshots_read = [0]
+    snapshots_read, compactions = [0], [0]
 
     def read():
         while not stop.is_set():
@@ -264,6 +265,7 @@ def test_readers_never_see_a_torn_snapshot_while_a_writer_churns():
                 table.kill(str(name))
             if table.compact_due(5, 0.2):
                 table.compact()
+                compactions[0] += 1
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -280,4 +282,4 @@ def test_readers_never_see_a_torn_snapshot_while_a_writer_churns():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
-    assert snapshots_read[0] > 0 and table.epoch > 0
+    assert snapshots_read[0] > 0 and compactions[0] > 0

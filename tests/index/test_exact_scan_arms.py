@@ -1,4 +1,5 @@
-"""``exact_scan``'s two arms for a set of allowed rows, against an oracle.
+"""``exact_scan``'s two arms for a set of allowed rows, against an oracle,
+and degenerate distance shapes through every caller of the kernel.
 
 A sparse set, or any set of a batch, is gathered (``codes[rows]``); for
 a single query a set covering at least ``DENSE_ROWS_FRACTION`` of the
@@ -18,7 +19,7 @@ from repro.config import (ArchiveConfig, EarthQubeConfig, MiLaNConfig,
                           ServingConfig, TrainConfig)
 from repro.earthqube import EarthQube
 from repro.earthqube.api import EarthQubeAPI, parse_query_request
-from repro.index import LinearScanIndex
+from repro.index import LinearScanIndex, pack_bits
 from repro.index.hamming import (
     DENSE_ROWS_FRACTION,
     exact_scan,
@@ -26,6 +27,7 @@ from repro.index.hamming import (
     scanned_rows,
 )
 from repro.obs import costs
+from repro.serving import CodeQuery, ShardedHammingIndex
 
 N = 400
 
@@ -117,6 +119,130 @@ def test_empty_table():
     for rows in (None, np.empty(0, dtype=np.int64)):
         [(found, distances)] = exact_scan(codes, query, k=3, rows=rows)
         assert found.tolist() == [] and distances.tolist() == []
+
+
+# --------------------------------------------------------------------- #
+# Degenerate distance shapes, through every entry point
+# --------------------------------------------------------------------- #
+#
+# Every caller of the kernel on the same corpus: ``exact_scan`` itself
+# (tombstones as the allowed rows), ``LinearScanIndex`` one query at a
+# time and as a batch, and the serving tier's index.  Each answer must be
+# the oracle's (distance, insertion row) sort over the alive rows.
+
+VIAS = ["kernel", "single", "batch", "served"]
+DEGENERATE_ROWS = 40
+DEAD = {3, 4, 17, 39}
+
+
+def ask(via, codes, queries, dead, num_bits, *, k=None, radius=None):
+    """``[(name, distance), ...]`` per query, asked through ``via``."""
+    names = [f"r{row}" for row in range(codes.shape[0])]
+    select = {"k": k} if radius is None else {"radius": radius}
+    if via == "kernel":
+        alive = np.array([row for row in range(codes.shape[0])
+                          if row not in dead], dtype=np.int64)
+        hits = exact_scan(codes, queries, rows=alive if dead else None,
+                          **select)
+        return [[(names[row], int(d)) for row, d in zip(found, distances)]
+                for found, distances in hits]
+    if via == "served":
+        index = ShardedHammingIndex(num_bits, 3)
+    else:
+        index = LinearScanIndex(num_bits)
+    index.build(names, codes)
+    for row in sorted(dead):
+        index.remove(names[row])
+    if via == "served":
+        answers = index.search_batch(
+            [CodeQuery(code=query, **select) for query in queries])
+    elif via == "batch":
+        answers = (index.search_knn_batch(queries, k) if radius is None
+                   else index.search_radius_batch(queries, radius))
+    else:
+        answers = [index.search_knn(query, k) if radius is None
+                   else index.search_radius(query, radius)
+                   for query in queries]
+    return [[(r.item_id, r.distance) for r in answer] for answer in answers]
+
+
+def expected(codes, queries, dead, **select):
+    """The filter-then-rank oracle over the alive rows, as ``ask`` names
+    them."""
+    alive = [row for row in range(codes.shape[0]) if row not in dead]
+    answers = []
+    for query in queries:
+        rows, distances = oracle(codes, query, alive, **select)
+        answers.append([(f"r{row}", d) for row, d in zip(rows, distances)])
+    return answers
+
+
+def packed(rng, n, num_bits):
+    return pack_bits((rng.random((n, num_bits)) < 0.5).astype(np.uint8))
+
+
+@pytest.mark.parametrize("via", VIAS)
+@pytest.mark.parametrize("dead", [set(), DEAD], ids=["alive", "tombstones"])
+@pytest.mark.parametrize("select", ["k", "radius"])
+@pytest.mark.parametrize("flipped", [0, 5], ids=["same-code", "far-code"])
+def test_every_code_identical(via, dead, select, flipped):
+    """One code on every row: every distance ties, so the answer is the
+    alive rows in insertion order, each at the query's distance."""
+    rng = np.random.default_rng(11)
+    code = packed(rng, 1, 64)
+    codes = np.repeat(code, DEGENERATE_ROWS, axis=0)
+    query = code.copy()
+    for bit in range(flipped):
+        query[0, 0] ^= np.uint64(1) << np.uint64(9 * bit)
+    queries = np.concatenate([query, query])  # a duplicate in the batch
+    kwargs = {"k": 7} if select == "k" else {"radius": flipped}
+    got = ask(via, codes, queries, dead, 64, **kwargs)
+    assert got == expected(codes, queries, dead, **kwargs)
+    alive = [f"r{row}" for row in range(DEGENERATE_ROWS) if row not in dead]
+    kept = alive[:7] if select == "k" else alive
+    assert got[0] == [(name, flipped) for name in kept]
+    assert got[1] == got[0]
+
+
+@pytest.mark.parametrize("via", VIAS)
+@pytest.mark.parametrize("dead", [set(), DEAD], ids=["alive", "tombstones"])
+@pytest.mark.parametrize("extra", [0, 1, 1000], ids=["k=alive", "k=alive+1",
+                                                    "k=alive+1000"])
+def test_k_covers_every_alive_row(via, dead, extra):
+    """``k`` at or past the alive row count ranks every alive row once."""
+    rng = np.random.default_rng(13)
+    codes = random_codes(rng, DEGENERATE_ROWS, 1, tie_heavy=True)
+    queries = np.concatenate([codes[:2], packed(rng, 1, 64)])
+    k = DEGENERATE_ROWS - len(dead) + extra
+    got = ask(via, codes, queries, dead, 64, k=k)
+    assert got == expected(codes, queries, dead, k=k)
+    for answer in got:
+        assert sorted(name for name, _ in answer) == sorted(
+            f"r{row}" for row in range(DEGENERATE_ROWS) if row not in dead)
+
+
+@pytest.mark.parametrize("via", VIAS)
+@pytest.mark.parametrize("num_bits", [8, 64, 128])
+@pytest.mark.parametrize("edge", ["zero", "num_bits"])
+def test_radius_extremes(via, num_bits, edge):
+    """Radius 0 keeps exactly the alive copies of the query's code; a
+    radius of ``num_bits`` keeps every alive row, ranked."""
+    rng = np.random.default_rng(num_bits)
+    codes = packed(rng, DEGENERATE_ROWS, num_bits)
+    codes[[5, 21, 39]] = codes[0]         # copies of row 0; row 39 is dead
+    # The complement of row 0 is the farthest code there is.
+    codes[30] = pack_bits(1 - np.unpackbits(
+        codes[0].view(np.uint8), bitorder="little")[None, :num_bits])
+    queries = codes[[0, 30]]
+    radius = 0 if edge == "zero" else num_bits
+    got = ask(via, codes, queries, DEAD, num_bits, radius=radius)
+    assert got == expected(codes, queries, DEAD, radius=radius)
+    if edge == "zero":
+        assert got[0] == [("r0", 0), ("r5", 0), ("r21", 0)]
+        assert got[1] == [("r30", 0)]
+    else:
+        assert len(got[0]) == DEGENERATE_ROWS - len(DEAD)
+        assert got[0][-1] == ("r30", num_bits)
 
 
 # --------------------------------------------------------------------- #

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.errors import EmptyIndexError, ValidationError
-from repro.index import LinearScanIndex, MultiIndexHashing
+from repro.index import LinearScanIndex
 from repro.index.hamming import combine_allowed_masks
 from repro.serving.sharding import CodeQuery, ShardedHammingIndex
 
@@ -26,36 +26,9 @@ def make_codes(rng, n=N):
                         dtype=np.uint64)
 
 
-class SharedTable:
-    """An MIH index reading a table that another index owns and writes.
-
-    Every write (build / add / remove / compact) goes through a
-    ``LinearScanIndex``; every read through a ``MultiIndexHashing`` built
-    over that index's table.  The reader never hears about a write — it
-    has to notice the table's epoch and row count by itself.
-    """
-
-    WRITES = {"build", "add", "remove", "compact"}
-
-    def __init__(self) -> None:
-        self.writer = LinearScanIndex(NUM_BITS)
-        self.reader = MultiIndexHashing(NUM_BITS, 4, table=self.writer.table)
-
-    def __len__(self) -> int:
-        return len(self.reader)
-
-    def __getattr__(self, name):
-        return getattr(self.writer if name in self.WRITES else self.reader,
-                       name)
-
-
 def build(backend: str, ids, codes):
     if backend == "linear":
         index = LinearScanIndex(NUM_BITS)
-    elif backend == "mih":
-        index = MultiIndexHashing(NUM_BITS, 4)
-    elif backend == "shared-table":
-        index = SharedTable()
     else:
         index = ShardedHammingIndex(NUM_BITS, 3)
     index.build(ids, codes)
@@ -78,7 +51,7 @@ def radius(backend, index, code, r):
     return [(r_.item_id, r_.distance) for r_ in results]
 
 
-BACKENDS = ["linear", "mih", "sharded", "shared-table"]
+BACKENDS = ["linear", "sharded"]
 
 
 class TestCombineAllowedMasks:
@@ -233,42 +206,3 @@ class TestLifecycleEdges:
         assert index.dead_count == 0
         assert len(index) == 6
         assert ("c", 0) in knn(backend, index, codes[2], 1)
-
-
-class TestMIHTombstonesWithOverflow:
-    def test_remove_of_pending_added_item(self, rng):
-        codes = make_codes(rng, 40)
-        extra = make_codes(rng, 10)
-        index = MultiIndexHashing(NUM_BITS, 4)
-        index.build([f"p{i}" for i in range(40)], codes)
-        for i in range(10):
-            index.add(f"new{i}", extra[i])
-        index.remove("new3")
-        index.remove("p7")
-        alive_ids = [f"p{i}" for i in range(40) if i != 7] + \
-            [f"new{i}" for i in range(10) if i != 3]
-        alive_codes = np.vstack([codes[[i for i in range(40) if i != 7]],
-                                 extra[[i for i in range(10) if i != 3]]])
-        oracle = MultiIndexHashing(NUM_BITS, 4)
-        oracle.build(alive_ids, alive_codes)
-        for q in range(10):
-            got = [(r.item_id, r.distance)
-                   for r in index.search_knn(extra[q], 12)]
-            want = [(r.item_id, r.distance)
-                    for r in oracle.search_knn(extra[q], 12)]
-            assert got == want
-
-    def test_batch_queries_respect_tombstones(self, rng):
-        codes = make_codes(rng, 60)
-        index = MultiIndexHashing(NUM_BITS, 4)
-        index.build([f"p{i}" for i in range(60)], codes)
-        for i in range(0, 60, 5):
-            index.remove(f"p{i}")
-        batch = index.search_knn_batch(codes[:8], 10)
-        single = [index.search_knn(codes[q], 10) for q in range(8)]
-        assert [[(r.item_id, r.distance) for r in results]
-                for results in batch] == \
-            [[(r.item_id, r.distance) for r in results] for results in single]
-        dead = {f"p{i}" for i in range(0, 60, 5)}
-        for results in batch:
-            assert all(r.item_id not in dead for r in results)

@@ -1,7 +1,8 @@
-"""Tests for MultiIndexHashing, LinearScanIndex and ShardedHammingIndex.
+"""Tests for LinearScanIndex and ShardedHammingIndex.
 
-The central invariant: all three index types return *identical* result sets
-for the same radius/kNN query — they differ only in cost.
+The central invariant: both index types return the brute-force oracle's
+result set for the same radius/kNN query — every distance computed, then
+sorted by (distance, insertion row).
 """
 
 import numpy as np
@@ -9,17 +10,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import EmptyIndexError, ValidationError
-from repro.index import (
-    LinearScanIndex,
-    MultiIndexHashing,
-    pack_bits,
-)
+from repro.index import LinearScanIndex, hamming_distances_to_query, pack_bits
+from repro.obs import costs
 from repro.serving import ShardedHammingIndex
 
 
 def random_codes(rng, n, k):
     bits = (rng.random((n, k)) < 0.5).astype(np.uint8)
     return pack_bits(bits)
+
+
+def oracle(ids, codes, query, *, k=None, radius=None):
+    """Brute force: every distance, then a (distance, row) sort."""
+    distances = hamming_distances_to_query(codes, query)
+    ranked = sorted((int(d), row) for row, d in enumerate(distances)
+                    if radius is None or d <= radius)
+    if k is not None:
+        ranked = ranked[:k]
+    return [(ids[row], d) for d, row in ranked]
 
 
 @pytest.fixture()
@@ -29,61 +37,48 @@ def small_setup(rng):
     return ids, codes
 
 
-def build_all(ids, codes, num_bits, tables=4):
-    mih = MultiIndexHashing(num_bits, tables)
-    mih.build(ids, codes)
+def build_all(ids, codes, num_bits):
     scan = LinearScanIndex(num_bits)
     scan.build(ids, codes)
     sharded = ShardedHammingIndex(num_bits, num_shards=3)
     sharded.build(ids, codes)
-    return mih, scan, sharded
+    return scan, sharded
 
 
-class TestMultiIndexHashing:
-    def test_substring_spans_partition_bits(self):
-        mih = MultiIndexHashing(128, 4)
-        spans = mih.substring_spans
-        assert spans[0][0] == 0 and spans[-1][1] == 128
-        total = sum(stop - start for start, stop in spans)
-        assert total == 128
-
-    def test_uneven_split(self):
-        mih = MultiIndexHashing(40, 3)
-        sizes = [stop - start for start, stop in mih.substring_spans]
-        assert sorted(sizes) == [13, 13, 14]
-
-    def test_agrees_with_linear_scan_radius(self, small_setup):
+class TestAgainstOracle:
+    def test_agrees_with_oracle_radius(self, small_setup):
         ids, codes = small_setup
-        mih, scan, _ = build_all(ids, codes, 32)
+        scan, _ = build_all(ids, codes, 32)
         for radius in (0, 2, 5, 8):
-            expected = {(r.item_id, r.distance) for r in scan.search_radius(codes[5], radius)}
-            actual = {(r.item_id, r.distance) for r in mih.search_radius(codes[5], radius)}
+            expected = oracle(ids, codes, codes[5], radius=radius)
+            actual = [(r.item_id, r.distance) for r in scan.search_radius(codes[5], radius)]
             assert actual == expected, f"radius {radius}"
 
-    def test_knn_matches_scan(self, small_setup):
+    def test_knn_matches_oracle(self, small_setup):
         ids, codes = small_setup
-        mih, scan, _ = build_all(ids, codes, 32)
-        expected = [(r.item_id, r.distance) for r in scan.search_knn(codes[9], 10)]
-        actual = [(r.item_id, r.distance) for r in mih.search_knn(codes[9], 10)]
+        scan, _ = build_all(ids, codes, 32)
+        expected = oracle(ids, codes, codes[9], k=10)
+        actual = [(r.item_id, r.distance) for r in scan.search_knn(codes[9], 10)]
         assert actual == expected
 
-    def test_stats_candidates_bounded_by_items(self, small_setup):
+    def test_rows_scanned_bounded_by_items(self, small_setup):
         ids, codes = small_setup
-        mih = MultiIndexHashing(32, 4)
-        mih.build(ids, codes)
-        _, stats = mih.search_radius(codes[0], 6, with_stats=True)
-        assert 0 < stats.candidates <= len(ids)
+        scan = LinearScanIndex(32)
+        scan.build(ids, codes)
+        with costs.measure() as ledger:
+            found = scan.search_radius(codes[0], 6)
+        assert 0 < len(found) <= ledger.report()["costs"]["rows_scanned"] == len(ids)
 
     def test_empty_raises(self, rng):
-        mih = MultiIndexHashing(32, 4)
+        scan = LinearScanIndex(32)
         with pytest.raises(EmptyIndexError):
-            mih.search_radius(random_codes(rng, 1, 32)[0], 1)
+            scan.search_radius(random_codes(rng, 1, 32)[0], 1)
 
-    def test_invalid_table_count(self):
+    def test_invalid_bit_count(self):
         with pytest.raises(ValidationError):
-            MultiIndexHashing(32, 0)
+            LinearScanIndex(0)
         with pytest.raises(ValidationError):
-            MultiIndexHashing(32, 64)
+            LinearScanIndex(36)
 
 
 class TestLinearScan:
@@ -116,19 +111,19 @@ class TestLinearScan:
 
 
 class TestCrossIndexAgreement:
-    """The load-bearing invariant: all three structures are exact."""
+    """The load-bearing invariant: both structures are exact."""
 
     def test_all_agree_radius_2_on_128_bits(self, rng):
         codes = random_codes(rng, 300, 128)
         ids = list(range(300))
-        mih, scan, sharded = build_all(ids, codes, 128)
+        scan, sharded = build_all(ids, codes, 128)
         query = codes[17]
-        expected = {(r.item_id, r.distance) for r in scan.search_radius(query, 2)}
-        assert {(r.item_id, r.distance) for r in mih.search_radius(query, 2)} == expected
-        assert {(r.item_id, r.distance) for r in sharded.search_radius(query, 2)} == expected
+        expected = oracle(ids, codes, query, radius=2)
+        assert [(r.item_id, r.distance) for r in scan.search_radius(query, 2)] == expected
+        assert [(r.item_id, r.distance) for r in sharded.search_radius(query, 2)] == expected
 
     def test_all_agree_on_clustered_codes(self, rng):
-        # Clustered data: many near-duplicate codes stress bucket logic.
+        # Clustered data: many near-duplicate codes stress the tie order.
         base = (rng.random((10, 64)) < 0.5).astype(np.uint8)
         noisy = np.repeat(base, 30, axis=0)
         flips = rng.integers(0, 64, size=noisy.shape[0])
@@ -137,27 +132,25 @@ class TestCrossIndexAgreement:
                 noisy[row, flip] ^= 1
         codes = pack_bits(noisy)
         ids = list(range(len(noisy)))
-        mih, scan, sharded = build_all(ids, codes, 64)
+        scan, sharded = build_all(ids, codes, 64)
         query = codes[0]
-        expected = {(r.item_id, r.distance) for r in scan.search_radius(query, 2)}
-        assert {(r.item_id, r.distance) for r in mih.search_radius(query, 2)} == expected
-        assert {(r.item_id, r.distance) for r in sharded.search_radius(query, 2)} == expected
+        expected = oracle(ids, codes, query, radius=2)
+        assert [(r.item_id, r.distance) for r in scan.search_radius(query, 2)] == expected
+        assert [(r.item_id, r.distance) for r in sharded.search_radius(query, 2)] == expected
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000),
        radius=st.integers(min_value=0, max_value=10))
-def test_property_mih_equals_scan(seed, radius):
+def test_property_scan_equals_oracle(seed, radius):
     rng = np.random.default_rng(seed)
     codes = random_codes(rng, 80, 48)
     ids = list(range(80))
-    mih = MultiIndexHashing(48, 4)
-    mih.build(ids, codes)
     scan = LinearScanIndex(48)
     scan.build(ids, codes)
     query = codes[int(rng.integers(80))]
-    expected = {(r.item_id, r.distance) for r in scan.search_radius(query, radius)}
-    actual = {(r.item_id, r.distance) for r in mih.search_radius(query, radius)}
+    expected = oracle(ids, codes, query, radius=radius)
+    actual = [(r.item_id, r.distance) for r in scan.search_radius(query, radius)]
     assert actual == expected
 
 

@@ -37,26 +37,26 @@ class TestProfileFromTree:
     def _tree(self):
         tracer = Tracer(enabled=True, sample_rate=1.0)
         with tracer.start_trace("api.similar", route="similar") as root:
-            with span("mih.knn") as knn:
-                knn.add_cost(buckets_probed=40)
-                with span("mih.verify") as verify:
-                    verify.add_cost(candidates_verified=7)
-                with span("mih.verify") as verify:
-                    verify.add_cost(candidates_verified=5)
+            with span("batch.execute") as batch:
+                batch.add_cost(cache_misses=2)
+                with span("linear.scan") as scan:
+                    scan.add_cost(rows_scanned=7)
+                with span("linear.scan") as scan:
+                    scan.add_cost(rows_scanned=5)
             root.annotate(strategy="prefilter", selectivity=0.008)
         return root.as_dict()
 
     def test_costs_total_across_the_tree(self):
         profile = profile_from_tree(self._tree())
-        assert profile["costs"] == {"buckets_probed": 40,
-                                    "candidates_verified": 12}
+        assert profile["costs"] == {"cache_misses": 2,
+                                    "rows_scanned": 12}
 
     def test_stages_fold_by_name_with_per_stage_costs(self):
         profile = profile_from_tree(self._tree())
-        verify = profile["stages"]["mih.verify"]
-        assert verify["count"] == 2
-        assert verify["costs"] == {"candidates_verified": 12}
-        assert profile["stages"]["mih.knn"]["costs"] == {"buckets_probed": 40}
+        scan = profile["stages"]["linear.scan"]
+        assert scan["count"] == 2
+        assert scan["costs"] == {"rows_scanned": 12}
+        assert profile["stages"]["batch.execute"]["costs"] == {"cache_misses": 2}
 
     def test_family_attrs_are_first_seen(self):
         profile = profile_from_tree(self._tree())

@@ -106,11 +106,11 @@ class TestSlowLogIntegration:
     def test_traced_slow_request_stores_its_span_tree(self):
         obs = self._slow_obs()
         with obs.request("similar", force_trace=True):
-            with tracing.span("mih.knn"):
+            with tracing.span("linear.scan"):
                 pass
         (entry,) = obs.slow_log.snapshot()
         assert entry["trace_id"] is not None
-        assert entry["trace"]["children"][0]["name"] == "mih.knn"
+        assert entry["trace"]["children"][0]["name"] == "linear.scan"
 
     def test_fast_requests_stay_out_of_the_slow_log(self):
         obs = Observability(ObsConfig(sample_rate=0.0, slow_threshold_ms=1e6))

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.errors import EmptyIndexError, ValidationError
-from repro.index import LinearScanIndex, MultiIndexHashing, pack_bits
+from repro.index import LinearScanIndex, hamming_distances_to_query, pack_bits
 from repro.obs.metrics import Counter, Gauge, LatencyHistogram, MetricsRegistry
 from repro.serving import (
     BatcherClosedError,
@@ -62,14 +62,15 @@ class TestShardedIndex:
             assert (sharded.search_radius(codes[3], radius)
                     == scan.search_radius(codes[3], radius))
 
-    def test_matches_mih_tie_break(self, corpus):
-        """The (distance, insertion row) order is the MIH order too."""
+    def test_matches_oracle_tie_break(self, corpus):
+        """The order is the brute-force (distance, insertion row) sort."""
         ids, codes, _ = corpus
-        mih = MultiIndexHashing(NUM_BITS, 4)
-        mih.build(ids, codes)
         sharded = ShardedHammingIndex(NUM_BITS, 8)
         sharded.build(ids, codes)
-        assert sharded.search_knn(codes[42], 25) == mih.search_knn(codes[42], 25)
+        distances = hamming_distances_to_query(codes, codes[42])
+        ranked = sorted((int(d), row) for row, d in enumerate(distances))[:25]
+        assert [(r.item_id, r.distance) for r in sharded.search_knn(codes[42], 25)] \
+            == [(ids[row], d) for d, row in ranked]
 
     def test_empty_shards_are_harmless(self, rng):
         """Fewer items than ``num_shards``: one range holds them all, and
