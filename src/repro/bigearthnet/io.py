@@ -85,23 +85,26 @@ def load_archive(directory: "str | os.PathLike") -> SyntheticArchive:
             f"unsupported archive format version {meta.get('format_version')!r}")
     config = ArchiveConfig(**meta["config"])
 
-    with np.load(bands_path) as stacks:
-        has_s1 = all(band in stacks.files for band in S1_BAND_NAMES)
-        patches: list[Patch] = []
-        for row, entry in enumerate(meta["patches"]):
-            s2 = {band: stacks[band][row] for band in S2_BAND_NAMES}
-            s1 = ({band: stacks[band][row] for band in S1_BAND_NAMES}
-                  if has_s1 else {})
-            patches.append(Patch(
-                name=entry["name"],
-                labels=tuple(entry["labels"]),
-                country=entry["country"],
-                bbox=BoundingBox.from_tuple(entry["bbox"]),
-                acquisition_date=datetime.fromisoformat(entry["acquisition_date"]),
-                season=entry["season"],
-                s2_bands=s2,
-                s1_bands=s1,
-            ))
-    if len(patches) != len(meta["patches"]):
+    # Each ``NpzFile`` lookup decompresses a whole band stack, so every
+    # band is read once here and the patches hold row views of it.
+    with np.load(bands_path) as npz:
+        s2_stacks = {band: npz[band] for band in S2_BAND_NAMES}
+        s1_stacks = ({band: npz[band] for band in S1_BAND_NAMES}
+                     if all(band in npz.files for band in S1_BAND_NAMES)
+                     else {})
+    if any(len(stack) != len(meta["patches"])
+           for stack in (*s2_stacks.values(), *s1_stacks.values())):
         raise ArchiveError("band stacks and metadata disagree on patch count")
+    patches: list[Patch] = []
+    for row, entry in enumerate(meta["patches"]):
+        patches.append(Patch(
+            name=entry["name"],
+            labels=tuple(entry["labels"]),
+            country=entry["country"],
+            bbox=BoundingBox.from_tuple(entry["bbox"]),
+            acquisition_date=datetime.fromisoformat(entry["acquisition_date"]),
+            season=entry["season"],
+            s2_bands={band: stack[row] for band, stack in s2_stacks.items()},
+            s1_bands={band: stack[row] for band, stack in s1_stacks.items()},
+        ))
     return SyntheticArchive(patches, config)

@@ -333,11 +333,15 @@ class CodeTable:
 def top_k_smallest(distances: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` smallest distances, ties broken by index.
 
-    Uses argpartition for O(N) selection.  Ties *at the k-th boundary* are
-    resolved deterministically by index: every element equal to the boundary
-    distance is considered, then the candidates are ordered by
-    (distance, index) and truncated — so two exact indexes over the same
-    data always return identical kNN lists.
+    The answer equals ``np.argsort(distances, kind="stable")[:k]``: ordered
+    by (distance, index), NaN ranked last, ``min(k, N)`` rows.  It costs one
+    value ``np.partition`` over all N, which finds the k-th smallest
+    distance (the boundary), one ``<=`` pass, and a ``lexsort`` of the rows
+    at or below the boundary only -- so the tie group at the boundary
+    competes by index, and two exact indexes over the same data always
+    return identical kNN lists.  A value partition is ~3x faster than
+    ``np.argpartition`` on int32 Hamming distances, and the boundary is the
+    one value selection needs.
     """
     distances = np.asarray(distances)
     if distances.ndim != 1:
@@ -349,11 +353,14 @@ def top_k_smallest(distances: np.ndarray, k: int) -> np.ndarray:
     if k == n:
         candidates = np.arange(n)
     else:
-        partitioned = np.argpartition(distances, k - 1)[:k]
-        boundary = distances[partitioned].max()
-        # Everything strictly below the boundary is definitely in; the tie
-        # group at the boundary competes by index.
-        candidates = np.flatnonzero(distances <= boundary)
+        boundary = np.partition(distances, k - 1)[k - 1]
+        if boundary == boundary:
+            candidates = np.flatnonzero(distances <= boundary)
+        else:
+            # A NaN boundary (float input with fewer than k numbers): every
+            # number is in, and NaN rows, ranked last, fill up by index.
+            nan = np.isnan(distances)
+            candidates = np.flatnonzero(~nan | (np.cumsum(nan) <= k))
     order = np.lexsort((candidates, distances[candidates]))
     return candidates[order][:k].astype(np.int64)
 
@@ -424,10 +431,13 @@ def exact_scan(codes: np.ndarray, queries: np.ndarray, *,
     N = 100k (5.2 vs 5.1 ms); at Q = 1 the two are the same code.
     Selection, not XOR dispatch, is the per-query cost, so that margin
     does not buy a second code shape and a Q x N temporary: the loop keeps
-    memory independent of Q.  Distances accumulate word by word into
-    int32: a reduction over the short W axis is ~10x slower than W column
-    adds, and ``argpartition`` on 8- or 16-bit keys degrades badly on
-    tie-heavy Hamming distances.
+    memory independent of Q.  Per query, on the same CPU with the value
+    partition of :func:`top_k_smallest`: at N = 10k the XOR and popcount
+    take 0.016 ms and selection 0.027 ms of a 0.056 ms scan; at N = 590k
+    they take 1.25 ms and 0.95 ms of 2.46 ms (batch of 16: 29.5 ms).
+    Distances accumulate word by word into int32: a reduction over the
+    short W axis is ~10x slower than W column adds, and ``np.partition``
+    on uint8 keys measured x5.6 (10k) to x18 (590k) slower than on int32.
     """
     codes = _as_words(codes, "codes")
     queries = _as_words(queries, "queries")

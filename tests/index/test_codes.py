@@ -151,6 +151,43 @@ class TestTopK:
         distances = np.array([1, 1, 1, 1])
         assert list(top_k_smallest(distances, 2)) == [0, 1]
 
+    def test_nan_boundary_ranks_nan_last(self):
+        distances = np.array([np.nan, np.nan, 1.0, 3.0])
+        assert list(top_k_smallest(distances, 3)) == [2, 3, 0]
+        assert list(top_k_smallest(distances, 4)) == [2, 3, 0, 1]
+        assert list(top_k_smallest(np.full(5, np.nan), 2)) == [0, 1]
+
+
+#: Distance arrays ``top_k_smallest`` sees: int32 Hamming distances from
+#: the scan kernel, float64 from the brute-force baseline.
+DISTANCES = {
+    "int32-uniform-0..64": lambda rng, n: rng.integers(0, 65, n, dtype=np.int32),
+    "int32-tie-heavy-0..2": lambda rng, n: rng.integers(0, 3, n, dtype=np.int32),
+    "int32-all-equal": lambda rng, n: np.full(n, 7, dtype=np.int32),
+    "int32-0..128": lambda rng, n: rng.integers(0, 129, n, dtype=np.int32),
+    "float64-finite": lambda rng, n: np.round(rng.standard_normal(n), 1),
+    "float64-nan": lambda rng, n: np.where(
+        rng.random(n) < rng.choice([0.05, 0.5, 0.95, 1.0]), np.nan,
+        np.round(rng.standard_normal(n), 1)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(DISTANCES)),
+    n=st.integers(min_value=1, max_value=3000),
+    k_of_n=st.sampled_from(["1", "11", "n-1", "n", "n+5"]),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_property_top_k_is_the_stable_argsort_prefix(kind, n, k_of_n, seed):
+    """(distance, index) order, NaN last, ``min(k, n)`` rows."""
+    distances = DISTANCES[kind](np.random.default_rng(seed), n)
+    k = {"1": 1, "11": 11, "n-1": n - 1, "n": n, "n+5": n + 5}[k_of_n]
+    top = top_k_smallest(distances, k)
+    assert top.dtype == np.int64
+    np.testing.assert_array_equal(
+        top, np.argsort(distances, kind="stable")[:max(k, 0)])
+
 
 @settings(max_examples=50)
 @given(

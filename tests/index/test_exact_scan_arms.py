@@ -113,6 +113,32 @@ def test_scanned_rows_names_the_arm(fraction, expected):
     assert scanned_rows(N, None, 2) == N
 
 
+@pytest.mark.parametrize("arm", ["gather", "scan"])
+def test_boundary_tie_group_larger_than_k(arm):
+    """Three exact matches, then 120 rows one bit away competing for the
+    last six of k = 9 places: the tie group at the boundary is wider than
+    k, and its earliest allowed rows win on either arm."""
+    rng = np.random.default_rng(23)
+    codes = random_codes(rng, N, 1, tie_heavy=False)
+    query = codes[:1].copy()
+    near = np.sort(rng.choice(np.arange(1, N), size=123, replace=False))
+    codes[near[:3]] = query
+    codes[near[3:]] = query ^ (np.uint64(1) << rng.integers(
+        0, 64, size=(120, 1)).astype(np.uint64))
+    codes[0] = ~query[0]
+    if arm == "scan":   # dense: every row but a few of the tie group
+        rows = np.setdiff1d(np.arange(N), near[3::7])
+    else:               # sparse: the near rows and a few far ones
+        rows = np.union1d(near, np.arange(0, N, 40))
+    assert scanned_rows(N, rows) == (N if arm == "scan" else len(rows))
+    [(found, distances)] = exact_scan(codes, query, k=9, rows=rows)
+    expected_rows, expected_distances = oracle(codes, query[0], rows, k=9)
+    assert found.tolist() == expected_rows
+    assert distances.tolist() == expected_distances
+    at_boundary = np.isin(rows, near[3:]).sum()
+    assert at_boundary > 9 and expected_distances[-1] == 1
+
+
 def test_empty_table():
     codes = np.empty((0, 1), dtype=np.uint64)
     query = np.zeros((1, 1), dtype=np.uint64)
