@@ -2,8 +2,9 @@
 
 EarthQube's combined queries join metadata constraints with content-based
 similarity.  This benchmark sweeps **filter selectivity x corpus size** and
-measures, for every index backend (packed linear scan, the serving
-tier's index):
+measures, for both entry points of the packed linear scan
+(``linear``: its single-query kNN; ``batch``: ``search_batch``, what the
+serving tier's micro-batcher calls):
 
 * **prefilter** — the pushdown: the allowed-row mask rides into the index,
   which gathers/verifies only allowed rows (cost scales with the allowed
@@ -34,9 +35,8 @@ import time
 
 import numpy as np
 
-from repro.index import LinearScanIndex
+from repro.index import CodeQuery, LinearScanIndex
 from repro.index.hamming import hamming_distances_to_query
-from repro.serving.sharding import CodeQuery, ShardedHammingIndex
 from repro.store import Collection
 
 NUM_BITS = 128
@@ -81,17 +81,15 @@ def oracle_filtered_knn(codes: np.ndarray, query: np.ndarray,
 # --------------------------------------------------------------------- #
 
 def build_backends(codes: np.ndarray) -> dict:
-    ids = list(range(codes.shape[0]))
-    linear = LinearScanIndex(NUM_BITS)
-    linear.build(ids, codes)
-    sharded = ShardedHammingIndex(NUM_BITS, 4)
-    sharded.build(ids, codes)
-    return {"linear": linear, "sharded": sharded}
+    """One index, asked through each entry point."""
+    index = LinearScanIndex(NUM_BITS)
+    index.build(list(range(codes.shape[0])), codes)
+    return {"linear": index, "batch": index}
 
 
 def prefilter_search(backend_name: str, backend, query: np.ndarray,
                      mask: np.ndarray) -> list:
-    if backend_name == "sharded":
+    if backend_name == "batch":
         results = backend.search_batch(
             [CodeQuery(code=query, k=K, allowed=mask, filter_key="bench")])[0]
     else:
@@ -105,7 +103,7 @@ def naive_postfilter_search(backend_name: str, backend, query: np.ndarray,
     n = len(backend)
     fetch = K
     while True:
-        if backend_name == "sharded":
+        if backend_name == "batch":
             results = backend.search_batch([CodeQuery(code=query, k=fetch)])[0]
         else:
             results = backend.search_knn(query, fetch)
@@ -267,10 +265,10 @@ def main(argv=None) -> int:
             "selectivity": float(most_selective),
             "prefilter_speedup_by_backend": {
                 backend: headline_cell[backend]["speedup"]
-                for backend in ("linear", "sharded")},
+                for backend in ("linear", "batch")},
             "min_prefilter_speedup": min(
                 headline_cell[backend]["speedup"]
-                for backend in ("linear", "sharded")),
+                for backend in ("linear", "batch")),
             "columnar_metadata_speedup_at_largest":
                 metadata[largest]["speedup"],
         },

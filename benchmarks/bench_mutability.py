@@ -2,8 +2,9 @@
 
 The AgoraEO archive is a *living* one — new acquisitions flow in, revoked
 or superseded patches flow out.  This benchmark measures what the
-tombstone lifecycle buys on that workload, per index backend (packed
-linear scan, the serving tier's index):
+tombstone lifecycle buys on that workload, per entry point of the
+packed linear scan (``linear``: its batch kNN method; ``batch``:
+``search_batch``, what the serving tier's micro-batcher calls):
 
 * **tombstone** — the lifecycle path: ``remove()`` marks the row dead
   (O(1)) and the next query masks it out; one churn event costs a
@@ -39,8 +40,7 @@ import time
 
 import numpy as np
 
-from repro.index import LinearScanIndex
-from repro.serving.sharding import CodeQuery, ShardedHammingIndex
+from repro.index import CodeQuery, LinearScanIndex
 
 NUM_BITS = 128
 WORDS = NUM_BITS // 64
@@ -68,14 +68,8 @@ def clustered_codes(n: int, rng: np.random.Generator) -> np.ndarray:
     return codes
 
 
-def make_index(backend: str):
-    if backend == "linear":
-        return LinearScanIndex(NUM_BITS)
-    return ShardedHammingIndex(NUM_BITS, 4)
-
-
 def run_knn(backend: str, index, queries: np.ndarray) -> list:
-    if backend == "sharded":
+    if backend == "batch":
         batches = index.search_batch(
             [CodeQuery(code=query, k=K) for query in queries])
     else:
@@ -93,7 +87,7 @@ def time_queries(backend: str, index, queries: np.ndarray) -> float:
 
 
 def build_on(backend: str, ids, codes):
-    index = make_index(backend)
+    index = LinearScanIndex(NUM_BITS)
     index.build(ids, codes)
     return index
 
@@ -256,7 +250,7 @@ def main(argv=None) -> int:
     worst_overall = float("inf")
     for n in sizes:
         row = {}
-        for backend in ("linear", "sharded"):
+        for backend in ("linear", "batch"):
             print(f"[bench_mutability] n={n} backend={backend} ...",
                   flush=True)
             row[backend] = bench_backend(backend, n, rng)

@@ -34,15 +34,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.index import LinearScanIndex, pack_bits
+from repro.index import CodeQuery, LinearScanIndex, pack_bits
 from repro.obs.metrics import LatencyHistogram
-from repro.serving import (
-    CodeQuery,
-    MicroBatcher,
-    QueryResultCache,
-    ShardedHammingIndex,
-    canonical_code_key,
-)
+from repro.serving import MicroBatcher, QueryResultCache, canonical_code_key
 
 
 def random_packed_codes(num_items: int, num_bits: int, seed: int) -> np.ndarray:
@@ -93,7 +87,7 @@ def run_concurrent(codes: np.ndarray, ids: list, stream: np.ndarray, k: int,
     """The full pipeline: cache -> micro-batcher -> one scan per batch,
     driven by concurrent client threads."""
     cache = QueryResultCache(max_entries=cache_entries, ttl_seconds=3600.0)
-    index = ShardedHammingIndex(num_bits)
+    index = LinearScanIndex(num_bits)
     index.build(ids, codes)
     with MicroBatcher(index.search_batch, max_batch_size=batch_size) as batcher:
         def serve(query: np.ndarray) -> None:

@@ -39,6 +39,8 @@ class BruteForceFeatureIndex:
             raise ValidationError(
                 f"need (N, F) features aligned with N ids, got {features.shape} "
                 f"and {len(ids)} ids")
+        if not np.isfinite(features).all():
+            raise ValidationError("features must be finite (no NaN or inf)")
         self._features = features
         self._ids = ids
         if self.metric == "cosine":
@@ -53,6 +55,8 @@ class BruteForceFeatureIndex:
         if query.ndim != 1 or query.shape[0] != self._features.shape[1]:
             raise ShapeError(
                 f"query must be ({self._features.shape[1]},), got shape {query.shape}")
+        if not np.isfinite(query).all():
+            raise ValidationError("query features must be finite (no NaN or inf)")
         if self.metric == "cosine":
             q_norm = np.linalg.norm(query)
             denom = np.maximum(self._norms * q_norm, 1e-12)

@@ -160,11 +160,13 @@ class ServingConfig:
     ``enabled`` is the single flag that routes
     :class:`~repro.earthqube.server.EarthQube` queries through the
     :class:`~repro.serving.gateway.ServingGateway` instead of the direct
-    single-threaded path.  A batch is one linear scan of the CBIR code
-    table on the thread that leads it.  ``num_shards`` is only reported
-    (``describe()``), ``shard_backend`` accepts only ``"linear"``, and
-    ``max_workers`` is validated and unused: all three are kept for
-    callers that still set them.
+    single-threaded path.  A batch runs on the thread that leads it,
+    through the CBIR service's own index
+    (:meth:`~repro.index.linear_scan.LinearScanIndex.search_batch`).
+    ``num_shards`` is only reported (``describe()``; nothing is sharded),
+    ``shard_backend`` accepts only ``"linear"``, and ``max_workers`` is
+    validated and unused: all three are kept for callers that still set
+    them.
     """
 
     enabled: bool = False

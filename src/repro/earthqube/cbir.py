@@ -138,33 +138,6 @@ def shape_name_response(name: str, ranking: Ranking, used: int,
     return SimilarityResponse(name, ranking, used)
 
 
-class _IndexRunner:
-    """The direct :class:`~repro.planner.CodeRunner`: the service's own
-    exact scan (:class:`~repro.index.linear_scan.LinearScanIndex`)."""
-
-    plan_context: dict = {}
-
-    def __init__(self, service: "CBIRService") -> None:
-        self._service = service
-
-    def corpus_size(self) -> int:
-        return self._service.table.rows
-
-    def run(self, codes, *, k: "int | None", radius: "int | None",
-            allowed: "np.ndarray | None") -> "list[Ranking]":
-        # Search methods are looked up on the index per call, never bound
-        # ahead: the benchmark's traced run wraps them on the instance.
-        index = self._service._index
-        if len(codes) == 1:
-            if radius is not None:
-                return [index.search_radius(codes[0], radius, allowed=allowed)]
-            return [index.search_knn(codes[0], k, allowed=allowed)]
-        # More than one code: one scan pass for the whole batch.
-        if radius is not None:
-            return index.search_radius_batch(codes, radius, allowed=allowed)
-        return index.search_knn_batch(codes, k, allowed=allowed)
-
-
 class CBIRService:
     """MiLaN-backed similarity search over an indexed archive."""
 
@@ -178,7 +151,6 @@ class CBIRService:
         # The one query path (filter pushdown -> exact scan -> annotate),
         # shared with the serving gateway.
         self.executor = QueryExecutor()
-        self._runner = _IndexRunner(self)
         # The paper's in-memory hash table (patch name -> packed binary
         # code) is the index's CodeTable — the row-aligned names / codes /
         # alive mask every tier reads.  This service keeps no copy of it:
@@ -536,5 +508,20 @@ class CBIRService:
         # search to resolve.
         validate_code_query(k, radius)
         return self.executor.execute(
-            self._runner, codes, k=k, radius=radius,
+            self._scan, codes, k=k, radius=radius,
+            corpus_size=len(self.table),
             row_filter=self._coerce_filter(filter))
+
+    def _scan(self, codes, *, k: "int | None", radius: "int | None",
+              allowed: "np.ndarray | None") -> "list[Ranking]":
+        """The executor's scan: this service's index, one call per batch."""
+        # Search methods are looked up on the index per call, never bound
+        # ahead: the benchmark's traced run wraps them on the instance.
+        index = self._index
+        if len(codes) == 1:
+            if radius is not None:
+                return [index.search_radius(codes[0], radius, allowed=allowed)]
+            return [index.search_knn(codes[0], k, allowed=allowed)]
+        if radius is not None:
+            return index.search_radius_batch(codes, radius, allowed=allowed)
+        return index.search_knn_batch(codes, k, allowed=allowed)

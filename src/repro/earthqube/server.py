@@ -444,8 +444,8 @@ class EarthQube:
         disagree about the image.
 
         The index row is tombstoned (O(1)); once dead rows cross the
-        configured threshold the code table is compacted (the direct index
-        and the serving tier's index read that one table).  The
+        configured threshold the code table is compacted (the direct path
+        and the serving tier scan that one table through one index).  The
         archive/features bookkeeping (training-side artifacts, not serving
         state) is O(N) per delete — acceptable because no query path
         touches it; only re-training iterates those rows.  Returns a

@@ -19,7 +19,7 @@ queryable system:
   namespacing,
 * :mod:`repro.federation.facade` — :class:`FederatedEarthQube`, the
   EarthQube-shaped entry point that composes with each node's serving
-  tier (sharding, micro-batching, caching).
+  tier (micro-batching, caching).
 
 Elastic mode (``FederationConfig(elastic=True)``) adds replication and
 live membership:

@@ -31,7 +31,7 @@ id routes to its node; a bare name goes to the first healthy replica in
 placement order, or the first registered holder), read the packed code
 there, and scatter the code to every node with a compatible bit-width —
 each node answering through its own serving tier (cache, micro-batcher,
-shards) when enabled.  The owning node's self-match is dropped globally,
+scan) when enabled.  The owning node's self-match is dropped globally,
 exactly like the single-system paths.
 
 Elastic federations also replicate writes and change membership live:

@@ -8,7 +8,7 @@ surface the scatter-gather executor fans out over.  Nodes here wrap
 in-process :class:`~repro.earthqube.server.EarthQube` systems (the repro's
 stand-in for remote AgoraEO members); every call goes through the node's
 own serving tier when that node has one enabled, so federation composes
-with per-node sharding, micro-batching, and caching.
+with per-node micro-batching and caching.
 
 :class:`NodeRegistry` keeps the nodes in deterministic insertion order —
 merge tie-breaks depend on it — together with one circuit breaker and one

@@ -16,7 +16,9 @@ order, faster than probing buckets.
   :class:`~repro.index.hamming.CodeTable`, the one row-aligned
   names / packed codes / alive-mask table the indexes are views of,
 * :mod:`repro.index.linear_scan` — the packed exact scan: what
-  ``CBIRService`` answers every query with.
+  ``CBIRService`` answers every query with, and what the serving
+  gateway's micro-batches of :class:`~repro.index.linear_scan.CodeQuery`
+  jobs run on.
 """
 
 from .codes import pack_bits, unpack_bits, codes_allclose
@@ -28,7 +30,7 @@ from .hamming import (
     pairwise_hamming,
     top_k_smallest,
 )
-from .linear_scan import LinearScanIndex
+from .linear_scan import CodeQuery, LinearScanIndex
 from .results import Ranking, SearchResult
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
     "exact_scan",
     "CodeTable",
     "LinearScanIndex",
+    "CodeQuery",
     "Ranking",
     "SearchResult",
 ]

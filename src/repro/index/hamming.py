@@ -125,9 +125,9 @@ class CodeTable:
     This is the paper's "in-memory hash table that maps each image patch
     name to the corresponding binary code", held once.  Row ``i`` is the
     ``i``-th insertion: ``names[i]`` owns ``codes[i]`` and is searchable
-    while ``alive[i]``.  Every index is a view of it — ``LinearScanIndex``
-    scans it and the serving tier's index scans the same matrix — so
-    there is one row layout and nothing to replay between tiers.
+    while ``alive[i]``.  ``LinearScanIndex`` scans it for the direct path
+    and the serving tier alike, so there is one row layout and nothing to
+    replay between tiers.
 
     Deletion tombstones (:meth:`kill` clears the alive flag, the row keeps
     its number) and :meth:`compact` later drops dead rows and renumbers;
@@ -403,8 +403,8 @@ def exact_scan(codes: np.ndarray, queries: np.ndarray, *,
                ) -> "list[tuple[np.ndarray, np.ndarray]]":
     """Exact ranked answers of a ``(Q, W)`` query batch over ``(N, W)`` codes.
 
-    The one place a packed code matrix becomes a ranked result: every
-    search (``LinearScanIndex``, the serving tier's index) calls this, so
+    The one place a packed code matrix becomes a ranked result:
+    ``LinearScanIndex``, which every search runs through, calls this, so
     what a benchmark times here is the code that serves.  Per query it
     returns ``(rows, distances)`` as int64 arrays in canonical
     ``(distance, insertion row)`` order:

@@ -3,9 +3,9 @@
 A query's answer travels as one :class:`Ranking` from the scan to the
 edge: the item ids of the rows :func:`repro.index.hamming.exact_scan`
 kept and its int64 distances, built once where the scan returns
-(``LinearScanIndex``, the serving index) and passed unchanged through the
-query executor, the gateway's result cache, the federation merge and the
-response, until ``api.py`` renders the page it returns.  A ranking is
+(``LinearScanIndex``, for the direct and served paths alike) and passed
+unchanged through the query executor, the gateway's result cache, the
+federation merge and the response, until ``api.py`` renders the page it returns.  A ranking is
 immutable (a tuple of ids, a read-only array), so every tier can share
 one without copying it.
 

@@ -8,5 +8,5 @@ is priced; :class:`QueryPlanner` writes the ``plan`` record that
 ``explain=true`` shows for a filtered query.
 """
 
-from .executor import (CodeRunner, QueryExecutor, QueryPlanner, used_radius,
+from .executor import (QueryExecutor, QueryPlanner, used_radius,
                        validate_code_query)

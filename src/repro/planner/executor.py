@@ -16,17 +16,18 @@ ranking of filter-then-rank with ties in insertion order, so nothing is
 left to price.  :class:`QueryPlanner` only writes the ``explain`` record
 of a filtered query.
 
-What differs between tiers is only *how packed codes get scanned*, so
-the executor is parameterised by a small :class:`CodeRunner`: the direct
-exact scan (:mod:`repro.earthqube.cbir`) or the gateway's
-cache -> micro-batcher -> index pipeline (:mod:`repro.serving.gateway`).
-Tests substitute an in-memory fake.
+What differs between tiers is only *how packed codes reach the scan*,
+so the executor takes the scan as a callable: the CBIR service's own
+:class:`~repro.index.linear_scan.LinearScanIndex`
+(:mod:`repro.earthqube.cbir`), or the gateway's micro-batcher in front
+of that same index (:mod:`repro.serving.gateway`).  Tests substitute an
+in-memory fake.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..errors import ValidationError
 from ..index.results import EMPTY_RANKING, Ranking
@@ -55,25 +56,6 @@ def used_radius(ranking: Ranking, radius: "int | None") -> int:
     return int(ranking.distances[-1]) if len(ranking) else 0
 
 
-class CodeRunner(Protocol):
-    """How one tier scans packed codes.
-
-    ``plan_context`` (the tier's description) joins a filtered query's
-    ``explain`` plan record.
-    """
-
-    plan_context: dict
-
-    def corpus_size(self) -> int:
-        """The corpus rows a filter's selectivity is taken against."""
-
-    def run(self, codes: "Sequence[np.ndarray]", *, k: "int | None",
-            radius: "int | None", allowed: "np.ndarray | None",
-            ) -> "Sequence[Ranking]":
-        """One ranking per code: radius search when ``radius`` is set,
-        else kNN; ``allowed`` restricts the search to masked rows."""
-
-
 class QueryPlanner:
     """The ``explain`` record of a filtered query's one plan.
 
@@ -82,40 +64,43 @@ class QueryPlanner:
     instance per call, so a profiler can wrap it.
     """
 
-    def plan_similarity(self, *, corpus_size: int, selectivity: float,
-                        context: "dict | None" = None) -> dict:
+    def plan_similarity(self, *, corpus_size: int,
+                        selectivity: float) -> dict:
         """The ``plan`` section of a filtered query's ``explain``; the
         executor adds ``measured_ns`` once the scan has run."""
         return {"chosen": {"plan": "linear:pre"},
                 "context": {"corpus_size": corpus_size,
-                            "selectivity": round(float(selectivity), 6),
-                            **(context or {})}}
+                            "selectivity": round(float(selectivity), 6)}}
 
 
 class QueryExecutor:
-    """Run (possibly filtered) packed-code queries on a runner."""
+    """Run (possibly filtered) packed-code queries on a scan."""
 
     def __init__(self, planner: "QueryPlanner | None" = None) -> None:
         self.planner = planner if planner is not None else QueryPlanner()
 
-    def execute(self, runner: CodeRunner, codes: "Sequence[np.ndarray]", *,
-                k: "int | None", radius: "int | None",
+    def execute(self, scan: "Callable[..., Sequence[Ranking]]",
+                codes: "Sequence[np.ndarray]", *, k: "int | None",
+                radius: "int | None", corpus_size: int,
                 row_filter: "RowFilter | None" = None,
                 ) -> "list[tuple[Ranking, int]]":
         """Answer ``codes``: one ``(ranking, radius_used)`` per code.
 
-        A filter's allowed rows are pushed into the scan; an empty filter
-        runs nothing.  Every answer is the ranking of filter-then-exact-
-        scan with ties in insertion order.
+        ``scan(codes, k=, radius=, allowed=)`` returns one ranking per
+        code: radius search when ``radius`` is set, else kNN, restricted
+        to the rows ``allowed`` masks.  A filter's allowed rows are pushed
+        into the scan; an empty filter runs nothing.  Every answer is the
+        ranking of filter-then-exact-scan with ties in insertion order.
+        ``corpus_size`` — the alive rows — is what a filter's selectivity
+        is taken against.
         """
         validate_code_query(k, radius)
         if row_filter is None:
-            rankings = runner.run(codes, k=k, radius=radius, allowed=None)
+            rankings = scan(codes, k=k, radius=radius, allowed=None)
         elif row_filter.count == 0:
             return [(EMPTY_RANKING, used_radius(EMPTY_RANKING, radius))
                     for _ in codes]
         else:
-            corpus_size = runner.corpus_size()
             selectivity = row_filter.selectivity(corpus_size)
             # ``/metrics`` labels query latency by ``strategy`` and the
             # bucket of ``selectivity``.
@@ -125,11 +110,10 @@ class QueryExecutor:
             # Looked up per call: a profiler may wrap plan_similarity on
             # the instance.
             record = self.planner.plan_similarity(
-                corpus_size=corpus_size, selectivity=selectivity,
-                context=runner.plan_context)
+                corpus_size=corpus_size, selectivity=selectivity)
             started = time.perf_counter_ns()
-            rankings = runner.run(codes, k=k, radius=radius,
-                                  allowed=row_filter.mask)
+            rankings = scan(codes, k=k, radius=radius,
+                            allowed=row_filter.mask)
             record["measured_ns"] = round(
                 float(time.perf_counter_ns() - started), 1)
             tracing.annotate(plan=record)

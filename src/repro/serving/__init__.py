@@ -5,15 +5,14 @@ millions of users" — the paper's interactivity claim at production scale.
 This package makes the hot query path of the reproduction concurrent and
 measurable while preserving the single-threaded path's exact results:
 
-* :mod:`repro.serving.sharding` — :class:`ShardedHammingIndex`, one exact
-  scan of one :class:`~repro.index.hamming.CodeTable` (the CBIR service's
-  matrix, not a copy) per micro-batch, in (distance, insertion row) order,
 * :mod:`repro.serving.batching` — :class:`MicroBatcher`, coalescing
   concurrent queries into one vectorized scan run by a waiting caller,
 * :mod:`repro.serving.cache` — :class:`QueryResultCache`, LRU+TTL result
   memoization with ingest invalidation,
 * :mod:`repro.serving.gateway` — :class:`ServingGateway`, the facade
-  wiring cache -> batcher -> index behind the same response types as
+  wiring cache -> batcher -> the CBIR service's own
+  :class:`~repro.index.linear_scan.LinearScanIndex` (one table, one
+  scan per micro-batch group) behind the same response types as
   :class:`~repro.earthqube.server.EarthQube`, enabled by
   ``EarthQubeConfig.serving.enabled``; every stage records into a
   :class:`repro.obs.metrics.MetricsRegistry`.
@@ -27,12 +26,9 @@ from .cache import (
     canonical_spec_key,
 )
 from .gateway import ServingGateway
-from .sharding import CodeQuery, ShardedHammingIndex
 
 __all__ = [
     "ServingGateway",
-    "ShardedHammingIndex",
-    "CodeQuery",
     "MicroBatcher",
     "BatcherClosedError",
     "QueryResultCache",

@@ -4,8 +4,9 @@ Under concurrent load, per-query fixed costs (Python dispatch, one kernel
 launch per query) dominate a Hamming scan.  The :class:`MicroBatcher`
 exploits that queries are *combinable*: requests submitted concurrently
 are queued and run as one call of the supplied ``execute_batch`` function
-— for the serving index that is one vectorized scan covering every query
-in the batch (see :meth:`ShardedHammingIndex.search_batch`).
+— for the serving gateway that is one vectorized scan per group of
+like queries in the batch (see
+:meth:`repro.index.linear_scan.LinearScanIndex.search_batch`).
 
 The batcher keeps no thread: the caller runs.  ``submit`` and
 ``submit_many`` only enqueue and return futures.  A waiter's ``result()``

@@ -13,11 +13,11 @@ through the concurrent hot path:
    batching.MicroBatcher` so concurrent queries share one scan; the
    batcher has no thread of its own, so a miss on an idle gateway runs on
    the thread that asked,
-3. **scan** — each batch is one exact scan by a
-   :class:`~repro.serving.sharding.ShardedHammingIndex` over the CBIR
-   service's own :class:`~repro.index.hamming.CodeTable` — the matrix the
-   service already holds, not a second copy — on the thread leading the
-   batch,
+3. **scan** — each batch is answered by the CBIR service's own
+   :class:`~repro.index.linear_scan.LinearScanIndex`
+   (:meth:`~repro.index.linear_scan.LinearScanIndex.search_batch`: one
+   exact scan per (filter, k, radius) group of the table the service
+   already holds) on the thread leading the batch,
 4. **metrics** — every stage records latency histograms, counters, and
    occupancy gauges into a :class:`~repro.obs.metrics.MetricsRegistry`.
 
@@ -28,6 +28,7 @@ tiers; they get the cache + metrics treatment only.
 from __future__ import annotations
 
 import threading
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -37,6 +38,7 @@ from ..earthqube.cbir import SimilarityResponse, shape_name_response
 from ..earthqube.query import QuerySpec
 from ..earthqube.search import SearchResponse
 from ..errors import ValidationError
+from ..index.linear_scan import CodeQuery
 from ..index.results import Ranking
 from ..obs import tracing
 from ..obs.metrics import MetricsRegistry
@@ -45,40 +47,14 @@ from ..store.database import METADATA
 from ..store.jsontree import copy_tree
 from .batching import MicroBatcher
 from .cache import QueryResultCache, canonical_code_key, canonical_spec_key
-from .sharding import CodeQuery, ShardedHammingIndex
 
 if TYPE_CHECKING:  # avoid a runtime import cycle with earthqube.server
     from ..bigearthnet.patch import Patch
     from ..earthqube.server import EarthQube
 
 
-class _ShardRunner:
-    """The gateway's :class:`~repro.planner.CodeRunner`, one per request:
-    ``CodeQuery`` -> micro-batcher -> index.
-
-    ``filter_key`` is the request's filter fingerprint (``None``:
-    unfiltered request); it rides the jobs with the allowed mask so
-    same-filter queries coalesce.  The gateway already missed the cache on
-    exactly these codes and stores the outcomes itself.
-    """
-
-    def __init__(self, gateway: "ServingGateway",
-                 filter_key: "str | None") -> None:
-        self._gateway = gateway
-        self._filter_key = filter_key
-        self.plan_context = {"tier": "sharded", "shards": 1}
-
-    def corpus_size(self) -> int:
-        return len(self._gateway.index)
-
-    def run(self, codes, *, k: "int | None", radius: "int | None",
-            allowed: "np.ndarray | None") -> "list[Ranking]":
-        return self._gateway._scan(codes, k=k, radius=radius, allowed=allowed,
-                                   filter_key=self._filter_key)
-
-
 class ServingGateway:
-    """Concurrent, sharded, cached, observable query execution."""
+    """Concurrent, batched, cached, observable query execution."""
 
     def __init__(self, system: "EarthQube",
                  config: "ServingConfig | None" = None) -> None:
@@ -87,10 +63,8 @@ class ServingGateway:
         self.metrics = MetricsRegistry()
         self.cache = QueryResultCache(
             max_entries=self.config.cache_entries)
-        self.index = ShardedHammingIndex(
-            system.hasher.num_bits,
-            self.config.num_shards,
-            table=system.cbir.table)
+        # The CBIR service's index itself: one table, one scan wrapper.
+        self.index = system.cbir._index
         self.batcher = MicroBatcher(
             self._execute_batch,
             max_batch_size=self.config.batch_max_size,
@@ -185,13 +159,15 @@ class ServingGateway:
 
         def execute(misses: "list[np.ndarray]"):
             row_filter = None if filter is None else self._row_filter(filter)
+            corpus_size = len(self.index)
             prefilter = None
             if row_filter is not None and row_filter.count:
                 self.metrics.counter("filter.prefilter").increment(
                     len(misses))
-                prefilter = (row_filter.count, len(self.index))
+                prefilter = (row_filter.count, corpus_size)
             return self.system.cbir.executor.execute(
-                _ShardRunner(self, fingerprint), misses, k=k, radius=radius,
+                partial(self._scan, filter_key=fingerprint), misses, k=k,
+                radius=radius, corpus_size=corpus_size,
                 row_filter=row_filter), prefilter
 
         return self._through_cache(codes, k=k, radius=radius,
@@ -304,11 +280,15 @@ class ServingGateway:
     def _scan(self, codes, *, k: "int | None", radius: "int | None",
               allowed: "np.ndarray | None" = None,
               filter_key: "str | None" = None) -> "list[Ranking]":
-        """Submit one job per code to the micro-batcher in one go (they
-        coalesce into one scan, sharing it with any concurrent queries)
-        and wait for the rankings.  If one fails, the jobs still queued
-        are cancelled: nobody reads them, and the next caller to lead a
-        batch would otherwise scan them ahead of its own."""
+        """The executor's scan: submit one job per code to the
+        micro-batcher in one go (they coalesce into one scan, sharing it
+        with any concurrent queries) and wait for the rankings.
+
+        ``filter_key`` is the request's filter fingerprint (``None``:
+        unfiltered); it rides the jobs with the allowed mask so
+        same-filter queries coalesce.  If one job fails, the jobs still
+        queued are cancelled: nobody reads them, and the next caller to
+        lead a batch would otherwise scan them ahead of its own."""
         trace = tracing.capture()
         jobs = [CodeQuery(code=code, k=None if radius is not None else k,
                           radius=radius, allowed=allowed,
@@ -458,8 +438,6 @@ class ServingGateway:
         self.cache.invalidate()
 
     def _update_occupancy(self) -> None:
-        for i, size in enumerate(self.index.shard_sizes):
-            self.metrics.gauge(f"shard.{i}.items").set(size)
         self.metrics.gauge("cache.entries").set(len(self.cache))
         self.metrics.gauge("index.alive").set(len(self.index))
         self.metrics.gauge("index.dead_rows").set(self.index.dead_count)
@@ -498,12 +476,6 @@ class ServingGateway:
             "batch.largest": batcher_stats["largest_batch"],
             "batch.queue_depth": batcher_stats["queue_depth"],
         })
-        sizes = self.index.shard_sizes
-        snapshot["shards"] = {
-            "count": len(sizes),
-            "backend": self.config.shard_backend,
-            "sizes": sizes,
-        }
         return snapshot
 
     def describe(self) -> dict:

@@ -142,3 +142,14 @@ class TestBruteForce:
         index.build(list(range(120)), gaussian_features)
         with pytest.raises(ValidationError):
             index.search_knn(gaussian_features[0], 0)
+        # A NaN row used to be indexed, and a k covering it raised
+        # ValueError from the integer distance scaling.
+        rows = np.asarray(gaussian_features[:5], dtype=np.float64).copy()
+        rows[2, 3] = np.nan
+        with pytest.raises(ValidationError):
+            index.build(list(range(5)), rows)
+        assert len(index) == 120
+        with pytest.raises(ValidationError):
+            index.search_knn(rows[2], 5)
+        index.build(list(range(5)), gaussian_features[:5])
+        assert len(index.search_knn(gaussian_features[0], 5)) == 5

@@ -2,9 +2,9 @@
 
 The contract of the batch query engine: ``search_knn_batch`` /
 ``search_radius_batch`` return results *byte-identical* to looping the
-single-query path, across the linear-scan and sharded backends —
-including k > corpus, duplicate queries inside one batch, and indexes
-mutated through the incremental ``add`` path.
+single-query path, and so does ``search_batch``, the micro-batcher's
+entry point — including k > corpus, duplicate queries inside one batch,
+and indexes mutated through the incremental ``add`` path.
 """
 
 import numpy as np
@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import EmptyIndexError, ShapeError, ValidationError
-from repro.index import LinearScanIndex, pack_bits
+from repro.index import CodeQuery, LinearScanIndex, pack_bits
 from repro.index import hamming
 from repro.index.hamming import exact_scan
-from repro.serving import CodeQuery, ShardedHammingIndex
 
 
 def random_codes(rng, n, k):
@@ -61,16 +60,22 @@ class TestLinearScanBatch:
         scan = LinearScanIndex(32)
         scan.build(ids, codes)
         batch = scan.search_knn_batch(queries, 7)
-        for query, results in zip(queries, batch):
+        jobs = scan.search_batch([CodeQuery(code=query, k=7)
+                                  for query in queries])
+        for query, results, job in zip(queries, batch, jobs):
             assert pairs(results) == pairs(scan.search_knn(query, 7))
+            assert job == results
 
     def test_radius_batch_equals_loop(self, corpus, queries):
         ids, codes = corpus
         scan = LinearScanIndex(32)
         scan.build(ids, codes)
         batch = scan.search_radius_batch(queries, 4)
-        for query, results in zip(queries, batch):
+        jobs = scan.search_batch([CodeQuery(code=query, radius=4)
+                                  for query in queries])
+        for query, results, job in zip(queries, batch, jobs):
             assert pairs(results) == pairs(scan.search_radius(query, 4))
+            assert job == results
 
     def test_k_larger_than_corpus(self, corpus, queries):
         ids, codes = corpus
@@ -86,6 +91,8 @@ class TestLinearScanBatch:
         scan = LinearScanIndex(32)
         with pytest.raises(EmptyIndexError):
             scan.search_knn_batch(queries, 3)
+        with pytest.raises(EmptyIndexError):
+            scan.search_batch([CodeQuery(code=queries[0], k=3)])
         scan.build(ids, codes)
         with pytest.raises(ValidationError):
             scan.search_knn_batch(queries, 0)
@@ -93,38 +100,8 @@ class TestLinearScanBatch:
             scan.search_radius_batch(queries, -1)
         with pytest.raises(ValidationError):
             scan.search_knn_batch(queries[0], 3)  # 1D, not a batch
-
-
-class TestShardedBatch:
-    @pytest.mark.parametrize("num_shards", [1, 4])
-    def test_knn_batch_equals_loop_and_oracle(self, corpus, queries,
-                                              num_shards):
-        ids, codes = corpus
-        scan = LinearScanIndex(32)
-        scan.build(ids, codes)
-        index = ShardedHammingIndex(32, num_shards)
-        index.build(ids, codes)
-        batch = index.search_knn_batch(queries, 6)
-        for query, results in zip(queries, batch):
-            assert pairs(results) == pairs(index.search_knn(query, 6))
-            assert pairs(results) == pairs(scan.search_knn(query, 6))
-
-    def test_radius_batch_equals_oracle(self, corpus, queries):
-        ids, codes = corpus
-        scan = LinearScanIndex(32)
-        scan.build(ids, codes)
-        index = ShardedHammingIndex(32, 3)
-        index.build(ids, codes)
-        batch = index.search_radius_batch(queries, 5)
-        for query, results in zip(queries, batch):
-            assert pairs(results) == pairs(scan.search_radius(query, 5))
-
-    def test_batch_shape_validation(self, corpus):
-        ids, codes = corpus
-        index = ShardedHammingIndex(32, 2)
-        index.build(ids, codes)
         with pytest.raises(ValidationError):
-            index.search_knn_batch(codes[0], 3)
+            scan.search_batch([CodeQuery(code=queries[:2], k=3)])
 
 
 def reference_scan(codes, queries, k, radius, rows):
@@ -220,25 +197,22 @@ class TestExactScanKernel:
     def test_two_callers_one_kernel(self, rng, monkeypatch):
         """Every search is one call into the same function — a batch of
         16 is one call, not sixteen — and under tombstones plus an allowed
-        mask both callers return the same ranking."""
+        mask the direct and the micro-batch entry points return the same
+        ranking."""
         from repro.index import linear_scan
-        from repro.serving import sharding
         calls = []
 
         def spy(*args, **kwargs):
             calls.append(kwargs)
             return exact_scan(*args, **kwargs)
-        for module in (linear_scan, sharding):
-            monkeypatch.setattr(module, "exact_scan", spy)
+        monkeypatch.setattr(linear_scan, "exact_scan", spy)
 
         codes = tie_heavy_codes(rng, 64)
         ids = [f"p{i}" for i in range(codes.shape[0])]
         scan = LinearScanIndex(64)
-        sharded = ShardedHammingIndex(64, num_shards=1)
-        for index in (scan, sharded):
-            index.build(ids, codes)
-            for dead in ("p0", "p3", "p40"):
-                index.remove(dead)
+        scan.build(ids, codes)
+        for dead in ("p0", "p3", "p40"):
+            scan.remove(dead)
         allowed = np.ones(codes.shape[0], dtype=bool)
         allowed[[1, 2, 12, 50]] = False
         batch = codes[:16]
@@ -248,9 +222,8 @@ class TestExactScanKernel:
         batched = scan.search_knn_batch(batch, 5, allowed=allowed)
         assert len(calls) == 2
         assert pairs(batched[0]) == expected
-        # ShardedHammingIndex.search_knn is search_batch of one unfiltered
-        # CodeQuery; the mask rides the same call.
-        assert pairs(sharded.search_batch(
+        # A micro-batch of one masked job is one call too.
+        assert pairs(scan.search_batch(
             [CodeQuery(code=batch[0], k=5, allowed=allowed)])[0]) == expected
         assert len(calls) == 3
         survivors = [pair for pair in reference_scan(

@@ -19,7 +19,7 @@ from repro.config import (ArchiveConfig, EarthQubeConfig, MiLaNConfig,
                           ServingConfig, TrainConfig)
 from repro.earthqube import EarthQube
 from repro.earthqube.api import EarthQubeAPI, parse_query_request
-from repro.index import LinearScanIndex, pack_bits
+from repro.index import CodeQuery, LinearScanIndex, pack_bits
 from repro.index.hamming import (
     DENSE_ROWS_FRACTION,
     exact_scan,
@@ -27,7 +27,6 @@ from repro.index.hamming import (
     scanned_rows,
 )
 from repro.obs import costs
-from repro.serving import CodeQuery, ShardedHammingIndex
 
 N = 400
 
@@ -153,7 +152,8 @@ def test_empty_table():
 #
 # Every caller of the kernel on the same corpus: ``exact_scan`` itself
 # (tombstones as the allowed rows), ``LinearScanIndex`` one query at a
-# time and as a batch, and the serving tier's index.  Each answer must be
+# time and as a batch, and its micro-batch entry point ``search_batch``,
+# which the serving tier calls.  Each answer must be
 # the oracle's (distance, insertion row) sort over the alive rows.
 
 VIAS = ["kernel", "single", "batch", "served"]
@@ -172,10 +172,7 @@ def ask(via, codes, queries, dead, num_bits, *, k=None, radius=None):
                           **select)
         return [[(names[row], int(d)) for row, d in zip(found, distances)]
                 for found, distances in hits]
-    if via == "served":
-        index = ShardedHammingIndex(num_bits, 3)
-    else:
-        index = LinearScanIndex(num_bits)
+    index = LinearScanIndex(num_bits)
     index.build(names, codes)
     for row in sorted(dead):
         index.remove(names[row])

@@ -5,16 +5,16 @@ remove / compact, every search path must be byte-identical to an index
 rebuilt from scratch on the surviving corpus.  Tombstoning preserves the
 relative order of surviving rows, so the canonical (distance, insertion
 row) tie-break is unchanged — these tests enforce exactly that, across
-backends, query kinds, and filters.
+entry points (single query, batch and micro-batch), query kinds, and
+filters.
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import EmptyIndexError, ValidationError
-from repro.index import LinearScanIndex
+from repro.index import CodeQuery, LinearScanIndex
 from repro.index.hamming import combine_allowed_masks
-from repro.serving.sharding import CodeQuery, ShardedHammingIndex
 
 NUM_BITS = 64
 WORDS = 1
@@ -27,31 +27,36 @@ def make_codes(rng, n=N):
 
 
 def build(backend: str, ids, codes):
-    if backend == "linear":
-        index = LinearScanIndex(NUM_BITS)
-    else:
-        index = ShardedHammingIndex(NUM_BITS, 3)
+    """A ``LinearScanIndex``; ``backend`` names the entry point queried:
+    ``"linear"`` the single-query methods, ``"linear_batch"`` the
+    ``(Q, W)`` batch methods, ``"batch"`` ``search_batch``."""
+    index = LinearScanIndex(NUM_BITS)
     index.build(ids, codes)
     return index
 
 
-def knn(backend, index, code, k):
-    if backend.startswith("sharded"):
-        results = index.search_batch([CodeQuery(code=code, k=k)])[0]
+def knn(backend, index, code, k, allowed=None):
+    if backend == "batch":
+        results = index.search_batch(
+            [CodeQuery(code=code, k=k, allowed=allowed)])[0]
+    elif backend == "linear_batch":
+        results = index.search_knn_batch(code[None, :], k, allowed=allowed)[0]
     else:
-        results = index.search_knn(code, k)
+        results = index.search_knn(code, k, allowed=allowed)
     return [(r.item_id, r.distance) for r in results]
 
 
 def radius(backend, index, code, r):
-    if backend.startswith("sharded"):
+    if backend == "batch":
         results = index.search_batch([CodeQuery(code=code, radius=r)])[0]
+    elif backend == "linear_batch":
+        results = index.search_radius_batch(code[None, :], r)[0]
     else:
         results = index.search_radius(code, r)
     return [(r_.item_id, r_.distance) for r_ in results]
 
 
-BACKENDS = ["linear", "sharded"]
+BACKENDS = ["linear", "linear_batch", "batch"]
 
 
 class TestCombineAllowedMasks:
@@ -155,13 +160,8 @@ class TestTombstoneOracle:
         oracle = build(backend, [ids[row] for row in allowed_alive],
                        codes[allowed_alive])
         for q in range(0, N, 23):
-            if backend.startswith("sharded"):
-                got = [(r.item_id, r.distance) for r in index.search_batch(
-                    [CodeQuery(code=codes[q], k=15, allowed=mask)])[0]]
-            else:
-                got = [(r.item_id, r.distance)
-                       for r in index.search_knn(codes[q], 15, allowed=mask)]
-            assert got == knn(backend, oracle, codes[q], 15)
+            assert knn(backend, index, codes[q], 15, allowed=mask) == \
+                knn(backend, oracle, codes[q], 15)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

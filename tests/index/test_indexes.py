@@ -1,8 +1,9 @@
-"""Tests for LinearScanIndex and ShardedHammingIndex.
+"""Tests for LinearScanIndex.
 
-The central invariant: both index types return the brute-force oracle's
-result set for the same radius/kNN query — every distance computed, then
-sorted by (distance, insertion row).
+The central invariant: its single-query and micro-batch entry points
+return the brute-force oracle's result set for the same radius/kNN
+query — every distance computed, then sorted by (distance, insertion
+row).
 """
 
 import numpy as np
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import EmptyIndexError, ValidationError
-from repro.index import LinearScanIndex, hamming_distances_to_query, pack_bits
+from repro.index import (CodeQuery, LinearScanIndex, hamming_distances_to_query,
+                         pack_bits)
 from repro.obs import costs
-from repro.serving import ShardedHammingIndex
 
 
 def random_codes(rng, n, k):
@@ -37,18 +38,16 @@ def small_setup(rng):
     return ids, codes
 
 
-def build_all(ids, codes, num_bits):
+def build_scan(ids, codes, num_bits):
     scan = LinearScanIndex(num_bits)
     scan.build(ids, codes)
-    sharded = ShardedHammingIndex(num_bits, num_shards=3)
-    sharded.build(ids, codes)
-    return scan, sharded
+    return scan
 
 
 class TestAgainstOracle:
     def test_agrees_with_oracle_radius(self, small_setup):
         ids, codes = small_setup
-        scan, _ = build_all(ids, codes, 32)
+        scan = build_scan(ids, codes, 32)
         for radius in (0, 2, 5, 8):
             expected = oracle(ids, codes, codes[5], radius=radius)
             actual = [(r.item_id, r.distance) for r in scan.search_radius(codes[5], radius)]
@@ -56,7 +55,7 @@ class TestAgainstOracle:
 
     def test_knn_matches_oracle(self, small_setup):
         ids, codes = small_setup
-        scan, _ = build_all(ids, codes, 32)
+        scan = build_scan(ids, codes, 32)
         expected = oracle(ids, codes, codes[9], k=10)
         actual = [(r.item_id, r.distance) for r in scan.search_knn(codes[9], 10)]
         assert actual == expected
@@ -111,16 +110,17 @@ class TestLinearScan:
 
 
 class TestCrossIndexAgreement:
-    """The load-bearing invariant: both structures are exact."""
+    """The load-bearing invariant: both entry points are exact."""
 
     def test_all_agree_radius_2_on_128_bits(self, rng):
         codes = random_codes(rng, 300, 128)
         ids = list(range(300))
-        scan, sharded = build_all(ids, codes, 128)
+        scan = build_scan(ids, codes, 128)
         query = codes[17]
         expected = oracle(ids, codes, query, radius=2)
         assert [(r.item_id, r.distance) for r in scan.search_radius(query, 2)] == expected
-        assert [(r.item_id, r.distance) for r in sharded.search_radius(query, 2)] == expected
+        [batched] = scan.search_batch([CodeQuery(code=query, radius=2)])
+        assert [(r.item_id, r.distance) for r in batched] == expected
 
     def test_all_agree_on_clustered_codes(self, rng):
         # Clustered data: many near-duplicate codes stress the tie order.
@@ -132,11 +132,12 @@ class TestCrossIndexAgreement:
                 noisy[row, flip] ^= 1
         codes = pack_bits(noisy)
         ids = list(range(len(noisy)))
-        scan, sharded = build_all(ids, codes, 64)
+        scan = build_scan(ids, codes, 64)
         query = codes[0]
         expected = oracle(ids, codes, query, radius=2)
         assert [(r.item_id, r.distance) for r in scan.search_radius(query, 2)] == expected
-        assert [(r.item_id, r.distance) for r in sharded.search_radius(query, 2)] == expected
+        [batched] = scan.search_batch([CodeQuery(code=query, radius=2)])
+        assert [(r.item_id, r.distance) for r in batched] == expected
 
 
 @settings(max_examples=20, deadline=None)

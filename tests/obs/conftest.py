@@ -1,9 +1,9 @@
 """Observability fixtures: one served system and one small federation.
 
 The traced-query acceptance tests need the full stack on the hot path —
-cache, micro-batcher, shards, and a federation scatter — so the served
-node answers through its gateway's shards and the second node through the
-direct CBIR path.
+cache, micro-batcher, scan, and a federation scatter — so the served
+node answers through its gateway and the second node through the direct
+CBIR path.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def _bootstrap(seed: int, *, serving: bool = False) -> EarthQube:
 
 @pytest.fixture(scope="module")
 def served_system() -> EarthQube:
-    """A system answering through the gateway's linear shards."""
+    """A system answering through its serving gateway."""
     system = _bootstrap(41, serving=True)
     yield system
     system.disable_serving()

@@ -41,10 +41,13 @@ class TestStitchedTree:
         names = _names(response["trace"])
         # Serving tier on node 'a': cache, micro-batch, the code scan.
         assert {"cache.lookup", "batch.wait", "batch.execute",
-                "shards.search"} <= names
-        # One scan covers every row of the node's code table.
-        scanned = [node["attrs"]["rows"] for node, _ in _walk(response["trace"])
-                   if node["name"] == "shards.search"]
+                "linear.scan"} <= names
+        # The micro-batch is one scan of every row of the node's code
+        # table (node 'b' answers directly, outside any batch).
+        scanned = [node["attrs"]["rows"]
+                   for batch, _ in _walk(response["trace"])
+                   if batch["name"] == "batch.execute"
+                   for node, _ in _walk(batch) if node["name"] == "linear.scan"]
         assert scanned == [served_system.cbir.table.rows]
         # Federation tier: the scatter plus one span per queried node.
         assert {"federation.scatter", "federation.node"} <= names

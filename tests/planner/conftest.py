@@ -1,8 +1,8 @@
 """Planner fixtures: one served system plus a two-node federation.
 
 The equivalence suite needs every execution path live — direct CBIR,
-gateway (cache + batcher + shards), and a federation scatter — so one
-node serves through the gateway's shards and the other answers directly.
+gateway (cache + batcher + scan), and a federation scatter — so one
+node serves through the gateway and the other answers directly.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def _bootstrap(seed: int, *, serving: bool = False) -> EarthQube:
 
 @pytest.fixture(scope="module")
 def served_system() -> EarthQube:
-    """A system answering through the gateway's linear shards."""
+    """A system answering through its serving gateway."""
     system = _bootstrap(73, serving=True)
     yield system
     system.disable_serving()

@@ -1,8 +1,8 @@
 """The one query path: :class:`~repro.planner.QueryExecutor`.
 
-Two halves.  Against a fake in-memory runner (what the runner seam is
+Two halves.  Against a fake in-memory scan (what the scan callable is
 for): the filter's mask pushed into every run, the empty-filter
-short-circuit, input validation, the runner context in the plan record.
+short-circuit, input validation, the corpus size in the plan record.
 Against the real direct and gateway tiers: a filtered request plans
 exactly once — however many batch misses it takes — and an unfiltered
 request or a cache hit plans zero times.
@@ -23,16 +23,11 @@ from repro.planner import QueryExecutor, QueryPlanner
 
 class FakeRunner:
     """An exact scan over integer "codes" (distance = |a - b|), recording
-    every run the executor asks for."""
-
-    plan_context = {"tier": "fake"}
+    every run the executor asks for; ``run`` is the executor's scan."""
 
     def __init__(self, corpus):
         self.corpus = list(corpus)
         self.runs = []
-
-    def corpus_size(self):
-        return len(self.corpus)
 
     def run(self, codes, *, k, radius, allowed):
         self.runs.append({"queries": len(codes), "k": k, "radius": radius,
@@ -84,8 +79,8 @@ class TestOnePlan:
                                                 rows):
         runner = FakeRunner(range(100))
         row_filter = row_filter_of(runner, rows)
-        outcomes = executor.execute(runner, [7, 60], k=3, radius=None,
-                                    row_filter=row_filter)
+        outcomes = executor.execute(runner.run, [7, 60], k=3, radius=None,
+                                    corpus_size=100, row_filter=row_filter)
         assert runner.runs == [{"queries": 2, "k": 3, "radius": None,
                                 "masked": True}]
         for code, (results, used) in zip([7, 60], outcomes):
@@ -97,7 +92,8 @@ class TestOnePlan:
         runner = FakeRunner(range(100))
         row_filter = row_filter_of(runner, range(0, 100, 3))
         [(results, used)] = executor.execute(
-            runner, [50], k=None, radius=6, row_filter=row_filter)
+            runner.run, [50], k=None, radius=6, corpus_size=100,
+            row_filter=row_filter)
         [run] = runner.runs
         assert (run["k"], run["radius"], run["masked"]) == (None, 6, True)
         assert results == runner.rank(50, radius=6, allowed=row_filter.mask)
@@ -105,7 +101,8 @@ class TestOnePlan:
 
     def test_unfiltered_query_never_plans(self, executor, planner):
         runner = FakeRunner(range(30))
-        [(results, _)] = executor.execute(runner, [3], k=2, radius=None)
+        [(results, _)] = executor.execute(runner.run, [3], k=2, radius=None,
+                                          corpus_size=30)
         assert results == runner.rank(3, k=2)
         assert runner.runs[0]["masked"] is False
         assert planner.calls == 0
@@ -118,7 +115,7 @@ class TestEmptyFilter:
                                              radius, expected_used):
         runner = FakeRunner(range(20))
         outcomes = executor.execute(
-            runner, [1, 2], k=k, radius=radius,
+            runner.run, [1, 2], k=k, radius=radius, corpus_size=20,
             row_filter=row_filter_of(runner, []))
         assert outcomes == [([], expected_used), ([], expected_used)]
         assert planner.calls == 0 and runner.runs == []
@@ -131,23 +128,26 @@ class TestValidation:
                                                          planner, k, radius):
         runner = FakeRunner(range(30))
         with pytest.raises(ValidationError):
-            executor.execute(runner, [3], k=k, radius=radius,
+            executor.execute(runner.run, [3], k=k, radius=radius,
+                             corpus_size=30,
                              row_filter=row_filter_of(runner, [1, 2]))
         assert planner.calls == 0 and runner.runs == []
 
 
 class TestPlanRecord:
-    def test_runner_context_joins_the_plan_record(self, executor):
+    def test_selectivity_is_taken_against_the_given_corpus(self, executor):
+        """``corpus_size`` is the caller's alive-row count, not the mask's
+        length: the record and the ``selectivity`` label both use it."""
         runner = FakeRunner(range(100))
         row_filter = row_filter_of(runner, range(10))
         with costs.measure() as ledger:
-            executor.execute(runner, [5], k=2, radius=None,
-                             row_filter=row_filter)
+            executor.execute(runner.run, [5], k=2, radius=None,
+                             corpus_size=50, row_filter=row_filter)
         attrs = ledger.report()["attrs"]
         record = attrs["plan"]
         assert record["chosen"] == {"plan": "linear:pre"}
-        assert record["context"] == {"corpus_size": 100, "selectivity": 0.1,
-                                     "tier": "fake"}
+        assert record["context"] == {"corpus_size": 50, "selectivity": 0.2}
+        assert attrs["selectivity"] == 0.2
         assert record["measured_ns"] >= 0
         assert (attrs["strategy"], attrs["filter_mode"]) == \
             ("prefilter", "pre")

@@ -9,6 +9,8 @@ gone rather than silently accepted.
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from repro.config import (DurabilityConfig, EarthQubeConfig,
@@ -17,18 +19,15 @@ from repro.config import (DurabilityConfig, EarthQubeConfig,
 from repro.errors import ValidationError
 from repro.federation.repair import ReadRepairer
 from repro.planner import QueryExecutor, QueryPlanner
-from repro.serving import ShardedHammingIndex
 
 
 class TestPlanRecord:
     def test_record_names_the_one_plan_and_its_context(self):
         record = QueryPlanner().plan_similarity(
-            corpus_size=200, selectivity=0.1234567,
-            context={"tier": "sharded", "shards": 1})
+            corpus_size=200, selectivity=0.1234567)
         assert record == {"chosen": {"plan": "linear:pre"},
                           "context": {"corpus_size": 200,
-                                      "selectivity": 0.123457,
-                                      "tier": "sharded", "shards": 1}}
+                                      "selectivity": 0.123457}}
 
     def test_records_are_fresh_dicts(self):
         planner = QueryPlanner()
@@ -74,20 +73,28 @@ class TestRemovedKnobs:
         with pytest.raises(ValidationError, match="shard_backend"):
             ServingConfig(shard_backend="mih")
 
-    def test_sharded_index_has_no_scan_chunk_parameter(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            ShardedHammingIndex(32, num_shards=2, scan_chunk_rows=4096)
-
-    @pytest.mark.parametrize("knob", [{"backend": "mih"},
-                                      {"backend": "linear"},
-                                      {"mih_tables": 4}])
-    def test_sharded_index_has_no_backend_parameter(self, knob):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            ShardedHammingIndex(32, num_shards=2, **knob)
-
     def test_read_repairer_has_no_daemon(self):
         assert not hasattr(ReadRepairer, "start")
         assert not hasattr(ReadRepairer, "stop")
+
+    @pytest.mark.parametrize("module, gone", [
+        ("repro.serving", "ShardedHammingIndex"),
+        ("repro.planner", "CodeRunner"),
+        ("repro.earthqube.cbir", "_IndexRunner"),
+        ("repro.serving.gateway", "_ShardRunner")])
+    def test_second_scan_wrapper_is_gone(self, module, gone):
+        """The gateway batches onto the CBIR service's LinearScanIndex; no
+        second index or per-tier runner adapter is left over."""
+        assert not hasattr(importlib.import_module(module), gone)
+
+    def test_sharding_module_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.serving.sharding")
+
+    def test_plan_record_takes_no_tier_context(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            QueryPlanner().plan_similarity(corpus_size=1, selectivity=1.0,
+                                           context={"tier": "sharded"})
 
     def test_hash_table_index_is_gone(self):
         with pytest.raises(ImportError):

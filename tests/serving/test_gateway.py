@@ -168,9 +168,6 @@ class TestObservability:
     def test_metrics_snapshot_shape(self, mini_system):
         mini_system.similar_images(mini_system.archive.names[0], k=3)
         snapshot = mini_system.gateway.metrics_snapshot()
-        # The index scans the whole table as one range.
-        assert snapshot["shards"]["count"] == 1
-        assert sum(snapshot["shards"]["sizes"]) == len(mini_system.cbir)
         assert snapshot["cache"]["hits"] + snapshot["cache"]["misses"] > 0
         assert snapshot["batcher"]["requests"] >= 1
         latency = snapshot["latency"]["similar.total"]
@@ -178,22 +175,18 @@ class TestObservability:
             assert key in latency
         json.dumps(snapshot)
 
-    def test_shard_count_is_one_range(self, mini_system):
-        """``/metrics`` and a filtered query's plan context report the one
-        range a scan covers; ``describe()`` keeps the configured
+    def test_occupancy_is_the_cbir_table(self, mini_system):
+        """``/metrics`` reports the CBIR table the gateway scans — alive
+        and dead rows — and no shards; ``describe()`` keeps the configured
         ``num_shards``."""
         gateway = mini_system.gateway
-        payload = EarthQubeAPI(mini_system).similar(
-            {"name": mini_system.archive.names[1], "k": 3, "explain": True,
-             "filter": {"seasons": ["Summer"]}})
-        assert payload["ok"], payload
-        assert payload["explain"]["plan"]["context"]["shards"] == 1
+        assert gateway.index is mini_system.cbir._index
         snapshot = gateway.metrics_snapshot()
-        rows = mini_system.cbir.table.rows
-        assert snapshot["shards"]["count"] == 1
-        assert snapshot["shards"]["sizes"] == [rows]
-        assert snapshot["gauges"]["shard.0.items"] == rows
-        assert "shard.1.items" not in snapshot["gauges"]
+        gauges = snapshot["gauges"]
+        assert gauges["index.alive"] + gauges["index.dead_rows"] \
+            == mini_system.cbir.table.rows
+        assert "shards" not in snapshot
+        assert not any(name.startswith("shard.") for name in gauges)
         assert mini_system.describe()["serving"]["num_shards"] == 4
 
     def test_api_metrics_endpoint(self, mini_system):

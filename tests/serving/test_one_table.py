@@ -1,7 +1,7 @@
 """One code table behind every tier of a serving node.
 
-The gateway's index scans the CBIR service's ``CodeTable``; there is no
-second row layout to keep in step.  These tests pin that down after
+The gateway's index *is* the CBIR service's ``LinearScanIndex`` over its
+``CodeTable``; there is no second row layout to keep in step.  These tests pin that down after
 every kind of write and after crash recovery, and hold the regression for
 the bug the second layout caused: a *read* accessor
 (``CBIRService.indexed_items``) used to compact the service as a side
@@ -23,14 +23,16 @@ from repro.bigearthnet import Patch, SyntheticArchive
 from repro.bigearthnet.synthesis import PatchSynthesizer
 from repro.config import DurabilityConfig, FederationConfig
 from repro.earthqube import DurableEarthQube, EarthQube, QuerySpec
+from repro.earthqube.api import EarthQubeAPI
 from repro.earthqube.cbir import CBIRService
 from repro.earthqube.ingest import ingest_archive
 from repro.geo import BoundingBox
 from repro.index import pack_bits
-from repro.index.hamming import exact_scan
+from repro.index import CodeQuery, LinearScanIndex, linear_scan
+from repro.index.hamming import (combine_allowed_masks, exact_scan,
+                                 scanned_rows)
 from repro.index.results import SearchResult
 from repro.obs.tracing import Tracer
-from repro.serving import CodeQuery, ShardedHammingIndex, sharding
 from repro.store.database import Database
 
 SPECS = [
@@ -53,10 +55,10 @@ def new_patch(system: EarthQube, name: str) -> Patch:
 
 def assert_one_copy(system: EarthQube) -> None:
     gateway, cbir = system.gateway, system.cbir
+    assert gateway.index is cbir._index
     assert gateway.index.table is cbir.table
     assert len(gateway.index) == len(cbir)
     assert gateway.index.dead_count == cbir.dead_rows
-    assert gateway.index.shard_sizes == [cbir.table.rows]
     # The direct index ranks the same rows: same answer, tie-breaks included.
     name = cbir.indexed_items()[0][0]
     assert gateway.similar_images(name, k=7).results == \
@@ -82,17 +84,17 @@ def test_every_write_leaves_one_copy(mini_system):
     assert_one_copy(system)
 
 
-@pytest.mark.parametrize("num_shards", [1, 2, 4, 8])
-def test_scatter_equals_one_scan_of_the_whole_table(rng, monkeypatch,
-                                                    num_shards):
-    """Whatever ``num_shards`` says, a batch of kNN, radius and masked jobs
-    over a tombstoned table is one ``exact_scan`` of the whole table per
-    (filter, k, radius) group, run by the thread that asked under one
-    ``shards.search`` span."""
+def test_a_batch_is_one_scan_per_group_of_one_snapshot(rng, monkeypatch):
+    """A micro-batch of kNN, radius and masked jobs over a tombstoned
+    table is one ``exact_scan`` of the whole table per (filter, k, radius)
+    group, run by the thread that asked, each under its own
+    ``linear.scan`` span; tombstones fold into each filter once, and a
+    mask shorter than the table disallows the rows past its end."""
     codes = pack_bits((rng.random((203, 32)) < 0.5).astype(np.uint8))
     codes[40:60] = codes[7]                     # ties: the row decides
     ids = [f"p{row}" for row in range(codes.shape[0])]
-    allowed = rng.random(codes.shape[0]) < 0.6
+    allowed = rng.random(codes.shape[0] - 13) < 0.6
+    allowed[45:55] = True
     jobs = [CodeQuery(code=codes[7], k=25),
             CodeQuery(code=codes[150], radius=12),
             CodeQuery(code=codes[7], k=9, allowed=allowed, filter_key="f"),
@@ -101,34 +103,47 @@ def test_scatter_equals_one_scan_of_the_whole_table(rng, monkeypatch,
             CodeQuery(code=codes[7], k=25)]     # single-flight duplicate
 
     scanned_on: list[tuple[int, int]] = []
+    folds: list[object] = []
 
     def spy(table_codes, queries, **kwargs):
         scanned_on.append((threading.get_ident(), table_codes.shape[0]))
         return exact_scan(table_codes, queries, **kwargs)
-    monkeypatch.setattr(sharding, "exact_scan", spy)
 
-    sharded = ShardedHammingIndex(32, num_shards)
-    sharded.build(ids, codes)
+    def fold_spy(alive, mask):
+        folds.append(mask)
+        return combine_allowed_masks(alive, mask)
+    monkeypatch.setattr(linear_scan, "exact_scan", spy)
+    monkeypatch.setattr(linear_scan, "combine_allowed_masks", fold_spy)
+
+    index = LinearScanIndex(32)
+    index.build(ids, codes)
     for dead in (7, 41, 42, 150, 202):
-        sharded.remove(ids[dead])
-    _, _, alive = sharded.table.snapshot()
+        index.remove(ids[dead])
+    _, _, alive = index.table.snapshot()
     root = Tracer().start_trace("test")
     with root:
-        got = sharded.search_batch(jobs)
+        got = index.search_batch(jobs)
 
+    assert got[4] is got[0]
+    alive_rows = np.flatnonzero(alive)
+    masked_rows = np.flatnonzero(alive[:allowed.shape[0]] & allowed)
     for job, results in zip(jobs, got):
-        rows = np.flatnonzero(alive if job.allowed is None
-                              else alive & job.allowed)
+        rows = alive_rows if job.allowed is None else masked_rows
         (hit_rows, distances), = exact_scan(
             codes, job.code[None, :], k=job.k, radius=job.radius, rows=rows)
         assert results == [SearchResult(ids[row], int(distance))
                            for row, distance in zip(hit_rows, distances)]
         assert results
-    spans = [span for span in root.walk() if span.name == "shards.search"]
-    assert [span.attrs["rows"] for span in spans] == [codes.shape[0]]
-    assert all(span.end_s is not None for span in spans)
     # Two unfiltered and two masked groups; the duplicate rides along.
     assert scanned_on == [(threading.get_ident(), codes.shape[0])] * 4
+    # One fold for the unfiltered jobs, one for the two "f" groups.
+    assert len(folds) == 2 and folds[1] is jobs[2].allowed
+    spans = [span for span in root.walk() if span.name == "linear.scan"]
+    assert [span.attrs["rows"] for span in spans] == [codes.shape[0]] * 4
+    assert all(span.end_s is not None for span in spans)
+    assert [span.costs["rows_scanned"] for span in spans] == [
+        scanned_rows(codes.shape[0], rows, 1)
+        for rows in (alive_rows, alive_rows, masked_rows, masked_rows)]
 
 
 def test_elastic_federate_reads_a_node_without_moving_its_rows(mini_system):
@@ -213,3 +228,36 @@ def test_recovery_comes_back_with_one_copy(mini_system, tmp_path, checkpoint):
     finally:
         recovered.close()
         second.disable_serving()
+
+
+def test_direct_and_served_plans_agree_after_deletes(mini_system):
+    """Regression: a filtered query's selectivity is taken against the
+    alive rows on both tiers.  The direct path used to divide by the
+    table's physical rows (dead ones included), the gateway by the alive
+    ones, so after deletes the two ``explain.plan`` records — and the
+    ``query.latency`` selectivity labels — disagreed."""
+    system = mini_system
+    api = EarthQubeAPI(system)
+    cbir = system.cbir
+    names = cbir.indexed_items()[0]
+    for victim in names[-20:]:
+        system.delete_image(victim)
+    assert cbir.dead_rows >= 20 and not cbir.compaction_due()
+    request = {"name": names[0], "k": 5, "explain": True,
+               "filter": {"seasons": ["Winter", "Spring", "Summer",
+                                      "Autumn"]}}
+    system.gateway.cache.invalidate()
+    served = api.similar(request)
+    system.disable_serving()
+    try:
+        direct = api.similar(request)
+    finally:
+        system.enable_serving()
+    assert served["ok"] and direct["ok"], (served, direct)
+    plans = [dict(payload["explain"]["plan"]) for payload in (served, direct)]
+    for plan in plans:
+        assert plan.pop("measured_ns") >= 0
+    assert plans[0] == plans[1]
+    assert plans[0]["context"] == {"corpus_size": len(cbir.table),
+                                   "selectivity": 1.0}
+    assert served["results"] == direct["results"]

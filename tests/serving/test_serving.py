@@ -1,8 +1,8 @@
 """Unit tests for the serving tier: the index, batching, caching, metrics.
 
-The central invariant mirrors the index suite's: the serving index returns
-*identical* results to the monolithic indexes for every query, whatever
-``num_shards`` it was configured with.
+The central invariant mirrors the index suite's: a micro-batch through
+``LinearScanIndex.search_batch`` returns *identical* results to asking
+the index one query at a time.
 """
 
 from __future__ import annotations
@@ -16,14 +16,13 @@ import numpy as np
 import pytest
 
 from repro.errors import EmptyIndexError, ValidationError
-from repro.index import LinearScanIndex, hamming_distances_to_query, pack_bits
+from repro.index import (CodeQuery, LinearScanIndex, hamming_distances_to_query,
+                         pack_bits)
 from repro.obs.metrics import Counter, Gauge, LatencyHistogram, MetricsRegistry
 from repro.serving import (
     BatcherClosedError,
-    CodeQuery,
     MicroBatcher,
     QueryResultCache,
-    ShardedHammingIndex,
     canonical_code_key,
 )
 
@@ -44,91 +43,104 @@ def corpus(rng):
     return ids, codes, scan
 
 
-class TestShardedIndex:
-    @pytest.mark.parametrize("num_shards", [1, 2, 3, 8])
-    def test_knn_identical_across_shard_counts(self, corpus, num_shards):
-        ids, codes, scan = corpus
-        sharded = ShardedHammingIndex(NUM_BITS, num_shards)
-        sharded.build(ids, codes)
-        for qi in (0, 17, 150, 299):
-            assert sharded.search_knn(codes[qi], 15) == scan.search_knn(codes[qi], 15)
+class TestSearchBatch:
+    """``LinearScanIndex.search_batch``, the micro-batcher's entry point,
+    answers every job exactly as the single-query methods do."""
 
-    @pytest.mark.parametrize("num_shards", [1, 4])
-    def test_radius_identical_to_linear_scan(self, corpus, num_shards):
+    def test_knn_equals_single_queries(self, corpus):
         ids, codes, scan = corpus
-        sharded = ShardedHammingIndex(NUM_BITS, num_shards)
-        sharded.build(ids, codes)
-        for radius in (0, 5, 12):
-            assert (sharded.search_radius(codes[3], radius)
-                    == scan.search_radius(codes[3], radius))
+        answers = scan.search_batch([CodeQuery(code=codes[qi], k=15)
+                                     for qi in (0, 17, 150, 299)])
+        for qi, answer in zip((0, 17, 150, 299), answers):
+            assert answer == scan.search_knn(codes[qi], 15)
 
     def test_matches_oracle_tie_break(self, corpus):
         """The order is the brute-force (distance, insertion row) sort."""
-        ids, codes, _ = corpus
-        sharded = ShardedHammingIndex(NUM_BITS, 8)
-        sharded.build(ids, codes)
+        ids, codes, scan = corpus
         distances = hamming_distances_to_query(codes, codes[42])
         ranked = sorted((int(d), row) for row, d in enumerate(distances))[:25]
-        assert [(r.item_id, r.distance) for r in sharded.search_knn(codes[42], 25)] \
+        [answer] = scan.search_batch([CodeQuery(code=codes[42], k=25)])
+        assert [(r.item_id, r.distance) for r in answer] \
             == [(ids[row], d) for d, row in ranked]
 
-    def test_empty_shards_are_harmless(self, rng):
-        """Fewer items than ``num_shards``: one range holds them all, and
-        the results are exact."""
-        codes = random_codes(rng, 3)
-        ids = ["a", "b", "c"]
-        scan = LinearScanIndex(NUM_BITS)
-        scan.build(ids, codes)
-        sharded = ShardedHammingIndex(NUM_BITS, 8)
-        sharded.build(ids, codes)
-        assert sharded.shard_sizes == [3]
-        assert sharded.search_knn(codes[0], 2) == scan.search_knn(codes[0], 2)
-        assert sharded.search_radius(codes[0], NUM_BITS) \
-            == scan.search_radius(codes[0], NUM_BITS)
-
-    def test_k_larger_than_corpus_returns_everything(self, corpus):
+    def test_tiny_corpus_and_k_larger_than_corpus(self, corpus, rng):
         ids, codes, scan = corpus
-        sharded = ShardedHammingIndex(NUM_BITS, 4)
-        sharded.build(ids, codes)
-        results = sharded.search_knn(codes[0], 10_000)
-        assert len(results) == len(ids)
-        assert results == scan.search_knn(codes[0], 10_000)
+        tiny = LinearScanIndex(NUM_BITS)
+        tiny.build(["a", "b", "c"], random_codes(rng, 3))
+        code = tiny.table.code_of("a")
+        assert tiny.search_batch([CodeQuery(code=code, k=2),
+                                  CodeQuery(code=code, radius=NUM_BITS)]) \
+            == [tiny.search_knn(code, 2), tiny.search_radius(code, NUM_BITS)]
+        [everything] = scan.search_batch([CodeQuery(code=codes[0], k=10_000)])
+        assert len(everything) == len(ids)
+        assert everything == scan.search_knn(codes[0], 10_000)
 
     def test_incremental_add_equals_rebuild(self, rng):
         codes = random_codes(rng, 60)
         ids = [f"p{i}" for i in range(60)]
-        incremental = ShardedHammingIndex(NUM_BITS, 4)
-        rebuilt = ShardedHammingIndex(NUM_BITS, 4)
+        incremental = LinearScanIndex(NUM_BITS)
+        rebuilt = LinearScanIndex(NUM_BITS)
         incremental.build(ids[:40], codes[:40])
         for i in range(40, 60):
             incremental.add(ids[i], codes[i])
         rebuilt.build(ids, codes)
-        for qi in (0, 45, 59):
-            assert (incremental.search_knn(codes[qi], 12)
-                    == rebuilt.search_knn(codes[qi], 12))
+        jobs = [CodeQuery(code=codes[qi], k=12) for qi in (0, 45, 59)]
+        assert incremental.search_batch(jobs) == rebuilt.search_batch(jobs)
 
     def test_batch_with_mixed_jobs(self, corpus):
         ids, codes, scan = corpus
         jobs = [CodeQuery(code=codes[0], k=5),
                 CodeQuery(code=codes[1], radius=8),
-                CodeQuery(code=codes[2], k=1)]
-        sharded = ShardedHammingIndex(NUM_BITS, 4)
-        sharded.build(ids, codes)
-        batch = sharded.search_batch(jobs)
+                CodeQuery(code=codes[2], k=1),
+                CodeQuery(code=codes[3], radius=0)]
+        batch = scan.search_batch(jobs)
         assert batch[0] == scan.search_knn(codes[0], 5)
         assert batch[1] == scan.search_radius(codes[1], 8)
         assert batch[2] == scan.search_knn(codes[2], 1)
+        assert batch[3] == scan.search_radius(codes[3], 0)
+        assert scan.search_batch([]) == []
+
+    def test_unkeyed_filters_group_by_mask_identity(self, corpus,
+                                                    monkeypatch):
+        """Without a ``filter_key`` a filter is its mask object: jobs
+        sharing one mask share one scan group, an equal mask in another
+        array is a group of its own, and every answer is the single-query
+        one."""
+        ids, codes, scan = corpus
+        mask = np.arange(len(ids)) % 3 == 0
+        twin = mask.copy()
+        groups = []
+        original = scan._scan
+
+        def spy(snapshot, queries, rows, **select):
+            groups.append(len(queries))
+            return original(snapshot, queries, rows, **select)
+        monkeypatch.setattr(scan, "_scan", spy)
+        jobs = [CodeQuery(code=codes[0], k=4, allowed=mask),
+                CodeQuery(code=codes[1], k=4, allowed=mask),
+                CodeQuery(code=codes[0], k=4, allowed=twin)]
+        answers = scan.search_batch(jobs)
+        assert groups == [2, 1]
+        assert answers[0] is not answers[2] and answers[0] == answers[2]
+        for job, answer in zip(jobs, answers):
+            assert answer == scan.search_knn(job.code, 4, allowed=mask)
+
+    def test_traced_and_untraced_jobs_share_one_answer(self, corpus):
+        """The trace context is observability-only: it never splits a
+        single-flight group."""
+        ids, codes, scan = corpus
+        traced, untraced = scan.search_batch(
+            [CodeQuery(code=codes[5], k=6, trace=object()),
+             CodeQuery(code=codes[5], k=6)])
+        assert traced is untraced
+        assert traced == scan.search_knn(codes[5], 6)
 
     def test_empty_index_raises(self):
-        sharded = ShardedHammingIndex(NUM_BITS, 4)
         with pytest.raises(EmptyIndexError):
-            sharded.search_knn(np.zeros(1, dtype=np.uint64), 1)
+            LinearScanIndex(NUM_BITS).search_batch(
+                [CodeQuery(code=np.zeros(1, dtype=np.uint64), k=1)])
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            ShardedHammingIndex(33, 4)
-        with pytest.raises(ValidationError):
-            ShardedHammingIndex(NUM_BITS, 0)
         with pytest.raises(ValidationError):
             CodeQuery(code=np.zeros(1, dtype=np.uint64))  # neither k nor radius
         with pytest.raises(ValidationError):
@@ -163,9 +175,7 @@ def lead_from_a_helper(batcher, request, pool):
 class TestMicroBatcher:
     def test_coalesces_submit_many_into_batches(self, corpus):
         ids, codes, scan = corpus
-        sharded = ShardedHammingIndex(NUM_BITS, 4)
-        sharded.build(ids, codes)
-        with MicroBatcher(sharded.search_batch,
+        with MicroBatcher(scan.search_batch,
                           max_batch_size=8) as batcher:
             futures = batcher.submit_many(
                 [CodeQuery(code=codes[i], k=5) for i in range(40)])
@@ -234,9 +244,7 @@ class TestMicroBatcher:
         errors: list[Exception] = []
         barrier = threading.Barrier(num_threads)
 
-        sharded = ShardedHammingIndex(NUM_BITS, 4)
-        sharded.build(ids, codes)
-        with MicroBatcher(sharded.search_batch,
+        with MicroBatcher(scan.search_batch,
                           max_batch_size=16) as batcher:
             def worker(offset: int) -> None:
                 try:
