@@ -45,10 +45,10 @@ def test_storage_accounting(benchmark, bench_archive, bench_features, bench_hash
         "codes must be >=1000x smaller than pixels"
 
 
-def test_inmemory_hash_table_footprint(benchmark, bench_system):
+def test_inmemory_hash_table_footprint(benchmark, bench_system, bench_features):
     """The paper's in-memory name->code table: build cost for the archive."""
     names = bench_system.archive.names
-    codes = bench_system.hasher.hash_packed(bench_system.features)
+    codes = bench_system.hasher.hash_packed(bench_features)
 
     def build_table():
         return {name: codes[i] for i, name in enumerate(names)}

@@ -3,7 +3,7 @@
 Everything expensive is session-scoped and sized so the full benchmark run
 finishes in minutes on a laptop CPU while still showing the paper's claimed
 orderings.  Quality-oriented benches print their measurement tables (run
-with ``-s`` to see them); EXPERIMENTS.md records the reference outcomes.
+with ``-s`` to see them).
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def bench_system(bench_archive, bench_hasher, bench_extractor,
     cbir = CBIRService(bench_hasher, bench_extractor, config.index)
     cbir.build(bench_archive.names, bench_features)
     return EarthQube(config, bench_archive, db, codec, bench_extractor,
-                     bench_hasher, cbir, bench_features)
+                     bench_hasher, cbir)
 
 
 def random_packed_codes(num_items: int, num_bits: int, seed: int = 0) -> np.ndarray:

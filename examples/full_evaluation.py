@@ -2,7 +2,7 @@
 
 Uses the :class:`~repro.metrics.RetrievalEvaluator` harness to produce the
 complete metric battery (P@10, R@10, mAP@10, ACG, NDCG, WAP, latency) on a
-held-out query split, plus relevance-feedback refinement as a bonus round:
+held-out query split:
 
     python examples/full_evaluation.py
 """

@@ -167,7 +167,7 @@ class SyntheticArchive:
         """Drop a patch from the archive; returns its former dense index.
 
         Later patches shift down by one, so any structure aligned with
-        dense indices (e.g. a feature matrix) must drop the same row.
+        dense indices must drop the same row.
         """
         position = self.index_of(name)
         self.patches.pop(position)

@@ -103,11 +103,6 @@ class Patch:
         return self.s2_bands["B02"].shape[0]
 
     @property
-    def label_set(self) -> frozenset[str]:
-        """The labels as a set (order-insensitive comparisons)."""
-        return frozenset(self.labels)
-
-    @property
     def has_s1(self) -> bool:
         """True when the patch carries its Sentinel-1 pair."""
         return bool(self.s1_bands)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError, ValidationError
+from ..errors import ShapeError
 
 
 def _check_label_matrix(labels: np.ndarray) -> np.ndarray:
@@ -51,19 +51,3 @@ def jaccard_similarity_matrix(labels_a: np.ndarray,
         out = np.where(union > 0, intersection / np.maximum(union, 1), 0.0)
     return out
 
-
-def relevance_vector(query_labels: np.ndarray, archive_labels: np.ndarray,
-                     *, mode: str = "share") -> np.ndarray:
-    """Per-archive-item relevance of a single query.
-
-    ``mode="share"`` returns booleans (shares >= 1 label);
-    ``mode="jaccard"`` returns graded relevance in [0, 1].
-    """
-    query_labels = np.asarray(query_labels)
-    if query_labels.ndim != 1:
-        raise ShapeError(f"query_labels must be a 1D label indicator, got {query_labels.shape}")
-    if mode == "share":
-        return shares_label_matrix(query_labels[None, :], archive_labels)[0]
-    if mode == "jaccard":
-        return jaccard_similarity_matrix(query_labels[None, :], archive_labels)[0]
-    raise ValidationError(f"unknown relevance mode {mode!r}; expected 'share' or 'jaccard'")

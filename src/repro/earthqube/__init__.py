@@ -15,6 +15,7 @@ is the back-end server plus headless equivalents of every UI behaviour:
 * :mod:`repro.earthqube.markers` — map-view marker clustering,
 * :mod:`repro.earthqube.rendering` — RGB rendering of patches,
 * :mod:`repro.earthqube.cart` — the download cart,
+* :mod:`repro.earthqube.downloads` — the result panel's zip exports,
 * :mod:`repro.earthqube.feedback` — anonymous user feedback,
 * :mod:`repro.earthqube.server` — :class:`EarthQube`, the bootstrapped
   system facade used by examples and benchmarks.
@@ -25,7 +26,6 @@ from .cart import DownloadCart
 from .cbir import CBIRService, RowFilter, SimilarityResponse
 from .durability import DurableEarthQube
 from .feedback import FeedbackService
-from .refinement import RelevanceFeedbackSession, RocchioWeights
 from .ingest import ingest_archive, metadata_document
 from .label_filter import LabelFilter, LabelOperator
 from .markers import Marker, MarkerCluster, MarkerClusterer
@@ -40,8 +40,6 @@ __all__ = [
     "DurableEarthQube",
     "EarthQubeAPI",
     "parse_query_request",
-    "RelevanceFeedbackSession",
-    "RocchioWeights",
     "QuerySpec",
     "LabelOperator",
     "LabelFilter",

@@ -114,14 +114,6 @@ class SimilarityResponse:
         """Neighbor patch names, nearest first."""
         return [str(item_id) for item_id in self.ranking.ids]
 
-    def excluding_query(self) -> "SimilarityResponse":
-        """Drop the query itself from the ranking (self-match at distance 0)."""
-        if self.query_name is None:
-            return self
-        return SimilarityResponse(self.query_name,
-                                  self.ranking.without(self.query_name),
-                                  self.radius_used)
-
 
 def shape_name_response(name: str, ranking: Ranking, used: int,
                         k: "int | None") -> SimilarityResponse:

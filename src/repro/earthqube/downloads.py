@@ -6,9 +6,11 @@ download the cart "together as a single collection" (Section 3.1).  This
 module implements those exports against the image-data collection:
 
 * :func:`names_as_text` — the plain-text name list,
-* :func:`export_patch_zip` — one image's bands as an in-memory zip of
-  ``.npy`` band files plus a JSON metadata entry,
-* :func:`export_collection_zip` — a cart's worth of images in one archive.
+* :func:`export_zip` — images as one in-memory zip: the name list as
+  ``names.txt``, and per image its bands as ``.npy`` files plus a JSON
+  metadata entry.  A single image is a one-name collection.
+
+:meth:`repro.earthqube.EarthQube.download` is the system's entry point.
 """
 
 from __future__ import annotations
@@ -51,39 +53,20 @@ def _metadata_entry(db: Database, name: str) -> dict:
         raise UnknownPatchError(f"no metadata for {name!r}") from None
 
 
-def _write_patch(zf: zipfile.ZipFile, db: Database, name: str) -> None:
-    for band_name, array in _band_arrays(db, name).items():
-        buffer = io.BytesIO()
-        np.save(buffer, array)
-        zf.writestr(f"{name}/{band_name}.npy", buffer.getvalue())
-    zf.writestr(f"{name}/metadata.json", json.dumps(_metadata_entry(db, name)))
-
-
-def export_patch_zip(db: Database, name: str) -> bytes:
-    """One image as an in-memory zip: per-band ``.npy`` files + metadata."""
-    if not name:
-        raise ValidationError("patch name must be non-empty")
-    buffer = io.BytesIO()
-    with zipfile.ZipFile(buffer, "w", compression=zipfile.ZIP_DEFLATED) as zf:
-        _write_patch(zf, db, name)
-    return buffer.getvalue()
-
-
-def export_collection_zip(db: Database, names: Iterable[str]) -> bytes:
-    """A cart download: many images in one zip, plus the name manifest."""
+def export_zip(db: Database, names: Iterable[str]) -> bytes:
+    """Images as one zip: the ``names.txt`` manifest, then per image its
+    ``<name>/<band>.npy`` files and ``<name>/metadata.json``."""
     name_list = list(dict.fromkeys(n for n in names if n))
     if not name_list:
-        raise ValidationError("collection export needs at least one name")
+        raise ValidationError("an export needs at least one name")
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w", compression=zipfile.ZIP_DEFLATED) as zf:
         zf.writestr("names.txt", names_as_text(name_list))
         for name in name_list:
-            _write_patch(zf, db, name)
+            for band_name, array in _band_arrays(db, name).items():
+                band_buffer = io.BytesIO()
+                np.save(band_buffer, array)
+                zf.writestr(f"{name}/{band_name}.npy", band_buffer.getvalue())
+            zf.writestr(f"{name}/metadata.json",
+                        json.dumps(_metadata_entry(db, name)))
     return buffer.getvalue()
-
-
-def read_band_from_zip(payload: bytes, name: str, band: str) -> np.ndarray:
-    """Client-side helper: read one band back out of an exported zip."""
-    with zipfile.ZipFile(io.BytesIO(payload)) as zf:
-        with zf.open(f"{name}/{band}.npy") as handle:
-            return np.load(handle)

@@ -412,9 +412,9 @@ class DurableEarthQube:
         images that still exist in the archive, re-hashes them, and
         requires bit-identity with the restored codes.  An image that was
         re-embedded with externally supplied features (``update_image``)
-        legitimately disagrees with re-extraction; it is checked against
-        the system's replayed feature row instead.  Debug-only
-        (``verify_on_load``): it re-runs feature extraction.
+        legitimately disagrees with re-extraction, so it is left out of the
+        sample.  Debug-only (``verify_on_load``): it re-runs feature
+        extraction.
         """
         system = self.system
         candidates = sorted(name for name in system.cbir.indexed_items()[0]

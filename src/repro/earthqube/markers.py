@@ -68,11 +68,6 @@ class MarkerClusterer:
         # projection so cells are square in screen space.
         self._cell_deg = 360.0 * grid_px / world_px
 
-    @property
-    def cell_size_deg(self) -> float:
-        """Longitudinal cell extent in degrees at this zoom."""
-        return self._cell_deg
-
     @staticmethod
     def _mercator_y(lat: float) -> float:
         """Web-Mercator y in [0, 1] (clamped near the poles)."""

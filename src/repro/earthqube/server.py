@@ -8,7 +8,8 @@
 3. extract features, train MiLaN, hash the archive, build the Hamming index,
 4. expose the back-end services: :meth:`search`, :meth:`similar_images`,
    :meth:`similar_to_new_image`, :meth:`statistics_for`, :meth:`render`,
-   :meth:`markers_for`, :meth:`new_cart`, :meth:`submit_feedback`.
+   :meth:`markers_for`, :meth:`new_cart`, :meth:`download`,
+   :meth:`submit_feedback`.
 
 Every method returns plain data (documents, arrays, dataclasses) — exactly
 what the browser UI would render.
@@ -32,6 +33,7 @@ from ..obs import Observability
 from ..store.database import Database, IMAGE_DATA, METADATA, RENDERED_IMAGES
 from .cart import DownloadCart
 from .cbir import CBIRService, SimilarityResponse
+from .downloads import export_zip
 from .feedback import FeedbackService
 from .ingest import (decode_rendered_document, image_data_document,
                      ingest_archive, metadata_document,
@@ -55,7 +57,7 @@ class EarthQube:
 
     def __init__(self, config: EarthQubeConfig, archive: SyntheticArchive,
                  db: Database, codec: LabelCharCodec, extractor: FeatureExtractor,
-                 hasher: MiLaNHasher, cbir: CBIRService, features: np.ndarray) -> None:
+                 hasher: MiLaNHasher, cbir: CBIRService) -> None:
         self.config = config
         self.archive = archive
         self.db = db
@@ -63,12 +65,6 @@ class EarthQube:
         self.extractor = extractor
         self.hasher = hasher
         self.cbir = cbir
-        # Rows [0, _feature_rows) of _features are the feature matrix; the
-        # spare capacity doubles like CodeTable's code matrix, so an ingest
-        # appends in O(1) amortised.  The buffer is this node's own copy:
-        # deletes shift its rows in place.
-        self._features = np.array(features, dtype=np.float64)
-        self._feature_rows = self._features.shape[0]
         self.search_service = SearchService(db, codec)
         self.feedback_service = FeedbackService(db)
         # Let CBIR resolve QuerySpec filters against the metadata tier
@@ -90,24 +86,6 @@ class EarthQube:
         # every path through this node: the direct scan and the gateway
         # share the CBIR service's executor.  See repro.planner.
         self.planner = self.cbir.executor.planner
-
-    @property
-    def features(self) -> np.ndarray:
-        """The ``(N, D)`` feature matrix, row-aligned with the archive.
-
-        Training-side state: no query path reads it.  A view of the row
-        buffer, so a later ingest or delete shows through it.
-        """
-        return self._features[:self._feature_rows]
-
-    def _append_features(self, features: np.ndarray) -> None:
-        rows = self._feature_rows
-        if rows == self._features.shape[0]:
-            grown = np.empty((max(16, 2 * rows), self._features.shape[1]))
-            grown[:rows] = self._features[:rows]
-            self._features = grown
-        self._features[rows] = features
-        self._feature_rows = rows + 1
 
     # ------------------------------------------------------------------ #
     # Bootstrap
@@ -143,7 +121,7 @@ class EarthQube:
         log("hashing archive and building the Hamming index ...")
         cbir = CBIRService(hasher, extractor, config.index)
         cbir.build(archive.names, features)
-        system = cls(config, archive, db, codec, extractor, hasher, cbir, features)
+        system = cls(config, archive, db, codec, extractor, hasher, cbir)
         if config.serving.enabled:
             log("enabling serving tier ...")
             system.enable_serving()
@@ -326,6 +304,10 @@ class EarthQube:
         """A fresh download cart (50 names per result page)."""
         return DownloadCart()
 
+    def download(self, names: "list[str]") -> bytes:
+        """One image, or a cart's collection, as a zip (see downloads)."""
+        return export_zip(self.db, names)
+
     def submit_feedback(self, text: str, *, category: str = "comment") -> int:
         """Store anonymous user feedback."""
         return self.feedback_service.submit(text, category=category)
@@ -420,7 +402,6 @@ class EarthQube:
         self.cbir.add_code(stored.name, code)
         if self.gateway is not None:
             self.gateway.on_ingest()
-        self._append_features(features)
         self.archive.patches.append(stored)
         self.archive._by_name[stored.name] = stored
         self.archive._index_by_name[stored.name] = len(self.archive.patches) - 1
@@ -446,10 +427,10 @@ class EarthQube:
         The index row is tombstoned (O(1)); once dead rows cross the
         configured threshold the code table is compacted (the direct path
         and the serving tier scan that one table through one index).  The
-        archive/features bookkeeping (training-side artifacts, not serving
-        state) is O(N) per delete — acceptable because no query path
-        touches it; only re-training iterates those rows.  Returns a
-        summary dict (name, documents deleted, whether compaction ran).
+        archive bookkeeping (a training-side artifact, not serving state)
+        is O(N) per delete — acceptable because no query path touches it;
+        only re-training iterates its patches.  Returns a summary dict
+        (name, documents deleted, whether compaction ran).
         """
         if not self.cbir.has(name):
             raise UnknownPatchError(f"no indexed image named {name!r}")
@@ -462,14 +443,7 @@ class EarthQube:
         if self.gateway is not None:
             self.gateway.on_delete()
         if name in self.archive:
-            position = self.archive.remove(name)
-            rows = self._feature_rows
-            if position < rows:
-                # Shift the later rows up in place (numpy buffers the
-                # overlapping copy); the capacity stays for later ingests.
-                self._features[position:rows - 1] = \
-                    self._features[position + 1:rows]
-                self._feature_rows = rows - 1
+            self.archive.remove(name)
         compacted = self.maybe_compact_index()
         return {"name": name, "documents_deleted": documents_deleted,
                 "compacted": compacted}
@@ -489,11 +463,6 @@ class EarthQube:
         self.cbir.update_image(name, features)
         if self.gateway is not None:
             self.gateway.on_update()
-        if name in self.archive:
-            position = self.archive.index_of(name)
-            if (position < self.features.shape[0]
-                    and self.features.shape[1] == features.shape[0]):
-                self.features[position] = features
         compacted = self.maybe_compact_index()
         return {"name": name, "compacted": compacted}
 
@@ -526,16 +495,15 @@ class EarthQube:
         Elastic-federation replicas must produce *bit-identical* hash
         codes, so the clone shares the trained hasher, the feature
         extractor, and the label codec by reference; everything data-bound
-        (database, archive, CBIR index, feature matrix) starts empty and
-        is populated by fan-out ingest or shard handoff.
+        (database, archive, CBIR index) starts empty and is populated by
+        fan-out ingest or shard handoff.
         """
         db = Database.earthqube_schema()
         archive = SyntheticArchive.empty(self.config.archive)
         cbir = CBIRService(self.hasher, self.extractor, self.config.index)
         cbir.build([], np.empty((0, self.extractor.dimension)))
-        features = np.empty((0, self.extractor.dimension))
         clone = type(self)(self.config, archive, db, self.codec,
-                           self.extractor, self.hasher, cbir, features)
+                           self.extractor, self.hasher, cbir)
         if serving:
             clone.enable_serving()
         return clone

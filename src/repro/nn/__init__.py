@@ -3,9 +3,9 @@
 This package is the substitute for PyTorch in the MiLaN training pipeline
 (DESIGN.md §2): reverse-mode automatic differentiation over numpy arrays
 (:mod:`repro.nn.tensor`), standard layers (:mod:`repro.nn.layers`),
-optimizers (:mod:`repro.nn.optim`), initialization schemes
-(:mod:`repro.nn.init`), and state (de)serialization
-(:mod:`repro.nn.serialization`).
+optimizers (:mod:`repro.nn.optim`) and initialization schemes
+(:mod:`repro.nn.init`); a module's weights round-trip through its
+``state_dict()`` / ``load_state_dict()``.
 
 Only what the paper's hashing head needs is implemented — dense layers,
 ReLU/Tanh/Sigmoid, BatchNorm, Dropout, Adam/SGD — but each piece is complete
@@ -24,7 +24,6 @@ from .layers import (
     Tanh,
 )
 from .optim import SGD, Adam, Optimizer
-from .serialization import load_state_dict, save_state_dict
 from .tensor import Tensor, no_grad
 
 __all__ = [
@@ -44,6 +43,4 @@ __all__ = [
     "xavier_uniform",
     "kaiming_uniform",
     "zeros_",
-    "save_state_dict",
-    "load_state_dict",
 ]

@@ -98,12 +98,6 @@ class Span:
         self.costs: "dict[str, int] | None" = None
         self._prev: "Span | None" = None
 
-    @property
-    def duration_s(self) -> "float | None":
-        if self.start_s is None or self.end_s is None:
-            return None
-        return self.end_s - self.start_s
-
     def annotate(self, **attrs: Any) -> "Span":
         """Attach key/value attributes (allowed before, during, or after)."""
         for key, value in attrs.items():

@@ -91,21 +91,10 @@ class FaultInjector:
         self._armed[point] = hits
         self._hits[point] = 0
 
-    def disarm(self, point: "str | None" = None) -> None:
-        """Disarm one point (or all of them) without resetting hit counts."""
-        if point is None:
-            self._armed.clear()
-        else:
-            self._armed.pop(point, None)
-
     def reset(self) -> None:
         """Disarm everything and zero every hit counter."""
         self._armed.clear()
         self._hits.clear()
-
-    def hit_count(self, point: str) -> int:
-        """How many times ``point`` has fired since the last reset/arm."""
-        return self._hits.get(point, 0)
 
     def fire(self, point: str) -> None:
         """Record one pass through ``point``; raise if it is due to trip.

@@ -125,13 +125,6 @@ class HashIndex:
         """Doc ids whose field equals (or whose array contains) ``value``."""
         return set(self._by_key.get(_hashable(value), ()))
 
-    def find_any(self, values: Iterable[Any]) -> set[int]:
-        """Union of :meth:`find` over ``values`` (serves ``$in`` plans)."""
-        out: set[int] = set()
-        for value in values:
-            out |= self.find(value)
-        return out
-
     def estimate_any(self, values: Iterable[Any]) -> int:
         """Cheap upper bound on :meth:`postings_any`'s size: summed posting
         lengths, straight off the bucket dict — no arrays materialized.

@@ -1,23 +1,11 @@
-"""Shared utilities: RNG plumbing, validation helpers, timing."""
+"""Shared utilities: RNG plumbing, timing."""
 
 from .rng import as_rng, spawn_rng
 from .timing import Stopwatch, format_seconds
-from .validation import (
-    check_fraction,
-    check_in_range,
-    check_non_empty,
-    check_positive,
-    check_type,
-)
 
 __all__ = [
     "as_rng",
     "spawn_rng",
     "Stopwatch",
     "format_seconds",
-    "check_fraction",
-    "check_in_range",
-    "check_non_empty",
-    "check_positive",
-    "check_type",
 ]

@@ -1,6 +1,5 @@
-"""Query workloads and the paper's three demo scenarios."""
+"""The paper's three demo scenarios (Section 4)."""
 
-from .generators import QueryWorkloadGenerator
 from .scenarios import (
     ScenarioResult,
     run_label_exploration,
@@ -9,7 +8,6 @@ from .scenarios import (
 )
 
 __all__ = [
-    "QueryWorkloadGenerator",
     "ScenarioResult",
     "run_label_exploration",
     "run_spatial_query_by_example",

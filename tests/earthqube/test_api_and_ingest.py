@@ -344,7 +344,7 @@ class TestOnlineIngestion:
             node.ingest_new_patch(_new_patch(system.config.archive, name="x-1"),
                                   auto_label_if_missing=False)
         assert node.db["metadata"].count({"name": "x-1"}) == 0
-        assert "x-1" not in node.archive and len(node.features) == 0
+        assert "x-1" not in node.archive
 
     @pytest.mark.parametrize("call, satellite, band, value", [
         ("ingest", "s2", "B02", np.nan),
@@ -361,7 +361,7 @@ class TestOnlineIngestion:
 
         def counts():
             return (len(system.archive), len(system.cbir),
-                    len(system.db["metadata"]), len(system.features))
+                    len(system.db["metadata"]))
 
         before = counts()
         with pytest.raises(ValidationError, match=band):

@@ -128,7 +128,7 @@ class TestFilteredKnnOracle:
 
     def test_query_by_features_with_filter(self, system, rng):
         spec = SPECS[1]
-        features = system.features[7]
+        features = system.extractor.extract(system.archive.patches[7])
         by_features = system.cbir.query_by_features(
             features, k=9, filter=system.row_filter_for(spec))
         # Row 7's features hash to row 7's code: the by-name ranking with

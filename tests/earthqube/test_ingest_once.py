@@ -6,9 +6,11 @@ to the index (``cbir.add_code``).  These tests count the extractor and
 hasher calls on every ingest route — plain, serving, journaled, recovery
 replay — and check the result against a twin system driven the
 two-extraction, two-hash way: same labels, same metadata document, same
-packed code, same feature row.
+packed code.
 """
 
+import io
+import zipfile
 from dataclasses import replace
 from datetime import datetime
 
@@ -22,7 +24,7 @@ from repro.config import (ArchiveConfig, DurabilityConfig, EarthQubeConfig,
 from repro.earthqube import DurableEarthQube, EarthQube
 from repro.earthqube.cbir import CBIRService
 from repro.earthqube.ingest import ingest_archive, metadata_document
-from repro.errors import ValidationError
+from repro.errors import UnknownPatchError, ValidationError
 from repro.geo import BoundingBox
 from repro.store.database import Database
 
@@ -35,19 +37,25 @@ CONFIG = EarthQubeConfig(
 
 @pytest.fixture(scope="module")
 def seed() -> EarthQube:
-    """Trained models and the archive's features; never written to."""
+    """Trained models over the archive; never written to."""
     return EarthQube.bootstrap(CONFIG)
 
 
-def fresh_node(seed: EarthQube) -> EarthQube:
-    """A deterministic copy of ``seed`` sharing its trained models."""
-    archive = SyntheticArchive.generate(CONFIG.archive)
-    db = Database.earthqube_schema()
-    ingest_archive(db, archive, seed.codec)
-    cbir = CBIRService(seed.hasher, seed.extractor, CONFIG.index)
-    cbir.build(archive.names, seed.features)
-    return EarthQube(CONFIG, archive, db, seed.codec, seed.extractor,
-                     seed.hasher, cbir, seed.features)
+@pytest.fixture(scope="module")
+def fresh_node(seed):
+    """Makes deterministic copies of ``seed`` sharing its trained models;
+    the archive is extracted once, before any test counts extractions."""
+    features = seed.extractor.extract_many(seed.archive.patches)
+
+    def make() -> EarthQube:
+        archive = SyntheticArchive.generate(CONFIG.archive)
+        db = Database.earthqube_schema()
+        ingest_archive(db, archive, seed.codec)
+        cbir = CBIRService(seed.hasher, seed.extractor, CONFIG.index)
+        cbir.build(archive.names, features)
+        return EarthQube(CONFIG, archive, db, seed.codec, seed.extractor,
+                         seed.hasher, cbir)
+    return make
 
 
 def new_patch(name: str, seed_value: int = 4242) -> Patch:
@@ -90,16 +98,16 @@ def hashes(seed, monkeypatch):
 
 
 @pytest.mark.parametrize("auto_label", [True, False])
-def test_one_hash_per_ingest(seed, hashes, auto_label):
-    node = fresh_node(seed)
+def test_one_hash_per_ingest(fresh_node, hashes, auto_label):
+    node = fresh_node()
     hashes.clear()          # building the node hashed its archive
     node.ingest_new_patch(new_patch("HASH_DIRECT"),
                           auto_label_if_missing=auto_label)
     assert hashes == [1]
 
 
-def test_one_hash_per_journaled_ingest(seed, hashes, tmp_path):
-    node = fresh_node(seed)
+def test_one_hash_per_journaled_ingest(fresh_node, hashes, tmp_path):
+    node = fresh_node()
     durable = DurableEarthQube(node, DurabilityConfig(directory=str(tmp_path)))
     hashes.clear()
     try:
@@ -113,15 +121,15 @@ def test_one_hash_per_journaled_ingest(seed, hashes, tmp_path):
 
 
 @pytest.mark.parametrize("auto_label", [True, False])
-def test_one_extraction_per_ingest(seed, extractions, auto_label):
-    node = fresh_node(seed)
+def test_one_extraction_per_ingest(fresh_node, extractions, auto_label):
+    node = fresh_node()
     node.ingest_new_patch(new_patch("ONCE_DIRECT"),
                           auto_label_if_missing=auto_label)
     assert extractions == ["ONCE_DIRECT"]
 
 
-def test_one_extraction_per_ingest_with_serving(seed, extractions):
-    node = fresh_node(seed)
+def test_one_extraction_per_ingest_with_serving(fresh_node, extractions):
+    node = fresh_node()
     node.enable_serving()
     try:
         node.ingest_new_patch(new_patch("ONCE_SERVED"))
@@ -131,8 +139,8 @@ def test_one_extraction_per_ingest_with_serving(seed, extractions):
     assert extractions == ["ONCE_SERVED"]
 
 
-def test_one_extraction_per_journaled_ingest(seed, extractions, tmp_path):
-    node = fresh_node(seed)
+def test_one_extraction_per_journaled_ingest(fresh_node, extractions, tmp_path):
+    node = fresh_node()
     durable = DurableEarthQube(node, DurabilityConfig(directory=str(tmp_path)))
     try:
         records = durable.wal.record_count
@@ -143,10 +151,10 @@ def test_one_extraction_per_journaled_ingest(seed, extractions, tmp_path):
     assert extractions == ["ONCE_DURABLE"]
 
 
-def test_recovery_extracts_each_replayed_ingest_once(seed, extractions,
+def test_recovery_extracts_each_replayed_ingest_once(fresh_node, extractions,
                                                      tmp_path):
     names = [f"ONCE_REPLAY_{i}" for i in range(3)]
-    first = fresh_node(seed)
+    first = fresh_node()
     durable = DurableEarthQube(first, DurabilityConfig(directory=str(tmp_path)))
     try:
         for i, name in enumerate(names):
@@ -155,7 +163,7 @@ def test_recovery_extracts_each_replayed_ingest_once(seed, extractions,
         durable.close()
     extractions.clear()
 
-    second = fresh_node(seed)
+    second = fresh_node()
     recovered = DurableEarthQube(second, DurabilityConfig(
         directory=str(tmp_path), verify_on_load=False))
     try:
@@ -169,8 +177,8 @@ def test_recovery_extracts_each_replayed_ingest_once(seed, extractions,
 
 
 @pytest.mark.parametrize("auto_label", [True, False])
-def test_ingest_matches_the_two_extraction_twin(seed, auto_label):
-    node, twin = fresh_node(seed), fresh_node(seed)
+def test_ingest_matches_the_two_extraction_twin(fresh_node, auto_label):
+    node, twin = fresh_node(), fresh_node()
     patch = new_patch("ONCE_TWIN")
     summary = node.ingest_new_patch(patch, auto_label_if_missing=auto_label)
 
@@ -191,12 +199,10 @@ def test_ingest_matches_the_two_extraction_twin(seed, auto_label):
     assert node.db["metadata"].get("ONCE_TWIN") == \
         twin.db["metadata"].get("ONCE_TWIN")
     np.testing.assert_array_equal(node.cbir.code_of("ONCE_TWIN"), code)
-    np.testing.assert_array_equal(node.features[-1], features)
-    assert len(node.features) == len(node.archive)
 
 
-def test_auto_label_with_features_extracts_nothing(seed, extractions):
-    node = fresh_node(seed)
+def test_auto_label_with_features_extracts_nothing(seed, fresh_node, extractions):
+    node = fresh_node()
     patch = new_patch("ONCE_VOTE")
     features = seed.extractor.extract(patch)
     extractions.clear()
@@ -205,9 +211,9 @@ def test_auto_label_with_features_extracts_nothing(seed, extractions):
 
 
 @pytest.mark.parametrize("name, k", [("ONCE_BAD_K", 0), (None, 10)])
-def test_rejected_ingest_extracts_and_writes_nothing(seed, extractions,
+def test_rejected_ingest_extracts_and_writes_nothing(fresh_node, extractions,
                                                      name, k):
-    node = fresh_node(seed)
+    node = fresh_node()
     name = name or node.archive.names[0]
     documents = len(node.db["metadata"])
     with pytest.raises(ValidationError):
@@ -216,22 +222,49 @@ def test_rejected_ingest_extracts_and_writes_nothing(seed, extractions,
     assert len(node.db["metadata"]) == documents
 
 
-def test_feature_rows_follow_ingest_and_delete(seed):
-    node = fresh_node(seed)
-    original = seed.features.copy()
-    expected = original
-    views = []
+def test_codes_follow_ingest_and_delete(seed, fresh_node):
+    node = fresh_node()
     for i in range(3):
-        patch = new_patch(f"ONCE_ROWS_{i}", 4242 + i)
-        node.ingest_new_patch(patch, auto_label_if_missing=False)
-        expected = np.vstack([expected, seed.extractor.extract(patch)])
-        views.append(node.features)
-    # Past the first growth an ingest writes into spare capacity: no copy.
-    assert np.shares_memory(views[1], views[2])
+        node.ingest_new_patch(new_patch(f"ONCE_ROWS_{i}", 4242 + i),
+                              auto_label_if_missing=False)
     for name in (node.archive.names[5], "ONCE_ROWS_1"):
-        expected = np.delete(expected, node.archive.index_of(name), axis=0)
         node.delete_image(name)
-    np.testing.assert_array_equal(node.features, expected)
-    assert node.features.shape == (len(node.archive), expected.shape[1])
-    # The node owns its buffer: the matrix it was built from is untouched.
-    np.testing.assert_array_equal(seed.features, original)
+    names = list(node.archive.names)
+    assert len(names) == CONFIG.archive.num_patches + 1
+    assert sorted(node.cbir.indexed_items()[0]) == sorted(names)
+    assert sorted(doc["name"] for doc in node.db["metadata"].find({})) == \
+        sorted(names)
+    expected = seed.hasher.hash_packed(
+        seed.extractor.extract_many(node.archive.patches))
+    for name, code in zip(names, expected):
+        np.testing.assert_array_equal(node.cbir.code_of(name), code)
+
+
+def test_update_image_rehashes_only_that_image(seed, fresh_node):
+    node = fresh_node()
+    target, other = node.archive.names[2], node.archive.names[7]
+    untouched = {name: node.cbir.code_of(name).copy()
+                 for name in node.archive.names if name != target}
+    document = node.db["metadata"].get(target)
+    features = seed.extractor.extract(node.archive.get(other))
+    node.update_image(target, features)
+    np.testing.assert_array_equal(node.cbir.code_of(target),
+                                  node.cbir.code_of(other))
+    for name, code in untouched.items():
+        np.testing.assert_array_equal(node.cbir.code_of(name), code)
+    assert node.db["metadata"].get(target) == document
+    assert target in node.archive
+
+
+def test_an_ingested_image_downloads_until_deleted(fresh_node):
+    node = fresh_node()
+    patch = new_patch("ONCE_DOWNLOAD")
+    node.ingest_new_patch(patch, auto_label_if_missing=False)
+    payload = node.download([patch.name])
+    assert payload.startswith(b"PK")
+    with zipfile.ZipFile(io.BytesIO(payload)) as zf:
+        with zf.open(f"{patch.name}/VV.npy") as handle:
+            np.testing.assert_array_equal(np.load(handle), patch.s1_bands["VV"])
+    node.delete_image(patch.name)
+    with pytest.raises(UnknownPatchError):
+        node.download([patch.name])

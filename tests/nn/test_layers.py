@@ -1,9 +1,9 @@
-"""Tests for layers, modules, optimizers, init, and serialization."""
+"""Tests for layers, modules, optimizers, init, and state dicts."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ModelError, ShapeError, ValidationError
+from repro.errors import ShapeError, ValidationError
 from repro.nn import (
     Adam,
     BatchNorm1d,
@@ -16,8 +16,6 @@ from repro.nn import (
     Tanh,
     Tensor,
     kaiming_uniform,
-    load_state_dict,
-    save_state_dict,
     xavier_uniform,
 )
 
@@ -229,16 +227,14 @@ class TestInit:
 
 
 class TestSerialization:
-    def test_state_dict_roundtrip(self, rng, tmp_path):
+    def test_state_dict_roundtrip(self, rng):
         model = Sequential(Linear(4, 8, rng=1), ReLU(), Linear(8, 2, rng=2))
         x = Tensor(rng.standard_normal((3, 4)))
         expected = model(x).data
-        path = tmp_path / "model.npz"
-        save_state_dict(model, path)
 
         fresh = Sequential(Linear(4, 8, rng=9), ReLU(), Linear(8, 2, rng=8))
         assert not np.allclose(fresh(x).data, expected)
-        load_state_dict(fresh, path)
+        fresh.load_state_dict(model.state_dict())
         np.testing.assert_allclose(fresh(x).data, expected)
 
     def test_state_dict_includes_batchnorm_buffers(self, rng):
@@ -262,7 +258,3 @@ class TestSerialization:
         state["weight"] = np.zeros((3, 3))
         with pytest.raises(ShapeError):
             model.load_state_dict(state)
-
-    def test_load_missing_file(self, tmp_path):
-        with pytest.raises(ModelError):
-            load_state_dict(Linear(2, 2, rng=0), tmp_path / "absent.npz")

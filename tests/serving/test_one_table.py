@@ -76,7 +76,7 @@ def test_every_write_leaves_one_copy(mini_system):
         assert_one_copy(system)
     assert system.cbir.dead_rows == 3
     system.update_image("ONE_TABLE_A",
-                        np.asarray(system.features[0], dtype=np.float64))
+                        system.extractor.extract(system.archive.patches[0]))
     assert system.cbir.dead_rows == 4
     assert_one_copy(system)
     system.compact_index()
@@ -192,7 +192,7 @@ def durable_twin(system: EarthQube, directory) -> EarthQube:
     cbir = CBIRService(system.hasher, system.extractor, config.index)
     cbir.build(archive.names, features)
     twin = EarthQube(config, archive, db, system.codec, system.extractor,
-                     system.hasher, cbir, features)
+                     system.hasher, cbir)
     twin.enable_serving()
     return twin
 
@@ -208,7 +208,7 @@ def test_recovery_comes_back_with_one_copy(mini_system, tmp_path, checkpoint):
         if checkpoint:
             durable.checkpoint()      # restored from the mmapped sidecar
         first.update_image(first.archive.names[8],
-                           np.asarray(first.features[1], dtype=np.float64))
+                           first.extractor.extract(first.archive.patches[1]))
         assert_one_copy(first)
         names = first.cbir.indexed_items()[0]
         before = [first.similar_images(name, k=6).results

@@ -87,8 +87,7 @@ def fresh_system(artifacts, directory=None, *, serving=False, verify=False):
     cbir = CBIRService(artifacts["hasher"], artifacts["extractor"], cfg.index)
     cbir.build(archive.names, artifacts["features"])
     system = EarthQube(cfg, archive, db, artifacts["codec"],
-                       artifacts["extractor"], artifacts["hasher"], cbir,
-                       artifacts["features"].copy())
+                       artifacts["extractor"], artifacts["hasher"], cbir)
     if serving:
         system.enable_serving()
     return system
@@ -102,8 +101,7 @@ def spare_node(artifacts):
     cbir = CBIRService(artifacts["hasher"], artifacts["extractor"], CFG.index)
     cbir.build(archive.names, artifacts["spare_features"])
     return EarthQube(CFG, archive, db, artifacts["codec"],
-                     artifacts["extractor"], artifacts["hasher"], cbir,
-                     artifacts["spare_features"].copy())
+                     artifacts["extractor"], artifacts["hasher"], cbir)
 
 
 # --------------------------------------------------------------------- #

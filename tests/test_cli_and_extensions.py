@@ -1,5 +1,5 @@
-"""Tests for the CLI, store checkpoints, evaluator, refinement, spectral
-hashing, and archive summary."""
+"""Tests for the CLI, store checkpoints, evaluator, spectral hashing, and
+archive summary."""
 
 import io as iolib
 
@@ -9,7 +9,6 @@ import pytest
 from repro.baselines.spectral import SpectralHashing
 from repro.bigearthnet.summary import summarize_archive
 from repro.cli import main
-from repro.earthqube.refinement import RelevanceFeedbackSession, RocchioWeights
 from repro.errors import DurabilityError, NotFittedError, ValidationError
 from repro.metrics.evaluation import EvaluationReport, RetrievalEvaluator
 from repro.store import Database, SnapshotManager
@@ -200,41 +199,6 @@ class TestSpectralHashing:
     def test_validation(self):
         with pytest.raises(ValidationError):
             SpectralHashing(12)
-
-
-class TestRelevanceFeedback:
-    def test_refinement_improves_or_holds_precision(self, system):
-        """Marking label-sharing results as relevant should not hurt."""
-        from repro.core.similarity import shares_label_matrix
-        labels = system.archive.label_matrix()
-        similar = shares_label_matrix(labels)
-        q = 3
-        session = RelevanceFeedbackSession.from_archive_image(
-            system.cbir, system.features, q)
-        first = session.search(k=10)
-        rows = [system.archive.index_of(n) for n in first.names if n in system.archive._by_name]
-        relevant = [n for n, r in zip(first.names, rows) if similar[q, r]]
-        irrelevant = [n for n, r in zip(first.names, rows) if not similar[q, r]]
-        if not relevant:
-            pytest.skip("no relevant results to feed back")
-        refined = session.refine(relevant, irrelevant, k=10)
-        rows2 = [system.archive.index_of(n) for n in refined.names]
-        precision_before = np.mean([similar[q, r] for r in rows]) if rows else 0
-        precision_after = np.mean([similar[q, r] for r in rows2]) if rows2 else 0
-        assert session.rounds == 1
-        assert precision_after >= precision_before - 0.21  # no collapse
-
-    def test_refine_requires_marks(self, system):
-        session = RelevanceFeedbackSession.from_archive_image(
-            system.cbir, system.features, 0)
-        with pytest.raises(ValidationError):
-            session.refine([], [])
-
-    def test_weights_validation(self):
-        with pytest.raises(ValidationError):
-            RocchioWeights(alpha=-1.0)
-        with pytest.raises(ValidationError):
-            RocchioWeights(alpha=0.0, beta=0.0)
 
 
 class TestArchiveSummary:

@@ -1,4 +1,4 @@
-"""Tests for utils (rng, validation, timing) and config validation."""
+"""Tests for utils (rng, timing) and config validation."""
 
 import numpy as np
 import pytest
@@ -14,11 +14,6 @@ from repro.errors import ValidationError
 from repro.utils import (
     Stopwatch,
     as_rng,
-    check_fraction,
-    check_in_range,
-    check_non_empty,
-    check_positive,
-    check_type,
     format_seconds,
     spawn_rng,
 )
@@ -49,39 +44,6 @@ class TestRng:
     def test_spawn_negative(self):
         with pytest.raises(ValidationError):
             spawn_rng(as_rng(0), -1)
-
-
-class TestValidationHelpers:
-    def test_check_positive(self):
-        check_positive("x", 1)
-        with pytest.raises(ValidationError):
-            check_positive("x", 0)
-
-    def test_check_fraction(self):
-        check_fraction("f", 0.5)
-        check_fraction("f", 0.0)
-        with pytest.raises(ValidationError):
-            check_fraction("f", 1.5)
-        with pytest.raises(ValidationError):
-            check_fraction("f", 0.0, inclusive=False)
-
-    def test_check_in_range(self):
-        check_in_range("r", 5, 0, 10)
-        with pytest.raises(ValidationError):
-            check_in_range("r", 11, 0, 10)
-
-    def test_check_non_empty(self):
-        check_non_empty("l", [1])
-        with pytest.raises(ValidationError):
-            check_non_empty("l", [])
-        with pytest.raises(ValidationError):
-            check_non_empty("l", iter([1]))  # not sized
-
-    def test_check_type(self):
-        check_type("t", 5, int)
-        check_type("t", 5, (int, float))
-        with pytest.raises(ValidationError):
-            check_type("t", "5", int)
 
 
 class TestStopwatch:
