@@ -1,10 +1,10 @@
 """repro: reproduction of "Satellite Image Search in AgoraEO" (VLDB 2022).
 
-The package implements the paper's full stack (see DESIGN.md):
+The package implements the paper's full stack:
 
 * a synthetic BigEarthNet archive (:mod:`repro.bigearthnet`),
-* MiLaN metric-learning deep hashing (:mod:`repro.core`) on a from-scratch
-  numpy autograd engine (:mod:`repro.nn`),
+* MiLaN metric-learning deep hashing (:mod:`repro.core`), trained on
+  closed-form numpy gradients,
 * Hamming-space retrieval indexes (:mod:`repro.index`) plus classic hashing
   baselines (:mod:`repro.baselines`),
 * a MongoDB-style document store with a columnar query planner and a

@@ -87,7 +87,6 @@ class MiLaNConfig:
     weight_bit_balance: float = 0.1
     weight_independence: float = 0.05
     weight_quantization: float = 0.01
-    dropout: float = 0.0
 
     def __post_init__(self) -> None:
         _require(self.num_bits > 0 and self.num_bits % 8 == 0,
@@ -97,7 +96,6 @@ class MiLaNConfig:
         for name in ("weight_triplet", "weight_bit_balance",
                      "weight_independence", "weight_quantization"):
             _require(getattr(self, name) >= 0.0, f"{name} must be non-negative")
-        _require(0.0 <= self.dropout < 1.0, f"dropout must be in [0, 1), got {self.dropout}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 64
     learning_rate: float = 1e-3
-    weight_decay: float = 0.0
     triplets_per_epoch: int = 2048
     seed: int = 13
     log_every: int = 0
@@ -117,7 +114,6 @@ class TrainConfig:
         _require(self.epochs > 0, "epochs must be positive")
         _require(self.batch_size > 0, "batch_size must be positive")
         _require(self.learning_rate > 0.0, "learning_rate must be positive")
-        _require(self.weight_decay >= 0.0, "weight_decay must be non-negative")
         _require(self.triplets_per_epoch >= self.batch_size,
                  "triplets_per_epoch must be at least batch_size")
         _require(self.early_stop_patience >= 0, "early_stop_patience must be >= 0")

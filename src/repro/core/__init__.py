@@ -3,12 +3,14 @@
 "MiLaN is a deep hashing network based on metric learning that encodes
 high-dimensional image features into compact binary hash codes" trained with
 three losses — triplet, bit balance, quantization (paper, Sections 1 and
-2.2).  This package implements that pipeline on the numpy autograd engine:
+2.2).  This package implements that pipeline in numpy, with the network's
+and the losses' gradients written out in closed form:
 
 * :mod:`repro.core.similarity` — label-derived similarity ground truth
   (patches sharing CLC labels are "similar"),
-* :mod:`repro.core.losses` — the three training losses,
-* :mod:`repro.core.model` — the hashing MLP with a tanh code layer,
+* :mod:`repro.core.losses` — the training losses and their gradients,
+* :mod:`repro.core.model` — the hashing MLP with a tanh code layer and
+  its backward pass,
 * :mod:`repro.core.sampler` — random and semi-hard triplet mining,
 * :mod:`repro.core.trainer` — the optimization loop,
 * :mod:`repro.core.binarize` — sign binarization of network outputs,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import MiLaNConfig, TrainConfig
-from ..errors import NotFittedError, ValidationError
+from ..errors import NotFittedError, ShapeError, ValidationError
 from ..features.normalization import Standardizer
 from ..index.codes import pack_bits
 from .binarize import binarize_continuous
@@ -52,6 +52,8 @@ class MiLaNHasher:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise ValidationError(f"features must be (N, F), got shape {features.shape}")
+        if not np.isfinite(features).all():
+            raise ValidationError("features must be finite")
         standardized = self.standardizer.fit_transform(features)
         trainer = MiLaNTrainer(self.milan_config, self.train_config)
         self.network, self.history = trainer.train(standardized, label_matrix)
@@ -63,8 +65,15 @@ class MiLaNHasher:
         return self.network
 
     def hash_continuous(self, features: np.ndarray) -> np.ndarray:
-        """Continuous codes in ``(-1, 1)`` (pre-binarization)."""
+        """Continuous codes in ``(-1, 1)`` (pre-binarization).
+
+        Every code is made here, so this is where non-finite features are
+        refused: a NaN would otherwise hash to an arbitrary code.
+        """
         network = self._require_network()
+        features = np.asarray(features, dtype=np.float64)
+        if not np.isfinite(features).all():
+            raise ValidationError("features must be finite")
         standardized = self.standardizer.transform(features)
         return network.encode(standardized)
 
@@ -84,13 +93,32 @@ class MiLaNHasher:
         state["standardizer.scale"] = np.asarray(self.standardizer.scale_)
         return state
 
-    def load_state_dict(self, state: dict[str, np.ndarray], feature_dim: int) -> "MiLaNHasher":
-        """Restore a fitted hasher (inverse of :meth:`state_dict`)."""
-        if "standardizer.mean" not in state or "standardizer.scale" not in state:
-            raise ValidationError("state dict is missing standardizer statistics")
-        self.standardizer.mean_ = np.asarray(state["standardizer.mean"], dtype=np.float64)
-        self.standardizer.scale_ = np.asarray(state["standardizer.scale"], dtype=np.float64)
-        self.network = MiLaNNetwork(feature_dim, self.milan_config)
-        self.network.load_state_dict(state, prefix="network.")
-        self.network.eval()
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> "MiLaNHasher":
+        """Restore a fitted hasher (inverse of :meth:`state_dict`).
+
+        The feature width is read from the first layer's weight.  A missing
+        key, an array of the wrong shape, a non-finite value or a
+        non-positive standardizer scale is refused before anything is
+        replaced.
+        """
+        keys = ("network.net.0.weight", "standardizer.mean", "standardizer.scale")
+        missing = [key for key in keys if key not in state]
+        if missing:
+            raise ValidationError(f"state dict is missing {missing}")
+        first_weight = np.shape(state["network.net.0.weight"])
+        if len(first_weight) != 2:
+            raise ShapeError(f"'network.net.0.weight' has shape {first_weight}, expected 2-D")
+        feature_dim = first_weight[0]
+        network = MiLaNNetwork(feature_dim, self.milan_config)
+        network.load_state_dict(state, prefix="network.")
+        mean, scale = (np.array(state[key], dtype=np.float64) for key in keys[1:])
+        for key, value in zip(keys[1:], (mean, scale)):
+            if value.shape != (feature_dim,):
+                raise ShapeError(f"{key!r} has shape {value.shape}, expected ({feature_dim},)")
+            if not np.isfinite(value).all():
+                raise ValidationError(f"{key!r} is not finite")
+        if not (scale > 0).all():
+            raise ValidationError("'standardizer.scale' must be positive")
+        self.standardizer.mean_, self.standardizer.scale_ = mean, scale
+        self.network = network
         return self

@@ -2,9 +2,9 @@
 
 Per epoch: mine triplets (random or semi-hard), run minibatches through the
 network (anchors, positives, and negatives share one forward pass for
-efficiency), apply the weighted three-part loss, and step Adam.  Tracks a
-:class:`TrainingHistory` of per-epoch loss components with optional early
-stopping on the total.
+efficiency), apply the weighted loss, back-propagate its closed-form
+gradient, and step Adam.  Tracks a :class:`TrainingHistory` of per-epoch
+loss components with optional early stopping on the total.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import numpy as np
 
 from ..config import MiLaNConfig, TrainConfig
 from ..errors import ShapeError, TrainingError, ValidationError
-from ..nn.optim import Adam
-from ..nn.tensor import Tensor
 from ..utils.rng import as_rng
 from .losses import milan_loss
 from .model import MiLaNNetwork
@@ -71,8 +69,13 @@ class MiLaNTrainer:
         rng = as_rng(cfg.seed)
         network = network or MiLaNNetwork(features.shape[1], self.milan_config, rng=rng)
         sampler = TripletSampler(labels, rng=rng)
-        optimizer = Adam(network.parameters(), lr=cfg.learning_rate,
-                         weight_decay=cfg.weight_decay)
+        # Adam (Kingma & Ba, 2015) with bias correction, updating the
+        # network's weight and bias arrays in place.
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        params = [param for layer in network.layers for param in layer]
+        first = [np.zeros_like(param) for param in params]
+        second = [np.zeros_like(param) for param in params]
+        steps = 0
         history = TrainingHistory()
         best_total = np.inf
         stall = 0
@@ -87,7 +90,6 @@ class MiLaNTrainer:
 
             epoch_sums: dict[str, float] = {}
             batches = 0
-            network.train()
             for start in range(0, len(anchors), cfg.batch_size):
                 stop = start + cfg.batch_size
                 idx_a = anchors[start:stop]
@@ -96,13 +98,17 @@ class MiLaNTrainer:
                 if len(idx_a) < 2:
                     continue  # losses need at least 2 rows for batch statistics
                 batch = np.concatenate([features[idx_a], features[idx_p], features[idx_n]])
-                out = network(Tensor(batch))
-                b = len(idx_a)
-                code_a, code_p, code_n = out[:b], out[b:2 * b], out[2 * b:]
-                total, breakdown = milan_loss(code_a, code_p, code_n, self.milan_config)
-                optimizer.zero_grad()
-                total.backward()
-                optimizer.step()
+                activations = network.forward(batch)
+                breakdown, grad_codes = milan_loss(activations[-1], self.milan_config)
+                steps += 1
+                bias1, bias2 = 1.0 - beta1 ** steps, 1.0 - beta2 ** steps
+                grads = [g for pair in network.backward(activations, grad_codes) for g in pair]
+                for param, grad, m, v in zip(params, grads, first, second):
+                    m *= beta1
+                    m += (1.0 - beta1) * grad
+                    v *= beta2
+                    v += (1.0 - beta2) * grad ** 2
+                    param -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + eps)
                 for name, value in breakdown.items():
                     epoch_sums[name] = epoch_sums.get(name, 0.0) + value
                 batches += 1
@@ -124,5 +130,4 @@ class MiLaNTrainer:
                     stall += 1
                     if stall >= cfg.early_stop_patience:
                         break
-        network.eval()
         return network, history

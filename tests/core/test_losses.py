@@ -17,7 +17,6 @@ from repro.core import (
 )
 from repro.core.binarize import bit_activation_rates, bit_entropy, quantization_error
 from repro.errors import ShapeError
-from repro.nn import Tensor
 
 
 class TestSimilarity:
@@ -54,126 +53,123 @@ class TestSimilarity:
 
 class TestTripletLoss:
     def test_zero_when_margin_satisfied(self):
-        anchors = Tensor(np.zeros((4, 8)))
-        positives = Tensor(np.zeros((4, 8)))
-        negatives = Tensor(np.full((4, 8), 2.0))  # far away
-        loss = triplet_loss(anchors, positives, negatives, margin=1.0)
-        assert loss.item() == 0.0
+        anchors = np.zeros((4, 8))
+        positives = np.zeros((4, 8))
+        negatives = np.full((4, 8), 2.0)  # far away
+        loss, _ = triplet_loss(anchors, positives, negatives, margin=1.0)
+        assert loss == 0.0
 
     def test_positive_when_violated(self):
-        anchors = Tensor(np.zeros((4, 8)))
-        positives = Tensor(np.full((4, 8), 2.0))   # far positive
-        negatives = Tensor(np.zeros((4, 8)))       # negative at anchor
-        loss = triplet_loss(anchors, positives, negatives, margin=1.0)
-        assert loss.item() == pytest.approx(4.0 + 1.0)
+        anchors = np.zeros((4, 8))
+        positives = np.full((4, 8), 2.0)   # far positive
+        negatives = np.zeros((4, 8))       # negative at anchor
+        loss, _ = triplet_loss(anchors, positives, negatives, margin=1.0)
+        assert loss == pytest.approx(4.0 + 1.0)
 
     def test_margin_increases_loss(self):
         rng = np.random.default_rng(0)
-        a = Tensor(rng.standard_normal((8, 16)))
-        p = Tensor(rng.standard_normal((8, 16)))
-        n = Tensor(rng.standard_normal((8, 16)))
-        assert triplet_loss(a, p, n, margin=2.0).item() >= \
-               triplet_loss(a, p, n, margin=0.5).item()
+        a = rng.standard_normal((8, 16))
+        p = rng.standard_normal((8, 16))
+        n = rng.standard_normal((8, 16))
+        assert triplet_loss(a, p, n, margin=2.0)[0] >= triplet_loss(a, p, n, margin=0.5)[0]
 
     def test_gradient_flows(self):
-        a = Tensor(np.zeros((2, 4)), requires_grad=True)
-        p = Tensor(np.ones((2, 4)))
-        n = Tensor(np.zeros((2, 4)))
-        loss = triplet_loss(a, p, n, margin=1.0)
-        loss.backward()
-        assert a.grad is not None and np.abs(a.grad).sum() > 0
+        a = np.zeros((2, 4))
+        p = np.ones((2, 4))
+        n = np.zeros((2, 4))
+        _, (grad_a, _, _) = triplet_loss(a, p, n, margin=1.0)
+        assert np.abs(grad_a).sum() > 0
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            triplet_loss(np.zeros((2, 4)), np.zeros((2, 4)), np.zeros((3, 4)))
 
 
 class TestBitBalanceLoss:
     def test_zero_for_balanced_codes(self):
-        codes = Tensor(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        assert bit_balance_loss(codes).item() == pytest.approx(0.0)
+        codes = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        assert bit_balance_loss(codes)[0] == pytest.approx(0.0)
 
     def test_maximal_for_constant_codes(self):
-        codes = Tensor(np.ones((8, 4)))
-        assert bit_balance_loss(codes).item() == pytest.approx(1.0)
+        codes = np.ones((8, 4))
+        assert bit_balance_loss(codes)[0] == pytest.approx(1.0)
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
-            bit_balance_loss(Tensor(np.ones(4)))
+            bit_balance_loss(np.ones(4))
 
 
 class TestIndependenceLoss:
     def test_low_for_orthogonal_bits(self):
         # Hadamard-like balanced, decorrelated columns of +-1.
-        codes = Tensor(np.array([
-            [1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
-        assert independence_loss(codes).item() == pytest.approx(0.0)
+        codes = np.array([
+            [1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        assert independence_loss(codes)[0] == pytest.approx(0.0)
 
     def test_high_for_duplicated_bits(self):
         column = np.array([[1.0], [-1.0], [1.0], [-1.0]])
-        codes = Tensor(np.hstack([column, column]))
-        assert independence_loss(codes).item() > 0.2
+        codes = np.hstack([column, column])
+        assert independence_loss(codes)[0] > 0.2
 
 
 class TestQuantizationLoss:
     def test_zero_at_plus_minus_one(self):
-        codes = Tensor(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        assert quantization_loss(codes).item() == pytest.approx(0.0)
+        codes = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        assert quantization_loss(codes)[0] == pytest.approx(0.0)
 
     def test_maximal_at_zero(self):
-        codes = Tensor(np.zeros((4, 8)))
-        assert quantization_loss(codes).item() == pytest.approx(1.0)
+        codes = np.zeros((4, 8))
+        assert quantization_loss(codes)[0] == pytest.approx(1.0)
 
     def test_symmetric_in_sign(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(-1, 1, size=(6, 8))
-        assert quantization_loss(Tensor(x)).item() == \
-               pytest.approx(quantization_loss(Tensor(-x)).item())
+        assert quantization_loss(x)[0] == pytest.approx(quantization_loss(-x)[0])
 
 
 class TestCombinedLoss:
-    def _batch(self, seed=0):
-        rng = np.random.default_rng(seed)
-
-        def make():
-            return Tensor(rng.uniform(-1, 1, size=(6, 16)), requires_grad=True)
-
-        return make(), make(), make()
+    def _codes(self, seed=0):
+        """Anchors, positives and negatives stacked as one (3B, K) array."""
+        return np.random.default_rng(seed).uniform(-1, 1, size=(3 * 6, 16))
 
     def test_breakdown_contains_all_terms(self):
-        a, p, n = self._batch()
-        total, breakdown = milan_loss(a, p, n, MiLaNConfig(num_bits=16))
+        breakdown, _ = milan_loss(self._codes(), MiLaNConfig(num_bits=16))
         assert {"triplet", "bit_balance", "independence", "quantization",
                 "total"} <= set(breakdown)
-        assert total.item() == pytest.approx(breakdown["total"])
 
     def test_zero_weights_skip_terms(self):
-        a, p, n = self._batch()
         config = MiLaNConfig(num_bits=16, weight_bit_balance=0.0,
                              weight_independence=0.0, weight_quantization=0.0)
-        total, breakdown = milan_loss(a, p, n, config)
+        breakdown, _ = milan_loss(self._codes(), config)
         assert set(breakdown) == {"triplet", "total"}
 
     def test_all_zero_weights_yield_zero(self):
-        a, p, n = self._batch()
         config = MiLaNConfig(num_bits=16, weight_triplet=0.0,
                              weight_bit_balance=0.0, weight_independence=0.0,
                              weight_quantization=0.0)
-        total, _ = milan_loss(a, p, n, config)
-        assert total.item() == 0.0
+        breakdown, grad = milan_loss(self._codes(), config)
+        assert breakdown["total"] == 0.0
+        assert not grad.any()
 
     def test_total_is_weighted_sum(self):
-        a, p, n = self._batch()
         config = MiLaNConfig(num_bits=16, weight_triplet=2.0,
                              weight_bit_balance=0.5, weight_independence=0.25,
                              weight_quantization=0.1)
-        total, parts = milan_loss(a, p, n, config)
+        parts, _ = milan_loss(self._codes(), config)
         expected = (2.0 * parts["triplet"] + 0.5 * parts["bit_balance"]
                     + 0.25 * parts["independence"] + 0.1 * parts["quantization"])
-        assert total.item() == pytest.approx(expected)
+        assert parts["total"] == pytest.approx(expected)
 
     def test_gradient_reaches_all_inputs(self):
-        a, p, n = self._batch()
-        total, _ = milan_loss(a, p, n, MiLaNConfig(num_bits=16))
-        total.backward()
-        for t in (a, p, n):
-            assert t.grad is not None
+        codes = self._codes()
+        _, grad = milan_loss(codes, MiLaNConfig(num_bits=16))
+        assert grad.shape == codes.shape
+        for third in np.split(grad, 3):
+            assert np.abs(third).sum() > 0
+
+    def test_rows_must_stack_three_batches(self):
+        with pytest.raises(ShapeError):
+            milan_loss(np.zeros((7, 16)), MiLaNConfig(num_bits=16))
 
 
 class TestBinarize:
@@ -207,7 +203,7 @@ class TestBinarize:
 @given(seed=st.integers(min_value=0, max_value=9999))
 def test_property_losses_nonnegative(seed):
     rng = np.random.default_rng(seed)
-    codes = Tensor(rng.uniform(-2, 2, size=(5, 8)))
-    assert bit_balance_loss(codes).item() >= 0
-    assert independence_loss(codes).item() >= 0
-    assert quantization_loss(codes).item() >= 0
+    codes = rng.uniform(-2, 2, size=(5, 8))
+    assert bit_balance_loss(codes)[0] >= 0
+    assert independence_loss(codes)[0] >= 0
+    assert quantization_loss(codes)[0] >= 0

@@ -4,13 +4,16 @@ Training-quality assertions use the session-scoped archive/features so the
 expensive parts run once.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.config import MiLaNConfig, TrainConfig
 from repro.core import MiLaNHasher, MiLaNNetwork, MiLaNTrainer, TripletSampler
 from repro.core.similarity import shares_label_matrix
-from repro.errors import NotFittedError, TrainingError, ValidationError
+from repro.errors import NotFittedError, ShapeError, TrainingError, ValidationError
 from repro.index import LinearScanIndex
 
 
@@ -74,11 +77,18 @@ class TestNetwork:
         code = net.encode(rng.standard_normal(20))
         assert code.shape == (16,)
 
-    def test_encode_restores_training_mode(self, rng):
-        net = MiLaNNetwork(20, MiLaNConfig(num_bits=16, dropout=0.2), rng=rng)
-        net.train()
-        net.encode(rng.standard_normal((2, 20)))
-        assert net.training
+    def test_wrong_input_width(self, rng):
+        net = MiLaNNetwork(20, MiLaNConfig(num_bits=16, hidden_sizes=(32,)), rng=rng)
+        with pytest.raises(ShapeError):
+            net.encode(rng.standard_normal((3, 21)))
+
+    def test_state_dict_keys(self):
+        net = MiLaNNetwork(10, SMALL_MILAN, rng=0)
+        state = net.state_dict()
+        assert list(state) == ["net.0.weight", "net.0.bias", "net.2.weight",
+                               "net.2.bias", "net.4.weight", "net.4.bias"]
+        assert [state[k].shape for k in state] == [
+            (10, 64), (64,), (64, 32), (32,), (32, 32), (32,)]
 
     def test_invalid_feature_dim(self):
         with pytest.raises(ValidationError):
@@ -160,11 +170,91 @@ class TestHasher:
     def test_state_dict_roundtrip(self, trained_hasher, features):
         state = trained_hasher.state_dict()
         fresh = MiLaNHasher(SMALL_MILAN, SMALL_TRAIN)
-        fresh.load_state_dict(state, feature_dim=features.shape[1])
+        fresh.load_state_dict(state)
         np.testing.assert_array_equal(
             fresh.hash_packed(features[:20]), trained_hasher.hash_packed(features[:20]))
 
     def test_load_state_dict_validation(self, features):
         fresh = MiLaNHasher(SMALL_MILAN, SMALL_TRAIN)
         with pytest.raises(ValidationError):
-            fresh.load_state_dict({}, feature_dim=features.shape[1])
+            fresh.load_state_dict({})
+
+    def test_hasher_state_dict_keys(self, trained_hasher):
+        assert list(trained_hasher.state_dict()) == [
+            "network.net.0.weight", "network.net.0.bias",
+            "network.net.2.weight", "network.net.2.bias",
+            "network.net.4.weight", "network.net.4.bias",
+            "standardizer.mean", "standardizer.scale"]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_refused(self, trained_hasher, features, value):
+        bad = features[:3].copy()
+        bad[1, 4] = value
+        for hash_fn in (trained_hasher.hash_continuous, trained_hasher.hash_bits,
+                        trained_hasher.hash_packed):
+            with pytest.raises(ValidationError):
+                hash_fn(bad)
+        with pytest.raises(ValidationError):
+            trained_hasher.hash_bits(np.full(features.shape[1], value))
+
+    def test_fit_refuses_non_finite_features(self, features, label_matrix):
+        """A NaN training row would turn every weight NaN and every code 0."""
+        bad = features.copy()
+        bad[3, 2] = np.nan
+        with pytest.raises(ValidationError):
+            MiLaNHasher(SMALL_MILAN, SMALL_TRAIN).fit(bad, label_matrix)
+
+    @pytest.mark.parametrize("key", ["network.net.0.weight", "network.net.2.bias",
+                                     "network.net.4.weight", "standardizer.scale"])
+    def test_load_refuses_missing_key(self, trained_hasher, key):
+        state = trained_hasher.state_dict()
+        del state[key]
+        with pytest.raises(ValidationError):
+            MiLaNHasher(SMALL_MILAN, SMALL_TRAIN).load_state_dict(state)
+
+    @pytest.mark.parametrize("key", ["network.net.2.weight", "network.net.4.bias",
+                                     "standardizer.mean", "standardizer.scale"])
+    def test_load_refuses_wrong_shape(self, trained_hasher, key):
+        state = trained_hasher.state_dict()
+        state[key] = state[key][:-1]
+        with pytest.raises(ShapeError):
+            MiLaNHasher(SMALL_MILAN, SMALL_TRAIN).load_state_dict(state)
+
+    @pytest.mark.parametrize("key", ["network.net.0.weight", "network.net.4.bias",
+                                     "standardizer.mean", "standardizer.scale"])
+    def test_load_refuses_non_finite(self, trained_hasher, key):
+        state = trained_hasher.state_dict()
+        state[key] = state[key].copy()
+        state[key].flat[0] = np.nan
+        with pytest.raises(ValidationError):
+            MiLaNHasher(SMALL_MILAN, SMALL_TRAIN).load_state_dict(state)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_load_refuses_non_positive_scale(self, trained_hasher, scale):
+        state = trained_hasher.state_dict()
+        state["standardizer.scale"] = state["standardizer.scale"].copy()
+        state["standardizer.scale"][0] = scale
+        with pytest.raises(ValidationError):
+            MiLaNHasher(SMALL_MILAN, SMALL_TRAIN).load_state_dict(state)
+
+
+ORACLE = json.loads((Path(__file__).parent / "milan_oracle.json").read_text())
+
+
+@pytest.mark.parametrize("run", ORACLE["runs"],
+                         ids=lambda run: f"seed{run['seed']}-{run['losses']}")
+def test_matches_recorded_oracle(run, features, label_matrix):
+    """Training is pinned to a recording made with the reverse-mode autograd
+    trainer the closed-form gradients replaced: ``SMALL_MILAN`` on the
+    ``features`` fixture, three seeds, the full loss, each E10 ablation and
+    all-zero weights.  Losses match to 1e-9 relative, codes byte for byte."""
+    milan = MiLaNConfig(num_bits=ORACLE["milan"]["num_bits"],
+                        hidden_sizes=tuple(ORACLE["milan"]["hidden_sizes"]),
+                        **run["weights"])
+    train = TrainConfig(seed=run["seed"], **ORACLE["train"])
+    hasher = MiLaNHasher(milan, train).fit(features, label_matrix)
+    assert hasher.history.components.keys() == run["history"].keys()
+    for name, losses in run["history"].items():
+        np.testing.assert_allclose(hasher.history.components[name], losses,
+                                   rtol=1e-9, atol=0.0)
+    assert hasher.hash_packed(features).tobytes().hex() == run["codes"]

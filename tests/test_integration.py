@@ -40,7 +40,7 @@ class TestHasherPortability:
             restored_state = {k: archive_file[k] for k in archive_file.files}
         fresh = MiLaNHasher(system.hasher.milan_config, system.hasher.train_config)
         features = system.extractor.extract_many(system.archive.patches[:25])
-        fresh.load_state_dict(restored_state, feature_dim=features.shape[1])
+        fresh.load_state_dict(restored_state)
         np.testing.assert_array_equal(
             fresh.hash_packed(features), system.hasher.hash_packed(features))
 

@@ -95,8 +95,6 @@ class TestConfigs:
             MiLaNConfig(triplet_margin=0.0)
         with pytest.raises(ValidationError):
             MiLaNConfig(weight_triplet=-1.0)
-        with pytest.raises(ValidationError):
-            MiLaNConfig(dropout=1.0)
 
     def test_train_config_validation(self):
         with pytest.raises(ValidationError):
