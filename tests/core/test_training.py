@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from repro.config import MiLaNConfig, TrainConfig
-from repro.core import MiLaNHasher, MiLaNNetwork, MiLaNTrainer, TripletSampler
+from repro.core import MiLaNHasher, MiLaNNetwork, MiLaNTrainer, TripletSampler, milan_loss
 from repro.core.similarity import shares_label_matrix
 from repro.errors import NotFittedError, ShapeError, TrainingError, ValidationError
 from repro.index import LinearScanIndex
+from repro.utils.rng import as_rng, spawn_rng
 
 
 SMALL_MILAN = MiLaNConfig(num_bits=32, hidden_sizes=(64, 32))
@@ -98,6 +99,128 @@ class TestNetwork:
         net = MiLaNNetwork(10, MiLaNConfig(num_bits=24, hidden_sizes=(8,)))
         assert net.num_bits == 24
 
+    @pytest.mark.parametrize("hidden_sizes", [(), (16,), (16, 8)])
+    def test_init_limits(self, hidden_sizes):
+        """Kaiming-uniform before each ReLU, Xavier-uniform before the tanh."""
+        net = MiLaNNetwork(20, MiLaNConfig(num_bits=8, hidden_sizes=hidden_sizes), rng=0)
+        for i, (weight, _) in enumerate(net.layers):
+            fan_in, fan_out = weight.shape
+            last = i == len(net.layers) - 1
+            limit = np.sqrt(6.0 / (fan_in + fan_out)) if last else np.sqrt(6.0 / fan_in)
+            assert np.abs(weight).max() <= limit
+            assert np.abs(weight).max() > 0.8 * limit   # the draws span the range
+
+    def test_biases_start_at_zero(self):
+        net = MiLaNNetwork(20, SMALL_MILAN, rng=0)
+        assert all((bias == 0.0).all() for _, bias in net.layers)
+
+    def test_init_draws_one_generator_per_layer(self):
+        """Layer ``i``'s weights come from the ``i``-th of ``spawn_rng(rng, layers)``,
+        so a seed gives the same starting weights whatever the layer widths after it."""
+        net = MiLaNNetwork(20, SMALL_MILAN, rng=11)
+        children = spawn_rng(as_rng(11), len(net.layers))
+        limit = np.sqrt(6.0 / 20)
+        expected = children[0].uniform(-limit, limit, size=(20, 64))
+        np.testing.assert_array_equal(net.layers[0][0], expected)
+        widened = MiLaNNetwork(20, MiLaNConfig(num_bits=32, hidden_sizes=(64, 48)), rng=11)
+        np.testing.assert_array_equal(widened.layers[0][0], expected)
+
+    def test_same_seed_same_weights(self):
+        first = MiLaNNetwork(20, SMALL_MILAN, rng=5).state_dict()
+        second = MiLaNNetwork(20, SMALL_MILAN, rng=5).state_dict()
+        assert all(np.array_equal(first[key], second[key]) for key in first)
+
+    def test_different_seeds_differ(self):
+        first = MiLaNNetwork(20, SMALL_MILAN, rng=5)
+        second = MiLaNNetwork(20, SMALL_MILAN, rng=6)
+        assert not np.array_equal(first.layers[0][0], second.layers[0][0])
+
+    @pytest.mark.parametrize("hidden_sizes", [(), (16,), (16, 8)])
+    def test_forward_activations(self, hidden_sizes, rng):
+        net = MiLaNNetwork(20, MiLaNConfig(num_bits=8, hidden_sizes=hidden_sizes), rng=rng)
+        x = rng.standard_normal((5, 20))
+        activations = net.forward(x)
+        assert len(activations) == len(hidden_sizes) + 2
+        assert activations[0] is x
+        assert [a.shape for a in activations] == [(5, w) for w in (20, *hidden_sizes, 8)]
+        for hidden in activations[1:-1]:
+            assert (hidden >= 0.0).all()             # ReLU outputs
+        assert (np.abs(activations[-1]) < 1.0).all()  # tanh codes
+
+    def test_encode_is_forward_last(self, rng):
+        net = MiLaNNetwork(20, SMALL_MILAN, rng=rng)
+        x = rng.standard_normal((4, 20))
+        np.testing.assert_array_equal(net.encode(x), net.forward(x)[-1])
+        # one row goes through a vector product, so it may differ in the last ulp
+        np.testing.assert_allclose(net.encode(x[1]), net.forward(x)[-1][1], rtol=1e-12)
+
+    def test_backward_dead_relu_passes_no_gradient(self, rng):
+        net = MiLaNNetwork(20, MiLaNConfig(num_bits=8, hidden_sizes=(16,)), rng=rng)
+        net.layers[0][1][:] = -1e6          # every hidden unit is off
+        x = rng.standard_normal((4, 20))
+        (grad_w0, grad_b0), (grad_w1, grad_b1) = net.backward(
+            net.forward(x), rng.standard_normal((4, 8)))
+        assert not grad_w0.any() and not grad_b0.any()
+        assert not grad_w1.any()            # the code layer's inputs are all 0
+        assert grad_b1.any()
+
+    def test_backward_zero_upstream_gives_zero_gradients(self, rng):
+        net = MiLaNNetwork(20, SMALL_MILAN, rng=rng)
+        x = rng.standard_normal((4, 20))
+        grads = net.backward(net.forward(x), np.zeros((4, 32)))
+        for (weight, bias), (grad_w, grad_b) in zip(net.layers, grads):
+            assert grad_w.shape == weight.shape and grad_b.shape == bias.shape
+            assert not grad_w.any() and not grad_b.any()
+
+    def test_state_dict_roundtrip(self, rng):
+        source = MiLaNNetwork(20, SMALL_MILAN, rng=1)
+        target = MiLaNNetwork(20, SMALL_MILAN, rng=2)
+        target.load_state_dict(source.state_dict())
+        x = rng.standard_normal((6, 20))
+        np.testing.assert_array_equal(target.encode(x), source.encode(x))
+
+    def test_state_dict_returns_copies(self):
+        net = MiLaNNetwork(20, SMALL_MILAN, rng=0)
+        net.state_dict()["net.0.weight"][:] = 7.0
+        assert not (net.layers[0][0] == 7.0).any()
+
+    def test_load_state_dict_copies_its_input(self):
+        net = MiLaNNetwork(20, SMALL_MILAN, rng=0)
+        state = MiLaNNetwork(20, SMALL_MILAN, rng=1).state_dict()
+        net.load_state_dict(state)
+        state["net.0.weight"][:] = 7.0
+        assert not (net.layers[0][0] == 7.0).any()
+
+    def test_state_dict_prefix(self):
+        net = MiLaNNetwork(20, SMALL_MILAN, rng=0)
+        state = net.state_dict("network.")
+        assert all(key.startswith("network.net.") for key in state)
+        other = MiLaNNetwork(20, SMALL_MILAN, rng=1)
+        other.load_state_dict(state, "network.")
+        np.testing.assert_array_equal(other.layers[2][0], net.layers[2][0])
+
+    def test_load_refuses_missing_parameter(self):
+        net = MiLaNNetwork(20, SMALL_MILAN, rng=0)
+        state = net.state_dict()
+        del state["net.4.weight"]
+        with pytest.raises(ValidationError):
+            net.load_state_dict(state)
+
+    def test_load_refuses_shape_mismatch(self):
+        net = MiLaNNetwork(20, SMALL_MILAN, rng=0)
+        state = net.state_dict()
+        state["net.2.bias"] = np.zeros(33)
+        with pytest.raises(ShapeError):
+            net.load_state_dict(state)
+
+    def test_load_refuses_non_finite(self):
+        net = MiLaNNetwork(20, SMALL_MILAN, rng=0)
+        state = net.state_dict()
+        state["net.0.bias"][3] = np.inf
+        with pytest.raises(ValidationError):
+            net.load_state_dict(state)
+        assert np.isfinite(net.layers[0][1]).all()   # nothing was loaded
+
 
 class TestTrainer:
     def test_loss_decreases(self, features, label_matrix):
@@ -123,6 +246,26 @@ class TestTrainer:
         std = (features - features.mean(0)) / (features.std(0) + 1e-9)
         _, history = trainer.train(std, label_matrix)
         assert len(history.epochs) < 50
+
+    def test_first_adam_step_moves_each_weight_by_learning_rate(self, features, label_matrix):
+        """With bias correction Adam's first step is ``lr * g / (|g| + eps)``:
+        one batch moves every weight with a non-zero gradient by ~``lr``."""
+        milan = MiLaNConfig(num_bits=8, hidden_sizes=(16,))
+        train = TrainConfig(epochs=1, triplets_per_epoch=32, batch_size=32,
+                            learning_rate=1e-3, seed=5)
+        std = (features - features.mean(0)) / (features.std(0) + 1e-9)
+        trained, _ = MiLaNTrainer(milan, train).train(std, label_matrix)
+        # The trainer's draws, replayed: the network, then the first triplets.
+        rng = as_rng(train.seed)
+        start = MiLaNNetwork(std.shape[1], milan, rng=rng)
+        anchors, positives, negatives = TripletSampler(label_matrix, rng=rng).sample(32)
+        activations = start.forward(
+            np.concatenate([std[anchors], std[positives], std[negatives]]))
+        grads = start.backward(activations, milan_loss(activations[-1], milan)[1])
+        for before, after, pair in zip(start.layers, trained.layers, grads):
+            for old, new, grad in zip(before, after, pair):
+                expected = -train.learning_rate * grad / (np.abs(grad) + 1e-8)
+                np.testing.assert_allclose(new - old, expected, rtol=1e-9, atol=1e-15)
 
     def test_input_validation(self, label_matrix):
         trainer = MiLaNTrainer(SMALL_MILAN, SMALL_TRAIN)
