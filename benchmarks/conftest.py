@@ -3,7 +3,9 @@
 Everything expensive is session-scoped and sized so the full benchmark run
 finishes in minutes on a laptop CPU while still showing the paper's claimed
 orderings.  Quality-oriented benches print their measurement tables (run
-with ``-s`` to see them).
+with ``-s`` to see them).  A change's speed is judged end to end by
+``benchmarks/e2e/`` (see its README.md); each change's paired e2e tables
+are kept under ``history/``.
 """
 
 from __future__ import annotations

@@ -163,16 +163,28 @@ class SyntheticArchive:
         except KeyError:
             raise UnknownPatchError(f"no patch named {name!r} in archive") from None
 
+    def add(self, patch: Patch) -> int:
+        """Append a patch (an online ingest); returns its dense index."""
+        if patch.name in self._by_name:
+            raise ValidationError(f"patch {patch.name!r} already in archive")
+        self.patches.append(patch)
+        self._by_name[patch.name] = patch
+        self._index_by_name[patch.name] = len(self.patches) - 1
+        return len(self.patches) - 1
+
     def remove(self, name: str) -> int:
         """Drop a patch from the archive; returns its former dense index.
 
         Later patches shift down by one, so any structure aligned with
-        dense indices must drop the same row.
+        dense indices must drop the same row.  Only those later entries
+        are renumbered.
         """
         position = self.index_of(name)
         self.patches.pop(position)
         del self._by_name[name]
-        self._index_by_name = {p.name: i for i, p in enumerate(self.patches)}
+        del self._index_by_name[name]
+        for index in range(position, len(self.patches)):
+            self._index_by_name[self.patches[index].name] = index
         return position
 
     # ------------------------------------------------------------------ #

@@ -50,9 +50,8 @@ class MiLaNTrainer:
         self.milan_config = milan_config or MiLaNConfig()
         self.train_config = train_config or TrainConfig()
 
-    def train(self, features: np.ndarray, label_matrix: np.ndarray,
-              network: "MiLaNNetwork | None" = None,
-              ) -> tuple[MiLaNNetwork, TrainingHistory]:
+    def train(self, features: np.ndarray,
+              label_matrix: np.ndarray) -> tuple[MiLaNNetwork, TrainingHistory]:
         """Run the full loop; returns the trained network and its history.
 
         ``features`` must already be standardized; ``label_matrix`` is the
@@ -67,7 +66,7 @@ class MiLaNTrainer:
                 f"features ({features.shape[0]}) and labels ({labels.shape[0]}) disagree")
         cfg = self.train_config
         rng = as_rng(cfg.seed)
-        network = network or MiLaNNetwork(features.shape[1], self.milan_config, rng=rng)
+        network = MiLaNNetwork(features.shape[1], self.milan_config, rng=rng)
         sampler = TripletSampler(labels, rng=rng)
         # Adam (Kingma & Ba, 2015) with bias correction, updating the
         # network's weight and bias arrays in place.

@@ -423,7 +423,7 @@ class DurableEarthQube:
         sample = candidates[:VERIFY_SAMPLE]
         with tracing.span("recover.verify", sample=len(sample)):
             for name in sample:
-                patch = system.archive._by_name[name]
+                patch = system.archive.get(name)
                 features = system.extractor.extract(patch)
                 code = system.hasher.hash_packed(features[None, :])[0]
                 if not np.array_equal(code, system.cbir.code_of(name)):

@@ -57,8 +57,12 @@ class EarthQube:
 
     def __init__(self, config: EarthQubeConfig, archive: SyntheticArchive,
                  db: Database, codec: LabelCharCodec, extractor: FeatureExtractor,
-                 hasher: MiLaNHasher, cbir: CBIRService) -> None:
+                 hasher: MiLaNHasher, cbir: CBIRService,
+                 *, store_images: bool = True) -> None:
         self.config = config
+        # Whether the node keeps pixel payloads (image data + renderings);
+        # an ingest writes them exactly when bootstrap did.
+        self.store_images = store_images
         self.archive = archive
         self.db = db
         self.codec = codec
@@ -94,7 +98,11 @@ class EarthQube:
     @classmethod
     def bootstrap(cls, config: "EarthQubeConfig | None" = None,
                   *, store_images: bool = True, verbose: bool = False) -> "EarthQube":
-        """Build the full system from a config (see class docstring)."""
+        """Build the full system from a config (see class docstring).
+
+        ``store_images=False`` keeps no pixel payloads (image data and
+        renderings), neither for the archive nor for later ingests.
+        """
         config = config or EarthQubeConfig()
 
         def log(message: str) -> None:
@@ -121,7 +129,8 @@ class EarthQube:
         log("hashing archive and building the Hamming index ...")
         cbir = CBIRService(hasher, extractor, config.index)
         cbir.build(archive.names, features)
-        system = cls(config, archive, db, codec, extractor, hasher, cbir)
+        system = cls(config, archive, db, codec, extractor, hasher, cbir,
+                     store_images=store_images)
         if config.serving.enabled:
             log("enabling serving tier ...")
             system.enable_serving()
@@ -395,16 +404,14 @@ class EarthQube:
             s1_bands=patch.s1_bands)
 
         self.db[METADATA].insert_one(metadata_document(stored, self.codec))
-        if RENDERED_IMAGES in self.db and len(self.db[RENDERED_IMAGES]) > 0:
-            self.db["image_data"].insert_one(image_data_document(stored))
+        if self.store_images:
+            self.db[IMAGE_DATA].insert_one(image_data_document(stored))
             self.db[RENDERED_IMAGES].insert_one(rendered_image_document(stored))
 
         self.cbir.add_code(stored.name, code)
         if self.gateway is not None:
             self.gateway.on_ingest()
-        self.archive.patches.append(stored)
-        self.archive._by_name[stored.name] = stored
-        self.archive._index_by_name[stored.name] = len(self.archive.patches) - 1
+        self.archive.add(stored)
         return {"name": stored.name, "labels": list(labels),
                 "auto_labeled": auto_labeled}
 
@@ -428,8 +435,8 @@ class EarthQube:
         configured threshold the code table is compacted (the direct path
         and the serving tier scan that one table through one index).  The
         archive bookkeeping (a training-side artifact, not serving state)
-        is O(N) per delete — acceptable because no query path touches it;
-        only re-training iterates its patches.  Returns a summary dict
+        renumbers only the patches after the deleted one; no query path
+        touches it, only re-training iterates its patches.  Returns a summary dict
         (name, documents deleted, whether compaction ran).
         """
         if not self.cbir.has(name):
@@ -496,14 +503,16 @@ class EarthQube:
         codes, so the clone shares the trained hasher, the feature
         extractor, and the label codec by reference; everything data-bound
         (database, archive, CBIR index) starts empty and is populated by
-        fan-out ingest or shard handoff.
+        fan-out ingest or shard handoff.  It keeps pixel payloads exactly
+        when this system does (``store_images``).
         """
         db = Database.earthqube_schema()
         archive = SyntheticArchive.empty(self.config.archive)
         cbir = CBIRService(self.hasher, self.extractor, self.config.index)
         cbir.build([], np.empty((0, self.extractor.dimension)))
         clone = type(self)(self.config, archive, db, self.codec,
-                           self.extractor, self.hasher, cbir)
+                           self.extractor, self.hasher, cbir,
+                           store_images=self.store_images)
         if serving:
             clone.enable_serving()
         return clone

@@ -283,6 +283,31 @@ class TestArchive:
         with pytest.raises(ValidationError):
             archive.split(1.5)
 
+    def test_add_and_remove_keep_every_dense_index(self):
+        pool = SyntheticArchive.generate(
+            ArchiveConfig(num_patches=60, seed=11), with_pixels=False).patches
+        archive = SyntheticArchive(list(pool[:20]), ArchiveConfig(num_patches=20))
+        waiting = list(pool[20:])
+        rng = np.random.default_rng(3)
+        for _ in range(80):
+            if waiting and (len(archive) < 2 or rng.random() < 0.5):
+                patch = waiting.pop()
+                assert archive.add(patch) == len(archive) - 1
+            else:
+                name = archive.names[int(rng.integers(len(archive)))]
+                position = archive.names.index(name)
+                waiting.insert(0, archive.get(name))
+                assert archive.remove(name) == position
+            names = archive.names
+            assert [archive.index_of(n) for n in names] == list(range(len(names)))
+            assert [archive.get(n).name for n in names] == names
+
+    def test_add_rejects_a_present_name(self, archive):
+        copy = SyntheticArchive(list(archive.patches[:3]), archive.config)
+        with pytest.raises(ValidationError):
+            copy.add(archive[1])
+        assert len(copy) == 3
+
     def test_metadata_only_generation(self):
         archive = SyntheticArchive.generate(
             ArchiveConfig(num_patches=25, seed=5), with_pixels=False)

@@ -1,5 +1,7 @@
 """Tests for the JSON request API, archive persistence, and online ingestion."""
 
+import io
+import zipfile
 from datetime import datetime
 
 import numpy as np
@@ -8,10 +10,12 @@ import pytest
 from repro.bigearthnet import Patch, SyntheticArchive
 from repro.bigearthnet.io import load_archive, save_archive
 from repro.bigearthnet.synthesis import PatchSynthesizer
-from repro.config import ArchiveConfig, ServingConfig
+from repro.config import ArchiveConfig, EarthQubeConfig, MiLaNConfig, ServingConfig, TrainConfig
+from repro.earthqube import EarthQube
 from repro.earthqube.api import EarthQubeAPI, parse_query_request
 from repro.errors import ArchiveError, ValidationError
 from repro.geo import BoundingBox
+from repro.store.database import IMAGE_DATA, RENDERED_IMAGES
 
 
 class TestParseQueryRequest:
@@ -345,6 +349,31 @@ class TestOnlineIngestion:
                                   auto_label_if_missing=False)
         assert node.db["metadata"].count({"name": "x-1"}) == 0
         assert "x-1" not in node.archive
+
+    def test_a_clone_of_an_image_storing_system_stores_ingested_bands(self, system):
+        """An empty clone keeps pixel payloads exactly when its template
+        does: an ingested patch's bands download from the clone."""
+        node = system.empty_clone()
+        patch = _new_patch(system.config.archive, name="CLONE_INGEST")
+        node.ingest_new_patch(patch, auto_label_if_missing=False)
+        assert len(node.db[IMAGE_DATA]) == len(node.db[RENDERED_IMAGES]) == 1
+        with zipfile.ZipFile(io.BytesIO(node.download(["CLONE_INGEST"]))) as zf:
+            band = np.load(io.BytesIO(zf.read("CLONE_INGEST/B02.npy")))
+        assert band.tobytes() == patch.s2_bands["B02"].tobytes()
+        assert node.render("CLONE_INGEST").shape == (120, 120, 3)
+
+    def test_a_clone_of_an_imageless_system_writes_no_image_document(self, system):
+        template = EarthQube.bootstrap(EarthQubeConfig(
+            archive=ArchiveConfig(num_patches=24, seed=3),
+            milan=MiLaNConfig(num_bits=16, hidden_sizes=(16,)),
+            train=TrainConfig(epochs=1, triplets_per_epoch=64, batch_size=32),
+        ), store_images=False)
+        node = template.empty_clone()
+        node.ingest_new_patch(_new_patch(system.config.archive, name="CLONE_BARE"),
+                              auto_label_if_missing=False)
+        assert node.db["metadata"].count({"name": "CLONE_BARE"}) == 1
+        assert len(node.db[IMAGE_DATA]) == len(node.db[RENDERED_IMAGES]) == 0
+        assert len(template.db[IMAGE_DATA]) == 0
 
     @pytest.mark.parametrize("call, satellite, band, value", [
         ("ingest", "s2", "B02", np.nan),

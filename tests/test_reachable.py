@@ -9,13 +9,20 @@ and every example.  Two rules keep it honest:
 * a package ``__init__``'s own imports are re-exports and reach nothing.
 
 A module outside the closure is code no entry point runs: give it a caller
-or delete it.
+or delete it.  A second check does import: each entry module, in a fresh
+interpreter, may load only numpy and the standard library.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -105,6 +112,35 @@ def test_every_src_module_is_reached_from_an_entry_point():
     entry_files = sorted(path for pattern in ENTRY_GLOBS for path in REPO.glob(pattern))
     assert entry_files, "no entry scripts found"
     assert unreached_modules(REPO / "src", ENTRY_MODULES, entry_files) == []
+
+
+# Loads one entry module in a fresh interpreter and prints the top-level
+# packages the import pulled in.  ``repro.__main__`` runs the CLI on import,
+# which exits on its missing command; the import has happened by then.
+_LOADED_BY = """
+import importlib, json, sys
+before = set(sys.modules)
+try:
+    importlib.import_module(sys.argv[1])
+except SystemExit:
+    pass
+print(json.dumps(sorted({name.partition(".")[0] for name in set(sys.modules) - before})))
+"""
+
+
+@pytest.mark.parametrize("module", ENTRY_MODULES)
+def test_an_entry_point_loads_numpy_and_the_stdlib_only(module):
+    # pyproject.toml declares numpy as the one runtime dependency; an
+    # undeclared import (scipy once came in through archive synthesis)
+    # breaks a numpy-only install and costs every process its load time.
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, "-c", _LOADED_BY, module], env=env,
+                          capture_output=True, text=True, timeout=120)
+    loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    assert "repro" in loaded
+    foreign = [name for name in loaded
+               if name not in sys.stdlib_module_names and name not in ("numpy", "repro")]
+    assert foreign == []
 
 
 def test_checker_flags_an_orphan_and_resolves_reexports(tmp_path):
