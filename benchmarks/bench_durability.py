@@ -22,10 +22,11 @@ Two questions an operator of a durable EarthQube node actually asks:
    measured in full.  The restored index is checked **byte-identical** to
    the originally built one before any timing is reported.
 
-The headline (and the CI smoke assertion) is ``restore_speedup``:
-snapshot-restore must be at least 5x faster than rebuild-from-documents.
+The headline is ``restore_speedup``: the run fails (exit 1) unless
+snapshot-restore is at least ``MIN_RESTORE_SPEEDUP`` (5x) faster than
+rebuild-from-documents.
 
-The JSON report lands in ``--out`` (default ``BENCH_durability.json``).
+The JSON report is written to ``--out`` (default: stdout).
 
 Usage::
 
@@ -60,6 +61,8 @@ SMOKE_WAL_APPENDS = 400
 FSYNC_INTERVAL = 8
 NUM_QUERIES = 16
 K = 10
+#: The run fails below this restore-over-rebuild speedup.
+MIN_RESTORE_SPEEDUP = 5.0
 
 ARCHIVE = ArchiveConfig(num_patches=EXTRACT_SAMPLE, patch_size_10m=24,
                         patch_size_20m=12, patch_size_60m=4, seed=17)
@@ -205,7 +208,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="small corpus for CI")
-    parser.add_argument("--out", default="BENCH_durability.json")
+    parser.add_argument("--out", default=None,
+                        help="write the JSON report here (default: stdout)")
     args = parser.parse_args(argv)
     num_codes = SMOKE_CODES if args.smoke else NUM_CODES
     num_appends = SMOKE_WAL_APPENDS if args.smoke else WAL_APPENDS
@@ -220,10 +224,11 @@ def main(argv=None) -> int:
         directory = Path(tmp)
         ops = op_mix(rng, num_appends)
         for policy in ("always", "interval", "off"):
-            print(f"[bench_durability] wal fsync={policy} ...", flush=True)
+            print(f"[bench_durability] wal fsync={policy} ...",
+                  file=sys.stderr)
             report["wal"][policy] = bench_wal_policy(policy, ops, directory)
         print(f"[bench_durability] restart at {num_codes} codes ...",
-              flush=True)
+              file=sys.stderr)
         report["restart"] = bench_restart(num_codes, directory, rng)
 
     report["headline"] = {
@@ -234,10 +239,21 @@ def main(argv=None) -> int:
         "fsync_interval_per_append_us":
             report["wal"]["interval"]["per_append_us"],
     }
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-    print(json.dumps(report["headline"], indent=2))
-    print(f"report written to {args.out}")
+    payload = json.dumps(report, indent=2)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(payload + "\n")
+        print(f"[bench_durability] report -> {args.out}", file=sys.stderr)
+    else:
+        print(payload)
+    speedup = report["headline"]["restore_speedup"]
+    if speedup < MIN_RESTORE_SPEEDUP:
+        print(f"[bench_durability] FAILED: restore_speedup x{speedup} < "
+              f"x{MIN_RESTORE_SPEEDUP:g}", file=sys.stderr)
+        return 1
+    print(f"[bench_durability] restore x{speedup}, fsync=always "
+          f"{report['headline']['fsync_always_per_append_us']} us/append",
+          file=sys.stderr)
     return 0
 
 

@@ -11,15 +11,17 @@ robustness machinery end to end:
 2. **kill sweep** — each member in turn is declared dead (``node_died``)
    mid-sweep; every query issued during the outage must stay
    byte-identical and coverage-complete (``availability`` is the fraction
-   that did — the acceptance bar is 1.0), and the report records how many
-   patches/bytes the survivors re-replicated,
+   that did — the acceptance bar is 1.0), no patch may be lost, and the
+   report records how many patches/bytes the survivors re-replicated,
 3. **rejoin sweep** — the dead node rejoins through an in-memory shard
    copy (``join_node``); queries after the flip must again match the
    oracle, and the handoff volume/latency is recorded,
 4. **replication overhead** — read throughput of the same corpus at R=1
    vs R=2 (one-of-R scatter should not pay for the extra copies).
 
-The JSON report is written to ``--out`` (default stdout).
+The run fails (exit 1) on any identity miss, availability below 1.0 or
+lost patch, and names the failing leaves.  The JSON report is written to
+``--out`` (default stdout).
 
 Usage::
 
@@ -222,9 +224,22 @@ def main(argv: "list[str] | None" = None) -> int:
         print(f"[bench] report written to {args.out}", file=sys.stderr)
     else:
         print(payload)
-    if not all_identical or availability < 1.0:
-        print("ELASTIC IDENTITY / AVAILABILITY CHECK FAILED", file=sys.stderr)
+    failures = [] if report["identical_r1"] else ["identical_r1"]
+    for victim, entry in kill_sweep.items():
+        failures += [f"kill_sweep.{victim}.{leaf}"
+                     for leaf in ("identical_during_outage",
+                                  "identical_after_rejoin")
+                     if not entry[leaf]]
+        if entry["lost_patches"]:
+            failures.append(f"kill_sweep.{victim}.lost_patches="
+                            f"{entry['lost_patches']}")
+    if availability < 1.0:
+        failures.append(f"availability_during_outages={availability}")
+    if failures:
+        print(f"ELASTIC CHECK FAILED: {', '.join(failures)}", file=sys.stderr)
         return 1
+    print(f"[bench] availability {availability}, mean join "
+          f"{report['headline']['join_ms_mean']} ms", file=sys.stderr)
     return 0
 
 

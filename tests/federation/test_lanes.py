@@ -234,6 +234,33 @@ def test_remove_node_stops_its_lane(node_a, node_b):
         federation.close()
 
 
+def test_a_query_fans_out_to_every_node_at_once(node_a, node_b):
+    """Four members, each 50 ms slow in ``query_code``: one query waits
+    for the slowest lane, not for the sum of four."""
+    delay_s = 0.05
+    federation = FederatedEarthQube(
+        {"a": node_a, "b": node_b, "c": node_a, "d": node_b})
+    try:
+        for node in federation.registry:
+            def slow(code, *, k=None, radius=None, _real=node.query_code):
+                time.sleep(delay_s)
+                return _real(code, k=k, radius=radius)
+
+            node.query_code = slow
+        name = f"a/{node_a.archive.names[0]}"
+        elapsed = []
+        for _ in range(3):
+            started = time.perf_counter()
+            response = federation.similar_images(name, k=5)
+            elapsed.append(time.perf_counter() - started)
+            assert response.meta.complete, response.meta.as_dict()
+            assert response.meta.answered == ["a", "b", "c", "d"]
+    finally:
+        federation.close()
+    # In turn the four calls would take at least 4 * delay_s.
+    assert min(elapsed) < 2 * delay_s, elapsed
+
+
 @pytest.mark.parametrize("departure", ["leave_node", "node_died"])
 def test_elastic_departure_stops_its_lane(node_b, departure):
     before = set(threading.enumerate())

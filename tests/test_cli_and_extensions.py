@@ -2,6 +2,10 @@
 archive summary."""
 
 import io as iolib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +64,15 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["calibrate"])
         assert "invalid choice: 'calibrate'" in capsys.readouterr().err
+
+    def test_python_dash_m_repro_runs_the_cli(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-m", "repro", "--help"],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: repro ")
+        assert "{generate,train,search,similar,describe}" in done.stdout
 
 
 class TestStorePersistence:

@@ -115,15 +115,11 @@ def test_every_src_module_is_reached_from_an_entry_point():
 
 
 # Loads one entry module in a fresh interpreter and prints the top-level
-# packages the import pulled in.  ``repro.__main__`` runs the CLI on import,
-# which exits on its missing command; the import has happened by then.
+# packages the import pulled in.
 _LOADED_BY = """
 import importlib, json, sys
 before = set(sys.modules)
-try:
-    importlib.import_module(sys.argv[1])
-except SystemExit:
-    pass
+importlib.import_module(sys.argv[1])
 print(json.dumps(sorted({name.partition(".")[0] for name in set(sys.modules) - before})))
 """
 
