@@ -1,55 +1,69 @@
 """E3/E4/E5: the paper's three demonstration scenarios, end to end.
 
-Each scenario is benchmarked as one full visitor flow against the
-bootstrapped system (the bootstrap itself is session-scoped and excluded
-from timings).
+Times the flows ``examples/demo_scenarios.py`` runs: scenarios 1 and 2 as
+the requests the UI sends through ``EarthQubeAPI``, scenario 3 as an
+upload's ``similar_to_new_image`` plus its neighbour vote ``auto_label``.
+The bootstrap is session-scoped and excluded from timings.  Run from the
+repository root, which puts ``examples`` on the import path.
 """
 
-from repro.workloads import (
-    run_label_exploration,
-    run_query_by_new_example,
-    run_spatial_query_by_example,
+from examples.demo_scenarios import (
+    AGRICULTURE_NATURAL,
+    UPLOADS,
+    label_exploration,
+    query_by_new_example,
+    spatial_query_by_example,
 )
+from repro.earthqube import EarthQubeAPI
 
 from .conftest import print_table
 
 
 def test_scenario1_label_exploration(benchmark, bench_system):
     """E3: industrial areas adjacent to inland waters, 10 countries."""
-    result = benchmark(lambda: run_label_exploration(bench_system))
-    assert result.total_matches > 0
-    assert result.statistics is not None
+    api = EarthQubeAPI(bench_system)
+    search, statistics = benchmark(lambda: label_exploration(api))
+    assert search["ok"] and search["total_matches"] > 0
+    assert statistics["ok"]
+    agriculture = next((bar["count"] for bar in statistics["bars"]
+                        if bar["label"] == AGRICULTURE_NATURAL), 0)
     print_table("Scenario 1: label exploration",
                 ["metric", "value"],
-                [["matches", result.total_matches],
-                 ["distinct labels in stats", len(result.statistics)],
-                 ["agriculture co-occurrence",
-                  result.notes["agriculture_cooccurrence"]]])
+                [["matches", search["total_matches"]],
+                 ["distinct labels in stats", len(statistics["bars"])],
+                 ["agriculture co-occurrence", agriculture]])
 
 
 def test_scenario2_spatial_qbe(benchmark, bench_system):
-    """E4: SW-Portugal rectangle, render, then query-by-existing-example."""
-    result = benchmark(lambda: run_spatial_query_by_example(bench_system, k=10))
-    assert result.query_name is not None
-    assert len(result.neighbor_names) > 0
+    """E4: SW-Portugal rectangle, then query-by-existing-example."""
+    api = EarthQubeAPI(bench_system)
+    search, similar, statistics, filtered, batch = benchmark(
+        lambda: spatial_query_by_example(api))
+    assert similar["ok"] and similar["query"] is not None
+    assert len(similar["results"]) > 0
+    assert statistics["ok"] and filtered["ok"] and batch["ok"]
+    countries = {document["properties"]["country"] for document in
+                 bench_system.documents_for([row["name"] for row in similar["results"]])}
     print_table("Scenario 2: spatial + query-by-example",
                 ["metric", "value"],
-                [["images in SW Portugal", result.total_matches],
-                 ["rendered", result.notes["rendered"]],
-                 ["neighbours", len(result.neighbor_names)],
-                 ["neighbour countries", len(result.notes["neighbor_countries"])]])
+                [["images in SW Portugal", search["total_matches"]],
+                 ["neighbours", len(similar["results"])],
+                 ["neighbour countries", len(countries)],
+                 ["filtered neighbours", len(filtered["results"])]])
 
 
 def test_scenario3_query_by_new_example(benchmark, bench_system):
     """E5: upload an unlabeled image, search, auto-label from neighbours."""
-    result = benchmark(lambda: run_query_by_new_example(bench_system, k=10))
-    assert len(result.neighbor_names) > 0
-    recovered = result.notes["recovered_labels"]
+    true_labels = UPLOADS[0]
+    neighbours, predicted = benchmark(
+        lambda: query_by_new_example(bench_system, true_labels))
+    assert len(neighbours) > 0
+    recovered = sorted(set(predicted) & set(true_labels))
     print_table("Scenario 3: query-by-new-example",
                 ["metric", "value"],
-                [["neighbours", len(result.neighbor_names)],
-                 ["true labels", ", ".join(result.notes["true_labels"])],
-                 ["predicted", ", ".join(result.notes["predicted_labels"]) or "-"],
+                [["neighbours", len(neighbours)],
+                 ["true labels", ", ".join(true_labels)],
+                 ["predicted", ", ".join(predicted) or "-"],
                  ["recovered", ", ".join(recovered) or "-"]])
     # The automatic-labeling sketch must recover at least one true label.
     assert len(recovered) >= 1

@@ -297,6 +297,8 @@ class EarthQubeAPI:
         """
         if payload is None:
             return None
+        if not isinstance(payload, Mapping):
+            raise ValidationError("filter must be an object")
         spec = parse_query_request(payload)
         if spec.limit is not None or spec.skip:
             raise ValidationError(

@@ -12,6 +12,11 @@ from __future__ import annotations
 class ReproError(Exception):
     """Base class for every error raised by the repro package."""
 
+    def __str__(self) -> str:
+        # The message itself: the KeyError subclasses below would otherwise
+        # render it as a repr, quotes and escapes included.
+        return Exception.__str__(self)
+
 
 class ValidationError(ReproError, ValueError):
     """A user-supplied value failed validation (bad query, bad config)."""

@@ -13,7 +13,7 @@ from repro.bigearthnet.synthesis import PatchSynthesizer
 from repro.config import ArchiveConfig, EarthQubeConfig, MiLaNConfig, ServingConfig, TrainConfig
 from repro.earthqube import EarthQube
 from repro.earthqube.api import EarthQubeAPI, parse_query_request
-from repro.errors import ArchiveError, ValidationError
+from repro.errors import ArchiveError, DocumentNotFoundError, ValidationError
 from repro.geo import BoundingBox
 from repro.store.database import IMAGE_DATA, RENDERED_IMAGES
 
@@ -219,6 +219,26 @@ class TestEarthQubeAPI:
         assert out["ok"], out
         assert ("explain" in out) is on
         assert ("trace_id" in out) is on
+
+    def test_a_key_error_reaches_the_wire_as_its_message(self, api, system):
+        """The ``KeyError``-derived errors answered with their message's
+        repr: quoted, and with its quotes escaped."""
+        assert api.similar({"name": "zzz"})["message"] == \
+            "no indexed image named 'zzz'"
+        assert api.search({"labels": ["nope"]})["message"] == \
+            "unknown CLC label name: 'nope'"
+        with pytest.raises(DocumentNotFoundError) as caught:
+            system.db["metadata"].get("zzz")
+        assert str(caught.value) == "no document with name='zzz' in 'metadata'"
+
+    @pytest.mark.parametrize("route", ["similar", "similar_batch"])
+    @pytest.mark.parametrize("filter_", ["x", ["Summer"], 3])
+    def test_a_non_object_filter_names_the_filter(self, api, system,
+                                                  route, filter_):
+        """It answered "request body must be an object"."""
+        out = getattr(api, route)(_similar_body(system, route, filter=filter_))
+        assert out["error"] == "ValidationError"
+        assert out["message"] == "filter must be an object"
 
 
 @pytest.mark.parametrize("radius", [float("nan"), float("inf")])

@@ -1,8 +1,8 @@
 """Integration tests: the bootstrapped EarthQube system end to end.
 
 These exercise the session-scoped ``system`` fixture (220 patches, trained
-MiLaN) across every back-end service, including the paper's three demo
-scenarios.
+MiLaN) across every back-end service.  The paper's three demo scenarios
+are replayed as API request lists by ``test_demo_golden.py``.
 """
 
 import numpy as np
@@ -12,11 +12,6 @@ from repro.core.similarity import shares_label_matrix
 from repro.earthqube import LabelOperator, QuerySpec
 from repro.errors import UnknownPatchError
 from repro.geo import BoundingBox, Circle, Rectangle
-from repro.workloads import (
-    run_label_exploration,
-    run_query_by_new_example,
-    run_spatial_query_by_example,
-)
 
 
 class TestSearchService:
@@ -212,30 +207,3 @@ class TestResultPanelServices:
         assert info["archive_patches"] == len(system.archive)
         assert info["code_bits"] == 64
         assert len(info["collections"]) == 4
-
-
-class TestDemoScenarios:
-    def test_scenario_label_exploration(self, system):
-        result = run_label_exploration(system)
-        assert result.scenario == "label_exploration"
-        assert result.total_matches > 0
-        # Every returned image carries at least one of the selected labels.
-        selected = set(result.notes["selected_labels"])
-        for doc in system.documents_for(result.returned_names):
-            assert set(doc["properties"]["labels"]) & selected
-        assert result.statistics is not None
-
-    def test_scenario_spatial_qbe(self, system):
-        result = run_spatial_query_by_example(system)
-        assert result.query_name is not None
-        assert len(result.neighbor_names) > 0
-        assert result.notes["rendered"] > 0
-        # Query image itself was found in SW Portugal.
-        doc = system.documents_for([result.query_name])[0]
-        assert doc["properties"]["country"] == "Portugal"
-
-    def test_scenario_query_by_new_example(self, system):
-        result = run_query_by_new_example(system, k=10)
-        assert result.query_name == "UPLOAD_0001"
-        assert len(result.neighbor_names) == 10
-        assert isinstance(result.notes["predicted_labels"], list)
