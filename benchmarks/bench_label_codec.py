@@ -3,9 +3,9 @@
 "To improve the performance of label-based filtering, we map each
 (potentially multi-word) CLC label to an ASCII character, thereby avoiding
 the manipulation of long strings."  We evaluate all three operators over the
-archive's label sets through both paths (full strings vs. single chars) and
-through the store (char-equality index vs. $all+$size fallback for
-*Exactly*).  Expected shape: the char path wins on every operator, most
+archive's label sets through both paths (full strings vs. single chars), and
+*Exactly* through the search service's label column (one bitset equality
+per row).  Expected shape: the char path wins on every operator, most
 visibly on *Exactly*.
 """
 
@@ -42,8 +42,8 @@ def search_setup():
     metadata = db["metadata"]
     for patch in archive:
         metadata.insert_one(metadata_document(patch, codec))
-    service = SearchService(db, codec)
-    return service, tuple(archive[0].labels)
+    chars = [codec.encode(patch.labels) for patch in archive]
+    return SearchService(db), tuple(archive[0].labels), chars, codec
 
 
 @pytest.mark.parametrize("operator", list(LabelOperator))
@@ -68,20 +68,13 @@ def test_filter_over_char_codec(benchmark, label_sets, operator):
     assert count == expected
 
 
-def test_exactly_through_store_with_codec(benchmark, search_setup):
-    """Store path: *Exactly* as one indexed char-string equality."""
-    service, selection = search_setup
+def test_exactly_through_the_column_filter(benchmark, search_setup):
+    """Store path: *Exactly* as one bitset equality over the label column;
+    it selects the documents the char path selects."""
+    service, selection, chars, codec = search_setup
     spec = QuerySpec(labels=selection, label_operator=LabelOperator.EXACTLY)
     benchmark.group = "E12 Exactly through the store"
-    response = benchmark(lambda: service.search(spec, use_codec=True))
-    assert response.plan == "hash_index:properties.label_chars"
-
-
-def test_exactly_through_store_without_codec(benchmark, search_setup):
-    """Store fallback: *Exactly* as $all + $size over label arrays."""
-    service, selection = search_setup
-    spec = QuerySpec(labels=selection, label_operator=LabelOperator.EXACTLY)
-    benchmark.group = "E12 Exactly through the store"
-    with_codec = service.search(spec, use_codec=True)
-    response = benchmark(lambda: service.search(spec, use_codec=False))
-    assert sorted(response.names) == sorted(with_codec.names)
+    count = benchmark(lambda: service.count(spec))
+    label_filter = LabelFilter(selection, LabelOperator.EXACTLY, codec)
+    assert count == sum(label_filter.matches_chars(c) for c in chars) > 0
+    assert service.search(spec).plan == "columns"

@@ -7,8 +7,8 @@ The package implements the paper's full stack:
   closed-form numpy gradients,
 * Hamming-space retrieval indexes (:mod:`repro.index`) plus classic hashing
   baselines (:mod:`repro.baselines`),
-* a MongoDB-style document store with a columnar query planner and a
-  bounding-box 2D index (:mod:`repro.store`, :mod:`repro.geo`),
+* a MongoDB-style document store whose metadata collection keeps the
+  query panel's filter columns (:mod:`repro.store`, :mod:`repro.geo`),
 * the EarthQube search system itself (:mod:`repro.earthqube`),
 * a concurrent serving tier — micro-batched exact scans, result
   caching, metrics (:mod:`repro.serving`).

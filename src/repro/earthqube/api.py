@@ -60,13 +60,21 @@ def _parse_shape(payload: "Mapping[str, Any] | None") -> "Shape | None":
         if not isinstance(coords, (list, tuple)):
             raise ValidationError("polygon shape needs a coordinates list")
         try:
-            vertices = [(float(lon), float(lat)) for lon, lat in coords]
+            vertices = [(_float(lon), _float(lat)) for lon, lat in coords]
         except (TypeError, ValueError):
             raise ValidationError(f"polygon coordinates must be [lon, lat] "
                                   f"number pairs, got {coords!r}") from None
         return Polygon.from_coords(vertices)
     raise ValidationError(
         f"unknown shape type {kind!r}; expected rectangle, circle, or polygon")
+
+
+def _float(value: Any) -> float:
+    """``float(value)``, except that a JSON boolean is not a number: ``true``
+    is a TypeError, not 1.0.  Numeric strings still read as numbers."""
+    if isinstance(value, bool):
+        raise TypeError(f"a boolean is not a number: {value!r}")
+    return float(value)
 
 
 def _coordinates(payload: Mapping[str, Any], kind: str,
@@ -77,7 +85,7 @@ def _coordinates(payload: Mapping[str, Any], kind: str,
         if key not in payload:
             raise ValidationError(f"{kind} shape is missing {key!r}")
         try:
-            values.append(float(payload[key]))
+            values.append(_float(payload[key]))
         except (TypeError, ValueError):
             raise ValidationError(f"{kind} shape {key!r} must be a number, "
                                   f"got {payload[key]!r}") from None
@@ -246,9 +254,7 @@ class EarthQubeAPI:
 
         When a filtered similarity query recorded its plan on the span tree
         the section also carries ``plan`` (the one plan, the filter's
-        selectivity and tier context, and the measured execution cost) and
-        ``store_plan`` (the columnar intersection-order decision).  Legacy string ``plan`` annotations
-        (the metadata access path) are left to the route's own fields.
+        selectivity and tier context, and the measured execution cost).
         """
         profile = request_ctx.profile()
         if profile is not None:
@@ -258,9 +264,6 @@ class EarthQubeAPI:
             plan = attrs.get("plan")
             if isinstance(plan, dict) and "plan" not in explain:
                 explain["plan"] = plan
-            store_plan = attrs.get("store_plan")
-            if isinstance(store_plan, dict) and "store_plan" not in explain:
-                explain["store_plan"] = store_plan
         return explain
 
     def _attach_federation(self, payload: dict, meta) -> dict:
@@ -310,12 +313,10 @@ class EarthQubeAPI:
         """POST /search — query-panel search (federated when configured).
 
         ``explain=true`` adds an ``explain`` section whose ``plan`` object
-        carries the access-path ``query_plan`` string plus — when the
-        store's cost-ordered intersection ran — the chosen source order,
-        the rejected declaration order with predicted costs, and the
-        measured intersection cost; ``candidates_examined`` counts the
-        index candidates, of which the ``docs_examined`` cost went through
-        the matcher and ``rows_decided`` were answered by the columns.
+        carries the access-path ``query_plan`` string (``"columns"``);
+        ``candidates_examined`` counts the rows the column filter examined,
+        and the ``docs_examined`` cost the rows a circle or polygon tested
+        one by one.
         ``trace=true`` adds ``trace_id`` and the request's span ``trace``
         tree.
         """
@@ -344,9 +345,7 @@ class EarthQubeAPI:
         if explain:
             section = self._attach_costs(
                 {"candidates_examined": response.candidates_examined}, ctx)
-            plan_section = {"query_plan": response.plan}
-            plan_section.update(section.pop("store_plan", None) or {})
-            section["plan"] = plan_section
+            section["plan"] = {"query_plan": response.plan}
             payload["explain"] = section
         self._attach_federation(payload, meta)
         return self._attach_trace(payload, ctx)
@@ -362,8 +361,7 @@ class EarthQubeAPI:
         operator cost counters, per-stage self-times, and, for a filtered
         query, its ``plan`` record — the one plan (``linear:pre``), the
         filter's selectivity and tier context, and the measured execution
-        cost (plus ``store_plan`` when a metadata filter ran the columnar
-        intersection planner).
+        cost.
         """
         try:
             _similarity_request(request, "name")

@@ -7,21 +7,22 @@
 * **At least & more** — "retrieves images that have all the selected labels
   and potentially some additional ones" (superset).
 
-Each operator is implemented three ways, all equivalent and cross-tested:
+Each operator is implemented here two ways, equivalent and cross-tested:
 
 1. :meth:`LabelFilter.matches_names` — set algebra over full label strings
    (the naive path),
 2. :meth:`LabelFilter.matches_chars` — single-character set algebra via the
    :class:`~repro.bigearthnet.labels.LabelCharCodec` (the paper's
-   optimization, benchmarked against (1) in experiment E12),
-3. :meth:`LabelFilter.store_query` — a document-store query that exploits
-   the metadata indexes (used by the search service).
+   optimization, benchmarked against (1) in experiment E12).
+
+The search service evaluates the same operators as bitset tests over the
+metadata collection's label column (:mod:`repro.earthqube.search`).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from ..bigearthnet.labels import LabelCharCodec
 from ..errors import ValidationError
@@ -36,7 +37,7 @@ class LabelOperator(enum.Enum):
 
 
 class LabelFilter:
-    """A selection of labels plus an operator, applied three ways."""
+    """A selection of labels plus an operator, applied two ways."""
 
     def __init__(self, labels: Iterable[str], operator: LabelOperator,
                  codec: "LabelCharCodec | None" = None) -> None:
@@ -74,26 +75,3 @@ class LabelFilter:
         if self.operator is LabelOperator.EXACTLY:
             return self.codec.equals(image_chars, self._selected_chars)
         return self.codec.contains_all(image_chars, self._selected_chars)
-
-    # ------------------------------------------------------------------ #
-    # Path 3: store query
-    # ------------------------------------------------------------------ #
-
-    def store_query(self, *, use_codec: bool = True) -> Mapping[str, object]:
-        """The document-store condition for this filter.
-
-        With ``use_codec`` the *Exactly* operator becomes a single indexed
-        string equality on ``properties.label_chars`` — the payoff of the
-        paper's char mapping.  *Some* compiles to an indexed ``$in`` and
-        *At least & more* to ``$all`` on the multikey label index.
-        """
-        if self.operator is LabelOperator.SOME:
-            return {"properties.labels": {"$in": list(self.labels)}}
-        if self.operator is LabelOperator.EXACTLY:
-            if use_codec:
-                return {"properties.label_chars": self._selected_chars}
-            return {"$and": [
-                {"properties.labels": {"$all": list(self.labels)}},
-                {"properties.labels": {"$size": len(self.labels)}},
-            ]}
-        return {"properties.labels": {"$all": list(self.labels)}}

@@ -69,7 +69,7 @@ class EarthQube:
         self.extractor = extractor
         self.hasher = hasher
         self.cbir = cbir
-        self.search_service = SearchService(db, codec)
+        self.search_service = SearchService(db)
         self.feedback_service = FeedbackService(db)
         # Let CBIR resolve QuerySpec filters against the metadata tier
         # (filtered-similarity pushdown).
@@ -147,7 +147,7 @@ class EarthQube:
         state.
         """
         self.db = db
-        self.search_service = SearchService(db, self.codec)
+        self.search_service = SearchService(db)
         self.feedback_service = FeedbackService(db)
         self.cbir.spec_resolver = self.row_filter_for
 

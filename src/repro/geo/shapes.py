@@ -21,6 +21,8 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bbox import BoundingBox
 from .distance import haversine_km, km_per_degree_lat, km_per_degree_lon
 from ..errors import GeoError
@@ -124,6 +126,8 @@ class Polygon(Shape):
     ``vertices`` are ``(lon, lat)`` pairs; the ring is implicitly closed.
     Point membership uses the even-odd ray casting rule with an explicit
     boundary check so that points exactly on an edge count as inside.
+    A ring whose non-adjacent edges cross or touch (a bow-tie) is rejected:
+    even-odd membership would answer for a different region than drawn.
     """
 
     vertices: tuple[tuple[float, float], ...]
@@ -134,6 +138,29 @@ class Polygon(Shape):
         for lon, lat in self.vertices:
             if not -180.0 <= lon <= 180.0 or not -90.0 <= lat <= 90.0:
                 raise GeoError(f"polygon vertex out of range: ({lon}, {lat})")
+        self._require_simple()
+
+    def _require_simple(self) -> None:
+        """Raise unless every two non-adjacent edges miss each other.
+
+        Edge ``i`` runs from vertex ``i`` to vertex ``i + 1``; edges
+        ``i - 1`` and ``i + 1`` share a vertex with it.  Only the edges
+        whose bounding boxes overlap edge ``i``'s (one vectorised test per
+        edge) get the exact segment test.
+        """
+        n = len(self.vertices)
+        starts = np.asarray(self.vertices, dtype=np.float64)
+        ends = np.roll(starts, -1, axis=0)
+        low, high = np.minimum(starts, ends), np.maximum(starts, ends)
+        for i in range(n - 2):
+            stop = n if i else n - 1  # the last edge closes onto edge 0
+            near = ((low[i + 2:stop] <= high[i]).all(axis=1)
+                    & (high[i + 2:stop] >= low[i]).all(axis=1))
+            for j in np.flatnonzero(near) + i + 2:
+                if _segments_intersect(self.vertices[i], self.vertices[(i + 1) % n],
+                                       self.vertices[j], self.vertices[(j + 1) % n]):
+                    raise GeoError(f"polygon edges {i} and {j} cross: "
+                                   f"a polygon must be simple")
 
     @classmethod
     def from_coords(cls, coords: "list[tuple[float, float]] | list[list[float]]") -> "Polygon":

@@ -1,16 +1,14 @@
 """Operator cost accounting: typed work counters on the span tree.
 
 Spans record *wall time*; this module records *work* — how many rows,
-candidates, postings and documents a request touched:
+candidates and documents a request touched:
 
 ========================  ====================================================
 counter                   attached by
 ========================  ====================================================
 ``rows_scanned``          linear scans (full and allowed-subset)
-``ids_intersected``       columnar planner posting-list intersections
-``postings_loaded``       columnar planner candidate source sizes
-``docs_examined``         document-store predicate evaluation
-``rows_decided``          store candidates a column answered exactly
+``docs_examined``         per-document predicates: the store's matcher, a
+                          circle's or polygon's own test in the filter
 ``cache_hits/misses``     serving result cache lookups
 ``nodes_answered/failed`` federation scatter-gather
 ``wal_records_replayed``  durability recovery replay
@@ -38,11 +36,10 @@ from .tracing import add_cost  # noqa: F401  (re-exported instrumentation API)
 #: ran and how selective it was.
 FAMILY_ATTRS = ("strategy", "filter_mode", "selectivity")
 
-#: Extra attributes carried through into request profiles: the plan
-#: records ride the span so ``explain=true`` can report them — ``plan``
-#: for a filtered similarity query, ``store_plan`` for the columnar
-#: intersection order.
-PROFILE_ATTRS = FAMILY_ATTRS + ("plan", "store_plan")
+#: Extra attributes carried through into request profiles: a filtered
+#: similarity query's ``plan`` record rides the span so ``explain=true``
+#: can report it.
+PROFILE_ATTRS = FAMILY_ATTRS + ("plan",)
 
 #: Upper edges of the filter-selectivity buckets (fraction of the corpus).
 SELECTIVITY_EDGES = (0.01, 0.1, 0.5)

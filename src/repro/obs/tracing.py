@@ -108,8 +108,8 @@ class Span:
         """Accumulate typed operator cost counters onto this span.
 
         Counters are integers (rows scanned, buckets probed, candidates
-        verified, ids intersected, ...) and repeated calls add up — a
-        chunked scan can report each chunk.  Costs are stored separately
+        verified, ...) and repeated calls add up — a chunked scan can
+        report each chunk.  Costs are stored separately
         from ``attrs`` so the cost model can roll them up over the subtree
         without guessing which attributes are work counters.
         """

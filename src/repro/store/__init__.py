@@ -9,10 +9,9 @@ This package reproduces those mechanisms:
   documents with insert/find/update/delete,
 * a Mongo-style query language (``$eq``, ``$in``, ``$all``, ``$and``,
   ``$geoIntersects`` ...) evaluated by :mod:`repro.store.matcher`,
-* hash and unique indexes (:mod:`repro.store.indexes`) plus doc-id-aligned
-  date and bounding-box columns (:mod:`repro.store.columnar`; the
-  bounding-box column is the 2D index), combined by a small query planner
-  that sends only the candidates no column decided to the matcher,
+* the unique primary-key index (:mod:`repro.store.indexes`), and the
+  metadata collection's doc-id-aligned filter columns
+  (:mod:`repro.store.columns`; the bounding-box column is the 2D index),
 * one copier for every document handed out
   (:func:`~repro.store.jsontree.copy_tree`),
 * crash-safe durability: a write-ahead log (:mod:`repro.store.wal`),
@@ -23,10 +22,10 @@ This package reproduces those mechanisms:
 """
 
 from .collection import Collection, FindResult
-from .columnar import BBoxColumn, DateColumn, iso_to_int64
+from .columns import MetadataColumns
 from .database import Database
 from .faults import CRASH_POINTS, CrashPoint, FaultInjector
-from .indexes import HashIndex, UniqueIndex
+from .indexes import UniqueIndex
 from .matcher import matches
 from .snapshot import LoadedSnapshot, SnapshotInfo, SnapshotManager
 from .wal import WALRecord, WriteAheadLog
@@ -35,11 +34,8 @@ __all__ = [
     "Database",
     "Collection",
     "FindResult",
-    "HashIndex",
     "UniqueIndex",
-    "BBoxColumn",
-    "DateColumn",
-    "iso_to_int64",
+    "MetadataColumns",
     "matches",
     "WriteAheadLog",
     "WALRecord",

@@ -2,11 +2,12 @@
 
 EarthQube's data tier holds exactly four collections (paper, Section 3.2):
 ``metadata``, ``image_data``, ``rendered_images``, and ``feedback``.
-:func:`Database.earthqube_schema` creates them with the indexes the paper
-describes: the metadata collection gets a 2D index on ``location`` (a
-bounding-box column) and hash indexes on the queryable ``properties`` attributes, while the image
+:func:`Database.earthqube_schema` creates them: the metadata and image
 collections are keyed by patch name (the "automatically indexed" primary
-key).
+key), and the metadata collection — whatever creates it: the schema, a
+snapshot restore — keeps the query panel's filter columns
+(:class:`~repro.store.columns.MetadataColumns`, which stand in for the
+paper's 2D index on ``location`` and cover the other filtered fields too).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Iterator
 
 from ..errors import CollectionNotFoundError, StoreError
 from .collection import Collection
+from .columns import MetadataColumns
 
 METADATA = "metadata"
 IMAGE_DATA = "image_data"
@@ -33,7 +35,8 @@ class Database:
         """Create and return a collection; fails if the name is taken."""
         if name in self._collections:
             raise StoreError(f"collection {name!r} already exists in database {self.name!r}")
-        collection = Collection(name, primary_key=primary_key)
+        columns = MetadataColumns() if name == METADATA else None
+        collection = Collection(name, primary_key=primary_key, columns=columns)
         self._collections[name] = collection
         return collection
 
@@ -63,16 +66,9 @@ class Database:
 
     @classmethod
     def earthqube_schema(cls) -> "Database":
-        """Create the four EarthQube collections with the paper's indexes."""
+        """Create the four EarthQube collections."""
         db = cls("earthqube")
-        metadata = db.create_collection(METADATA, primary_key="name")
-        metadata.create_geo_index("location")
-        metadata.create_index("properties.labels")
-        metadata.create_index("properties.label_chars")
-        metadata.create_index("properties.season")
-        metadata.create_index("properties.country")
-        metadata.create_index("properties.satellites")
-        metadata.create_date_column("properties.acquisition_date")
+        db.create_collection(METADATA, primary_key="name")
         db.create_collection(IMAGE_DATA, primary_key="name")
         db.create_collection(RENDERED_IMAGES, primary_key="name")
         db.create_collection(FEEDBACK)

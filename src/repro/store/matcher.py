@@ -241,7 +241,7 @@ def matches(document: Mapping[str, Any], query: Mapping[str, Any]) -> bool:
 def extract_equality(query: Mapping[str, Any], field: str) -> "list[Any] | None":
     """Extract the values a query pins ``field`` to, if it does.
 
-    Used by the query planner: returns a list of candidate values when the
+    Used by the primary-key lookup: returns a list of candidate values when the
     query contains ``{field: value}`` or ``{field: {"$eq"/"$in": ...}}`` at
     the top level (possibly under ``$and``); returns ``None`` when the field
     is unconstrained by equality.
@@ -258,40 +258,6 @@ def extract_equality(query: Mapping[str, Any], field: str) -> "list[Any] | None"
     for sub in query.get("$and", []) or []:
         if isinstance(sub, Mapping):
             found = extract_equality(sub, field)
-            if found is not None:
-                return found
-    return None
-
-
-def extract_all_values(query: Mapping[str, Any], field: str) -> "list[Any] | None":
-    """Extract the operand of an ``$all`` condition on ``field``, if present
-    (possibly under ``$and``).  Any single value of the list gives a correct
-    index-candidate superset, since matching documents contain all of them."""
-    condition = query.get(field)
-    if _is_operator_doc(condition) and "$all" in condition:
-        operand = condition["$all"]
-        if isinstance(operand, (list, tuple)) and operand:
-            return list(operand)
-    for sub in query.get("$and", []) or []:
-        if isinstance(sub, Mapping):
-            found = extract_all_values(sub, field)
-            if found is not None:
-                return found
-    return None
-
-
-def extract_geo(query: Mapping[str, Any], field: str) -> "Shape | None":
-    """Extract the shape of a ``$geoIntersects``/``$geoWithin`` condition on
-    ``field``, if present (possibly under ``$and``).  Returns ``None`` when
-    the query has no geo constraint on that field."""
-    condition = query.get(field)
-    if _is_operator_doc(condition):
-        for op in ("$geoIntersects", "$geoWithin"):
-            if op in condition:
-                return _as_shape(condition[op])
-    for sub in query.get("$and", []) or []:
-        if isinstance(sub, Mapping):
-            found = extract_geo(sub, field)
             if found is not None:
                 return found
     return None

@@ -106,9 +106,6 @@ def _index_spec(collection: Collection) -> dict:
     return {
         "primary_key": collection.primary_key,
         "unique": [f for f in collection._unique_indexes if f != collection.primary_key],
-        "hash": list(collection._hash_indexes),
-        "geo": list(collection._bbox_columns),
-        "date_columns": list(collection._date_columns),
     }
 
 
@@ -132,7 +129,12 @@ def database_snapshot(db: Database) -> dict:
 
 
 def database_from_snapshot(snapshot: dict) -> Database:
-    """Rebuild a database (documents + index definitions) from its image."""
+    """Rebuild a database (documents + index definitions) from its image.
+
+    Images written before the filter columns list ``hash`` / ``geo`` /
+    ``date_columns`` entries too; nothing reads them: the metadata
+    collection builds its columns from the documents, as any insert does.
+    """
     version = snapshot.get("format_version")
     if version not in _SUPPORTED_VERSIONS:
         raise StoreError(f"unsupported snapshot version {version!r}")
@@ -143,14 +145,6 @@ def database_from_snapshot(snapshot: dict) -> Database:
         collection = db.create_collection(name, primary_key=spec.get("primary_key"))
         for field in spec.get("unique", []):
             collection.create_unique_index(field)
-        for field in spec.get("hash", []):
-            collection.create_index(field)
-        # Older files hold {field: cell precision} here, newer ones a list
-        # of fields; iterating either yields the fields.
-        for field in spec.get("geo", []):
-            collection.create_geo_index(field)
-        for field in spec.get("date_columns", []):
-            collection.create_date_column(field)
         documents = [decode_payload(doc, arrays=arrays)
                      for doc in payload["documents"]]
         collection.insert_many(documents)

@@ -21,7 +21,9 @@ from repro.config import (
     TrainConfig,
 )
 from repro.earthqube import EarthQube
+from repro.earthqube.ingest import metadata_document
 from repro.features import FeatureExtractor
+from repro.store.database import METADATA
 
 
 SMALL_ARCHIVE_PATCHES = 120
@@ -68,8 +70,59 @@ def system_config() -> EarthQubeConfig:
 
 @pytest.fixture(scope="session")
 def system(system_config) -> EarthQube:
-    """One fully bootstrapped EarthQube system for integration tests."""
-    return EarthQube.bootstrap(system_config)
+    """One fully bootstrapped EarthQube system for integration tests.
+
+    Tests read it and never write to it: a test that ingests, deletes or
+    submits feedback works on a :func:`clone`.  At session end the system
+    must still hold what bootstrap gave it.
+    """
+    system = EarthQube.bootstrap(system_config)
+    feedback = system.feedback_service.count()
+    yield system
+    held = (len(system.db[METADATA]), len(system.cbir),
+            system.feedback_service.count())
+    assert held == (SYSTEM_PATCHES, SYSTEM_PATCHES, feedback), (
+        f"a test wrote to the session system: (metadata documents, indexed "
+        f"rows, feedback) went from "
+        f"{(SYSTEM_PATCHES, SYSTEM_PATCHES, feedback)} to {held}")
+
+
+@pytest.fixture(scope="session")
+def system_shard(system) -> dict:
+    """The session system as it was bootstrapped, as an ``import_shard``
+    payload: its archive regenerated from the config and hashed by its
+    trained model.  Only the metadata documents are shipped: they and the
+    codes are all a read route touches."""
+    archive = SyntheticArchive.generate(system.config.archive)
+    codes = system.hasher.hash_packed(system.extractor.extract_many(archive.patches))
+    return {"num_bits": system.hasher.num_bits, "entries": [
+        {"name": patch.name, "code": code,
+         "documents": {METADATA: metadata_document(patch, system.codec)}}
+        for patch, code in zip(archive.patches, codes)]}
+
+
+@pytest.fixture(scope="session")
+def make_clone(system, system_shard):
+    """``make_clone(serving=False)``: a fresh node sharing the session
+    system's trained models, populated with its bootstrap archive (codes
+    and metadata documents; no pixels)."""
+    nodes: list[EarthQube] = []
+
+    def make(*, serving: bool = False) -> EarthQube:
+        node = system.empty_clone(serving=serving)
+        node.import_shard(system_shard)
+        nodes.append(node)
+        return node
+
+    yield make
+    for node in nodes:
+        node.disable_serving()
+
+
+@pytest.fixture()
+def clone(make_clone) -> EarthQube:
+    """A populated clone of the session system a test may write to."""
+    return make_clone()
 
 
 @pytest.fixture()

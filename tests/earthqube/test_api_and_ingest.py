@@ -109,8 +109,8 @@ class TestEarthQubeAPI:
         assert not api.statistics({})["ok"]
         assert not api.statistics({"names": []})["ok"]
 
-    def test_feedback(self, api):
-        assert api.feedback({"text": "hello"})["ok"]
+    def test_feedback(self, api, clone):
+        assert EarthQubeAPI(clone).feedback({"text": "hello"})["ok"]
         assert not api.feedback({})["ok"]
         assert not api.feedback({"text": "x", "category": "rant"})["ok"]
 
@@ -131,6 +131,17 @@ class TestEarthQubeAPI:
         ("search", {"shape": {"type": "polygon",
                               "coordinates": [["a", 1], [2, 3], [4, 5]]}},
          "polygon"),
+        # A JSON boolean is not a coordinate: float() read true as 1.0.
+        ("search", {"shape": {**_RECTANGLE, "west": True}}, "west"),
+        ("search", {"shape": {"type": "circle", "lon": 8.0, "lat": False,
+                              "radius_km": 25}}, "lat"),
+        ("search", {"shape": {"type": "polygon",
+                              "coordinates": [[0, 40], [True, 45], [5, 50]]}},
+         "polygon"),
+        ("similar", {"filter": {"shape": {**_RECTANGLE, "north": True}}},
+         "north"),
+        ("similar_batch", {"filter": {"shape": {**_RECTANGLE, "east": False}}},
+         "east"),
         ("search", {"date_from": 20170101}, "date_from"),
         ("search", {"limit": "ten"}, "limit"),
         ("search", {"seasons": 5}, "seasons"),
@@ -250,6 +261,33 @@ def test_non_finite_circle_radius_is_a_geo_error(system, radius):
     assert out["error"] == "GeoError", out
 
 
+def test_numeric_string_coordinates_still_read_as_numbers(system):
+    api = EarthQubeAPI(system)
+    numbers = {"type": "rectangle", "west": -10, "south": 35, "east": 5,
+               "north": 45}
+    strings = {key: str(value) if key != "type" else value
+               for key, value in numbers.items()}
+    by_number, by_string = (api.search({"shape": shape})
+                            for shape in (numbers, strings))
+    assert by_number["ok"] and by_number["total_matches"] > 0
+    assert by_string == by_number
+
+
+_BOW_TIE = {"type": "polygon",
+            "coordinates": [[-10, 35], [30, 70], [30, 35], [-10, 70]]}
+
+
+@pytest.mark.parametrize("route", ["search", "similar", "similar_batch"])
+def test_self_intersecting_polygon_is_a_geo_error(system, route):
+    """A bow-tie AOI answered ``ok`` with most of the archive."""
+    body = ({"shape": _BOW_TIE} if route == "search"
+            else _similar_body(system, route, filter={"shape": _BOW_TIE}))
+    out = getattr(EarthQubeAPI(system), route)(body)
+    assert not out["ok"]
+    assert out["error"] == "GeoError", out
+    assert "simple" in out["message"]
+
+
 def _similar_body(system, route, **fields):
     names = list(system.archive.names[:2])
     if route == "similar":
@@ -335,28 +373,28 @@ class TestOnlineIngestion:
         # voting threshold: every returned label occurs in >= half of top-10
         assert len(labels) <= 10
 
-    def test_ingest_new_patch_end_to_end(self, system):
-        patch = _new_patch(system.config.archive, name="NEW_INGEST_1")
-        before = len(system.archive)
-        summary = system.ingest_new_patch(patch)
+    def test_ingest_new_patch_end_to_end(self, clone):
+        patch = _new_patch(clone.config.archive, name="NEW_INGEST_1")
+        before = len(clone.archive)
+        summary = clone.ingest_new_patch(patch)
         assert summary["name"] == "NEW_INGEST_1"
-        assert len(system.archive) == before + 1
+        assert len(clone.archive) == before + 1
         # Searchable through the metadata tier...
-        doc = system.db["metadata"].get("NEW_INGEST_1")
+        doc = clone.db["metadata"].get("NEW_INGEST_1")
         assert doc["properties"]["labels"] == summary["labels"]
         # ...retrievable through CBIR immediately (self-match at distance 0).
-        result = system.similar_images("NEW_INGEST_1", k=5)
+        result = clone.similar_images("NEW_INGEST_1", k=5)
         assert "NEW_INGEST_1" not in result.names
         assert len(result.names) == 5
         # ...and renderable.
-        rgb = system.render("NEW_INGEST_1")
+        rgb = clone.render("NEW_INGEST_1")
         assert rgb.shape == (120, 120, 3)
 
-    def test_ingest_duplicate_rejected(self, system):
-        patch = _new_patch(system.config.archive, name="NEW_INGEST_DUP")
-        system.ingest_new_patch(patch)
+    def test_ingest_duplicate_rejected(self, clone):
+        patch = _new_patch(clone.config.archive, name="NEW_INGEST_DUP")
+        clone.ingest_new_patch(patch)
         with pytest.raises(ValidationError):
-            system.ingest_new_patch(patch)
+            clone.ingest_new_patch(patch)
 
     def test_ingest_of_an_indexed_name_writes_nothing(self, system):
         """A name the index holds but the archive does not (added through

@@ -5,8 +5,8 @@ sequence of API requests that UI sends.  Scenarios 1 and 2 are such
 request lists: each step names an :class:`EarthQubeAPI` route and builds
 its body from the responses before it.  Both lists are replayed on four
 paths, each built on its own clone of the session ``system`` as it was
-bootstrapped (the fixture itself is never wrapped: ``DurableEarthQube``
-patches the node it wraps):
+bootstrapped (``make_clone`` in ``tests/conftest.py``; the fixture itself
+is never wrapped: ``DurableEarthQube`` patches the node it wraps):
 
 * direct — a plain node;
 * serving — a node behind its serving tier (``enable_serving``);
@@ -16,7 +16,9 @@ patches the node it wraps):
 
 With the federation's ``federation`` section dropped, every body must be
 byte-identical under ``json.dumps(sort_keys=True)`` to ``demo_golden.json``,
-which holds the same lists replayed on the direct path at commit 848025f.
+which holds the same lists replayed on the direct path at commit 848025f;
+its two ``plan`` values were edited by hand to ``"columns"`` when the
+filter became one column mask.
 
 Scenario 3 uploads pixels, which the API does not take, so it stays
 Python-level: the upload's ranking is the same on the direct and serving
@@ -30,13 +32,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.bigearthnet import Patch, SyntheticArchive
+from repro.bigearthnet import Patch
 from repro.bigearthnet.synthesis import PatchSynthesizer
 from repro.config import DurabilityConfig
 from repro.earthqube import DurableEarthQube, EarthQube, EarthQubeAPI
-from repro.earthqube.ingest import metadata_document
 from repro.geo import BoundingBox
-from repro.store.database import METADATA
 
 GOLDEN = Path(__file__).with_name("demo_golden.json")
 
@@ -100,42 +100,18 @@ def golden() -> dict:
 
 
 @pytest.fixture(scope="module")
-def shard(system) -> dict:
-    """The session system as it was bootstrapped, as an ``import_shard``
-    payload: its archive regenerated from the config and hashed by its
-    trained model.  Other suites ingest into and delete from ``system``, so
-    its current state is not the one the golden was recorded on.  Only the
-    metadata documents are shipped: they and the codes are all a read
-    route touches, and they keep the durable node's checkpoint small."""
-    archive = SyntheticArchive.generate(system.config.archive)
-    codes = system.hasher.hash_packed(system.extractor.extract_many(archive.patches))
-    return {"num_bits": system.hasher.num_bits, "entries": [
-        {"name": patch.name, "code": code,
-         "documents": {METADATA: metadata_document(patch, system.codec)}}
-        for patch, code in zip(archive.patches, codes)]}
-
-
-def clone(system: EarthQube, shard: dict, *, serving: bool = False) -> EarthQube:
-    node = system.empty_clone(serving=serving)
-    node.import_shard(shard)
-    return node
+def direct_node(make_clone) -> EarthQube:
+    return make_clone()
 
 
 @pytest.fixture(scope="module")
-def direct_node(system, shard) -> EarthQube:
-    return clone(system, shard)
+def serving_node(make_clone) -> EarthQube:
+    return make_clone(serving=True)
 
 
 @pytest.fixture(scope="module")
-def serving_node(system, shard) -> EarthQube:
-    node = clone(system, shard, serving=True)
-    yield node
-    node.disable_serving()
-
-
-@pytest.fixture(scope="module")
-def federation(system, shard):
-    federation = EarthQube.federate({"solo": clone(system, shard)})
+def federation(make_clone):
+    federation = EarthQube.federate({"solo": make_clone()})
     yield federation
     federation.close()
 
@@ -149,10 +125,9 @@ def replay_on(path: str, steps, request) -> list:
     if path == "federated":
         return replay(steps, EarthQubeAPI(
             federation=request.getfixturevalue("federation")))
-    system, shard = (request.getfixturevalue("system"),
-                     request.getfixturevalue("shard"))
+    system = request.getfixturevalue("system")
     config = DurabilityConfig(directory=request.getfixturevalue("tmp_path") / "node")
-    live = DurableEarthQube(clone(system, shard), config)
+    live = DurableEarthQube(request.getfixturevalue("make_clone")(), config)
     recovered = []
 
     def restart() -> EarthQubeAPI:

@@ -1,9 +1,8 @@
 """Filtered similarity search: the one plan against a brute-force
 filter-then-rank oracle, across filter densities and tiers.
 
-Also covers the store-side plan-equivalence satellite: every query the
-search service compiles must be byte-identical between the planned and the
-forced-scan access paths.
+Also holds the search service's column filter to a per-patch check over
+the archive the system was bootstrapped from.
 """
 
 import pytest
@@ -57,24 +56,35 @@ def shaped(response):
     return [(str(r.item_id), r.distance) for r in response.results]
 
 
-class TestCompiledPlanEquivalence:
-    """Satellite: compiled queries forced through scan == planned path."""
+def patch_matches(patch, spec) -> bool:
+    """A bootstrap patch against the spec's shape, dates, seasons and
+    *Some* labels (the filters ``SPECS`` use)."""
+    day = patch.acquisition_date.date().isoformat()
+    return ((spec.shape is None or spec.shape.intersects_bbox(patch.bbox))
+            and (spec.date_from is None or day >= spec.date_from)
+            and (spec.date_to is None or day <= spec.date_to)
+            and (not spec.seasons or patch.season in spec.seasons)
+            and (spec.labels is None or bool(set(spec.labels) & set(patch.labels))))
+
+
+class TestColumnFilterOracle:
+    """The column mask against a per-patch check of the archive."""
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.describe())
-    def test_compiled_query_scan_identical(self, system, spec):
-        metadata = system.db["metadata"]
-        query = system.search_service.compile_query(spec)
-        planned = metadata.find(query)
-        scanned = metadata.find(query, hint="scan")
-        assert planned.documents == scanned.documents
-        assert planned.total_matches == scanned.total_matches
+    def test_matching_names_equal_the_per_patch_check(self, system, spec):
+        expected = [patch.name for patch in system.archive
+                    if patch_matches(patch, spec)]
+        assert system.search_service.matching_names(spec) == expected
+        response = system.search(spec)
+        assert response.total_matches == len(expected)
+        assert system.count(spec) == len(expected)
 
-    def test_multi_condition_search_uses_columnar_plan(self, system):
+    def test_multi_condition_search_is_one_column_mask(self, system):
         spec = QuerySpec(seasons=("Summer",), date_from="2017-06-01",
                          date_to="2017-08-31")
         response = system.search(spec)
-        assert response.plan.startswith("columnar:")
-        assert "date_column:properties.acquisition_date" in response.plan
+        assert response.plan == "columns"
+        assert response.total_matches > 0
 
 
 class TestFilteredKnnOracle:
@@ -263,16 +273,11 @@ class TestFilteredApi:
                               "explain": True})
         assert payload["ok"]
         explain = payload["explain"]
-        plan = explain["plan"]
-        assert plan["query_plan"].startswith("columnar:")
-        # The multi-source query (season posting + two date bounds)
-        # exercises the cost-ordered intersection planner: the chosen
-        # order, a rejected alternative with its predicted cost, and the
-        # measured intersection cost all surface.
-        assert len(plan["chosen"]["order"]) >= 2
-        assert plan["rejected"] and "predicted_ns" in plan["rejected"][0]
-        assert plan["measured_ns"] >= 0
+        # One access path: the column mask, over every live row.
+        assert explain["plan"] == {"query_plan": "columns"}
+        assert explain["candidates_examined"] == len(system.db["metadata"])
         assert explain["candidates_examined"] >= payload["total_matches"]
+        assert explain["costs"]["docs_examined"] == 0
 
     def test_search_without_explain_has_no_section(self, system):
         api = EarthQubeAPI(system)

@@ -23,6 +23,7 @@ from repro.config import (
 )
 from repro.earthqube import EarthQube, QuerySpec
 from repro.earthqube.api import EarthQubeAPI
+from repro.earthqube.search import SearchService
 from repro.errors import UnknownPatchError
 from repro.index.linear_scan import LinearScanIndex
 from repro.store.database import METADATA
@@ -265,8 +266,7 @@ class TestRestAndPersistence:
         assert len(restored[METADATA]) == len(system.db[METADATA])
         for victim in victims:
             assert restored[METADATA].find_one({"name": victim}) is None
-        # The restored store still plans/queries consistently.
-        result = restored[METADATA].find({"properties.season": "Summer"})
-        scanned = restored[METADATA].find({"properties.season": "Summer"},
-                                          hint="scan")
-        assert [d["name"] for d in result] == [d["name"] for d in scanned]
+        # The restored store's filter columns answer as the live store's.
+        spec = QuerySpec(seasons=("Summer",))
+        assert (SearchService(restored).matching_names(spec)
+                == system.search_service.matching_names(spec))

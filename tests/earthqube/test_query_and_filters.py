@@ -1,12 +1,15 @@
 """Tests for QuerySpec validation and the three label operators."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.bigearthnet import BIGEARTHNET_LABELS, LabelCharCodec
+from repro.bigearthnet.clc import get_nomenclature
 from repro.earthqube import LabelFilter, LabelOperator, QuerySpec
 from repro.errors import ValidationError
 from repro.geo import Circle
+from repro.store.columns import label_bits
 
 
 class TestQuerySpec:
@@ -104,21 +107,30 @@ class TestLabelFilterOperators:
         with pytest.raises(ValidationError):
             LabelFilter(["Pastures"], "some")
 
-    def test_store_query_forms(self):
-        some = LabelFilter(["Pastures"], LabelOperator.SOME).store_query()
-        assert some == {"properties.labels": {"$in": ["Pastures"]}}
-        at_least = LabelFilter(["Pastures", "Airports"],
-                               LabelOperator.AT_LEAST_AND_MORE).store_query()
-        assert at_least == {"properties.labels": {"$all": ["Pastures", "Airports"]}}
+    def test_bitsets_agree_with_set_algebra(self):
+        """The search service's label column answers each operator as
+        :meth:`LabelFilter.matches_names` does."""
+        rng = np.random.default_rng(5)
+        names = get_nomenclature().names
+        selection = ["Pastures", "Water bodies"]
+        selected = label_bits(selection)
+        for _ in range(200):
+            held = [names[i] for i in rng.choice(len(names), rng.integers(0, 4),
+                                                 replace=False)]
+            held += list(rng.choice(selection, rng.integers(0, 3)))
+            bits = label_bits(held)
+            assert (bits & selected != 0) == LabelFilter(
+                selection, LabelOperator.SOME).matches_names(held)
+            assert (bits == selected) == LabelFilter(
+                selection, LabelOperator.EXACTLY).matches_names(held)
+            assert (bits & selected == selected) == LabelFilter(
+                selection, LabelOperator.AT_LEAST_AND_MORE).matches_names(held)
 
-    def test_exactly_store_query_uses_codec(self):
-        codec = LabelCharCodec()
-        f = LabelFilter(["Pastures", "Water bodies"], LabelOperator.EXACTLY, codec)
-        query = f.store_query(use_codec=True)
-        assert query == {"properties.label_chars":
-                         codec.encode(["Pastures", "Water bodies"])}
-        fallback = f.store_query(use_codec=False)
-        assert "$and" in fallback
+    def test_one_bit_per_class(self):
+        names = get_nomenclature().names
+        assert len(names) == 43
+        assert label_bits(names) == (1 << 43) - 1
+        assert label_bits(["Pastures", "Pastures"]) == label_bits(["Pastures"])
 
     def test_operator_hierarchy(self):
         """Exactly implies AtLeast&more implies Some (on the same selection)."""

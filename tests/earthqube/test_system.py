@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.similarity import shares_label_matrix
-from repro.earthqube import LabelOperator, QuerySpec
+from repro.earthqube import LabelFilter, LabelOperator, QuerySpec
 from repro.errors import UnknownPatchError
 from repro.geo import BoundingBox, Circle, Rectangle
 
@@ -19,10 +19,10 @@ class TestSearchService:
         response = system.search(QuerySpec())
         assert response.total_matches == len(system.archive)
 
-    def test_spatial_query_uses_geo_index(self, system):
+    def test_spatial_query_reads_the_columns(self, system):
         shape = Rectangle(BoundingBox(west=20.6, south=59.8, east=31.5, north=70.1))
         response = system.search(QuerySpec(shape=shape))
-        assert response.plan == "geo_index:location"
+        assert response.plan == "columns"
         for doc in response:
             assert doc["properties"]["country"] == "Finland"
 
@@ -51,16 +51,16 @@ class TestSearchService:
     def test_label_some_filter(self, system):
         spec = QuerySpec(labels=("Coniferous forest",), label_operator=LabelOperator.SOME)
         response = system.search(spec)
-        assert response.plan == "hash_index:properties.labels"
+        assert response.plan == "columns"
         expected = sum(1 for p in system.archive if "Coniferous forest" in p.labels)
         assert response.total_matches == expected
 
-    def test_label_exactly_filter_uses_char_index(self, system):
+    def test_label_exactly_filter(self, system):
         # Pick a label set that actually occurs.
         target = system.archive[0].labels
         spec = QuerySpec(labels=target, label_operator=LabelOperator.EXACTLY)
         response = system.search(spec)
-        assert response.plan == "hash_index:properties.label_chars"
+        assert response.plan == "columns"
         for doc in response:
             assert set(doc["properties"]["labels"]) == set(target)
         assert system.archive[0].name in response.names
@@ -75,12 +75,13 @@ class TestSearchService:
         expected = sum(1 for p in system.archive if set(target) <= set(p.labels))
         assert response.total_matches == expected
 
-    def test_string_and_codec_paths_agree(self, system):
+    def test_exactly_agrees_with_the_char_codec(self, system):
         target = system.archive[0].labels
         spec = QuerySpec(labels=target, label_operator=LabelOperator.EXACTLY)
-        with_codec = system.search_service.search(spec, use_codec=True)
-        without_codec = system.search_service.search(spec, use_codec=False)
-        assert sorted(with_codec.names) == sorted(without_codec.names)
+        label_filter = LabelFilter(target, LabelOperator.EXACTLY, system.codec)
+        expected = [patch.name for patch in system.archive
+                    if label_filter.matches_chars(system.codec.encode(patch.labels))]
+        assert sorted(system.search_service.matching_names(spec)) == sorted(expected)
 
     def test_combined_query(self, system):
         shape = Rectangle(BoundingBox(west=-11.0, south=36.0, east=32.0, north=71.0))
@@ -197,10 +198,10 @@ class TestResultPanelServices:
         cart.add_page(response.names)
         assert len(cart) == 30
 
-    def test_feedback_flow(self, system):
-        before = system.feedback_service.count()
-        system.submit_feedback("nice retrieval quality")
-        assert system.feedback_service.count() == before + 1
+    def test_feedback_flow(self, clone):
+        before = clone.feedback_service.count()
+        clone.submit_feedback("nice retrieval quality")
+        assert clone.feedback_service.count() == before + 1
 
     def test_describe(self, system):
         info = system.describe()

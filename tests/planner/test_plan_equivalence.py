@@ -323,7 +323,9 @@ class TestExplainPlanPayload:
         assert payload["ok"], payload
         self._assert_plan_section(payload["explain"]["plan"], direct_system)
 
-    def test_filtered_explain_carries_store_plan(self, direct_system):
+    def test_filtered_explain_has_one_plan_record(self, direct_system):
+        # The metadata filter is one column mask: it records no store plan
+        # of its own beside the similarity plan.
         api = EarthQubeAPI(direct_system)
         payload = api.similar({"name": direct_system.archive.names[0],
                                "k": 5, "explain": True,
@@ -331,9 +333,8 @@ class TestExplainPlanPayload:
                                           "date_from": "2017-01-01",
                                           "date_to": "2017-12-31"}})
         assert payload["ok"], payload
-        store_plan = payload["explain"]["store_plan"]
-        assert store_plan["chosen"]["order"]
-        assert store_plan["rejected"]
+        assert "store_plan" not in payload["explain"]
+        self._assert_plan_section(payload["explain"]["plan"], direct_system)
 
     def test_no_planner_state_left_to_report(self, served_system):
         api = EarthQubeAPI(served_system)

@@ -1,5 +1,9 @@
-"""Tests for collections, indexes, and the query planner."""
+"""Tests for collections: writes, the primary key, reads, the filter
+columns a collection keeps current, and the one document copier."""
 
+import copy
+
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -9,7 +13,9 @@ from repro.errors import (
     StoreError,
 )
 from repro.geo import BoundingBox, Rectangle
-from repro.store import Collection
+from repro.store import Collection, MetadataColumns
+from repro.store.columns import OTHER_LABEL
+from repro.store.jsontree import copy_tree
 
 
 def sample_docs():
@@ -25,12 +31,15 @@ def sample_docs():
 
 @pytest.fixture()
 def collection():
-    col = Collection("metadata", primary_key="name")
-    col.create_index("properties.labels")
-    col.create_index("properties.season")
-    col.create_geo_index("location")
+    col = Collection("metadata", primary_key="name", columns=MetadataColumns())
     col.insert_many(sample_docs())
     return col
+
+
+def column_names(collection) -> list:
+    """The names of the live rows of a collection's filter columns."""
+    columns = collection.columns
+    return [columns.names[i] for i in np.flatnonzero(columns.alive[:columns.size])]
 
 
 class TestInserts:
@@ -103,26 +112,38 @@ class TestPointLookups:
         assert collection.get("a")["properties"]["n"] == 1
 
 
-class TestQueryPlanner:
+class TestAccessPaths:
     def test_primary_key_plan(self, collection):
         result = collection.find({"name": "a"})
         assert result.plan == "unique_index:name"
         assert result.candidates_examined == 1
 
-    def test_hash_index_plan_for_in(self, collection):
+    def test_primary_key_in_reads_only_the_pinned_documents(self, collection):
+        result = collection.find({"name": {"$in": ["c", "a", "zzz"]}})
+        assert result.plan == "unique_index:name"
+        assert result.candidates_examined == 2
+        assert [d["name"] for d in result] == ["a", "c"]
+
+    def test_primary_key_plan_still_checks_every_condition(self, collection):
+        result = collection.find({"name": "a", "properties.season": "Winter"})
+        assert result.plan == "unique_index:name"
+        assert result.documents == []
+
+    def test_multikey_in_scans(self, collection):
         result = collection.find({"properties.labels": {"$in": ["y"]}})
-        assert result.plan == "hash_index:properties.labels"
+        assert result.plan == "scan"
         assert {d["name"] for d in result} == {"a", "b"}
 
-    def test_hash_index_plan_for_all(self, collection):
+    def test_multikey_all_scans(self, collection):
         result = collection.find({"properties.labels": {"$all": ["x", "y"]}})
-        assert result.plan == "hash_index:properties.labels"
+        assert result.plan == "scan"
         assert {d["name"] for d in result} == {"a"}
 
-    def test_geo_index_plan(self, collection):
+    def test_geo_query_scans(self, collection):
         shape = Rectangle(BoundingBox(west=9.5, south=49.5, east=10.5, north=50.5))
         result = collection.find({"location": {"$geoIntersects": shape}})
-        assert result.plan == "geo_index:location"
+        assert result.plan == "scan"
+        assert result.candidates_examined == 3
         assert {d["name"] for d in result} == {"a", "b"}
 
     def test_scan_plan(self, collection):
@@ -130,26 +151,16 @@ class TestQueryPlanner:
         assert result.plan == "scan"
         assert {d["name"] for d in result} == {"b", "c"}
 
-    def test_plans_agree_with_scan(self, collection):
-        query = {"properties.season": "Summer"}
-        indexed = collection.find(query)
-        collection.drop_index("properties.season")
-        scanned = collection.find(query)
-        assert indexed.plan.startswith("hash_index")
-        assert scanned.plan == "scan"
-        assert sorted(d["name"] for d in indexed) == sorted(d["name"] for d in scanned)
-
-    def test_index_created_after_insert_sees_existing_docs(self):
+    def test_unique_index_created_after_insert_sees_existing_docs(self):
         col = Collection("later")
         col.insert_many(sample_docs())
-        col.create_index("properties.season")
-        result = col.find({"properties.season": "Summer"})
-        assert result.plan == "hash_index:properties.season"
-        assert len(result) == 2
+        col.create_unique_index("name")
+        result = col.find({"name": "c"})
+        assert result.plan == "unique_index:name"
+        assert len(result) == 1
 
-    def test_cannot_drop_primary_key(self, collection):
-        with pytest.raises(IndexError_):
-            collection.drop_index("name")
+    def test_the_primary_key_is_the_one_index(self, collection):
+        assert collection.index_fields == {"name"}
 
 
 class TestFindOptions:
@@ -208,7 +219,6 @@ class TestMutations:
                                         {"$set": {"properties.season": "Spring"}})
         assert updated == 1
         assert collection.get("b")["properties"]["season"] == "Spring"
-        # Index reflects the new value.
         assert {d["name"] for d in collection.find({"properties.season": "Spring"})} == {"b"}
 
     def test_update_one_unset(self, collection):
@@ -236,7 +246,8 @@ class TestUpdateAtomicity:
     Regression: the replacement used to be validated only while re-adding
     it to the indexes, *after* the document had been removed — a duplicate
     key on the updated unique field (or a ``$unset`` primary key) lost the
-    document and left the hash/geo indexes half-updated.
+    document and left the indexes half-updated.  The filter columns keep
+    the document's row too.
     """
 
     def test_collide_on_update_keeps_document(self, collection):
@@ -250,6 +261,8 @@ class TestUpdateAtomicity:
         shape = Rectangle(BoundingBox(west=9.9, south=49.9, east=10.15, north=50.2))
         assert {d["name"] for d in collection.find(
             {"location": {"$geoWithin": shape}})} == {"a"}
+        assert column_names(collection) == ["a", "b", "c"]
+        assert collection.columns.bbox[0].tolist() == [10.0, 50.0, 10.1, 50.1]
 
     def test_unset_primary_key_keeps_document(self, collection):
         with pytest.raises(IndexError_):
@@ -277,15 +290,14 @@ class TestUpdateAtomicity:
         collection.insert_one({"name": "a", "properties": {"labels": []}})
         assert {d["name"] for d in collection.find({"properties.labels": "x"})} == {"a2"}
 
-    def test_unhashable_hash_index_value_keeps_document(self, collection):
-        # HashIndex keys pass through _hashable, which raises TypeError on
-        # sets; before pre-validation the doc was removed first and lost.
-        with pytest.raises(TypeError):
-            collection.update_one({"name": "a"},
-                                  {"$set": {"properties.labels": [{1, 2}]}})
-        assert collection.count() == 3
-        assert collection.get("a")["properties"]["labels"] == ["x", "y"]
-        assert {d["name"] for d in collection.find({"properties.labels": "x"})} == {"a"}
+    def test_unhashable_field_value_is_stored(self, collection):
+        # Only the primary key is hashed: a set inside another field is a
+        # value like any other, and its label row reads as an unknown name.
+        assert collection.update_one(
+            {"name": "a"}, {"$set": {"properties.labels": [{1, 2}]}}) == 1
+        assert collection.get("a")["properties"]["labels"] == [{1, 2}]
+        assert collection.find({"properties.labels": "x"}).documents == []
+        assert int(collection.columns.labels[0]) == OTHER_LABEL
 
     def test_update_to_same_unique_value_still_allowed(self, collection):
         # Re-asserting the document's own key is not a collision.
@@ -304,8 +316,8 @@ class TestUpdateAtomicity:
         near_c = Rectangle(BoundingBox(west=-9.5, south=37.5, east=-8.5, north=38.5))
         result = collection.find({"location": {"$geoIntersects": near_c}},
                                  sort="name")
-        assert result.plan == "geo_index:location"
         assert [d["name"] for d in result] == ["a", "c"]
+        assert collection.columns.bbox[0].tolist() == huge["bbox"]
         world = Rectangle(BoundingBox(west=-180.0, south=-90.0, east=180.0, north=90.0))
         assert {d["name"] for d in collection.find(
             {"location": {"$geoWithin": world}})} == {"a", "b", "c"}
@@ -320,12 +332,9 @@ class TestUpdateAtomicity:
         assert collection.get("a")["location"] == backwards
         shape = Rectangle(BoundingBox(west=9.0, south=49.0, east=11.0, north=51.0))
         for op in ("$geoIntersects", "$geoWithin"):
-            query = {"location": {op: shape}}
-            planned = collection.find(query)
-            assert planned.plan == "geo_index:location"
-            assert planned.candidates_examined == 1  # only "b"
-            assert ([d["name"] for d in planned] == ["b"]
-                    == [d["name"] for d in collection.find(query, hint="scan")])
+            assert [d["name"] for d in collection.find({"location": {op: shape}})] == ["b"]
+        # The box column reads it as no box at all.
+        assert np.isnan(collection.columns.bbox[0]).all()
 
     def test_large_geometry_is_insertable(self, collection):
         tile = {"bbox": [5.0, 45.0, 6.1, 46.0]}  # ~ a Sentinel-2 tile
@@ -336,19 +345,164 @@ class TestUpdateAtomicity:
             {"location": {"$geoIntersects": inside}})} == {"tile", "tile2"}
 
 
-class TestGeoIndexMaintenance:
-    def test_geo_index_candidates_shrink_search(self, collection):
-        shape = Rectangle(BoundingBox(west=-9.5, south=37.5, east=-8.5, north=38.5))
-        result = collection.find({"location": {"$geoIntersects": shape}})
-        assert result.candidates_examined < 3  # pruned to the Portugal doc
-        assert [d["name"] for d in result] == ["c"]
+class TestColumnMaintenance:
+    """Every write keeps the collection's filter columns on the document."""
 
-    def test_geo_index_creation_idempotent(self, collection):
-        column = collection._bbox_columns["location"]
-        collection.create_geo_index("location")  # no error, no rebuild
-        assert collection._bbox_columns["location"] is column
-        assert "location" in collection.index_fields
+    def test_inserts_write_rows(self, collection):
+        assert column_names(collection) == ["a", "b", "c"]
+        collection.insert_one({"name": "d", "properties": {"season": "Autumn"}})
+        assert column_names(collection) == ["a", "b", "c", "d"]
+        assert collection.columns.season[3] == 4
+        assert np.isnan(collection.columns.bbox[3]).all()
 
-    def test_geo_index_takes_no_precision(self, collection):
-        with pytest.raises(TypeError):
-            collection.create_geo_index("other", precision=5)
+    def test_deletes_clear_rows(self, collection):
+        collection.delete_one({"name": "b"})
+        collection.delete_many({"properties.season": "Summer"})
+        assert column_names(collection) == []
+        assert collection.columns.names == [None, None, None]
+        assert not collection.columns.labels.any()
+
+    def test_update_overwrites_the_row(self, collection):
+        collection.update_one({"name": "c"}, {"$set": {
+            "location": {"bbox": [1.0, 2.0, 3.0, 4.0]}, "name": "c2"}})
+        assert collection.columns.bbox[2].tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert column_names(collection) == ["a", "b", "c2"]
+
+    def test_failed_insert_writes_no_row(self, collection):
+        with pytest.raises(DuplicateKeyError):
+            collection.insert_one({"name": "a"})
+        with pytest.raises(DuplicateKeyError):
+            collection.insert_many([{"name": "e"}, {"name": "a"}])
+        assert column_names(collection) == ["a", "b", "c", "e"]
+
+    def test_reinserted_name_gets_a_new_row(self, collection):
+        collection.delete_one({"name": "a"})
+        collection.insert_one({"name": "a"})
+        assert column_names(collection) == ["b", "c", "a"]
+
+    def test_rows_survive_capacity_doublings(self):
+        col = Collection("metadata", primary_key="name", columns=MetadataColumns())
+        col.insert_many([{"name": f"n{i}", "location": {"bbox": [i / 2, 0, i / 2, 0]}}
+                         for i in range(50)])
+        for i in range(50, 300):
+            col.insert_one({"name": f"n{i}", "location": {"bbox": [i / 2, 0, i / 2, 0]}})
+            if i % 3 == 0:
+                col.delete_one({"name": f"n{i - 40}"})
+        live = [doc["name"] for doc in col.documents()]
+        assert column_names(col) == live
+        assert col.columns.size == 300 <= col.columns.alive.shape[0]
+        rows = np.flatnonzero(col.columns.alive[:col.columns.size])
+        assert col.columns.bbox[rows, 0].tolist() == [
+            int(name[1:]) / 2 for name in live]
+
+    def test_a_plain_collection_keeps_no_columns(self):
+        assert Collection("c").columns is None
+
+
+class TestBulkInsert:
+    def test_bulk_equals_sequential(self):
+        bulk = Collection("metadata", primary_key="name", columns=MetadataColumns())
+        bulk.insert_many(sample_docs())
+        seq = Collection("metadata", primary_key="name", columns=MetadataColumns())
+        for doc in sample_docs():
+            seq.insert_one(doc)
+        assert bulk.documents() == seq.documents()
+        for field in ("bbox", "instant", "season", "satellites", "labels", "alive"):
+            assert np.array_equal(getattr(bulk.columns, field)[:3],
+                                  getattr(seq.columns, field)[:3], equal_nan=True)
+        assert bulk.columns.names == seq.columns.names
+
+    def test_bulk_returns_distinct_ids(self):
+        col = Collection("c")
+        ids = col.insert_many([{"a": i} for i in range(100)])
+        assert len(set(ids)) == 100
+
+    def test_duplicate_inside_batch_preserves_prefix(self):
+        col = Collection("c", primary_key="name")
+        with pytest.raises(DuplicateKeyError):
+            col.insert_many([{"name": "a"}, {"name": "b"}, {"name": "a"}])
+        # Sequential fallback semantics: docs before the offender landed.
+        assert len(col) == 2
+
+    def test_duplicate_against_existing_preserves_prefix(self):
+        col = Collection("c", primary_key="name")
+        col.insert_one({"name": "x"})
+        with pytest.raises(DuplicateKeyError):
+            col.insert_many([{"name": "y"}, {"name": "x"}, {"name": "z"}])
+        assert len(col) == 2  # x + y
+
+    def test_non_mapping_in_batch(self):
+        col = Collection("c")
+        with pytest.raises(StoreError):
+            col.insert_many([{"a": 1}, [1, 2]])
+        assert len(col) == 1
+
+
+class TestZeroCopyReads:
+    def test_field_values(self, collection):
+        names = collection.field_values({"properties.season": "Summer"}, "name")
+        assert names == ["a", "c"]
+
+    def test_field_values_skips_missing(self, collection):
+        collection.insert_one({"name": "bare"})
+        assert len(collection.field_values({}, "properties.n")) == 3
+
+    def test_count_and_distinct_read_in_place(self, collection):
+        assert collection.count({"properties.season": "Summer"}) == 2
+        assert collection.distinct("properties.labels",
+                                   {"properties.season": "Winter"}) == ["y"]
+
+    def test_find_page_total_matches(self, collection):
+        page = collection.find({"properties.season": "Summer"},
+                               sort="name", skip=1, limit=2)
+        assert page.total_matches == 2
+        assert [d["name"] for d in page] == ["c"]
+
+    def test_take_copies_the_given_rows_in_order(self, collection):
+        taken = collection.take([2, 0])
+        assert [d["name"] for d in taken] == ["c", "a"]
+        taken[1]["properties"]["labels"].append("poison")
+        assert collection.get("a")["properties"]["labels"] == ["x", "y"]
+
+
+class TestCopyTree:
+    def test_equal_and_independent(self):
+        doc = {"name": "a", "location": {"bbox": [1.0, 2.0, 3.0, 4.0]},
+               "properties": {"labels": ["x", {"deep": [1, None, True]}],
+                              "n": 1.5}}
+        copied = copy_tree(doc)
+        assert copied == doc == copy.deepcopy(doc)
+        copied["properties"]["labels"][1]["deep"].append(9)
+        copied["location"]["bbox"][0] = -1.0
+        assert doc["properties"]["labels"][1]["deep"] == [1, None, True]
+        assert doc["location"]["bbox"][0] == 1.0
+
+    def test_other_values_are_deep_copied(self):
+        array = np.arange(3)
+        nested = ([1, 2], "t")
+        doc = {"array": array, "tuple": nested,
+               "box": BoundingBox(west=0, south=0, east=1, north=1)}
+        copied = copy_tree(doc)
+        assert copied["array"] is not array
+        np.testing.assert_array_equal(copied["array"], array)
+        assert copied["tuple"] == nested
+        assert copied["tuple"][0] is not nested[0]
+        assert copied["box"] == doc["box"]
+
+    def test_aliasing_is_not_kept(self):
+        shared = [1, 2]
+        copied = copy_tree({"a": shared, "b": shared})
+        assert copied["a"] is not copied["b"]
+
+    def test_store_hands_out_copies_everywhere(self, collection):
+        found = collection.find({"name": "a"}).documents[0]
+        got = collection.get("a")
+        for doc in (found, got):
+            doc["properties"]["labels"].append("poison")
+        assert collection.get("a")["properties"]["labels"] == ["x", "y"]
+
+    def test_documents_are_in_doc_id_order_after_updates(self, collection):
+        collection.update_one({"name": "a"}, {"$set": {"properties.n": 7}})
+        names = [doc["name"] for doc in collection.documents()]
+        assert names == [doc["name"] for doc in collection.find({})]
+        assert names[0] == "a"

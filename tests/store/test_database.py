@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import CollectionNotFoundError, StoreError
-from repro.store import Database
+from repro.store import Database, MetadataColumns
 from repro.store.database import FEEDBACK, IMAGE_DATA, METADATA, RENDERED_IMAGES
 
 
@@ -53,13 +53,15 @@ class TestEarthQubeSchema:
         assert set(db.collection_names()) == {METADATA, IMAGE_DATA,
                                               RENDERED_IMAGES, FEEDBACK}
 
-    def test_metadata_indexes(self):
+    def test_metadata_keeps_the_filter_columns(self):
         db = Database.earthqube_schema()
-        fields = db[METADATA].index_fields
-        assert "name" in fields          # auto-indexed primary key
-        assert "location" in fields      # 2D index (bounding-box column)
-        assert "properties.labels" in fields
-        assert "properties.label_chars" in fields
+        assert db[METADATA].index_fields == {"name"}  # auto-indexed primary key
+        assert isinstance(db[METADATA].columns, MetadataColumns)
+        assert all(db[name].columns is None
+                   for name in (IMAGE_DATA, RENDERED_IMAGES, FEEDBACK))
+        # Whatever creates the metadata collection gets its columns.
+        assert isinstance(Database("other").create_collection(METADATA).columns,
+                          MetadataColumns)
 
     def test_image_collections_keyed_by_name(self):
         db = Database.earthqube_schema()

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from repro.errors import QuerySyntaxError
 from repro.geo import BoundingBox, Circle, Rectangle
 from repro.store import matches
-from repro.store.matcher import extract_all_values, extract_equality, extract_geo
+from repro.store.matcher import extract_equality
 
 DOC = {
     "name": "S2A_1",
@@ -229,19 +229,6 @@ class TestPlannerExtractors:
     def test_extract_equality_absent(self):
         assert extract_equality({"other": 1}, "name") is None
         assert extract_equality({"name": {"$gt": 1}}, "name") is None
-
-    def test_extract_all_values(self):
-        assert extract_all_values({"tags": {"$all": ["a", "b"]}}, "tags") == ["a", "b"]
-        assert extract_all_values({"tags": {"$in": ["a"]}}, "tags") is None
-
-    def test_extract_all_under_and(self):
-        query = {"$and": [{"tags": {"$all": ["a"]}}]}
-        assert extract_all_values(query, "tags") == ["a"]
-
-    def test_extract_geo(self):
-        shape = Circle(lon=0.0, lat=0.0, radius_km=5.0)
-        assert extract_geo({"location": {"$geoIntersects": shape}}, "location") is shape
-        assert extract_geo({"location": "oslo"}, "location") is None
 
 
 @given(st.integers(min_value=-100, max_value=100))

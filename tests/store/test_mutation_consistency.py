@@ -1,8 +1,8 @@
 """Property tests: index consistency under random mutation sequences.
 
 The store's central invariant: whatever sequence of inserts, deletes, and
-updates runs, every query plan (unique/hash/geo index or scan) returns
-exactly what a naive matcher over the live documents returns.
+updates runs, every access path (primary key or scan) returns exactly
+what a naive matcher over the live documents returns.
 """
 
 import pytest
@@ -58,9 +58,6 @@ def mutation_script(draw):
 @given(script=mutation_script())
 def test_indexed_queries_match_naive_evaluation(script):
     collection = Collection("mut", primary_key="name")
-    collection.create_index("properties.season")
-    collection.create_index("properties.labels")
-    collection.create_geo_index("location")
     shadow: dict[str, dict] = {}
 
     for op, payload in script:
@@ -98,7 +95,6 @@ def test_indexed_queries_match_naive_evaluation(script):
 class TestFailureInjection:
     def test_insert_rollback_on_duplicate_keeps_indexes_clean(self):
         collection = Collection("fi", primary_key="name")
-        collection.create_index("properties.season")
         collection.insert_one(_doc(0, 0.0, 45.0, "Summer", ["a"]))
         with pytest.raises(DuplicateKeyError):
             collection.insert_one(_doc(0, 1.0, 46.0, "Winter", ["b"]))
@@ -106,9 +102,8 @@ class TestFailureInjection:
         assert collection.count({"properties.season": "Winter"}) == 0
         assert collection.count() == 1
 
-    def test_reinsert_after_delete_uses_fresh_geo_cells(self):
+    def test_reinsert_after_delete_answers_from_the_new_place(self):
         collection = Collection("fi2", primary_key="name")
-        collection.create_geo_index("location")
         collection.insert_one(_doc(1, 0.0, 45.0, "Summer", ["a"]))
         collection.delete_one({"name": "p1"})
         # Same name, different place: old cells must not resurface it.
@@ -118,9 +113,8 @@ class TestFailureInjection:
         assert collection.count({"location": {"$geoIntersects": near_old}}) == 0
         assert collection.count({"location": {"$geoIntersects": near_new}}) == 1
 
-    def test_update_moving_geometry_relocates_index_entry(self):
+    def test_update_moving_geometry_answers_from_the_new_place(self):
         collection = Collection("fi3", primary_key="name")
-        collection.create_geo_index("location")
         collection.insert_one(_doc(2, 0.0, 45.0, "Summer", ["a"]))
         collection.update_one(
             {"name": "p2"},

@@ -19,11 +19,13 @@ import stat
 import numpy as np
 import pytest
 
+from repro.earthqube.api import parse_query_request
+from repro.earthqube.search import SearchService
 from repro.errors import DurabilityError, StoreError
 from repro.index.hamming import hamming_distances_to_query
 from repro.index.linear_scan import LinearScanIndex
 from repro.store.database import Database
-from repro.store.snapshot import SnapshotManager
+from repro.store.snapshot import SnapshotManager, database_snapshot
 
 NUM_BITS = 128
 WORDS = NUM_BITS // 64
@@ -40,7 +42,6 @@ def code_db(codes) -> Database:
     """A database whose `codes` collection holds the packed code matrix."""
     db = Database("archive_node")
     collection = db.create_collection("codes", primary_key="name")
-    collection.create_index("shard")
     for row, code in enumerate(codes):
         collection.insert_one({
             "name": f"patch_{row}",
@@ -124,7 +125,6 @@ def test_index_definitions_are_rebuilt(tmp_path, code_db):
     collection = round_trip(code_db, tmp_path)["codes"]
     assert collection.primary_key == "name"
     assert collection.get("patch_3")["row"] == 3
-    # The hash index survived: an equality query plans through it.
     response = collection.find({"shard": 2})
     assert {doc["row"] % 4 for doc in response.documents} == {2}
 
@@ -234,93 +234,95 @@ def test_version_2_user_dict_keyed_nd_loads_as_that_dict(tmp_path):
     assert loaded["docs"].get("b")["code"] == b"\x00\x01"
 
 
-def test_legacy_geo_spec_with_cell_precisions_still_loads(tmp_path):
-    """Images written while the geo index was a cell-cover index map each
-    geo field to a cell precision; they load into a bounding-box column,
-    and a re-written checkpoint holds the plain field list."""
-    from repro.geo import BoundingBox, Rectangle
-    loaded = load_image(tmp_path / "legacy", {
-        "format_version": 2,
-        "name": "old",
-        "collections": {
-            "metadata": {
-                "indexes": {"primary_key": "name", "unique": [],
-                            "hash": ["properties.season"],
-                            "geo": {"location": 5},
-                            "date_columns": []},
-                "documents": [
-                    {"name": "a", "location": {"bbox": [10.0, 50.0, 10.1, 50.1]},
-                     "properties": {"season": "Summer"}},
-                    {"name": "b", "location": {"bbox": [-9.0, 38.0, -8.9, 38.1]},
-                     "properties": {"season": "Summer"}},
-                ],
-            },
-        },
-    })
-    shape = Rectangle(BoundingBox(west=9.5, south=49.5, east=10.5, north=50.5))
-    result = loaded["metadata"].find({"location": {"$geoIntersects": shape}})
-    assert result.plan == "geo_index:location"
-    assert [doc["name"] for doc in result] == ["a"]
+def _metadata_db() -> Database:
+    """A churned metadata collection with dates the columns read, dates
+    they cannot read, and documents missing each filtered field."""
+    db = Database.earthqube_schema()
+    metadata = db["metadata"]
+    rng = np.random.default_rng(11)
+    for i in range(40):
+        west = float(rng.uniform(-10.0, 20.0))
+        metadata.insert_one({
+            "name": f"e{i}",
+            "location": {"bbox": [west, 45.0, west + 0.5, 45.5]},
+            "properties": {
+                "acquisition_date": f"2017-{rng.integers(1, 13):02d}-"
+                                    f"{rng.integers(1, 29):02d}T10:00:00",
+                "season": ["Winter", "Summer"][i % 2],
+                "satellites": ["S2", "S1"] if i % 3 else ["S2"],
+                "labels": [["Pastures"], ["Water bodies", "Pastures"]][i % 2]}})
+    for i in range(0, 12, 2):
+        metadata.delete_one({"name": f"e{i}"})
+    for i in range(20, 26):
+        metadata.update_one({"name": f"e{i}"}, {"$set": {
+            "properties.acquisition_date": "2018-01-15",
+            "location": {"bbox": [1.0, 45.0, 2.0, 46.0]}}})
+    metadata.insert_many([
+        {"name": "undated", "properties": {"season": "Summer"}},
+        {"name": "garbled", "properties": {"acquisition_date": "soon"}},
+        {"name": "basic", "properties": {"acquisition_date": "20170105"}},
+        {"name": "placeless", "properties": {"labels": ["Pastures"]}},
+    ])
+    metadata.update_one({"name": "e30"},
+                        {"$unset": {"properties.acquisition_date": 1}})
+    return db
+
+
+_FILTER_REQUESTS = [
+    {},
+    {"date_from": "2017-06-01", "date_to": "2017-12-31"},
+    {"date_from": "2018-01-01"},
+    {"date_to": "2017-03-01"},
+    {"shape": {"type": "rectangle", "west": 0.0, "south": 44.0,
+               "east": 2.0, "north": 46.0}},
+    {"shape": {"type": "circle", "lon": 5.0, "lat": 45.2, "radius_km": 400.0}},
+    {"seasons": ["Summer"], "satellites": ["S1"]},
+    {"labels": ["Water bodies", "Pastures"], "label_operator": "exactly"},
+    {"labels": ["Pastures"], "label_operator": "at_least_and_more",
+     "date_from": "2017-01-01"},
+]
+
+
+def _answers(db: Database) -> list:
+    service = SearchService(db)
+    return [service.matching_names(parse_query_request(request))
+            for request in _FILTER_REQUESTS]
+
+
+def test_filter_columns_round_trip(tmp_path):
+    """Load renumbers doc ids, so every filter column is rebuilt from the
+    documents: the restored store answers each filter as the live one."""
+    db = _metadata_db()
+    loaded = round_trip(db, tmp_path)
+    assert _answers(loaded) == _answers(db)
+    assert loaded["metadata"].columns.size == len(db["metadata"])
+    garbled = _answers(db)[1:4]
+    assert not any({"undated", "garbled", "basic", "e30"} & set(names)
+                   for names in garbled)
+
+
+def test_legacy_index_specs_restore_the_same_answers(tmp_path):
+    """Images written while the store kept hash indexes, a geo column and
+    date columns list them in the index spec (the oldest map each geo
+    field to a cell precision).  They restore to the same answers, and a
+    re-written checkpoint lists the primary key alone."""
+    db = _metadata_db()
+    image = database_snapshot(db)
+    for legacy_geo in (["location"], {"location": 5}):
+        image["collections"]["metadata"]["indexes"].update({
+            "hash": ["properties.labels", "properties.label_chars",
+                     "properties.season", "properties.country",
+                     "properties.satellites"],
+            "geo": legacy_geo,
+            "date_columns": ["properties.acquisition_date"]})
+        loaded = load_image(tmp_path / str(len(legacy_geo)), image)
+        assert _answers(loaded) == _answers(db)
 
     manager = SnapshotManager(tmp_path / "rewritten")
     info = write_image(manager, loaded)
-    image = json.loads((manager.directory / info.files["db"]).read_text())
-    assert image["collections"]["metadata"]["indexes"]["geo"] == ["location"]
-    assert manager.load_latest().db["metadata"].find(
-        {"location": {"$geoIntersects": shape}}).plan == "geo_index:location"
-
-
-def test_date_columns_round_trip_scan_identically(tmp_path):
-    """A churned date column checkpoints and loads to a collection that
-    answers range and equality queries identically to the live one and to
-    the sequential scan, through the columnar plan.  Load renumbers doc
-    ids, so the known / unknown / absent row states must be rebuilt from
-    the documents: absent, unparseable and basic-format dates are the rows
-    every probe must handle exactly."""
-    db = Database("dated")
-    collection = db.create_collection("events", primary_key="name")
-    collection.create_date_column("when")
-    rng = np.random.default_rng(11)
-    for i in range(40):
-        collection.insert_one({
-            "name": f"e{i}",
-            "when": f"2024-{rng.integers(1, 13):02d}-{rng.integers(1, 29):02d}",
-        })
-    for i in range(0, 12, 2):
-        collection.delete_one({"name": f"e{i}"})
-    for i in range(20, 26):
-        collection.update_one({"name": f"e{i}"},
-                              {"$set": {"when": "2025-01-15"}})
-    collection.insert_many([
-        {"name": "late", "when": "2025-06-30"},
-        {"name": "undated"},                     # absent
-        {"name": "garbled", "when": "soon"},     # unknown: unparseable
-        {"name": "basic", "when": "20240105"},   # unknown: basic format
-    ])
-    collection.update_one({"name": "e30"}, {"$unset": {"when": 1}})
-
-    loaded = round_trip(db, tmp_path)
-
-    for query in ({"when": {"$gte": "2024-06-01", "$lt": "2025-01-01"}},
-                  {"when": {"$gte": "2025-01-01"}},
-                  {"when": {"$lt": "2024-03-01"}},
-                  {"when": "2025-01-15"},
-                  {"when": {"$eq": "2025-06-30"}}):
-        live = collection.find(query, sort="name")
-        restored = loaded["events"].find(query, sort="name")
-        scanned = loaded["events"].find(query, sort="name", hint="scan")
-        assert restored.documents == live.documents == scanned.documents
-        assert restored.candidates_examined == live.candidates_examined
-        # The rebuilt collection kept the column definition: the planner
-        # answers through it, not via full scan.
-        assert "date_column:when" in restored.plan
-    # As strings "soon" sorts above every ISO date and "20240105" above
-    # "2024-06-01", so this lower bound matches both unknown rows; the
-    # absent rows never match.
-    later = {doc["name"] for doc in
-             loaded["events"].find({"when": {"$gte": "2024-06-01"}})}
-    assert {"garbled", "basic"} <= later
-    assert not {"undated", "e30"} & later
+    rewritten = json.loads((manager.directory / info.files["db"]).read_text())
+    assert rewritten["collections"]["metadata"]["indexes"] == {
+        "primary_key": "name", "unique": []}
 
 
 def test_failed_commit_leaves_the_previous_image_intact(tmp_path, code_db,

@@ -100,12 +100,14 @@ class TestStorePersistence:
         # bytes survived the base64 roundtrip
         band = restored["image_data"].get("p1")["bands"]["B02"]
         assert band["data"] == b"\x00\x01\x02"
-        # indexes were rebuilt: geo query planned through the index
+        # the filter columns were rebuilt: a shape search finds the patch
         from repro.geo import BoundingBox, Rectangle
+        from repro.earthqube import QuerySpec
+        from repro.earthqube.search import SearchService
         shape = Rectangle(BoundingBox(west=7.9, south=46.9, east=8.2, north=47.2))
-        result = restored["metadata"].find({"location": {"$geoIntersects": shape}})
-        assert result.plan == "geo_index:location"
-        assert len(result) == 1
+        result = SearchService(restored).search(QuerySpec(shape=shape))
+        assert result.plan == "columns"
+        assert result.names == ["p1"]
 
     def test_load_missing_file(self, tmp_path):
         manager = SnapshotManager(tmp_path / "checkpoint")
